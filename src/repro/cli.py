@@ -21,9 +21,10 @@ the shell.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 
@@ -88,6 +89,24 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
     return params
 
 
+def _wrap_scalars(run: Callable[..., object], params: dict[str, object]) -> None:
+    """Make ``sizes=4096`` mean ``sizes=(4096,)``, in place.
+
+    The shell has no way to write a one-element tuple short of a trailing
+    comma, so a bare scalar given for a parameter whose driver default is
+    a tuple is wrapped into a 1-tuple.
+    """
+    signature = inspect.signature(run).parameters
+    for key, value in params.items():
+        expected = signature.get(key)
+        if (
+            expected is not None
+            and isinstance(expected.default, tuple)
+            and not isinstance(value, tuple)
+        ):
+            params[key] = (value,)
+
+
 def _run_one(experiment_id: str, params: dict[str, object]) -> None:
     params = dict(params)  # never mutate the caller's dict (run-all shares it)
     out = params.pop("out", None)
@@ -96,6 +115,7 @@ def _run_one(experiment_id: str, params: dict[str, object]) -> None:
     if live is not None and obs_dir is None:
         raise SystemExit("live= requires obs=DIR (the endpoint serves the run's observer)")
     spec = get_experiment(experiment_id)
+    _wrap_scalars(spec.run, params)
     start = time.perf_counter()
     if obs_dir is not None:
         from repro.obs.harness import instrumented_run

@@ -28,7 +28,13 @@ pieces make that safe and fast:
     ``first_hop_ring=False``) and therefore inherits Lemma 4.23's
     O(ln^(2+ε) d) expected hop bound; mid-convergence, dead links,
     overshoots and non-progress are detected and reported as *lost*
-    lookups instead of hanging the request path.
+    lookups instead of hanging the request path.  The half of the rule
+    that does not depend on the destination is compiled into two tables
+    per view (:class:`RouteView`), the walking queries are carried
+    compacted from hop to hop, and the bookkeeping for walks that end
+    runs only on a hop where one does: every large numpy call the loop
+    makes is a place where the interpreter lock changes hands with the
+    engine thread (docs/SERVING.md).
 """
 
 from __future__ import annotations
@@ -50,9 +56,20 @@ def _link_ranks(ids: np.ndarray, links: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(ids, links)
     if n == 0:
         return np.full(len(links), NO_LINK, dtype=np.int64)
-    clipped = np.minimum(pos, n - 1)
-    ok = np.isfinite(links) & (pos < n) & (ids[clipped] == links)
-    return np.where(ok, clipped, NO_LINK).astype(np.int64)
+    # ids are finite, so ±inf/NaN links and ones past the end (clipped onto
+    # the last id) never match.
+    return np.where(ids.take(pos, mode="clip") == links, pos, NO_LINK)
+
+
+def _scattered_ranks(ids: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """:func:`_link_ranks` for links in no particular order (long-range
+    links, lookup targets): ``np.searchsorted`` walks ascending needles
+    several times faster than scattered ones, which more than pays for
+    sorting them first."""
+    order = np.argsort(links)
+    ranks = np.empty(len(links), dtype=np.int64)
+    ranks[order] = _link_ranks(ids, links[order])
+    return ranks
 
 
 class RouteView:
@@ -63,7 +80,15 @@ class RouteView:
     round and readers pick it up on their next attribute load.
     """
 
-    __slots__ = ("ids", "l_rank", "r_rank", "lrl_rank", "round_index")
+    __slots__ = (
+        "ids",
+        "l_rank",
+        "r_rank",
+        "lrl_rank",
+        "round_index",
+        "sc_right",
+        "sc_left",
+    )
 
     def __init__(
         self,
@@ -78,6 +103,17 @@ class RouteView:
         self.r_rank = r_rank
         self.lrl_rank = lrl_rank
         self.round_index = round_index
+        # Algorithms 5/6 follow lrl iff dest >= lrl > r (rightward) or
+        # dest <= lrl < l (leftward).  The second inequality does not
+        # depend on the destination: where it fails the table holds a rank
+        # no destination reaches, so the test per hop is one compare.
+        # NO_LINK sorts below every rank, so rightwards a dead lrl fails
+        # ``lrl > r`` and a missing r passes it; leftwards a missing l is
+        # said outright and a dead lrl is its own sentinel.
+        self.sc_right = np.where(lrl_rank > r_rank, lrl_rank, len(ids))
+        self.sc_left = np.where(
+            (l_rank == NO_LINK) | (lrl_rank < l_rank), lrl_rank, NO_LINK
+        )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -106,15 +142,9 @@ class RouteView:
             # The merged view is itself a per-round immutable snapshot in
             # sorted order; borrow its columns outright instead of
             # gathering them through the identity permutation.
-            l, r, lrl = soa.l, soa.r, soa.lrl
-        else:
-            l, r, lrl = soa.l[idx], soa.r[idx], soa.lrl[idx]
-        return cls(
-            ids,
-            _link_ranks(ids, l),
-            _link_ranks(ids, r),
-            _link_ranks(ids, lrl),
-            round_index,
+            return cls._from_links(ids, soa.l, soa.r, soa.lrl, round_index)
+        return cls._from_links(
+            ids, soa.l[idx], soa.r[idx], soa.lrl[idx], round_index
         )
 
     @classmethod
@@ -129,17 +159,26 @@ class RouteView:
         l = np.asarray([s.l for s in rows], dtype=np.float64)
         r = np.asarray([s.r for s in rows], dtype=np.float64)
         lrl = np.asarray([s.lrl for s in rows], dtype=np.float64)
-        return cls(
-            ids,
-            _link_ranks(ids, l),
-            _link_ranks(ids, r),
-            _link_ranks(ids, lrl),
-            round_index,
-        )
+        return cls._from_links(ids, l, r, lrl, round_index)
+
+    @classmethod
+    def _from_links(
+        cls,
+        ids: np.ndarray,
+        l: np.ndarray,
+        r: np.ndarray,
+        lrl: np.ndarray,
+        round_index: int,
+    ) -> "RouteView":
+        """Compress the link-id columns to ranks: the two ring columns,
+        each already close to ascending, in one pass; ``lrl`` on its own."""
+        n = len(ids)
+        ring = _link_ranks(ids, np.concatenate((l, r)))
+        return cls(ids, ring[:n], ring[n:], _scattered_ranks(ids, lrl), round_index)
 
     def resolve(self, query_ids: np.ndarray) -> np.ndarray:
         """Ranks of arbitrary ids in this view (``NO_LINK`` when not live)."""
-        return _link_ranks(self.ids, np.asarray(query_ids, dtype=np.float64))
+        return _scattered_ranks(self.ids, np.asarray(query_ids, dtype=np.float64))
 
 
 @dataclass
@@ -183,59 +222,46 @@ def route_batch(
     dst = np.asarray(dest_ranks, dtype=np.int64)
     if src.shape != dst.shape:
         raise ValueError("source and destination batches must align")
-    k = len(src)
-    hops = np.zeros(k, dtype=np.int64)
-    ok = np.ones(k, dtype=bool)
     cap = max_hops if max_hops is not None else n + 16
     valid = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
-    ok &= valid
+    hops = np.zeros(len(src), dtype=np.int64)
+    ok = valid.copy()
     paths: list[list[float]] | None = None
     if collect_paths:
         paths = [
             [float(view.ids[s])] if v else []
             for s, v in zip(src.tolist(), valid.tolist())
         ]
-    cur = np.where(valid, src, 0).astype(np.int64)
-    right = dst > cur
-    active = np.flatnonzero(valid & (cur != dst))
-    for _ in range(cap):
-        if active.size == 0:
-            break
-        c = cur[active]
-        t = dst[active]
-        rgt = right[active]
-        ring = np.where(rgt, view.r_rank[c], view.l_rank[c])
-        sc = view.lrl_rank[c]
-        sc_ok = sc != NO_LINK
-        ring_ok = ring != NO_LINK
+    l_rank, r_rank, lrl_rank = view.l_rank, view.r_rank, view.lrl_rank
+    sc_right, sc_left = view.sc_right, view.sc_left
+    # The walking queries, their positions, destinations and directions
+    # stay compacted together; nothing is re-gathered through an index set.
+    query = np.flatnonzero(valid & (src != dst))
+    cur, t = src[query], dst[query]
+    rgt = t > cur
+    hop = 0
+    while query.size and hop < cap:
+        hop += 1
         # Algorithm 5 (rightward): follow lrl iff dest >= lrl > r;
         # Algorithm 6 (leftward): follow lrl iff dest <= lrl < l.
-        use_sc = np.where(
-            rgt,
-            sc_ok & (t >= sc) & (~ring_ok | (sc > ring)),
-            sc_ok & (t <= sc) & (~ring_ok | (sc < ring)),
-        )
-        nxt = np.where(use_sc, sc, ring)
-        # Mid-convergence hazards: no link at all, a self-loop that makes
-        # no progress, or a ring step that crosses the destination.
-        lost = (nxt == NO_LINK) | (nxt == c)
-        stepped = ~lost
-        crossed = stepped & np.where(rgt, nxt > t, nxt < t)
-        lost |= crossed
+        use_sc = np.where(rgt, t >= sc_right[cur], t <= sc_left[cur])
+        nxt = np.where(use_sc, lrl_rank[cur], np.where(rgt, r_rank[cur], l_rank[cur]))
+        # Mid-convergence hazards: no link at all or a self-loop that makes
+        # no progress (no step taken), or a step that crosses the destination.
+        lost = (nxt == NO_LINK) | (nxt == cur)
         if paths is not None:
-            for qi, rank, fine in zip(
-                active.tolist(), nxt.tolist(), stepped.tolist()
-            ):
-                if fine:
+            for qi, rank, gone in zip(query.tolist(), nxt.tolist(), lost.tolist()):
+                if not gone:
                     paths[qi].append(float(view.ids[rank]))
-        if lost.any():
-            ok[active[lost]] = False
-        hops[active[stepped]] += 1
-        keep = stepped & ~crossed
-        cur[active[keep]] = nxt[keep]
-        active = active[keep]
-        arrived = cur[active] == dst[active]
-        active = active[~arrived]
-    if active.size:
-        ok[active] = False
+        done = lost | np.where(rgt, nxt >= t, nxt <= t)
+        if done.any():
+            finished = query[done]
+            ok[finished] = nxt[done] == t[done]
+            hops[finished] = hop - lost[done]
+            keep = ~done
+            query, nxt, t, rgt = query[keep], nxt[keep], t[keep], rgt[keep]
+        cur = nxt
+    if query.size:
+        ok[query] = False
+        hops[query] = hop
     return RouteResult(hops=hops, ok=ok, round_index=view.round_index, paths=paths)

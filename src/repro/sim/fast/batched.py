@@ -48,6 +48,7 @@ from repro.sim.fast.buffers import (
     Outbox,
     RoundInbox,
     build_inbox,
+    stable_order,
 )
 from repro.sim.fast.kernels import Kernels
 from repro.sim.fast.pool import ArrayPool
@@ -199,15 +200,15 @@ class FastEngine:
         so the type-dispatch order is immaterial.
         """
         group = inbox.rank.astype(np.int64) * 8 + inbox.tcode
-        order = np.argsort(group, kind="stable")
-        sorted_keys = group[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+        order, sorted_keys = stable_order(
+            group, (inbox.n_waves * 8).bit_length()
         )
-        ends = np.r_[starts[1:], len(sorted_keys)]
+        cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        bounds = [0, *cuts.tolist(), len(order)]
+        codes = (sorted_keys[bounds[:-1]] & 7).tolist()
         return [
-            (int(sorted_keys[lo] & 7), order[lo:hi])
-            for lo, hi in zip(starts, ends)
+            (code, order[lo:hi])
+            for code, lo, hi in zip(codes, bounds, bounds[1:])
         ]
 
     def _dispatch_groups(

@@ -58,6 +58,7 @@ __all__ = [
     "draw_delivery_keys",
     "finalize_inbox",
     "prepare_inbox",
+    "stable_order",
     "victim_rank",
 ]
 
@@ -76,6 +77,11 @@ TYPE_OF_CODE: tuple[MessageType, ...] = (
 )
 
 CODE_OF_TYPE: dict[MessageType, int] = {t: c for c, t in enumerate(TYPE_OF_CODE)}
+
+#: Bits of a type code: ``slot << _TYPE_BITS | code`` packs (dest, type).
+_TYPE_BITS = 3
+#: Staging order of the dedup flush: every single-id type, then ``reslrl``.
+_RESLRL_LAST = (LIN, INCLRL, RING, RESRING, PROBR, PROBL, RESLRL)
 
 
 def _wave_check_enabled() -> bool:
@@ -163,28 +169,23 @@ class Outbox:
         chunks = self._chunks[code]
         dest = np.concatenate([ch[0] for ch in chunks])
         a = np.concatenate([ch[1] for ch in chunks])
+        payload = [_bits(a)]
+        b: np.ndarray | None = None
+        c: np.ndarray | None = None
         if code == RESLRL:
             b = np.concatenate([_col(ch, 2, len(ch[0])) for ch in chunks])
             c = np.concatenate([_col(ch, 3, len(ch[0])) for ch in chunks])
-            keys: tuple[np.ndarray, ...] = (
-                np.ascontiguousarray(c).view(np.uint64),
-                np.ascontiguousarray(b).view(np.uint64),
-                np.ascontiguousarray(a).view(np.uint64),
-                np.ascontiguousarray(dest).view(np.uint64),
-            )
-        else:
-            b = c = None
-            keys = (
-                np.ascontiguousarray(a).view(np.uint64),
-                np.ascontiguousarray(dest).view(np.uint64),
-            )
-        order = np.lexsort(keys)
-        sorted_keys = tuple(k[order] for k in keys)
-        fresh = np.zeros(len(order), dtype=bool)
-        fresh[0] = True
-        for k in sorted_keys:
-            fresh[1:] |= k[1:] != k[:-1]
-        keep = order[fresh]
+            payload += [_bits(b), _bits(c)]
+        # Destinations are raw ids here (no slot table to resolve them
+        # against), so their dense rank in bit-pattern order is the head.
+        slots, head = np.unique(_bits(dest), return_inverse=True)
+        order, _, fresh = _dedup_order(
+            head, len(slots).bit_length(), tuple(payload)
+        )
+        # Of each duplicate group keep the first *staged* copy, whatever
+        # order the value sorts left the group in: ``origin`` differs
+        # between copies, and it must not depend on the sort kernel.
+        keep = np.minimum.reduceat(order, np.flatnonzero(fresh))
         # Origin survives only when every source chunk carried it (the
         # chaos wire keeps auto-compaction off, so fault-free `None`
         # columns simply stay dropped).
@@ -410,6 +411,81 @@ def _col(ch: _Chunk, position: int, count: int) -> np.ndarray:
     return column
 
 
+def _bits(column: np.ndarray) -> np.ndarray:
+    """A float64 column as raw bit patterns: the dedup compares *bits* (ids,
+    the ±∞ sentinels and the 0.0 filler are all distinct patterns, and
+    ``-0.0`` must not coalesce with ``0.0`` the way float ``==`` would)."""
+    return np.ascontiguousarray(column).view(np.uint64)
+
+
+def stable_order(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(np.argsort(key, kind="stable"), key[that order])`` by a value sort.
+
+    *key* holds non-negative int64 values below ``2**key_bits``.  Packing
+    each row's position under its key gives distinct words, so an unstable
+    in-place value sort of the words is exact, and ascending position
+    within equal keys *is* the stable tiebreak; permutation and sorted
+    keys are then read back out of the words.  The value sort is several
+    times cheaper than the indirect stable sort it stands in for
+    (docs/PERF.md §2).  When key and position do not fit one int64 together
+    the stable sort itself runs.
+    """
+    shift = len(key).bit_length()
+    if key_bits + shift > 63:
+        order = np.argsort(key, kind="stable")
+        return order, key[order]
+    words = key << np.int64(shift)
+    words |= np.arange(len(key), dtype=np.int64)
+    words.sort()
+    order = words & np.int64((1 << shift) - 1)
+    words >>= np.int64(shift)
+    return order, words
+
+
+def _argsort_ties_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(keys, kind="stable")`` and the sorted keys, paying for
+    stability only on a tie.
+
+    Distinct keys sort to one permutation under any algorithm, so the
+    default sort answers; two equal keys (seen as equal neighbours once
+    sorted) leave their order to the algorithm — which differs between
+    SIMD levels — so that case redoes the sort stably.
+    """
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if bool((ranked[1:] == ranked[:-1]).any()):
+        order = np.argsort(keys, kind="stable")
+    return order, ranked
+
+
+def _dedup_order(
+    head: np.ndarray, head_bits: int, payload: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort rows by ``(head, *payload)`` and mark each distinct row's first copy.
+
+    *head* is a non-negative int64 column below ``2**head_bits``; *payload*
+    holds the remaining key columns as raw bits, most significant first.
+    Returns ``(order, head[order], fresh)``.  Rows that tie on every key
+    are bit-identical and come out adjacent but in no particular order
+    (the minor pass is an unstable sort): callers may keep any one copy,
+    or the group's minimum of ``order`` for the first one staged.
+    """
+    if len(payload) == 1:
+        minor = np.argsort(payload[0])
+        position, sorted_head = stable_order(head[minor], head_bits)
+        order = minor[position]
+    else:
+        order = np.lexsort((*payload[::-1], head))
+        sorted_head = head[order]
+    fresh = np.empty(len(order), dtype=bool)
+    fresh[0] = True
+    np.not_equal(sorted_head[1:], sorted_head[:-1], out=fresh[1:])
+    for column in payload:
+        ranked = column[order]
+        fresh[1:] |= ranked[1:] != ranked[:-1]
+    return order, sorted_head, fresh
+
+
 @dataclass
 class RoundInbox:
     """One round's deliverable messages, ordered for wave processing.
@@ -481,23 +557,18 @@ def prepare_inbox(
     """
     if pool is not None:
         pool.reclaim()
-    dests: list[np.ndarray] = []
-    cols_a: list[np.ndarray] = []
-    per_code_counts = np.zeros(N_TYPES, dtype=np.int64)
-    reslrl_b: list[np.ndarray] = []
-    reslrl_c: list[np.ndarray] = []
-    for code, per_type in enumerate(chunks):
-        for ch in per_type:
-            per_code_counts[code] += len(ch[0])
-            dests.append(ch[0])
-            cols_a.append(ch[1])
-            if code == RESLRL:
-                count = len(ch[0])
-                reslrl_b.append(_col(ch, 2, count))
-                reslrl_c.append(_col(ch, 3, count))
-    if not dests:
+    # Under dedup the output order is content-determined, so the reslrl
+    # chunks — the only rows with b/c payloads — are staged last and the two
+    # dedup blocks are plain slices.  Without it rows are emitted in staging
+    # order, type-ascending (the pinned chaos wire traces depend on that).
+    stage_order = _RESLRL_LAST if dedup else tuple(range(N_TYPES))
+    counts = [sum(len(ch[0]) for ch in chunks[code]) for code in stage_order]
+    total = sum(counts)
+    if total == 0:
         return None, 0
-    total = int(per_code_counts.sum())
+    staged = [ch for code in stage_order for ch in chunks[code]]
+    dests = [ch[0] for ch in staged]
+    cols_a = [ch[1] for ch in staged]
     if pool is None:
         dest_id = np.concatenate(dests)
         a = np.concatenate(cols_a)
@@ -510,12 +581,17 @@ def prepare_inbox(
         # 0.0 filler in one allocation instead of zero-chunks per send.
         b = pool.zeros(total, np.float64)
         c = pool.zeros(total, np.float64)
-    tcode = np.repeat(np.arange(N_TYPES, dtype=np.int8), per_code_counts)
-    if reslrl_b:
-        lo = int(per_code_counts[:RESLRL].sum())
-        hi = lo + int(per_code_counts[RESLRL])
-        b[lo:hi] = np.concatenate(reslrl_b)
-        c[lo:hi] = np.concatenate(reslrl_c)
+    tcode = np.repeat(np.array(stage_order, dtype=np.int8), counts)
+    if chunks[RESLRL]:
+        at = stage_order.index(RESLRL)
+        lo = sum(counts[:at])
+        hi = lo + counts[at]
+        b[lo:hi] = np.concatenate(
+            [_col(ch, 2, len(ch[0])) for ch in chunks[RESLRL]]
+        )
+        c[lo:hi] = np.concatenate(
+            [_col(ch, 3, len(ch[0])) for ch in chunks[RESLRL]]
+        )
 
     dest_idx, found = lookup(dest_id)
     dropped = int(len(found) - found.sum())
@@ -526,54 +602,37 @@ def prepare_inbox(
     if len(dest_idx) == 0:
         return None, dropped
     n_res = int((tcode == RESLRL).sum())
+    top_slot = int(dest_idx.max())
 
     if dedup:
         # Exact row dedup via integer keys: (dest, type) packed into one
-        # int64 plus the payload columns reinterpreted as raw bits (ids,
-        # sentinels, and the 0.0 filler all have unique bit patterns; NaN
-        # never goes on the wire).  ``tcode`` is nondecreasing by
-        # construction, so the reslrl rows — the only type with b/c
-        # payloads — form one contiguous block; everything else dedups on
-        # just (head, a), keeping the dominant sort at two keys.  The
-        # surviving rows come out in sorted-key (canonical) order, reslrl
-        # block last.
-        head = dest_idx.astype(np.int64) * np.int64(N_TYPES + 1) + tcode
-        a_bits = np.ascontiguousarray(a).view(np.uint64)
-        lo = int(np.searchsorted(tcode, RESLRL, side="left"))
-        hi = int(np.searchsorted(tcode, RESLRL, side="right"))
-        keep_chunks = []
-        for rows, keys_of_rows in (
-            (
-                np.concatenate((np.arange(lo), np.arange(hi, len(head)))),
-                lambda rows: (a_bits[rows], head[rows]),
-            ),
-            (
-                np.arange(lo, hi),
-                lambda rows: (
-                    np.ascontiguousarray(c[rows]).view(np.uint64),
-                    np.ascontiguousarray(b[rows]).view(np.uint64),
-                    a_bits[rows],
-                    head[rows],
-                ),
-            ),
-        ):
-            if len(rows) == 0:
+        # int64 ``head`` plus the payload columns as raw bits (NaN never
+        # goes on the wire).  The reslrl rows dedup on (head, a, b, c);
+        # everything else — nine rows in ten — on just (head, a), which
+        # :func:`_dedup_order` sorts without a comparison sort.  Survivors
+        # come out in sorted-key (canonical) order, reslrl block last;
+        # slot and type are read back out of the sorted heads.
+        head = np.left_shift(dest_idx, _TYPE_BITS, dtype=np.int64)
+        head |= tcode
+        head_bits = (top_slot + 1).bit_length() + _TYPE_BITS
+        split = len(head) - n_res
+        kept_heads: list[np.ndarray] = []
+        kept_rows: list[np.ndarray] = []
+        for lo, hi, columns in ((0, split, (a,)), (split, len(head), (a, b, c))):
+            if lo == hi:
                 continue
-            sort_keys = keys_of_rows(rows)
-            row_order = np.lexsort(sort_keys)
-            sorted_keys = tuple(k[row_order] for k in sort_keys)
-            fresh = np.zeros(len(rows), dtype=bool)
-            fresh[0] = True
-            for k in sorted_keys:
-                fresh[1:] |= k[1:] != k[:-1]
-            keep_chunks.append(rows[row_order[fresh]])
-        unique_pos = np.concatenate(keep_chunks)
-        dest_idx = dest_idx[unique_pos]
-        tcode = tcode[unique_pos]
-        a, b, c = a[unique_pos], b[unique_pos], c[unique_pos]
-        n_res = len(keep_chunks[-1]) if hi > lo else 0
+            order, sorted_head, fresh = _dedup_order(
+                head[lo:hi], head_bits, tuple(_bits(col[lo:hi]) for col in columns)
+            )
+            kept_heads.append(sorted_head[fresh])
+            kept_rows.append(order[fresh] + lo)
+        kept_head = np.concatenate(kept_heads)
+        rows = np.concatenate(kept_rows)
+        n_res = len(kept_rows[-1]) if n_res else 0
+        dest_idx = kept_head >> np.int64(_TYPE_BITS)
+        tcode = (kept_head & np.int64((1 << _TYPE_BITS) - 1)).astype(np.int8)
+        a, b, c = a[rows], b[rows], c[rows]
 
-    packed_ok = bool(len(dest_idx)) and int(dest_idx.max()) < (1 << 21)
     return (
         PreparedInbox(
             dest_idx=dest_idx.astype(np.int32, copy=False),
@@ -582,7 +641,7 @@ def prepare_inbox(
             b=b,
             c=c,
             n_res=n_res,
-            packed_ok=packed_ok,
+            packed_ok=top_slot < (1 << 21),
         ),
         dropped,
     )
@@ -593,8 +652,8 @@ def draw_delivery_keys(
 ) -> np.ndarray:
     """One uniform delivery key per prepared row, in canonical row order.
 
-    Integer keys feed the packed single-argsort encoding; beyond 2M slots
-    the encoding overflows and float keys feed a two-key lexsort instead.
+    Integer keys feed the packed one-word sort encoding; beyond 2M slots
+    the encoding overflows and float keys feed a two-pass sort instead.
     The draw sits in the exact stream position :func:`build_inbox` always
     used, so splitting the assembly is invisible to seeded runs.
     """
@@ -607,19 +666,25 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
     """Order prepared rows by ``(dest, key)`` and assign wave ranks.
 
     *keys* aligns with *pre*'s canonical row order — either int64 (packed
-    encoding, requires ``pre.packed_ok``) or float64 (lexsort path).  Key
-    ties fall back to canonical position order via the stable sort: an
-    exchangeable tiebreak, still a uniform delivery order, and — crucially
-    for the sharded engine — a *content-determined* one.
+    ``dest << 42 | key`` words, requires ``pre.packed_ok``) or float64
+    (key pass, then destination pass).  Key ties fall back to canonical
+    position order (:func:`_argsort_ties_stable`): an exchangeable
+    tiebreak, still a uniform delivery order, and — crucially for the
+    sharded engine — a *content-determined* one.
     """
-    dest_idx = pre.dest_idx
     if keys.dtype == np.int64:
-        packed = dest_idx.astype(np.int64) << np.int64(42)
+        packed = pre.dest_idx.astype(np.int64) << np.int64(42)
         packed |= keys
-        order = np.argsort(packed, kind="stable")
-    else:  # pragma: no cover - beyond 2M slots; keep the exact path
-        order = np.lexsort((keys, dest_idx))
-    dest_idx = dest_idx[order]
+        order, packed = _argsort_ties_stable(packed)
+        packed >>= np.int64(42)
+        dest_idx = packed.astype(pre.dest_idx.dtype)
+    else:
+        minor, _ = _argsort_ties_stable(keys)
+        position, sorted_dest = stable_order(
+            pre.dest_idx[minor].astype(np.int64), 31
+        )
+        order = minor[position]
+        dest_idx = sorted_dest.astype(pre.dest_idx.dtype)
     tcode = pre.tcode[order]
     a, b, c = pre.a[order], pre.b[order], pre.c[order]
 

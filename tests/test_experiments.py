@@ -7,9 +7,15 @@ the benchmarks run the real sizes.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 from repro.experiments import EXPERIMENTS, get_experiment
 from repro.experiments.common import ExperimentResult, seed_rng
@@ -230,3 +236,25 @@ class TestCli:
             ["run", "e05", "sizes=64,128,256", "queries=50", "process_horizon=200"]
         )
         assert code == 0
+
+    def test_scalar_for_a_tuple_parameter(self, capsys):
+        """``sizes=96`` (the form docs/PERF.md advertises) is ``sizes=(96,)``;
+        it used to die with "'int' object is not iterable"."""
+        code = main(["run", "e22", "sizes=96", "queries=20", "reference_max_n=0"])
+        assert code == 0
+        assert "sizes=(96,)" in capsys.readouterr().out
+
+    def test_python_dash_m_repro(self):
+        """``python -m repro`` is the console script (needs ``__main__.py``)."""
+        env = dict(os.environ)
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "list"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "e22" in done.stdout

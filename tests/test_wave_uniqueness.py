@@ -37,23 +37,50 @@ row_strategy = st.tuples(
     st.sampled_from(ID_POOL),  # c (reslrl only)
 )
 
+#: Identifiers no node of :func:`make_soa` holds: rows addressed to them
+#: are dropped at the flush (between, below and above the live ids).
+DEAD_IDS = (0.01, 0.5, 0.99)
+#: Payload values whose *bit patterns* the dedup must tell apart where
+#: float ``==`` would not (``0.0`` is also the b/c filler).
+ZEROS = (0.0, -0.0)
+
+#: Anything the wire can carry: dead destinations, ``0.0``/``-0.0``
+#: payloads, and the ±∞ sentinels a ``reslrl`` reports for a missing
+#: neighbour.  The small pools make exact duplicates frequent.
+wire_row_strategy = st.tuples(
+    st.integers(min_value=0, max_value=N_TYPES - 1),
+    st.sampled_from(ID_POOL + DEAD_IDS),
+    st.sampled_from(ID_POOL + ZEROS),
+    st.sampled_from(ID_POOL + ZEROS + (-np.inf, np.inf)),
+    st.sampled_from(ID_POOL + ZEROS + (-np.inf, np.inf)),
+)
+
 
 def make_soa() -> SoAState:
     return SoAState.from_states(NodeState(id=v) for v in ID_POOL)
 
 
-def make_chunks(rows: list[tuple]) -> list[list[tuple]]:
-    """Stage *rows* as per-type outbox chunks (one chunk per row)."""
+def make_chunks(rows: list[tuple], chunk_rows: int = 1) -> list[list[tuple]]:
+    """Stage *rows* as per-type outbox chunks of up to *chunk_rows* rows.
+
+    Each type's rows keep their relative order; the ``origin`` column
+    numbers the rows in staging order (the fault-free flush ignores it,
+    mid-round compaction must carry the first staged copy's).
+    """
+    by_type: list[list[tuple]] = [[] for _ in range(N_TYPES)]
+    for position, row in enumerate(rows):
+        by_type[row[0]].append((*row[1:], float(position)))
     chunks: list[list[tuple]] = [[] for _ in range(N_TYPES)]
-    for tcode, dest, a, b, c in rows:
-        dest_col = np.array([dest], dtype=np.float64)
-        a_col = np.array([a], dtype=np.float64)
-        if tcode == RESLRL:
-            b_col = np.array([b], dtype=np.float64)
-            c_col = np.array([c], dtype=np.float64)
-            chunks[tcode].append((dest_col, a_col, b_col, c_col, None))
-        else:
-            chunks[tcode].append((dest_col, a_col, None, None, None))
+    for tcode, typed in enumerate(by_type):
+        for start in range(0, len(typed), chunk_rows):
+            dest, a, b, c, origin = (
+                np.array(column, dtype=np.float64)
+                for column in zip(*typed[start : start + chunk_rows])
+            )
+            if tcode == RESLRL:
+                chunks[tcode].append((dest, a, b, c, origin))
+            else:
+                chunks[tcode].append((dest, a, None, None, origin))
     return chunks
 
 
