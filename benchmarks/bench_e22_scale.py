@@ -78,10 +78,8 @@ def test_e22_scale_faulted(benchmark):
 
 def test_e22_scale_sharded(benchmark):
     """The sharded-engine scale leg (docs/PERF.md): cold convergence at
-    n=2^18 on contiguous id-range shards, recording wall clock and peak
-    RSS.  On multi-core hosts raise ``workers``; ``workers=0`` keeps every
-    shard in this process, which is the honest configuration for the
-    single-CPU CI box (see benchmarks/shard_waiver.json)."""
+    n=2^18 on contiguous in-process id-range shards, recording wall clock
+    and peak RSS (sharding bounds memory, not time: docs/PERF.md §8)."""
     result = run_and_report(
         benchmark,
         "e22",
@@ -91,7 +89,6 @@ def test_e22_scale_sharded(benchmark):
         reference_max_n=0,
         engine="sharded",
         shards=4,
-        workers=0,
     )
     row = result.rows[0]
     # Polylog rounds must survive the 2^18 jump (same gate shape as the

@@ -11,7 +11,7 @@ when it improves enough that the baseline should be re-recorded.
 A second, independent gate pins the observability layer's cost contract
 (docs/OBSERVABILITY.md): with no observer active the instrumentation
 hooks must stay within ``OBS_SLACK`` (5%) of a hook-free round loop, on
-all three engines (reference, batched, inline-sharded).  The disabled
+all three engines (reference, batched, sharded).  The disabled
 hot path is one ``is None`` check per round, so this gate catches anyone
 accidentally moving real work outside that check.
 
@@ -55,9 +55,8 @@ OBS_SLACK = 1.05
 OBS_REPEATS = 5
 OBS_FAST_N, OBS_FAST_ROUNDS = 512, 300
 OBS_REF_N, OBS_REF_ROUNDS = 192, 80
-#: The sharded leg runs inline (workers=0): the contract being pinned is
-#: the coordinator's obs-disabled hot path (profiler/shard-sink checks),
-#: and inline shards measure it without spawn-time noise.
+#: The sharded leg pins the coordinator's obs-disabled hot path
+#: (profiler/shard-sink checks).
 OBS_SHARD_N, OBS_SHARD_ROUNDS, OBS_SHARD_SHARDS = 512, 240, 4
 
 #: Round-phase attribution gate (benchmarks/shard_phases.py): the
@@ -95,22 +94,6 @@ CHURN_ROUNDS = 30
 CHURN_SEED = 424
 CHURN_MIN_SPEEDUP = 5.0
 CHURN_BENCH = pathlib.Path(__file__).parent.parent / "BENCH_churn_scale.json"
-
-#: Sharded-engine gate (docs/PERF.md "Sharding"): a fixed-round workload
-#: at n=8192 on the sharded engine must beat the single-process batched
-#: engine by ``SHARD_MIN_SPEEDUP`` wall-clock — OR the repo must carry an
-#: explicitly recorded waiver (``benchmarks/shard_waiver.json``) with the
-#: measured ratio and the crossover condition.  The waiver path exists
-#: because the gate is honest about hardware: on a single-CPU box the
-#: shard coordinator is pure overhead and spawned workers time-slice one
-#: core, so the speedup floor is unreachable *by construction*, not by
-#: regression.  ``--record`` refreshes the waiver's measured block.
-SHARD_N = 8192
-SHARD_ROUNDS = 60
-SHARD_SHARDS = 4
-SHARD_SEED = 1818
-SHARD_MIN_SPEEDUP = 1.5
-SHARD_WAIVER = pathlib.Path(__file__).parent / "shard_waiver.json"
 
 
 def _workload_states():
@@ -225,7 +208,7 @@ def _obs_reference(bare: bool) -> float:
 
 
 def _obs_sharded(bare: bool) -> float:
-    """Fixed-round inline-sharded run; ``bare`` bypasses the hook."""
+    """Fixed-round sharded run; ``bare`` bypasses the hook."""
     from repro.core.protocol import ProtocolConfig
     from repro.sim.fast import FastSimulator
     from repro.topology.generators import TOPOLOGIES
@@ -236,22 +219,18 @@ def _obs_sharded(bare: bool) -> float:
         ProtocolConfig(),
         mode="sharded",
         shards=OBS_SHARD_SHARDS,
-        workers=0,
         rng=np.random.default_rng(SEED),
     )
     engine, rng = sim.engine, sim.rng
-    try:
-        with _gc_quiesced():
-            start = time.perf_counter()
-            if bare:
-                for _ in range(OBS_SHARD_ROUNDS):
-                    engine.execute_round(rng)
-                    engine.stats.end_round()
-            else:
-                sim.run(OBS_SHARD_ROUNDS)
-            return time.perf_counter() - start
-    finally:
-        engine.close()
+    with _gc_quiesced():
+        start = time.perf_counter()
+        if bare:
+            for _ in range(OBS_SHARD_ROUNDS):
+                engine.execute_round(rng)
+                engine.stats.end_round()
+        else:
+            sim.run(OBS_SHARD_ROUNDS)
+        return time.perf_counter() - start
 
 
 def measure_obs_overhead() -> dict[str, float]:
@@ -492,85 +471,6 @@ def record_churn_gate(result: dict[str, float]) -> None:
     CHURN_BENCH.write_text(json.dumps(entries, indent=2) + "\n")
 
 
-def _shard_workers() -> int:
-    """Spawned workers only help with real cores to put them on."""
-    import os
-
-    return SHARD_SHARDS if (os.cpu_count() or 1) >= 2 else 0
-
-
-def _time_sharded_leg(states, mode: str, workers: int) -> float:
-    from repro.core.protocol import ProtocolConfig
-    from repro.sim.fast import FastSimulator
-
-    kwargs = {}
-    if mode == "sharded":
-        kwargs = {"shards": SHARD_SHARDS, "workers": workers}
-    sim = FastSimulator.from_states(
-        [s.copy() for s in states],
-        ProtocolConfig(),
-        mode=mode,
-        rng=np.random.default_rng(SHARD_SEED + 1),
-        **kwargs,
-    )
-    try:
-        start = time.perf_counter()
-        sim.run(SHARD_ROUNDS)
-        return time.perf_counter() - start
-    finally:
-        if mode == "sharded":
-            sim.engine.close()
-
-
-def measure_shard() -> dict[str, float]:
-    """Fixed-round sharded vs single-process batched engine, same seed.
-
-    Worker processes are spawned before the timer starts, so the measured
-    window is steady-state rounds — construction cost is a one-time price
-    the E22-scale runs amortize anyway.
-    """
-    import os
-
-    from repro.topology.generators import TOPOLOGIES
-
-    states = TOPOLOGIES["line"](SHARD_N, np.random.default_rng(SHARD_SEED))
-    workers = _shard_workers()
-    fast = min(_time_sharded_leg(states, "batched", 0) for _ in range(REPEATS))
-    sharded = min(
-        _time_sharded_leg(states, "sharded", workers) for _ in range(REPEATS)
-    )
-    return {
-        "fast_seconds": round(fast, 4),
-        "sharded_seconds": round(sharded, 4),
-        "shard_speedup": round(fast / sharded, 2),
-        "shards": SHARD_SHARDS,
-        "workers": workers,
-        "cpus": float(os.cpu_count() or 1),
-    }
-
-
-def record_shard_waiver(result: dict[str, float]) -> None:
-    """Refresh the waiver's measured block, preserving its crossover text."""
-    waiver: dict[str, object] = {
-        "gate": f"sharded/fast speedup >= {SHARD_MIN_SPEEDUP} at n={SHARD_N}",
-        "crossover": (
-            "the sharded engine crosses the floor only with >= 2 physical "
-            "cores and workers=shards; on one core the coordinator and the "
-            "boundary exchange are pure overhead — re-measure and delete "
-            "this waiver when the CI box gains cores"
-        ),
-    }
-    if SHARD_WAIVER.exists():
-        waiver.update(json.loads(SHARD_WAIVER.read_text()))
-    waiver["measured"] = {
-        "n": SHARD_N,
-        "rounds": SHARD_ROUNDS,
-        "seed": SHARD_SEED,
-        **result,
-    }
-    SHARD_WAIVER.write_text(json.dumps(waiver, indent=2) + "\n")
-
-
 def record_obs_bench(result: dict[str, float]) -> None:
     """Machine-stamp the measured overhead into ``BENCH_obs_overhead.json``."""
     import platform
@@ -587,7 +487,6 @@ def record_obs_bench(result: dict[str, float]) -> None:
                 "n": OBS_SHARD_N,
                 "rounds": OBS_SHARD_ROUNDS,
                 "shards": OBS_SHARD_SHARDS,
-                "workers": 0,
                 "seed": SEED,
             },
         },
@@ -620,11 +519,6 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the churn-storm speedup gate (reference leg is slow)",
     )
     parser.add_argument(
-        "--skip-shard",
-        action="store_true",
-        help="skip the sharded-engine speedup gate",
-    )
-    parser.add_argument(
         "--skip-phases",
         action="store_true",
         help="skip the sharded round-phase attribution gate",
@@ -653,36 +547,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.record:
             shard_phases.record(row)
             print(f"perf-smoke[phases]: recorded to {shard_phases.BENCH}")
-
-    shard_failed = False
-    if not args.skip_shard:
-        shard = measure_shard()
-        print(
-            f"perf-smoke[shard]: n={SHARD_N} shards={SHARD_SHARDS} "
-            f"workers={int(shard['workers'])} cpus={int(shard['cpus'])} "
-            f"fast={shard['fast_seconds']}s "
-            f"sharded={shard['sharded_seconds']}s "
-            f"speedup={shard['shard_speedup']}x (floor {SHARD_MIN_SPEEDUP}x)"
-        )
-        if shard["shard_speedup"] < SHARD_MIN_SPEEDUP:
-            if SHARD_WAIVER.exists():
-                waiver = json.loads(SHARD_WAIVER.read_text())
-                print(
-                    "perf-smoke[shard]: below floor but waived "
-                    f"({SHARD_WAIVER.name}): {waiver.get('crossover')}"
-                )
-            else:
-                shard_failed = True
-                print(
-                    "perf-smoke[shard]: the sharded engine no longer beats "
-                    f"the single-process batched engine {SHARD_MIN_SPEEDUP}x "
-                    "and no waiver is recorded; either fix the regression or "
-                    "record the measured crossover with --record "
-                    "(docs/PERF.md 'Sharding')"
-                )
-        if args.record:
-            record_shard_waiver(shard)
-            print(f"perf-smoke[shard]: measured block recorded to {SHARD_WAIVER}")
 
     churn_failed = False
     if not args.skip_churn:
@@ -773,7 +637,6 @@ def main(argv: list[str] | None = None) -> int:
                 obs_failed
                 or chaos_failed
                 or churn_failed
-                or shard_failed
                 or phases_failed
             )
             else 0
@@ -807,7 +670,6 @@ def main(argv: list[str] | None = None) -> int:
             obs_failed
             or chaos_failed
             or churn_failed
-            or shard_failed
             or phases_failed
         )
         else 0

@@ -45,7 +45,6 @@ def run_bench(
     lookups: int,
     engine: str,
     shards: int,
-    workers: int,
     storm: str,
     zipf_s: float,
     batch: int,
@@ -58,7 +57,6 @@ def run_bench(
         topology="stable",
         engine=engine,
         shards=shards,
-        workers=workers,
         seed=seed,
         check_every=4,
     )
@@ -125,7 +123,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--lookups", type=int, default=20_000)
     parser.add_argument("--engine", choices=("fast", "sharded"), default="fast")
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=0)
     parser.add_argument("--storm", default="flash_crowd")
     parser.add_argument("--zipf", type=float, default=1.1)
     parser.add_argument("--batch", type=int, default=8192)
@@ -146,7 +143,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         lookups=args.lookups,
         engine=args.engine,
         shards=args.shards,
-        workers=args.workers,
         storm=args.storm,
         zipf_s=args.zipf,
         batch=args.batch,

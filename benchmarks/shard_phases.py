@@ -5,7 +5,7 @@ the run manifest, and feeds it through :func:`repro.obs.phases
 .phase_report` — the same pipeline ``repro obs phases DIR`` applies to a
 recorded run.  The row it produces decomposes the sharded wall clock
 into the coordinator phases (``dispatch``/``exchange``/``flush``/
-``merge``/``rng``) plus the worker-side kernel time folded from the
+``merge``/``rng``) plus the shard-side kernel time folded from the
 per-shard telemetry, and carries the headline *attribution* fraction:
 how much of the measured ``round_seconds`` wall clock landed in a named
 phase.
@@ -48,16 +48,10 @@ MIN_ATTRIBUTION = 0.95
 PHASE_COLUMNS = ("dispatch", "exchange", "flush", "merge", "rng")
 
 
-def default_workers() -> int:
-    """Spawned workers only help with real cores to put them on."""
-    return SHARDS if (os.cpu_count() or 1) >= 2 else 0
-
-
 def measure_phases(
     n: int = N,
     rounds: int = ROUNDS,
     shards: int = SHARDS,
-    workers: int | None = None,
     seed: int = SEED,
 ) -> dict[str, float]:
     """One observed sharded run → one ``BENCH_shard_phases`` row."""
@@ -69,12 +63,10 @@ def measure_phases(
     from repro.sim.fast import FastSimulator
     from repro.topology.generators import TOPOLOGIES
 
-    if workers is None:
-        workers = default_workers()
     states = TOPOLOGIES["line"](n, np.random.default_rng(seed))
     observer = Observer(
         experiment="shard_phases",
-        params={"n": n, "rounds": rounds, "shards": shards, "workers": workers},
+        params={"n": n, "rounds": rounds, "shards": shards},
         exporters=(),
     )
     with activated(observer):
@@ -83,15 +75,11 @@ def measure_phases(
             ProtocolConfig(),
             mode="sharded",
             shards=shards,
-            workers=workers,
             rng=np.random.default_rng(seed),
         )
-        try:
-            start = time.perf_counter()
-            sim.run(rounds)
-            elapsed = time.perf_counter() - start
-        finally:
-            sim.engine.close()
+        start = time.perf_counter()
+        sim.run(rounds)
+        elapsed = time.perf_counter() - start
     observer.close()
     report = phase_report(build_manifest(observer))
     engines = report["engines"]
@@ -114,7 +102,6 @@ def measure_phases(
         "n": n,
         "rounds": rounds,
         "shards": shards,
-        "workers": workers,
         "seed": seed,
         "elapsed_s": round(elapsed, 4),
         "wall_s": round(body["wall_s"], 4),
@@ -153,12 +140,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, default=N)
     parser.add_argument("--rounds", type=int, default=ROUNDS)
     parser.add_argument("--shards", type=int, default=SHARDS)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="spawned worker processes (default: shards if >=2 CPUs else 0)",
-    )
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument(
         "--record",
@@ -179,7 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         n=args.n,
         rounds=args.rounds,
         shards=args.shards,
-        workers=args.workers,
         seed=args.seed,
     )
     split = "  ".join(
@@ -187,11 +167,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"shard-phases: n={args.n} rounds={args.rounds} "
-        f"shards={args.shards} workers={int(row['workers'])} "
+        f"shards={args.shards} "
         f"wall={row['wall_s']}s attributed={row['attributed_s']}s "
         f"({row['attribution'] * 100:.1f}%)"
     )
-    print(f"shard-phases: {split}  worker-kernel={row['kernel_s']}s")
+    print(f"shard-phases: {split}  shard-kernel={row['kernel_s']}s")
     if args.record:
         record(row)
         print(f"shard-phases: recorded to {BENCH}")

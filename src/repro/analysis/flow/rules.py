@@ -112,8 +112,8 @@ class WriteWriteRule(FlowRule):
     )
     grounding = (
         "kernels.py invariant: within one handler call no fancy-indexed "
-        "store may hit the same slot twice — mandatory before the SoA "
-        "columns are sharded across processes (ROADMAP)"
+        "store may hit the same slot twice — what lets the sharded "
+        "engine run the same kernels per id-range block"
     )
 
     def check(self, unit: FlowUnit) -> Iterator[Finding]:

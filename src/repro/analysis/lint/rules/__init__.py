@@ -12,8 +12,7 @@ Four rule families (ISSUE 1):
 5. **SoA performance discipline** — ``scalar-loop-over-soa`` (promoted
    from advisory once every deliberate scalar site carried its pragma);
 6. **observability discipline** — ``obs-blocking-in-wave`` (advisory:
-   blocking I/O inside the fast engine's kernel/wave-dispatch path;
-   ``shard/workers.py``, the pipe transport, is exempt).
+   blocking I/O inside the fast engine's kernel/wave-dispatch path).
 
 ``ALL_RULES`` instantiates one of each; ``RULES_BY_ID`` indexes them for
 the CLI's ``--select``/``--ignore`` filters and the pragma machinery.

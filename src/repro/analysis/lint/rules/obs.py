@@ -3,7 +3,7 @@
 One advisory rule (ISSUE 9): ``obs-blocking-in-wave`` flags blocking I/O
 inside the kernel / wave-dispatch modules of ``repro.sim.fast``.  The
 telemetry plane is built so the wave loop never blocks on observation —
-shard workers piggyback their counters on the boundary-exchange report,
+shard cores piggyback their counters on the boundary-exchange report,
 and the live scrape endpoint reads registry snapshots from its own
 threads.  A stray ``print``/``open``/``sleep`` (or a raw pipe/socket
 round-trip) inside a kernel stalls every shard for the slowest writer
@@ -16,9 +16,7 @@ the in-memory message-bus and access-recorder idiom (``out.send(LIN,
 channels (``open``/``print``/``input``/``breakpoint`` builtins) and the
 transport primitives that only ever name real blocking calls
 (``.sleep``, ``.recv``/``.recv_bytes``, ``.sendall``/``.send_bytes``,
-``.accept``, ``.connect``, ``.select``).  ``shard/workers.py`` is exempt
-wholesale: pipe ``send``/``recv`` *is* that module's job — it is the
-transport, not a kernel.
+``.accept``, ``.connect``, ``.select``).
 """
 
 from __future__ import annotations
@@ -74,9 +72,6 @@ class ObsBlockingInWaveRule(Rule):
     def check(self, module: ModuleUnit) -> Iterator[Finding]:
         path = module.path.replace("\\", "/")
         if "/sim/fast" not in path:
-            return
-        if path.endswith("shard/workers.py"):
-            # The spawn-context transport: pipe send/recv IS its job.
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):

@@ -24,7 +24,7 @@ import argparse
 import inspect
 import sys
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 
@@ -89,20 +89,18 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
     return params
 
 
-def _wrap_scalars(run: Callable[..., object], params: dict[str, object]) -> None:
+def _wrap_scalars(
+    signature: Mapping[str, inspect.Parameter], params: dict[str, object]
+) -> None:
     """Make ``sizes=4096`` mean ``sizes=(4096,)``, in place.
 
     The shell has no way to write a one-element tuple short of a trailing
     comma, so a bare scalar given for a parameter whose driver default is
     a tuple is wrapped into a 1-tuple.
     """
-    signature = inspect.signature(run).parameters
     for key, value in params.items():
-        expected = signature.get(key)
-        if (
-            expected is not None
-            and isinstance(expected.default, tuple)
-            and not isinstance(value, tuple)
+        if isinstance(signature[key].default, tuple) and not isinstance(
+            value, tuple
         ):
             params[key] = (value,)
 
@@ -115,7 +113,16 @@ def _run_one(experiment_id: str, params: dict[str, object]) -> None:
     if live is not None and obs_dir is None:
         raise SystemExit("live= requires obs=DIR (the endpoint serves the run's observer)")
     spec = get_experiment(experiment_id)
-    _wrap_scalars(spec.run, params)
+    signature = inspect.signature(spec.run).parameters
+    unknown = sorted(set(params) - set(signature))
+    if unknown:
+        print(
+            f"unknown {spec.id} parameter(s): {', '.join(unknown)}; accepted: "
+            f"{', '.join(signature)} (and out, obs, live)",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    _wrap_scalars(signature, params)
     start = time.perf_counter()
     if obs_dir is not None:
         from repro.obs.harness import instrumented_run

@@ -99,14 +99,12 @@ def run(
     burst_stop: int = 60,
     engine: str = "fast",
     shards: int = 2,
-    workers: int = 0,
 ) -> ExperimentResult:
     """Run the scale sweep; one row per size.
 
     ``engine`` selects the primary engine: ``"fast"`` (the batched
-    default), ``"sharded"`` (the multiprocess sharded engine, with
-    *shards* id-range blocks on *workers* processes — ``workers=0`` runs
-    every shard in-process), or ``"reference"`` (the per-node engine, for
+    default), ``"sharded"`` (the sharded engine, with *shards* in-process
+    id-range blocks), or ``"reference"`` (the per-node engine, for
     the cross-engine conformance matrix at small n).  The timing column
     ``fast_s`` always reports the primary engine's wall clock, and the
     ``peak_rss_mb`` column the process peak RSS after the row's run.
@@ -154,7 +152,6 @@ def run(
         result.params["burst_stop"] = burst_stop
     if engine == "sharded":
         result.params["shards"] = shards
-        result.params["workers"] = workers
     factory = TOPOLOGIES[topology]
     config = ProtocolConfig()
     for n in sizes:
@@ -197,7 +194,6 @@ def run(
                     config,
                     mode="sharded",
                     shards=shards,
-                    workers=workers,
                     rng=seed_rng(seed, "fast", n),
                 )
             else:
@@ -276,8 +272,6 @@ def run(
             guard_stats = fast.engine.guard.stats
             row["overhead_frames"] = guard_stats.overhead_frames()
             row["abandoned"] = guard_stats.abandoned
-        if engine == "sharded":
-            fast.engine.close()
         result.rows.append(row)
 
     measured = [r for r in result.rows if r["speedup"] != ""]
@@ -303,8 +297,8 @@ def run(
         f"(ln^2 n = {largest['ln2_n']})"
     )
     result.note(
-        "convergence rounds track ln^2 n, not n; route_hops measures the "
-        "finite-horizon move-and-forget state (2x the convergence horizon) "
+        "route_hops measures the finite-horizon move-and-forget state "
+        "(2x the convergence horizon) "
         "— it beats the ring-only baseline and keeps improving with "
         "horizon toward E5's harmonic curve"
     )

@@ -15,7 +15,7 @@ the chaos subsystem, and every registered experiment:
   :class:`Observer` hub and its ambient activation;
 * :mod:`repro.obs.live` — the in-run Prometheus scrape endpoint + JSON
   health document (``repro run <id> obs=DIR live=:PORT``);
-* :mod:`repro.obs.shard` — cross-shard telemetry aggregation (per-worker
+* :mod:`repro.obs.shard` — cross-shard telemetry aggregation (per-shard
   kernel timings and exchange volumes under ``shard=`` labels);
 * :mod:`repro.obs.phases` — round-phase wall-clock attribution
   (``repro obs phases DIR``);

@@ -5,7 +5,7 @@ HTTP server next to the ambient :class:`~repro.obs.observer.Observer`:
 
 * ``GET /metrics`` — the current registry rendered as a Prometheus text
   exposition (the same bytes ``metrics.prom`` will hold at finalize,
-  mid-run), including the ``shard=``-labelled per-worker series from
+  mid-run), including the ``shard=``-labelled per-shard series from
   :mod:`repro.obs.shard`;
 * ``GET /health`` — a JSON document with the current round, live node
   count, pending messages, rounds/sec, the convergence probes

@@ -142,7 +142,7 @@ class Observer:
             engine = sim.engine
             if hasattr(engine, "shard_sink"):
                 # The sharded coordinator: give it the phase profiler plus
-                # a ShardTelemetrySink so per-worker deltas piggybacked on
+                # a ShardTelemetrySink so per-shard deltas piggybacked on
                 # finish_round land in the registry under shard= labels.
                 kind = "sharded"
                 from repro.obs.shard import ShardTelemetrySink

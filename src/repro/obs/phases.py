@@ -11,11 +11,11 @@ split.  For the sharded engine the coordinator profiler partitions
   (``prepare_round``);
 * ``rng``      — coordinator-side delivery-key and move-and-forget draws;
 * ``dispatch`` — kernel dispatch on the shards (``start_round`` through
-  ``finish_round``, including the reslrl pause-point round-trips);
+  ``finish_round``, including the reslrl pause points);
 * ``merge``    — folding per-shard reports into coordinator state;
 
 and the per-shard telemetry (:mod:`repro.obs.shard`) additionally breaks
-worker-side time down by kernel.  *Attribution* is the ratio of summed
+shard-side time down by kernel.  *Attribution* is the ratio of summed
 phase seconds to the ``round_seconds`` histogram's measured wall-clock —
 the acceptance gate demands ≥ 95% of sharded wall-clock lands in a named
 phase, so nothing material hides between the phases.
@@ -185,7 +185,7 @@ def render_phase_report(report: dict[str, object]) -> str:
             )
     shards = report.get("shards")
     if isinstance(shards, dict) and shards:
-        lines.append("worker-side kernel time (shard_phase_seconds_total):")
+        lines.append("shard-side kernel time (shard_phase_seconds_total):")
         for shard in sorted(shards, key=lambda s: (len(s), s)):
             per_phase = shards[shard]
             assert isinstance(per_phase, dict)

@@ -1,19 +1,17 @@
 """Cross-shard telemetry aggregation for the sharded SoA engine.
 
-Spawn-context shard workers run in their own processes, so the ambient
-:class:`~repro.obs.observer.Observer` never sees their kernels directly.
-Instead each :class:`~repro.sim.fast.shard.core.ShardCore` keeps a local
+The ambient :class:`~repro.obs.observer.Observer` times the coordinator's
+round loop, not the kernels each shard runs inside it.  So each
+:class:`~repro.sim.fast.shard.core.ShardCore` keeps a local
 :class:`~repro.obs.profile.PhaseProfiler` plus two row-volume counters
 while telemetry is enabled, and piggybacks the per-round *delta* on the
-``finish_round`` report — the reply that already rides the existing
-boundary-exchange pipe, so shipping telemetry costs zero extra
-round-trips.
+``finish_round`` report the coordinator folds anyway.
 
 Coordinator-side, a :class:`ShardTelemetrySink` folds every shard's delta
 into the run's :class:`~repro.obs.registry.MetricsRegistry` under a
 ``shard=`` label:
 
-* ``shard_phase_seconds_total{shard=,phase=}`` — worker-side wall-clock
+* ``shard_phase_seconds_total{shard=,phase=}`` — shard-side wall-clock
   per kernel (``linearize``, ``move_forget``, ...) and per shard phase
   (``shard_route``, ``shard_prepare``, ``regular``);
 * ``shard_phase_calls_total{shard=,phase=}`` — row counts through each
@@ -46,7 +44,7 @@ class ShardTelemetrySink:
     def __init__(self, registry: "MetricsRegistry") -> None:
         self._seconds = registry.counter(
             "shard_phase_seconds_total",
-            "worker-side wall-clock per shard kernel/phase",
+            "shard-side wall-clock per shard kernel/phase",
         )
         self._calls = registry.counter(
             "shard_phase_calls_total",

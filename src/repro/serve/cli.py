@@ -7,8 +7,8 @@ Parameters follow the ``repro run`` key=value convention::
     repro serve n=512 topology=random_tree duration=30
 
 Keys: ``n``, ``topology`` (``stable`` or a generator name), ``engine``
-(``fast``/``sharded``), ``shards``, ``workers``, ``seed``, ``api`` and
-``metrics`` (``:PORT`` / ``HOST:PORT``; ``:0`` asks for an ephemeral
+(``fast``/``sharded``), ``shards``, ``seed``, ``api`` and ``metrics``
+(``:PORT`` / ``HOST:PORT``; ``:0`` asks for an ephemeral
 port), ``obs=DIR`` (full artifact set + ``DIR/serve.json`` announcing
 the bound addresses), ``pace`` (seconds slept per round), ``rounds``
 (stop stepping after that many; the last view keeps serving),
@@ -29,8 +29,8 @@ from collections.abc import Sequence
 __all__ = ["main"]
 
 _KNOWN = {
-    "n", "topology", "engine", "shards", "workers", "seed", "api",
-    "metrics", "obs", "pace", "rounds", "duration", "sanitize",
+    "n", "topology", "engine", "shards", "seed", "api", "metrics",
+    "obs", "pace", "rounds", "duration", "sanitize",
 }
 
 
@@ -53,7 +53,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         topology=str(params.pop("topology", "stable")),
         engine=str(params.pop("engine", "fast")),
         shards=int(params.pop("shards", 2)),
-        workers=int(params.pop("workers", 0)),
         seed=int(params.pop("seed", 7)),
         api=params.pop("api", ":0"),
         metrics=params.pop("metrics", ":0"),

@@ -519,7 +519,6 @@ def build_service(
     topology: str = "stable",
     engine: str = "fast",
     shards: int = 2,
-    workers: int = 0,
     seed: int = 7,
     config: "ProtocolConfig | None" = None,
     sanitize: bool | None = None,
@@ -538,7 +537,7 @@ def build_service(
     production bring-up path — or any name from
     :data:`repro.topology.generators.TOPOLOGIES` for a cold start that
     converges while serving.  *engine* is ``"fast"`` (batched) or
-    ``"sharded"`` (*shards*/*workers* as for ``mode="sharded"``).
+    ``"sharded"`` (*shards* as for ``mode="sharded"``).
 
     With *obs_dir* the full artifact set (``metrics.jsonl`` /
     ``metrics.prom`` / ``manifest.json``) is written there on stop;
@@ -594,7 +593,6 @@ def build_service(
             mode=mode,
             rng=seed_rng(seed, "serve-rounds"),
             shards=shards,
-            workers=workers,
             sanitize=sanitize,
         )
     host = EngineHost(

@@ -1,6 +1,6 @@
 """Composable fault injectors: one protocol for every way a network breaks.
 
-The seed repo grew faults ad hoc — :class:`~repro.sim.faults.LossyNetwork`
+The seed repo grew faults ad hoc — a lossy network class
 subclassed the network, :mod:`repro.sim.adversary` subclassed the
 scheduler, and the corruption/crash helpers were bare functions the tests
 called by hand.  This module unifies them behind one :class:`FaultInjector`
@@ -32,11 +32,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.messages import Frame
+from repro.sim.faults import corrupt_random_pointers, crash_restart
 from repro.sim.network import Network
-
-# NOTE: repro.sim.faults is imported lazily inside the injectors that wrap
-# its helpers — faults.py builds its LossyNetwork compatibility shim on the
-# chaos network, so a module-level import here would be circular.
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sim.engine import Simulator
@@ -253,8 +250,6 @@ class PointerCorruption(FaultInjector):
     def on_round(self, simulator: "Simulator") -> None:
         network = getattr(simulator, "network", None)
         if network is not None:
-            from repro.sim.faults import corrupt_random_pointers
-
             self.corrupted += corrupt_random_pointers(
                 network,
                 self.fraction,
@@ -308,8 +303,6 @@ class CrashRestart(FaultInjector):
             picks = self.rng.choice(len(ids), size=k, replace=False)
             victims = [ids[int(i)] for i in picks]
         if network is not None:
-            from repro.sim.faults import crash_restart
-
             for victim in victims:
                 crash_restart(network, victim)
                 self.crashes += 1

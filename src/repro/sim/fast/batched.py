@@ -29,7 +29,7 @@ both (docs/PERF.md).
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Protocol, cast
 
 import numpy as np
@@ -96,6 +96,68 @@ class WaveFault(Protocol):
     def rewrite(
         self, groups: list[WaveGroup]
     ) -> tuple[list[WaveGroup], list[WaveGroup]]: ...
+
+
+#: ``is_live(ids) -> bool mask`` — which of *ids* are live nodes.
+LiveMask = Callable[[np.ndarray], np.ndarray]
+
+
+def join_batch_rows(
+    new_ids: np.ndarray, contact_ids: np.ndarray, is_live: LiveMask
+) -> tuple[np.ndarray, ...]:
+    """Validate a join batch and build its ``SoAState.add_batch`` columns.
+
+    Returns ``(ids, l, r, lrl, ring, age)`` in ascending new-id order (the
+    canonical batch-membership order): ``NodeState`` defaults with the
+    contact grafted on the matching side, exactly as the scalar join
+    builds them.  Raises ``ValueError`` before anything is built.
+    """
+    new_ids = np.ascontiguousarray(new_ids, dtype=np.float64)
+    contact_ids = np.ascontiguousarray(contact_ids, dtype=np.float64)
+    if new_ids.shape != contact_ids.shape:
+        raise ValueError("new_ids and contact_ids must align")
+    k = len(new_ids)
+    order = np.argsort(new_ids, kind="stable")
+    new_ids, contact_ids = new_ids[order], contact_ids[order]
+    # require_id's range rule, vectorized (NaN fails both compares).
+    if not bool(((new_ids >= 0.0) & (new_ids < 1.0)).all()):
+        raise ValueError("joining ids must lie in [0, 1)")
+    if len(np.unique(new_ids)) != k:
+        raise ValueError("duplicate joining id within batch")
+    already = is_live(new_ids)
+    if bool(already.any()):
+        nid = float(new_ids[np.flatnonzero(already)[0]])
+        raise ValueError(f"id {nid!r} already in the network")
+    have_contact = is_live(contact_ids)
+    if not bool(have_contact.all()):
+        cid = float(contact_ids[np.flatnonzero(~have_contact)[0]])
+        raise ValueError(f"contact {cid!r} not in the network")
+    if bool((contact_ids == new_ids).any()):
+        raise ValueError("a node cannot join via itself")
+    return (
+        new_ids,
+        np.where(contact_ids < new_ids, contact_ids, NEG_INF),
+        np.where(contact_ids > new_ids, contact_ids, POS_INF),
+        new_ids,
+        np.full(k, np.nan),
+        np.zeros(k, dtype=np.int64),
+    )
+
+
+def leave_batch_victims(node_ids: np.ndarray, is_live: LiveMask) -> np.ndarray:
+    """Validate a departure batch; returns the victims sorted ascending.
+
+    Ascending is the order the ``d <= m`` drop accounting is defined
+    against.  Raises ``KeyError`` on a duplicate or unknown id.
+    """
+    victims = np.sort(np.ascontiguousarray(node_ids, dtype=np.float64))
+    if len(victims) > 1 and bool((victims[1:] == victims[:-1]).any()):
+        raise KeyError("duplicate departing id within batch")
+    found = is_live(victims)
+    if not bool(found.all()):
+        nid = float(victims[np.flatnonzero(~found)[0]])
+        raise KeyError(f"no node with id {nid!r}")
+    return victims
 
 
 class FastEngine:
@@ -336,6 +398,10 @@ class FastEngine:
         self.outbox.purge_mentions(node_id)
         self.soa.scrub_departed(node_id)
 
+    def has_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Which of *ids* are live nodes of this engine."""
+        return self.soa.lookup(np.ascontiguousarray(ids, np.float64))[1]
+
     def join_batch(self, new_ids: np.ndarray, contact_ids: np.ndarray) -> int:
         """Add a batch of fresh nodes in one column append (paper §IV-G).
 
@@ -345,43 +411,9 @@ class FastEngine:
         whole batch is validated before any row lands.  Returns the number
         of nodes added.
         """
-        new_ids = np.ascontiguousarray(new_ids, dtype=np.float64)
-        contact_ids = np.ascontiguousarray(contact_ids, dtype=np.float64)
-        if new_ids.shape != contact_ids.shape:
-            raise ValueError("new_ids and contact_ids must align")
-        k = len(new_ids)
-        if k == 0:
-            return 0
-        order = np.argsort(new_ids, kind="stable")
-        new_ids, contact_ids = new_ids[order], contact_ids[order]
-        # require_id's range rule, vectorized (NaN fails both compares).
-        if not bool(((new_ids >= 0.0) & (new_ids < 1.0)).all()):
-            raise ValueError("joining ids must lie in [0, 1)")
-        if len(np.unique(new_ids)) != k:
-            raise ValueError("duplicate joining id within batch")
-        _, already = self.soa.lookup(new_ids)
-        if bool(already.any()):
-            nid = float(new_ids[np.flatnonzero(already)[0]])
-            raise ValueError(f"id {nid!r} already in the network")
-        _, have_contact = self.soa.lookup(contact_ids)
-        if not bool(have_contact.all()):
-            cid = float(contact_ids[np.flatnonzero(~have_contact)[0]])
-            raise ValueError(f"contact {cid!r} not in the network")
-        if bool((contact_ids == new_ids).any()):
-            raise ValueError("a node cannot join via itself")
-        # NodeState defaults with the contact grafted on the matching side,
-        # exactly as the scalar join builds them.
-        l = np.where(contact_ids < new_ids, contact_ids, NEG_INF)
-        r = np.where(contact_ids > new_ids, contact_ids, POS_INF)
-        self.soa.add_batch(
-            new_ids,
-            l,
-            r,
-            new_ids,
-            np.full(k, np.nan),
-            np.zeros(k, dtype=np.int64),
-        )
-        return k
+        rows = join_batch_rows(new_ids, contact_ids, self.has_ids)
+        self.soa.add_batch(*rows)
+        return len(rows[0])
 
     def leave_batch(self, node_ids: np.ndarray) -> int:
         """Remove a batch of nodes in one vectorized pass (paper §IV-G).
@@ -393,22 +425,15 @@ class FastEngine:
         round-boundary compaction once they dominate.  The whole batch is
         validated before any state changes.  Returns the departure count.
         """
-        victims = np.sort(np.ascontiguousarray(node_ids, dtype=np.float64))
-        k = len(victims)
-        if k == 0:
+        victims = leave_batch_victims(node_ids, self.has_ids)
+        if len(victims) == 0:
             return 0
-        if k > 1 and bool((victims[1:] == victims[:-1]).any()):
-            raise KeyError("duplicate departing id within batch")
-        _, found = self.soa.lookup(victims)
-        if not bool(found.all()):
-            nid = float(victims[np.flatnonzero(~found)[0]])
-            raise KeyError(f"no node with id {nid!r}")
         self.soa.remove_batch(victims)
         self.dropped += self.outbox.drop_and_purge_batch(victims)
         self.soa.scrub_departed_many(victims)
         self._after_leave_batch(victims)
         self.soa.maybe_compact()
-        return k
+        return len(victims)
 
     def _after_leave_batch(self, victims: np.ndarray) -> None:
         """Post-departure hook (chaos engines purge their wire/guard here).

@@ -80,10 +80,10 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         a :class:`~repro.sim.chaos.guard.GuardPolicy` via *guard* to
         enable the guarded-handoff transport (docs/CHAOS.md).
         ``mode="sharded"`` partitions the id space over *shards*
-        contiguous :class:`ShardCore` blocks, optionally on a *workers*-
-        process pool (``workers=0`` runs every shard in-process); it
-        requires ``dedup=True`` and replays the batched engine
-        bit-for-bit (docs/PERF.md).
+        contiguous in-process :class:`ShardCore` blocks; it requires
+        ``dedup=True`` and replays the batched engine bit-for-bit
+        (docs/PERF.md).  *workers* is the removed worker-process count:
+        anything but 0 is rejected.
 
         *sanitize* turns on the flow sanitizer
         (:mod:`repro.sim.fast.sanitize`): per-kernel access recording,
@@ -91,6 +91,12 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         cross-check.  ``None`` (default) defers to ``REPRO_SANITIZE``.
         Sanitized runs consume no extra draws, so they stay bit-exact.
         """
+        if workers:
+            raise ValueError(
+                f"workers={workers!r}: the worker-process backend was "
+                "removed (it lost to in-process shards at every shard "
+                "count, docs/PERF.md §8); drop the argument"
+            )
         engine: AnyFastEngine
         if guard is not None and mode not in ("chaos", "mirror-chaos"):
             raise ValueError(
@@ -107,7 +113,6 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
                 states,
                 config,
                 shards=shards,
-                workers=workers,
                 dedup=dedup,
                 keep_history=keep_history,
                 sanitize=sanitize,

@@ -4,7 +4,7 @@
 plain :class:`~repro.sim.fast.batched.FastEngine` (same SoA columns, same
 kernels, same sanitizer wiring) but never draws randomness itself.  The
 coordinator (:class:`~repro.sim.fast.shard.engine.ShardedEngine`) splits
-the single-process round into phases it can interleave across shards:
+the unsharded round into phases it can interleave across shards:
 
 1. :meth:`route_take` — flush the outbox and partition the staged rows by
    owning shard (the boundary-outbox exchange payload);
@@ -19,7 +19,7 @@ the single-process round into phases it can interleave across shards:
    action, and surrender the per-type send counts to the coordinator.
 
 Because every draw happens coordinator-side over globally-ordered rows,
-a sharded run replays the single-process engine's RNG stream bit-for-bit
+a sharded run replays the unsharded engine's RNG stream bit-for-bit
 at any shard count (docs/PERF.md).
 """
 
@@ -99,12 +99,9 @@ class ShardCore(FastEngine):
         core-local :class:`~repro.obs.profile.PhaseProfiler` and the
         route/prepare phases count their boundary-exchange row volumes;
         :meth:`finish_round` piggybacks the per-round delta on its report
-        so the telemetry rides the existing exchange channel (one extra
-        dict per shard per round, no extra round-trips).  Disabled (the
-        default), the round runs the exact untimed path the obs-disabled
-        overhead gate measures.  Works identically for in-process cores
-        and spawn-context workers — the call arrives over the same RPC
-        surface as every other phase.
+        (one extra dict per shard per round).  Disabled (the default),
+        the round runs the exact untimed path the obs-disabled overhead
+        gate measures.
         """
         if enabled:
             from repro.obs.profile import PhaseProfiler
@@ -122,7 +119,7 @@ class ShardCore(FastEngine):
         """Flush the outbox, partitioned by owning shard.
 
         Returns one :data:`WireChunks` per destination shard; entry
-        ``self.shard`` is the local traffic that never crosses a process
+        ``self.shard`` is the local traffic that never crosses a shard
         boundary.
         """
         profiler = self.profiler
@@ -339,8 +336,8 @@ class ShardCore(FastEngine):
         }
         profiler = self.profiler
         if profiler is not None:
-            # Piggyback this round's telemetry delta on the report that
-            # already rides the exchange pipe (repro.obs.shard).
+            # Piggyback this round's telemetry delta on the report the
+            # coordinator reads anyway (repro.obs.shard).
             report["telemetry"] = {
                 "seconds": dict(profiler.seconds),
                 "calls": dict(profiler.calls),
@@ -356,24 +353,6 @@ class ShardCore(FastEngine):
     # ------------------------------------------------------------------
     # Membership / introspection endpoints (coordinator-invoked)
     # ------------------------------------------------------------------
-    def has_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Which of *ids* are live on this shard."""
-        _, found = self.soa.lookup(np.ascontiguousarray(ids, np.float64))
-        return found
-
-    def add_rows(
-        self,
-        ids: np.ndarray,
-        l: np.ndarray,
-        r: np.ndarray,
-        lrl: np.ndarray,
-        ring: np.ndarray,
-        age: np.ndarray,
-    ) -> int:
-        """Append pre-validated join rows (coordinator validated globally)."""
-        self.soa.add_batch(ids, l, r, lrl, ring, age)
-        return len(ids)
-
     def remove_and_scrub(
         self, owned: np.ndarray, victims: np.ndarray
     ) -> int:
@@ -404,7 +383,3 @@ class ShardCore(FastEngine):
             s.ring[idx],
             s.age[idx],
         )
-
-    def export_states(self) -> list[NodeState]:
-        """Live rows as reference ``NodeState`` objects (ascending)."""
-        return self.soa.to_states()

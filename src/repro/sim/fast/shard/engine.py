@@ -3,24 +3,24 @@
 :class:`ShardedEngine` presents the :class:`FastEngine` surface
 (``execute_round``, ``join_batch``/``leave_batch``, ``state_snapshot``,
 ``pending_messages``, the ``soa`` column facade) over a set of
-:class:`~repro.sim.fast.shard.core.ShardCore` blocks — in-process
-(``workers=0``) or on a spawn-context multiprocessing pool.
+:class:`~repro.sim.fast.shard.core.ShardCore` blocks, all in this process
+(docs/PERF.md §8).
 
 **Bit-identity contract.**  Given id-sorted initial states, a sharded run
-replays the single-process ``FastEngine`` trajectory *bit-for-bit at any
+replays the unsharded ``FastEngine`` trajectory *bit-for-bit at any
 shard count*, because every random draw happens here, on the coordinator,
 over globally-ordered rows:
 
 * delivery keys are drawn once per round over the global canonical inbox
   order (shard-ascending non-reslrl blocks, then shard-ascending reslrl
-  blocks — exactly the single-process canonical order, since shards own
+  blocks — exactly the unsharded canonical order, since shards own
   contiguous id ranges) and scattered to shards as contiguous slices;
 * at each global ``reslrl`` wave the shards report their post-validation
   batch sizes, the coordinator draws the two coin arrays the
-  single-process kernel would draw, and scatters the slices into
+  unsharded kernel would draw, and scatters the slices into
   :meth:`Kernels.move_forget`.
 
-Joins append slots out of id order (exactly as the single-process engine
+Joins append slots out of id order (exactly as the unsharded engine
 appends), after which the slot orders of a sharded and an unsharded run
 are no longer aligned and their key assignments diverge — still the same
 distribution, no longer the same trajectory.  Departures preserve
@@ -41,11 +41,11 @@ import numpy as np
 
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState, StateTuple
-from repro.ids import NEG_INF, POS_INF
+from repro.sim.fast.batched import join_batch_rows, leave_batch_victims
 from repro.sim.fast.buffers import N_TYPES, TYPE_OF_CODE, draw_delivery_keys
 from repro.sim.fast.shard.core import ShardCore
 from repro.sim.fast.shard.partition import owner_of, partition_edges
-from repro.sim.fast.shard.workers import WorkerHandle, spawn_workers
+from repro.sim.fast.soa import lookup_sorted, snapshot_rows, states_of_rows
 from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -87,17 +87,10 @@ class MergedSoAView:
         return self.ids, np.arange(len(self.ids), dtype=np.int64)
 
     def lookup(self, dest_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ids = self.ids
-        pos = np.searchsorted(ids, dest_ids)
-        pos_clipped = np.minimum(pos, max(len(ids) - 1, 0))
-        if len(ids) == 0:
-            found = np.zeros(len(dest_ids), dtype=bool)
-            return np.zeros(len(dest_ids), dtype=np.int64), found
-        found = ids[pos_clipped] == dest_ids
-        return pos_clipped, found
+        return lookup_sorted(*self.sorted_live(), dest_ids)
 
     def live_ids_list(self) -> list[float]:
-        return [float(v) for v in self.ids]
+        return self.ids.tolist()
 
     def __contains__(self, nid: float) -> bool:
         _, found = self.lookup(np.asarray([nid], dtype=np.float64))
@@ -107,76 +100,10 @@ class MergedSoAView:
         return len(self.ids)
 
     def snapshot(self) -> dict[float, StateTuple]:
-        out: dict[float, StateTuple] = {}
-        for i in range(len(self.ids)):
-            ring = self.ring[i]  # repro-lint: ignore[scalar-loop-over-soa] boundary export to per-node dicts is inherently scalar; not on the round hot path
-            out[float(self.ids[i])] = (
-                float(self.ids[i]),
-                float(self.l[i]),
-                float(self.r[i]),
-                float(self.lrl[i]),
-                None if np.isnan(ring) else float(ring),
-                int(self.age[i]),
-            )
-        return out
+        return snapshot_rows(self, self.sorted_live()[1])
 
     def to_states(self) -> list[NodeState]:
-        states = []
-        for i in range(len(self.ids)):
-            ring = self.ring[i]  # repro-lint: ignore[scalar-loop-over-soa] boundary export to NodeState objects is inherently scalar; not on the round hot path
-            states.append(
-                NodeState(
-                    id=float(self.ids[i]),
-                    l=float(self.l[i]),
-                    r=float(self.r[i]),
-                    lrl=float(self.lrl[i]),
-                    ring=None if np.isnan(ring) else float(ring),
-                    age=int(self.age[i]),
-                )
-            )
-        return states
-
-
-class _InlineBackend:
-    """All shards in this process — zero-copy exchange, full profiling."""
-
-    def __init__(self, cores: list[ShardCore]) -> None:
-        self.cores = cores
-
-    def call_all(self, method: str, argses: list[tuple]) -> list[Any]:
-        return [
-            getattr(core, method)(*args)
-            for core, args in zip(self.cores, argses)
-        ]
-
-    def close(self) -> None:
-        pass
-
-
-class _ProcessBackend:
-    """Shards distributed over spawn-context worker processes."""
-
-    def __init__(self, handles: list[WorkerHandle]) -> None:
-        self.handles = handles
-        self._n_shards = sum(len(h.shards) for h in handles)
-
-    def call_all(self, method: str, argses: list[tuple]) -> list[Any]:
-        for handle in self.handles:
-            handle.request(
-                [
-                    (local_i, method, argses[shard])
-                    for local_i, shard in enumerate(handle.shards)
-                ]
-            )
-        results: list[Any] = [None] * self._n_shards
-        for handle in self.handles:
-            for shard, result in zip(handle.shards, handle.collect()):
-                results[shard] = result
-        return results
-
-    def close(self) -> None:
-        for handle in self.handles:
-            handle.close()
+        return states_of_rows(self, self.sorted_live()[1])
 
 
 class ShardedEngine:
@@ -188,7 +115,6 @@ class ShardedEngine:
         config: ProtocolConfig | None = None,
         *,
         shards: int = 2,
-        workers: int = 0,
         dedup: bool = True,
         keep_history: bool = False,
         sanitize: bool | None = None,
@@ -206,7 +132,7 @@ class ShardedEngine:
                 "use the reference engine for trace-based tests"
             )
         # Id-sorted slot assignment keeps the global canonical inbox order
-        # aligned with a single-process FastEngine built from the same
+        # aligned with a unsharded FastEngine built from the same
         # (sorted) states — the bit-identity precondition.
         ordered = sorted(states, key=lambda s: s.id)
         if not ordered:
@@ -222,32 +148,15 @@ class ShardedEngine:
         parts: list[list[NodeState]] = [[] for _ in range(self.shards)]
         for state, shard in zip(ordered, owner):
             parts[shard].append(state)
-        self.workers = max(0, min(int(workers), self.shards))
-        self._backend: _InlineBackend | _ProcessBackend
-        if self.workers:
-            self._backend = _ProcessBackend(
-                spawn_workers(parts, cfg, self.edges, self.workers, sanitize)
-            )
-        else:
-            self._backend = _InlineBackend(
-                [
-                    ShardCore(
-                        parts[i],
-                        cfg,
-                        edges=self.edges,
-                        shard=i,
-                        sanitize=sanitize,
-                    )
-                    for i in range(self.shards)
-                ]
-            )
+        self.cores = [
+            ShardCore(part, cfg, edges=self.edges, shard=i, sanitize=sanitize)
+            for i, part in enumerate(parts)
+        ]
         self._maf = cfg.move_and_forget
         self._profiler: PhaseProfiler | None = None
         self._shard_sink: Any = None
         self._view: MergedSoAView | None = None
         self._n_live = len(ordered)
-        self._pending = 0
-        self._closed = False
 
     # ------------------------------------------------------------------
     # Round execution
@@ -277,7 +186,7 @@ class ShardedEngine:
     def execute_round(self, rng: np.random.Generator) -> None:
         """Advance the network by one synchronous round.
 
-        Replays the single-process draw sequence exactly: one delivery-key
+        Replays the unsharded draw sequence exactly: one delivery-key
         array over the global canonical inbox order, then per global
         ``reslrl`` wave the two move-and-forget coin arrays, all scattered
         to shards as contiguous slices.
@@ -286,21 +195,20 @@ class ShardedEngine:
         (outbox flush + owner partition), ``exchange`` (wire-chunk
         transpose + canonical inbox build), ``rng`` (coordinator draws),
         ``dispatch`` (kernel execution on the shards, including the
-        reslrl pause-point round-trips), and ``merge`` (report folding) —
+        reslrl pause points), and ``merge`` (report folding) —
         the attribution ``repro obs phases`` reports.
         """
         self._view = None
         n = self.shards
         mark = self._phase_marker()
-        routed = self._backend.call_all("route_take", [(n,)] * n)
+        cores = self.cores
+        routed = [core.route_take(n) for core in cores]
         if mark is not None:
             mark("flush")
-        incoming = [
-            [routed[src][dst] for src in range(n)] for dst in range(n)
+        prep = [
+            core.prepare_round([routed[src][dst] for src in range(n)])
+            for dst, core in enumerate(cores)
         ]
-        prep = self._backend.call_all(
-            "prepare_round", [(inc,) for inc in incoming]
-        )
         self.dropped += sum(p[0] for p in prep)
         nonres = [p[1] for p in prep]
         res = [p[2] for p in prep]
@@ -316,54 +224,47 @@ class ShardedEngine:
                 for shard, count in enumerate(block):
                     slices[shard].append(keys[offset : offset + count])
                     offset += count
-            argses = [(np.concatenate(slices[shard]),) for shard in range(n)]
+            shard_keys = [np.concatenate(slices[shard]) for shard in range(n)]
         else:
-            empty = np.empty(0, dtype=np.int64)
-            argses = [(empty,) for _ in range(n)]
+            shard_keys = [np.empty(0, dtype=np.int64)] * n
         if mark is not None:
             mark("rng")
-        rank_lists = self._backend.call_all("start_round", argses)
+        rank_lists = [
+            core.start_round(ks) for core, ks in zip(cores, shard_keys)
+        ]
         if self._maf:
             pause_ranks: set[int] = set()
             for ranks in rank_lists:
                 pause_ranks.update(ranks)
             for rank in sorted(pause_ranks):
-                counts = self._backend.call_all(
-                    "reslrl_count", [(rank,)] * n
-                )
+                counts = [core.reslrl_count(rank) for core in cores]
                 if mark is not None:
                     mark("dispatch")
                 k_total = sum(count for _, count in counts)
                 if k_total:
-                    coins = rng.random(k_total)  # repro-flow: ignore[flow-branch-rng] mirrors move_forget's all-invalid early return: the single-process kernel draws nothing for an empty validated batch, so skipping the zero-count draw keeps the streams aligned
-                    forget_u = rng.random(k_total)  # repro-flow: ignore[flow-branch-rng] second half of the same guarded pair; one coins+forget draw per validated reslrl row, exactly the single-process budget
+                    coins = rng.random(k_total)  # repro-flow: ignore[flow-branch-rng] mirrors move_forget's all-invalid early return: the unsharded kernel draws nothing for an empty validated batch, so skipping the zero-count draw keeps the streams aligned
+                    forget_u = rng.random(k_total)  # repro-flow: ignore[flow-branch-rng] second half of the same guarded pair; one coins+forget draw per validated reslrl row, exactly the unsharded budget
                 else:
                     coins = forget_u = np.empty(0, dtype=np.float64)
-                offset = 0
-                apply_args = []
-                for _, count in counts:
-                    apply_args.append(
-                        (
-                            rank,
-                            coins[offset : offset + count],
-                            forget_u[offset : offset + count],
-                        )
-                    )
-                    offset += count
                 if mark is not None:
                     mark("rng")
-                self._backend.call_all("reslrl_apply", apply_args)
-        finished = self._backend.call_all("finish_round", [()] * n)
+                offset = 0
+                for core, (_, count) in zip(cores, counts):
+                    core.reslrl_apply(
+                        rank,
+                        coins[offset : offset + count],
+                        forget_u[offset : offset + count],
+                    )
+                    offset += count
+        finished = [core.finish_round() for core in cores]
         if mark is not None:
             mark("dispatch")
         sink = self._shard_sink
         totals = [0] * N_TYPES
-        pending = 0
         live = 0
         for shard, report in enumerate(finished):
             for code, count in enumerate(report["counts"]):
                 totals[code] += count
-            pending += report["pending"]
             live += report["n_live"]
             if sink is not None:
                 telemetry = report.get("telemetry")
@@ -373,7 +274,6 @@ class ShardedEngine:
         for code, count in enumerate(totals):
             if count:
                 self.stats.record_sends(TYPE_OF_CODE[code], count)
-        self._pending = pending
         self._n_live = live
         if mark is not None:
             mark("merge")
@@ -394,63 +294,29 @@ class ShardedEngine:
 
     def join_batch(self, new_ids: np.ndarray, contact_ids: np.ndarray) -> int:
         """Batched join with the ``FastEngine.join_batch`` contract."""
-        new_ids = np.ascontiguousarray(new_ids, dtype=np.float64)
-        contact_ids = np.ascontiguousarray(contact_ids, dtype=np.float64)
-        if new_ids.shape != contact_ids.shape:
-            raise ValueError("new_ids and contact_ids must align")
-        k = len(new_ids)
+        rows = join_batch_rows(new_ids, contact_ids, self._has_ids)
+        k = len(rows[0])
         if k == 0:
             return 0
-        order = np.argsort(new_ids, kind="stable")
-        new_ids, contact_ids = new_ids[order], contact_ids[order]
-        if not bool(((new_ids >= 0.0) & (new_ids < 1.0)).all()):
-            raise ValueError("joining ids must lie in [0, 1)")
-        if len(np.unique(new_ids)) != k:
-            raise ValueError("duplicate joining id within batch")
-        already = self._has_ids(new_ids)
-        if bool(already.any()):
-            nid = float(new_ids[np.flatnonzero(already)[0]])
-            raise ValueError(f"id {nid!r} already in the network")
-        have_contact = self._has_ids(contact_ids)
-        if not bool(have_contact.all()):
-            cid = float(contact_ids[np.flatnonzero(~have_contact)[0]])
-            raise ValueError(f"contact {cid!r} not in the network")
-        if bool((contact_ids == new_ids).any()):
-            raise ValueError("a node cannot join via itself")
-        l = np.where(contact_ids < new_ids, contact_ids, NEG_INF)
-        r = np.where(contact_ids > new_ids, contact_ids, POS_INF)
-        ring = np.full(k, np.nan)
-        age = np.zeros(k, dtype=np.int64)
-        owner = owner_of(new_ids, self.edges)
-        argses = []
-        for shard in range(self.shards):
+        owner = owner_of(rows[0], self.edges)
+        for shard, core in enumerate(self.cores):
             m = owner == shard
-            argses.append(
-                (new_ids[m], l[m], r[m], new_ids[m], ring[m], age[m])
-            )
-        self._backend.call_all("add_rows", argses)
+            core.soa.add_batch(*(col[m] for col in rows))
         self._view = None
         self._n_live += k
         return k
 
     def leave_batch(self, node_ids: np.ndarray) -> int:
         """Batched departure with the ``FastEngine.leave_batch`` contract."""
-        victims = np.sort(np.ascontiguousarray(node_ids, dtype=np.float64))
+        victims = leave_batch_victims(node_ids, self._has_ids)
         k = len(victims)
         if k == 0:
             return 0
-        if k > 1 and bool((victims[1:] == victims[:-1]).any()):
-            raise KeyError("duplicate departing id within batch")
-        found = self._has_ids(victims)
-        if not bool(found.all()):
-            nid = float(victims[np.flatnonzero(~found)[0]])
-            raise KeyError(f"no node with id {nid!r}")
         owner = owner_of(victims, self.edges)
-        argses = [
-            (victims[owner == shard], victims) for shard in range(self.shards)
-        ]
-        dropped = self._backend.call_all("remove_and_scrub", argses)
-        self.dropped += sum(dropped)
+        for shard, core in enumerate(self.cores):
+            self.dropped += core.remove_and_scrub(
+                victims[owner == shard], victims
+            )
         self._view = None
         self._n_live -= k
         return k
@@ -458,11 +324,10 @@ class ShardedEngine:
     def _has_ids(self, ids: np.ndarray) -> np.ndarray:
         """Global liveness mask for *ids* (each checked on its owner)."""
         owner = owner_of(ids, self.edges)
-        argses = [(ids[owner == shard],) for shard in range(self.shards)]
-        per_shard = self._backend.call_all("has_ids", argses)
         out = np.zeros(len(ids), dtype=bool)
-        for shard in range(self.shards):
-            out[owner == shard] = per_shard[shard]
+        for shard, core in enumerate(self.cores):
+            m = owner == shard
+            out[m] = core.has_ids(ids[m])
         return out
 
     # ------------------------------------------------------------------
@@ -473,7 +338,7 @@ class ShardedEngine:
         """Merged live columns, rebuilt lazily after each round/churn op."""
         view = self._view
         if view is None:
-            view = MergedSoAView(self._backend.call_all("export_columns", [()] * self.shards))
+            view = MergedSoAView([core.export_columns() for core in self.cores])
             self._view = view
         return view
 
@@ -491,10 +356,9 @@ class ShardedEngine:
         """Per-shard telemetry sink (:class:`repro.obs.shard
         .ShardTelemetrySink` or ``None``).
 
-        Setting a sink switches every shard core — in-process or in a
-        worker process — onto the telemetry-capturing path via the same
-        RPC surface the round phases use; setting ``None`` switches them
-        back to the untimed path the obs-disabled overhead gate measures.
+        Setting a sink switches every shard core onto the
+        telemetry-capturing path; setting ``None`` switches them back to
+        the untimed path the obs-disabled overhead gate measures.
         The engine never imports ``repro.obs``: the sink is duck-typed
         (``fold``/``live_nodes``), keeping the disabled path import-free.
         """
@@ -503,8 +367,8 @@ class ShardedEngine:
     @shard_sink.setter
     def shard_sink(self, value: Any) -> None:
         self._shard_sink = value
-        enable = value is not None
-        self._backend.call_all("set_telemetry", [(enable,)] * self.shards)
+        for core in self.cores:
+            core.set_telemetry(value is not None)
 
     @property
     def sanitizer(self) -> None:
@@ -514,15 +378,15 @@ class ShardedEngine:
     def state_snapshot(self) -> dict[float, StateTuple]:
         """Canonical per-node snapshot (differential-harness contract)."""
         merged: dict[float, StateTuple] = {}
-        for part in self._backend.call_all("state_snapshot", [()] * self.shards):
-            merged.update(part)
+        for core in self.cores:
+            merged.update(core.state_snapshot())
         return merged
 
     def pending_total(self) -> int:
-        return sum(self._backend.call_all("pending_total", [()] * self.shards))
+        return sum(core.pending_total() for core in self.cores)
 
     def inflight_pairs(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        parts = self._backend.call_all("inflight_pairs", [(code,)] * self.shards)
+        parts = [core.inflight_pairs(code) for core in self.cores]
         return (
             np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]),
@@ -530,8 +394,8 @@ class ShardedEngine:
 
     def pending_messages(self) -> list[tuple[float, "Message"]]:
         out: list[tuple[float, "Message"]] = []
-        for part in self._backend.call_all("pending_messages", [()] * self.shards):
-            out.extend(part)
+        for core in self.cores:
+            out.extend(core.pending_messages())
         return out
 
     def set_wave_fault(self, fault: object) -> None:
@@ -550,30 +414,8 @@ class ShardedEngine:
         """All current node identifiers, sorted ascending."""
         return self.soa.live_ids_list()
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; no-op in-process)."""
-        if not self._closed:
-            self._closed = True
-            self._backend.close()
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:  # repro-lint: ignore[broad-except, silent-except] destructor during interpreter shutdown: modules may already be torn down; nothing to report to and no one to raise to
-            pass
-
     def __repr__(self) -> str:
-        backend = "workers" if self.workers else "inline"
         return (
             f"ShardedEngine(n={len(self)}, shards={self.shards}, "
-            f"backend={backend}, sent={self.stats.total})"
+            f"sent={self.stats.total})"
         )

@@ -8,7 +8,7 @@ later joins land on whichever shard owns their id range, so routing stays
 a single ``searchsorted`` with no rebalancing protocol.
 
 Contiguity is what makes the sharded engine a bit-exact replay of the
-single-process engine: the canonical (content-determined) inbox order is
+unsharded engine: the canonical (content-determined) inbox order is
 destination-slot-major, and with id-sorted slot blocks the global
 canonical order is exactly the shard-ascending concatenation of the
 per-shard canonical orders (see docs/PERF.md).

@@ -3,22 +3,24 @@
 The paper assumes lossless channels and uncorrupted executions; a
 self-stabilizing protocol should nevertheless shrug off transient
 violations, because any post-fault configuration is just another initial
-state.  This module injects three fault classes used by the
-failure-injection tests and the adversarial examples:
+state.  The failure-injection tests and the adversarial examples use
+three fault classes; the last two live here:
 
-* **message loss** (:class:`LossyNetwork`) — every sent message is dropped
-  with probability ``loss_rate``.  The regular action re-advertises all
-  *stored* links every round, so losses of advertisement traffic merely
-  slow convergence.  But the protocol's connectivity preservation replaces
-  links by *in-flight* copies during linearization (a displaced neighbor
-  or a re-injected forgotten endpoint exists, transiently, only inside one
-  message) — if that one message is lost, the identifier is gone and the
-  network can disconnect **permanently**.  Moderate loss rates converge
-  with overwhelming probability (each handoff is one Bernoulli trial and
-  most identifiers are stored redundantly); high loss rates demonstrably
-  split the network (see ``examples/lossy_network.py``).  The lossless
-  channel is therefore a *load-bearing* model assumption, not a
-  convenience — a fact worth measuring.
+* **message loss** (a :class:`~repro.sim.chaos.network.ChaosNetwork` with
+  a :class:`~repro.sim.chaos.injectors.MessageLoss` wire fault) — every
+  sent message is dropped with probability ``rate``.  The regular action
+  re-advertises all *stored* links every round, so losses of
+  advertisement traffic merely slow convergence.  But the protocol's
+  connectivity preservation replaces links by *in-flight* copies during
+  linearization (a displaced neighbor or a re-injected forgotten endpoint
+  exists, transiently, only inside one message) — if that one message is
+  lost, the identifier is gone and the network can disconnect
+  **permanently**.  Moderate loss rates converge with overwhelming
+  probability (each handoff is one Bernoulli trial and most identifiers
+  are stored redundantly); high loss rates demonstrably split the network
+  (see ``examples/lossy_network.py``).  The lossless channel is therefore
+  a *load-bearing* model assumption, not a convenience — a fact worth
+  measuring.
 * **pointer corruption** (:func:`corrupt_random_pointers`) — a transient
   adversary scrambles ``l``/``r``/``lrl``/``ring``/``age`` of a node
   fraction, preserving only the hard model invariant ``l < id < r``.
@@ -31,55 +33,12 @@ failure-injection tests and the adversarial examples:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 from repro.ids import NEG_INF, POS_INF
-from repro.sim.chaos.injectors import MessageLoss
-from repro.sim.chaos.network import ChaosNetwork
 from repro.sim.network import Network
 
-__all__ = ["LossyNetwork", "corrupt_random_pointers", "crash_restart"]
-
-
-class LossyNetwork(ChaosNetwork):
-    """A network whose sends are dropped i.i.d. with ``loss_rate``.
-
-    Violates the paper's lossless-channel assumption on purpose.  Losses
-    are counted in :attr:`lost`.
-
-    This is now a thin compatibility shim over the chaos machinery: a
-    :class:`~repro.sim.chaos.network.ChaosNetwork` with one permanently
-    installed :class:`~repro.sim.chaos.injectors.MessageLoss` injector
-    bound to the caller's generator (one uniform draw per send, in send
-    order — the pinned-seed tests rely on that stream staying put).
-    """
-
-    def __init__(
-        self,
-        nodes: Iterable = (),
-        *,
-        loss_rate: float,
-        rng: np.random.Generator,
-        dedup: bool = True,
-    ) -> None:
-        if not (0.0 <= loss_rate < 1.0):
-            raise ValueError("loss_rate must be in [0, 1)")
-        super().__init__(nodes, dedup=dedup)
-        self._loss = MessageLoss(rate=loss_rate)
-        self._loss.bind(rng)
-        self.set_wire_faults([self._loss])
-
-    @property
-    def loss_rate(self) -> float:
-        """The per-send drop probability."""
-        return self._loss.rate
-
-    @property
-    def lost(self) -> int:
-        """Messages destroyed by the fault (not counted in ``dropped``)."""
-        return self._loss.dropped
+__all__ = ["corrupt_random_pointers", "crash_restart"]
 
 
 def corrupt_random_pointers(

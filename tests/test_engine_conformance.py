@@ -39,7 +39,7 @@ from repro.topology.generators import TOPOLOGIES
 ENGINE_AWARE = {"e01", "e06", "e07", "e17", "e18", "e21", "e22"}
 
 #: Experiments that additionally accept ``engine="sharded"`` (the
-#: multiprocess sharded engine, docs/PERF.md).
+#: sharded engine, docs/PERF.md §8).
 SHARDED_AWARE = ("e01", "e18", "e22")
 
 #: Small-n ``run()`` invocations per engine-aware experiment.

@@ -244,6 +244,21 @@ class TestCli:
         assert code == 0
         assert "sizes=(96,)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("stray", ["bogus=1", "workers=2"])
+    def test_unknown_driver_parameter(self, capsys, stray):
+        """An unknown ``key=value`` exits 2 with one line naming what the
+        driver accepts; it used to die with a raw ``TypeError: run() got
+        an unexpected keyword argument`` traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "e22", "sizes=96", stray])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert stray.split("=")[0] in line.split(";")[0]
+        for accepted in ("sizes", "engine", "shards", "obs"):
+            assert accepted in line.split("accepted:")[1]
+
     def test_python_dash_m_repro(self):
         """``python -m repro`` is the console script (needs ``__main__.py``)."""
         env = dict(os.environ)

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.node import Node
 from repro.core.protocol import ProtocolConfig, build_network
 from repro.graphs.build import stable_ring_states
 from repro.graphs.predicates import is_sorted_ring
 from repro.ids import generate_ids
+from repro.sim.chaos import ChaosNetwork, MessageLoss
 from repro.sim.engine import Simulator
-from repro.sim.faults import LossyNetwork, corrupt_random_pointers, crash_restart
+from repro.sim.faults import corrupt_random_pointers, crash_restart
 from repro.topology.generators import random_tree_topology
 
 
@@ -24,22 +24,33 @@ def build_stable(n=24, seed=0):
     return net, sim, rng
 
 
+def build_lossy(states, loss_rate, rng):
+    """A chaos network whose every send is dropped i.i.d. with *loss_rate*.
+
+    The injector is bound to the caller's generator — one uniform draw per
+    send, in send order, interleaved with the simulator's own draws; the
+    pinned seeds below rely on that stream staying put.
+    """
+    net = build_network(states, ProtocolConfig(), network_cls=ChaosNetwork)
+    loss = MessageLoss(rate=loss_rate)
+    loss.bind(rng)
+    net.set_wire_faults([loss])
+    return net, loss
+
+
 class TestMessageLoss:
     @pytest.mark.parametrize("loss", [0.1, 0.2, 0.3])
     def test_converges_despite_moderate_loss(self, loss):
         rng = np.random.default_rng(int(loss * 100))
         states = random_tree_topology(24, rng)
-        cfg = ProtocolConfig()
-        net = LossyNetwork(
-            (Node(s, cfg) for s in states), loss_rate=loss, rng=rng
-        )
+        net, injector = build_lossy(states, loss, rng)
         sim = Simulator(net, rng)
         sim.run_until(
             lambda nw: is_sorted_ring(nw.states()),
             max_rounds=20_000,
             what=f"convergence at loss={loss}",
         )
-        assert net.lost > 0  # the fault actually fired
+        assert injector.dropped > 0  # the fault actually fired
 
     def test_high_loss_can_partition_permanently(self):
         """The lossless channel is load-bearing: a displaced identifier's
@@ -52,8 +63,7 @@ class TestMessageLoss:
 
         rng = np.random.default_rng(7)
         states = random_tree_topology(24, rng)
-        cfg = ProtocolConfig()
-        net = LossyNetwork((Node(s, cfg) for s in states), loss_rate=0.5, rng=rng)
+        net, _ = build_lossy(states, 0.5, rng)
         sim = Simulator(net, rng)
         with pytest.raises(StabilizationTimeout):
             sim.run_until(
@@ -67,28 +77,25 @@ class TestMessageLoss:
     def test_loss_slows_but_does_not_break_stability(self):
         rng = np.random.default_rng(3)
         states = stable_ring_states(16, lrl="harmonic", rng=rng)
-        cfg = ProtocolConfig()
-        net = LossyNetwork((Node(s, cfg) for s in states), loss_rate=0.5, rng=rng)
+        net, _ = build_lossy(states, 0.5, rng)
         sim = Simulator(net, rng)
         for _ in range(50):
             sim.step_round()
             assert is_sorted_ring(net.states())
 
     def test_loss_rate_validated(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            LossyNetwork((), loss_rate=1.0, rng=rng)
+            MessageLoss(rate=1.0)
         with pytest.raises(ValueError):
-            LossyNetwork((), loss_rate=-0.1, rng=rng)
+            MessageLoss(rate=-0.1)
 
     def test_lost_messages_counted_as_sent(self):
         rng = np.random.default_rng(1)
         states = stable_ring_states(8)
-        cfg = ProtocolConfig()
-        net = LossyNetwork((Node(s, cfg) for s in states), loss_rate=0.9, rng=rng)
+        net, injector = build_lossy(states, 0.9, rng)
         sim = Simulator(net, rng)
         sim.run(3)
-        assert net.stats.total >= net.lost > 0
+        assert net.stats.total >= injector.dropped > 0
 
 
 class TestPointerCorruption:

@@ -339,8 +339,8 @@ def test_scalar_loop_over_soa_is_path_gated():
 
 
 # ----------------------------------------------------------------------
-# obs-blocking-in-wave (advisory; path-gated to repro/sim/fast with the
-# shard pipe transport exempt — ISSUE 9's never-block telemetry contract)
+# obs-blocking-in-wave (advisory; path-gated to repro/sim/fast — ISSUE 9's
+# never-block telemetry contract)
 # ----------------------------------------------------------------------
 def test_obs_blocking_in_wave_fires_under_fast_path():
     source = (FIXTURES / "bad_obs_blocking.py").read_text(encoding="utf-8")
@@ -359,9 +359,6 @@ def test_obs_blocking_in_wave_scope_and_exemptions():
     # Outside repro/sim/fast the rule never applies (harness/exporter
     # code is allowed to do real I/O).
     assert lint_fixture("bad_obs_blocking.py") == []
-    # shard/workers.py is the pipe transport: send/recv IS its job.
-    transport = "def drain(conn):\n    return conn.recv()\n"
-    assert lint_source("src/repro/sim/fast/shard/workers.py", transport) == []
     # The pragma names the rule and suppresses it like any other.
     pragma = (
         "def f():\n"

@@ -6,7 +6,7 @@ Covers the three tentpole pieces end to end:
   (``/metrics`` + ``/health``), the throttled convergence probes, and
   the never-perturb contract (bit-identical sharded trajectories with
   the endpoint live and scraped mid-run);
-* :mod:`repro.obs.shard` — per-worker telemetry folded into the
+* :mod:`repro.obs.shard` — per-shard telemetry folded into the
   coordinator registry under ``shard=`` labels;
 * :mod:`repro.obs.phases` + ``repro obs phases`` — round-phase
   attribution over the recorded manifest, with the ≥95% gate;
@@ -48,7 +48,7 @@ def _get(url: str) -> tuple[int, str]:
         return response.status, response.read().decode("utf-8")
 
 
-def _sharded_sim(seed: int, *, workers: int = 0, n: int = N):
+def _sharded_sim(seed: int, *, n: int = N):
     rng = np.random.default_rng(seed)
     states = TOPOLOGIES["random_tree"](n, rng)
     sim = FastSimulator.from_states(
@@ -56,7 +56,6 @@ def _sharded_sim(seed: int, *, workers: int = 0, n: int = N):
         ProtocolConfig(),
         mode="sharded",
         shards=3,
-        workers=workers,
         rng=rng,
     )
     return sim, rng
@@ -178,18 +177,15 @@ class TestLiveServer:
 class TestLiveStatus:
     def test_probe_counts_unconverged_and_potential(self):
         sim, _ = _sharded_sim(3)
-        try:
-            status = LiveStatus()
-            status.probe(sim)
-            # A fresh random tree is far from the sorted list.
-            assert status.unconverged > 0
-            assert status.potential > 0.0
-            sim.run(40 * N)
-            status.probe(sim)
-            assert status.unconverged == 0
-            assert status.potential == 0.0
-        finally:
-            sim.engine.close()
+        status = LiveStatus()
+        status.probe(sim)
+        # A fresh random tree is far from the sorted list.
+        assert status.unconverged > 0
+        assert status.potential > 0.0
+        sim.run(40 * N)
+        status.probe(sim)
+        assert status.unconverged == 0
+        assert status.potential == 0.0
 
     def test_probe_skips_engines_without_soa(self):
         status = LiveStatus()
@@ -198,15 +194,12 @@ class TestLiveStatus:
 
     def test_probes_only_run_when_scraped(self):
         sim, _ = _sharded_sim(4)
-        try:
-            status = LiveStatus(probe_interval=0.0)
-            status.round_end(1, N, 0, sim)
-            assert status.probe_round is None  # nobody is watching
-            status.touch()
-            status.round_end(2, N, 0, sim)
-            assert status.probe_round == 2
-        finally:
-            sim.engine.close()
+        status = LiveStatus(probe_interval=0.0)
+        status.round_end(1, N, 0, sim)
+        assert status.probe_round is None  # nobody is watching
+        status.touch()
+        status.round_end(2, N, 0, sim)
+        assert status.probe_round == 2
 
     def test_rates_and_eta(self):
         status = LiveStatus()
@@ -228,38 +221,34 @@ class TestLiveStatus:
 # The never-perturb contract, with the endpoint live and scraped
 # ----------------------------------------------------------------------
 class TestLiveDoesNotPerturb:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_sharded_bit_identical_with_live_scrapes(self, workers):
+    def test_sharded_bit_identical_with_live_scrapes(self):
         def run(observed: bool):
-            sim, rng = _sharded_sim(17, workers=workers)
-            try:
-                if not observed:
-                    sim.run(ROUNDS)
-                else:
-                    observer = Observer(experiment="live-pin")
-                    server = LiveServer(observer, ":0").start()
-                    observer.live_server = server
-                    observer.live_status = server.status
-                    try:
-                        with activated(observer):
-                            # Re-attach so the ambient observer adopts the
-                            # already-built sim (engines self-register at
-                            # construction time normally).
-                            observer.attach_simulator(sim)
-                            for index in range(ROUNDS):
-                                sim.step_round()
-                                if index % 10 == 5:
-                                    _get(server.url + "/metrics")
-                                    _get(server.url + "/health")
-                    finally:
-                        server.stop()
-                return (
-                    sim.state_snapshot(),
-                    sim.engine.stats.totals_by_type,
-                    rng.bit_generator.state,
-                )
-            finally:
-                sim.engine.close()
+            sim, rng = _sharded_sim(17)
+            if not observed:
+                sim.run(ROUNDS)
+            else:
+                observer = Observer(experiment="live-pin")
+                server = LiveServer(observer, ":0").start()
+                observer.live_server = server
+                observer.live_status = server.status
+                try:
+                    with activated(observer):
+                        # Re-attach so the ambient observer adopts the
+                        # already-built sim (engines self-register at
+                        # construction time normally).
+                        observer.attach_simulator(sim)
+                        for index in range(ROUNDS):
+                            sim.step_round()
+                            if index % 10 == 5:
+                                _get(server.url + "/metrics")
+                                _get(server.url + "/health")
+                finally:
+                    server.stop()
+            return (
+                sim.state_snapshot(),
+                sim.engine.stats.totals_by_type,
+                rng.bit_generator.state,
+            )
 
         plain = run(observed=False)
         live = run(observed=True)
@@ -283,21 +272,18 @@ def sharded_live_experiment(
         params={"n": n, "rounds": rounds, "seed": seed},
     )
     sim, _ = _sharded_sim(seed, n=n)
-    try:
-        observer = active()
-        url = observer.live_server.url
-        for index in range(rounds):
-            sim.step_round()
-            if index in (rounds // 2, rounds - 1):
-                _get(url + "/metrics")
-                code, body = _get(url + "/health")
-                assert code == 200
-                doc = json.loads(body)
-                assert doc["round"] == index + 1
-                assert doc["n"] == n
-        result.rows.append({"n": n, "messages": sim.engine.stats.total})
-    finally:
-        sim.engine.close()
+    observer = active()
+    url = observer.live_server.url
+    for index in range(rounds):
+        sim.step_round()
+        if index in (rounds // 2, rounds - 1):
+            _get(url + "/metrics")
+            code, body = _get(url + "/health")
+            assert code == 200
+            doc = json.loads(body)
+            assert doc["round"] == index + 1
+            assert doc["n"] == n
+    result.rows.append({"n": n, "messages": sim.engine.stats.total})
     return result
 
 
@@ -330,7 +316,7 @@ class TestInstrumentedLiveRun:
             "dispatch", "exchange", "flush", "merge", "rng",
         }
 
-        # shard=-labelled per-worker series reached the final exposition.
+        # shard=-labelled per-shard series reached the final exposition.
         prom = (out / "metrics.prom").read_text()
         assert 'shard="0"' in prom
         assert "repro_shard_phase_seconds_total" in prom
@@ -455,30 +441,27 @@ class TestShardTelemetry:
 
         sim, rng = _sharded_sim(9)
         engine = sim.engine
-        try:
-            registry = MetricsRegistry()
-            engine.shard_sink = ShardTelemetrySink(registry)
-            for _ in range(3):
-                sim.step_round()
-                # Inline cores expose the worker-side profiler directly:
-                # it must be empty right after the round report folded,
-                # or the next fold would re-count this round's time.
-                for core in engine._backend.cores:
-                    assert core.profiler is not None
-                    assert core.profiler.seconds == {}
-                    assert core.profiler.calls == {}
-            seconds = registry.counter("shard_phase_seconds_total")
-            folded = sum(
-                seconds.value(shard=str(s), phase="shard_route")
-                for s in range(engine.shards)
-            )
-            assert folded > 0.0
-            # Detaching the sink switches workers back to the untimed path.
-            engine.shard_sink = None
-            for core in engine._backend.cores:
-                assert core.profiler is None
-        finally:
-            engine.close()
+        registry = MetricsRegistry()
+        engine.shard_sink = ShardTelemetrySink(registry)
+        for _ in range(3):
+            sim.step_round()
+            # The shard-local profiler must be empty right after the
+            # round report folded, or the next fold would re-count this
+            # round's time.
+            for core in engine.cores:
+                assert core.profiler is not None
+                assert core.profiler.seconds == {}
+                assert core.profiler.calls == {}
+        seconds = registry.counter("shard_phase_seconds_total")
+        folded = sum(
+            seconds.value(shard=str(s), phase="shard_route")
+            for s in range(engine.shards)
+        )
+        assert folded > 0.0
+        # Detaching the sink switches the cores back to the untimed path.
+        engine.shard_sink = None
+        for core in engine.cores:
+            assert core.profiler is None
 
     def test_prometheus_text_renders_shard_series(self):
         from repro.obs.registry import MetricsRegistry

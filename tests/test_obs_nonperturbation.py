@@ -59,7 +59,7 @@ def fast_run(seed: int, observed: bool, mode: str):
     """Fixed-seed fast-engine run; returns (snapshot, stats, rng state)."""
     rng = np.random.default_rng(seed)
     states = TOPOLOGIES["random_tree"](N, rng)
-    kwargs = {"shards": 3, "workers": 0} if mode == "sharded" else {}
+    kwargs = {"shards": 3} if mode == "sharded" else {}
 
     def body():
         sim = FastSimulator.from_states(
@@ -73,15 +73,11 @@ def fast_run(seed: int, observed: bool, mode: str):
             sim = body()
     else:
         sim = body()
-    try:
-        return (
-            sim.state_snapshot(),
-            sim.engine.stats.totals_by_type,
-            rng.bit_generator.state,
-        )
-    finally:
-        if mode == "sharded":
-            sim.engine.close()
+    return (
+        sim.state_snapshot(),
+        sim.engine.stats.totals_by_type,
+        rng.bit_generator.state,
+    )
 
 
 class TestObserverDoesNotPerturb:

@@ -49,15 +49,9 @@ def _engine_view(states, mode: str, *, shards: int = 3) -> RouteView:
         ProtocolConfig(),
         mode=mode,
         shards=shards,
-        workers=0,
         rng=np.random.default_rng(77),
     )
-    try:
-        return RouteView.from_engine(sim.engine, sim.round_index)
-    finally:
-        close = getattr(sim.engine, "close", None)
-        if callable(close):
-            close()
+    return RouteView.from_engine(sim.engine, sim.round_index)
 
 
 def _view_from(source: str, states) -> RouteView:
@@ -203,17 +197,11 @@ class TestPinnedHopTrace:
             ProtocolConfig(),
             mode=mode,
             shards=3,
-            workers=0,
             rng=np.random.default_rng(55),
         )
-        try:
-            for _ in range(12):
-                sim.step_round()
-            return RouteView.from_engine(sim.engine, sim.round_index)
-        finally:
-            close = getattr(sim.engine, "close", None)
-            if callable(close):
-                close()
+        for _ in range(12):
+            sim.step_round()
+        return RouteView.from_engine(sim.engine, sim.round_index)
 
     def test_fast_and_sharded_agree_mid_convergence(self):
         fast = self._mid_convergence_view("batched")

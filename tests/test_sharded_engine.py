@@ -3,8 +3,8 @@
 The bit-identity trajectory tests live in the conformance matrix
 (tests/test_engine_conformance.py) and the hypothesis sweep
 (tests/test_property_sharded.py); this module pins the facade itself —
-construction validation, the membership contract, the merged column
-view, the worker backend, and lifecycle.
+construction validation, the membership contract and the merged column
+view.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.protocol import ProtocolConfig
 from repro.sim.fast.batched import FastEngine
+from repro.sim.fast.engine import FastSimulator
 from repro.sim.fast.shard import ShardedEngine, owner_of, partition_edges
 from repro.sim.trace import Trace
 from repro.topology.generators import TOPOLOGIES
@@ -173,44 +174,25 @@ def test_view_invalidated_by_round_and_churn():
 
 
 # ----------------------------------------------------------------------
-# Worker backend + lifecycle
+# Unsupported surface, the removed worker backend, repr
 # ----------------------------------------------------------------------
-def test_worker_backend_matches_inline():
-    """Spawned workers replay the inline trajectory exactly (the backend
-    only moves the cores; every draw stays on the coordinator)."""
-    states = _states(48, seed=17)
-    inline = ShardedEngine(states, ProtocolConfig(), shards=2, workers=0)
-    with ShardedEngine(states, ProtocolConfig(), shards=2, workers=2) as spawned:
-        assert spawned.workers == 2
-        r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
-        for _ in range(8):
-            inline.execute_round(r1)
-            spawned.execute_round(r2)
-        assert inline.state_snapshot() == spawned.state_snapshot()
-        assert inline.stats.totals_by_type == spawned.stats.totals_by_type
-        assert inline.pending_total() == spawned.pending_total()
-
-
-def test_workers_clamped_to_shards():
-    with ShardedEngine(_states(12), shards=2, workers=9) as engine:
-        assert engine.workers == 2
-        engine.execute_round(np.random.default_rng(0))
-        assert len(engine) == 12
-
-
 def test_set_wave_fault_unsupported():
     engine = ShardedEngine(_states(8), shards=2)
     with pytest.raises(NotImplementedError, match="wave-dispatch"):
         engine.set_wave_fault(object())
 
 
-def test_close_idempotent():
-    engine = ShardedEngine(_states(8), shards=2)
-    engine.close()
-    engine.close()  # second close must be a no-op, not an error
+def test_workers_argument_rejected_unless_zero():
+    """The worker-process backend is gone (docs/PERF.md §8): the one door
+    that still takes ``workers`` accepts 0 and nothing else."""
+    states = _states(8)
+    with pytest.raises(ValueError, match=r"removed.*docs/PERF\.md §8"):
+        FastSimulator.from_states(states, mode="sharded", workers=2)
+    sim = FastSimulator.from_states(states, mode="sharded", workers=0)
+    assert isinstance(sim.engine, ShardedEngine)
+    assert not hasattr(sim.engine, "workers")
 
 
 def test_repr_mentions_backend():
     engine = ShardedEngine(_states(8), shards=2)
-    assert "inline" in repr(engine)
     assert "shards=2" in repr(engine)
