@@ -57,6 +57,7 @@ _EXPORTS: dict[str, str] = {
     "AsyncScheduler": "repro.sim",
     "Network": "repro.sim",
     "Simulator": "repro.sim",
+    "make_simulator": "repro.sim.host",
     "SynchronousScheduler": "repro.sim",
     "TOPOLOGIES": "repro.topology",
     "clique_topology": "repro.topology",

@@ -13,28 +13,25 @@ sorted-ring invariant holds again over the new node set.  Reported costs:
   regardless, so raw totals would measure the maintenance rate, not the
   recovery.
 
-Every trial is **host-generic** (``engine="reference"`` or
-``engine="fast"``): the batched engine runs the same measurement at sizes
-the reference stack cannot reach — that is what the storm-scale benchmark
-(:mod:`repro.churn.scale`, ``BENCH_churn_scale.json``) builds on.
+Every trial is **host-generic** (any engine of
+:data:`repro.sim.host.ENGINES`): the batched engine runs the same
+measurement at sizes the reference stack cannot reach — that is what the
+storm-scale benchmark (:mod:`repro.churn.scale`,
+``BENCH_churn_scale.json``) builds on.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from repro.core.protocol import ProtocolConfig, build_network
-from repro.churn.join import join_node
-from repro.churn.leave import leave_node
+from repro.core.protocol import ProtocolConfig
 from repro.graphs.build import stable_ring_states
-from repro.graphs.predicates import is_sorted_ring
 from repro.ids import generate_ids
-from repro.sim.engine import BaseSimulator, Simulator
+from repro.sim.engine import BaseSimulator
+from repro.sim.host import Host, make_simulator
 
 __all__ = [
     "RecoveryResult",
@@ -46,7 +43,7 @@ __all__ = [
 ]
 
 #: Either driver: the reference Simulator or a FastSimulator.
-AnySimulator = BaseSimulator[Any]
+AnySimulator = BaseSimulator[Host]
 
 
 @dataclass(frozen=True)
@@ -60,31 +57,11 @@ class RecoveryResult:
     baseline_rate: float
 
 
-def _membership_host(sim: AnySimulator) -> Any:
-    """The object holding membership and stats: network or fast engine."""
-    network = getattr(sim, "network", None)
-    return network if network is not None else sim.engine  # type: ignore[attr-defined]
-
-
-def _ring_predicate(sim: AnySimulator) -> Callable[[Any], bool]:
-    """The sorted-ring predicate over the simulator's predicate target."""
-    if getattr(sim, "network", None) is not None:
-        return lambda net: is_sorted_ring(net.states())
-    from repro.sim.fast.predicates import fast_is_sorted_ring
-
-    return fast_is_sorted_ring
-
-
 def steady_state_rate(sim: AnySimulator, rounds: int = 10) -> float:
     """Messages per round in the stable state (maintenance traffic)."""
-    host = _membership_host(sim)
-    before = host.stats.total
+    before = sim.host.stats.total
     sim.run(rounds)
-    return float(host.stats.total - before) / rounds
-
-
-# Backward-compatible alias (the private name predates engine support).
-_steady_state_rate = steady_state_rate
+    return float(sim.host.stats.total - before) / rounds
 
 
 def measure_recovery(
@@ -95,10 +72,10 @@ def measure_recovery(
     what: str = "recovery",
 ) -> RecoveryResult:
     """Run *sim* until the sorted ring holds again; return the cost."""
-    host = _membership_host(sim)
+    host = sim.host
     before = host.stats.total
     rounds = sim.run_until(
-        _ring_predicate(sim), max_rounds=max_rounds, what=what
+        lambda h: h.is_sorted_ring(), max_rounds=max_rounds, what=what
     )
     total = int(host.stats.total - before)
     extra = total - baseline_rate * rounds
@@ -118,38 +95,14 @@ def stable_simulator(
     *,
     engine: str = "reference",
 ) -> AnySimulator:
-    """A warmed-up simulator over a stable n-node ring, on either engine."""
+    """A warmed-up simulator over a stable n-node ring, on any engine."""
     states = stable_ring_states(n, lrl="harmonic", rng=rng, ids=generate_ids(n, rng))
-    sim: AnySimulator
-    if engine == "reference":
-        net = build_network(states, config)
-        sim = Simulator(net, rng)
-    elif engine == "fast":
-        from repro.sim.fast import FastSimulator
-
-        sim = FastSimulator.from_states(
-            states, config, mode="batched", rng=rng
-        )
-    else:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'reference' or 'fast'"
-        )
+    sim = make_simulator(states, config, engine=engine, rng=rng)
     # Warm up until the in-flight probe population reaches steady state —
     # probes live for E[path length] ≈ ln^2 n rounds, so measuring the
     # baseline message rate any earlier would undercount it and inflate the
     # "extra messages" attributed to the churn event.
     sim.run(10 + int(math.log(n) ** 2))
-    return sim
-
-
-# Backward-compatible alias.
-def _stable_simulator(
-    n: int,
-    rng: np.random.Generator,
-    config: ProtocolConfig | None,
-) -> Simulator:
-    sim = stable_simulator(n, rng, config, engine="reference")
-    assert isinstance(sim, Simulator)
     return sim
 
 
@@ -166,16 +119,12 @@ def join_recovery_trial(
         raise ValueError("n must be at least 4")
     sim = stable_simulator(n, rng, config, engine=engine)
     rate = steady_state_rate(sim)
-    host = _membership_host(sim)
+    host = sim.host
     ids = host.ids
     new_id = generate_ids(1, rng)[0]
     while new_id in host:  # pragma: no cover - measure-zero collision
         new_id = generate_ids(1, rng)[0]
-    contact = ids[int(rng.integers(len(ids)))]
-    if engine == "reference":
-        join_node(sim.network, new_id, contact)  # type: ignore[attr-defined]
-    else:
-        host.join(new_id, contact)
+    host.join(new_id, ids[int(rng.integers(len(ids)))])
     cap = max_rounds if max_rounds is not None else max(200, 4 * n)
     return measure_recovery(
         sim, max_rounds=cap, baseline_rate=rate, what=f"join recovery (n={n})"
@@ -201,16 +150,12 @@ def leave_recovery_trial(
         raise ValueError("n must be at least 4")
     sim = stable_simulator(n, rng, config, engine=engine)
     rate = steady_state_rate(sim)
-    host = _membership_host(sim)
-    ids = host.ids
+    ids = sim.host.ids
     if extremal:
         victim = ids[0]
     else:
         victim = ids[int(rng.integers(1, len(ids) - 1))]
-    if engine == "reference":
-        leave_node(sim.network, victim)  # type: ignore[attr-defined]
-    else:
-        host.leave(victim)
+    sim.host.leave(victim)
     cap = max_rounds if max_rounds is not None else max(200, 4 * n)
     return measure_recovery(
         sim, max_rounds=cap, baseline_rate=rate, what=f"leave recovery (n={n})"

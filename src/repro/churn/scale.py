@@ -3,7 +3,7 @@
 :func:`storm_recovery_trial` prices one *storm* — a batched membership
 event from :mod:`repro.churn.storms` — on a stable n-node overlay:
 
-1. build a warmed-up simulator (either engine; ``engine="fast"`` reaches
+1. build a warmed-up simulator (any engine; ``engine="fast"`` reaches
    n ≈ 50k) and measure the steady-state maintenance message rate;
 2. schedule the storm at round 0 on a :class:`~repro.churn.storms.ChurnPlan`
    and run it under a :class:`~repro.sim.chaos.campaign.ChaosCampaign`
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.churn.experiments import (
     AnySimulator,
-    _membership_host,
     stable_simulator,
     steady_state_rate,
 )
@@ -97,7 +96,7 @@ def storm_recovery_trial(
         sim = stable_simulator(
             n, seed_rng(seed, n, storm), config, engine=engine
         )
-    host = _membership_host(sim)
+    host = sim.host
     rate = steady_state_rate(sim)
     plan = ChurnPlan(seed=seed)
     STORMS[storm](plan, 0)

@@ -12,12 +12,11 @@ with configurable probabilities, and the run records
   from perfect the structure strays under sustained pressure),
 * greedy-routing success over the live membership sampled periodically.
 
-The workload is host-generic: against a reference :class:`Simulator` it
-uses the scalar §IV-G helpers, against a
-:class:`~repro.sim.fast.FastSimulator` it drives the batched engine's
-membership operations, with the per-round measurements vectorized over the
-SoA columns (the draw sequence is identical on both hosts, so twin-seeded
-runs make the same membership decisions).
+The workload is host-generic: it drives the §IV-G calls of
+``simulator.host`` (:class:`repro.sim.host.Host`), with the per-round
+measurements vectorized over the SoA columns where the host has them (the
+draw sequence is identical on every host, so twin-seeded runs make the
+same membership decisions).
 
 Experiment E17 sweeps the churn rate and reports the degradation curve;
 its storm legs (:mod:`repro.churn.storms`) stress batched events instead.
@@ -26,20 +25,13 @@ its storm legs (:mod:`repro.churn.storms`) stress batched events instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from repro.baselines.chord_like import greedy_route_with_failures
-from repro.churn.join import join_node
-from repro.churn.leave import leave_node
-from repro.graphs.predicates import is_sorted_ring
 from repro.ids import is_real
 from repro.sim.engine import BaseSimulator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.fast.batched import FastEngine
-    from repro.sim.fast.mirror import MirrorEngine
 
 __all__ = ["ChurnWorkload", "ChurnReport"]
 
@@ -109,57 +101,34 @@ class ChurnWorkload:
         self.min_size = min_size
         self.route_every = route_every
         self.route_queries = route_queries
-        #: The reference network, or None on a fast-engine host.
-        self.network = getattr(simulator, "network", None)
-        self.engine: "FastEngine | MirrorEngine | None" = (
-            None if self.network is not None else simulator.engine  # type: ignore[attr-defined]
-        )
-
-    @property
-    def _host(self) -> Any:
-        return self.network if self.network is not None else self.engine
 
     def _maybe_join(self, report: ChurnReport) -> None:
-        host = self._host
+        host = self.simulator.host
         if self.rng.random() >= self.join_probability:
             return
         new_id = float(self.rng.random())
         while new_id in host:  # pragma: no cover - measure-zero collision
             new_id = float(self.rng.random())
         ids = host.ids
-        contact = ids[int(self.rng.integers(len(ids)))]
-        if self.network is not None:
-            join_node(self.network, new_id, contact)
-        else:
-            host.join(new_id, contact)
+        host.join(new_id, ids[int(self.rng.integers(len(ids)))])
         report.joins += 1
 
     def _maybe_leave(self, report: ChurnReport) -> None:
-        host = self._host
+        host = self.simulator.host
         if len(host) <= self.min_size:
             return
         if self.rng.random() >= self.leave_probability:
             return
         ids = host.ids
-        victim = ids[int(self.rng.integers(len(ids)))]
-        if self.network is not None:
-            leave_node(self.network, victim)
-        else:
-            host.leave(victim)
+        host.leave(ids[int(self.rng.integers(len(ids)))])
         report.leaves += 1
 
-    def _ring_holds(self) -> bool:
-        if self.network is not None:
-            return is_sorted_ring(self.network.states())
-        from repro.sim.fast.predicates import fast_is_sorted_ring
-
-        assert self.engine is not None
-        return fast_is_sorted_ring(self.engine)
-
+    # The two measurements below keep one body per data representation,
+    # keyed on the host having SoA columns — read each call: the sharded
+    # engine rebuilds its merged ``soa`` every round.
     def _pair_fraction(self) -> float:
-        if self.network is None:
-            assert self.engine is not None
-            soa = self.engine.soa
+        soa = getattr(self.simulator.host, "soa", None)
+        if soa is not None:
             ids, idx = soa.sorted_live()
             if len(ids) < 2:
                 return 1.0
@@ -167,7 +136,7 @@ class ChurnWorkload:
                 (soa.r[idx][:-1] == ids[1:]) & (soa.l[idx][1:] == ids[:-1])
             )
             return float(good) / (len(ids) - 1)
-        states = self.network.states()
+        states = self.simulator.host.states()
         ordered = sorted(states)
         if len(ordered) < 2:
             return 1.0
@@ -180,9 +149,8 @@ class ChurnWorkload:
 
     def _neighbor_matrix(self) -> np.ndarray:
         """Rank-indexed ``(n, 4)`` stored-link matrix (−1 = no live link)."""
-        if self.network is None:
-            assert self.engine is not None
-            soa = self.engine.soa
+        soa = getattr(self.simulator.host, "soa", None)
+        if soa is not None:
             ids, idx = soa.sorted_live()
             n = len(ids)
             neighbors = np.full((n, 4), -1, dtype=np.int64)
@@ -195,7 +163,7 @@ class ChurnWorkload:
                 rows = np.flatnonzero(real)[live]
                 neighbors[rows, j] = pos[live]
             return neighbors
-        states = self.network.states()
+        states = self.simulator.host.states()
         ordered = sorted(states)
         n = len(ordered)
         rank = {v: i for i, v in enumerate(ordered)}
@@ -232,15 +200,16 @@ class ChurnWorkload:
         if rounds <= 0:
             raise ValueError("rounds must be positive")
         report = ChurnReport()
+        host = self.simulator.host
         for r in range(rounds):
             self._maybe_join(report)
             self._maybe_leave(report)
             self.simulator.step_round()
             report.rounds += 1
-            report.min_size = min(report.min_size, len(self._host))
-            report.ring_rounds += int(self._ring_holds())
+            report.min_size = min(report.min_size, len(host))
+            report.ring_rounds += int(host.is_sorted_ring())
             report.pair_fraction_sum += self._pair_fraction()
             if (r + 1) % self.route_every == 0:
                 self._sample_routing(report)
-        report.final_size = len(self._host)
+        report.final_size = len(host)
         return report

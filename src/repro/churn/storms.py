@@ -9,14 +9,11 @@ schedule on the existing :class:`~repro.sim.chaos.plan.FaultPlan`
 machinery (windows, per-fault generators, deterministic traces) and
 compose freely with wire faults and the other state faults.
 
-Every storm is **host-generic**: against a reference simulator it applies
-scalar :func:`~repro.churn.join.join_node` / ``leave_node`` calls in
-ascending-identifier order; against a batched-engine host it calls
-:meth:`~repro.sim.fast.batched.FastEngine.join_batch` /
-:meth:`~repro.sim.fast.batched.FastEngine.leave_batch`, whose contract is
-*exactly* "sequential scalar ops in ascending id order" — so a twin-seeded
-storm produces the identical post-storm topology on both engines (the
-cross-engine conformance matrix pins this).
+Every storm is **host-generic**: it calls the host's ``join_batch`` /
+``leave_batch`` (:class:`repro.sim.host.Host`), whose contract on every
+engine is *exactly* "sequential scalar ops in ascending id order" — so a
+twin-seeded storm produces the identical post-storm topology on all of
+them (the cross-engine conformance matrix pins this).
 
 :class:`ChurnPlan` is a :class:`~repro.sim.chaos.plan.FaultPlan` with a
 storm vocabulary::
@@ -53,46 +50,21 @@ __all__ = [
 ]
 
 
-def _hosts(simulator: "Simulator") -> tuple[object | None, object]:
-    """``(network, host)`` — the reference network (or None) and the
-    membership host (network or fast engine)."""
-    network = getattr(simulator, "network", None)
-    return network, (network if network is not None else simulator.engine)
-
-
 def apply_joins(
     simulator: "Simulator", new_ids: np.ndarray, contacts: np.ndarray
 ) -> int:
-    """Join ``new_ids[k]`` via ``contacts[k]`` on either host.
-
-    Both hosts observe the same contract: the joins land as if applied one
-    at a time in ascending new-identifier order (the batched engine's
-    ``join_batch`` sorts internally; the scalar path sorts here).
-    """
-    network, host = _hosts(simulator)
+    """Join ``new_ids[k]`` via ``contacts[k]``, as if applied one at a
+    time in ascending new-identifier order."""
     if len(new_ids) == 0:
         return 0
-    if network is not None:
-        from repro.churn.join import join_node
-
-        for k in np.argsort(new_ids, kind="stable").tolist():
-            join_node(network, float(new_ids[k]), float(contacts[k]))
-        return len(new_ids)
-    return int(host.join_batch(new_ids, contacts))
+    return int(simulator.host.join_batch(new_ids, contacts))
 
 
 def apply_leaves(simulator: "Simulator", victims: np.ndarray) -> int:
-    """Depart every id in *victims* on either host (ascending id order)."""
-    network, host = _hosts(simulator)
+    """Depart every id in *victims* (ascending id order)."""
     if len(victims) == 0:
         return 0
-    if network is not None:
-        from repro.churn.leave import leave_node
-
-        for nid in np.sort(np.asarray(victims, dtype=np.float64)).tolist():
-            leave_node(network, nid)
-        return len(victims)
-    return int(host.leave_batch(victims))
+    return int(simulator.host.leave_batch(victims))
 
 
 class ChurnStorm(FaultInjector):
@@ -126,8 +98,7 @@ class FlashCrowd(ChurnStorm):
         self.joined = 0
 
     def on_round(self, simulator: "Simulator") -> None:
-        _, host = _hosts(simulator)
-        ids = np.asarray(host.ids, dtype=np.float64)
+        ids = np.asarray(simulator.host.ids, dtype=np.float64)
         n = len(ids)
         if n == 0:
             return
@@ -170,8 +141,7 @@ class CorrelatedDeparture(ChurnStorm):
         self.departed = 0
 
     def on_round(self, simulator: "Simulator") -> None:
-        _, host = _hosts(simulator)
-        ids = np.asarray(host.ids, dtype=np.float64)
+        ids = np.asarray(simulator.host.ids, dtype=np.float64)
         n = len(ids)
         k = min(int(self.fraction * n), n - self.min_size)
         if k <= 0:
@@ -219,8 +189,7 @@ class PartitionHeal(ChurnStorm):
             self._heal(simulator)
 
     def _split(self, simulator: "Simulator") -> None:
-        _, host = _hosts(simulator)
-        ids = np.asarray(host.ids, dtype=np.float64)
+        ids = np.asarray(simulator.host.ids, dtype=np.float64)
         n = len(ids)
         k = min(int(self.fraction * n), n - self.min_size)
         if k <= 0:
@@ -233,11 +202,10 @@ class PartitionHeal(ChurnStorm):
         self.events += departed
 
     def _heal(self, simulator: "Simulator") -> None:
-        _, host = _hosts(simulator)
         returning = self._departed
         self._departed = None
         assert returning is not None
-        survivors = np.asarray(host.ids, dtype=np.float64)
+        survivors = np.asarray(simulator.host.ids, dtype=np.float64)
         if len(survivors) == 0:
             return
         contact_pick = self.rng.integers(0, len(survivors), size=len(returning))

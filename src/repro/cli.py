@@ -27,6 +27,7 @@ import time
 from collections.abc import Mapping, Sequence
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.sim.host import ENGINES
 
 __all__ = ["main"]
 
@@ -96,13 +97,14 @@ def _wrap_scalars(
 
     The shell has no way to write a one-element tuple short of a trailing
     comma, so a bare scalar given for a parameter whose driver default is
-    a tuple is wrapped into a 1-tuple.
+    a tuple is wrapped into a 1-tuple; an empty value (``rates=``) is the
+    empty tuple.
     """
     for key, value in params.items():
         if isinstance(signature[key].default, tuple) and not isinstance(
             value, tuple
         ):
-            params[key] = (value,)
+            params[key] = () if value == "" else (value,)
 
 
 def _run_one(experiment_id: str, params: dict[str, object]) -> None:
@@ -119,6 +121,13 @@ def _run_one(experiment_id: str, params: dict[str, object]) -> None:
         print(
             f"unknown {spec.id} parameter(s): {', '.join(unknown)}; accepted: "
             f"{', '.join(signature)} (and out, obs, live)",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    if "engine" in params and params["engine"] not in ENGINES:
+        print(
+            f"unknown {spec.id} engine {params['engine']!r}; accepted: "
+            f"{', '.join(ENGINES)}",
             file=sys.stderr,
         )
         raise SystemExit(2)

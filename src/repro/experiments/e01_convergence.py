@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.stats import summarize
-from repro.core.protocol import ProtocolConfig, build_network
+from repro.core.protocol import ProtocolConfig
 from repro.experiments.common import ExperimentResult, seed_rng
 from repro.graphs.predicates import (
     PHASE_CONNECTED,
@@ -20,7 +20,7 @@ from repro.graphs.predicates import (
     PHASE_SORTED_RING,
     phase_predicates,
 )
-from repro.sim.engine import Simulator
+from repro.sim.host import make_simulator
 from repro.topology.generators import TOPOLOGIES
 
 __all__ = ["run"]
@@ -48,18 +48,13 @@ def run(
 ) -> ExperimentResult:
     """Run the convergence sweep; one row per (topology, n).
 
-    ``engine="fast"`` opts into the batched struct-of-arrays engine
-    (:mod:`repro.sim.fast`, docs/PERF.md) — same phases, same seeds per
-    trial, orders of magnitude faster at large ``sizes``.
-    ``engine="sharded"`` runs the sharded front-end over the same batched
-    kernels (two in-process id-range shards; a bit-exact replay of
-    ``"fast"`` on id-sorted states, docs/PERF.md).
+    *engine* is any of :data:`repro.sim.host.ENGINES`: ``"fast"`` opts into
+    the batched struct-of-arrays engine (:mod:`repro.sim.fast`,
+    docs/PERF.md) — same phases, same seeds per trial, orders of magnitude
+    faster at large ``sizes``; ``"sharded"`` runs the sharded front-end
+    over the same batched kernels (two in-process id-range shards; a
+    bit-exact replay of ``"fast"`` on id-sorted states, docs/PERF.md).
     """
-    if engine not in ("reference", "fast", "sharded"):
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'reference', 'fast', or "
-            "'sharded'"
-        )
     result = ExperimentResult(
         experiment="e01",
         title="Self-stabilization to the sorted ring from weakly connected states",
@@ -85,28 +80,14 @@ def run(
             messages: list[int] = []
             for t in range(trials):
                 rng = seed_rng(seed, name, n, t)
-                states = factory(n, rng)
-                if engine in ("fast", "sharded"):
-                    from repro.sim.fast import FastSimulator, fast_phase_predicates
-
-                    mode = "batched" if engine == "fast" else "sharded"
-                    sim: Simulator | FastSimulator = FastSimulator.from_states(
-                        states, config, mode=mode, rng=rng
-                    )
-                    preds = fast_phase_predicates(include_phase4=False)
-                    stats = sim.engine.stats
-                else:
-                    net = build_network(states, config)
-                    sim = Simulator(net, rng)
-                    preds = phase_predicates(include_phase4=False)
-                    stats = net.stats
+                sim = make_simulator(factory(n, rng), config, engine=engine, rng=rng)
                 rec = sim.run_phases(
-                    preds,
+                    phase_predicates(include_phase4=False),
                     max_rounds=max_rounds_factor * n,
                 )
                 for phase in phase_rounds:
                     phase_rounds[phase].append(rec.round_of(phase) or 0)
-                messages.append(stats.total)
+                messages.append(sim.host.stats.total)
             ring = summarize(np.array(phase_rounds[PHASE_SORTED_RING]))
             result.rows.append(
                 {

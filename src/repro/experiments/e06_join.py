@@ -30,9 +30,10 @@ def run(
 ) -> ExperimentResult:
     """One row per n: recovery rounds and extra messages, trial-averaged.
 
-    ``engine="fast"`` runs the trials on the batched engine (structurally
-    conformant rows; the batched RNG draws in a different order, so the
-    numbers are statistical twins, not bit-identical).
+    *engine* is any of :data:`repro.sim.host.ENGINES`; the fast engines
+    produce structurally conformant rows (the batched RNG draws in a
+    different order, so the numbers are statistical twins, not
+    bit-identical).
     """
     result = ExperimentResult(
         experiment="e06",
@@ -60,6 +61,9 @@ def run(
         )
     xs = np.array([r["n"] for r in result.rows], dtype=float)
     ys = np.array([max(r["rounds_mean"], 0.5) for r in result.rows])
+    if len(xs) < 3:
+        result.note("no scaling fit: a fit needs at least 3 sizes")
+        return result
     fits = compare_scaling(xs, ys)
     poly = fits["polylog"]
     result.note(

@@ -30,9 +30,10 @@ def run(
 ) -> ExperimentResult:
     """One row per (n, scenario): recovery rounds, trial-averaged.
 
-    ``engine="fast"`` runs the trials on the batched engine (structurally
-    conformant rows; the batched RNG draws in a different order, so the
-    numbers are statistical twins, not bit-identical).
+    *engine* is any of :data:`repro.sim.host.ENGINES`; the fast engines
+    produce structurally conformant rows (the batched RNG draws in a
+    different order, so the numbers are statistical twins, not
+    bit-identical).
     """
     result = ExperimentResult(
         experiment="e07",
@@ -65,6 +66,9 @@ def run(
         rows = [r for r in result.rows if r["scenario"] == scenario]
         xs = np.array([r["n"] for r in rows], dtype=float)
         ys = np.array([max(r["rounds_mean"], 0.5) for r in rows])
+        if len(xs) < 3:
+            result.note(f"{scenario}: no scaling fit: a fit needs at least 3 sizes")
+            continue
         fits = compare_scaling(xs, ys)
         poly = fits["polylog"]
         power = fits["power"]

@@ -18,8 +18,8 @@ degrades locally, not globally.
 Two extensions push this to production scale (docs/CHAOS.md "Churn at
 scale"):
 
-* ``engine="fast"`` runs the sweep on the batched engine, reaching
-  n ≈ 50k;
+* ``engine=`` takes any of :data:`repro.sim.host.ENGINES`; ``"fast"``
+  runs the sweep on the batched engine, reaching n ≈ 50k;
 * ``storms=("flash_crowd", "correlated_departure", "partition_heal")``
   adds one row per named storm (:mod:`repro.churn.storms`): a batched
   membership event on a stable n-node overlay, priced by rounds to
@@ -32,11 +32,11 @@ from __future__ import annotations
 from repro.churn.scale import storm_recovery_trial
 from repro.churn.sequences import ChurnWorkload
 from repro.churn.storms import STORMS
-from repro.core.protocol import ProtocolConfig, build_network
+from repro.core.protocol import ProtocolConfig
 from repro.experiments.common import ExperimentResult, seed_rng
 from repro.graphs.build import stable_ring_states
 from repro.ids import generate_ids
-from repro.sim.engine import Simulator
+from repro.sim.host import make_simulator
 
 __all__ = ["run"]
 
@@ -62,10 +62,6 @@ def run(
 ) -> ExperimentResult:
     """One row per churn rate (per-round join AND leave probability), plus
     one row per named storm leg when *storms* is non-empty."""
-    if engine not in ("reference", "fast"):
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'reference' or 'fast'"
-        )
     rates = _norm_tuple(rates)
     storms = _norm_tuple(storms)
     for storm in storms:
@@ -96,15 +92,7 @@ def run(
             states = stable_ring_states(
                 n, lrl="harmonic", rng=rng, ids=generate_ids(n, rng)
             )
-            if engine == "reference":
-                net = build_network(states, ProtocolConfig())
-                sim = Simulator(net, rng)
-            else:
-                from repro.sim.fast import FastSimulator
-
-                sim = FastSimulator.from_states(
-                    states, ProtocolConfig(), mode="batched", rng=rng
-                )
+            sim = make_simulator(states, ProtocolConfig(), engine=engine, rng=rng)
             sim.run(10)
             workload = ChurnWorkload(
                 sim, rng, join_probability=rate, leave_probability=rate

@@ -11,9 +11,9 @@ one-time *stabilization work* and the recurring *maintenance rate*
 (messages/round once stable, cf. E8), with power-law fits of the totals.
 
 Since ISSUE 4 the driver runs on the batched engine by default
-(``engine="fast"``; pass ``engine="reference"`` for the original
-per-node path — the two engines are distributionally equivalent, see
-docs/PERF.md) and reports per-type message counts through the shared
+(``engine="fast"``; any of :data:`repro.sim.host.ENGINES` works — pass
+``engine="reference"`` for the original per-node path; the engines are
+distributionally equivalent, see docs/PERF.md) and reports per-type message counts through the shared
 :class:`~repro.obs.registry.MetricsRegistry` pipeline
 (:func:`~repro.obs.sources.fold_message_stats`), so the breakdown in the
 rows is produced by the same metric the live observer scrapes.
@@ -30,14 +30,11 @@ import numpy as np
 
 from repro.analysis.scaling import fit_power
 from repro.core.messages import MessageType
-from repro.core.protocol import ProtocolConfig, build_network
+from repro.core.protocol import ProtocolConfig
 from repro.experiments.common import ExperimentResult, seed_rng
-from repro.graphs.predicates import is_sorted_ring
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sources import fold_message_stats
-from repro.sim.engine import Simulator
-from repro.sim.fast.engine import FastSimulator
-from repro.sim.fast.predicates import fast_is_sorted_ring
+from repro.sim.host import make_simulator
 from repro.sim.metrics import MessageStats
 from repro.topology.generators import TOPOLOGIES
 
@@ -49,43 +46,21 @@ __all__ = ["run"]
 TrialResult = tuple[int, MessageStats, int, float]
 
 
-def _stabilize_fast(
-    name: str, n: int, trial: int, seed: int, mode: str = "batched"
-) -> TrialResult:
-    """One batched- or sharded-engine trial."""
+def _stabilize(name: str, n: int, trial: int, seed: int, engine: str) -> TrialResult:
+    """One trial: run to the sorted ring, then 10 maintenance rounds."""
     rng = seed_rng(seed, name, n, trial)
-    sim = FastSimulator.from_states(
-        TOPOLOGIES[name](n, rng), ProtocolConfig(), mode=mode, rng=rng
+    sim = make_simulator(
+        TOPOLOGIES[name](n, rng), ProtocolConfig(), engine=engine, rng=rng
     )
     rounds = sim.run_until(
-        fast_is_sorted_ring, max_rounds=300 * n, what=f"{name} n={n}"
-    )
-    stats = sim.engine.stats
-    before = stats.total
-    sim.run(10)
-    return rounds, stats, before, (stats.total - before) / 10
-
-
-def _stabilize_sharded(name: str, n: int, trial: int, seed: int) -> TrialResult:
-    """One sharded-engine trial (two in-process id-range shards)."""
-    return _stabilize_fast(name, n, trial, seed, mode="sharded")
-
-
-def _stabilize_reference(
-    name: str, n: int, trial: int, seed: int
-) -> TrialResult:
-    """One reference-engine trial."""
-    rng = seed_rng(seed, name, n, trial)
-    net = build_network(TOPOLOGIES[name](n, rng), ProtocolConfig())
-    sim = Simulator(net, rng)
-    rounds = sim.run_until(
-        lambda nw: is_sorted_ring(nw.states()),
+        lambda host: host.is_sorted_ring(),
         max_rounds=300 * n,
         what=f"{name} n={n}",
     )
-    before = net.stats.total
+    stats = sim.host.stats
+    before = stats.total
     sim.run(10)
-    return rounds, net.stats, before, (net.stats.total - before) / 10
+    return rounds, stats, before, (stats.total - before) / 10
 
 
 def run(
@@ -97,17 +72,6 @@ def run(
     engine: str = "fast",
 ) -> ExperimentResult:
     """One row per (topology, n): messages and rounds to the sorted ring."""
-    stabilizers = {
-        "fast": _stabilize_fast,
-        "sharded": _stabilize_sharded,
-        "reference": _stabilize_reference,
-    }
-    if engine not in stabilizers:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'fast', 'sharded', or "
-            "'reference'"
-        )
-    stabilize = stabilizers[engine]
     result = ExperimentResult(
         experiment="e18",
         title="Total message complexity of stabilization",
@@ -126,7 +90,7 @@ def run(
         for n in sizes:
             totals, rounds, per_round_stable = [], [], []
             for t in range(trials):
-                r, stats, stab_total, maint = stabilize(name, n, t, seed)
+                r, stats, stab_total, maint = _stabilize(name, n, t, seed, engine)
                 rounds.append(r)
                 totals.append(stab_total)
                 per_round_stable.append(maint)

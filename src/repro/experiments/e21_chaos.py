@@ -24,7 +24,9 @@ time-to-detect and time-to-reconverge per burst.  The claims reproduced:
 
 from __future__ import annotations
 
-from repro.core.protocol import ProtocolConfig, build_network
+from typing import Any
+
+from repro.core.protocol import ProtocolConfig
 from repro.experiments.common import ExperimentResult, seed_rng
 from repro.sim.chaos.campaign import CampaignResult, ChaosCampaign
 from repro.sim.chaos.guard import GuardPolicy
@@ -34,16 +36,11 @@ from repro.sim.chaos.monitors import (
     PartitionDetector,
     WeakConnectivityWatchdog,
 )
-from repro.sim.chaos.network import ChaosNetwork
 from repro.sim.chaos.plan import FaultPlan
-from repro.sim.engine import Simulator
-from repro.sim.fast import ChaosFastEngine, FastSimulator
+from repro.sim.host import make_simulator
 from repro.topology.generators import random_tree_topology
 
 __all__ = ["run", "run_campaign"]
-
-#: The transport a campaign ran on — what carries stats/guard counters.
-ChaosHost = ChaosNetwork | ChaosFastEngine
 
 
 def run_campaign(
@@ -55,43 +52,28 @@ def run_campaign(
     rounds: int,
     guard: bool,
     engine: str = "reference",
-) -> tuple["ChaosHost", CampaignResult]:
+) -> tuple[Any, CampaignResult]:
     """One fixed-seed campaign; baseline and guarded runs share everything
     (initial configuration, fault plan, simulator seed) except the
     transport, so outcome differences are attributable to the guard alone.
 
-    ``engine="fast"`` runs the same campaign on the vectorized chaos
-    engine (:mod:`repro.sim.fast.chaos`); same plan DSL, same monitors,
-    same trace format — recovery metrics are distributionally comparable
-    to the reference (docs/CHAOS.md).
+    Returns the host the campaign ran on (a :class:`repro.sim.host.Host`
+    with a wire: it carries the stats and guard counters) and the result.
+    *engine* is any of :data:`repro.sim.host.ENGINES` that has a wire:
+    ``"fast"`` runs the same campaign on the vectorized chaos engine
+    (:mod:`repro.sim.fast.chaos`); same plan DSL, same monitors, same trace
+    format — recovery metrics are distributionally comparable to the
+    reference (docs/CHAOS.md).
     """
     rng = seed_rng("e21", campaign_seed, n)
-    states = random_tree_topology(n, rng)
-    simulator: Simulator | FastSimulator
-    host: "ChaosHost"
-    if engine == "reference":
-        network = build_network(
-            states,
-            ProtocolConfig(),
-            network_cls=ChaosNetwork,
-            guard=GuardPolicy() if guard else None,
-        )
-        assert isinstance(network, ChaosNetwork)
-        simulator = Simulator(network, rng)
-        host = network
-    elif engine == "fast":
-        simulator = FastSimulator.from_states(
-            states,
-            ProtocolConfig(),
-            mode="chaos",
-            guard=GuardPolicy() if guard else None,
-            rng=rng,
-        )
-        host = simulator.engine  # type: ignore[assignment]
-    else:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'reference' or 'fast'"
-        )
+    simulator = make_simulator(
+        random_tree_topology(n, rng),
+        ProtocolConfig(),
+        engine=engine,
+        rng=rng,
+        wire=True,
+        guard=GuardPolicy() if guard else None,
+    )
     plan = FaultPlan(seed=campaign_seed).schedule(
         MessageLoss(rate=loss_rate), start=0, stop=burst_stop, label="loss-burst"
     )
@@ -104,7 +86,7 @@ def run_campaign(
     # A permanent partition cannot heal, so there is nothing to learn from
     # the remaining rounds.
     result = campaign.run(rounds, stop_on_partition=True)
-    return host, result
+    return simulator.host, result
 
 
 def run(

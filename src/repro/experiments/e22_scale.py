@@ -19,34 +19,24 @@ polylog claims.
 from __future__ import annotations
 
 import time
+from typing import Any
 
 import numpy as np
 
-from repro.core.protocol import ProtocolConfig, build_network
+from repro.core.protocol import ProtocolConfig
 from repro.experiments.common import ExperimentResult, seed_rng
-from repro.graphs.predicates import is_sorted_ring
 from repro.obs.profile import peak_rss_bytes
 from repro.routing.greedy import greedy_route_hops
-from repro.sim.engine import Simulator
-from repro.sim.fast import FastSimulator, fast_is_sorted_ring
+from repro.sim.chaos.guard import GuardPolicy
+from repro.sim.engine import BaseSimulator
+from repro.sim.host import Host, make_simulator
 from repro.topology.generators import TOPOLOGIES
 
 __all__ = ["converged_lrl_ranks", "run"]
 
-_ENGINES = ("fast", "sharded", "reference")
 
-
-def _lrl_ranks(ids: np.ndarray, lrl: np.ndarray) -> np.ndarray:
-    """Rank-space long-range links over ascending *ids* (dangling → self)."""
-    ranks = np.searchsorted(ids, lrl)
-    ranks = np.clip(ranks, 0, len(ids) - 1)
-    live = ids[ranks] == lrl
-    ranks[~live] = np.arange(len(ids))[~live]
-    return ranks
-
-
-def converged_lrl_ranks(sim: FastSimulator) -> np.ndarray:
-    """Long-range-link target *ranks* of a converged fast engine.
+def converged_lrl_ranks(host: Host) -> np.ndarray:
+    """Long-range-link target *ranks* of a converged host.
 
     Maps each node's ``lrl`` identifier to its rank in the sorted live id
     order — the representation :func:`repro.routing.greedy.greedy_route_hops`
@@ -54,35 +44,40 @@ def converged_lrl_ranks(sim: FastSimulator) -> np.ndarray:
     transient states) falls back to a self-link, which the router treats
     as "no shortcut".
     """
-    engine = sim.engine
-    ids, idx = engine.soa.sorted_live()
-    return _lrl_ranks(ids, engine.soa.lrl[idx])
+    rows = sorted(host.state_snapshot().values(), key=lambda row: row[0])
+    ids = np.array([row[0] for row in rows])
+    lrl = np.array([row[3] for row in rows])
+    ranks = np.searchsorted(ids, lrl)
+    ranks = np.clip(ranks, 0, len(ids) - 1)
+    live = ids[ranks] == lrl
+    ranks[~live] = np.arange(len(ids))[~live]
+    return ranks
 
 
 def _stabilize_faulted(
-    sim: FastSimulator,
+    sim: BaseSimulator[Host],
     *,
     loss_rate: float,
     burst_stop: int,
     plan_seed: int,
     max_rounds: int,
 ) -> int:
-    """Drive a chaos fast simulator through a loss burst to the sorted
-    ring; returns the convergence round (or ``max_rounds``)."""
+    """Drive a simulator whose host has a wire through a loss burst to the
+    sorted ring; returns the convergence round (or ``max_rounds``)."""
     from repro.sim.chaos.injectors import MessageLoss
     from repro.sim.chaos.plan import FaultPlan
 
-    engine = sim.engine
+    host: Any = sim.host
     plan = FaultPlan(seed=plan_seed).schedule(
         MessageLoss(rate=loss_rate), start=0, stop=burst_stop, label="loss-burst"
     )
     for r in range(max_rounds):
-        engine.set_wire_faults(plan.active_wire_faults(r))
+        host.set_wire_faults(plan.active_wire_faults(r))
         sim.step_round()
         # The ring cannot settle while frames are still being dropped, so
         # only poll the predicate once the burst window has closed.
         if r + 1 >= burst_stop and (r + 1) % 8 == 0:
-            if fast_is_sorted_ring(engine):
+            if host.is_sorted_ring():
                 return r + 1
     return max_rounds
 
@@ -102,10 +97,11 @@ def run(
 ) -> ExperimentResult:
     """Run the scale sweep; one row per size.
 
-    ``engine`` selects the primary engine: ``"fast"`` (the batched
-    default), ``"sharded"`` (the sharded engine, with *shards* in-process
-    id-range blocks), or ``"reference"`` (the per-node engine, for
-    the cross-engine conformance matrix at small n).  The timing column
+    ``engine`` selects the primary engine, any of
+    :data:`repro.sim.host.ENGINES`: ``"fast"`` (the batched default),
+    ``"sharded"`` (with *shards* in-process id-range blocks), or
+    ``"reference"`` (the per-node engine, for the cross-engine
+    conformance matrix at small n).  The timing column
     ``fast_s`` always reports the primary engine's wall clock, and the
     ``peak_rss_mb`` column the process peak RSS after the row's run.
 
@@ -116,22 +112,13 @@ def run(
 
     ``loss_rate > 0`` switches to the **faulted variant**: cold
     convergence through a message-loss burst (rounds ``[0, burst_stop)``)
-    on the vectorized chaos engine with the guarded-handoff transport
-    (:mod:`repro.sim.fast.chaos`, docs/CHAOS.md).  The reference engine is
-    skipped — at these sizes the scalar chaos wire needs minutes per
-    round — so the speedup columns are blank and guard-overhead columns
-    appear instead.  Wire faults require the chaos transport, so the
-    faulted variant is ``engine="fast"`` only.
+    over the chaos wire with the guarded-handoff transport
+    (docs/CHAOS.md).  The reference comparison leg is skipped — at these
+    sizes the scalar chaos wire needs minutes per round — so the speedup
+    columns are blank and guard-overhead columns appear instead.  Wire
+    faults need an engine with a wire (``make_simulator`` rejects
+    ``"sharded"``).
     """
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {_ENGINES}"
-        )
-    if loss_rate and engine != "fast":
-        raise ValueError(
-            "the faulted variant runs on the vectorized chaos transport; "
-            f"it supports engine='fast' only, not {engine!r}"
-        )
     result = ExperimentResult(
         experiment="e22",
         title="Cold convergence and greedy routing at production scale "
@@ -158,18 +145,16 @@ def run(
         states = factory(n, seed_rng(seed, topology, n))
         max_rounds = max_rounds_factor * max(int(np.log2(n)) ** 2, 1)
 
-        ref_primary: Simulator | None = None
+        fast = make_simulator(
+            [s.copy() for s in states],
+            config,
+            engine=engine,
+            rng=seed_rng(seed, "fast", n),
+            guard=GuardPolicy() if loss_rate else None,
+            shards=shards,
+        )
+        t0 = time.perf_counter()
         if loss_rate:
-            from repro.sim.chaos.guard import GuardPolicy
-
-            fast = FastSimulator.from_states(
-                [s.copy() for s in states],
-                config,
-                mode="chaos",
-                guard=GuardPolicy(),
-                rng=seed_rng(seed, "fast", n),
-            )
-            t0 = time.perf_counter()
             fast_rounds = _stabilize_faulted(
                 fast,
                 loss_rate=loss_rate,
@@ -177,34 +162,9 @@ def run(
                 plan_seed=seed,
                 max_rounds=max_rounds,
             )
-        elif engine == "reference":
-            net = build_network([s.copy() for s in states], config)
-            ref_primary = Simulator(net, rng=seed_rng(seed, "fast", n))
-            t0 = time.perf_counter()
-            fast_rounds = ref_primary.run_until(
-                lambda network: is_sorted_ring(network.states()),
-                max_rounds=max_rounds,
-                check_every=8,
-                what="sorted ring (reference primary)",
-            )
         else:
-            if engine == "sharded":
-                fast = FastSimulator.from_states(
-                    [s.copy() for s in states],
-                    config,
-                    mode="sharded",
-                    shards=shards,
-                    rng=seed_rng(seed, "fast", n),
-                )
-            else:
-                fast = FastSimulator.from_states(
-                    [s.copy() for s in states],
-                    config,
-                    rng=seed_rng(seed, "fast", n),
-                )
-            t0 = time.perf_counter()
             fast_rounds = fast.run_until(
-                fast_is_sorted_ring,
+                lambda host: host.is_sorted_ring(),
                 max_rounds=max_rounds,
                 check_every=8,
                 what=f"sorted ring ({engine})",
@@ -214,11 +174,12 @@ def run(
         ref_seconds = None
         ref_rounds = None
         if n <= reference_max_n and not loss_rate and engine != "reference":
-            net = build_network([s.copy() for s in states], config)
-            reference = Simulator(net, rng=seed_rng(seed, "ref", n))
+            reference = make_simulator(
+                [s.copy() for s in states], config, rng=seed_rng(seed, "ref", n)
+            )
             t0 = time.perf_counter()
             ref_rounds = reference.run_until(
-                lambda network: is_sorted_ring(network.states()),
+                lambda host: host.is_sorted_ring(),
                 max_rounds=max_rounds,
                 check_every=8,
                 what="sorted ring (reference)",
@@ -233,18 +194,9 @@ def run(
         query_rng = seed_rng(seed, "queries", n)
         src = query_rng.integers(0, n, size=queries)
         dst = query_rng.integers(0, n, size=queries)
-        if ref_primary is not None:
-            ref_primary.run(fast_rounds)
-            messages = ref_primary.network.stats.total
-            final = sorted(
-                ref_primary.network.states().values(), key=lambda s: s.id
-            )
-            ids = np.array([s.id for s in final])
-            ranks = _lrl_ranks(ids, np.array([s.lrl for s in final]))
-        else:
-            fast.run(fast_rounds)
-            messages = fast.engine.stats.total
-            ranks = converged_lrl_ranks(fast)
+        fast.run(fast_rounds)
+        messages = fast.host.stats.total
+        ranks = converged_lrl_ranks(fast.host)
         hops = float(greedy_route_hops(n, ranks, src, dst).mean())
         ring_hops = float(greedy_route_hops(n, None, src, dst).mean())
         rss = peak_rss_bytes()
@@ -269,7 +221,7 @@ def run(
             ),
         }
         if loss_rate:
-            guard_stats = fast.engine.guard.stats
+            guard_stats = fast.host.guard.stats  # type: ignore[attr-defined]
             row["overhead_frames"] = guard_stats.overhead_frames()
             row["abandoned"] = guard_stats.abandoned
         result.rows.append(row)
@@ -279,7 +231,7 @@ def run(
         worst = max(int(str(r["abandoned"])) for r in result.rows)
         result.note(
             f"faulted variant: loss_rate={loss_rate} for rounds "
-            f"[0, {burst_stop}) on the guarded vectorized chaos engine - "
+            f"[0, {burst_stop}) over the guarded chaos wire (engine={engine}) - "
             f"every size converged with {worst} abandoned handoffs"
         )
     if measured:

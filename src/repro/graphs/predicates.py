@@ -18,18 +18,23 @@ decide, for a live network, whether each phase's target invariant holds:
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
+from typing import TYPE_CHECKING
 
 import networkx as nx
 
 from repro.core.state import NodeState
-from repro.graphs.views import lcc_graph
+from repro.graphs.views import cc_graph, lcc_graph
 from repro.ids import NEG_INF, POS_INF
 from repro.sim.network import Network
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (host imports the engines)
+    from repro.sim.host import Host
 
 __all__ = [
     "is_sorted_list",
     "is_sorted_ring",
     "lcc_weakly_connected",
+    "cc_components",
     "cc_weakly_connected",
     "lrl_links_live",
     "phase_predicates",
@@ -89,17 +94,26 @@ def lcc_weakly_connected(network: Network) -> bool:
     return nx.is_weakly_connected(g)
 
 
+def cc_components(network: Network, *, live_only: bool = True) -> int:
+    """Weak-component count of the channel connectivity graph (CC).
+
+    Stored links plus every in-flight identifier (retransmit buffers
+    included); 0 for an empty network.
+    """
+    if len(network) == 0:
+        return 0
+    return nx.number_weakly_connected_components(
+        cc_graph(network, live_only=live_only)
+    )
+
+
 def cc_weakly_connected(network: Network) -> bool:
     """Whether the full channel connectivity graph is weakly connected.
 
     This is the paper's *assumption* on the initial state; experiments
     assert it on every generated initial configuration.
     """
-    from repro.graphs.views import cc_graph
-
-    if len(network) == 0:
-        return False
-    return nx.is_weakly_connected(cc_graph(network))
+    return cc_components(network, live_only=False) == 1
 
 
 def lrl_links_live(network: Network) -> bool:
@@ -109,15 +123,19 @@ def lrl_links_live(network: Network) -> bool:
 
 def phase_predicates(
     *, include_phase4: bool = True
-) -> dict[str, Callable[[Network], bool]]:
-    """The standard phase-predicate mapping for :meth:`Simulator.run_phases`."""
-    preds: dict[str, Callable[[Network], bool]] = {
-        PHASE_CONNECTED: lcc_weakly_connected,
-        PHASE_SORTED_LIST: lambda net: is_sorted_list(net.states()),
-        PHASE_SORTED_RING: lambda net: is_sorted_ring(net.states()),
+) -> dict[str, Callable[[Host], bool]]:
+    """The standard phase-predicate mapping for ``run_phases``.
+
+    Each predicate asks the host (:class:`repro.sim.host.Host`) itself, so
+    one mapping serves every engine and the recorders compare key-for-key.
+    """
+    preds: dict[str, Callable[[Host], bool]] = {
+        PHASE_CONNECTED: lambda host: host.lcc_weakly_connected(),
+        PHASE_SORTED_LIST: lambda host: host.is_sorted_list(),
+        PHASE_SORTED_RING: lambda host: host.is_sorted_ring(),
     }
     if include_phase4:
-        preds[PHASE_SMALL_WORLD] = lambda net: (
-            is_sorted_ring(net.states()) and lrl_links_live(net)
+        preds[PHASE_SMALL_WORLD] = lambda host: (
+            host.is_sorted_ring() and host.lrl_links_live()
         )
     return preds

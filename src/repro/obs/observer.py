@@ -125,38 +125,31 @@ class Observer:
     def attach_simulator(self, sim: Any) -> "SimHandle":
         """Hook a simulator in: install its profiler, hand back a handle.
 
-        Engine kind is duck-typed — a reference
-        :class:`~repro.sim.engine.Simulator` exposes ``network`` (and its
-        scheduler takes the phase profiler); a
-        :class:`~repro.sim.fast.FastSimulator` exposes ``engine`` (which
-        takes the kernel profiler).  Attachment only *writes telemetry
+        The profiler goes to whatever runs the round: a reference
+        :class:`~repro.sim.engine.Simulator`'s scheduler, else the fast
+        engine itself (``sim.host``).  Attachment only *writes telemetry
         hooks*; it never touches protocol state.
         """
-        kind = "unknown"
-        if hasattr(sim, "network"):
+        host = sim.host
+        runner = getattr(sim, "scheduler", host)
+        if runner is not host:
             kind = "reference"
-            scheduler = getattr(sim, "scheduler", None)
-            if scheduler is not None and hasattr(scheduler, "profiler"):
-                scheduler.profiler = self.profiler_for(kind)
-        elif hasattr(sim, "engine"):
-            engine = sim.engine
-            if hasattr(engine, "shard_sink"):
-                # The sharded coordinator: give it the phase profiler plus
-                # a ShardTelemetrySink so per-shard deltas piggybacked on
-                # finish_round land in the registry under shard= labels.
-                kind = "sharded"
-                from repro.obs.shard import ShardTelemetrySink
+        elif hasattr(host, "shard_sink"):
+            # The sharded coordinator: beside the phase profiler it takes
+            # a ShardTelemetrySink so per-shard deltas piggybacked on
+            # finish_round land in the registry under shard= labels.
+            kind = "sharded"
+            from repro.obs.shard import ShardTelemetrySink
 
-                engine.profiler = self.profiler_for(kind)
-                engine.shard_sink = ShardTelemetrySink(self.registry)
-            else:
-                kind = (
-                    "mirror"
-                    if type(engine).__name__.endswith("MirrorEngine")
-                    else "fast"
-                )
-                if hasattr(engine, "profiler"):
-                    engine.profiler = self.profiler_for(kind)
+            host.shard_sink = ShardTelemetrySink(self.registry)
+        else:
+            kind = (
+                "mirror"
+                if type(host).__name__.endswith("MirrorEngine")
+                else "fast"
+            )
+        if hasattr(runner, "profiler"):
+            runner.profiler = self.profiler_for(kind)
         index = self._sim_count
         self._sim_count += 1
         self.event("attach", sim=index, engine=kind)

@@ -41,7 +41,7 @@ import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 
@@ -52,8 +52,19 @@ from repro.serve.routing import NO_LINK, RouteView, route_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.protocol import ProtocolConfig
+    from repro.sim.fast.engine import FastSimulator
 
-__all__ = ["HOP_BUCKETS", "LookupOutcome", "OverlayService", "build_service"]
+__all__ = [
+    "HOP_BUCKETS",
+    "SERVED_ENGINES",
+    "LookupOutcome",
+    "OverlayService",
+    "build_service",
+]
+
+#: The engines the service serves from (``RouteView`` reads SoA columns,
+#: so not the reference ``Network``).
+SERVED_ENGINES: tuple[str, ...] = ("fast", "sharded")
 
 #: Histogram bucket bounds for greedy-routing hop counts (log-spaced;
 #: Lemma 4.23 puts converged routes well under the top bucket).
@@ -168,9 +179,6 @@ class OverlayService:
         if thread is not None:
             thread.join(timeout=30)
         self.host.stop()
-        close = getattr(self.host.sim.engine, "close", None)
-        if callable(close):
-            close()
         self.observer.close()
 
     @property
@@ -536,8 +544,8 @@ def build_service(
     of Fact 4.21 (sorted ring + 1-harmonic long-range links), the
     production bring-up path — or any name from
     :data:`repro.topology.generators.TOPOLOGIES` for a cold start that
-    converges while serving.  *engine* is ``"fast"`` (batched) or
-    ``"sharded"`` (*shards* as for ``mode="sharded"``).
+    converges while serving.  *engine* is one of :data:`SERVED_ENGINES`
+    (*shards* is read by ``"sharded"`` only).
 
     With *obs_dir* the full artifact set (``metrics.jsonl`` /
     ``metrics.prom`` / ``manifest.json``) is written there on stop;
@@ -546,7 +554,7 @@ def build_service(
     """
     from repro.experiments.common import seed_rng
     from repro.ids import generate_ids
-    from repro.sim.fast.engine import FastSimulator
+    from repro.sim.host import make_simulator
 
     rng = seed_rng(seed, "serve", topology, n)
     if topology == "stable":
@@ -566,9 +574,11 @@ def build_service(
                 f"{sorted(TOPOLOGIES)}"
             ) from None
         states = build(n, rng)
-    mode = {"fast": "batched", "sharded": "sharded"}.get(engine)
-    if mode is None:
-        raise ValueError(f"unknown engine {engine!r}; expected 'fast' or 'sharded'")
+    if engine not in SERVED_ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of "
+            f"{', '.join(SERVED_ENGINES)}"
+        )
     params: dict[str, object] = {
         "n": n, "topology": topology, "engine": engine, "seed": seed,
         "shards": shards if engine == "sharded" else None,
@@ -587,16 +597,16 @@ def build_service(
     from repro.obs.runtime import activated
 
     with activated(observer):
-        sim = FastSimulator.from_states(
+        sim = make_simulator(
             states,
             config,
-            mode=mode,
+            engine=engine,
             rng=seed_rng(seed, "serve-rounds"),
             shards=shards,
             sanitize=sanitize,
         )
     host = EngineHost(
-        sim,
+        cast("FastSimulator", sim),  # SERVED_ENGINES are fast engines
         observer=observer,
         pace=pace,
         check_every=check_every,

@@ -13,6 +13,9 @@ discrete-event simulator:
   asynchronous schedulers, both satisfying the paper's fairness assumptions.
 * :mod:`repro.sim.engine` — the :class:`Simulator` driver with
   run-until-predicate convergence detection.
+* :mod:`repro.sim.host` — the ``Host`` surface every engine answers
+  (``sim.host``) and ``make_simulator``, the one constructor over all of
+  them (imported from there, not re-exported: it pulls in the fast engines).
 * :mod:`repro.sim.metrics` — message counters and convergence recorders.
 * :mod:`repro.sim.trace` — optional structured event traces for debugging
   and white-box tests.

@@ -126,12 +126,10 @@ class ChaosCampaign:
     Parameters
     ----------
     simulator:
-        The simulator to drive.  If the plan schedules any wire faults
-        (loss, duplication, delay) its transport must support them: a
-        :class:`~repro.sim.chaos.network.ChaosNetwork` on the reference
-        engine, or a chaos fast engine
-        (:meth:`FastSimulator.from_states` with ``mode="chaos"`` or
-        ``mode="mirror-chaos"``).
+        The simulator to drive, on any engine of
+        :data:`repro.sim.host.ENGINES`.  If the plan schedules any wire
+        faults (loss, duplication, delay) its host must have a wire:
+        ``make_simulator(..., wire=True)``.
     plan:
         The fault schedule; round windows are campaign-relative.
     monitors:
@@ -145,20 +143,18 @@ class ChaosCampaign:
         plan: FaultPlan,
         monitors: tuple[RecoveryMonitor, ...] | list[RecoveryMonitor] = (),
     ) -> None:
-        # The transport the campaign observes and installs wire faults on:
-        # a reference simulator's network, or a FastSimulator's engine.
-        host = getattr(simulator, "network", None)
-        if host is None:
-            host = simulator.engine
+        host = simulator.host
+        #: The host the campaign observes; wire faults need one with a wire.
         self._host = host
-        if any(
+        self._has_wire = hasattr(host, "set_wire_faults")
+        if not self._has_wire and any(
             type(sf.injector).overrides_wire() for sf in plan
-        ) and not hasattr(host, "set_wire_faults"):
+        ):
             raise TypeError(
                 "plan schedules wire faults but the simulator's transport "
-                f"is a {type(host).__name__}; use ChaosNetwork (reference "
-                "engine) or a chaos fast engine (mode='chaos' or "
-                "'mirror-chaos')"
+                f"is a {type(host).__name__}, which has no wire; build "
+                "it with make_simulator(..., wire=True) (a ChaosNetwork or "
+                "a chaos fast engine)"
             )
         self.simulator = simulator
         self.plan = plan
@@ -196,8 +192,6 @@ class ChaosCampaign:
         """
         if rounds < 0:
             raise ValueError("rounds must be non-negative")
-        host = self._host
-        chaos_net = host if hasattr(host, "set_wire_faults") else None
         finite_stops = [
             sf.window.stop for sf in self.plan if sf.window.stop is not None
         ]
@@ -216,8 +210,8 @@ class ChaosCampaign:
                 if obs is not None:
                     obs.window(r, sf.label, "open")
             # 2. install the wire chain for this round
-            if chaos_net is not None:
-                chaos_net.set_wire_faults(self.plan.active_wire_faults(r))
+            if self._has_wire:
+                self._host.set_wire_faults(self.plan.active_wire_faults(r))
             # 3. state faults
             for sf in self.plan.firing(r):
                 sf.injector.on_round(self.simulator)
@@ -257,8 +251,8 @@ class ChaosCampaign:
             ):
                 break
 
-        if chaos_net is not None:
-            chaos_net.set_wire_faults(())
+        if self._has_wire:
+            self._host.set_wire_faults(())
         final_health = {
             m.name: self._was_healthy[m.name] for m in self.monitors
         }

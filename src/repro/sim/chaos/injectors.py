@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.messages import Frame
-from repro.sim.faults import corrupt_random_pointers, crash_restart
 from repro.sim.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -233,7 +232,8 @@ class MessageDelay(FaultInjector):
 class PointerCorruption(FaultInjector):
     """Scramble the pointers of a random node fraction (transient fault).
 
-    Wraps :func:`repro.sim.faults.corrupt_random_pointers`: ``l``/``r`` are
+    Asks the host (:func:`repro.sim.faults.corrupt_random_pointers` and its
+    draw-for-draw SoA twin): ``l``/``r`` are
     redirected to random order-respecting identifiers, ``lrl``/``ring`` to
     arbitrary ones — the hard invariant ``l < id < r`` survives.
     """
@@ -248,27 +248,11 @@ class PointerCorruption(FaultInjector):
         self.corrupted = 0
 
     def on_round(self, simulator: "Simulator") -> None:
-        network = getattr(simulator, "network", None)
-        if network is not None:
-            self.corrupted += corrupt_random_pointers(
-                network,
-                self.fraction,
-                self.rng,
-                corrupt_list_links=self.corrupt_list_links,
-            )
-        else:
-            # A FastSimulator host exposes `engine` instead of `network`;
-            # the SoA port replicates the reference draw order exactly.
-            from repro.sim.fast.chaos.faults import (
-                corrupt_random_pointers_engine,
-            )
-
-            self.corrupted += corrupt_random_pointers_engine(
-                simulator.engine,
-                self.fraction,
-                self.rng,
-                corrupt_list_links=self.corrupt_list_links,
-            )
+        self.corrupted += simulator.host.corrupt_random_pointers(
+            self.fraction,
+            self.rng,
+            corrupt_list_links=self.corrupt_list_links,
+        )
 
     def describe(self) -> str:
         return f"PointerCorruption(fraction={self.fraction})"
@@ -277,8 +261,8 @@ class PointerCorruption(FaultInjector):
 class CrashRestart(FaultInjector):
     """Crash-restart ``count`` random nodes (state lost, identifier kept).
 
-    Wraps :func:`repro.sim.faults.crash_restart`; with ``node_ids`` the
-    victims are fixed instead of sampled.
+    Asks the host (:func:`repro.sim.faults.crash_restart` and its SoA twin);
+    with ``node_ids`` the victims are fixed instead of sampled.
     """
 
     def __init__(
@@ -293,8 +277,7 @@ class CrashRestart(FaultInjector):
         self.crashes = 0
 
     def on_round(self, simulator: "Simulator") -> None:
-        network = getattr(simulator, "network", None)
-        host = network if network is not None else simulator.engine
+        host = simulator.host
         if self.node_ids is not None:
             victims = [nid for nid in self.node_ids if nid in host]
         else:
@@ -302,17 +285,8 @@ class CrashRestart(FaultInjector):
             k = min(self.count, len(ids))
             picks = self.rng.choice(len(ids), size=k, replace=False)
             victims = [ids[int(i)] for i in picks]
-        if network is not None:
-            for victim in victims:
-                crash_restart(network, victim)
-                self.crashes += 1
-        else:
-            from repro.sim.fast.chaos.faults import crash_restart_many_engine
-
-            crash_restart_many_engine(
-                host, np.asarray(victims, dtype=np.float64)
-            )
-            self.crashes += len(victims)
+        host.crash_restart(victims)
+        self.crashes += len(victims)
 
     def describe(self) -> str:
         if self.node_ids is not None:
@@ -321,7 +295,7 @@ class CrashRestart(FaultInjector):
 
 
 class NodeChurn(FaultInjector):
-    """Per-round probabilistic joins and leaves (via :mod:`repro.churn`).
+    """Per-round probabilistic joins and leaves (the host's §IV-G calls).
 
     Each scheduled round, a join happens with ``join_probability`` (a fresh
     identifier attached to a random contact) and a leave with
@@ -351,30 +325,17 @@ class NodeChurn(FaultInjector):
         self.leaves = 0
 
     def on_round(self, simulator: "Simulator") -> None:
-        network = getattr(simulator, "network", None)
-        host = network if network is not None else simulator.engine
+        host = simulator.host
         if self.rng.random() < self.join_probability:
             new_id = float(self.rng.random())
             while new_id in host:
                 new_id = float(self.rng.random())
             ids = host.ids
-            contact = ids[int(self.rng.integers(len(ids)))]
-            if network is not None:
-                from repro.churn.join import join_node
-
-                join_node(network, new_id, contact)
-            else:
-                host.join(new_id, contact)
+            host.join(new_id, ids[int(self.rng.integers(len(ids)))])
             self.joins += 1
         if len(host) > self.min_size and self.rng.random() < self.leave_probability:
             ids = host.ids
-            victim = ids[int(self.rng.integers(len(ids)))]
-            if network is not None:
-                from repro.churn.leave import leave_node
-
-                leave_node(network, victim)
-            else:
-                host.leave(victim)
+            host.leave(ids[int(self.rng.integers(len(ids)))])
             self.leaves += 1
 
     def describe(self) -> str:
@@ -432,8 +393,7 @@ class SchedulerFault(FaultInjector):
             self._saved = saved
             simulator.scheduler = self.scheduler
             return
-        engine = getattr(simulator, "engine", None)
-        install = getattr(engine, "set_wave_fault", None)
+        install = getattr(simulator.host, "set_wave_fault", None)
         if install is None:
             raise TypeError(
                 "SchedulerFault needs a reference simulator (scheduler "
@@ -456,10 +416,7 @@ class SchedulerFault(FaultInjector):
             simulator.scheduler = self._saved
             self._saved = None
         if self._wave_fault is not None:
-            engine = getattr(simulator, "engine", None)
-            install = getattr(engine, "set_wave_fault", None)
-            if install is not None:
-                install(None)
+            simulator.host.set_wave_fault(None)
             self._wave_fault = None
 
     def describe(self) -> str:

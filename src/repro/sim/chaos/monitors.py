@@ -8,7 +8,8 @@ time-to-reconverge is the lag from the burst's end to the first round where
 *every* monitor reports healthy again (recorded in
 :class:`~repro.sim.metrics.BurstRecord`).
 
-The monitors are read-only observers over the same connectivity graphs the
+The monitors are read-only observers asking the host
+(:class:`repro.sim.host.Host`) about the same connectivity graphs the
 analysis uses (:mod:`repro.graphs.views`), so "healthy" means exactly what
 the paper's theorems talk about — e.g. the :class:`PartitionDetector` counts
 weak components of the channel-connectivity graph *including* in-flight and
@@ -20,22 +21,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
-from repro.graphs.predicates import is_sorted_ring, lcc_weakly_connected
-from repro.graphs.views import cc_graph
-from repro.sim.invariants import InvariantViolation, check_network_invariants
-from repro.sim.network import Network
+from repro.sim.invariants import InvariantViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.fast.batched import FastEngine
-    from repro.sim.fast.mirror import MirrorEngine
-
-    #: Monitors read either transport: a reference network or a fast
-    #: engine (the engine path dispatches to repro.sim.fast.chaos).
-    MonitorTarget = Network | FastEngine | MirrorEngine
-else:  # pragma: no cover - runtime alias
-    MonitorTarget = Network
+    from repro.sim.host import Host
 
 __all__ = [
     "RecoveryMonitor",
@@ -52,11 +41,11 @@ class RecoveryMonitor:
     #: Short identifier used in campaign traces and burst records.
     name: str = "monitor"
 
-    def healthy(self, network: "MonitorTarget") -> bool:
+    def healthy(self, network: "Host") -> bool:
         """Whether the monitored property holds right now."""
         raise NotImplementedError
 
-    def detail(self, network: "MonitorTarget") -> str:
+    def detail(self, network: "Host") -> str:
         """A one-line diagnostic for trace events (may be expensive)."""
         return "healthy" if self.healthy(network) else "unhealthy"
 
@@ -81,29 +70,13 @@ class WeakConnectivityWatchdog(RecoveryMonitor):
         #: Ignore dangling references to departed identifiers (churn).
         self.live_only = live_only
 
-    def healthy(self, network: "MonitorTarget") -> bool:
-        if len(network) == 0:
-            return False
-        if isinstance(network, Network):
-            return nx.is_weakly_connected(
-                cc_graph(network, live_only=self.live_only)
-            )
-        from repro.sim.fast.chaos.monitors import engine_weakly_connected
+    def healthy(self, network: "Host") -> bool:
+        return network.cc_components(live_only=self.live_only) == 1
 
-        return engine_weakly_connected(network, live_only=self.live_only)
-
-    def detail(self, network: "MonitorTarget") -> str:
+    def detail(self, network: "Host") -> str:
         if len(network) == 0:
             return "empty network"
-        if isinstance(network, Network):
-            count = nx.number_weakly_connected_components(
-                cc_graph(network, live_only=self.live_only)
-            )
-        else:
-            from repro.sim.fast.chaos.monitors import engine_cc_components
-
-            count = engine_cc_components(network, live_only=self.live_only)
-        return f"components={count}"
+        return f"components={network.cc_components(live_only=self.live_only)}"
 
 
 class PartitionDetector(RecoveryMonitor):
@@ -119,22 +92,14 @@ class PartitionDetector(RecoveryMonitor):
     def __init__(self, *, live_only: bool = True) -> None:
         self.live_only = live_only
 
-    def components(self, network: "MonitorTarget") -> int:
+    def components(self, network: "Host") -> int:
         """Number of weakly connected components (0 for an empty network)."""
-        if len(network) == 0:
-            return 0
-        if isinstance(network, Network):
-            return nx.number_weakly_connected_components(
-                cc_graph(network, live_only=self.live_only)
-            )
-        from repro.sim.fast.chaos.monitors import engine_cc_components
+        return network.cc_components(live_only=self.live_only)
 
-        return engine_cc_components(network, live_only=self.live_only)
-
-    def healthy(self, network: "MonitorTarget") -> bool:
+    def healthy(self, network: "Host") -> bool:
         return self.components(network) == 1
 
-    def detail(self, network: "MonitorTarget") -> str:
+    def detail(self, network: "Host") -> str:
         return f"components={self.components(network)}"
 
 
@@ -155,27 +120,16 @@ class SafetyProbe(RecoveryMonitor):
         #: Message of the most recent violation (None while healthy).
         self.last_violation: str | None = None
 
-    def healthy(self, network: "MonitorTarget") -> bool:
+    def healthy(self, network: "Host") -> bool:
         try:
-            if isinstance(network, Network):
-                check_network_invariants(
-                    network, check_membership=self.check_membership
-                )
-            else:
-                from repro.sim.fast.chaos.monitors import (
-                    engine_check_invariants,
-                )
-
-                engine_check_invariants(
-                    network, check_membership=self.check_membership
-                )
+            network.check_invariants(check_membership=self.check_membership)
         except InvariantViolation as violation:
             self.last_violation = str(violation)
             return False
         self.last_violation = None
         return True
 
-    def detail(self, network: "MonitorTarget") -> str:
+    def detail(self, network: "Host") -> str:
         if self.healthy(network):
             return "invariants hold"
         return f"violation: {self.last_violation}"
@@ -197,29 +151,12 @@ class ConvergenceProbe(RecoveryMonitor):
         self.phase = phase
         self.name = f"convergence-{phase}"
 
-    def healthy(self, network: "MonitorTarget") -> bool:
-        if len(network) == 0:
-            return False
-        if not isinstance(network, Network):
-            from repro.sim.fast.predicates import (
-                fast_is_sorted_list,
-                fast_is_sorted_ring,
-                fast_lcc_weakly_connected,
-            )
-
-            if self.phase == "lcc":
-                return fast_lcc_weakly_connected(network)
-            if self.phase == "list":
-                return fast_is_sorted_list(network)
-            return fast_is_sorted_ring(network)
+    def healthy(self, network: "Host") -> bool:
         if self.phase == "lcc":
-            return lcc_weakly_connected(network)
-        states = network.states()
+            return network.lcc_weakly_connected()
         if self.phase == "list":
-            from repro.graphs.predicates import is_sorted_list
+            return network.is_sorted_list()
+        return network.is_sorted_ring()
 
-            return is_sorted_list(states)
-        return is_sorted_ring(states)
-
-    def detail(self, network: "MonitorTarget") -> str:
+    def detail(self, network: "Host") -> str:
         return f"{self.phase}:{'ok' if self.healthy(network) else 'not-yet'}"

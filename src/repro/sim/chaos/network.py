@@ -1,5 +1,10 @@
 """The chaos network: a faulty wire under the paper's channels.
 
+:class:`ScalarWire` is that wire, written once: the reference
+:class:`ChaosNetwork` and its draw-for-draw twin
+:class:`~repro.sim.fast.chaos.mirror.ChaosMirrorEngine` both mix it in, so
+the injectors see the same frames in the same order on either host.
+
 :class:`ChaosNetwork` extends :class:`~repro.sim.network.Network` with a
 *wire* between ``send`` and the destination channels.  Every transmission
 — protocol message, guarded envelope, ack, retransmission — becomes a wire
@@ -25,7 +30,7 @@ live copy of its identifiers, which is precisely the mechanism that turns
 from __future__ import annotations
 
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.core.messages import Ack, Envelope, Frame, Message
 from repro.sim.chaos.guard import GuardedHandoff, GuardPolicy
@@ -34,22 +39,33 @@ from repro.sim.network import Network
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.node import Node
     from repro.sim.chaos.injectors import FaultInjector
+    from repro.sim.metrics import MessageStats
 
-__all__ = ["ChaosNetwork"]
+__all__ = ["ChaosNetwork", "ScalarWire"]
 
 
-class ChaosNetwork(Network):
-    """A network whose wire is subject to composable fault injection."""
+class ScalarWire:
+    """A tick-stamped, fault-injected wire in front of a host's staging.
+
+    Mixed in *before* the host class (``Network`` or ``MirrorEngine``),
+    whose ``flush`` / ``in_flight`` / ``pending_total`` it extends.  The
+    constructor takes the host's arguments plus ``guard=``: a
+    :class:`~repro.sim.chaos.guard.GuardPolicy` installs the
+    guarded-handoff transport.
+    """
+
+    if TYPE_CHECKING:  # what the wire needs from its host
+        stats: MessageStats
+        dropped: int
+
+        def __contains__(self, node_id: float) -> bool: ...
+        def __len__(self) -> int: ...
+        def _enqueue(self, dest: float, message: Message) -> None: ...
 
     def __init__(
-        self,
-        nodes: Iterable["Node"] = (),
-        *,
-        guard: GuardPolicy | None = None,
-        dedup: bool = True,
-        keep_history: bool = False,
+        self, *args: Any, guard: GuardPolicy | None = None, **kwargs: Any
     ) -> None:
-        super().__init__(nodes, dedup=dedup, keep_history=keep_history)
+        super().__init__(*args, **kwargs)
         self._wire_faults: list["FaultInjector"] = []
         #: Frames in transit: ``(due_tick, dest, frame)``, delivery order.
         self._wire: list[tuple[int, float, Frame]] = []
@@ -85,17 +101,9 @@ class ChaosNetwork(Network):
     # ------------------------------------------------------------------
     # Sending through the wire
     # ------------------------------------------------------------------
-    def send(self, dest: float, message: Message) -> None:
-        """Stage *message* via the faulty wire (no sender identity)."""
-        self._dispatch(None, dest, message)
-
-    def send_from(self, origin: float, dest: float, message: Message) -> None:
-        """Stage *message* on behalf of *origin* (enables guarded acks)."""
-        self._dispatch(origin, dest, message)
-
     def _dispatch(self, origin: float | None, dest: float, message: Message) -> None:
         self.stats.record_send(message.type)
-        if dest not in self._nodes:
+        if dest not in self:
             # Match the base network: sends to departed identifiers are
             # dropped at the source, not carried by the wire.
             self.dropped += 1
@@ -111,12 +119,16 @@ class ChaosNetwork(Network):
         self._transmit(dest, frame)
 
     def _transmit(self, dest: float, frame: Frame) -> None:
-        """Put one frame on the wire, applying the active fault chain."""
+        """Put one frame on the wire, applying the active fault chain.
+
+        The injectors' ``on_wire(dest, frame, network)`` receives the host
+        as the network argument (the shipped injectors never touch it).
+        """
         deliveries: list[tuple[int, float, Frame]] = [(0, dest, frame)]
         for injector in self._wire_faults:
             rewritten: list[tuple[int, float, Frame]] = []
             for extra, dst, frm in deliveries:
-                out = injector.on_wire(dst, frm, self)
+                out = injector.on_wire(dst, frm, self)  # type: ignore[arg-type]
                 if out is None:
                     rewritten.append((extra, dst, frm))
                 else:
@@ -132,9 +144,9 @@ class ChaosNetwork(Network):
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def flush(self) -> int:
+    def flush(self) -> Any:
         """Advance the wire clock, deliver due frames, retransmit, then
-        perform the base staging flush."""
+        perform the host's staging flush."""
         self._tick += 1
         due: list[tuple[int, float, Frame]] = []
         transit: list[tuple[int, float, Frame]] = []
@@ -147,15 +159,15 @@ class ChaosNetwork(Network):
             # After acks were processed: only genuinely unacknowledged
             # envelopes retransmit.
             for envelope in self._guard.due_retransmits(self._tick):
-                if envelope.dest in self._nodes:
+                if envelope.dest in self:
                     self._transmit(envelope.dest, envelope)
-        return super().flush()
+        return super().flush()  # type: ignore[misc]
 
     def _deliver_frame(self, dest: float, frame: Frame) -> None:
         if isinstance(frame, Envelope):
-            if self._guard is None or dest not in self._nodes:
+            if self._guard is None or dest not in self:
                 # No transport installed (defensive) or the destination
-                # departed mid-flight: the payload dies here.
+                # departed mid-flight: the payload dies here, no ack.
                 self.dropped += 1
                 return
             fresh, ack = self._guard.on_deliver(frame)
@@ -169,11 +181,10 @@ class ChaosNetwork(Network):
             self._enqueue(dest, frame)
 
     # ------------------------------------------------------------------
-    # Membership and connectivity accounting
+    # Departures and connectivity accounting
     # ------------------------------------------------------------------
-    def remove_node(self, node_id: float) -> "Node":
-        """Remove a node; frames in transit to it die with it."""
-        node = super().remove_node(node_id)
+    def _drop_wire_to(self, node_id: float) -> None:
+        """Frames in transit to a departed node die with it (counted)."""
         before = len(self._wire)
         self._wire = [
             (due, dest, frame)
@@ -183,19 +194,16 @@ class ChaosNetwork(Network):
         self.dropped += before - len(self._wire)
         if self._guard is not None:
             self._guard.drop_for_destination(node_id)
-        return node
 
-    def purge_identifier(self, node_id: float) -> int:
-        """Also purge wire frames and buffered envelopes that mention the
-        departed identifier (clean-departure semantics, paper §IV-G)."""
-        purged = super().purge_identifier(node_id)
+    def _purge_wire_mentions(self, node_id: float) -> int:
+        """Purge wire frames and buffered envelopes that mention a departed
+        identifier (clean-departure semantics, paper §IV-G); uncounted."""
         kept: list[tuple[int, float, Frame]] = []
         for due, dest, frame in self._wire:
             payload = frame.payload if isinstance(frame, Envelope) else frame
-            if isinstance(payload, Message) and node_id in payload.ids:
-                purged += 1
-            else:
+            if not (isinstance(payload, Message) and node_id in payload.ids):
                 kept.append((due, dest, frame))
+        purged = len(self._wire) - len(kept)
         self._wire = kept
         if self._guard is not None:
             purged += self._guard.drop_mentioning(node_id)
@@ -205,7 +213,7 @@ class ChaosNetwork(Network):
     def in_flight(self) -> list[tuple[float, Message]]:
         """Undelivered protocol messages, including wire-held frames and
         unacknowledged envelopes in the retransmit buffer."""
-        out = super().in_flight
+        out: list[tuple[float, Message]] = super().in_flight  # type: ignore[misc]
         seen_seqs: set[int] = set()
         for _, dest, frame in self._wire:
             if isinstance(frame, Envelope):
@@ -220,11 +228,12 @@ class ChaosNetwork(Network):
         return out
 
     def pending_total(self) -> int:
-        """Total undelivered protocol messages (staged + channels + wire)."""
+        """Total undelivered protocol messages (host's own + wire; the
+        retransmit buffer holds copies and is not double-counted)."""
         wire_payloads = sum(
             1 for _, _, frame in self._wire if not isinstance(frame, Ack)
         )
-        return super().pending_total() + wire_payloads
+        return super().pending_total() + wire_payloads  # type: ignore[misc]
 
     def __repr__(self) -> str:
         return (
@@ -232,4 +241,29 @@ class ChaosNetwork(Network):
             f"pending={self.pending_total()}, wire={len(self._wire)}, "
             f"faults={len(self._wire_faults)}, "
             f"guarded={self._guard is not None})"
+        )
+
+
+class ChaosNetwork(ScalarWire, Network):
+    """A network whose wire is subject to composable fault injection."""
+
+    def send(self, dest: float, message: Message) -> None:
+        """Stage *message* via the faulty wire (no sender identity)."""
+        self._dispatch(None, dest, message)
+
+    def send_from(self, origin: float, dest: float, message: Message) -> None:
+        """Stage *message* on behalf of *origin* (enables guarded acks)."""
+        self._dispatch(origin, dest, message)
+
+    def remove_node(self, node_id: float) -> "Node":
+        """Remove a node; frames in transit to it die with it."""
+        node = super().remove_node(node_id)
+        self._drop_wire_to(node_id)
+        return node
+
+    def purge_identifier(self, node_id: float) -> int:
+        """Also purge wire frames and buffered envelopes that mention the
+        departed identifier."""
+        return super().purge_identifier(node_id) + self._purge_wire_mentions(
+            node_id
         )

@@ -12,10 +12,11 @@ run-until-predicate loops that every experiment builds on:
   set of named phase predicates holds (experiment E1).
 
 The loops themselves live in :class:`BaseSimulator`, generic over the
-*predicate target* — the object handed to every predicate.  The reference
-:class:`Simulator` hands predicates its :class:`~repro.sim.network.Network`;
-the batched engine (:class:`repro.sim.fast.FastSimulator`) hands them
-itself, so the same drivers serve both engines (docs/PERF.md).
+*host* — the object that holds the overlay and is handed to every
+predicate.  The reference :class:`Simulator` hosts a
+:class:`~repro.sim.network.Network`, :class:`repro.sim.fast.FastSimulator`
+a fast engine; both answer the same calls (:class:`repro.sim.host.Host`),
+so drivers above this line never ask which one they hold.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = ["BaseSimulator", "Simulator", "StabilizationTimeout"]
 
 Predicate = Callable[[Network], bool]
 
-#: The predicate-target type of a concrete driver.
+#: The host type of a concrete driver.
 TargetT = TypeVar("TargetT")
 
 
@@ -55,7 +56,7 @@ class BaseSimulator(Generic[TargetT]):
     """Round-loop driver shared by the reference and batched engines.
 
     Subclasses implement :meth:`step_round` (advance one round) and
-    :attr:`predicate_target` (the object predicates are evaluated on).
+    :attr:`host` (the overlay; predicates are evaluated on it).
     Everything else — fixed-round runs, run-until-predicate with a round
     budget, and the phase recorder of experiment E1 — is engine-agnostic.
     """
@@ -78,8 +79,8 @@ class BaseSimulator(Generic[TargetT]):
         self._obs = _obs_attach(self)
 
     @property
-    def predicate_target(self) -> TargetT:
-        """The object handed to every predicate (engine-specific)."""
+    def host(self) -> TargetT:
+        """The simulated overlay: the ``Network`` or the fast engine."""
         raise NotImplementedError
 
     def step_round(self) -> None:
@@ -116,14 +117,14 @@ class BaseSimulator(Generic[TargetT]):
         if check_every < 1:
             raise ValueError("check_every must be positive")
         start = self.round_index
-        if predicate(self.predicate_target):
+        if predicate(self.host):
             return 0
         while self.round_index - start < max_rounds:
             for _ in range(check_every):
                 if self.round_index - start >= max_rounds:
                     break
                 self.step_round()
-            if predicate(self.predicate_target):
+            if predicate(self.host):
                 return self.round_index - start
         raise StabilizationTimeout(max_rounds, what)
 
@@ -154,7 +155,7 @@ class BaseSimulator(Generic[TargetT]):
         def observe_all() -> bool:
             for name, predicate in phases.items():
                 recorder.observe(
-                    name, predicate(self.predicate_target), self.round_index
+                    name, predicate(self.host), self.round_index
                 )
             return all(recorder.converged(name) for name in phases)
 
@@ -201,8 +202,7 @@ class Simulator(BaseSimulator[Network]):
         self._attach_observer()
 
     @property
-    def predicate_target(self) -> Network:
-        """Predicates over the reference engine see the live network."""
+    def host(self) -> Network:
         return self.network
 
     def step_round(self) -> None:

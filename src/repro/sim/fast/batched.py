@@ -52,6 +52,7 @@ from repro.sim.fast.buffers import (
 )
 from repro.sim.fast.kernels import Kernels
 from repro.sim.fast.pool import ArrayPool
+from repro.sim.fast.predicates import SoAHost
 from repro.sim.fast.sanitize import (
     FlowSanitizer,
     SanitizedOutbox,
@@ -160,7 +161,7 @@ def leave_batch_victims(node_ids: np.ndarray, is_live: LiveMask) -> np.ndarray:
     return victims
 
 
-class FastEngine:
+class FastEngine(SoAHost):
     """Struct-of-arrays state + staged messages + batched round execution."""
 
     def __init__(
@@ -500,6 +501,23 @@ class FastEngine:
             empty = np.empty(0, dtype=np.float64)
             return empty, empty
         return pending[0], pending[1]
+
+    def in_flight_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(dest, payload_id)`` rows over every in-flight payload id
+        (what the channel-connectivity component count reads)."""
+        dests: list[np.ndarray] = []
+        pids: list[np.ndarray] = []
+        for code, arrays in self.outbox.pending_by_type().items():
+            dst = arrays[0]
+            dests.append(dst)
+            pids.append(arrays[1])
+            if code == RESLRL:
+                dests.extend((dst, dst))
+                pids.extend((arrays[2], arrays[3]))
+        if not dests:
+            empty = np.empty(0, dtype=np.float64)
+            return empty, empty
+        return np.concatenate(dests), np.concatenate(pids)
 
     def pending_messages(self) -> list[tuple[float, "Message"]]:
         """Pending messages as ``(dest, Message)`` pairs (export path)."""

@@ -8,21 +8,20 @@ Two engines share the reference fault semantics:
   (:func:`apply_wire_faults` over :class:`WireRows`) and the pending-ack
   guard columns (:class:`BatchedGuard`), distributionally equivalent.
 
-Construct them through :meth:`FastSimulator.from_states` with
-``mode="chaos"`` / ``mode="mirror-chaos"``.
+Experiments construct the first through
+``make_simulator(engine="fast", wire=True)`` (:mod:`repro.sim.host`); the
+mirror stays behind ``FastSimulator.from_states(mode="mirror-chaos")``.
 """
 
 from repro.sim.fast.chaos.batched import BatchedGuard, ChaosFastEngine
 from repro.sim.fast.chaos.faults import (
     corrupt_random_pointers_engine,
-    crash_restart_engine,
     crash_restart_many_engine,
 )
 from repro.sim.fast.chaos.mirror import ChaosMirrorEngine
 from repro.sim.fast.chaos.monitors import (
     engine_cc_components,
     engine_check_invariants,
-    engine_weakly_connected,
 )
 from repro.sim.fast.chaos.scheduler import WaveDispatchFault
 from repro.sim.fast.chaos.support import ENGINE_SUPPORT, engine_story
@@ -46,12 +45,10 @@ __all__ = [
     "KIND_ENVELOPE",
     "KIND_ACK",
     "corrupt_random_pointers_engine",
-    "crash_restart_engine",
     "crash_restart_many_engine",
     "WaveDispatchFault",
     "ENGINE_SUPPORT",
     "engine_story",
     "engine_cc_components",
     "engine_check_invariants",
-    "engine_weakly_connected",
 ]

@@ -531,16 +531,11 @@ class ChaosFastEngine(FastEngine):
         return np.concatenate(dests), np.concatenate(payloads)
 
     def in_flight_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(dest, payload_id)`` rows over every in-flight payload id."""
-        dests: list[np.ndarray] = []
-        pids: list[np.ndarray] = []
-        for code, arrays in self.outbox.pending_by_type().items():
-            dst, a = arrays[0], arrays[1]
-            dests.append(dst)
-            pids.append(a)
-            if code == RESLRL:
-                dests.extend((dst, dst))
-                pids.extend((arrays[2], arrays[3]))
+        """``(dest, payload_id)`` rows over every in-flight payload id,
+        wire and retransmit buffer included."""
+        base = super().in_flight_id_pairs()
+        dests = [base[0]]
+        pids = [base[1]]
         wire = self._wire_payloads()
         if len(wire):
             dests.append(wire.dest)
@@ -558,9 +553,6 @@ class ChaosFastEngine(FastEngine):
             if len(lrl):
                 dests.extend((g.dest[lrl], g.dest[lrl]))
                 pids.extend((g.b[lrl], g.c[lrl]))
-        if not dests:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty
         return np.concatenate(dests), np.concatenate(pids)
 
     def pending_messages(self) -> list[tuple[float, Message]]:

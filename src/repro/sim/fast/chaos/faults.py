@@ -2,9 +2,9 @@
 
 The reference helpers (:func:`repro.sim.faults.corrupt_random_pointers`,
 :func:`repro.sim.faults.crash_restart`) mutate ``NodeState`` objects behind
-a ``Network``.  These are the struct-of-arrays counterparts used when a
-:class:`~repro.sim.chaos.injectors.FaultInjector` fires against a
-:class:`~repro.sim.fast.FastSimulator` host.  The draw choreography is
+a ``Network``.  These are the struct-of-arrays counterparts behind the
+same two calls of the host surface (:class:`repro.sim.host.Host`) on the
+SoA engines.  The draw choreography is
 *batch-shaped and shared*: the reference helper makes the exact same
 whole-batch RNG calls and applies them scalar, so a twin-seeded injector
 produces bit-identical corruption on both engines while this side runs as
@@ -21,20 +21,16 @@ import numpy as np
 from repro.ids import NEG_INF, POS_INF
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.fast.batched import FastEngine
-    from repro.sim.fast.mirror import MirrorEngine
-
-    AnyEngine = FastEngine | MirrorEngine
+    from repro.sim.fast.predicates import SoAHost
 
 __all__ = [
     "corrupt_random_pointers_engine",
-    "crash_restart_engine",
     "crash_restart_many_engine",
 ]
 
 
 def corrupt_random_pointers_engine(
-    engine: "AnyEngine",
+    engine: "SoAHost",
     fraction: float,
     rng: np.random.Generator,
     *,
@@ -82,17 +78,8 @@ def corrupt_random_pointers_engine(
     return count
 
 
-def crash_restart_engine(engine: "AnyEngine", node_id: float) -> None:
-    """Reset *node_id* to its freshly-booted state (keeps its identifier).
-
-    Port of :func:`repro.sim.faults.crash_restart`; see
-    :func:`crash_restart_many_engine` for the batch form this delegates to.
-    """
-    crash_restart_many_engine(engine, np.asarray([node_id], dtype=np.float64))
-
-
 def crash_restart_many_engine(
-    engine: "AnyEngine", node_ids: np.ndarray
+    engine: "SoAHost", node_ids: np.ndarray
 ) -> None:
     """Reset a whole batch of nodes to their freshly-booted state.
 

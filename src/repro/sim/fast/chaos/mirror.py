@@ -5,7 +5,8 @@
 send becomes a real :class:`~repro.core.messages.Message` frame (optionally
 guard-wrapped into an :class:`~repro.core.messages.Envelope`) and passes
 through the active fault-injector chain before landing on a tick-stamped
-wire, exactly like :class:`~repro.sim.chaos.ChaosNetwork`.  Because the
+wire — the very :class:`~repro.sim.chaos.network.ScalarWire` that
+:class:`~repro.sim.chaos.ChaosNetwork` mixes in.  Because the
 injectors see the *same frame objects in the same order* — including the
 ``repr``-hashed frames of ``MessageDelay(mode="hash")`` — and the guard is
 the *same* :class:`~repro.sim.chaos.guard.GuardedHandoff` implementation,
@@ -20,74 +21,26 @@ its batched-RNG default is trusted at scale (docs/CHAOS.md, docs/PERF.md).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from repro.core.messages import Ack, Envelope, Frame, Message
-from repro.core.protocol import ProtocolConfig
-from repro.core.state import NodeState
-from repro.sim.chaos.guard import GuardedHandoff, GuardPolicy
+from repro.core.messages import Message
+from repro.sim.chaos.network import ScalarWire
 from repro.sim.fast.buffers import CODE_OF_TYPE, TYPE_OF_CODE
-from repro.sim.fast.mirror import MirrorEngine, MirrorMessage
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.chaos.injectors import FaultInjector
+from repro.sim.fast.mirror import MirrorEngine, MirrorMessage, pair_columns
 
 __all__ = ["ChaosMirrorEngine"]
 
 
-class ChaosMirrorEngine(MirrorEngine):
-    """Scalar SoA engine whose wire is subject to fault injection."""
+class ChaosMirrorEngine(ScalarWire, MirrorEngine):
+    """Scalar SoA engine whose wire is subject to fault injection.
 
-    def __init__(
-        self,
-        states: Iterable[NodeState],
-        config: ProtocolConfig | None = None,
-        *,
-        guard: GuardPolicy | None = None,
-        dedup: bool = True,
-        keep_history: bool = False,
-        sanitize: bool | None = None,
-    ) -> None:
-        super().__init__(
-            states, config, dedup=dedup, keep_history=keep_history,
-            sanitize=sanitize,
-        )
-        self._wire_faults: list["FaultInjector"] = []
-        #: Frames in transit: ``(due_tick, dest, frame)``, delivery order.
-        self._wire: list[tuple[int, float, Frame]] = []
-        self._tick = 0
-        self._guard: GuardedHandoff | None = (
-            GuardedHandoff(policy=guard) if guard is not None else None
-        )
-        #: The node currently acting (its sends carry this sender identity,
-        #: like the reference's per-node bound ``network.sender(nid)``).
-        self._origin: float | None = None
+    Takes ``MirrorEngine``'s arguments plus ``guard=`` (see
+    :class:`~repro.sim.chaos.network.ScalarWire`).
+    """
 
-    # ------------------------------------------------------------------
-    # Fault-chain management (same surface as ChaosNetwork)
-    # ------------------------------------------------------------------
-    @property
-    def tick(self) -> int:
-        """Wire clock: one tick per flush (= one synchronous round)."""
-        return self._tick
-
-    @property
-    def wire_faults(self) -> list["FaultInjector"]:
-        """The currently active wire-fault chain (applied in order)."""
-        return list(self._wire_faults)
-
-    def set_wire_faults(self, injectors: Iterable["FaultInjector"]) -> None:
-        """Install the active wire-fault chain (campaigns call this per
-        round as fault windows open and close)."""
-        self._wire_faults = list(injectors)
-
-    @property
-    def guard(self) -> GuardedHandoff | None:
-        """The guarded-handoff transport, if one is installed."""
-        return self._guard
+    #: The node currently acting (its sends carry this sender identity,
+    #: like the reference's per-node bound ``network.sender(nid)``).
+    _origin: float | None = None
 
     # ------------------------------------------------------------------
     # Sending through the wire
@@ -95,75 +48,15 @@ class ChaosMirrorEngine(MirrorEngine):
     def _send(self, dest: float, code: int, *payload: float) -> None:
         if self.sanitizer is not None:
             self.sanitizer.record_send(code)
-        self.stats.record_send(TYPE_OF_CODE[code])
-        if dest not in self.soa:
-            # Match ChaosNetwork._dispatch: sends to departed identifiers
-            # are dropped at the source, not carried by the wire.
-            self.dropped += 1
-            return
         # Python floats only: Envelope's dataclass repr feeds the hash-mode
         # delay injector, and np.float64 reprs would diverge from the
         # reference wire.
         message = Message(
             TYPE_OF_CODE[code], tuple(float(x) for x in payload)
         )
-        if (
-            self._guard is not None
-            and self._origin is not None
-            and self._guard.wants(message)
-        ):
-            frame: Frame = self._guard.wrap(
-                self._origin, float(dest), message, self._tick
-            )
-        else:
-            frame = message
-        self._transmit(float(dest), frame)
+        self._dispatch(self._origin, float(dest), message)
 
-    def _transmit(self, dest: float, frame: Frame) -> None:
-        """Put one frame on the wire, applying the active fault chain.
-
-        Line-for-line port of ``ChaosNetwork._transmit``; the injectors'
-        ``on_wire(dest, frame, network)`` receives this engine as the
-        network argument (the shipped injectors never touch it).
-        """
-        deliveries: list[tuple[int, float, Frame]] = [(0, dest, frame)]
-        for injector in self._wire_faults:
-            rewritten: list[tuple[int, float, Frame]] = []
-            for extra, dst, frm in deliveries:
-                out = injector.on_wire(dst, frm, self)  # type: ignore[arg-type]
-                if out is None:
-                    rewritten.append((extra, dst, frm))
-                else:
-                    rewritten.extend(
-                        (extra + more, dst2, frm2) for more, dst2, frm2 in out
-                    )
-            deliveries = rewritten
-        base_due = self._tick + 1
-        self._wire.extend(
-            (base_due + extra, dst, frm) for extra, dst, frm in deliveries
-        )
-
-    # ------------------------------------------------------------------
-    # Delivery
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Advance the wire clock, deliver due frames, retransmit, then
-        perform the base staging flush (port of ``ChaosNetwork.flush``)."""
-        self._tick += 1
-        due: list[tuple[int, float, Frame]] = []
-        transit: list[tuple[int, float, Frame]] = []
-        for entry in self._wire:
-            (due if entry[0] <= self._tick else transit).append(entry)
-        self._wire = transit
-        for _, dest, frame in due:
-            self._deliver_frame(dest, frame)
-        if self._guard is not None:
-            for envelope in self._guard.due_retransmits(self._tick):
-                if envelope.dest in self.soa:
-                    self._transmit(envelope.dest, envelope)
-        super().flush()
-
-    def _stage(self, dest: float, message: Message) -> None:
+    def _enqueue(self, dest: float, message: Message) -> None:
         """``Network._enqueue`` equivalent: membership-checked staging."""
         if dest in self.soa:
             self._staging.append(
@@ -171,22 +64,6 @@ class ChaosMirrorEngine(MirrorEngine):
             )
         else:
             self.dropped += 1
-
-    def _deliver_frame(self, dest: float, frame: Frame) -> None:
-        if isinstance(frame, Envelope):
-            if self._guard is None or dest not in self.soa:
-                # Destination departed mid-flight: payload dies, no ack.
-                self.dropped += 1
-                return
-            fresh, ack = self._guard.on_deliver(frame)
-            if fresh:
-                self._stage(dest, frame.payload)
-            self._transmit(frame.origin, ack)
-        elif isinstance(frame, Ack):
-            if self._guard is not None:
-                self._guard.on_ack(frame)
-        else:
-            self._stage(dest, frame)
 
     # ------------------------------------------------------------------
     # Round execution: sender-identity tracking
@@ -216,23 +93,8 @@ class ChaosMirrorEngine(MirrorEngine):
         or mentioning it are dropped — as ``leave_node`` on a
         ``ChaosNetwork``."""
         super().leave(node_id)
-        before = len(self._wire)
-        self._wire = [
-            (due, dest, frame)
-            for due, dest, frame in self._wire
-            if not (dest == node_id and not isinstance(frame, Ack))
-        ]
-        self.dropped += before - len(self._wire)
-        kept: list[tuple[int, float, Frame]] = []
-        for due, dest, frame in self._wire:
-            payload = frame.payload if isinstance(frame, Envelope) else frame
-            if isinstance(payload, Message) and node_id in payload.ids:
-                continue
-            kept.append((due, dest, frame))
-        self._wire = kept
-        if self._guard is not None:
-            self._guard.drop_for_destination(node_id)
-            self._guard.drop_mentioning(node_id)
+        self._drop_wire_to(node_id)
+        self._purge_wire_mentions(node_id)
 
     def crash_channel_clear(self, node_id: float) -> None:
         """Drop a crashed node's queued messages (``channel.clear()``)."""
@@ -244,64 +106,14 @@ class ChaosMirrorEngine(MirrorEngine):
     # ------------------------------------------------------------------
     # Connectivity accounting
     # ------------------------------------------------------------------
-    @property
-    def in_flight(self) -> list[tuple[float, Message]]:
-        """Undelivered protocol messages, including wire-held frames and
-        unacknowledged envelopes in the retransmit buffer."""
-        out = self.pending_messages()
-        seen_seqs: set[int] = set()
-        for _, dest, frame in self._wire:
-            if isinstance(frame, Envelope):
-                out.append((dest, frame.payload))
-                seen_seqs.add(frame.seq)
-            elif isinstance(frame, Message):
-                out.append((dest, frame))
-        if self._guard is not None:
-            for envelope in self._guard.outstanding:
-                if envelope.seq not in seen_seqs:
-                    out.append((envelope.dest, envelope.payload))
-        return out
-
-    def in_flight_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(dest, payload_id)`` rows over every in-flight payload id."""
-        pairs = [
-            (dest, float(pid))
-            for dest, message in self.in_flight
-            for pid in message.ids
-        ]
-        if not pairs:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty
-        arr = np.asarray(pairs, dtype=np.float64)
-        return arr[:, 0], arr[:, 1]
-
     def inflight_pairs(self, code: int) -> tuple[np.ndarray, np.ndarray]:
         """``(dest_ids, payload)`` of pending single-id messages of *code*,
         wire and retransmit buffer included (predicate contract)."""
         mtype = TYPE_OF_CODE[code]
-        pairs = [
-            (dest, float(message.ids[0]))
-            for dest, message in self.in_flight
-            if message.type is mtype
-        ]
-        if not pairs:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty
-        arr = np.asarray(pairs, dtype=np.float64)
-        return arr[:, 0], arr[:, 1]
-
-    def pending_total(self) -> int:
-        """Total undelivered protocol messages (staged + channels + wire +
-        nothing double-counted: the retransmit buffer holds copies)."""
-        wire_payloads = sum(
-            1 for _, _, frame in self._wire if not isinstance(frame, Ack)
-        )
-        return super().pending_total() + wire_payloads
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(n={len(self)}, "
-            f"pending={self.pending_total()}, wire={len(self._wire)}, "
-            f"faults={len(self._wire_faults)}, "
-            f"guarded={self._guard is not None})"
+        return pair_columns(
+            [
+                (dest, float(message.ids[0]))
+                for dest, message in self.in_flight
+                if message.type is mtype
+            ]
         )

@@ -5,9 +5,9 @@ reference :class:`~repro.sim.network.Network`; these helpers evaluate the
 same predicates directly on a fast engine so
 ``ChaosCampaign(FastSimulator)`` observes identical health semantics:
 
-* :func:`engine_cc_components` / :func:`engine_weakly_connected` — weak
-  components of the full channel-connectivity graph (every stored link
-  plus every in-flight identifier, retransmit buffer included), matching
+* :func:`engine_cc_components` — weak components of the full
+  channel-connectivity graph (every stored link plus every in-flight
+  identifier, retransmit buffer included), matching
   :func:`repro.graphs.views.cc_graph` edge-for-edge;
 * :func:`engine_check_invariants` — the model invariants of §III with the
   same :class:`~repro.sim.invariants.InvariantViolation` messages, minus
@@ -24,36 +24,12 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from repro.sim.fast.buffers import RESLRL
 from repro.sim.invariants import InvariantViolation
 
 __all__ = [
     "engine_cc_components",
-    "engine_weakly_connected",
     "engine_check_invariants",
 ]
-
-
-def _in_flight_pairs(engine) -> tuple[np.ndarray, np.ndarray]:
-    """``(dest, payload_id)`` rows for every in-flight identifier."""
-    pairs = getattr(engine, "in_flight_id_pairs", None)
-    if pairs is not None:
-        return pairs()
-    # Plain FastEngine: between rounds the outbox is the whole in-flight
-    # set (no wire, no retransmit buffer).
-    dests: list[np.ndarray] = []
-    pids: list[np.ndarray] = []
-    for code, arrays in engine.outbox.pending_by_type().items():
-        dst = arrays[0]
-        dests.append(dst)
-        pids.append(arrays[1])
-        if code == RESLRL:
-            dests.extend((dst, dst))
-            pids.extend((arrays[2], arrays[3]))
-    if not dests:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty
-    return np.concatenate(dests), np.concatenate(pids)
 
 
 def engine_cc_components(engine, *, live_only: bool = True) -> int:
@@ -76,7 +52,7 @@ def engine_cc_components(engine, *, live_only: bool = True) -> int:
         real = np.isfinite(stored)
         sources.append(ids[real])
         targets.append(stored[real])
-    dest, payload = _in_flight_pairs(engine)
+    dest, payload = engine.in_flight_id_pairs()
     real = np.isfinite(payload)
     sources.append(dest[real])
     targets.append(payload[real])
@@ -102,13 +78,6 @@ def engine_cc_components(engine, *, live_only: bool = True) -> int:
         graph, directed=True, connection="weak"
     )
     return int(n_components)
-
-
-def engine_weakly_connected(engine, *, live_only: bool = True) -> bool:
-    """Whether the channel-connectivity graph is weakly connected."""
-    if len(engine.soa.sorted_live()[0]) == 0:
-        return False
-    return engine_cc_components(engine, live_only=live_only) == 1
 
 
 def engine_check_invariants(

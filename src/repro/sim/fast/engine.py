@@ -11,7 +11,7 @@ the engine instead of a :class:`~repro.sim.network.Network`
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,6 +20,7 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState, StateTuple
 from repro.sim.engine import BaseSimulator
 from repro.sim.fast.batched import FastEngine
+from repro.sim.fast.chaos import ChaosFastEngine, ChaosMirrorEngine
 from repro.sim.fast.mirror import MirrorEngine
 from repro.sim.fast.shard import ShardedEngine
 
@@ -31,6 +32,15 @@ __all__ = ["FastSimulator"]
 
 #: Any engine the driver can host.
 AnyFastEngine = FastEngine | MirrorEngine | ShardedEngine
+
+#: ``from_states(mode=...)`` → (engine class, the options only it takes).
+_ENGINE_OF_MODE: dict[str, tuple[Callable[..., AnyFastEngine], tuple[str, ...]]] = {
+    "batched": (FastEngine, ()),
+    "sharded": (ShardedEngine, ("shards",)),
+    "mirror": (MirrorEngine, ()),
+    "chaos": (ChaosFastEngine, ("guard",)),
+    "mirror-chaos": (ChaosMirrorEngine, ("guard",)),
+}
 
 
 class FastSimulator(BaseSimulator[AnyFastEngine]):
@@ -97,63 +107,31 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
                 "removed (it lost to in-process shards at every shard "
                 "count, docs/PERF.md §8); drop the argument"
             )
-        engine: AnyFastEngine
-        if guard is not None and mode not in ("chaos", "mirror-chaos"):
+        try:
+            engine_cls, extra = _ENGINE_OF_MODE[mode]
+        except KeyError:
+            raise ValueError(
+                f"unknown engine mode {mode!r}; expected one of "
+                f"{', '.join(map(repr, _ENGINE_OF_MODE))}"
+            ) from None
+        if guard is not None and "guard" not in extra:
             raise ValueError(
                 "guard requires a chaos engine mode ('chaos' or "
                 f"'mirror-chaos'), not {mode!r}"
             )
-        if mode == "batched":
-            engine = FastEngine(
-                states, config, dedup=dedup, keep_history=keep_history,
-                sanitize=sanitize,
-            )
-        elif mode == "sharded":
-            engine = ShardedEngine(
-                states,
-                config,
-                shards=shards,
-                dedup=dedup,
-                keep_history=keep_history,
-                sanitize=sanitize,
-            )
-        elif mode == "mirror":
-            engine = MirrorEngine(
-                states, config, dedup=dedup, keep_history=keep_history,
-                sanitize=sanitize,
-            )
-        elif mode == "chaos":
-            from repro.sim.fast.chaos import ChaosFastEngine
-
-            engine = ChaosFastEngine(
-                states,
-                config,
-                guard=guard,
-                dedup=dedup,
-                keep_history=keep_history,
-                sanitize=sanitize,
-            )
-        elif mode == "mirror-chaos":
-            from repro.sim.fast.chaos import ChaosMirrorEngine
-
-            engine = ChaosMirrorEngine(
-                states,
-                config,
-                guard=guard,
-                dedup=dedup,
-                keep_history=keep_history,
-                sanitize=sanitize,
-            )
-        else:
-            raise ValueError(
-                f"unknown engine mode {mode!r}; expected 'batched', "
-                "'sharded', 'mirror', 'chaos', or 'mirror-chaos'"
-            )
+        given = {"guard": guard, "shards": shards}
+        engine = engine_cls(
+            states,
+            config,
+            dedup=dedup,
+            keep_history=keep_history,
+            sanitize=sanitize,
+            **{name: given[name] for name in extra},
+        )
         return cls(engine, rng)
 
     @property
-    def predicate_target(self) -> AnyFastEngine:
-        """Predicates over the fast engines see the engine itself."""
+    def host(self) -> AnyFastEngine:
         return self.engine
 
     def step_round(self) -> None:

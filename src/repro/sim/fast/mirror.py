@@ -50,6 +50,7 @@ from repro.sim.fast.buffers import (
     RING,
     TYPE_OF_CODE,
 )
+from repro.sim.fast.predicates import SoAHost
 from repro.sim.fast.sanitize import (
     FlowSanitizer,
     SanitizedSoAState,
@@ -84,7 +85,16 @@ _HANDLER_OF_CODE = {
 AfterNodeHook = Callable[[int, float], None]
 
 
-class MirrorEngine:
+def pair_columns(pairs: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(dest, payload)`` pairs as the two float columns predicates read."""
+    if not pairs:
+        empty = np.empty(0, dtype=np.float64)
+        return empty, empty
+    arr = np.asarray(pairs, dtype=np.float64)
+    return arr[:, 0], arr[:, 1]
+
+
+class MirrorEngine(SoAHost):
     """Scalar engine over SoA state reproducing the reference RNG stream."""
 
     def __init__(
@@ -330,14 +340,9 @@ class MirrorEngine:
 
     def inflight_pairs(self, code: int) -> tuple[np.ndarray, np.ndarray]:
         """``(dest_ids, payload)`` of pending single-id messages of *code*."""
-        pairs = [
-            (dest, m[1]) for dest, m in self._pending_raw() if m[0] == code
-        ]
-        if not pairs:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty
-        arr = np.asarray(pairs, dtype=np.float64)
-        return arr[:, 0], arr[:, 1]
+        return pair_columns(
+            [(dest, m[1]) for dest, m in self._pending_raw() if m[0] == code]
+        )
 
     def pending_messages(self) -> list[tuple[float, "Message"]]:
         """Pending messages as ``(dest, Message)`` pairs (export path)."""
@@ -347,6 +352,21 @@ class MirrorEngine:
             (dest, Message(TYPE_OF_CODE[int(m[0])], m[1:]))
             for dest, m in self._pending_raw()
         ]
+
+    @property
+    def in_flight(self) -> list[tuple[float, "Message"]]:
+        """Every undelivered message (as ``Network.in_flight``)."""
+        return self.pending_messages()
+
+    def in_flight_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(dest, payload_id)`` rows over every in-flight payload id."""
+        return pair_columns(
+            [
+                (dest, float(pid))
+                for dest, message in self.in_flight
+                for pid in message.ids
+            ]
+        )
 
     # ------------------------------------------------------------------
     # Algorithm 1 — the receive action

@@ -10,11 +10,17 @@ reference LCC view (stored ``l``/``r`` links plus in-flight ``lin``
 messages, Definition 4.2), including edges to dangling identifiers: the
 proof's graphs are over identifiers, and during churn a shared dangling
 identifier can be exactly what holds two components together.
+
+:class:`SoAHost` is how the three SoA engines answer the health and
+state-fault calls of the host surface (:class:`repro.sim.host.Host`): one
+delegating method per call, over the functions here and their siblings in
+:mod:`repro.sim.fast.chaos`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from typing import Any
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -25,15 +31,13 @@ from repro.graphs.predicates import (
     PHASE_SMALL_WORLD,
     PHASE_SORTED_LIST,
     PHASE_SORTED_RING,
+    phase_predicates,
 )
 from repro.ids import NEG_INF, POS_INF
-from repro.sim.fast.batched import FastEngine
 from repro.sim.fast.buffers import LIN
-from repro.sim.fast.mirror import MirrorEngine
-from repro.sim.fast.shard import ShardedEngine
 
 __all__ = [
-    "FastPredicateTarget",
+    "SoAHost",
     "fast_is_sorted_list",
     "fast_is_sorted_ring",
     "fast_lcc_weakly_connected",
@@ -45,11 +49,67 @@ __all__ = [
     "PHASE_SMALL_WORLD",
 ]
 
-#: Any fast engine; all expose ``soa`` and ``inflight_pairs``.
-FastPredicateTarget = FastEngine | MirrorEngine | ShardedEngine
+#: One mapping serves every host; the old name stays for its importers.
+fast_phase_predicates = phase_predicates
 
 
-def fast_is_sorted_list(engine: FastPredicateTarget) -> bool:
+class SoAHost:
+    """Health and state faults of the host surface, over SoA columns.
+
+    Mixed into ``FastEngine``, ``MirrorEngine`` and ``ShardedEngine``.  The
+    predicates are named at call time, never bound as class attributes:
+    the benchmark suite's tracer wraps them on this module.  The
+    :mod:`repro.sim.fast.chaos` siblings are imported per call — that
+    package imports the engines, which import this class.
+    """
+
+    #: What the functions behind these calls read off the engine.
+    soa: Any  # SoAState, or the sharded engine's merged read-only view
+    inflight_pairs: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    in_flight_id_pairs: Callable[[], tuple[np.ndarray, np.ndarray]]
+
+    def lcc_weakly_connected(self) -> bool:
+        return fast_lcc_weakly_connected(self)
+
+    def is_sorted_list(self) -> bool:
+        return fast_is_sorted_list(self)
+
+    def is_sorted_ring(self) -> bool:
+        return fast_is_sorted_ring(self)
+
+    def lrl_links_live(self) -> bool:
+        return fast_lrl_links_live(self)
+
+    def cc_components(self, *, live_only: bool = True) -> int:
+        from repro.sim.fast.chaos.monitors import engine_cc_components
+
+        return engine_cc_components(self, live_only=live_only)
+
+    def check_invariants(self, *, check_membership: bool = True) -> None:
+        from repro.sim.fast.chaos.monitors import engine_check_invariants
+
+        engine_check_invariants(self, check_membership=check_membership)
+
+    def corrupt_random_pointers(
+        self,
+        fraction: float,
+        rng: np.random.Generator,
+        *,
+        corrupt_list_links: bool = True,
+    ) -> int:
+        from repro.sim.fast.chaos.faults import corrupt_random_pointers_engine
+
+        return corrupt_random_pointers_engine(
+            self, fraction, rng, corrupt_list_links=corrupt_list_links
+        )
+
+    def crash_restart(self, node_ids: Sequence[float] | np.ndarray) -> None:
+        from repro.sim.fast.chaos.faults import crash_restart_many_engine
+
+        crash_restart_many_engine(self, np.asarray(node_ids, dtype=np.float64))
+
+
+def fast_is_sorted_list(engine: SoAHost) -> bool:
     """Definition 4.8 over SoA state: consecutive pairs mutually linked."""
     ids, idx = engine.soa.sorted_live()
     if len(ids) == 0:
@@ -61,7 +121,7 @@ def fast_is_sorted_list(engine: FastPredicateTarget) -> bool:
     return bool(np.all(r[:-1] == ids[1:]) and np.all(l[1:] == ids[:-1]))
 
 
-def fast_is_sorted_ring(engine: FastPredicateTarget) -> bool:
+def fast_is_sorted_ring(engine: SoAHost) -> bool:
     """Definition 4.17 over SoA state: sorted list + mutual extremal ring."""
     if not fast_is_sorted_list(engine):
         return False
@@ -72,7 +132,7 @@ def fast_is_sorted_ring(engine: FastPredicateTarget) -> bool:
     return bool(ring[0] == ids[-1] and ring[-1] == ids[0])
 
 
-def fast_lcc_weakly_connected(engine: FastPredicateTarget) -> bool:
+def fast_lcc_weakly_connected(engine: SoAHost) -> bool:
     """Phase 1 over SoA state: the LCC graph is weakly connected."""
     ids, idx = engine.soa.sorted_live()
     if len(ids) == 0:
@@ -106,30 +166,10 @@ def fast_lcc_weakly_connected(engine: FastPredicateTarget) -> bool:
     return bool(n_components == 1)
 
 
-def fast_lrl_links_live(engine: FastPredicateTarget) -> bool:
+def fast_lrl_links_live(engine: SoAHost) -> bool:
     """Every long-range link points at an existing node (or its owner)."""
     _, idx = engine.soa.sorted_live()
     if len(idx) == 0:
         return True
     _, found = engine.soa.lookup(engine.soa.lrl[idx])
     return bool(found.all())
-
-
-def fast_phase_predicates(
-    *, include_phase4: bool = True
-) -> dict[str, Callable[[FastPredicateTarget], bool]]:
-    """The standard phase-predicate mapping for :class:`FastSimulator`.
-
-    Same keys as :func:`repro.graphs.predicates.phase_predicates`, so the
-    recorders of the two engines are directly comparable.
-    """
-    preds: dict[str, Callable[[FastEngine | MirrorEngine], bool]] = {
-        PHASE_CONNECTED: fast_lcc_weakly_connected,
-        PHASE_SORTED_LIST: fast_is_sorted_list,
-        PHASE_SORTED_RING: fast_is_sorted_ring,
-    }
-    if include_phase4:
-        preds[PHASE_SMALL_WORLD] = lambda engine: (
-            fast_is_sorted_ring(engine) and fast_lrl_links_live(engine)
-        )
-    return preds

@@ -27,7 +27,9 @@ distribution, no longer the same trajectory.  Departures preserve
 alignment (tombstoning and compaction keep relative slot order).
 
 Not supported here: multiset (``dedup=False``) delivery, wire faults
-(``ChaosFastEngine``), wave-dispatch faults, and event tracing.  Churn
+(``ChaosFastEngine``), wave-dispatch faults, event tracing, and the state
+faults ``corrupt_random_pointers`` / ``crash_restart`` (``soa`` is a merged
+*copy* of the shards' columns; a scatter into it changes no shard).  Churn
 storms compose unchanged — they drive the membership surface.
 """
 
@@ -43,6 +45,7 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState, StateTuple
 from repro.sim.fast.batched import join_batch_rows, leave_batch_victims
 from repro.sim.fast.buffers import N_TYPES, TYPE_OF_CODE, draw_delivery_keys
+from repro.sim.fast.predicates import SoAHost
 from repro.sim.fast.shard.core import ShardCore
 from repro.sim.fast.shard.partition import owner_of, partition_edges
 from repro.sim.fast.soa import lookup_sorted, snapshot_rows, states_of_rows
@@ -53,6 +56,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profile import PhaseProfiler
 
 __all__ = ["MergedSoAView", "ShardedEngine"]
+
+
+_NO_STATE_FAULTS = (
+    "state faults are not supported on the sharded engine: its soa is a "
+    "merged copy of the shards' columns, so a scatter into it changes "
+    "nothing; run them on engine='fast'"
+)
+
+
+def _concat_pairs(
+    parts: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+    )
 
 
 class MergedSoAView:
@@ -106,7 +125,7 @@ class MergedSoAView:
         return states_of_rows(self, self.sorted_live()[1])
 
 
-class ShardedEngine:
+class ShardedEngine(SoAHost):
     """Contiguous id-range shards behind the ``FastEngine`` surface."""
 
     def __init__(
@@ -386,11 +405,10 @@ class ShardedEngine:
         return sum(core.pending_total() for core in self.cores)
 
     def inflight_pairs(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        parts = [core.inflight_pairs(code) for core in self.cores]
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-        )
+        return _concat_pairs([core.inflight_pairs(code) for core in self.cores])
+
+    def in_flight_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return _concat_pairs([core.in_flight_id_pairs() for core in self.cores])
 
     def pending_messages(self) -> list[tuple[float, "Message"]]:
         out: list[tuple[float, "Message"]] = []
@@ -402,6 +420,12 @@ class ShardedEngine:
         raise NotImplementedError(
             "wave-dispatch faults are not supported on the sharded engine"
         )
+
+    def corrupt_random_pointers(self, *args: object, **kwargs: object) -> int:
+        raise NotImplementedError(_NO_STATE_FAULTS)
+
+    def crash_restart(self, node_ids: object) -> None:
+        raise NotImplementedError(_NO_STATE_FAULTS)
 
     def __contains__(self, node_id: float) -> bool:
         return bool(self._has_ids(np.asarray([node_id], dtype=np.float64))[0])

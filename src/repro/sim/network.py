@@ -16,9 +16,11 @@ disappear".
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.messages import Message
 from repro.ids import require_id
@@ -249,6 +251,93 @@ class Network:
     def pending_total(self) -> int:
         """Total undelivered messages (staged + in channels)."""
         return len(self._staging) + sum(len(c) for c in self._channels.values())
+
+    # ------------------------------------------------------------------
+    # Host surface (:class:`repro.sim.host.Host`): each call answers from
+    # the module that owns its body over node objects.  Imported per call
+    # — those modules import this one.
+    # ------------------------------------------------------------------
+    def join(self, new_id: float, contact_id: float) -> None:
+        """Add a fresh node knowing only *contact_id* (paper §IV-G)."""
+        from repro.churn.join import join_node
+
+        join_node(self, new_id, contact_id)
+
+    def leave(self, node_id: float) -> None:
+        """Remove *node_id*, purging every reference to it (paper §IV-G)."""
+        from repro.churn.leave import leave_node
+
+        leave_node(self, node_id)
+
+    def join_batch(self, new_ids: np.ndarray, contact_ids: np.ndarray) -> int:
+        """The scalar joins in ascending new-id order (the batch contract
+        ``FastEngine.join_batch`` is defined against)."""
+        for k in np.argsort(new_ids, kind="stable").tolist():
+            self.join(float(new_ids[k]), float(contact_ids[k]))
+        return len(new_ids)
+
+    def leave_batch(self, node_ids: np.ndarray) -> int:
+        """The scalar departures in ascending id order."""
+        for nid in np.sort(np.asarray(node_ids, dtype=np.float64)).tolist():
+            self.leave(nid)
+        return len(node_ids)
+
+    def lcc_weakly_connected(self) -> bool:
+        """Phase 1 (Theorem 4.3): the LCC graph is weakly connected."""
+        from repro.graphs.predicates import lcc_weakly_connected
+
+        return lcc_weakly_connected(self)
+
+    def is_sorted_list(self) -> bool:
+        """Phase 2 (Definition 4.8)."""
+        from repro.graphs.predicates import is_sorted_list
+
+        return is_sorted_list(self.states())
+
+    def is_sorted_ring(self) -> bool:
+        """Phase 3 (Definition 4.17)."""
+        from repro.graphs.predicates import is_sorted_ring
+
+        return is_sorted_ring(self.states())
+
+    def lrl_links_live(self) -> bool:
+        """Every long-range link points at an existing node."""
+        from repro.graphs.predicates import lrl_links_live
+
+        return lrl_links_live(self)
+
+    def cc_components(self, *, live_only: bool = True) -> int:
+        """Weak components of the channel-connectivity graph (0 if empty)."""
+        from repro.graphs.predicates import cc_components
+
+        return cc_components(self, live_only=live_only)
+
+    def check_invariants(self, *, check_membership: bool = True) -> None:
+        """Assert the model invariants of §III; raise on violation."""
+        from repro.sim.invariants import check_network_invariants
+
+        check_network_invariants(self, check_membership=check_membership)
+
+    def corrupt_random_pointers(
+        self,
+        fraction: float,
+        rng: np.random.Generator,
+        *,
+        corrupt_list_links: bool = True,
+    ) -> int:
+        """Scramble the pointers of a random node *fraction*; returns count."""
+        from repro.sim.faults import corrupt_random_pointers
+
+        return corrupt_random_pointers(
+            self, fraction, rng, corrupt_list_links=corrupt_list_links
+        )
+
+    def crash_restart(self, node_ids: Sequence[float] | np.ndarray) -> None:
+        """Reset every node in *node_ids* to a blank state (id preserved)."""
+        from repro.sim.faults import crash_restart
+
+        for nid in node_ids:
+            crash_restart(self, nid)
 
     def __repr__(self) -> str:
         return (

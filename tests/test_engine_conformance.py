@@ -8,8 +8,8 @@ Two layers of agreement, per docs/PERF.md and docs/CHAOS.md:
   the *identical final topology and message census*;
 * **structural** — the batched engines draw their RNG in a different
   order, so ``spec.run(engine=...)`` is conformance-checked for shape:
-  both engines produce the same rows/columns and record their engine in
-  the result params.
+  every engine of ``ENGINES`` produces the same rows/columns and records
+  its name in the result params.
 
 The ratchet test keeps this matrix honest: adding ``engine=`` support to
 another experiment must extend this suite, or the set comparison fails.
@@ -31,16 +31,13 @@ from repro.sim.chaos.network import ChaosNetwork
 from repro.sim.chaos.plan import FaultPlan
 from repro.sim.engine import Simulator
 from repro.sim.fast import FastSimulator
+from repro.sim.host import ENGINES
 from repro.topology.generators import TOPOLOGIES
 
 #: Experiments whose driver accepts ``engine=``.  Extending engine support
 #: to a new experiment must update this pin *and* add it to the matrices
 #: below.
 ENGINE_AWARE = {"e01", "e06", "e07", "e17", "e18", "e21", "e22"}
-
-#: Experiments that additionally accept ``engine="sharded"`` (the
-#: sharded engine, docs/PERF.md §8).
-SHARDED_AWARE = ("e01", "e18", "e22")
 
 #: Small-n ``run()`` invocations per engine-aware experiment.
 QUICK_PARAMS: dict[str, dict[str, object]] = {
@@ -76,27 +73,20 @@ def test_engine_support_ratchet() -> None:
 
 
 @pytest.mark.parametrize("experiment", sorted(ENGINE_AWARE))
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_run_conformance_matrix(experiment: str, engine: str) -> None:
-    """Both engines run every engine-aware experiment at small n and
-    produce structurally identical tables."""
+    """Every engine runs every engine-aware experiment at small n and
+    produces structurally identical tables (ISSUE 19 folded the separate
+    ``SHARDED_AWARE`` subset into this matrix: every driver now builds
+    through ``make_simulator``, so all of them take all of ``ENGINES``)."""
     spec = EXPERIMENTS[experiment]
+    if (experiment, engine) == ("e21", "sharded"):
+        # The one hole in the matrix: e21 needs a wire.
+        with pytest.raises(ValueError, match="no wire transport"):
+            spec.run(engine=engine, **QUICK_PARAMS[experiment])
+        return
     result = spec.run(engine=engine, **QUICK_PARAMS[experiment])
     assert result.params["engine"] == engine
-    assert result.rows
-    reference = spec.run(engine="reference", **QUICK_PARAMS[experiment])
-    assert len(result.rows) == len(reference.rows)
-    for row, ref_row in zip(result.rows, reference.rows):
-        assert list(row) == list(ref_row)
-
-
-@pytest.mark.parametrize("experiment", SHARDED_AWARE)
-def test_run_conformance_matrix_sharded(experiment: str) -> None:
-    """``engine="sharded"`` rows are structurally identical to the
-    reference engine's for every sharded-aware experiment."""
-    spec = EXPERIMENTS[experiment]
-    result = spec.run(engine="sharded", **QUICK_PARAMS[experiment])
-    assert result.params["engine"] == "sharded"
     assert result.rows
     reference = spec.run(engine="reference", **QUICK_PARAMS[experiment])
     assert len(result.rows) == len(reference.rows)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -259,6 +260,39 @@ class TestCli:
         for accepted in ("sizes", "engine", "shards", "obs"):
             assert accepted in line.split("accepted:")[1]
 
+    def test_empty_value_for_a_tuple_parameter(self, capsys):
+        """``rates=`` (the churn-smoke CI form) is ``rates=()``.  It used to
+        be wrapped into ``("",)`` before e17 could normalize it, and died
+        with "'<=' not supported between instances of 'float' and 'str'"."""
+        code = main(
+            ["run", "e17", "n=16", "rates=", "trials=1", "storms=flash_crowd"]
+        )
+        assert code == 0
+        assert "rates=()" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, accepted",
+        [
+            (["run", "e01", "engine=bogus"], ("reference", "fast", "sharded")),
+            (["serve", "n=64", "engine=bogus"], ("fast", "sharded")),
+        ],
+        ids=["run", "serve"],
+    )
+    def test_bad_engine_name(self, capsys, argv, accepted):
+        """A bad ``engine=`` exits 2 with one line naming the accepted
+        engines, before any state is built; both CLIs used to print a
+        ``ValueError`` traceback."""
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "'bogus'" in line
+        assert line.split("accepted: ")[1] == ", ".join(accepted)
+
     def test_python_dash_m_repro(self):
         """``python -m repro`` is the console script (needs ``__main__.py``)."""
         env = dict(os.environ)
@@ -273,3 +307,67 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert "e22" in done.stdout
+
+
+# ----------------------------------------------------------------------
+# The smoke jobs' own command lines
+# ----------------------------------------------------------------------
+_CI_YML = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
+
+
+def _ci_run_commands(*jobs: str) -> list:
+    """The ``python -m repro.cli run ...`` lines of the named ci.yml jobs.
+
+    Read by a plain text scan (PyYAML is not a declared dependency): a job
+    is a 2-space-indented ``name:`` line, a command a ``run: >`` folded
+    block.  Yields ``(env, argv)`` — the ``KEY=VALUE`` words before
+    ``python`` and the words after ``repro.cli``.
+    """
+    lines = _CI_YML.read_text().splitlines()
+    commands = []
+    job = None
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        i += 1
+        header = re.fullmatch(r"  ([\w-]+):", line)
+        if header:
+            job = header.group(1)
+        if job not in jobs or line.strip() != "run: >":
+            continue
+        indent = len(line) - len(line.lstrip())
+        words: list[str] = []
+        while i < len(lines) and len(lines[i]) - len(lines[i].lstrip()) > indent:
+            words += lines[i].split()
+            i += 1
+        if "repro.cli" not in words:
+            continue
+        cut = words.index("repro.cli")
+        if words[cut + 1] != "run":
+            continue
+        env = dict(w.split("=", 1) for w in words[: words.index("python")])
+        env.pop("PYTHONPATH", None)
+        argv = words[cut + 1 :]
+        commands.append(pytest.param(env, argv, id=f"{job}-{len(commands)}"))
+    return commands
+
+
+_SMOKE_COMMANDS = _ci_run_commands("chaos-smoke", "churn-smoke")
+
+
+def test_ci_smoke_jobs_were_found():
+    """Two chaos-smoke legs and three churn-smoke legs (reference, fast,
+    sharded); fewer means the scan above lost track of ci.yml."""
+    assert len(_SMOKE_COMMANDS) == 5
+
+
+@pytest.mark.parametrize("env, argv", _SMOKE_COMMANDS)
+def test_ci_smoke_command_line(env, argv, monkeypatch, capsys):
+    """Each smoke job's command line, run in-process as written.  No CI
+    runs in the sandbox this repo grows in: the churn-smoke line was dead
+    for two PRs (``rates=``) and nothing noticed."""
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert f"[{argv[1]}]" in out and "NOT recovered" not in out
