@@ -124,8 +124,7 @@ class ChurnWorkload:
         report.leaves += 1
 
     # The two measurements below keep one body per data representation,
-    # keyed on the host having SoA columns — read each call: the sharded
-    # engine rebuilds its merged ``soa`` every round.
+    # keyed on the host having SoA columns.
     def _pair_fraction(self) -> float:
         soa = getattr(self.simulator.host, "soa", None)
         if soa is not None:

@@ -90,6 +90,28 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
     return params
 
 
+def _door_error(
+    what: str, params: Mapping[str, object], engines: Sequence[str]
+) -> str | None:
+    """The one-line refusal of a bad ``engine=`` or ``shards=``, else None.
+
+    Both are answered at the door, before any state is built
+    (``repro run`` and ``repro serve`` print the line and exit 2).
+    """
+    if params.get("engine", engines[0]) not in engines:
+        return (
+            f"unknown {what} engine {params['engine']!r}; accepted: "
+            f"{', '.join(engines)}"
+        )
+    shards = params.get("shards")
+    if shards is not None and not (isinstance(shards, int) and shards >= 1):
+        return (
+            f"bad {what} shards={shards!r}; accepted: an integer >= 1 "
+            "(more shards than nodes run one shard per node)"
+        )
+    return None
+
+
 def _wrap_scalars(
     signature: Mapping[str, inspect.Parameter], params: dict[str, object]
 ) -> None:
@@ -124,12 +146,9 @@ def _run_one(experiment_id: str, params: dict[str, object]) -> None:
             file=sys.stderr,
         )
         raise SystemExit(2)
-    if "engine" in params and params["engine"] not in ENGINES:
-        print(
-            f"unknown {spec.id} engine {params['engine']!r}; accepted: "
-            f"{', '.join(ENGINES)}",
-            file=sys.stderr,
-        )
+    refusal = _door_error(spec.id, params, ENGINES)
+    if refusal is not None:
+        print(refusal, file=sys.stderr)
         raise SystemExit(2)
     _wrap_scalars(signature, params)
     start = time.perf_counter()

@@ -96,6 +96,8 @@ def summarize_events(events: Iterable[dict[str, object]]) -> dict[str, object]:
         out["phases"] = summary.get("phases", {})
         out["peak_rss_bytes"] = summary.get("peak_rss_bytes")
         out["duration_s"] = summary.get("duration_s")
+        out["status"] = summary.get("status", "finished")
+        out["error"] = summary.get("error")
     return out
 
 
@@ -103,7 +105,11 @@ def _render_summary(info: dict[str, object]) -> str:
     """Human-readable block for one summarized stream."""
     lines: list[str] = []
     experiment = info.get("experiment") or "(unknown)"
-    status = "finished" if info.get("finished") else "in progress"
+    status = "in progress"
+    if info.get("finished"):
+        status = str(info.get("status", "finished"))
+    if info.get("error"):
+        status += f": {info['error']}"
     lines.append(f"run: {experiment}  [{status}]")
     if info.get("duration_s") is not None:
         lines.append(f"duration: {info['duration_s']}s")
@@ -169,7 +175,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
             if isinstance(params, dict):
                 rendered = ", ".join(f"{k}={v}" for k, v in params.items())
                 print(f"params: {rendered}")
-    return 0
+    return 0 if info.get("status", "finished") == "finished" else 1
 
 
 def _format_event(event: dict[str, object]) -> str:

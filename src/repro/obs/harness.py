@@ -112,6 +112,9 @@ def instrumented_run(
     ``params`` come from the driver's own :class:`ExperimentResult`
     (the complete parameter dict, seed included), not just the overrides
     the caller happened to pass.  *live* forwards to :func:`run_observer`.
+    A driver that raises still leaves the artifact set behind, with the
+    manifest's ``status`` ``"failed"`` (``"interrupted"`` for Ctrl-C) and
+    the exception in ``error``; the exception propagates.
     """
     observer = run_observer(
         out_dir, experiment=experiment, params=params, live=live
@@ -127,6 +130,10 @@ def instrumented_run(
             "rows": result.rows,
             "notes": result.notes,
         }
+    except BaseException as exc:  # repro-lint: ignore[broad-except] re-raises immediately; only records how the run ended first
+        observer.status = "failed" if isinstance(exc, Exception) else "interrupted"
+        observer.error = f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         observer.close()
     return result

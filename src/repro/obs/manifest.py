@@ -62,6 +62,10 @@ _V2_FIELDS: dict[str, type | tuple[type, ...]] = {
     "live": (dict, type(None)),
 }
 
+#: How a run can end.  ``status`` and ``error`` are optional: a manifest
+#: without them (every one recorded before they existed) reads as finished.
+_RUN_STATUSES = ("finished", "failed", "interrupted")
+
 
 def git_revision(cwd: str | None = None) -> str | None:
     """The tree's ``HEAD`` commit hash, or ``None`` outside a checkout."""
@@ -107,6 +111,8 @@ def build_manifest(
         "peak_rss_bytes": peak_rss_bytes(),
         "result": result,
         "live": getattr(observer, "live_summary", None),
+        "status": observer.status,
+        "error": observer.error,
     }
 
 
@@ -134,6 +140,10 @@ def validate_manifest(manifest: object) -> list[str]:
             problems.append(
                 f"field {field!r} has type {type(manifest[field]).__name__}"
             )
+    if manifest.get("status", "finished") not in _RUN_STATUSES:
+        problems.append(f"unknown status {manifest['status']!r}")
+    if not isinstance(manifest.get("error"), (str, type(None))):
+        problems.append("field 'error' is neither a string nor null")
     if (
         isinstance(schema, str)
         and schema != MANIFEST_SCHEMA

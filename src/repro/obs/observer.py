@@ -80,6 +80,11 @@ class Observer:
         self.started_unix = time.time()
         #: Result summary installed by the harness before finalize.
         self.result_summary: dict[str, object] | None = None
+        #: How the run ended — ``finished``, ``failed`` or ``interrupted``
+        #: — and the ``"Type: message"`` of what ended it (the harness sets
+        #: both before closing a run its driver raised out of).
+        self.status = "finished"
+        self.error: str | None = None
         #: Live-endpoint wiring (installed by the harness when ``live=``
         #: is requested): the background server, the wave-loop-published
         #: status object, and the manifest's ``live`` block.
@@ -192,6 +197,8 @@ class Observer:
             "peak_rss_bytes": rss,
             "sims": self._sim_count,
             "duration_s": round(self.tracer.now(), 3),
+            "status": self.status,
+            "error": self.error,
         }
         self.event("summary", **self._summary)
         for exporter in self.exporters:

@@ -36,7 +36,7 @@ _KNOWN = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``repro serve``."""
-    from repro.cli import _parse_params
+    from repro.cli import _door_error, _parse_params
     from repro.serve.service import SERVED_ENGINES, build_service
 
     params = _parse_params(list(argv or ()))
@@ -44,12 +44,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if unknown:
         print(f"unknown serve parameter(s): {sorted(unknown)}", file=sys.stderr)
         return 2
-    if params.get("engine", "fast") not in SERVED_ENGINES:
-        print(
-            f"unknown serve engine {params['engine']!r}; accepted: "
-            f"{', '.join(SERVED_ENGINES)}",
-            file=sys.stderr,
-        )
+    refusal = _door_error("serve", params, SERVED_ENGINES)
+    if refusal is not None:
+        print(refusal, file=sys.stderr)
         return 2
     duration = float(params.pop("duration", 0) or 0)
     obs_dir = params.pop("obs", None)

@@ -8,8 +8,8 @@ pieces make that safe and fast:
     An immutable rank-space snapshot of the live SoA columns, published
     by the engine thread once per round boundary.  Publication borrows
     the engine's cached sorted-id array (:meth:`SoAState.sorted_live`
-    replaces — never mutates — it on rebuild, and the sharded engine's
-    ``MergedSoAView`` is itself replaced per round), then compresses the
+    replaces — never mutates — it on rebuild; every engine, the sharded
+    one included, has exactly one ``SoAState``), then compresses the
     ``l``/``r``/``lrl`` link columns into integer ranks with one
     vectorized ``searchsorted`` pass.  That is the *only* O(n) work per
     round; serving a lookup copies nothing and materializes no per-node
@@ -136,13 +136,6 @@ class RouteView:
         """
         soa = engine.soa
         ids, idx = soa.sorted_live()
-        from repro.sim.fast.shard.engine import MergedSoAView
-
-        if isinstance(soa, MergedSoAView):
-            # The merged view is itself a per-round immutable snapshot in
-            # sorted order; borrow its columns outright instead of
-            # gathering them through the identity permutation.
-            return cls._from_links(ids, soa.l, soa.r, soa.lrl, round_index)
         return cls._from_links(
             ids, soa.l[idx], soa.r[idx], soa.lrl[idx], round_index
         )

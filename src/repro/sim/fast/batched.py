@@ -29,13 +29,13 @@ both (docs/PERF.md).
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from typing import TYPE_CHECKING, Protocol, cast
 
 import numpy as np
 
 from repro.core.protocol import ProtocolConfig
-from repro.core.state import NodeState, StateTuple
+from repro.core.state import NodeState
 from repro.ids import NEG_INF, POS_INF, require_id
 from repro.sim.fast.buffers import (
     INCLRL,
@@ -99,14 +99,10 @@ class WaveFault(Protocol):
     ) -> tuple[list[WaveGroup], list[WaveGroup]]: ...
 
 
-#: ``is_live(ids) -> bool mask`` — which of *ids* are live nodes.
-LiveMask = Callable[[np.ndarray], np.ndarray]
-
-
 def join_batch_rows(
-    new_ids: np.ndarray, contact_ids: np.ndarray, is_live: LiveMask
+    new_ids: np.ndarray, contact_ids: np.ndarray, soa: SoAState
 ) -> tuple[np.ndarray, ...]:
-    """Validate a join batch and build its ``SoAState.add_batch`` columns.
+    """Validate a join batch against *soa*; build its ``add_batch`` columns.
 
     Returns ``(ids, l, r, lrl, ring, age)`` in ascending new-id order (the
     canonical batch-membership order): ``NodeState`` defaults with the
@@ -125,11 +121,11 @@ def join_batch_rows(
         raise ValueError("joining ids must lie in [0, 1)")
     if len(np.unique(new_ids)) != k:
         raise ValueError("duplicate joining id within batch")
-    already = is_live(new_ids)
+    already = soa.lookup(new_ids)[1]
     if bool(already.any()):
         nid = float(new_ids[np.flatnonzero(already)[0]])
         raise ValueError(f"id {nid!r} already in the network")
-    have_contact = is_live(contact_ids)
+    have_contact = soa.lookup(contact_ids)[1]
     if not bool(have_contact.all()):
         cid = float(contact_ids[np.flatnonzero(~have_contact)[0]])
         raise ValueError(f"contact {cid!r} not in the network")
@@ -145,8 +141,8 @@ def join_batch_rows(
     )
 
 
-def leave_batch_victims(node_ids: np.ndarray, is_live: LiveMask) -> np.ndarray:
-    """Validate a departure batch; returns the victims sorted ascending.
+def leave_batch_victims(node_ids: np.ndarray, soa: SoAState) -> np.ndarray:
+    """Validate a departure batch against *soa*; the victims, ascending.
 
     Ascending is the order the ``d <= m`` drop accounting is defined
     against.  Raises ``KeyError`` on a duplicate or unknown id.
@@ -154,7 +150,7 @@ def leave_batch_victims(node_ids: np.ndarray, is_live: LiveMask) -> np.ndarray:
     victims = np.sort(np.ascontiguousarray(node_ids, dtype=np.float64))
     if len(victims) > 1 and bool((victims[1:] == victims[:-1]).any()):
         raise KeyError("duplicate departing id within batch")
-    found = is_live(victims)
+    found = soa.lookup(victims)[1]
     if not bool(found.all()):
         nid = float(victims[np.flatnonzero(~found)[0]])
         raise KeyError(f"no node with id {nid!r}")
@@ -166,14 +162,18 @@ class FastEngine(SoAHost):
 
     def __init__(
         self,
-        states: Iterable[NodeState],
+        states: Iterable[NodeState] | SoAState,
         config: ProtocolConfig | None = None,
         *,
         dedup: bool = True,
         keep_history: bool = False,
         sanitize: bool | None = None,
         compact_outbox: bool | None = None,
+        stats: MessageStats | None = None,
     ) -> None:
+        """*states* may be a ready :class:`SoAState` and *stats* a ready
+        :class:`MessageStats`: the engine then runs over those borrowed
+        objects (the sharded engine's cores all share one of each)."""
         cfg = config or ProtocolConfig()
         if cfg.trace is not None:
             raise ValueError(
@@ -181,9 +181,11 @@ class FastEngine(SoAHost):
                 "use the reference engine for trace-based tests"
             )
         self.config = cfg
-        self.soa = SoAState.from_states(states)
+        self.soa = (
+            states if isinstance(states, SoAState) else SoAState.from_states(states)
+        )
         self.dedup = dedup
-        self.stats = MessageStats(keep_history=keep_history)
+        self.stats = stats or MessageStats(keep_history=keep_history)
         # Mid-round staged-row dedup is sound exactly when the inbox dedups
         # anyway (coalescing-set semantics); the chaos wire overrides this
         # to keep its frame multiset byte-exact.
@@ -294,11 +296,15 @@ class FastEngine(SoAHost):
                     calls=len(rows),
                 )
 
+    def _regular_rows(self) -> np.ndarray:
+        """Slots the regular action covers, ascending by identifier."""
+        return self.soa.sorted_live()[1]
+
     def _run_regular(self, rng: np.random.Generator) -> None:
         """One batched regular action over all live nodes (sanitized)."""
         profiler = self.profiler
         t2 = time.perf_counter() if profiler is not None else 0.0
-        _, live_idx = self.soa.sorted_live()
+        live_idx = self._regular_rows()
         san = self.sanitizer
         if san is None:
             self.kernels.regular_action(live_idx, rng)
@@ -399,10 +405,6 @@ class FastEngine(SoAHost):
         self.outbox.purge_mentions(node_id)
         self.soa.scrub_departed(node_id)
 
-    def has_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Which of *ids* are live nodes of this engine."""
-        return self.soa.lookup(np.ascontiguousarray(ids, np.float64))[1]
-
     def join_batch(self, new_ids: np.ndarray, contact_ids: np.ndarray) -> int:
         """Add a batch of fresh nodes in one column append (paper §IV-G).
 
@@ -412,7 +414,7 @@ class FastEngine(SoAHost):
         whole batch is validated before any row lands.  Returns the number
         of nodes added.
         """
-        rows = join_batch_rows(new_ids, contact_ids, self.has_ids)
+        rows = join_batch_rows(new_ids, contact_ids, self.soa)
         self.soa.add_batch(*rows)
         return len(rows[0])
 
@@ -426,7 +428,7 @@ class FastEngine(SoAHost):
         round-boundary compaction once they dominate.  The whole batch is
         validated before any state changes.  Returns the departure count.
         """
-        victims = leave_batch_victims(node_ids, self.has_ids)
+        victims = leave_batch_victims(node_ids, self.soa)
         if len(victims) == 0:
             return 0
         self.soa.remove_batch(victims)
@@ -467,24 +469,9 @@ class FastEngine(SoAHost):
         else:
             self.outbox.restage(code, dest, a)
 
-    def __contains__(self, node_id: float) -> bool:
-        return node_id in self.soa
-
-    def __len__(self) -> int:
-        return self.soa.n_live
-
-    @property
-    def ids(self) -> list[float]:
-        """All current node identifiers, sorted ascending."""
-        return self.soa.live_ids_list()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def state_snapshot(self) -> dict[float, StateTuple]:
-        """Canonical per-node snapshot (differential-harness contract)."""
-        return self.soa.snapshot()
-
     def pending_total(self) -> int:
         """Total undelivered (staged) messages."""
         return self.outbox.pending_total()

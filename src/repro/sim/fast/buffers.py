@@ -203,14 +203,6 @@ class Outbox:
         ]
         self._compact_floor[code] = max(self.COMPACT_MIN, 2 * len(keep))
 
-    def drain_counts(self) -> list[int]:
-        """Remove and return the per-type send counts accumulated since the
-        last flush (shard cores report these to the coordinator instead of
-        owning shared stats)."""
-        counts = self._counts
-        self._counts = [0] * N_TYPES
-        return counts
-
     def flush_stats(self) -> None:
         """Transfer accumulated send counts into the shared stats.
 

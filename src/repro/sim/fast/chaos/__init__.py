@@ -24,7 +24,6 @@ from repro.sim.fast.chaos.monitors import (
     engine_check_invariants,
 )
 from repro.sim.fast.chaos.scheduler import WaveDispatchFault
-from repro.sim.fast.chaos.support import ENGINE_SUPPORT, engine_story
 from repro.sim.fast.chaos.wire import (
     KIND_ACK,
     KIND_ENVELOPE,
@@ -47,8 +46,6 @@ __all__ = [
     "corrupt_random_pointers_engine",
     "crash_restart_many_engine",
     "WaveDispatchFault",
-    "ENGINE_SUPPORT",
-    "engine_story",
     "engine_cc_components",
     "engine_check_invariants",
 ]

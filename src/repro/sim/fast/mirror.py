@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.forget import forget_probability
 from repro.core.protocol import ProtocolConfig
-from repro.core.state import NodeState, StateTuple
+from repro.core.state import NodeState
 from repro.ids import NEG_INF, POS_INF, require_id
 from repro.sim.fast.buffers import (
     INCLRL,
@@ -310,21 +310,6 @@ class MirrorEngine(SoAHost):
         for nid in victims.tolist():
             self.leave(nid)
         return k
-
-    def __contains__(self, node_id: float) -> bool:
-        return node_id in self.soa
-
-    def __len__(self) -> int:
-        return self.soa.n_live
-
-    @property
-    def ids(self) -> list[float]:
-        """All current node identifiers, sorted ascending."""
-        return self.soa.live_ids_list()
-
-    def state_snapshot(self) -> dict[float, StateTuple]:
-        """Canonical per-node snapshot (differential-harness contract)."""
-        return self.soa.snapshot()
 
     def pending_total(self) -> int:
         """Total undelivered messages (staged + in channels)."""

@@ -20,7 +20,7 @@ delegating method per call, over the functions here and their siblings in
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -35,6 +35,10 @@ from repro.graphs.predicates import (
 )
 from repro.ids import NEG_INF, POS_INF
 from repro.sim.fast.buffers import LIN
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.state import StateTuple
+    from repro.sim.fast.soa import SoAState
 
 __all__ = [
     "SoAHost",
@@ -54,7 +58,8 @@ fast_phase_predicates = phase_predicates
 
 
 class SoAHost:
-    """Health and state faults of the host surface, over SoA columns.
+    """Membership reads, health and state faults of the host surface,
+    over the engine's one :class:`~repro.sim.fast.soa.SoAState`.
 
     Mixed into ``FastEngine``, ``MirrorEngine`` and ``ShardedEngine``.  The
     predicates are named at call time, never bound as class attributes:
@@ -64,9 +69,24 @@ class SoAHost:
     """
 
     #: What the functions behind these calls read off the engine.
-    soa: Any  # SoAState, or the sharded engine's merged read-only view
+    soa: SoAState
     inflight_pairs: Callable[[int], tuple[np.ndarray, np.ndarray]]
     in_flight_id_pairs: Callable[[], tuple[np.ndarray, np.ndarray]]
+
+    def __contains__(self, node_id: float) -> bool:
+        return node_id in self.soa
+
+    def __len__(self) -> int:
+        return self.soa.n_live
+
+    @property
+    def ids(self) -> list[float]:
+        """All current node identifiers, sorted ascending."""
+        return self.soa.live_ids_list()
+
+    def state_snapshot(self) -> dict[float, StateTuple]:
+        """Canonical per-node snapshot (differential-harness contract)."""
+        return self.soa.snapshot()
 
     def lcc_weakly_connected(self) -> bool:
         return fast_lcc_weakly_connected(self)

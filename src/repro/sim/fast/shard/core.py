@@ -1,8 +1,12 @@
 """One shard of the sharded engine: a ``FastEngine`` with a phased round.
 
-:class:`ShardCore` owns a contiguous id-range block of the network as a
-plain :class:`~repro.sim.fast.batched.FastEngine` (same SoA columns, same
-kernels, same sanitizer wiring) but never draws randomness itself.  The
+:class:`ShardCore` runs a contiguous id-range *block* of the round as a
+plain :class:`~repro.sim.fast.batched.FastEngine` (same kernels, same
+sanitizer wiring) over the coordinator's one
+:class:`~repro.sim.fast.soa.SoAState` and one ``MessageStats``, which it
+borrows: it owns an outbox, not nodes.  Every protocol action stores only
+into the acting node's own row, so blocks never touch each other's rows.
+It never draws randomness itself.  The
 coordinator (:class:`~repro.sim.fast.shard.engine.ShardedEngine`) splits
 the unsharded round into phases it can interleave across shards:
 
@@ -16,7 +20,8 @@ the unsharded round into phases it can interleave across shards:
    global ``reslrl`` wave so the coordinator can draw the move-and-forget
    coins once, globally, and scatter the slices;
 5. :meth:`finish_round` — run the remaining groups plus the regular
-   action, and surrender the per-type send counts to the coordinator.
+   action over the block's live rows, and flush the send counts into the
+   shared stats.
 
 Because every draw happens coordinator-side over globally-ordered rows,
 a sharded run replays the unsharded engine's RNG stream bit-for-bit
@@ -26,13 +31,11 @@ at any shard count (docs/PERF.md).
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
 from typing import Any
 
 import numpy as np
 
 from repro.core.protocol import ProtocolConfig
-from repro.core.state import NodeState
 from repro.sim.fast.batched import FastEngine, WaveGroup
 from repro.sim.fast.buffers import (
     N_TYPES,
@@ -45,6 +48,8 @@ from repro.sim.fast.buffers import (
 )
 from repro.sim.fast.kernels import Kernels
 from repro.sim.fast.shard.partition import owner_of
+from repro.sim.fast.soa import SoAState
+from repro.sim.metrics import MessageStats
 
 __all__ = ["ShardCore", "WireChunks"]
 
@@ -59,11 +64,12 @@ def _empty_wire(n_shards: int) -> list[WireChunks]:
 
 
 class ShardCore(FastEngine):
-    """A ``FastEngine`` over one id-range block, driven in phases."""
+    """A ``FastEngine`` over one id-range block of a borrowed state."""
 
     def __init__(
         self,
-        states: Iterable[NodeState],
+        soa: SoAState,
+        stats: MessageStats,
         config: ProtocolConfig | None = None,
         *,
         edges: np.ndarray,
@@ -72,9 +78,13 @@ class ShardCore(FastEngine):
     ) -> None:
         # Coalescing-set semantics are load-bearing: canonical content
         # order is what lets the coordinator scatter one global key array.
-        super().__init__(states, config, dedup=True, sanitize=sanitize)
+        super().__init__(soa, config, dedup=True, sanitize=sanitize, stats=stats)
         self.edges = np.ascontiguousarray(edges, dtype=np.float64)
         self.shard = int(shard)
+        # The block is ids in [lo, hi): the side owner_of cuts on.
+        self._block = np.concatenate(([-np.inf], self.edges, [np.inf]))[
+            self.shard : self.shard + 2
+        ]
         self._pre: PreparedInbox | None = None
         self._round_inbox: RoundInbox | None = None
         self._groups: list[WaveGroup] = []
@@ -317,8 +327,14 @@ class ShardCore(FastEngine):
     # ------------------------------------------------------------------
     # Phase 5 — finish
     # ------------------------------------------------------------------
+    def _regular_rows(self) -> np.ndarray:
+        """The live rows of this block, ascending by identifier."""
+        ids, idx = self.soa.sorted_live()
+        lo, hi = np.searchsorted(ids, self._block)
+        return idx[lo:hi]
+
     def finish_round(self) -> dict[str, Any]:
-        """Run the remaining groups + regular action; report counts."""
+        """Run the remaining groups + regular action; report the block."""
         inbox = self._round_inbox
         if inbox is not None:
             while self._cursor < len(self._groups):
@@ -329,11 +345,8 @@ class ShardCore(FastEngine):
         self._round_inbox = None
         self._groups = []
         self._run_regular(self._local_rng)
-        report: dict[str, Any] = {
-            "counts": self.outbox.drain_counts(),
-            "pending": self.outbox.pending_total(),
-            "n_live": self.soa.n_live,
-        }
+        self.outbox.flush_stats()
+        report: dict[str, Any] = {"n_live": len(self._regular_rows())}
         profiler = self.profiler
         if profiler is not None:
             # Piggyback this round's telemetry delta on the report the
@@ -349,37 +362,3 @@ class ShardCore(FastEngine):
             self._rows_routed = 0
             self._rows_in = 0
         return report
-
-    # ------------------------------------------------------------------
-    # Membership / introspection endpoints (coordinator-invoked)
-    # ------------------------------------------------------------------
-    def remove_and_scrub(
-        self, owned: np.ndarray, victims: np.ndarray
-    ) -> int:
-        """Apply one global departure batch to this shard.
-
-        *owned* are the victims whose rows live here (tombstoned); every
-        shard additionally drops/purges staged rows and scrubs stored
-        references against the full *victims* set (ascending, the order
-        the ``d <= m`` drop accounting is defined against).  Returns the
-        counted drops.
-        """
-        if len(owned):
-            self.soa.remove_batch(owned)
-        dropped = self.outbox.drop_and_purge_batch(victims)
-        self.soa.scrub_departed_many(victims)
-        self.soa.maybe_compact()
-        return dropped
-
-    def export_columns(self) -> tuple[np.ndarray, ...]:
-        """Live columns in ascending-id order (merged-view gather)."""
-        s = self.soa
-        _, idx = s.sorted_live()
-        return (
-            s.ids[idx],
-            s.l[idx],
-            s.r[idx],
-            s.lrl[idx],
-            s.ring[idx],
-            s.age[idx],
-        )

@@ -1,10 +1,11 @@
-"""The sharded SoA engine: coordinator + merged facade.
+"""The sharded SoA engine: one state, a coordinator, per-block cores.
 
 :class:`ShardedEngine` presents the :class:`FastEngine` surface
 (``execute_round``, ``join_batch``/``leave_batch``, ``state_snapshot``,
-``pending_messages``, the ``soa`` column facade) over a set of
-:class:`~repro.sim.fast.shard.core.ShardCore` blocks, all in this process
-(docs/PERF.md §8).
+``pending_messages``, ``soa``) and owns the one
+:class:`~repro.sim.fast.soa.SoAState` and ``MessageStats``; each
+:class:`~repro.sim.fast.shard.core.ShardCore` borrows both and runs an
+id-range block of the round into its own outbox (docs/PERF.md §8).
 
 **Bit-identity contract.**  Given id-sorted initial states, a sharded run
 replays the unsharded ``FastEngine`` trajectory *bit-for-bit at any
@@ -20,17 +21,19 @@ over globally-ordered rows:
   unsharded kernel would draw, and scatters the slices into
   :meth:`Kernels.move_forget`.
 
-Joins append slots out of id order (exactly as the unsharded engine
-appends), after which the slot orders of a sharded and an unsharded run
-are no longer aligned and their key assignments diverge — still the same
-distribution, no longer the same trajectory.  Departures preserve
-alignment (tombstoning and compaction keep relative slot order).
+Joins append slots out of id order (the same slots the unsharded engine
+appends), after which the unsharded canonical order — slot-major over all
+rows — is no longer the shard-ascending concatenation of the per-block
+orders, and the key assignments diverge at two or more shards: still the
+same distribution, no longer the same trajectory (each shard count's own
+trajectory is pinned by digest in ``tests/test_sharded_engine.py``).
+Departures preserve alignment (tombstoning and compaction keep relative
+slot order).
 
 Not supported here: multiset (``dedup=False``) delivery, wire faults
-(``ChaosFastEngine``), wave-dispatch faults, event tracing, and the state
-faults ``corrupt_random_pointers`` / ``crash_restart`` (``soa`` is a merged
-*copy* of the shards' columns; a scatter into it changes no shard).  Churn
-storms compose unchanged — they drive the membership surface.
+(``ChaosFastEngine``), wave-dispatch faults and event tracing.  State
+faults and churn storms compose unchanged — they drive ``soa`` and the
+membership surface.
 """
 
 from __future__ import annotations
@@ -42,27 +45,20 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.protocol import ProtocolConfig
-from repro.core.state import NodeState, StateTuple
+from repro.core.state import NodeState
 from repro.sim.fast.batched import join_batch_rows, leave_batch_victims
-from repro.sim.fast.buffers import N_TYPES, TYPE_OF_CODE, draw_delivery_keys
+from repro.sim.fast.buffers import draw_delivery_keys
 from repro.sim.fast.predicates import SoAHost
 from repro.sim.fast.shard.core import ShardCore
-from repro.sim.fast.shard.partition import owner_of, partition_edges
-from repro.sim.fast.soa import lookup_sorted, snapshot_rows, states_of_rows
+from repro.sim.fast.shard.partition import partition_edges
+from repro.sim.fast.soa import SoAState
 from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.messages import Message
     from repro.obs.profile import PhaseProfiler
 
-__all__ = ["MergedSoAView", "ShardedEngine"]
-
-
-_NO_STATE_FAULTS = (
-    "state faults are not supported on the sharded engine: its soa is a "
-    "merged copy of the shards' columns, so a scatter into it changes "
-    "nothing; run them on engine='fast'"
-)
+__all__ = ["ShardedEngine"]
 
 
 def _concat_pairs(
@@ -72,57 +68,6 @@ def _concat_pairs(
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),
     )
-
-
-class MergedSoAView:
-    """Read-only merged columns over all shards, ascending by id.
-
-    Duck-types the slice of :class:`~repro.sim.fast.soa.SoAState` the
-    predicates, experiments and exports read (``sorted_live``, ``lookup``,
-    the column arrays, ``snapshot``, ``to_states``).  Indices returned by
-    :meth:`sorted_live`/:meth:`lookup` address the merged arrays, which
-    hold live rows only.
-    """
-
-    __slots__ = ("age", "ids", "l", "lrl", "r", "ring")
-
-    def __init__(self, columns: list[tuple[np.ndarray, ...]]) -> None:
-        ids, l, r, lrl, ring, age = (
-            np.concatenate([part[i] for part in columns])
-            for i in range(6)
-        )
-        self.ids = ids
-        self.l = l
-        self.r = r
-        self.lrl = lrl
-        self.ring = ring
-        self.age = age
-
-    @property
-    def n_live(self) -> int:
-        return len(self.ids)
-
-    def sorted_live(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.ids, np.arange(len(self.ids), dtype=np.int64)
-
-    def lookup(self, dest_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return lookup_sorted(*self.sorted_live(), dest_ids)
-
-    def live_ids_list(self) -> list[float]:
-        return self.ids.tolist()
-
-    def __contains__(self, nid: float) -> bool:
-        _, found = self.lookup(np.asarray([nid], dtype=np.float64))
-        return bool(found[0])
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def snapshot(self) -> dict[float, StateTuple]:
-        return snapshot_rows(self, self.sorted_live()[1])
-
-    def to_states(self) -> list[NodeState]:
-        return states_of_rows(self, self.sorted_live()[1])
 
 
 class ShardedEngine(SoAHost):
@@ -150,32 +95,30 @@ class ShardedEngine(SoAHost):
                 "the sharded engine does not support event tracing; "
                 "use the reference engine for trace-based tests"
             )
-        # Id-sorted slot assignment keeps the global canonical inbox order
-        # aligned with a unsharded FastEngine built from the same
-        # (sorted) states — the bit-identity precondition.
+        # Id-sorted slot assignment is the slot order an unsharded
+        # FastEngine built from the same (sorted) states gets — the
+        # bit-identity precondition.
         ordered = sorted(states, key=lambda s: s.id)
         if not ordered:
             raise ValueError("the sharded engine needs at least one node")
         self.config = cfg
         self.dedup = True
+        self.soa = SoAState.from_states(ordered)
         self.stats = MessageStats(keep_history=keep_history)
         self.dropped = 0
-        ids_sorted = np.array([s.id for s in ordered], dtype=np.float64)
-        self.shards = max(1, min(int(shards), len(ordered)))
-        self.edges = partition_edges(ids_sorted, self.shards)
-        owner = owner_of(ids_sorted, self.edges)
-        parts: list[list[NodeState]] = [[] for _ in range(self.shards)]
-        for state, shard in zip(ordered, owner):
-            parts[shard].append(state)
+        self.shards = min(int(shards), len(ordered))
+        self.edges = partition_edges(self.soa.sorted_live()[0], self.shards)
         self.cores = [
-            ShardCore(part, cfg, edges=self.edges, shard=i, sanitize=sanitize)
-            for i, part in enumerate(parts)
+            ShardCore(
+                self.soa, self.stats, cfg,
+                edges=self.edges, shard=i, sanitize=sanitize,
+            )
+            for i in range(self.shards)
         ]
         self._maf = cfg.move_and_forget
-        self._profiler: PhaseProfiler | None = None
+        #: The coordinator's round-phase profiler (obs-installed).
+        self.profiler: PhaseProfiler | None = None
         self._shard_sink: Any = None
-        self._view: MergedSoAView | None = None
-        self._n_live = len(ordered)
 
     # ------------------------------------------------------------------
     # Round execution
@@ -189,7 +132,7 @@ class ShardedEngine(SoAHost):
         ``execute_round`` — ``repro obs phases`` checks that the sum
         accounts for ≥ 95% of the measured round time.
         """
-        profiler = self._profiler
+        profiler = self.profiler
         if profiler is None:
             return None
         t_last = time.perf_counter()
@@ -217,7 +160,6 @@ class ShardedEngine(SoAHost):
         reslrl pause points), and ``merge`` (report folding) —
         the attribution ``repro obs phases`` reports.
         """
-        self._view = None
         n = self.shards
         mark = self._phase_marker()
         cores = self.cores
@@ -279,21 +221,12 @@ class ShardedEngine(SoAHost):
         if mark is not None:
             mark("dispatch")
         sink = self._shard_sink
-        totals = [0] * N_TYPES
-        live = 0
-        for shard, report in enumerate(finished):
-            for code, count in enumerate(report["counts"]):
-                totals[code] += count
-            live += report["n_live"]
-            if sink is not None:
+        if sink is not None:
+            for shard, report in enumerate(finished):
                 telemetry = report.get("telemetry")
                 if telemetry is not None:
                     sink.fold(shard, telemetry)
                 sink.live_nodes(shard, report["n_live"])
-        for code, count in enumerate(totals):
-            if count:
-                self.stats.record_sends(TYPE_OF_CODE[code], count)
-        self._n_live = live
         if mark is not None:
             mark("merge")
 
@@ -313,63 +246,25 @@ class ShardedEngine(SoAHost):
 
     def join_batch(self, new_ids: np.ndarray, contact_ids: np.ndarray) -> int:
         """Batched join with the ``FastEngine.join_batch`` contract."""
-        rows = join_batch_rows(new_ids, contact_ids, self._has_ids)
-        k = len(rows[0])
-        if k == 0:
-            return 0
-        owner = owner_of(rows[0], self.edges)
-        for shard, core in enumerate(self.cores):
-            m = owner == shard
-            core.soa.add_batch(*(col[m] for col in rows))
-        self._view = None
-        self._n_live += k
-        return k
+        rows = join_batch_rows(new_ids, contact_ids, self.soa)
+        self.soa.add_batch(*rows)
+        return len(rows[0])
 
     def leave_batch(self, node_ids: np.ndarray) -> int:
         """Batched departure with the ``FastEngine.leave_batch`` contract."""
-        victims = leave_batch_victims(node_ids, self._has_ids)
-        k = len(victims)
-        if k == 0:
+        victims = leave_batch_victims(node_ids, self.soa)
+        if len(victims) == 0:
             return 0
-        owner = owner_of(victims, self.edges)
-        for shard, core in enumerate(self.cores):
-            self.dropped += core.remove_and_scrub(
-                victims[owner == shard], victims
-            )
-        self._view = None
-        self._n_live -= k
-        return k
-
-    def _has_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Global liveness mask for *ids* (each checked on its owner)."""
-        owner = owner_of(ids, self.edges)
-        out = np.zeros(len(ids), dtype=bool)
-        for shard, core in enumerate(self.cores):
-            m = owner == shard
-            out[m] = core.has_ids(ids[m])
-        return out
+        self.soa.remove_batch(victims)
+        for core in self.cores:
+            self.dropped += core.outbox.drop_and_purge_batch(victims)
+        self.soa.scrub_departed_many(victims)
+        self.soa.maybe_compact()
+        return len(victims)
 
     # ------------------------------------------------------------------
     # FastEngine surface: introspection
     # ------------------------------------------------------------------
-    @property
-    def soa(self) -> MergedSoAView:
-        """Merged live columns, rebuilt lazily after each round/churn op."""
-        view = self._view
-        if view is None:
-            view = MergedSoAView([core.export_columns() for core in self.cores])
-            self._view = view
-        return view
-
-    @property
-    def profiler(self) -> "PhaseProfiler | None":
-        """The coordinator's round-phase profiler (obs-installed)."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value: "PhaseProfiler | None") -> None:
-        self._profiler = value
-
     @property
     def shard_sink(self) -> Any:
         """Per-shard telemetry sink (:class:`repro.obs.shard
@@ -394,13 +289,6 @@ class ShardedEngine(SoAHost):
         """The coordinator itself runs no kernels (cores sanitize locally)."""
         return None
 
-    def state_snapshot(self) -> dict[float, StateTuple]:
-        """Canonical per-node snapshot (differential-harness contract)."""
-        merged: dict[float, StateTuple] = {}
-        for core in self.cores:
-            merged.update(core.state_snapshot())
-        return merged
-
     def pending_total(self) -> int:
         return sum(core.pending_total() for core in self.cores)
 
@@ -420,23 +308,6 @@ class ShardedEngine(SoAHost):
         raise NotImplementedError(
             "wave-dispatch faults are not supported on the sharded engine"
         )
-
-    def corrupt_random_pointers(self, *args: object, **kwargs: object) -> int:
-        raise NotImplementedError(_NO_STATE_FAULTS)
-
-    def crash_restart(self, node_ids: object) -> None:
-        raise NotImplementedError(_NO_STATE_FAULTS)
-
-    def __contains__(self, node_id: float) -> bool:
-        return bool(self._has_ids(np.asarray([node_id], dtype=np.float64))[0])
-
-    def __len__(self) -> int:
-        return self._n_live
-
-    @property
-    def ids(self) -> list[float]:
-        """All current node identifiers, sorted ascending."""
-        return self.soa.live_ids_list()
 
     def __repr__(self) -> str:
         return (

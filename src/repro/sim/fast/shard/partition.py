@@ -29,10 +29,10 @@ def partition_edges(sorted_ids: np.ndarray, shards: int) -> np.ndarray:
     (requires ``1 <= shards <= len(sorted_ids)``).
     """
     n = len(sorted_ids)
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
-    if shards > n:
-        raise ValueError(f"cannot split {n} nodes into {shards} shards")
+    if not 1 <= shards <= n:
+        raise ValueError(
+            f"cannot split {n} nodes into {shards} shards; accepted: 1..{n}"
+        )
     cuts = [(k * n) // shards for k in range(1, shards)]
     return np.ascontiguousarray(sorted_ids[cuts], dtype=np.float64)
 

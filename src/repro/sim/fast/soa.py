@@ -30,71 +30,16 @@ against the reference engine.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from typing import Any
 
 import numpy as np
 
 from repro.core.state import NodeState, StateTuple
 from repro.ids import NEG_INF, POS_INF
 
-__all__ = ["SoAState", "lookup_sorted", "snapshot_rows", "states_of_rows"]
+__all__ = ["SoAState"]
 
 #: Initial slot capacity for an empty container.
 _MIN_CAPACITY = 16
-
-
-# ----------------------------------------------------------------------
-# Reads over ``(sorted ids, idx, columns)`` — shared by :class:`SoAState`
-# and the sharded engine's merged view, which differ only in how they
-# come by the sorted ids and the row indices behind them.
-# ----------------------------------------------------------------------
-def lookup_sorted(
-    ids: np.ndarray, idx: np.ndarray, dest_ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve *dest_ids* against ascending *ids* with row indices *idx*.
-
-    Returns ``(idx, found)``; the index is undefined where ``found`` is
-    false.
-    """
-    if len(ids) == 0:
-        found = np.zeros(len(dest_ids), dtype=bool)
-        return np.zeros(len(dest_ids), dtype=np.int64), found
-    pos = np.minimum(np.searchsorted(ids, dest_ids), len(ids) - 1)
-    return idx[pos], ids[pos] == dest_ids
-
-
-def snapshot_rows(cols: Any, idx: np.ndarray) -> dict[float, StateTuple]:
-    """Canonical :data:`StateTuple` of rows *idx* of *cols*, in that order."""
-    out: dict[float, StateTuple] = {}
-    for i in idx:
-        ring = cols.ring[i]  # repro-lint: ignore[scalar-loop-over-soa] boundary export to per-node dicts is inherently scalar; not on the round hot path
-        out[float(cols.ids[i])] = (
-            float(cols.ids[i]),
-            float(cols.l[i]),
-            float(cols.r[i]),
-            float(cols.lrl[i]),
-            None if np.isnan(ring) else float(ring),
-            int(cols.age[i]),
-        )
-    return out
-
-
-def states_of_rows(cols: Any, idx: np.ndarray) -> list[NodeState]:
-    """Rows *idx* of *cols* as reference ``NodeState`` objects."""
-    states = []
-    for i in idx:
-        ring = cols.ring[i]  # repro-lint: ignore[scalar-loop-over-soa] boundary export to NodeState objects is inherently scalar; not on the round hot path
-        states.append(
-            NodeState(
-                id=float(cols.ids[i]),
-                l=float(cols.l[i]),
-                r=float(cols.r[i]),
-                lrl=float(cols.lrl[i]),
-                ring=None if np.isnan(ring) else float(ring),
-                age=int(cols.age[i]),
-            )
-        )
-    return states
 
 
 class SoAState:
@@ -367,18 +312,47 @@ class SoAState:
         ``found`` is false — messages to unknown identifiers are dropped by
         the caller, mirroring ``Network.send``).
         """
-        return lookup_sorted(*self.sorted_live(), dest_ids)
+        ids, idx = self.sorted_live()
+        if len(ids) == 0:
+            found = np.zeros(len(dest_ids), dtype=bool)
+            return np.zeros(len(dest_ids), dtype=np.int64), found
+        pos = np.minimum(np.searchsorted(ids, dest_ids), len(ids) - 1)
+        return idx[pos], ids[pos] == dest_ids
 
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[float, StateTuple]:
         """Canonical snapshot of every live node (docs/PERF.md contract)."""
-        return snapshot_rows(self, self.sorted_live()[1])
+        out: dict[float, StateTuple] = {}
+        for i in self.sorted_live()[1]:
+            ring = self.ring[i]  # repro-lint: ignore[scalar-loop-over-soa] boundary export to per-node dicts is inherently scalar; not on the round hot path
+            out[float(self.ids[i])] = (
+                float(self.ids[i]),
+                float(self.l[i]),
+                float(self.r[i]),
+                float(self.lrl[i]),
+                None if np.isnan(ring) else float(ring),
+                int(self.age[i]),
+            )
+        return out
 
     def to_states(self) -> list[NodeState]:
         """Export every live node as a reference ``NodeState`` (ascending)."""
-        return states_of_rows(self, self.sorted_live()[1])
+        states = []
+        for i in self.sorted_live()[1]:
+            ring = self.ring[i]  # repro-lint: ignore[scalar-loop-over-soa] boundary export to NodeState objects is inherently scalar; not on the round hot path
+            states.append(
+                NodeState(
+                    id=float(self.ids[i]),
+                    l=float(self.l[i]),
+                    r=float(self.r[i]),
+                    lrl=float(self.lrl[i]),
+                    ring=None if np.isnan(ring) else float(ring),
+                    age=int(self.age[i]),
+                )
+            )
+        return states
 
     # ------------------------------------------------------------------
     # Churn support

@@ -12,10 +12,8 @@ Each call has one body per data representation — node objects
 (:mod:`repro.graphs.predicates`, :mod:`repro.sim.invariants`,
 :mod:`repro.sim.faults`, :mod:`repro.churn`) and SoA columns
 (:mod:`repro.sim.fast.predicates`, :mod:`repro.sim.fast.chaos`) — never
-one per caller.  A host that cannot honour a call raises
-``NotImplementedError`` (the sharded engine's state faults); none answers
-with an ``AttributeError`` or a silent no-op
-(``tests/test_host_surface.py``).
+one per caller.  Every host answers every call; none answers with an
+``AttributeError`` or a silent no-op (``tests/test_host_surface.py``).
 """
 
 from __future__ import annotations

@@ -293,6 +293,29 @@ class TestCli:
         assert "'bogus'" in line
         assert line.split("accepted: ")[1] == ", ".join(accepted)
 
+    @pytest.mark.parametrize("shards", ["0", "-3", "two"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "e22", "engine=sharded", "sizes=96", "queries=20"],
+            ["serve", "n=64", "engine=sharded"],
+        ],
+        ids=["run", "serve"],
+    )
+    def test_bad_shard_count(self, capsys, argv, shards):
+        """``shards=0`` used to run one shard, exit 0 and leave ``shards: 0``
+        in the result params and the manifest."""
+        try:
+            code = main([*argv, f"shards={shards}"])
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert f"shards={shards}" in line.replace("'", "")
+        assert "accepted: an integer >= 1" in line
+
     def test_python_dash_m_repro(self):
         """``python -m repro`` is the console script (needs ``__main__.py``)."""
         env = dict(os.environ)

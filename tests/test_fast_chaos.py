@@ -209,25 +209,6 @@ class TestFailLoudlyContracts:
         with pytest.raises(TypeError, match="wave structure"):
             fault.on_window_start(sim)
 
-    def test_engine_support_registry_covers_every_injector(self):
-        """Ratchet: a new FaultInjector subclass cannot ship without a
-        documented batched-engine story in ENGINE_SUPPORT."""
-        import repro.sim.chaos.injectors as injectors_mod
-        from repro.sim.fast.chaos.support import ENGINE_SUPPORT, engine_story
-
-        subclasses = {
-            name
-            for name in injectors_mod.__all__
-            if isinstance(getattr(injectors_mod, name), type)
-            and issubclass(getattr(injectors_mod, name), FaultInjector)
-            and getattr(injectors_mod, name) is not FaultInjector
-        }
-        assert subclasses <= set(ENGINE_SUPPORT), (
-            f"injectors missing a batched story: "
-            f"{sorted(subclasses - set(ENGINE_SUPPORT))}"
-        )
-        assert engine_story(SchedulerFault).startswith("round-window hook")
-
     def test_unknown_e21_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             e21_chaos.run_campaign(

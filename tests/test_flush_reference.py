@@ -238,7 +238,8 @@ def test_auto_compact_delivers_the_same_inbox(code) -> None:
             else:
                 outbox.send(code, dest, a, origin=a)
         assert (len(outbox._chunks[code]) < len(batches)) == auto_compact
-        assert outbox.drain_counts()[code] == len(batches) * Outbox.COMPACT_MIN // 4
+        outbox.flush_stats()
+        assert outbox.stats.total == len(batches) * Outbox.COMPACT_MIN // 4
         inbox, dropped = build_inbox(
             outbox.take_all(), soa.lookup, np.random.default_rng(5), dedup=True
         )

@@ -3,10 +3,11 @@
 Every host ``make_simulator`` can build — plus the two mirror oracles
 ``FastSimulator.from_states`` keeps for the differential tests — is built
 from the same states as a reference ``Network`` and asked every ``Host``
-call.  Each call either agrees with the reference or raises
-``NotImplementedError``: never ``AttributeError`` (the monitors used to die
-on the sharded and plain-mirror hosts), never a silent no-op (the sharded
-engine's state faults used to report work and do none).
+call.  Each call agrees with the reference: never ``AttributeError`` (the
+monitors used to die on the sharded and plain-mirror hosts), never a
+silent no-op (the sharded engine's state faults used to report work and
+do none).  Every fault injector is then run on every host: it perturbs the
+host or raises the documented refusal.
 """
 
 from __future__ import annotations
@@ -21,13 +22,26 @@ import pytest
 import repro
 from repro.graphs.build import stable_ring_states
 from repro.ids import generate_ids
-from repro.sim.chaos.injectors import CrashRestart, PointerCorruption
+import repro.sim.chaos.injectors as injectors_mod
+from repro.sim.adversary import StarvationAdversary
+from repro.sim.chaos.campaign import ChaosCampaign
+from repro.sim.chaos.injectors import (
+    CrashRestart,
+    FaultInjector,
+    MessageDelay,
+    MessageDuplication,
+    MessageLoss,
+    NodeChurn,
+    PointerCorruption,
+    SchedulerFault,
+)
 from repro.sim.chaos.monitors import (
     ConvergenceProbe,
     PartitionDetector,
     SafetyProbe,
     WeakConnectivityWatchdog,
 )
+from repro.sim.chaos.plan import FaultPlan
 from repro.sim.fast import FastSimulator
 from repro.sim.host import ENGINES, make_simulator
 from repro.sim.invariants import InvariantViolation
@@ -46,9 +60,6 @@ BUILDERS = {
     "mirror": lambda s: FastSimulator.from_states(s, mode="mirror", rng=5),
     "mirror+wire": lambda s: FastSimulator.from_states(s, mode="mirror-chaos", rng=5),
 }
-
-#: Hosts whose ``soa`` is a merged copy: state faults must refuse.
-NO_STATE_FAULTS = {"sharded"}
 
 
 def _states(kind: str):
@@ -148,16 +159,8 @@ def test_membership_agrees_with_reference(pair):
 
 
 def test_state_faults_agree_with_reference_or_refuse(pair):
-    name, reference, sim = pair
+    _, reference, sim = pair
     victims = reference.host.ids[2:5]
-    if name in NO_STATE_FAULTS:
-        before = sim.host.state_snapshot()
-        with pytest.raises(NotImplementedError, match="merged copy"):
-            sim.host.corrupt_random_pointers(0.5, np.random.default_rng(3))
-        with pytest.raises(NotImplementedError, match="merged copy"):
-            sim.host.crash_restart(victims)
-        assert sim.host.state_snapshot() == before
-        return
     before = sim.host.state_snapshot()
     for host in (reference.host, sim.host):
         assert host.corrupt_random_pointers(0.5, np.random.default_rng(3)) == N // 2
@@ -172,16 +175,91 @@ def test_state_faults_agree_with_reference_or_refuse(pair):
         assert restarted[nid][1:] == (-np.inf, np.inf, nid, None, 0)
 
 
-def test_state_fault_injectors_refuse_on_the_sharded_engine(states):
-    """At the parent these reported 12 corrupted / 8 crashed and changed
-    no row: the scatter went into the merged copy of the columns."""
-    sim = make_simulator(states, engine="sharded", rng=5)
-    before = sim.host.state_snapshot()
-    for injector in (PointerCorruption(fraction=0.5), CrashRestart(count=8)):
-        injector.bind(np.random.default_rng(0))
-        with pytest.raises(NotImplementedError):
+def test_state_fault_injectors_agree_on_the_sharded_engine(states):
+    """Two commits back these reported 12 corrupted / 8 crashed on the
+    sharded engine and changed no row (the scatter went into a merged copy
+    of the shards' columns); one commit back they raised."""
+    snapshots = []
+    for engine in ENGINES:
+        sim = make_simulator(copy.deepcopy(states), engine=engine, rng=5)
+        for injector in (PointerCorruption(fraction=0.5), CrashRestart(count=8)):
+            injector.bind(np.random.default_rng(0))
             injector.on_round(sim)
-    assert sim.host.state_snapshot() == before
+        snapshots.append(sim.host.state_snapshot())
+    assert snapshots[0] == snapshots[1] == snapshots[2]
+    assert snapshots[0] != make_simulator(states).host.state_snapshot()
+
+
+#: Every exported injector, as a campaign would construct it.
+INJECTORS = {
+    "MessageLoss": lambda: MessageLoss(rate=0.5),
+    "MessageDuplication": lambda: MessageDuplication(rate=0.5),
+    "MessageDelay": lambda: MessageDelay(max_delay=3),
+    "PointerCorruption": lambda: PointerCorruption(fraction=0.5),
+    "CrashRestart": lambda: CrashRestart(count=8),
+    "NodeChurn": lambda: NodeChurn(join_probability=1.0, leave_probability=1.0),
+    # The scheduler is what a reference simulator swaps in; the batched
+    # engines ignore it and perturb their wave dispatch instead.
+    "SchedulerFault": lambda: SchedulerFault(
+        StarvationAdversary(slow_fraction=0.5, period=3), starvation=0.25
+    ),
+}
+
+#: Exact copies coalesce in the coalescing-set channel every host of
+#: BUILDERS runs (DESIGN.md §4.7): the hook draws, the overlay never knows.
+ABSORBED = "absorbed"
+
+
+def _cell(injector: str, host: str) -> type[Exception] | str | None:
+    """The documented refusals (docs/CHAOS.md); ``None``: the host is
+    perturbed."""
+    if injector.startswith("Message") and not host.endswith("+wire"):
+        return TypeError  # wire faults need make_simulator(wire=True)
+    if injector == "SchedulerFault" and host.startswith("mirror"):
+        return TypeError  # scalar replay: no waves to perturb
+    if injector == "SchedulerFault" and host == "sharded":
+        return NotImplementedError  # set_wave_fault
+    return ABSORBED if injector == "MessageDuplication" else None
+
+
+def test_every_exported_injector_is_in_the_matrix():
+    exported = {
+        name
+        for name in injectors_mod.__all__
+        if isinstance(getattr(injectors_mod, name), type)
+        and issubclass(getattr(injectors_mod, name), FaultInjector)
+    }
+    assert set(INJECTORS) == exported - {"FaultInjector"}
+
+
+def _trajectory(sim) -> tuple:
+    host = sim.host
+    return host.state_snapshot(), host.stats.total, host.dropped, host.pending_total()
+
+
+@pytest.mark.parametrize("host", sorted(BUILDERS))
+@pytest.mark.parametrize("injector", sorted(INJECTORS))
+def test_injector_perturbs_the_host_or_refuses(injector, host):
+    """One short fault window of every injector on every host."""
+    states = _states("line")
+    sim = BUILDERS[host](copy.deepcopy(states))
+    fault = INJECTORS[injector]()
+    plan = FaultPlan(seed=3).schedule(fault, start=1, stop=4, label=injector)
+    cell = _cell(injector, host)
+    if isinstance(cell, type):
+        with pytest.raises(cell):
+            ChaosCampaign(sim, plan).run(6)
+        return
+    unused = copy.deepcopy(fault.rng.bit_generator.state)
+    assert ChaosCampaign(sim, plan).run(6).rounds == 6
+    control = BUILDERS[host](copy.deepcopy(states))
+    control.run(6)
+    if cell == ABSORBED:
+        assert fault.rng.bit_generator.state != unused
+        assert _trajectory(sim) == _trajectory(control)
+    else:
+        assert _trajectory(sim) != _trajectory(control)
+    sim.host.check_invariants(check_membership=False)
 
 
 @pytest.mark.parametrize(

@@ -370,6 +370,39 @@ class TestHarnessAndCli:
         assert obs_main(["tail", str(out), "-n", "3"]) == 0
         capsys.readouterr()
 
+    def test_crashed_run_is_recorded_as_failed(self, tmp_path, capsys):
+        """``make_simulator`` refuses a wire on the sharded engine; that
+        run's manifest used to validate with ``result: null`` and summarize
+        as ``run: e22  [finished]``, 0 rounds, exit 0."""
+        from repro.cli import main
+
+        out = tmp_path / "obs"
+        argv = "run e22 engine=sharded loss_rate=0.2 sizes=96 queries=20".split()
+        with pytest.raises(ValueError, match="no wire transport"):
+            main([*argv, f"obs={out}"])
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert validate_manifest(manifest) == []
+        assert manifest["status"] == "failed" and manifest["result"] is None
+        assert manifest["error"].startswith("ValueError: engine='sharded'")
+        assert obs_main(["summarize", str(out)]) == 1
+        assert "run: e22  [failed: ValueError: " in capsys.readouterr().out
+        # A manifest recorded before the fields existed reads as finished;
+        # one with a status nobody writes does not validate.
+        del manifest["status"], manifest["error"]
+        assert validate_manifest(manifest) == []
+        manifest["status"] = "vanished"
+        assert any("unknown status" in p for p in validate_manifest(manifest))
+
+    def test_interrupted_run_is_recorded_as_interrupted(self, tmp_path, capsys):
+        def interrupted(**params):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            instrumented_run(interrupted, {}, str(tmp_path), experiment="tiny")
+        assert obs_main(["summarize", str(tmp_path)]) == 1
+        assert "[interrupted: KeyboardInterrupt: ]" in capsys.readouterr().out
+
     def test_validate_flags_truncated_stream(self, tmp_path, capsys):
         out = tmp_path / "obs"
         observer = run_observer(str(out), experiment="tiny")

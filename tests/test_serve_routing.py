@@ -7,7 +7,7 @@ paper's probr/probl:
   against the deterministic probe replay
   (:func:`repro.routing.paths.probe_path_hops`) on the converged
   overlay — for the reference states, the batched engine, and the
-  sharded engine's merged view;
+  sharded engine;
 * a Hypothesis sweep of the Lemma 4.23 hypothesis: greedy hops on the
   Fact 4.21 stationary overlay stay within the rank distance
   (structural) and, on average, within ``c·ln^{2+ε} d``
@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.protocol import ProtocolConfig
+from repro.core.state import NodeState
 from repro.graphs.build import stable_ring_states
 from repro.ids import generate_ids
 from repro.routing.greedy import lrl_ranks_from_states
@@ -94,6 +95,27 @@ class TestRouteView:
             np.testing.assert_array_equal(view.l_rank, reference.l_rank)
             np.testing.assert_array_equal(view.r_rank, reference.r_rank)
             np.testing.assert_array_equal(view.lrl_rank, reference.lrl_rank)
+
+    def test_sharded_engine_publishes_its_snapshot(self):
+        """One publish path on every engine: the sharded engine's view, with
+        slots out of rank order and tombstones between them, is the view of
+        its own ``state_snapshot()``."""
+        sim = FastSimulator.from_states(
+            _converged_states(64, 4), mode="sharded", shards=3, rng=5
+        )
+        engine, pick = sim.engine, np.random.default_rng(6)
+        sim.run(3)
+        engine.join_batch(pick.random(9), pick.choice(engine.ids, 9))
+        engine.leave_batch(pick.choice(engine.ids, 12, replace=False))
+        sim.run(2)
+        view = RouteView.from_engine(engine, sim.round_index)
+        reference = RouteView.from_states(
+            [NodeState(*row) for row in engine.state_snapshot().values()]
+        )
+        for column in ("ids", "l_rank", "r_rank", "lrl_rank", "sc_right", "sc_left"):
+            np.testing.assert_array_equal(
+                getattr(view, column), getattr(reference, column)
+            )
 
 
 # ----------------------------------------------------------------------

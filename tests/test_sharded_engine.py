@@ -3,11 +3,13 @@
 The bit-identity trajectory tests live in the conformance matrix
 (tests/test_engine_conformance.py) and the hypothesis sweep
 (tests/test_property_sharded.py); this module pins the facade itself —
-construction validation, the membership contract and the merged column
-view.
+construction validation, the membership contract, the one shared state,
+and the churn trajectories where sharded ≠ batched.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.core.protocol import ProtocolConfig
 from repro.sim.fast.batched import FastEngine
 from repro.sim.fast.engine import FastSimulator
 from repro.sim.fast.shard import ShardedEngine, owner_of, partition_edges
+from repro.sim.fast.soa import SoAState
 from repro.sim.trace import Trace
 from repro.topology.generators import TOPOLOGIES
 
@@ -56,6 +59,13 @@ def test_shards_clamped_to_population():
     engine = ShardedEngine(_states(3), shards=8)
     assert engine.shards == 3
     assert len(engine) == 3
+
+
+@pytest.mark.parametrize("shards", [0, -3])
+def test_rejects_fewer_than_one_shard(shards):
+    """These used to run one shard and leave ``shards=0`` in the record."""
+    with pytest.raises(ValueError, match=r"accepted: 1\.\.8"):
+        ShardedEngine(_states(8), shards=shards)
 
 
 def test_partition_covers_every_id():
@@ -136,7 +146,7 @@ def test_join_matches_fast_at_op_boundary():
 
 
 # ----------------------------------------------------------------------
-# Merged column view
+# The ``soa`` facade (named for the merged per-shard view it once was)
 # ----------------------------------------------------------------------
 def test_merged_view_columns():
     engine = ShardedEngine(_states(32, seed=3), shards=4)
@@ -162,15 +172,66 @@ def test_merged_view_exports_match_snapshot():
     assert rebuilt.state_snapshot() == engine.state_snapshot()
 
 
-def test_view_invalidated_by_round_and_churn():
-    engine = ShardedEngine(_states(16, seed=6), shards=2)
-    before = engine.soa
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def test_cores_borrow_the_engine_state(shards):
+    engine = ShardedEngine(_states(16, seed=6), shards=shards)
+    soa = engine.soa
+    assert isinstance(soa, SoAState)
     engine.execute_round(np.random.default_rng(2))
-    after_round = engine.soa
-    assert after_round is not before
     engine.leave(engine.ids[0])
-    assert engine.soa is not after_round
-    assert len(engine.soa) == 15
+    assert engine.soa is soa and len(soa) == 15
+    assert all(
+        core.soa is soa and core.stats is engine.stats for core in engine.cores
+    )
+
+
+#: Recorded at 8299ab2, where every shard still owned a private state
+#: (``shards=1`` is the batched engine's digest there, too).
+CHURN_DIGESTS = {
+    1: "31230deefe3729cd0e65f2428ed15a37f217cd86fa7b656d01f8db68467aff6b",
+    2: "c21cf634648310a93df05b1ffec079a367c5cae54600bf7a4fec547e1cb84c7a",
+    3: "47b38aa5d2095121ef9a6c9224782ff64e72a670697f71d4b0c7b0c5943c5790",
+    4: "062e0d6cfa4db6b3cb5af2729f1d582ceb203695d4d063cc25afcc998e3fa6e5",
+}
+
+
+def _churn_digest(**engine) -> str:
+    sim = FastSimulator.from_states(
+        _states(96, topo="random_tree"), rng=77, **engine
+    )
+    host, pick = sim.engine, np.random.default_rng(78)
+    sim.run(12)
+    host.join_batch(pick.random(40), pick.choice(host.ids, 40))
+    sim.run(10)
+    host.leave_batch(pick.choice(host.ids, 60, replace=False))
+    sim.run(10)  # 60 tombstones of 136 slots: rounds over a holed state
+    host.leave_batch(pick.choice(host.ids, 20, replace=False))
+    assert host.soa.size == len(host) == 56  # 80 of 136: compacted
+    sim.run(6)
+    host.join(float(pick.random()), host.ids[3])
+    host.leave(host.ids[-2])
+    sim.run(8)
+    record = (
+        sorted(host.state_snapshot().items()),
+        sorted((t.name, c) for t, c in host.stats.totals_by_type.items()),
+        host.dropped,
+        host.pending_total(),
+        len(host),
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("shards", sorted(CHURN_DIGESTS))
+def test_churn_trajectory_digest(shards):
+    """Joins append slots out of id order, after which a sharded run is no
+    replay of the batched one and has no oracle but its own past: appends,
+    tombstones, compaction and the scalar ops must leave each shard count's
+    trajectory where it was."""
+    assert _churn_digest(mode="sharded", shards=shards) == CHURN_DIGESTS[shards]
+
+
+def test_churn_trajectory_one_shard_is_the_batched_engine():
+    assert _churn_digest(mode="batched") == CHURN_DIGESTS[1]
 
 
 # ----------------------------------------------------------------------
