@@ -6,8 +6,9 @@ The kernels build index sets by boolean masking:
 ``forget = ~keep``             … ``s.lrl[idx[forget]] = …``
 
 Two fancy-indexed stores into the same column are conflict-free when
-their masks are disjoint (assuming the base index vector holds unique
-destinations — the wave precondition the runtime sanitizer owns).  This
+their masks are disjoint (assuming the rows that store hold unique
+destinations — the precondition the runtime sanitizer owns: a writer
+window's index vector is unique, a read-only window stores nothing).  This
 module gives the static pass just enough propositional reasoning to
 *prove* disjointness in the common cases:
 

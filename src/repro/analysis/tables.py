@@ -16,6 +16,8 @@ def _fmt(value: object, precision: int) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
+        if value != value:
+            return "nan"
         if value == int(value) and abs(value) < 1e15:
             return str(int(value))
         return f"{value:.{precision}g}"

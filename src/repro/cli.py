@@ -112,6 +112,37 @@ def _door_error(
     return None
 
 
+def _number_error(
+    what: str,
+    signature: Mapping[str, inspect.Parameter],
+    params: Mapping[str, object],
+) -> str | None:
+    """The one-line refusal of a non-numeric value for a numeric parameter.
+
+    A parameter is numeric when its driver default is a number or a
+    tuple of numbers; ``sizes=abc`` used to reach the topology generator
+    as a string and ``seed=x`` to seed a run with one.
+    """
+
+    def numeric(value: object) -> bool:
+        return isinstance(value, (int, float))
+
+    for key, value in params.items():
+        default = signature[key].default
+        if isinstance(default, tuple) and default and all(map(numeric, default)):
+            parts = value if isinstance(value, tuple) else (value,)
+            if value == "" or all(map(numeric, parts)):
+                continue
+            accepted = "numbers separated by commas"
+        elif numeric(default) and not numeric(value):
+            accepted = "a number"
+        else:
+            continue
+        shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        return f"bad {what} {key}={shown}; accepted: {accepted}"
+    return None
+
+
 def _wrap_scalars(
     signature: Mapping[str, inspect.Parameter], params: dict[str, object]
 ) -> None:
@@ -146,7 +177,9 @@ def _run_one(experiment_id: str, params: dict[str, object]) -> None:
             file=sys.stderr,
         )
         raise SystemExit(2)
-    refusal = _door_error(spec.id, params, ENGINES)
+    refusal = _door_error(spec.id, params, ENGINES) or _number_error(
+        spec.id, signature, params
+    )
     if refusal is not None:
         print(refusal, file=sys.stderr)
         raise SystemExit(2)

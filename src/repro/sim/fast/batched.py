@@ -11,9 +11,16 @@ One round (the batched counterpart of
 1. **flush** — last round's outbox becomes this round's inbox: unresolvable
    destinations dropped (and counted), optional dedup, random delivery
    keys, wave ranks (:func:`~repro.sim.fast.buffers.build_inbox`);
-2. **receive** — waves are dispatched in ascending rank; within a wave each
-   destination holds at most one message, so every handler call is a
-   conflict-free vectorized kernel (:class:`~repro.sim.fast.kernels.Kernels`);
+2. **receive** — the *writer schedule*: the only order a round owes
+   anybody is each node's own delivery order, and only a row that stores
+   into its node has to wait for the rows before it.  :func:`writer_rows`
+   marks the rows that may store (a superset, decided up front), the token
+   walk of Algorithm 4 runs first (it reads and writes ``lrl``/``age``
+   only, which nothing else in the phase steers), and the inbox is then
+   dispatched by ``(writers before the row in its node, type)``: a
+   read-only group may hold a destination many times, a writer group holds
+   it at most once, and either way one group is one vectorized kernel call
+   (:class:`~repro.sim.fast.kernels.Kernels`, docs/PERF.md §2);
 3. **regular actions** — one batched ``sendid(); probing()`` over all live
    nodes.
 
@@ -29,8 +36,9 @@ both (docs/PERF.md).
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
-from typing import TYPE_CHECKING, Protocol, cast
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Protocol, cast
 
 import numpy as np
 
@@ -38,15 +46,14 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
 from repro.ids import NEG_INF, POS_INF, require_id
 from repro.sim.fast.buffers import (
-    INCLRL,
     LIN,
     PROBL,
     PROBR,
     RESLRL,
     RESRING,
-    RING,
     Outbox,
     RoundInbox,
+    _wave_check_enabled,
     build_inbox,
     stable_order,
 )
@@ -66,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.messages import Message
     from repro.obs.profile import PhaseProfiler
 
-__all__ = ["FastEngine", "KERNEL_NAMES", "WaveFault"]
+__all__ = ["FastEngine", "KERNEL_NAMES", "RoundPlan", "WaveFault", "writer_rows"]
 
 #: Kernel name per message-type code (profiling labels, docs/PERF.md).
 KERNEL_NAMES = (
@@ -82,6 +89,71 @@ KERNEL_NAMES = (
 
 #: One conflict-free dispatch unit: ``(type code, inbox row indices)``.
 WaveGroup = tuple[int, np.ndarray]
+
+
+def writer_rows(inbox: RoundInbox, soa: SoAState) -> np.ndarray:
+    """Mark the inbox rows that may store into their node this round.
+
+    A superset, decided from the start-of-round state.  Every ``reslrl``
+    and ``resring`` row counts.  A ``lin``/probe row stores only when it
+    adopts its payload, adoption only moves ``l`` up and ``r`` down, and
+    once a candidate ``c`` on the right has been handled ``r <= c`` holds
+    whether it was adopted or not: so such a row can adopt only if its
+    payload lies strictly inside the node's gap ``(l, r)`` on its side
+    of the node's id *and* is strictly closer than every earlier such
+    payload on that side.  Candidates this does not see (a forgotten
+    link, a replaced ring edge) only tighten the gap further.
+    """
+    tcode = inbox.tcode
+    idx = inbox.dest_idx.astype(np.int64)
+    a = inbox.a
+    writer = (tcode == RESLRL) | (tcode == RESRING)
+    own = soa.ids[idx]
+    right = a > own
+    # A probe repairs on its own side only; on the other it neither stores
+    # nor tightens the gap, so it is no candidate there.
+    lin = tcode == LIN
+    inside = np.where(
+        right,
+        (a < soa.r[idx]) & (lin | (tcode == PROBR)),
+        (a > soa.l[idx]) & (a < own) & (lin | (tcode == PROBL)),
+    )
+    rows = np.flatnonzero(inside)
+    if len(rows) == 0:
+        return writer
+    idx, a, right = idx[rows], a[rows], right[rows]
+    # Strict prefix records per (node, side) in one running minimum: the
+    # right-hand candidates in inbox order, then the left-hand ones, each
+    # keyed by its dense closeness rank under a head that falls from one
+    # node to the next, so a new node always undercuts the minimum so far.
+    sel = np.concatenate((np.flatnonzero(right), np.flatnonzero(~right)))
+    closeness = np.unique(np.where(right, a, -a)[sel], return_inverse=True)[1]
+    nodes = int(idx[-1]) + 1
+    head = (nodes * right[sel] + (nodes - 1)) - idx[sel]
+    packed = (head << np.int64(len(sel).bit_length())) | closeness
+    record = np.ones(len(sel), dtype=bool)
+    np.less(packed[1:], np.minimum.accumulate(packed)[:-1], out=record[1:])
+    writer[rows[sel[record]]] = True
+    return writer
+
+
+@dataclass
+class RoundPlan:
+    """One round's receive phase, scheduled (:meth:`FastEngine._plan_round`)."""
+
+    inbox: RoundInbox
+    #: Dispatch units in dispatch order.
+    groups: list[WaveGroup]
+    #: Per inbox row, whether it may store; ``None`` is "every row may".
+    writer: np.ndarray | None
+    #: The token walk's batches (inbox rows of ``reslrl``), in draw order.
+    batches: list[np.ndarray]
+    #: Slots holding a token this round, and their start-of-round ``lrl``.
+    token_slots: np.ndarray
+    token_lrl0: np.ndarray
+    #: Per inbox row (``reslrl`` rows only): what the walk recorded.
+    token_lrl: np.ndarray
+    token_forgot: np.ndarray
 
 
 class WaveFault(Protocol):
@@ -246,27 +318,90 @@ class FastEngine(SoAHost):
             profiler.add("flush", time.perf_counter() - t0)
         self.dropped += dropped
         if inbox is not None:
-            groups = self._wave_groups(inbox)
-            fault = self._wave_fault
-            if fault is not None:
-                groups, starved = fault.rewrite(groups)
-                for code, rows in starved:
-                    self._defer_rows(code, inbox, rows)
-            self._dispatch_groups(inbox, groups, rng)
+            plan = self._plan_round(inbox)
+            for rows in plan.batches:
+                self._walk_tokens(plan, rows, rng)
+            self._run_groups(plan)
         self._run_regular(rng)
         self._close_round(rng)
 
-    @staticmethod
-    def _wave_groups(inbox: RoundInbox) -> list[WaveGroup]:
-        """The round's conflict-free dispatch units in canonical order.
+    def _plan_round(self, inbox: RoundInbox) -> RoundPlan:
+        """Schedule *inbox*: writer mask, dispatch groups, token batches.
 
-        Group rows by (wave, type): ascending waves preserve each node's
-        sequential receive order; within a wave destinations are unique,
-        so the type-dispatch order is immaterial.
+        One schedule, read off the engine's state once per round: while
+        staging order is observable — the outbox keeps raw frames (the
+        chaos wire, ``dedup=False``) or a :class:`WaveFault` rewrites the
+        dispatch — every row counts as a writer, which groups the inbox by
+        ``(wave, type)``; the token walk then takes its batches from the
+        (rewritten) group list.
         """
-        group = inbox.rank.astype(np.int64) * 8 + inbox.tcode
+        fault = self._wave_fault
+        writer = None
+        if self.outbox.auto_compact and fault is None:
+            writer = writer_rows(inbox, self.soa)
+        groups = self._wave_groups(inbox, writer)
+        if fault is not None:
+            groups, starved = fault.rewrite(groups)
+            for code, rows in starved:
+                self._defer_rows(code, inbox, rows)
+        tokens = np.flatnonzero(inbox.tcode == RESLRL)
+        if writer is None:
+            batches = [rows for code, rows in groups if code == RESLRL]
+        else:
+            # The draw order of a wave-by-wave dispatch: the reslrl rows of
+            # one wave are one batch, ascending waves, inbox order within.
+            order, ranks = stable_order(
+                inbox.rank[tokens].astype(np.int64), inbox.n_waves.bit_length()
+            )
+            cuts = np.flatnonzero(ranks[1:] != ranks[:-1]) + 1
+            batches = np.split(tokens[order], cuts) if len(tokens) else []
+        slots = inbox.dest_idx[tokens]
+        return RoundPlan(
+            inbox=inbox,
+            groups=groups,
+            writer=writer,
+            batches=batches,
+            token_slots=slots,
+            token_lrl0=self.soa.lrl[slots],
+            token_lrl=np.empty(len(inbox), dtype=np.float64),
+            token_forgot=np.empty(len(inbox), dtype=np.float64),
+        )
+
+    @staticmethod
+    def _wave_groups(
+        inbox: RoundInbox, writer: np.ndarray | None = None
+    ) -> list[WaveGroup]:
+        """The round's dispatch units in canonical order.
+
+        Every row gets the step ``2 * (writers before it in its node's
+        segment) + (is it a writer)`` and rows are grouped by ``(step,
+        type)``: ascending steps preserve what each row reads of its node
+        — everything the writers before it stored, nothing of the writers
+        after it.  An odd step holds a node at most once; an even step is
+        read-only, so a node may repeat in it.  Without a mask every row
+        is a writer: step orders as the wave rank, and the groups are the
+        ``(wave, type)`` groups of unique destinations.
+        """
+        count = len(inbox)
+        if writer is None:
+            writer = np.ones(count, dtype=bool)
+        is_writer = writer.astype(np.int64)
+        before = np.cumsum(is_writer)
+        before -= is_writer
+        before -= before[np.arange(count) - inbox.rank]
+        step = 2 * before + is_writer
+        if __debug__ and _wave_check_enabled():
+            # What every storing kernel relies on: within one writer step
+            # each destination slot appears at most once.
+            packed = step[writer] * np.int64(int(inbox.dest_idx[-1]) + 1)
+            packed += inbox.dest_idx[writer]
+            assert np.unique(packed).size == packed.size, (
+                "writer precondition violated: a destination repeats "
+                "within one writer step"
+            )
+        group = step * 8 + inbox.tcode
         order, sorted_keys = stable_order(
-            group, (inbox.n_waves * 8).bit_length()
+            group, (inbox.n_waves * 16).bit_length()
         )
         cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
         bounds = [0, *cuts.tolist(), len(order)]
@@ -276,96 +411,111 @@ class FastEngine(SoAHost):
             for code, lo, hi in zip(codes, bounds, bounds[1:])
         ]
 
-    def _dispatch_groups(
+    def _windowed(
         self,
-        inbox: RoundInbox,
-        groups: list[WaveGroup],
+        name: str,
+        idx: np.ndarray,
+        read_only: bool,
+        kernel: Callable[..., Any],
+        *args: Any,
+        **kwargs: Any,
+    ) -> Any:
+        """Call *kernel* — inside a sanitizer window when one is recording."""
+        san = self.sanitizer
+        if san is None:
+            return kernel(*args, **kwargs)
+        san.begin(name, idx, read_only=read_only)
+        try:
+            result = kernel(*args, **kwargs)
+        except BaseException:  # repro-lint: ignore[broad-except] re-raises immediately; only closes the sanitizer recording window first
+            san.abort()
+            raise
+        san.end()
+        return result
+
+    def _walk_tokens(
+        self,
+        plan: RoundPlan,
+        rows: np.ndarray,
         rng: np.random.Generator,
+        coins: np.ndarray | None = None,
+        forget_u: np.ndarray | None = None,
     ) -> None:
-        """Run wave groups through their kernels, timing under a profiler."""
+        """Step the tokens of one ``reslrl`` batch; record what each leaves.
+
+        Runs ahead of the dispatch groups (Algorithm 4 reads and writes
+        ``lrl``/``age`` only): batches, row order, validity filter and
+        draws are the ones a wave-by-wave dispatch makes.
+        """
         profiler = self.profiler
-        for code, rows in groups:
-            if profiler is None:
-                self._dispatch(code, inbox, rows, rng)
+        t1 = time.perf_counter() if profiler is not None else 0.0
+        inbox = plan.inbox
+        idx = inbox.dest_idx[rows]
+        plan.token_lrl[rows], plan.token_forgot[rows] = self._windowed(
+            "move_forget",
+            idx,
+            False,
+            self.kernels.move_forget,
+            idx,
+            inbox.a[rows],
+            inbox.b[rows],
+            inbox.c[rows],
+            rng,
+            coins=coins,
+            forget_u=forget_u,
+        )
+        if profiler is not None:
+            profiler.add("move_forget", time.perf_counter() - t1, calls=len(rows))
+
+    def _run_groups(self, plan: RoundPlan) -> None:
+        """Run the dispatch groups through their kernels, in order.
+
+        First the walked ``lrl`` slots go back to their start-of-round
+        values: each ``reslrl`` row stores what the walk recorded for it
+        where it sits in its node's sequence, so the rows before it read
+        what they would have read wave by wave.
+        """
+        self.soa.lrl[plan.token_slots] = plan.token_lrl0
+        profiler = self.profiler
+        kernels = self.kernels
+        inbox = plan.inbox
+        writer = plan.writer
+        for code, rows in plan.groups:
+            t1 = time.perf_counter() if profiler is not None else 0.0
+            idx = inbox.dest_idx[rows]
+            if code == RESLRL:
+                name = "place_token"
+                payload = (plan.token_lrl[rows], plan.token_forgot[rows])
             else:
-                t1 = time.perf_counter()
-                self._dispatch(code, inbox, rows, rng)
-                profiler.add(
-                    KERNEL_NAMES[code],
-                    time.perf_counter() - t1,
-                    calls=len(rows),
-                )
+                name = KERNEL_NAMES[code]
+                payload = (inbox.a[rows],)
+            read_only = writer is not None and not writer[rows[0]]
+            self._windowed(
+                name, idx, read_only, getattr(kernels, name), idx, *payload
+            )
+            if profiler is not None:
+                profiler.add(name, time.perf_counter() - t1, calls=len(rows))
 
     def _regular_rows(self) -> np.ndarray:
         """Slots the regular action covers, ascending by identifier."""
         return self.soa.sorted_live()[1]
 
-    def _run_regular(self, rng: np.random.Generator) -> None:
-        """One batched regular action over all live nodes (sanitized)."""
+    def _run_regular(self, rng: np.random.Generator) -> int:
+        """One batched regular action over all live nodes; their count."""
         profiler = self.profiler
         t2 = time.perf_counter() if profiler is not None else 0.0
         live_idx = self._regular_rows()
-        san = self.sanitizer
-        if san is None:
-            self.kernels.regular_action(live_idx, rng)
-        else:
-            san.begin("regular_action", live_idx)
-            try:
-                self.kernels.regular_action(live_idx, rng)
-            except BaseException:  # repro-lint: ignore[broad-except] re-raises immediately; only closes the sanitizer recording window first
-                san.abort()
-                raise
-            san.end()
+        self._windowed(
+            "regular_action",
+            live_idx,
+            False,
+            self.kernels.regular_action,
+            live_idx,
+            rng,
+        )
         if profiler is not None:
             profiler.add("regular", time.perf_counter() - t2, calls=len(live_idx))
-
-    def _dispatch(
-        self,
-        code: int,
-        inbox: RoundInbox,
-        rows: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        """Run one conflict-free wave group through its kernel."""
-        k = self.kernels
-        idx = inbox.dest_idx[rows]
-        a = inbox.a[rows]
-        san = self.sanitizer
-        if san is not None:
-            san.begin(KERNEL_NAMES[code], idx)
-            try:
-                self._run_kernel(code, k, idx, a, inbox, rows, rng)
-            except BaseException:  # repro-lint: ignore[broad-except] re-raises immediately; only closes the sanitizer recording window first
-                san.abort()
-                raise
-            san.end()
-            return
-        self._run_kernel(code, k, idx, a, inbox, rows, rng)
-
-    def _run_kernel(
-        self,
-        code: int,
-        k: Kernels,
-        idx: np.ndarray,
-        a: np.ndarray,
-        inbox: RoundInbox,
-        rows: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        if code == LIN:
-            k.linearize(idx, a)
-        elif code == INCLRL:
-            k.respond_lrl(idx, a)
-        elif code == RESLRL:
-            k.move_forget(idx, a, inbox.b[rows], inbox.c[rows], rng)
-        elif code == RING:
-            k.respond_ring(idx, a)
-        elif code == RESRING:
-            k.update_ring(idx, a)
-        elif code == PROBR:
-            k.probing_r(idx, a)
-        else:
-            k.probing_l(idx, a)
+        return len(live_idx)
 
     # ------------------------------------------------------------------
     # Membership / churn (round boundaries only)

@@ -118,7 +118,9 @@ class Outbox:
     to an identifier that no longer exists.
     """
 
-    __slots__ = ("_chunks", "_compact_floor", "_counts", "auto_compact", "stats")
+    __slots__ = (
+        "_chunks", "_compact_floor", "_counts", "_staged", "auto_compact", "stats",
+    )
 
     #: Below this many staged rows a type is never worth compacting.
     COMPACT_MIN = 4096
@@ -127,6 +129,9 @@ class Outbox:
         self.stats = stats
         self._chunks: list[list[_Chunk]] = [[] for _ in range(N_TYPES)]
         self._counts: list[int] = [0] * N_TYPES
+        #: Rows staged per type right now (``sum(len(ch[0]))`` over its
+        #: chunks, kept current by every method that touches them).
+        self._staged: list[int] = [0] * N_TYPES
         #: Coalesce + dedup staged rows mid-round once a type's backlog
         #: doubles (engine-enabled only under coalescing-set semantics;
         #: the chaos wire needs the raw frame multiset and keeps this off).
@@ -147,12 +152,13 @@ class Outbox:
         if count == 0:
             return
         self._counts[code] += count
+        self._staged[code] += count
         chunks = self._chunks[code]
         chunks.append((dest, a, b, c, origin))
         if (
             self.auto_compact
             and len(chunks) >= 8
-            and sum(len(ch[0]) for ch in chunks) >= self._compact_floor[code]
+            and self._staged[code] >= self._compact_floor[code]
         ):
             self._compact_code(code)
 
@@ -201,6 +207,7 @@ class Outbox:
                 origin,
             )
         ]
+        self._staged[code] = len(keep)
         self._compact_floor[code] = max(self.COMPACT_MIN, 2 * len(keep))
 
     def flush_stats(self) -> None:
@@ -220,6 +227,7 @@ class Outbox:
         """Remove and return all staged chunks (the per-round flush)."""
         chunks = self._chunks
         self._chunks = [[] for _ in range(N_TYPES)]
+        self._staged = [0] * N_TYPES
         return chunks
 
     # ------------------------------------------------------------------
@@ -248,7 +256,7 @@ class Outbox:
 
     def pending_total(self) -> int:
         """Number of staged messages."""
-        return sum(len(ch[0]) for chunks in self._chunks for ch in chunks)
+        return sum(self._staged)
 
     def pending_messages(self) -> list[tuple[float, Message]]:
         """Materialize pending messages as ``(dest, Message)`` pairs.
@@ -278,6 +286,7 @@ class Outbox:
                 keep = keep_of_chunk(code, ch)
                 kept = int(keep.sum())
                 removed += len(ch[0]) - kept
+                self._staged[code] -= len(ch[0]) - kept
                 if kept == 0:
                     continue
                 if kept == len(ch[0]):
@@ -312,6 +321,7 @@ class Outbox:
         """
         if len(dest) == 0:
             return
+        self._staged[code] += len(dest)
         self._chunks[code].append((dest, a, b, c, origin))
 
     def drop_and_purge_batch(self, victims: np.ndarray) -> int:
@@ -344,6 +354,7 @@ class Outbox:
                 doomed = (d < absent) | (m < absent)
                 counted += int((doomed & (d <= m)).sum())
                 kept = int(len(ch[0]) - doomed.sum())
+                self._staged[code] -= len(ch[0]) - kept
                 if kept == 0:
                     continue
                 if kept == len(ch[0]):

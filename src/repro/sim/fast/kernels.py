@@ -8,11 +8,13 @@ at entry** — exactly the values the reference reads before its single
 mutating branch executes, so the pre-read is faithful, not a race.
 
 The one correctness precondition (asserted nowhere for speed, guaranteed by
-construction everywhere): *within one handler call the receiving indices
-are unique*.  The batched engine delivers messages in waves of at most one
-message per destination (:mod:`repro.sim.fast.buffers`), and every internal
-``linearize`` cascade passes a subset of an already-unique batch, so no
-fancy-indexed store can hit the same slot twice.
+construction everywhere): *within one handler call the rows that store hold
+unique receiving indices*.  The batched engine's writer schedule
+(:mod:`repro.sim.fast.batched`) hands a kernel either a batch of at most one
+message per destination, or a read-only batch in which destinations repeat
+and every masked store has an empty mask; every internal ``linearize``
+cascade passes a subset of its caller's batch, so no fancy-indexed store
+can hit the same slot twice.
 
 RNG: :meth:`move_forget` draws one direction-coin array and one forget-coin
 array per batch.  This is the *batched* draw discipline — distributionally
@@ -149,8 +151,14 @@ class Kernels:
         *,
         coins: np.ndarray | None = None,
         forget_u: np.ndarray | None = None,
-    ) -> None:
-        """Step each long-range-link token, then apply the forget coin.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Step each long-range-link token, then roll the forget coin.
+
+        The ``lrl``/``age`` half of Algorithm 4 — the token walk, which
+        nothing else in a receive phase reads into or steers.  Returns
+        ``(lrl, forgotten)`` aligned with *idx*: the ``lrl`` each row
+        leaves its node with, and the link it forgot (NaN where it kept
+        it), for :meth:`place_token` to put into the node's sequence.
 
         *coins*/*forget_u* optionally inject the two uniform draws (both
         sized to the post-validation batch).  The sharded coordinator uses
@@ -158,16 +166,18 @@ class Kernels:
         batch at once and scatters the slices, so any shard count replays
         the single-process draw sequence bit-for-bit.
         """
-        if not self.maf or len(idx) == 0:
-            return
         s = self.soa
+        forgotten = np.full(len(idx), np.nan)
+        if not self.maf or len(idx) == 0:
+            return s.lrl[idx], forgotten
+        batch = idx
         valid = responder == s.lrl[idx]
         if not valid.all():
             idx = idx[valid]
             id1 = id1[valid]
             id2 = id2[valid]
             if len(idx) == 0:
-                return
+                return s.lrl[batch], forgotten
         known1 = id1 != NEG_INF
         known2 = id2 != POS_INF
         both = known1 & known2
@@ -183,10 +193,26 @@ class Kernels:
         forget = (rng.random(len(idx)) if forget_u is None else forget_u) < phi
         fidx = idx[forget]
         if len(fidx):
-            forgotten = s.lrl[fidx].copy()  # repro-flow: ignore[flow-read-after-write] deliberately snapshots the freshly-stored lrl: forgotten tokens re-enter linearization with their updated value
+            forgotten[np.flatnonzero(valid)[forget]] = new_lrl[forget]
             s.lrl[fidx] = s.ids[fidx]  # repro-flow: ignore[flow-write-write] fidx selects a subset of idx rows for a sequential second pass (forget overrides update); same-slot rewrite is the intended semantics
             s.age[fidx] = 0  # repro-flow: ignore[flow-write-write] same forget subset as the lrl reset above; the age counter restarts for forgotten tokens
-            self.linearize(fidx, forgotten)
+        return s.lrl[batch], forgotten  # repro-flow: ignore[flow-read-after-write] the point of the return: the lrl every row of the batch leaves behind, invalid rows included
+
+    def place_token(
+        self, idx: np.ndarray, lrl: np.ndarray, forgotten: np.ndarray
+    ) -> None:
+        """Put a walked token into its node's receive sequence.
+
+        The other half of Algorithm 4, run where the ``reslrl`` row sits
+        among its node's messages: store the ``lrl`` that
+        :meth:`move_forget` recorded for the row and re-linearize the
+        link it forgot.
+        """
+        if not self.maf or len(idx) == 0:
+            return
+        self.soa.lrl[idx] = lrl
+        relink = ~np.isnan(forgotten)
+        self.linearize(idx[relink], forgotten[relink])
 
     # ------------------------------------------------------------------
     # Algorithms 5/6 — probingr(id) / probingl(id)

@@ -3,9 +3,10 @@
 The static pass (:mod:`repro.analysis.flow`) proves what it can from the
 AST; this module checks at runtime what the AST cannot decide:
 
-* the **wave precondition** — every dispatch's destination index vector
-  holds unique slots (the invariant ``kernels.py`` calls "asserted
-  nowhere for speed");
+* the **window precondition** — a *writer* dispatch's destination index
+  vector holds unique slots (the invariant ``kernels.py`` calls "asserted
+  nowhere for speed"); a *read-only* dispatch may repeat a destination
+  and must not store at all;
 * **store disjointness** — every integer fancy-indexed store into a
   column hits each slot at most once;
 * the **cross-check** — per-kernel *observed* column read/write/send
@@ -191,22 +192,37 @@ class SanitizedOutbox:
         return getattr(self._inner, name)
 
 
+def _selects_nothing(key: Any) -> bool:
+    """Whether a store through index *key* touches no element."""
+    if not isinstance(key, np.ndarray):
+        return False
+    if key.dtype.kind == "b":
+        return not bool(key.any())
+    return key.size == 0
+
+
 class FlowSanitizer:
     """Per-kernel access recorder with static cross-checking.
 
     One instance per engine.  ``begin(kernel, idx)`` opens a recording
-    window (asserting the wave precondition on *idx*), the proxies feed
+    window (asserting the wave precondition on *idx*; with
+    ``read_only=True`` destinations may repeat and any non-empty store
+    raises instead), the proxies feed
     ``read``/``write``/``record_send`` during kernel execution, and
     ``end()`` closes the window, asserting the observed sets are a
     subset of the static ones.  Accesses outside any window (engine
     bookkeeping, snapshots, churn) are deliberately ignored.
     """
 
-    __slots__ = ("expected", "_current", "_reads", "_writes", "_sends", "rounds_checked")
+    __slots__ = (
+        "expected", "_current", "_read_only", "_reads", "_writes", "_sends",
+        "rounds_checked",
+    )
 
     def __init__(self, expected: dict[str, FunctionAccess]) -> None:
         self.expected = expected
         self._current: str | None = None
+        self._read_only = False
         self._reads: set[str] = set()
         self._writes: set[str] = set()
         self._sends: set[str] = set()
@@ -230,21 +246,28 @@ class FlowSanitizer:
         return cls(class_access_sets(source, "MirrorEngine"))
 
     # -- recording window ----------------------------------------------
-    def begin(self, kernel: str, idx: np.ndarray | None = None) -> None:
+    def begin(
+        self,
+        kernel: str,
+        idx: np.ndarray | None = None,
+        *,
+        read_only: bool = False,
+    ) -> None:
         if self._current is not None:  # pragma: no cover - defensive
             raise FlowSanitizerError(
                 f"begin('{kernel}') while '{self._current}' is still open"
             )
-        if idx is not None and len(idx) > 1:
+        if not read_only and idx is not None and len(idx) > 1:
             unique = int(np.unique(np.asarray(idx)).size)
             if unique != len(idx):
                 raise FlowSanitizerError(
                     f"wave precondition violated entering '{kernel}': "
                     f"{len(idx)} destinations, only {unique} unique — "
-                    "build_inbox wave grouping must deliver each node "
-                    "at most once per wave"
+                    "the writer schedule must deliver each node at most "
+                    "once per writer group"
                 )
         self._current = kernel
+        self._read_only = read_only
         self._reads.clear()
         self._writes.clear()
         self._sends.clear()
@@ -288,6 +311,12 @@ class FlowSanitizer:
         if self._current is None:
             return
         self._writes.add(column)
+        if self._read_only and not _selects_nothing(key):
+            raise FlowSanitizerError(
+                f"store into column '{column}' in a read-only window of "
+                f"kernel '{self._current}': the writer schedule placed a "
+                "row that stores among the rows that cannot"
+            )
         if (
             isinstance(key, np.ndarray)
             and key.ndim >= 1

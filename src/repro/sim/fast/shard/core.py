@@ -15,13 +15,16 @@ the unsharded round into phases it can interleave across shards:
 2. :meth:`prepare_round` — build the canonical pre-inbox from local +
    received rows and report its row counts;
 3. :meth:`start_round` — apply the coordinator's delivery-key slice and
-   group the inbox into wave groups, reporting where ``reslrl`` waves sit;
-4. :meth:`reslrl_count` / :meth:`reslrl_apply` — pause-points at each
-   global ``reslrl`` wave so the coordinator can draw the move-and-forget
-   coins once, globally, and scatter the slices;
-5. :meth:`finish_round` — run the remaining groups plus the regular
-   action over the block's live rows, and flush the send counts into the
-   shared stats.
+   schedule the inbox (:meth:`FastEngine._plan_round`), reporting the
+   waves at which this block holds ``reslrl`` rows;
+4. :meth:`reslrl_count` / :meth:`reslrl_apply` — the token walk, one
+   global ``reslrl`` wave at a time: the validity count of the wave's
+   batch, then its token step with the coins the coordinator drew once,
+   globally, and scattered.  Nothing is dispatched at a pause point — the
+   walk reads and writes ``lrl``/``age`` only;
+5. :meth:`finish_round` — put the walked ``lrl`` slots back, run every
+   dispatch group plus the regular action over the block's live rows, and
+   flush the send counts into the shared stats.
 
 Because every draw happens coordinator-side over globally-ordered rows,
 a sharded run replays the unsharded engine's RNG stream bit-for-bit
@@ -36,17 +39,15 @@ from typing import Any
 import numpy as np
 
 from repro.core.protocol import ProtocolConfig
-from repro.sim.fast.batched import FastEngine, WaveGroup
+from repro.sim.fast.batched import FastEngine, RoundPlan
 from repro.sim.fast.buffers import (
     N_TYPES,
     RESLRL,
     PreparedInbox,
-    RoundInbox,
     _col,
     finalize_inbox,
     prepare_inbox,
 )
-from repro.sim.fast.kernels import Kernels
 from repro.sim.fast.shard.partition import owner_of
 from repro.sim.fast.soa import SoAState
 from repro.sim.metrics import MessageStats
@@ -86,17 +87,16 @@ class ShardCore(FastEngine):
             self.shard : self.shard + 2
         ]
         self._pre: PreparedInbox | None = None
-        self._round_inbox: RoundInbox | None = None
-        self._groups: list[WaveGroup] = []
-        self._cursor = 0
-        self._inject: tuple[np.ndarray, np.ndarray] | None = None
+        self._plan: RoundPlan | None = None
+        #: This round's token-walk batches (inbox rows) by wave rank.
+        self._tokens_at: dict[int, np.ndarray] = {}
         # Per-round boundary-exchange row volumes, reported (and reset)
         # by the telemetry piggyback when set_telemetry(True) is active.
         self._rows_routed = 0
         self._rows_in = 0
         # Never drawn on the coordinated path (regular_action is
         # deterministic and reslrl draws are injected); exists so the
-        # inherited dispatch plumbing keeps its signature.
+        # inherited kernel calls keep their signature.
         self._local_rng = np.random.default_rng([0xD15C, self.shard])
 
     # ------------------------------------------------------------------
@@ -210,119 +210,59 @@ class ShardCore(FastEngine):
     # Phase 3 — start dispatch
     # ------------------------------------------------------------------
     def start_round(self, keys: np.ndarray) -> list[int]:
-        """Finalize the inbox with the coordinator's key slice.
+        """Finalize the inbox with the coordinator's key slice; schedule it.
 
         *keys* aligns with this shard's canonical row order (non-reslrl
         block, then reslrl block).  Returns the wave ranks at which this
-        shard holds a ``reslrl`` group — the coordinator's pause points —
+        shard holds ``reslrl`` rows — the coordinator's pause points —
         or ``[]`` when move-and-forget is off (no draws happen then).
         """
         pre, self._pre = self._pre, None
-        self._cursor = 0
+        self._plan = None
+        self._tokens_at = {}
         if pre is None:
-            self._round_inbox = None
-            self._groups = []
             return []
-        inbox = finalize_inbox(pre, keys)
-        self._round_inbox = inbox
-        self._groups = self._wave_groups(inbox)
+        plan = self._plan = self._plan_round(finalize_inbox(pre, keys))
         if not self.kernels.maf:
             return []
-        return [
-            int(inbox.rank[rows[0]])
-            for code, rows in self._groups
-            if code == RESLRL
-        ]
+        self._tokens_at = {
+            int(plan.inbox.rank[rows[0]]): rows for rows in plan.batches
+        }
+        return list(self._tokens_at)
 
     # ------------------------------------------------------------------
     # Phase 4 — reslrl pause points
     # ------------------------------------------------------------------
     def reslrl_count(self, rank: int) -> tuple[bool, int]:
-        """Advance dispatch to the global ``reslrl`` wave *rank*.
+        """Size up this shard's token batch at the ``reslrl`` wave *rank*.
 
-        Runs every group strictly before ``(rank, RESLRL)`` in canonical
-        order, then reports ``(present, n_valid)``: whether this shard has
-        that group, and how many of its rows pass the responder-validity
-        filter — the exact number of coin pairs the group will consume.
+        Reports ``(present, n_valid)``: whether this shard holds
+        ``reslrl`` rows in that wave, and how many of them pass the
+        responder-validity filter against the walk so far — the exact
+        number of coin pairs the batch will consume.
         """
-        inbox = self._round_inbox
-        threshold = rank * 8 + RESLRL
-        while self._cursor < len(self._groups):
-            code, rows = self._groups[self._cursor]
-            assert inbox is not None
-            if int(inbox.rank[rows[0]]) * 8 + code >= threshold:
-                break
-            self._dispatch_groups(
-                inbox, [self._groups[self._cursor]], self._local_rng
-            )
-            self._cursor += 1
-        group = self._current_group()
-        if group is None or group[0] != RESLRL:
+        rows = self._tokens_at.get(rank)
+        if rows is None:
             return False, 0
-        assert inbox is not None
-        rows = group[1]
-        if int(inbox.rank[rows[0]]) != rank:
-            return False, 0
-        idx = inbox.dest_idx[rows]
-        valid = inbox.a[rows] == self.soa.lrl[idx]
+        assert self._plan is not None
+        inbox = self._plan.inbox
+        valid = inbox.a[rows] == self.soa.lrl[inbox.dest_idx[rows]]
         return True, int(valid.sum())
 
     def reslrl_apply(
         self, rank: int, coins: np.ndarray, forget_u: np.ndarray
     ) -> None:
-        """Dispatch the ``reslrl`` group at *rank* with injected draws."""
-        group = self._current_group()
-        inbox = self._round_inbox
-        if (
-            group is None
-            or group[0] != RESLRL
-            or inbox is None
-            or int(inbox.rank[group[1][0]]) != rank
-        ):
+        """Step the tokens of the wave *rank* with the injected draws."""
+        rows = self._tokens_at.get(rank)
+        if rows is None:
             if len(coins):
                 raise RuntimeError(
                     f"shard {self.shard}: coordinator sent coins for a "
                     f"reslrl wave {rank} this shard does not hold"
                 )
             return
-        self._inject = (coins, forget_u)
-        self._dispatch_groups(inbox, [group], self._local_rng)
-        self._cursor += 1
-
-    def _current_group(self) -> WaveGroup | None:
-        if self._cursor >= len(self._groups):
-            return None
-        return self._groups[self._cursor]
-
-    def _run_kernel(
-        self,
-        code: int,
-        k: Kernels,
-        idx: np.ndarray,
-        a: np.ndarray,
-        inbox: RoundInbox,
-        rows: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        if code == RESLRL and self.kernels.maf:
-            inject, self._inject = self._inject, None
-            if inject is None:
-                raise RuntimeError(
-                    f"shard {self.shard}: reslrl group dispatched without "
-                    "coordinator-injected draws"
-                )
-            coins, forget_u = inject
-            k.move_forget(
-                idx,
-                a,
-                inbox.b[rows],
-                inbox.c[rows],
-                rng,
-                coins=coins,
-                forget_u=forget_u,
-            )
-            return
-        super()._run_kernel(code, k, idx, a, inbox, rows, rng)
+        assert self._plan is not None
+        self._walk_tokens(self._plan, rows, self._local_rng, coins, forget_u)
 
     # ------------------------------------------------------------------
     # Phase 5 — finish
@@ -334,19 +274,13 @@ class ShardCore(FastEngine):
         return idx[lo:hi]
 
     def finish_round(self) -> dict[str, Any]:
-        """Run the remaining groups + regular action; report the block."""
-        inbox = self._round_inbox
-        if inbox is not None:
-            while self._cursor < len(self._groups):
-                self._dispatch_groups(
-                    inbox, [self._groups[self._cursor]], self._local_rng
-                )
-                self._cursor += 1
-        self._round_inbox = None
-        self._groups = []
-        self._run_regular(self._local_rng)
+        """Run every group + the regular action; report the block."""
+        plan, self._plan = self._plan, None
+        if plan is not None:
+            self._run_groups(plan)
+        n_live = self._run_regular(self._local_rng)
         self.outbox.flush_stats()
-        report: dict[str, Any] = {"n_live": len(self._regular_rows())}
+        report: dict[str, Any] = {"n_live": n_live}
         profiler = self.profiler
         if profiler is not None:
             # Piggyback this round's telemetry delta on the report the

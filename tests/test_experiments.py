@@ -316,6 +316,36 @@ class TestCli:
         assert f"shards={shards}" in line.replace("'", "")
         assert "accepted: an integer >= 1" in line
 
+    @pytest.mark.parametrize(
+        "bad, accepted",
+        [
+            ("sizes=abc", "numbers separated by commas"),
+            ("sizes=64,abc", "numbers separated by commas"),
+            ("seed=x", "a number"),
+            ("queries=1,2", "a number"),
+        ],
+    )
+    def test_non_numeric_value_for_a_numeric_parameter(self, capsys, bad, accepted):
+        """``sizes=abc`` used to die in the topology generator with
+        "'<' not supported between instances of 'str' and 'int'", and
+        ``seed=x`` ran and exited 0 with a string for a seed."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "e22", "sizes=64", "queries=5", bad])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert bad in line
+        assert line.split("accepted: ")[1] == accepted
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
+    def test_table_with_nan_cells(self, capsys):
+        """``queries=0`` leaves the routing columns NaN; the table printer
+        used to die on them with "cannot convert float NaN to integer"."""
+        code = main(["run", "e22", "sizes=64", "queries=0", "reference_max_n=0"])
+        assert code == 0
+        assert "nan" in capsys.readouterr().out
+
     def test_python_dash_m_repro(self):
         """``python -m repro`` is the console script (needs ``__main__.py``)."""
         env = dict(os.environ)

@@ -248,6 +248,65 @@ def test_auto_compact_delivers_the_same_inbox(code) -> None:
     assert_same_fields(inboxes[1], inboxes[0], ROW_FIELDS + ("rank",))
 
 
+class SmallOutbox(Outbox):
+    """An outbox that compacts after tens of rows instead of thousands."""
+
+    __slots__ = ()
+    COMPACT_MIN = 24
+
+
+outbox_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["send", "send", "send", "restage", "leave", "drop", "purge", "take"]),
+        st.sampled_from([PROBR, RESLRL]),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=outbox_ops)
+def test_staged_row_count_is_the_recomputed_sum(ops) -> None:
+    """The per-type staged-row counter equals ``sum(len(ch[0]))`` after
+    every send / restage / drop / take, and ``send`` compacts at exactly
+    the calls where the rule that re-summed the backlog would have."""
+    ids = make_soa().ids[:12]
+    outbox = SmallOutbox(MessageStats(), auto_compact=True)
+    for op, code, count, seed in ops:
+        rng = np.random.default_rng(seed)
+        cols = [rng.choice(ids, size=count) for _ in range(4)]
+        payload = cols if code == RESLRL else cols[:2]
+        chunks = outbox._chunks[code]
+        if op == "send":
+            resummed = sum(len(ch[0]) for ch in chunks) + count
+            compacts = (
+                count > 0
+                and len(chunks) + 1 >= 8
+                and resummed >= outbox._compact_floor[code]
+            )
+            before = len(chunks)
+            outbox.send(code, *payload, origin=cols[1])
+            after = len(outbox._chunks[code])
+            assert after == (1 if compacts else before + (count > 0))
+        elif op == "restage":
+            outbox.restage(code, *payload)
+        elif op == "leave":
+            outbox.drop_and_purge_batch(cols[0][:2])
+        elif op == "drop" and count:
+            outbox.drop_dest(float(cols[0][0]))
+        elif op == "purge" and count:
+            outbox.purge_mentions(float(cols[0][0]))
+        elif op == "take":
+            outbox.take_all()
+        assert outbox._staged == [
+            sum(len(ch[0]) for ch in per_type) for per_type in outbox._chunks
+        ]
+        assert outbox.pending_total() == sum(outbox._staged)
+
+
 # ----------------------------------------------------------------------
 # route_batch
 # ----------------------------------------------------------------------

@@ -76,6 +76,27 @@ def test_duplicate_fancy_store_raises():
     san.abort()
 
 
+def test_read_only_window_admits_repeats_and_refuses_stores():
+    """A read-only group of the writer schedule may hold a destination
+    many times — and then nothing may be stored, not even one element;
+    an empty store mask (what every kernel issues there) is fine."""
+    san = FlowSanitizer.for_kernels()
+    soa = SoAState.from_states(make_states())
+    proxy = SanitizedSoAState(soa, san)
+    repeated = np.array([3, 5, 3, 3], dtype=np.int64)
+    san.begin("linearize", repeated, read_only=True)
+    proxy.r[repeated[np.zeros(4, dtype=bool)]] = np.empty(0)
+    proxy.l[np.zeros(soa.size, dtype=bool)] = 0.5
+    san.end()
+    san.begin("linearize", repeated, read_only=True)
+    with pytest.raises(FlowSanitizerError, match="read-only window"):
+        proxy.r[np.array([5], dtype=np.int64)] = 0.5
+    san.abort()
+    # A writer window is what it was: unique destinations or nothing.
+    with pytest.raises(FlowSanitizerError, match="wave precondition"):
+        san.begin("linearize", repeated)
+
+
 def test_access_cross_check_raises_on_undeclared_write():
     san = FlowSanitizer.for_kernels()
     soa = SoAState.from_states(make_states())

@@ -244,6 +244,31 @@ class TestEngineVariants:
         svc.stop()
         assert not svc.host.running
 
+    def test_host_pins_wave_order_while_serving(self):
+        """The engine thread dispatches by ``(wave, type)`` (docs/SERVING.md):
+        an identity wave fault from start to stop, and the trajectory of
+        the writer schedule all the same."""
+        served = build_service(n=128, topology="line", seed=9, max_rounds=12)
+        engine = served.host.sim.engine
+        assert engine._wave_fault is None
+        served.start()
+        try:
+            pin = engine._wave_fault
+            assert pin is not None
+            groups = [(0, np.arange(3)), (2, np.arange(3, 5))]
+            assert pin.rewrite(groups) == (groups, [])
+            assert served.host.wait_finished(timeout=120)
+        finally:
+            served.stop()
+        assert served.host.error is None
+        assert engine._wave_fault is None
+
+        plain = build_service(n=128, topology="line", seed=9).host.sim
+        for _ in range(12):
+            plain.step_round()
+        assert plain.state_snapshot() == served.host.sim.state_snapshot()
+        assert plain.engine.stats.total == engine.stats.total
+
 
 # ----------------------------------------------------------------------
 # Load harness → SLO summary
