@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.protocol import ProtocolConfig
 from repro.experiments.common import ExperimentResult, seed_rng
-from repro.obs.profile import peak_rss_bytes
+from repro.obs.profile import reset_peak_rss, section_peak_rss_bytes
 from repro.routing.greedy import greedy_route_hops
 from repro.sim.chaos.guard import GuardPolicy
 from repro.sim.engine import BaseSimulator
@@ -103,7 +103,11 @@ def run(
     ``"reference"`` (the per-node engine, for the cross-engine
     conformance matrix at small n).  The timing column
     ``fast_s`` always reports the primary engine's wall clock, and the
-    ``peak_rss_mb`` column the process peak RSS after the row's run.
+    ``peak_rss_mb`` column the row's own peak RSS: the process high-water
+    mark is reset before the primary engine is built and read as soon as
+    it has converged, so neither an earlier, larger row nor the reference
+    leg shows up in it.  Where the kernel refuses the reset the cell is
+    blank, not the process-lifetime peak.
 
     ``reference_max_n`` caps the sizes at which the reference engine is
     *additionally* run for the measured-speedup column (it needs minutes
@@ -145,6 +149,7 @@ def run(
         states = factory(n, seed_rng(seed, topology, n))
         max_rounds = max_rounds_factor * max(int(np.log2(n)) ** 2, 1)
 
+        measured_rss = reset_peak_rss()
         fast = make_simulator(
             [s.copy() for s in states],
             config,
@@ -170,6 +175,7 @@ def run(
                 what=f"sorted ring ({engine})",
             )
         fast_seconds = time.perf_counter() - t0
+        rss = section_peak_rss_bytes() if measured_rss else None
 
         ref_seconds = None
         ref_rounds = None
@@ -199,7 +205,6 @@ def run(
         ranks = converged_lrl_ranks(fast.host)
         hops = float(greedy_route_hops(n, ranks, src, dst).mean())
         ring_hops = float(greedy_route_hops(n, None, src, dst).mean())
-        rss = peak_rss_bytes()
 
         row: dict[str, object] = {
             "n": n,

@@ -8,9 +8,7 @@ the chaos subsystem, and every registered experiment:
 * :mod:`repro.obs.spans` — span tracing on a monotonic clock;
 * :mod:`repro.obs.profile` — hot-loop phase/kernel profilers + peak RSS;
 * :mod:`repro.obs.exporters` / :mod:`repro.obs.manifest` — JSONL event
-  stream, Prometheus text exposition, schema-validated run manifests
-  (:mod:`repro.obs.bench` re-expresses pytest-benchmark archives in the
-  same manifest schema);
+  stream, Prometheus text exposition, schema-validated run manifests;
 * :mod:`repro.obs.observer` / :mod:`repro.obs.runtime` — the per-run
   :class:`Observer` hub and its ambient activation;
 * :mod:`repro.obs.live` — the in-run Prometheus scrape endpoint + JSON
@@ -58,8 +56,6 @@ _EXPORTS: dict[str, str] = {
     "MANIFEST_SCHEMA": "repro.obs.manifest",
     "diff_manifests": "repro.obs.diff",
     "render_diff": "repro.obs.diff",
-    "manifest_from_benchmark_json": "repro.obs.bench",
-    "write_benchmark_manifest": "repro.obs.bench",
     "ManifestExporter": "repro.obs.manifest",
     "build_manifest": "repro.obs.manifest",
     "validate_manifest": "repro.obs.manifest",

@@ -27,7 +27,6 @@ from repro.obs.exporters import Exporter
 from repro.obs.profile import peak_rss_bytes
 
 __all__ = [
-    "LEGACY_SCHEMAS",
     "MANIFEST_SCHEMA",
     "ManifestExporter",
     "build_manifest",
@@ -35,11 +34,9 @@ __all__ = [
     "validate_manifest",
 ]
 
-#: Schema identifier embedded in every newly written manifest.
+#: Schema identifier embedded in every manifest — the only one
+#: :func:`validate_manifest` accepts.
 MANIFEST_SCHEMA = "repro.obs/manifest/v2"
-
-#: Older schema ids :func:`validate_manifest` still accepts (read-only).
-LEGACY_SCHEMAS = ("repro.obs/manifest/v1",)
 
 #: Required top-level fields and the types a valid manifest carries.
 _REQUIRED_FIELDS: dict[str, type | tuple[type, ...]] = {
@@ -55,10 +52,6 @@ _REQUIRED_FIELDS: dict[str, type | tuple[type, ...]] = {
     "phases": dict,
     "peak_rss_bytes": (int, type(None)),
     "result": (dict, type(None)),
-}
-
-#: Fields added by manifest/v2 on top of the v1 set.
-_V2_FIELDS: dict[str, type | tuple[type, ...]] = {
     "live": (dict, type(None)),
 }
 
@@ -127,12 +120,7 @@ def validate_manifest(manifest: object) -> list[str]:
     if not isinstance(manifest, dict):
         return [f"manifest must be a JSON object, got {type(manifest).__name__}"]
     schema = manifest.get("schema")
-    required = dict(_REQUIRED_FIELDS)
-    if schema not in LEGACY_SCHEMAS:
-        # v2 manifests (and anything newer we don't know, which fails on
-        # the schema check below anyway) must carry the v2 fields too.
-        required.update(_V2_FIELDS)
-    for field, expected in required.items():
+    for field, expected in _REQUIRED_FIELDS.items():
         if field not in manifest:
             problems.append(f"missing required field {field!r}")
             continue
@@ -144,11 +132,7 @@ def validate_manifest(manifest: object) -> list[str]:
         problems.append(f"unknown status {manifest['status']!r}")
     if not isinstance(manifest.get("error"), (str, type(None))):
         problems.append("field 'error' is neither a string nor null")
-    if (
-        isinstance(schema, str)
-        and schema != MANIFEST_SCHEMA
-        and schema not in LEGACY_SCHEMAS
-    ):
+    if isinstance(schema, str) and schema != MANIFEST_SCHEMA:
         problems.append(f"unknown schema {schema!r} (expected {MANIFEST_SCHEMA!r})")
     metrics = manifest.get("metrics")
     if isinstance(metrics, dict):

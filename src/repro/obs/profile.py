@@ -16,7 +16,7 @@ path is a single ``is None`` branch per round, gated to ≤ 5% overhead by
 
 from __future__ import annotations
 
-__all__ = ["PhaseProfiler", "peak_rss_bytes"]
+__all__ = ["PhaseProfiler", "peak_rss_bytes", "reset_peak_rss", "section_peak_rss_bytes"]
 
 
 class PhaseProfiler:
@@ -73,3 +73,32 @@ def peak_rss_bytes() -> int | None:
     if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
         return int(peak)
     return int(peak) * 1024
+
+
+def reset_peak_rss() -> bool:
+    """Restart this process's resident-set high-water mark at its current
+    RSS, so :func:`section_peak_rss_bytes` reads the peak of what runs next
+    rather than of the whole process life.
+
+    Writes ``5`` to ``/proc/self/clear_refs`` (Linux); returns whether the
+    kernel took it — where it did not, there is no section peak to read.
+    """
+    try:
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:
+            handle.write("5")
+    except OSError:
+        return False
+    return True
+
+
+def section_peak_rss_bytes() -> int | None:
+    """``VmHWM`` — the RSS high-water mark since :func:`reset_peak_rss` —
+    in bytes, or ``None`` where ``/proc/self/status`` has none."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        return None
+    return None

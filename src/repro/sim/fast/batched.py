@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
-from repro.ids import NEG_INF, POS_INF, require_id
+from repro.ids import NEG_INF, POS_INF
 from repro.sim.fast.buffers import (
     LIN,
     PROBL,
@@ -178,8 +178,9 @@ def join_batch_rows(
 
     Returns ``(ids, l, r, lrl, ring, age)`` in ascending new-id order (the
     canonical batch-membership order): ``NodeState`` defaults with the
-    contact grafted on the matching side, exactly as the scalar join
-    builds them.  Raises ``ValueError`` before anything is built.
+    contact grafted on the matching side, exactly as
+    :func:`repro.churn.join.join_node` builds them.  Raises ``ValueError``
+    before anything is built.
     """
     new_ids = np.ascontiguousarray(new_ids, dtype=np.float64)
     contact_ids = np.ascontiguousarray(contact_ids, dtype=np.float64)
@@ -189,8 +190,10 @@ def join_batch_rows(
     order = np.argsort(new_ids, kind="stable")
     new_ids, contact_ids = new_ids[order], contact_ids[order]
     # require_id's range rule, vectorized (NaN fails both compares).
-    if not bool(((new_ids >= 0.0) & (new_ids < 1.0)).all()):
-        raise ValueError("joining ids must lie in [0, 1)")
+    in_range = (new_ids >= 0.0) & (new_ids < 1.0)
+    if not bool(in_range.all()):
+        bad = float(new_ids[np.flatnonzero(~in_range)[0]])
+        raise ValueError(f"joining id must lie in [0, 1), got {bad!r}")
     if len(np.unique(new_ids)) != k:
         raise ValueError("duplicate joining id within batch")
     already = soa.lookup(new_ids)[1]
@@ -518,51 +521,18 @@ class FastEngine(SoAHost):
         return len(live_idx)
 
     # ------------------------------------------------------------------
-    # Membership / churn (round boundaries only)
+    # Membership / churn (round boundaries only).  The batches are the only
+    # membership writers; ``join``/``leave`` are batches of one (SoAHost).
     # ------------------------------------------------------------------
-    def join(self, new_id: float, contact_id: float) -> None:
-        """Add a fresh node knowing only *contact_id* (paper §IV-G).
-
-        Same contract as :func:`repro.churn.join.join_node`.
-        """
-        require_id(new_id, what="joining id")
-        if new_id in self.soa:
-            raise ValueError(f"id {new_id!r} already in the network")
-        if contact_id not in self.soa:
-            raise ValueError(f"contact {contact_id!r} not in the network")
-        if contact_id == new_id:
-            raise ValueError("a node cannot join via itself")
-        state = NodeState(id=new_id)
-        if contact_id < new_id:
-            state.corrupt(l=contact_id)
-        else:
-            state.corrupt(r=contact_id)
-        self.soa.add(state)
-
-    def leave(self, node_id: float) -> None:
-        """Remove *node_id*, purging every reference to it (paper §IV-G).
-
-        Same contract as :func:`repro.churn.leave.leave_node`: staged
-        messages to the departed node are dropped (and counted), staged
-        messages mentioning it are purged (uncounted, mirroring
-        ``Network.purge_identifier``), and every stored reference is
-        scrubbed.
-        """
-        if node_id not in self.soa:
-            raise KeyError(f"no node with id {node_id!r}")
-        self.soa.remove(node_id)
-        self.dropped += self.outbox.drop_dest(node_id)
-        self.outbox.purge_mentions(node_id)
-        self.soa.scrub_departed(node_id)
-
     def join_batch(self, new_ids: np.ndarray, contact_ids: np.ndarray) -> int:
         """Add a batch of fresh nodes in one column append (paper §IV-G).
 
-        State-equivalent to :meth:`join` once per ``(new_id, contact_id)``
-        pair in ascending new-id order (the canonical batch-membership
-        order; joins are independent — each writes only its own row).  The
-        whole batch is validated before any row lands.  Returns the number
-        of nodes added.
+        Each node knows only its contact, as in
+        :func:`repro.churn.join.join_node`; rows land in ascending new-id
+        order (the canonical batch-membership order; joins are independent
+        — each writes only its own row), so a batch equals its one-element
+        batches in that order.  The whole batch is validated before any
+        row lands.  Returns the number of nodes added.
         """
         rows = join_batch_rows(new_ids, contact_ids, self.soa)
         self.soa.add_batch(*rows)
@@ -571,12 +541,15 @@ class FastEngine(SoAHost):
     def leave_batch(self, node_ids: np.ndarray) -> int:
         """Remove a batch of nodes in one vectorized pass (paper §IV-G).
 
-        State-equivalent to :meth:`leave` once per id in ascending order:
-        staged rows die with the ``d <= m`` accounting of
-        :meth:`Outbox.drop_and_purge_batch`, stored references are scrubbed
-        in one ``isin`` pass, and tombstoned slots are reclaimed by
-        round-boundary compaction once they dominate.  The whole batch is
-        validated before any state changes.  Returns the departure count.
+        The contract of :func:`repro.churn.leave.leave_node` per id, in
+        ascending order: in-flight rows to a departed node are dropped
+        (and counted), rows mentioning one are purged (uncounted), by the
+        ``d <= m`` rule of :func:`~repro.sim.fast.buffers.departure_sweep`
+        — so a batch equals its one-element batches in that order.  Stored
+        references are scrubbed in one ``isin`` pass, and tombstoned slots
+        are reclaimed by round-boundary compaction once they dominate.  The
+        whole batch is validated before any state changes.  Returns the
+        departure count.
         """
         victims = leave_batch_victims(node_ids, self.soa)
         if len(victims) == 0:
@@ -589,7 +562,8 @@ class FastEngine(SoAHost):
         return len(victims)
 
     def _after_leave_batch(self, victims: np.ndarray) -> None:
-        """Post-departure hook (chaos engines purge their wire/guard here).
+        """Post-departure hook (the chaos engine purges its wire and guard
+        here).
 
         *victims* is sorted ascending — the order the ``d <= m`` accounting
         is defined against.

@@ -55,6 +55,7 @@ __all__ = [
     "PreparedInbox",
     "RoundInbox",
     "build_inbox",
+    "departure_sweep",
     "draw_delivery_keys",
     "finalize_inbox",
     "prepare_inbox",
@@ -104,7 +105,6 @@ _Chunk = tuple[
     np.ndarray | None,
     np.ndarray | None,
 ]
-_KeepFn = Callable[[int, _Chunk], np.ndarray]
 
 
 class Outbox:
@@ -278,32 +278,6 @@ class Outbox:
                     out.append((float(dest[k]), Message(mtype, (float(a[k]),))))
         return out
 
-    def _filter(self, keep_of_chunk: _KeepFn) -> int:
-        removed = 0
-        for code, chunks in enumerate(self._chunks):
-            fresh: list[_Chunk] = []
-            for ch in chunks:
-                keep = keep_of_chunk(code, ch)
-                kept = int(keep.sum())
-                removed += len(ch[0]) - kept
-                self._staged[code] -= len(ch[0]) - kept
-                if kept == 0:
-                    continue
-                if kept == len(ch[0]):
-                    fresh.append(ch)
-                else:
-                    fresh.append(
-                        (
-                            ch[0][keep],
-                            ch[1][keep],
-                            None if ch[2] is None else ch[2][keep],
-                            None if ch[3] is None else ch[3][keep],
-                            None if ch[4] is None else ch[4][keep],
-                        )
-                    )
-            self._chunks[code] = fresh
-        return removed
-
     def restage(
         self,
         code: int,
@@ -327,84 +301,88 @@ class Outbox:
     def drop_and_purge_batch(self, victims: np.ndarray) -> int:
         """Remove staged rows addressed to or mentioning departing nodes.
 
-        One vectorized pass equivalent to the scalar per-victim sequence
-        ``drop_dest(v); purge_mentions(v)`` over *victims* in ascending id
-        order (``FastEngine.leave``'s contract).  Returns how many removed
-        rows that sequence would have *counted* as destination drops: a row
-        dies counted iff the first victim (ascending) that touches it does
-        so as its destination — ``d <= m`` where ``d``/``m`` are the victim
-        ranks of the destination / earliest payload mention (a strictly
-        earlier mention purges the row, uncounted, before the destination
-        victim's own drop pass reaches it).
+        The array analogue of ``Network.remove_node`` +
+        ``purge_identifier`` restricted to staging (between rounds the
+        channels are empty, so staging is the entire in-flight set).
+        Returns how many removed rows count as destination drops, by the
+        ``d <= m`` rule of :func:`departure_sweep`.
         """
-        victims = np.ascontiguousarray(victims, dtype=np.float64)
+        victims = np.sort(np.ascontiguousarray(victims, dtype=np.float64))
         if len(victims) == 0:
             return 0
-        victims = np.sort(victims)
-        absent = len(victims)
         counted = 0
         for code, chunks in enumerate(self._chunks):
             fresh: list[_Chunk] = []
             for ch in chunks:
-                d = victim_rank(ch[0], victims)
-                m = victim_rank(ch[1], victims)
-                if code == RESLRL and ch[2] is not None and ch[3] is not None:
-                    m = np.minimum(m, victim_rank(ch[2], victims))
-                    m = np.minimum(m, victim_rank(ch[3], victims))
-                doomed = (d < absent) | (m < absent)
-                counted += int((doomed & (d <= m)).sum())
-                kept = int(len(ch[0]) - doomed.sum())
-                self._staged[code] -= len(ch[0]) - kept
-                if kept == 0:
-                    continue
-                if kept == len(ch[0]):
+                payload = ch[1:4] if code == RESLRL else ch[1:2]
+                doomed, drops = departure_sweep(victims, ch[0], *payload)
+                counted += int(drops.sum())
+                n_doomed = int(doomed.sum())
+                self._staged[code] -= n_doomed
+                if n_doomed == 0:
                     fresh.append(ch)
-                    continue
-                keep = ~doomed
-                fresh.append(
-                    (
-                        ch[0][keep],
-                        ch[1][keep],
-                        None if ch[2] is None else ch[2][keep],
-                        None if ch[3] is None else ch[3][keep],
-                        None if ch[4] is None else ch[4][keep],
+                elif n_doomed < len(ch[0]):
+                    keep = ~doomed
+                    fresh.append(
+                        (
+                            ch[0][keep],
+                            ch[1][keep],
+                            None if ch[2] is None else ch[2][keep],
+                            None if ch[3] is None else ch[3][keep],
+                            None if ch[4] is None else ch[4][keep],
+                        )
                     )
-                )
             self._chunks[code] = fresh
         return counted
-
-    def drop_dest(self, nid: float) -> int:
-        """Drop staged messages addressed to *nid* (node removal)."""
-        return self._filter(lambda code, ch: ch[0] != nid)
-
-    def purge_mentions(self, nid: float) -> int:
-        """Drop staged messages whose payload mentions *nid*.
-
-        The array analogue of ``Network.purge_identifier`` restricted to
-        staging (between rounds the channels are empty, so staging is the
-        entire in-flight set).
-        """
-
-        def keep(code: int, ch: _Chunk) -> np.ndarray:
-            hit = ch[1] == nid
-            if code == RESLRL and ch[2] is not None and ch[3] is not None:
-                hit = hit | (ch[2] == nid) | (ch[3] == nid)
-            return ~hit
-
-        return self._filter(keep)
 
 
 def victim_rank(values: np.ndarray, victims: np.ndarray) -> np.ndarray:
     """Rank of each value in *victims* (sorted ascending, nonempty).
 
     Returns ``len(victims)`` where the value is not a victim — an "absent"
-    sentinel that compares greater than every real rank, so the batched
-    ``d <= m`` accounting in :meth:`Outbox.drop_and_purge_batch` reduces to
-    elementwise integer comparisons.
+    sentinel that compares greater than every real rank, so the ``d <= m``
+    rule of :func:`departure_sweep` reduces to elementwise integer
+    comparisons.
     """
     pos = np.searchsorted(victims, values)
     clipped = np.minimum(pos, len(victims) - 1)
     return np.where(victims[clipped] == values, clipped, len(victims))
+
+
+def departure_sweep(
+    victims: np.ndarray,
+    dest: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray | None = None,
+    c: np.ndarray | None = None,
+    lrl: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which in-flight rows a departure batch kills, and which it counts.
+
+    The one statement of the membership purge (paper §IV-G) that every
+    in-flight store of the SoA engines — outbox, chaos wire, guard — runs.
+    Departing *victims* (sorted ascending, nonempty) one at a time, in
+    ascending order, a row dies when a victim is its destination (a drop,
+    counted) or is named in its payload (a purge, uncounted), whichever
+    happens first.  With ``d``/``m`` the victim ranks of the destination
+    and of the earliest payload mention, a row dies iff either exists, and
+    dies counted iff ``d <= m``: a strictly earlier mention purges it
+    before its destination's drop reaches it.
+
+    The payload is ``a``, plus ``b``/``c`` (``reslrl``'s neighbour ids) on
+    the rows *lrl* marks — every row when *lrl* is ``None``.  Returns the
+    boolean masks ``(doomed, counted)``, ``counted`` within ``doomed``.
+    """
+    absent = len(victims)
+    d = victim_rank(dest, victims)
+    m = victim_rank(a, victims)
+    if b is not None and c is not None:
+        mention = np.minimum(
+            m, np.minimum(victim_rank(b, victims), victim_rank(c, victims))
+        )
+        m = mention if lrl is None else np.where(lrl, mention, m)
+    doomed = (d < absent) | (m < absent)
+    return doomed, doomed & (d <= m)
 
 
 def _col(ch: _Chunk, position: int, count: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
 from repro.sim.chaos.guard import GuardPolicy, GuardStats
 from repro.sim.fast.batched import FastEngine
-from repro.sim.fast.buffers import CODE_OF_TYPE, RESLRL, TYPE_OF_CODE, victim_rank
+from repro.sim.fast.buffers import CODE_OF_TYPE, RESLRL, TYPE_OF_CODE, departure_sweep
 from repro.sim.fast.chaos.wire import (
     KIND_ACK,
     KIND_ENVELOPE,
@@ -188,43 +188,21 @@ class BatchedGuard:
             self.stats.retransmits += len(resend)
         return resend
 
-    def drop_for_destination(self, node_id: float) -> None:
-        hit = self.alive & (self.dest == node_id)
-        n = int(hit.sum())
-        if n:
-            self.stats.abandoned += n
-            self.alive[hit] = False
-
-    def drop_mentioning(self, node_id: float) -> None:
-        mention = (self.a == node_id) | (
-            (self.tcode == RESLRL)
-            & ((self.b == node_id) | (self.c == node_id))
-        )
-        self.alive[self.alive & mention] = False
-
     def drop_batch(self, victims: np.ndarray) -> None:
-        """Batched ``drop_for_destination`` + ``drop_mentioning`` sweep.
+        """Retire the pending rows a departure batch touches.
 
-        Equivalent to the scalar pair per victim in ascending id order
-        (*victims* must be sorted): a pending row abandons (counted) iff
-        the first victim that touches it is its destination — the same
-        ``d <= m`` rule as :meth:`Outbox.drop_and_purge_batch` — and dies
-        uncounted when an earlier victim is merely mentioned.
+        *victims* sorted ascending.  By the ``d <= m`` rule of
+        :func:`~repro.sim.fast.buffers.departure_sweep`, a pending row for
+        a departed destination is abandoned (counted, as
+        ``GuardedHandoff.drop_for_destination``), and one that merely
+        mentions an earlier victim dies uncounted (as ``drop_mentioning``).
         """
         if len(victims) == 0 or len(self.alive) == 0:
             return
-        absent = len(victims)
-        d = victim_rank(self.dest, victims)
-        m = victim_rank(self.a, victims)
-        lrl = self.tcode == RESLRL
-        if lrl.any():
-            mb = victim_rank(self.b, victims)
-            mc = victim_rank(self.c, victims)
-            m = np.where(lrl, np.minimum(m, np.minimum(mb, mc)), m)
-        doomed = self.alive & ((d < absent) | (m < absent))
-        abandoned = int((doomed & (d <= m)).sum())
-        if abandoned:
-            self.stats.abandoned += abandoned
+        doomed, counted = departure_sweep(
+            victims, self.dest, self.a, self.b, self.c, self.tcode == RESLRL
+        )
+        self.stats.abandoned += int((counted & self.alive).sum())
         self.alive[doomed] = False
 
     def compact(self) -> None:
@@ -444,50 +422,25 @@ class ChaosFastEngine(FastEngine):
     # ------------------------------------------------------------------
     # Membership / churn
     # ------------------------------------------------------------------
-    def leave(self, node_id: float) -> None:
-        """Remove *node_id*; wire frames to it die with it (counted), wire
-        mentions of it are purged (uncounted), and guarded envelopes for
-        or mentioning it are dropped — as ``leave_node`` on a
-        ``ChaosNetwork``."""
-        super().leave(node_id)
-        wire = self._wire
-        if len(wire):
-            doomed = (wire.dest == node_id) & (wire.kind != KIND_ACK)
-            n = int(doomed.sum())
-            if n:
-                self.dropped += n
-                wire = wire.take(~doomed)
-            mention = (wire.kind != KIND_ACK) & _mentions(wire, node_id)
-            if mention.any():
-                wire = wire.take(~mention)
-            self._wire = wire
-        if self._guard is not None:
-            self._guard.drop_for_destination(node_id)
-            self._guard.drop_mentioning(node_id)
-
     def _after_leave_batch(self, victims: np.ndarray) -> None:
-        """Vectorized wire + guard purge for a departure batch.
+        """The wire and guard purge of a departure batch — one ``leave`` is
+        a batch of one, so this is the engine's only membership purge.
 
-        The scalar ``leave`` interleaves outbox, wire, and guard purges per
-        victim, but the three stores are disjoint, so processing each store
-        with its own ``d <= m`` sweep over the ascending victim batch
-        reproduces the sequential counts exactly.
+        As ``leave_node`` on a ``ChaosNetwork``, per victim in ascending
+        order: wire frames to it die with it (counted), wire mentions of it
+        are purged (uncounted), acks are left alone, and guarded envelopes
+        for or mentioning it are dropped.  The reference interleaves the
+        outbox, wire and guard purges per victim, but the three stores are
+        disjoint, so one ``d <= m`` sweep per store reproduces its counts.
         """
         wire = self._wire
         if len(wire):
-            absent = len(victims)
+            doomed, counted = departure_sweep(
+                victims, wire.dest, wire.a, wire.b, wire.c, wire.tcode == RESLRL
+            )
             payload = wire.kind != KIND_ACK
-            d = victim_rank(wire.dest, victims)
-            m = victim_rank(wire.a, victims)
-            lrl = wire.tcode == RESLRL
-            if lrl.any():
-                mb = victim_rank(wire.b, victims)
-                mc = victim_rank(wire.c, victims)
-                m = np.where(lrl, np.minimum(m, np.minimum(mb, mc)), m)
-            doomed = payload & ((d < absent) | (m < absent))
-            counted = int((doomed & (d <= m)).sum())
-            if counted:
-                self.dropped += counted
+            self.dropped += int((counted & payload).sum())
+            doomed &= payload
             if doomed.any():
                 self._wire = wire.take(~doomed)
         if self._guard is not None:
@@ -578,15 +531,6 @@ class ChaosFastEngine(FastEngine):
             f"faults={len(self._wire_faults)}, "
             f"guarded={self._guard is not None})"
         )
-
-
-def _mentions(rows: WireRows, node_id: float) -> np.ndarray:
-    """Which rows' payloads mention *node_id* (filler columns ignored)."""
-    hit = rows.a == node_id
-    lrl = rows.tcode == RESLRL
-    if lrl.any():
-        hit = hit | (lrl & ((rows.b == node_id) | (rows.c == node_id)))
-    return hit
 
 
 def _rows_by_code(rows: WireRows):

@@ -39,7 +39,8 @@ import numpy as np
 from repro.core.forget import forget_probability
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
-from repro.ids import NEG_INF, POS_INF, require_id
+from repro.ids import NEG_INF, POS_INF
+from repro.sim.fast.batched import join_batch_rows
 from repro.sim.fast.buffers import (
     INCLRL,
     LIN,
@@ -224,20 +225,18 @@ class MirrorEngine(SoAHost):
     # Membership / churn
     # ------------------------------------------------------------------
     def join(self, new_id: float, contact_id: float) -> None:
-        """Add a fresh node knowing only *contact_id* (as ``join_node``)."""
-        require_id(new_id, what="joining id")
-        if new_id in self.soa:
-            raise ValueError(f"id {new_id!r} already in the network")
-        if contact_id not in self.soa:
-            raise ValueError(f"contact {contact_id!r} not in the network")
-        if contact_id == new_id:
-            raise ValueError("a node cannot join via itself")
-        state = NodeState(id=new_id)
-        if contact_id < new_id:
-            state.corrupt(l=contact_id)
-        else:
-            state.corrupt(r=contact_id)
-        self.soa.add(state)
+        """Add a fresh node knowing only *contact_id* (as ``join_node``).
+
+        The columns are written by a join batch of one, like every SoA
+        host's; the channel is the mirror's own.
+        """
+        self.soa.add_batch(
+            *join_batch_rows(
+                np.array([new_id], dtype=np.float64),
+                np.array([contact_id], dtype=np.float64),
+                self.soa,
+            )
+        )
         self._channels[new_id] = []
         if self._sets is not None:
             self._sets[new_id] = set()
@@ -250,10 +249,12 @@ class MirrorEngine(SoAHost):
         counted, in-flight mentions are purged uncounted, and stored
         references are scrubbed — the same sequence as
         ``Network.remove_node`` + ``purge_identifier`` + the state scrub.
+        The columns are written by departure batches of one.
         """
         if node_id not in self.soa:
             raise KeyError(f"no node with id {node_id!r}")
-        self.soa.remove(node_id)
+        victim = np.array([node_id], dtype=np.float64)
+        self.soa.remove_batch(victim)
         del self._channels[node_id]
         if self._sets is not None:
             del self._sets[node_id]
@@ -270,7 +271,7 @@ class MirrorEngine(SoAHost):
                 self._channels[nid] = kept
                 if self._sets is not None:
                     self._sets[nid] = set(kept)
-        self.soa.scrub_departed(node_id)
+        self.soa.scrub_departed_many(victim)
 
     def join_batch(self, new_ids: np.ndarray, contact_ids: np.ndarray) -> int:
         """Batch join: the scalar joins in ascending new-id order.

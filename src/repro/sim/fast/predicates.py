@@ -11,9 +11,10 @@ messages, Definition 4.2), including edges to dangling identifiers: the
 proof's graphs are over identifiers, and during churn a shared dangling
 identifier can be exactly what holds two components together.
 
-:class:`SoAHost` is how the three SoA engines answer the health and
-state-fault calls of the host surface (:class:`repro.sim.host.Host`): one
-delegating method per call, over the functions here and their siblings in
+:class:`SoAHost` is how the three SoA engines answer the membership,
+health and state-fault calls of the host surface
+(:class:`repro.sim.host.Host`): one delegating method per call, over the
+engine's batch writers, the functions here and their siblings in
 :mod:`repro.sim.fast.chaos`.
 """
 
@@ -58,8 +59,8 @@ fast_phase_predicates = phase_predicates
 
 
 class SoAHost:
-    """Membership reads, health and state faults of the host surface,
-    over the engine's one :class:`~repro.sim.fast.soa.SoAState`.
+    """Membership, health and state faults of the host surface, over the
+    engine's one :class:`~repro.sim.fast.soa.SoAState`.
 
     Mixed into ``FastEngine``, ``MirrorEngine`` and ``ShardedEngine``.  The
     predicates are named at call time, never bound as class attributes:
@@ -72,6 +73,21 @@ class SoAHost:
     soa: SoAState
     inflight_pairs: Callable[[int], tuple[np.ndarray, np.ndarray]]
     in_flight_id_pairs: Callable[[], tuple[np.ndarray, np.ndarray]]
+    join_batch: Callable[[np.ndarray, np.ndarray], int]
+    leave_batch: Callable[[np.ndarray], int]
+
+    def join(self, new_id: float, contact_id: float) -> None:
+        """Add a fresh node knowing only *contact_id* (paper §IV-G): a
+        join batch of one, with ``repro.churn.join.join_node``'s checks."""
+        self.join_batch(
+            np.array([new_id], dtype=np.float64),
+            np.array([contact_id], dtype=np.float64),
+        )
+
+    def leave(self, node_id: float) -> None:
+        """Remove *node_id*, purging every reference to it (paper §IV-G):
+        a departure batch of one, as ``repro.churn.leave.leave_node``."""
+        self.leave_batch(np.array([node_id], dtype=np.float64))
 
     def __contains__(self, node_id: float) -> bool:
         return node_id in self.soa

@@ -137,7 +137,7 @@ class SanitizedSoAState:
     """Proxy handing out recording views of the SoA columns.
 
     Everything that is not a column (``size``, ``lookup``,
-    ``index_of``, ``add`` …) delegates to the wrapped state untouched.
+    ``index_of``, ``add_batch`` …) delegates to the wrapped state untouched.
     Dunder lookups bypass ``__getattr__``, so the membership protocol is
     forwarded explicitly.
     """

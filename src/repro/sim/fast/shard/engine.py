@@ -231,19 +231,8 @@ class ShardedEngine(SoAHost):
             mark("merge")
 
     # ------------------------------------------------------------------
-    # Membership / churn (round boundaries only)
+    # Membership / churn (round boundaries only; join/leave: SoAHost)
     # ------------------------------------------------------------------
-    def join(self, new_id: float, contact_id: float) -> None:
-        """Add a fresh node knowing only *contact_id* (paper §IV-G)."""
-        self.join_batch(
-            np.asarray([new_id], dtype=np.float64),
-            np.asarray([contact_id], dtype=np.float64),
-        )
-
-    def leave(self, node_id: float) -> None:
-        """Remove *node_id*, purging every reference to it (paper §IV-G)."""
-        self.leave_batch(np.asarray([node_id], dtype=np.float64))
-
     def join_batch(self, new_ids: np.ndarray, contact_ids: np.ndarray) -> int:
         """Batched join with the ``FastEngine.join_batch`` contract."""
         rows = join_batch_rows(new_ids, contact_ids, self.soa)

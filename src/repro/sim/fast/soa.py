@@ -19,7 +19,10 @@ identifiers, not slots, and per-round inboxes re-resolve them, so
 :meth:`SoAState.compact` may reclaim dead slots at any round boundary
 (docs/CHAOS.md "Churn at scale").  Identifier→index resolution is a dict
 for scalar callers and a sorted-array ``searchsorted`` for vectorized
-ones.
+ones.  Membership writes the columns in batches only
+(:meth:`~SoAState.add_batch`, :meth:`~SoAState.remove_batch`,
+:meth:`~SoAState.scrub_departed_many`); one join or leave is a batch of
+one.
 
 Both fast engines (batched and mirror-RNG; see docs/PERF.md) share this
 container, and both export the canonical
@@ -36,7 +39,7 @@ import numpy as np
 from repro.core.state import NodeState, StateTuple
 from repro.ids import NEG_INF, POS_INF
 
-__all__ = ["SoAState"]
+__all__ = ["SoAState", "state_columns"]
 
 #: Initial slot capacity for an empty container.
 _MIN_CAPACITY = 16
@@ -83,11 +86,11 @@ class SoAState:
     # ------------------------------------------------------------------
     @classmethod
     def from_states(cls, states: Iterable[NodeState]) -> "SoAState":
-        """Build a container from reference per-node states."""
-        materialized = list(states)
-        soa = cls(capacity=max(len(materialized), _MIN_CAPACITY))
-        for state in materialized:
-            soa.add(state)
+        """Build a container from reference per-node states (slots in
+        iteration order)."""
+        columns = state_columns(states)
+        soa = cls(capacity=len(columns[0]))
+        soa.add_batch(*columns)
         return soa
 
     def _grow(self) -> None:
@@ -99,51 +102,9 @@ class SoAState:
             setattr(self, name, fresh)
         self.capacity = new_capacity
 
-    def add(self, state: NodeState) -> int:
-        """Append one node; returns its compact index.
-
-        Raises
-        ------
-        ValueError
-            If the identifier is already live (duplicate ids violate the
-            model's total order, exactly as in ``Network.add_node``).
-        """
-        nid = float(state.id)
-        if nid in self._index:
-            raise ValueError(f"duplicate node id {nid!r}")
-        if self.size == self.capacity:
-            self._grow()
-        i = self.size
-        self.ids[i] = nid
-        self.l[i] = state.l
-        self.r[i] = state.r
-        self.lrl[i] = state.lrl
-        self.ring[i] = np.nan if state.ring is None else state.ring
-        self.age[i] = state.age
-        self.alive[i] = True
-        self._index[nid] = i
-        self.size += 1
-        self._dirty = True
-        return i
-
-    def remove(self, nid: float) -> int:
-        """Mark the node with identifier *nid* dead; returns its slot.
-
-        The slot becomes a tombstone: it is not reused by later joins, so
-        compact indices stay valid until the next :meth:`compact` call
-        (which only ever runs at a round boundary — nothing holds slot
-        indices across rounds; buffers carry identifiers).
-        """
-        try:
-            i = self._index.pop(float(nid))
-        except KeyError:
-            raise KeyError(f"no node with id {nid!r}") from None
-        self.alive[i] = False
-        self._dirty = True
-        return i
-
     # ------------------------------------------------------------------
-    # Batch membership (docs/CHAOS.md "Churn at scale")
+    # Membership: batches are the only writers (docs/CHAOS.md "Churn at
+    # scale"); a single join or leave is a batch of one
     # ------------------------------------------------------------------
     def add_batch(
         self,
@@ -156,11 +117,13 @@ class SoAState:
     ) -> np.ndarray:
         """Append a batch of nodes in one column write; returns their slots.
 
-        State-equivalent to :meth:`add` called once per row, in row order
-        (appends are independent — each writes only its own fresh slot).
-        ``ring`` uses ``NaN`` for the reference engine's ``None``.  The
-        whole batch is validated before any slot is written, so a raising
-        call leaves the container untouched.
+        Rows take fresh slots in row order (appends are independent — each
+        writes only its own slot).  ``ring`` uses ``NaN`` for the reference
+        engine's ``None``.  The whole batch is validated before any slot is
+        written: an id that is already live, or repeats within the batch,
+        raises ``ValueError`` (duplicate ids violate the model's total
+        order, exactly as in ``Network.add_node``) and leaves the container
+        untouched.
         """
         ids = np.ascontiguousarray(ids, dtype=np.float64)
         k = len(ids)
@@ -190,9 +153,12 @@ class SoAState:
     def remove_batch(self, nids: np.ndarray) -> np.ndarray:
         """Tombstone a batch of identifiers; returns their (dead) slots.
 
-        State-equivalent to :meth:`remove` per id in any order.  The whole
-        batch is validated first (unknown or in-batch-duplicate ids raise
-        ``KeyError`` with no slot touched).
+        A tombstoned slot is not reused by later joins, so compact indices
+        stay valid until the next :meth:`compact` call (which only ever
+        runs at a round boundary — nothing holds slot indices across
+        rounds; buffers carry identifiers).  The whole batch is validated
+        first (unknown or in-batch-duplicate ids raise ``KeyError`` with no
+        slot touched).
         """
         nids = np.ascontiguousarray(nids, dtype=np.float64)
         if len(np.unique(nids)) != len(nids):
@@ -207,12 +173,14 @@ class SoAState:
         return slots
 
     def scrub_departed_many(self, nids: np.ndarray) -> None:
-        """Vectorized :meth:`scrub_departed` over a whole departure batch.
+        """Erase every stored reference to the departed identifiers *nids*.
 
-        Equivalent to the scalar scrub per id in any order: every scrubbed
-        value becomes a sentinel (±∞, ``NaN``, the owner id) that can never
-        equal a departing identifier, so one ``isin`` pass per column sees
-        exactly the rows the sequential scrubs would have rewritten.
+        Mirrors :func:`repro.churn.leave.leave_node`'s state scrub:
+        dangling ``l``/``r`` become sentinels, dangling rings unset, and a
+        dangling long-range link resets to its owner with age 0.  Every
+        scrubbed value is a sentinel (±∞, ``NaN``, the owner id) that can
+        never equal a departing identifier, so one ``isin`` pass per column
+        is the scrub per id in any order.
         """
         nids = np.ascontiguousarray(nids, dtype=np.float64)
         if len(nids) == 0:
@@ -354,30 +322,26 @@ class SoAState:
             )
         return states
 
-    # ------------------------------------------------------------------
-    # Churn support
-    # ------------------------------------------------------------------
-    def scrub_departed(self, nid: float) -> None:
-        """Erase every stored reference to a departed identifier.
-
-        Mirrors :func:`repro.churn.leave.leave_node`'s state scrub: dangling
-        ``l``/``r`` become sentinels, dangling rings unset, and a dangling
-        long-range link resets to its owner with age 0.
-        """
-        n = self.size
-        live = self.alive[:n]
-        sel = live & (self.l[:n] == nid)
-        self.l[:n][sel] = NEG_INF
-        sel = live & (self.r[:n] == nid)
-        self.r[:n][sel] = POS_INF
-        sel = live & (self.ring[:n] == nid)
-        self.ring[:n][sel] = np.nan
-        sel = live & (self.lrl[:n] == nid)
-        self.lrl[:n][sel] = self.ids[:n][sel]
-        self.age[:n][sel] = 0
-
     def __len__(self) -> int:
         return self.n_live
 
     def __repr__(self) -> str:
         return f"SoAState(n={self.n_live}, slots={self.size})"
+
+
+def state_columns(states: Iterable[NodeState]) -> tuple[np.ndarray, ...]:
+    """``(ids, l, r, lrl, ring, age)`` of reference states, in iteration
+    order: the columns :meth:`SoAState.add_batch` takes (``ring`` ``NaN``
+    for ``None``)."""
+    listed = list(states)
+    return (
+        np.array([s.id for s in listed], dtype=np.float64),
+        np.array([s.l for s in listed], dtype=np.float64),
+        np.array([s.r for s in listed], dtype=np.float64),
+        np.array([s.lrl for s in listed], dtype=np.float64),
+        np.array(
+            [np.nan if s.ring is None else s.ring for s in listed],
+            dtype=np.float64,
+        ),
+        np.array([s.age for s in listed], dtype=np.int64),
+    )

@@ -61,48 +61,19 @@ class SynchronousScheduler:
     def __init__(self, *, regular_actions: bool = True) -> None:
         self.regular_actions = regular_actions
         #: Hot-loop phase profiler, installed by an ambient observer
-        #: (repro.obs).  ``None`` — the default — keeps the round loop on
-        #: the untimed fast path below.
+        #: (repro.obs).  ``None`` — the default — leaves the round untimed;
+        #: timing only reads ``perf_counter``, so the protocol behaviour and
+        #: the draw sequence are the same either way
+        #: (tests/test_obs_nonperturbation.py).
         self.profiler: PhaseProfiler | None = None
 
     def execute_round(self, network: Network, rng: np.random.Generator) -> None:
         profiler = self.profiler
-        if profiler is not None:
-            self._execute_round_profiled(network, rng, profiler)
-            return
+        t0 = time.perf_counter() if profiler is not None else 0.0
         # Messages staged in the previous round become receivable now.
         network.flush()
-        ids = network.ids
-        if not ids:
-            return
-        order = rng.permutation(len(ids))
-        for i in order:
-            nid = ids[i]
-            if nid not in network:
-                continue  # removed mid-round by a churn hook
-            node = network.node(nid)
-            send = network.sender(nid)
-            for message in network.channel(nid).drain(rng):
-                node.on_message(message, send, rng)
-            if self.regular_actions:
-                node.regular_action(send, rng)
-
-    def _execute_round_profiled(
-        self,
-        network: Network,
-        rng: np.random.Generator,
-        profiler: "PhaseProfiler",
-    ) -> None:
-        """The same round, with per-phase wall-clock accounting.
-
-        Identical protocol behavior and RNG draw sequence to the untimed
-        path (pinned by tests/test_obs_nonperturbation.py); the only
-        additions are ``perf_counter`` reads around the flush and around
-        each node's receive/act sections.
-        """
-        t0 = time.perf_counter()
-        network.flush()
-        profiler.add("flush", time.perf_counter() - t0)
+        if profiler is not None:
+            profiler.add("flush", time.perf_counter() - t0)
         ids = network.ids
         if not ids:
             return
@@ -117,18 +88,22 @@ class SynchronousScheduler:
                 continue  # removed mid-round by a churn hook
             node = network.node(nid)
             send = network.sender(nid)
-            t1 = time.perf_counter()
-            for message in network.channel(nid).drain(rng):
+            t1 = time.perf_counter() if profiler is not None else 0.0
+            messages = network.channel(nid).drain(rng)
+            for message in messages:
                 node.on_message(message, send, rng)
-                received += 1
-            t2 = time.perf_counter()
-            receive += t2 - t1
+            if profiler is not None:
+                t2 = time.perf_counter()
+                receive += t2 - t1
+                received += len(messages)
             if self.regular_actions:
                 node.regular_action(send, rng)
-                regular += time.perf_counter() - t2
-                acted += 1
-        profiler.add("receive", receive, calls=received)
-        profiler.add("regular", regular, calls=acted)
+                if profiler is not None:
+                    regular += time.perf_counter() - t2
+                    acted += 1
+        if profiler is not None:
+            profiler.add("receive", receive, calls=received)
+            profiler.add("regular", regular, calls=acted)
 
 
 class AsyncScheduler:

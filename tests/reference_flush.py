@@ -1,4 +1,5 @@
-"""Reference oracles for the per-round flush and the serving hop kernel.
+"""Reference oracles for the per-round flush, the membership purge and the
+serving hop kernel.
 
 The comparison-sort bodies that :func:`repro.sim.fast.buffers.prepare_inbox`,
 :func:`~repro.sim.fast.buffers.finalize_inbox`,
@@ -9,7 +10,13 @@ sorts and the table-driven hop loop replaced them.  They are kept here,
 and only here, as the executable definition of "the same permutation a
 stable sort of the same key yields" and of "hop-for-hop identical":
 ``tests/test_flush_reference.py`` requires the shipped functions to equal
-them array-for-array, dtypes included.  Not collected by pytest (no
+them array-for-array, dtypes included.
+
+Beside them, the per-node departure purges the SoA engines had before
+every ``leave`` became a departure batch of one — outbox, chaos wire and
+guard, one victim at a time: the executable definition of the ``d <= m``
+rule of :func:`repro.sim.fast.buffers.departure_sweep`
+(``tests/test_departure_sweep.py``).  Not collected by pytest (no
 ``test_`` prefix); nothing under ``src/`` imports it.
 """
 
@@ -27,10 +34,15 @@ from repro.sim.fast.buffers import (
     RoundInbox,
     _col,
 )
+from repro.sim.fast.chaos.batched import BatchedGuard
+from repro.sim.fast.chaos.wire import KIND_ACK, WireRows
 
 __all__ = [
     "compact_chunks_reference",
     "finalize_inbox_reference",
+    "leave_guard_reference",
+    "leave_outbox_reference",
+    "leave_wire_reference",
     "prepare_inbox_reference",
     "route_batch_reference",
     "wave_groups_reference",
@@ -292,3 +304,74 @@ def route_batch_reference(
     if active.size:
         ok[active] = False
     return RouteResult(hops=hops, ok=ok, round_index=view.round_index, paths=paths)
+
+
+# ----------------------------------------------------------------------
+# The per-victim departure purges (one ``leave`` at a time)
+# ----------------------------------------------------------------------
+def _filter_chunks(
+    chunks: list[list[tuple]], keep_of_chunk: Callable[[int, tuple], np.ndarray]
+) -> int:
+    """``Outbox._filter``: keep each chunk's rows where *keep_of_chunk*
+    says so, in place; returns how many rows went."""
+    removed = 0
+    for code, per_type in enumerate(chunks):
+        fresh = []
+        for ch in per_type:
+            keep = keep_of_chunk(code, ch)
+            removed += len(ch[0]) - int(keep.sum())
+            if keep.any():
+                fresh.append(tuple(None if col is None else col[keep] for col in ch))
+        chunks[code] = fresh
+    return removed
+
+
+def drop_dest_reference(chunks: list[list[tuple]], nid: float) -> int:
+    """``Outbox.drop_dest``: drop staged rows addressed to *nid*."""
+    return _filter_chunks(chunks, lambda code, ch: ch[0] != nid)
+
+
+def purge_mentions_reference(chunks: list[list[tuple]], nid: float) -> int:
+    """``Outbox.purge_mentions``: drop staged rows whose payload names *nid*."""
+
+    def keep(code: int, ch: tuple) -> np.ndarray:
+        hit = ch[1] == nid
+        if code == RESLRL and ch[2] is not None and ch[3] is not None:
+            hit = hit | (ch[2] == nid) | (ch[3] == nid)
+        return ~hit
+
+    return _filter_chunks(chunks, keep)
+
+
+def leave_outbox_reference(chunks: list[list[tuple]], victims: np.ndarray) -> int:
+    """The scalar ``FastEngine.leave`` purge of staged *chunks*, victim by
+    victim in ascending order; returns the counted destination drops."""
+    counted = 0
+    for nid in np.sort(victims).tolist():
+        counted += drop_dest_reference(chunks, nid)
+        purge_mentions_reference(chunks, nid)
+    return counted
+
+
+def leave_wire_reference(wire: WireRows, node_id: float) -> tuple[WireRows, int]:
+    """The scalar ``ChaosFastEngine.leave`` wire purge of one victim:
+    frames to it die counted, frames naming it uncounted, acks stay."""
+    doomed = (wire.dest == node_id) & (wire.kind != KIND_ACK)
+    wire = wire.take(~doomed)
+    mention = wire.a == node_id
+    lrl = wire.tcode == RESLRL
+    if lrl.any():
+        mention = mention | (lrl & ((wire.b == node_id) | (wire.c == node_id)))
+    return wire.take(~((wire.kind != KIND_ACK) & mention)), int(doomed.sum())
+
+
+def leave_guard_reference(guard: BatchedGuard, node_id: float) -> None:
+    """``BatchedGuard.drop_for_destination`` then ``drop_mentioning``: a
+    pending row for the victim is abandoned (counted), one naming it dies."""
+    hit = guard.alive & (guard.dest == node_id)
+    guard.stats.abandoned += int(hit.sum())
+    guard.alive[hit] = False
+    mention = (guard.a == node_id) | (
+        (guard.tcode == RESLRL) & ((guard.b == node_id) | (guard.c == node_id))
+    )
+    guard.alive[guard.alive & mention] = False

@@ -198,6 +198,22 @@ class TestDrivers:
         assert res.rows[0]["ref_rounds"] >= 1
         assert res.rows[1]["ref_s"] == ""
 
+    def test_e22_peak_rss_is_the_rows_own(self):
+        """A row run after a larger allocation reads its own peak.  The
+        column used to be the process-lifetime ``ru_maxrss``, so a small row
+        after a large one read the large one's peak."""
+        status = pathlib.Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("no /proc/self/status to read RSS from")
+        block = np.ones(25_000_000)  # 200 MB, every page written
+        del block
+        rss_kb = re.search(r"VmRSS:\s+(\d+)", status.read_text())
+        assert rss_kb is not None
+        row = get_experiment("e22").run(sizes=(64,), queries=10, reference_max_n=0).rows[0]
+        if row["peak_rss_mb"] == "":
+            pytest.skip("the kernel refused to reset the RSS high-water mark")
+        assert row["peak_rss_mb"] < int(rss_kb.group(1)) * 1024 / 1e6 + 100
+
 
 class TestResultRendering:
     def test_table_contains_claim_and_notes(self):
@@ -409,9 +425,10 @@ _SMOKE_COMMANDS = _ci_run_commands("chaos-smoke", "churn-smoke")
 
 
 def test_ci_smoke_jobs_were_found():
-    """Two chaos-smoke legs and three churn-smoke legs (reference, fast,
-    sharded); fewer means the scan above lost track of ci.yml."""
-    assert len(_SMOKE_COMMANDS) == 5
+    """Two chaos-smoke legs and five churn-smoke legs (storms on reference,
+    fast, sharded; scalar churn on fast, sharded); fewer means the scan
+    above lost track of ci.yml."""
+    assert len(_SMOKE_COMMANDS) == 7
 
 
 @pytest.mark.parametrize("env, argv", _SMOKE_COMMANDS)

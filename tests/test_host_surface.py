@@ -13,7 +13,9 @@ host or raises the documented refusal.
 from __future__ import annotations
 
 import copy
+import importlib
 import pathlib
+import pkgutil
 import re
 
 import numpy as np
@@ -43,6 +45,8 @@ from repro.sim.chaos.monitors import (
 )
 from repro.sim.chaos.plan import FaultPlan
 from repro.sim.fast import FastSimulator
+from repro.sim.fast.buffers import Outbox
+from repro.sim.fast.soa import SoAState
 from repro.sim.host import ENGINES, make_simulator
 from repro.sim.invariants import InvariantViolation
 from repro.topology.generators import TOPOLOGIES
@@ -316,3 +320,32 @@ def test_branch_site_ratchet():
         "a driver asks 'network or engine?' again; use sim.host / "
         f"make_simulator (repro.sim.host) instead: {sites}"
     )
+
+
+def test_membership_has_one_path():
+    """Column-backed hosts join and leave through their batch writers
+    only: ``join``/``leave`` exist once, on ``SoAHost``, as batches of one,
+    beside the scalar oracles of ``Network`` (the mirrors), and the purge
+    rule exists once, in ``departure_sweep``."""
+    fast_root = pathlib.Path(repro.__file__).parent / "sim" / "fast"
+    defined = set()
+    for info in pkgutil.walk_packages([str(fast_root)], prefix="repro.sim.fast."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == info.name:
+                own = {"join", "leave"} & set(vars(cls))
+                defined |= {f"{cls.__name__}.{name}" for name in own}
+    assert defined == {
+        "SoAHost.join", "SoAHost.leave", "MirrorEngine.join", "MirrorEngine.leave",
+        "ChaosMirrorEngine.leave",
+    }
+    for name in ("add", "remove", "scrub_departed"):
+        assert not hasattr(SoAState, name)
+    for name in ("drop_dest", "purge_mentions"):
+        assert not hasattr(Outbox, name)
+    callers = {
+        path.name
+        for path in fast_root.rglob("*.py")
+        if re.search(r"(?<!def )victim_rank\(", path.read_text())
+    }
+    assert callers == {"buffers.py"}

@@ -18,7 +18,7 @@ from repro.obs.diff import diff_manifests, load_manifest, render_diff
 
 def _manifest(counter=100.0, seconds=2.0, extra_metric=False):
     m = {
-        "schema": "repro.obs/manifest/v1",
+        "schema": "repro.obs/manifest/v2",
         "experiment": "e-test",
         "git_rev": "abc",
         "duration_s": 1.0,

@@ -10,7 +10,7 @@ Covers the three tentpole pieces end to end:
   coordinator registry under ``shard=`` labels;
 * :mod:`repro.obs.phases` + ``repro obs phases`` — round-phase
   attribution over the recorded manifest, with the ≥95% gate;
-* the manifest v2 ``live`` block and legacy-v1 acceptance.
+* the manifest v2 ``live`` block, and v2 as the only schema accepted.
 """
 
 from __future__ import annotations
@@ -360,7 +360,7 @@ class TestInstrumentedLiveRun:
 
 
 # ----------------------------------------------------------------------
-# Manifest v2 / legacy v1
+# Manifest v2
 # ----------------------------------------------------------------------
 class TestManifestVersions:
     def test_v2_carries_live_block(self):
@@ -378,20 +378,13 @@ class TestManifestVersions:
         del manifest["live"]
         assert any("live" in p for p in validate_manifest(manifest))
 
-    def test_legacy_v1_accepted_without_live(self):
-        observer = Observer(experiment="m")
-        observer.finalize()
-        manifest = build_manifest(observer)
-        manifest["schema"] = "repro.obs/manifest/v1"
-        del manifest["live"]
-        assert validate_manifest(manifest) == []
-
     def test_unknown_schema_flagged(self):
         observer = Observer(experiment="m")
         observer.finalize()
         manifest = build_manifest(observer)
-        manifest["schema"] = "repro.obs/manifest/v9"
-        assert any("schema" in p for p in validate_manifest(manifest))
+        for schema in ("repro.obs/manifest/v1", "repro.obs/manifest/v9"):
+            manifest["schema"] = schema
+            assert any("schema" in p for p in validate_manifest(manifest))
 
 
 # ----------------------------------------------------------------------
