@@ -247,8 +247,10 @@ def measure_obs_overhead() -> dict[str, float]:
     adjacent runs cancels slow drift (turbo, co-tenants) that hits both
     variants of a pair equally, and the median discards the repeats a
     scheduler spike lands in — min-of-mins across unpaired samples does
-    neither, and flaked on the single-CPU CI box.  The recorded
-    ``*_seconds`` columns stay best-case (min) wall clocks.
+    neither, and flaked on the single-CPU CI box.  Which variant runs
+    first alternates from pair to pair, so a box that speeds up or slows
+    down within a pair does not always favour the same side.  The
+    recorded ``*_seconds`` columns stay best-case (min) wall clocks.
     """
     import statistics
 
@@ -259,10 +261,11 @@ def measure_obs_overhead() -> dict[str, float]:
     }
     bare: dict[str, list[float]] = {leg: [] for leg in legs}
     hooked: dict[str, list[float]] = {leg: [] for leg in legs}
-    for _ in range(OBS_REPEATS):
+    for repeat in range(OBS_REPEATS):
         for leg, run in legs.items():
-            bare[leg].append(run(bare=True))
-            hooked[leg].append(run(bare=False))
+            # Even pairs run bare first, odd pairs hooked first.
+            for is_bare in (repeat % 2 == 0, repeat % 2 == 1):
+                (bare if is_bare else hooked)[leg].append(run(bare=is_bare))
     result: dict[str, float] = {}
     for leg in legs:
         result[f"{leg}_bare_seconds"] = round(min(bare[leg]), 4)

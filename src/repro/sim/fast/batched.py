@@ -16,11 +16,14 @@ One round (the batched counterpart of
    into its node has to wait for the rows before it.  :func:`writer_rows`
    marks the rows that may store (a superset, decided up front), the token
    walk of Algorithm 4 runs first (it reads and writes ``lrl``/``age``
-   only, which nothing else in the phase steers), and the inbox is then
-   dispatched by ``(writers before the row in its node, type)``: a
-   read-only group may hold a destination many times, a writer group holds
-   it at most once, and either way one group is one vectorized kernel call
-   (:class:`~repro.sim.fast.kernels.Kernels`, docs/PERF.md §2);
+   only, which nothing else in the phase steers) as one kernel call per
+   *segment* — a run of waves that holds each node at most once, usually
+   the whole round (:func:`walk_cuts`, :func:`token_draws`) — and the
+   inbox is then dispatched by ``(writers before the row in its node,
+   type)``: a read-only group may hold a destination many times, a writer
+   group holds it at most once, and either way one group is one
+   vectorized kernel call (:class:`~repro.sim.fast.kernels.Kernels`,
+   docs/PERF.md §2);
 3. **regular actions** — one batched ``sendid(); probing()`` over all live
    nodes.
 
@@ -73,7 +76,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.messages import Message
     from repro.obs.profile import PhaseProfiler
 
-__all__ = ["FastEngine", "KERNEL_NAMES", "RoundPlan", "WaveFault", "writer_rows"]
+__all__ = [
+    "FastEngine",
+    "KERNEL_NAMES",
+    "RoundPlan",
+    "WaveFault",
+    "token_draws",
+    "walk_cuts",
+    "writer_rows",
+]
 
 #: Kernel name per message-type code (profiling labels, docs/PERF.md).
 KERNEL_NAMES = (
@@ -137,6 +148,53 @@ def writer_rows(inbox: RoundInbox, soa: SoAState) -> np.ndarray:
     return writer
 
 
+def walk_cuts(slots: np.ndarray, wave: np.ndarray) -> np.ndarray:
+    """The waves, ascending, at which the token walk starts a new segment.
+
+    *slots* and *wave* are the walk's destination slots and waves in draw
+    order.  A segment starts at every wave that holds a node's
+    second-or-later ``reslrl`` row of the round, so a segment walks each
+    node at most once.  Usually no node holds two and the whole walk is
+    one segment: one ``bincount`` says so.
+    """
+    none = np.empty(0, dtype=np.int64)
+    if len(slots) == 0:
+        return none
+    held = np.bincount(slots)
+    if held.max() <= 1:
+        return none
+    rows = np.flatnonzero(held[slots] > 1)
+    rows = rows[np.argsort(slots[rows], kind="stable")]
+    again = rows[1:][slots[rows[1:]] == slots[rows[:-1]]]
+    return np.unique(wave[again])
+
+
+def token_draws(
+    rng: np.random.Generator, counts: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One segment's move-and-forget draws, one ``rng.random`` call.
+
+    ``counts[p, w]`` is the number of valid ``reslrl`` rows that part *p*
+    (the engine, or one shard core) holds in wave *w* of the segment.  Wave
+    by wave, the walk draws ``K_w = counts[:, w].sum()`` direction coins
+    and then ``K_w`` forget coins, parts ascending within each.  Since
+    ``random(k1)`` followed by ``random(k2)`` is ``random(k1 + k2)`` split,
+    one ``random(2 * counts.sum())`` is that stream: wave *w* takes its
+    coins from ``[P_w, P_w + K_w)`` and its forgets from
+    ``[P_w + K_w, P_w + 2 K_w)``, ``P_w = 2 * sum(K[:w])``.  Returns per
+    part ``(coins, forget_u)``, aligned with its valid rows in draw order.
+    """
+    totals = counts.sum(axis=0)
+    uniform = rng.random(2 * int(totals.sum()))
+    first = 2 * (np.cumsum(totals) - totals) + (np.cumsum(counts, axis=0) - counts)
+    draws = []
+    for start, k in zip(first, counts):
+        coin = np.repeat(start - (np.cumsum(k) - k), k)
+        coin += np.arange(len(coin))
+        draws.append((uniform[coin], uniform[coin + np.repeat(totals, k)]))
+    return draws
+
+
 @dataclass
 class RoundPlan:
     """One round's receive phase, scheduled (:meth:`FastEngine._plan_round`)."""
@@ -146,14 +204,36 @@ class RoundPlan:
     groups: list[WaveGroup]
     #: Per inbox row, whether it may store; ``None`` is "every row may".
     writer: np.ndarray | None
-    #: The token walk's batches (inbox rows of ``reslrl``), in draw order.
-    batches: list[np.ndarray]
+    #: The token walk: the ``reslrl`` rows in draw order, and the wave each
+    #: is drawn in (ascending) — its wave rank under the writer schedule,
+    #: the position of its group among the dispatched ``reslrl`` groups
+    #: otherwise.
+    walk: np.ndarray
+    walk_wave: np.ndarray
+    #: Waves at which a segment of the walk starts, the first excepted.
+    cuts: np.ndarray
     #: Slots holding a token this round, and their start-of-round ``lrl``.
     token_slots: np.ndarray
     token_lrl0: np.ndarray
     #: Per inbox row (``reslrl`` rows only): what the walk recorded.
     token_lrl: np.ndarray
     token_forgot: np.ndarray
+
+    def segments(self) -> list[tuple[int, int]]:
+        """The walk's segments as half-open wave ranges, in draw order."""
+        if len(self.walk) == 0:
+            return []
+        bounds = [
+            int(self.walk_wave[0]),
+            *self.cuts.tolist(),
+            int(self.walk_wave[-1]) + 1,
+        ]
+        return list(zip(bounds, bounds[1:]))
+
+    def walk_rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The walk rows of the waves ``[lo, hi)``, and their waves."""
+        first, end = np.searchsorted(self.walk_wave, (lo, hi))
+        return self.walk[first:end], self.walk_wave[first:end]
 
 
 class WaveFault(Protocol):
@@ -322,20 +402,19 @@ class FastEngine(SoAHost):
         self.dropped += dropped
         if inbox is not None:
             plan = self._plan_round(inbox)
-            for rows in plan.batches:
-                self._walk_tokens(plan, rows, rng)
+            self._walk(plan, rng)
             self._run_groups(plan)
         self._run_regular(rng)
         self._close_round(rng)
 
     def _plan_round(self, inbox: RoundInbox) -> RoundPlan:
-        """Schedule *inbox*: writer mask, dispatch groups, token batches.
+        """Schedule *inbox*: writer mask, dispatch groups, token walk.
 
         One schedule, read off the engine's state once per round: while
         staging order is observable — the outbox keeps raw frames (the
         chaos wire, ``dedup=False``) or a :class:`WaveFault` rewrites the
         dispatch — every row counts as a writer, which groups the inbox by
-        ``(wave, type)``; the token walk then takes its batches from the
+        ``(wave, type)``; the token walk then takes its waves from the
         (rewritten) group list.
         """
         fault = self._wave_fault
@@ -350,20 +429,25 @@ class FastEngine(SoAHost):
         tokens = np.flatnonzero(inbox.tcode == RESLRL)
         if writer is None:
             batches = [rows for code, rows in groups if code == RESLRL]
+            walk = np.concatenate(batches) if batches else tokens[:0]
+            walk_wave = np.repeat(
+                np.arange(len(batches)), [len(rows) for rows in batches]
+            )
         else:
-            # The draw order of a wave-by-wave dispatch: the reslrl rows of
-            # one wave are one batch, ascending waves, inbox order within.
-            order, ranks = stable_order(
+            # The draw order of a wave-by-wave dispatch: ascending waves,
+            # inbox order within a wave.
+            order, walk_wave = stable_order(
                 inbox.rank[tokens].astype(np.int64), inbox.n_waves.bit_length()
             )
-            cuts = np.flatnonzero(ranks[1:] != ranks[:-1]) + 1
-            batches = np.split(tokens[order], cuts) if len(tokens) else []
+            walk = tokens[order]
         slots = inbox.dest_idx[tokens]
         return RoundPlan(
             inbox=inbox,
             groups=groups,
             writer=writer,
-            batches=batches,
+            walk=walk,
+            walk_wave=walk_wave,
+            cuts=walk_cuts(inbox.dest_idx[walk], walk_wave),
             token_slots=slots,
             token_lrl0=self.soa.lrl[slots],
             token_lrl=np.empty(len(inbox), dtype=np.float64),
@@ -436,20 +520,48 @@ class FastEngine(SoAHost):
         san.end()
         return result
 
+    def _walk(self, plan: RoundPlan, rng: np.random.Generator) -> None:
+        """The token walk: one draw and one ``move_forget`` per segment.
+
+        Runs ahead of the dispatch groups (Algorithm 4 reads and writes
+        ``lrl``/``age`` only).  Row order, validity and draws are the ones
+        a wave-by-wave walk makes (:func:`token_draws`).
+        """
+        for lo, hi in plan.segments():
+            rows, counts = self._segment(plan, lo, hi)
+            ((coins, forget_u),) = token_draws(rng, counts[None])
+            self._walk_tokens(plan, rows, rng, coins, forget_u)
+
+    def _segment(
+        self, plan: RoundPlan, lo: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The walk rows of the waves ``[lo, hi)``, and per wave how many
+        of them are valid (``responder == lrl``).
+
+        A segment walks each node at most once, so validity read up front
+        is what each row sees at its turn.  With move-and-forget off no row
+        is valid and nothing is drawn, as in the kernel.
+        """
+        rows, waves = plan.walk_rows(lo, hi)
+        inbox = plan.inbox
+        idx = inbox.dest_idx[rows]
+        if __debug__ and _wave_check_enabled():
+            assert np.unique(idx).size == idx.size, (
+                "a node repeats within one segment of the token walk"
+            )
+        valid = (inbox.a[rows] == self.soa.lrl[idx]) & self.kernels.maf
+        return rows, np.bincount(waves[valid] - lo, minlength=hi - lo)
+
     def _walk_tokens(
         self,
         plan: RoundPlan,
         rows: np.ndarray,
         rng: np.random.Generator,
-        coins: np.ndarray | None = None,
-        forget_u: np.ndarray | None = None,
+        coins: np.ndarray,
+        forget_u: np.ndarray,
     ) -> None:
-        """Step the tokens of one ``reslrl`` batch; record what each leaves.
-
-        Runs ahead of the dispatch groups (Algorithm 4 reads and writes
-        ``lrl``/``age`` only): batches, row order, validity filter and
-        draws are the ones a wave-by-wave dispatch makes.
-        """
+        """Step the tokens of one segment with its draws; record what each
+        row leaves."""
         profiler = self.profiler
         t1 = time.perf_counter() if profiler is not None else 0.0
         inbox = plan.inbox

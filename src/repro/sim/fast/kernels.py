@@ -16,10 +16,14 @@ and every masked store has an empty mask; every internal ``linearize``
 cascade passes a subset of its caller's batch, so no fancy-indexed store
 can hit the same slot twice.
 
-RNG: :meth:`move_forget` draws one direction-coin array and one forget-coin
-array per batch.  This is the *batched* draw discipline — distributionally
-equal to, but not call-for-call identical with, the reference engine's
-per-node draws (the mirror engine reproduces those instead; docs/PERF.md).
+RNG: :meth:`move_forget` consumes one direction-coin array and one
+forget-coin array per wave of ``reslrl`` rows.  The engines walk a whole
+segment of waves in one call and inject those arrays, cut from one draw per
+segment (:func:`repro.sim.fast.batched.token_draws`); called without them
+the kernel draws the pair itself for its batch.  This is the *batched* draw
+discipline — distributionally equal to, but not call-for-call identical
+with, the reference engine's per-node draws (the mirror engine reproduces
+those instead; docs/PERF.md).
 """
 
 from __future__ import annotations
@@ -161,10 +165,12 @@ class Kernels:
         it), for :meth:`place_token` to put into the node's sequence.
 
         *coins*/*forget_u* optionally inject the two uniform draws (both
-        sized to the post-validation batch).  The sharded coordinator uses
-        this to keep one global RNG stream: it draws for every shard's
-        batch at once and scatters the slices, so any shard count replays
-        the single-process draw sequence bit-for-bit.
+        sized to the post-validation batch).  Both engines use this: they
+        walk a segment of several waves in one call and cut each row's
+        coins from one draw per segment, in the order a wave-by-wave walk
+        would draw them — and the sharded coordinator makes that draw for
+        every shard at once, so any shard count replays the single-process
+        draw sequence bit-for-bit.
         """
         s = self.soa
         forgotten = np.full(len(idx), np.nan)
@@ -182,7 +188,7 @@ class Kernels:
         known2 = id2 != POS_INF
         both = known1 & known2
         if coins is None:
-            coins = rng.random(len(idx))  # repro-flow: ignore[flow-branch-rng] injection seam, not a data branch: the sharded coordinator pre-draws this exact batch from the same stream position; uninjected callers draw here, one coin per validated row either way
+            coins = rng.random(len(idx))  # repro-flow: ignore[flow-branch-rng] injection seam, not a data branch: the engines' segment walk (batched and sharded) cuts these coins from one draw per segment at this exact stream position; an uninjected direct call draws here, one coin per validated row either way
         new_lrl = s.lrl[idx].copy()
         new_lrl[known1] = id1[known1]
         take2 = (known2 & ~known1) | (both & (coins >= 0.5))

@@ -16,12 +16,13 @@ the unsharded round into phases it can interleave across shards:
    received rows and report its row counts;
 3. :meth:`start_round` — apply the coordinator's delivery-key slice and
    schedule the inbox (:meth:`FastEngine._plan_round`), reporting the
-   waves at which this block holds ``reslrl`` rows;
+   span of waves that holds this block's ``reslrl`` rows and the waves at
+   which its token walk cuts a segment;
 4. :meth:`reslrl_count` / :meth:`reslrl_apply` — the token walk, one
-   global ``reslrl`` wave at a time: the validity count of the wave's
-   batch, then its token step with the coins the coordinator drew once,
-   globally, and scattered.  Nothing is dispatched at a pause point — the
-   walk reads and writes ``lrl``/``age`` only;
+   global segment (the union of every block's cuts) at a time: the
+   segment's valid rows per wave, then its token step with the coins the
+   coordinator drew once, globally, and scattered.  Nothing is dispatched
+   at a pause point — the walk reads and writes ``lrl``/``age`` only;
 5. :meth:`finish_round` — put the walked ``lrl`` slots back, run every
    dispatch group plus the regular action over the block's live rows, and
    flush the send counts into the shared stats.
@@ -88,8 +89,6 @@ class ShardCore(FastEngine):
         ]
         self._pre: PreparedInbox | None = None
         self._plan: RoundPlan | None = None
-        #: This round's token-walk batches (inbox rows) by wave rank.
-        self._tokens_at: dict[int, np.ndarray] = {}
         # Per-round boundary-exchange row volumes, reported (and reset)
         # by the telemetry piggyback when set_telemetry(True) is active.
         self._rows_routed = 0
@@ -209,60 +208,53 @@ class ShardCore(FastEngine):
     # ------------------------------------------------------------------
     # Phase 3 — start dispatch
     # ------------------------------------------------------------------
-    def start_round(self, keys: np.ndarray) -> list[int]:
+    def start_round(
+        self, keys: np.ndarray
+    ) -> tuple[int, int, np.ndarray] | None:
         """Finalize the inbox with the coordinator's key slice; schedule it.
 
         *keys* aligns with this shard's canonical row order (non-reslrl
-        block, then reslrl block).  Returns the wave ranks at which this
-        shard holds ``reslrl`` rows — the coordinator's pause points —
-        or ``[]`` when move-and-forget is off (no draws happen then).
+        block, then reslrl block).  Returns ``(first, end, cuts)`` — the
+        half-open span of waves that holds this shard's ``reslrl`` rows
+        and the waves at which its walk starts a segment — or ``None``
+        when it holds none or move-and-forget is off (nothing is drawn
+        then).
         """
         pre, self._pre = self._pre, None
         self._plan = None
-        self._tokens_at = {}
         if pre is None:
-            return []
+            return None
         plan = self._plan = self._plan_round(finalize_inbox(pre, keys))
-        if not self.kernels.maf:
-            return []
-        self._tokens_at = {
-            int(plan.inbox.rank[rows[0]]): rows for rows in plan.batches
-        }
-        return list(self._tokens_at)
+        if not self.kernels.maf or len(plan.walk) == 0:
+            return None
+        return int(plan.walk_wave[0]), int(plan.walk_wave[-1]) + 1, plan.cuts
 
     # ------------------------------------------------------------------
-    # Phase 4 — reslrl pause points
+    # Phase 4 — reslrl pause points, one per segment
     # ------------------------------------------------------------------
-    def reslrl_count(self, rank: int) -> tuple[bool, int]:
-        """Size up this shard's token batch at the ``reslrl`` wave *rank*.
-
-        Reports ``(present, n_valid)``: whether this shard holds
-        ``reslrl`` rows in that wave, and how many of them pass the
-        responder-validity filter against the walk so far — the exact
-        number of coin pairs the batch will consume.
-        """
-        rows = self._tokens_at.get(rank)
-        if rows is None:
-            return False, 0
-        assert self._plan is not None
-        inbox = self._plan.inbox
-        valid = inbox.a[rows] == self.soa.lrl[inbox.dest_idx[rows]]
-        return True, int(valid.sum())
+    def reslrl_count(self, lo: int, hi: int) -> np.ndarray:
+        """This shard's valid ``reslrl`` rows in each wave of the segment
+        ``[lo, hi)`` — the coin pairs its part of the segment consumes."""
+        if self._plan is None:
+            return np.zeros(hi - lo, dtype=np.int64)
+        return self._segment(self._plan, lo, hi)[1]
 
     def reslrl_apply(
-        self, rank: int, coins: np.ndarray, forget_u: np.ndarray
+        self, lo: int, hi: int, coins: np.ndarray, forget_u: np.ndarray
     ) -> None:
-        """Step the tokens of the wave *rank* with the injected draws."""
-        rows = self._tokens_at.get(rank)
-        if rows is None:
-            if len(coins):
-                raise RuntimeError(
-                    f"shard {self.shard}: coordinator sent coins for a "
-                    f"reslrl wave {rank} this shard does not hold"
-                )
-            return
-        assert self._plan is not None
-        self._walk_tokens(self._plan, rows, self._local_rng, coins, forget_u)
+        """Step the tokens of the segment ``[lo, hi)`` with the injected
+        draws."""
+        plan = self._plan
+        if plan is not None:
+            rows = plan.walk_rows(lo, hi)[0]
+            if len(rows):
+                self._walk_tokens(plan, rows, self._local_rng, coins, forget_u)
+                return
+        if len(coins):
+            raise RuntimeError(
+                f"shard {self.shard}: coordinator sent coins for reslrl "
+                f"waves [{lo}, {hi}) this shard does not hold"
+            )
 
     # ------------------------------------------------------------------
     # Phase 5 — finish

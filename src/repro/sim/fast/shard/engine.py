@@ -16,10 +16,12 @@ over globally-ordered rows:
   order (shard-ascending non-reslrl blocks, then shard-ascending reslrl
   blocks — exactly the unsharded canonical order, since shards own
   contiguous id ranges) and scattered to shards as contiguous slices;
-* at each global ``reslrl`` wave the shards report their post-validation
-  batch sizes, the coordinator draws the two coin arrays the
-  unsharded kernel would draw, and scatters the slices into
-  :meth:`Kernels.move_forget`.
+* for each global segment of the token walk (cut wherever any shard's
+  walk cuts) the shards report their valid ``reslrl`` rows per wave, the
+  coordinator makes the segment's one draw, and
+  :func:`~repro.sim.fast.batched.token_draws` hands each shard the coins
+  and forgets a wave-by-wave walk would give its rows (shard-ascending
+  within a wave) for its one :meth:`Kernels.move_forget` call.
 
 Joins append slots out of id order (the same slots the unsharded engine
 appends), after which the unsharded canonical order — slot-major over all
@@ -46,7 +48,11 @@ import numpy as np
 
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
-from repro.sim.fast.batched import join_batch_rows, leave_batch_victims
+from repro.sim.fast.batched import (
+    join_batch_rows,
+    leave_batch_victims,
+    token_draws,
+)
 from repro.sim.fast.buffers import draw_delivery_keys
 from repro.sim.fast.predicates import SoAHost
 from repro.sim.fast.shard.core import ShardCore
@@ -115,7 +121,6 @@ class ShardedEngine(SoAHost):
             )
             for i in range(self.shards)
         ]
-        self._maf = cfg.move_and_forget
         #: The coordinator's round-phase profiler (obs-installed).
         self.profiler: PhaseProfiler | None = None
         self._shard_sink: Any = None
@@ -149,9 +154,9 @@ class ShardedEngine(SoAHost):
         """Advance the network by one synchronous round.
 
         Replays the unsharded draw sequence exactly: one delivery-key
-        array over the global canonical inbox order, then per global
-        ``reslrl`` wave the two move-and-forget coin arrays, all scattered
-        to shards as contiguous slices.
+        array over the global canonical inbox order, scattered to shards as
+        contiguous slices, then one move-and-forget draw per global
+        segment of the token walk, split by :func:`token_draws`.
 
         With a profiler attached the round is decomposed into ``flush``
         (outbox flush + owner partition), ``exchange`` (wire-chunk
@@ -190,33 +195,28 @@ class ShardedEngine(SoAHost):
             shard_keys = [np.empty(0, dtype=np.int64)] * n
         if mark is not None:
             mark("rng")
-        rank_lists = [
-            core.start_round(ks) for core, ks in zip(cores, shard_keys)
+        spans = [
+            span
+            for core, ks in zip(cores, shard_keys)
+            if (span := core.start_round(ks)) is not None
         ]
-        if self._maf:
-            pause_ranks: set[int] = set()
-            for ranks in rank_lists:
-                pause_ranks.update(ranks)
-            for rank in sorted(pause_ranks):
-                counts = [core.reslrl_count(rank) for core in cores]
+        if spans:
+            # Global segments: every shard's cuts, over the span of all.
+            cuts = np.unique(np.concatenate([span[2] for span in spans]))
+            bounds = [
+                min(span[0] for span in spans),
+                *cuts.tolist(),
+                max(span[1] for span in spans),
+            ]
+            for lo, hi in zip(bounds, bounds[1:]):
+                counts = np.stack([core.reslrl_count(lo, hi) for core in cores])
                 if mark is not None:
                     mark("dispatch")
-                k_total = sum(count for _, count in counts)
-                if k_total:
-                    coins = rng.random(k_total)  # repro-flow: ignore[flow-branch-rng] mirrors move_forget's all-invalid early return: the unsharded kernel draws nothing for an empty validated batch, so skipping the zero-count draw keeps the streams aligned
-                    forget_u = rng.random(k_total)  # repro-flow: ignore[flow-branch-rng] second half of the same guarded pair; one coins+forget draw per validated reslrl row, exactly the unsharded budget
-                else:
-                    coins = forget_u = np.empty(0, dtype=np.float64)
+                draws = token_draws(rng, counts)
                 if mark is not None:
                     mark("rng")
-                offset = 0
-                for core, (_, count) in zip(cores, counts):
-                    core.reslrl_apply(
-                        rank,
-                        coins[offset : offset + count],
-                        forget_u[offset : offset + count],
-                    )
-                    offset += count
+                for core, (coins, forget_u) in zip(cores, draws):
+                    core.reslrl_apply(lo, hi, coins, forget_u)
         finished = [core.finish_round() for core in cores]
         if mark is not None:
             mark("dispatch")

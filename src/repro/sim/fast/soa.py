@@ -18,11 +18,12 @@ so compact indices stay stable *within* a round — message buffers carry
 identifiers, not slots, and per-round inboxes re-resolve them, so
 :meth:`SoAState.compact` may reclaim dead slots at any round boundary
 (docs/CHAOS.md "Churn at scale").  Identifier→index resolution is a dict
-for scalar callers and a sorted-array ``searchsorted`` for vectorized
-ones.  Membership writes the columns in batches only
-(:meth:`~SoAState.add_batch`, :meth:`~SoAState.remove_batch`,
-:meth:`~SoAState.scrub_departed_many`); one join or leave is a batch of
-one.
+for scalar callers and, for vectorized ones, a bucket table over the
+sorted live ids: one probe per id, a binary search only for the few that
+share a bucket (:meth:`SoAState.lookup`).  Membership writes the columns
+in batches only (:meth:`~SoAState.add_batch`,
+:meth:`~SoAState.remove_batch`, :meth:`~SoAState.scrub_departed_many`);
+one join or leave is a batch of one.
 
 Both fast engines (batched and mirror-RNG; see docs/PERF.md) share this
 container, and both export the canonical
@@ -61,6 +62,7 @@ class SoAState:
         "_index",
         "_sorted_ids",
         "_sorted_idx",
+        "_bucket_start",
         "_dirty",
     )
 
@@ -79,6 +81,7 @@ class SoAState:
         self._index: dict[float, int] = {}
         self._sorted_ids: np.ndarray = np.empty(0, dtype=np.float64)
         self._sorted_idx: np.ndarray = np.empty(0, dtype=np.int64)
+        self._bucket_start: np.ndarray = np.empty(0, dtype=np.int32)
         self._dirty = True
 
     # ------------------------------------------------------------------
@@ -259,7 +262,14 @@ class SoAState:
         live = np.flatnonzero(self.alive[: self.size])
         order = np.argsort(self.ids[live], kind="stable")
         self._sorted_idx = live[order].astype(np.int64)
-        self._sorted_ids = self.ids[self._sorted_idx]
+        self._sorted_ids = ids = self.ids[self._sorted_idx]
+        # Bucket k of B covers [k/B, (k+1)/B) and holds the first sorted
+        # position at or past k/B (clipped to the last one).  B is the
+        # power of two at or above 8 per live id, so k/B and x*B are exact.
+        buckets = 1 << (8 * len(ids) - 1).bit_length()
+        start = np.searchsorted(ids, np.arange(buckets) / buckets)
+        np.minimum(start, max(len(ids) - 1, 0), out=start)
+        self._bucket_start = start.astype(np.int32)
         self._dirty = False
 
     def sorted_live(self) -> tuple[np.ndarray, np.ndarray]:
@@ -279,13 +289,31 @@ class SoAState:
         compact index of the live node with that id (undefined where
         ``found`` is false — messages to unknown identifiers are dropped by
         the caller, mirroring ``Network.send``).
+
+        Each id is probed once in its bucket (``floor(x * B)`` clipped
+        into ``[0, B)``, NaN in bucket 0): a hit is the position a binary
+        search would return, since ids are unique.  Only the misses — an
+        id behind another in its bucket, an unknown id, a sentinel — are
+        searched.
         """
         ids, idx = self.sorted_live()
+        dest_ids = np.asarray(dest_ids, dtype=np.float64)
         if len(ids) == 0:
             found = np.zeros(len(dest_ids), dtype=bool)
             return np.zeros(len(dest_ids), dtype=np.int64), found
-        pos = np.minimum(np.searchsorted(ids, dest_ids), len(ids) - 1)
-        return idx[pos], ids[pos] == dest_ids
+        start = self._bucket_start
+        buckets = len(start)
+        key = np.fmax(dest_ids, 0.0)  # NaN becomes 0.0
+        np.fmin(key, (buckets - 1) / buckets, out=key)
+        key *= buckets
+        pos = start[key.astype(np.intp)]
+        found = ids[pos] == dest_ids
+        miss = np.flatnonzero(~found)
+        if len(miss):
+            rest = dest_ids[miss]
+            pos[miss] = np.minimum(np.searchsorted(ids, rest), len(ids) - 1)
+            found[miss] = ids[pos[miss]] == rest
+        return idx[pos], found
 
     # ------------------------------------------------------------------
     # Export

@@ -16,8 +16,12 @@ Beside them, the per-node departure purges the SoA engines had before
 every ``leave`` became a departure batch of one — outbox, chaos wire and
 guard, one victim at a time: the executable definition of the ``d <= m``
 rule of :func:`repro.sim.fast.buffers.departure_sweep`
-(``tests/test_departure_sweep.py``).  Not collected by pytest (no
-``test_`` prefix); nothing under ``src/`` imports it.
+(``tests/test_departure_sweep.py``).  And the token walk as it ran before
+it went by segments — one ``move_forget`` call per wave of ``reslrl``
+rows, each drawing its own coins — the definition of the draw order
+:func:`repro.sim.fast.batched.token_draws` cuts from one draw
+(``tests/test_token_walk.py``).  Not collected by pytest (no ``test_``
+prefix); nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "leave_wire_reference",
     "prepare_inbox_reference",
     "route_batch_reference",
+    "walk_tokens_reference",
     "wave_groups_reference",
 ]
 
@@ -187,6 +192,32 @@ def wave_groups_reference(inbox: RoundInbox) -> list[tuple[int, np.ndarray]]:
     return [
         (int(sorted_keys[lo] & 7), order[lo:hi]) for lo, hi in zip(starts, ends)
     ]
+
+
+def walk_tokens_reference(engine, plan, rng: np.random.Generator) -> None:
+    """``FastEngine``'s token walk one wave at a time.
+
+    The waves are the ``reslrl`` groups of the dispatch list where every
+    row is a writer, else the ``reslrl`` rows by ascending wave rank,
+    inbox order within a wave; each is one ``move_forget`` call that
+    filters validity against the walk so far and draws its own coins.
+    """
+    inbox = plan.inbox
+    if plan.writer is None:
+        batches = [rows for code, rows in plan.groups if code == RESLRL]
+    else:
+        tokens = np.flatnonzero(inbox.tcode == RESLRL)
+        order = np.argsort(inbox.rank[tokens], kind="stable")
+        ranks = inbox.rank[tokens][order]
+        cuts = np.flatnonzero(ranks[1:] != ranks[:-1]) + 1
+        batches = np.split(tokens[order], cuts) if len(tokens) else []
+    kernel = engine.kernels.move_forget
+    for rows in batches:
+        idx = inbox.dest_idx[rows]
+        plan.token_lrl[rows], plan.token_forgot[rows] = engine._windowed(
+            "move_forget", idx, False, kernel,
+            idx, inbox.a[rows], inbox.b[rows], inbox.c[rows], rng,
+        )
 
 
 def compact_chunks_reference(code: int, chunks: list[tuple]) -> tuple:

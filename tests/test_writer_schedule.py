@@ -29,6 +29,7 @@ from repro.sim.fast.buffers import N_TYPES, RESLRL, build_inbox
 from repro.sim.fast.chaos import ChaosFastEngine
 from repro.sim.fast.chaos.scheduler import WaveDispatchFault
 from repro.sim.fast.engine import FastSimulator
+from repro.sim.fast.kernels import Kernels
 from repro.sim.fast.predicates import fast_is_sorted_list
 from repro.sim.fast.sanitize import FlowSanitizer
 from repro.sim.fast.shard import ShardedEngine
@@ -221,8 +222,10 @@ def test_writer_mask_covers_every_row_that_stores(config, nodes, rows, seed) -> 
     if not planned:
         return
     (plan, mask), = planned
-    # One window per token batch, then one per group, then the regular action.
-    windows = [*plan.batches, *(group_rows for _, group_rows in plan.groups)]
+    # One window per segment of the token walk, then one per group, then
+    # the regular action.
+    segments = [plan.walk_rows(lo, hi)[0] for lo, hi in plan.segments()]
+    windows = [*segments, *(group_rows for _, group_rows in plan.groups)]
     assert log.windows == len(windows) + 1
     for window, slots in log.stores:
         if window == len(windows):
@@ -255,7 +258,8 @@ def test_observable_staging_keeps_the_wave_groups(rows, dedup, seed, starvation)
     """A wire engine and an engine under a ``WaveDispatchFault`` schedule
     the groups the parent scheduled for the same inbox: the stable sort by
     ``(wave, type)`` — rewritten by the fault, from the same fault stream —
-    and walk their tokens over the ``reslrl`` groups of that list."""
+    and walk their tokens over the ``reslrl`` groups of that list, one
+    wave per group."""
     states = [NodeState(id=v) for v in ID_POOL]
     wire = ChaosFastEngine(states, dedup=dedup)
     inbox, _ = build_inbox(
@@ -279,9 +283,12 @@ def test_observable_staging_keeps_the_wave_groups(rows, dedup, seed, starvation)
     assert_same_groups(plan.groups, expected)
     assert faulted.pending_total() == sum(len(r) for _, r in starved)
     batches = [r for code, r in expected if code == RESLRL]
-    assert len(plan.batches) == len(batches)
-    for got, want in zip(plan.batches, batches):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(
+        plan.walk, np.concatenate(batches) if batches else []
+    )
+    np.testing.assert_array_equal(
+        plan.walk_wave, np.repeat(np.arange(len(batches)), list(map(len, batches)))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -292,25 +299,37 @@ def test_dispatches_per_round_ratchet() -> None:
     workload: 72 rounds to the sorted list checked every 8, 71 inboxes of
     29 waves on average) ran 119 ``(wave, type)`` groups a round; the
     writer schedule runs 28.  40 leaves room for a mask that flags a few
-    more rows, not for a schedule that falls back to waves."""
+    more rows, not for a schedule that falls back to waves.  Every node
+    receives at most one ``reslrl`` a round there, so the token walk is
+    one segment and ``move_forget`` runs once an inbox (70 of the 71 hold
+    a ``reslrl`` row; the first holds the first ``inclrl``), not once a
+    wave."""
     sim = FastSimulator.from_states(
         TOPOLOGIES["line"](512, np.random.default_rng(7)),
         rng=np.random.default_rng(7),
     )
     engine = sim.engine
-    scheduled, by_wave, waves = [], [], []
+    scheduled, by_wave, waves, tokens, walked = [], [], [], [], []
     plan_round = engine._plan_round
+    move_forget = Kernels.move_forget
 
     def spy(inbox):
         plan = plan_round(inbox)
         scheduled.append(len(plan.groups))
         by_wave.append(len(FastEngine._wave_groups(inbox)))
         waves.append(inbox.n_waves)
+        tokens.append(bool((inbox.tcode == RESLRL).any()))
         return plan
 
+    def count(kernels, idx, *args, **kwargs):
+        walked.append(len(idx))
+        return move_forget(kernels, idx, *args, **kwargs)
+
     engine._plan_round = spy
-    rounds = sim.run_until(fast_is_sorted_list, max_rounds=200, check_every=8)
+    with mock.patch.object(Kernels, "move_forget", count):
+        rounds = sim.run_until(fast_is_sorted_list, max_rounds=200, check_every=8)
     assert (rounds, len(scheduled)) == (72, 71)
     assert 25 <= np.mean(waves) <= 33
     assert np.mean(by_wave) >= 100
     assert np.mean(scheduled) <= 40, np.mean(scheduled)
+    assert len(walked) == sum(tokens) == 70
