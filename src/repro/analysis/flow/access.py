@@ -45,23 +45,16 @@ class FunctionAccess:
 def _send_code_of(call: ast.Call) -> str | None:
     """Message-code constant named by a send call, if any.
 
-    Two shapes in the tree: the batched kernels' ``*.out.send(CODE, …)``
-    / ``outbox.send(CODE, …)`` (code is the 2nd positional arg of
-    ``send(dest, code, …)``… in fact ``Outbox.send(code, dest, …)`` puts
-    it first) and the mirror's ``self._send(dest, CODE, …)`` (second).
-    Both pass the code as a bare ``Name`` of a known constant.
+    Two shapes in the tree, both spelled ``send`` or ``_send``: the code
+    first — ``Outbox.send(CODE, dest, …)`` and the batched kernels'
+    ``self._send(CODE, mask, …)`` — or second, as in the mirror's
+    ``self._send(dest, CODE, …)``.  Both pass the code as a bare ``Name``
+    of a known constant.
     """
     func = call.func
-    if not isinstance(func, ast.Attribute):
+    if not isinstance(func, ast.Attribute) or func.attr not in ("send", "_send"):
         return None
-    candidates: list[ast.expr] = []
-    if func.attr == "send" and len(call.args) >= 1:
-        candidates.append(call.args[0])
-        if len(call.args) >= 2:
-            candidates.append(call.args[1])
-    elif func.attr == "_send" and len(call.args) >= 2:
-        candidates.append(call.args[1])
-    for node in candidates:
+    for node in call.args[:2]:
         if isinstance(node, ast.Name) and node.id in SEND_CODES:
             return node.id
     return None

@@ -30,11 +30,12 @@ pieces make that safe and fast:
     overshoots and non-progress are detected and reported as *lost*
     lookups instead of hanging the request path.  The half of the rule
     that does not depend on the destination is compiled into two tables
-    per view (:class:`RouteView`), the walking queries are carried
-    compacted from hop to hop, and the bookkeeping for walks that end
-    runs only on a hop where one does: every large numpy call the loop
-    makes is a place where the interpreter lock changes hands with the
-    engine thread (docs/SERVING.md).
+    per view (:class:`RouteView`) and indexed by rank and direction
+    together, so a hop selects nothing by direction; the walking queries
+    are carried compacted from hop to hop, and the bookkeeping for walks
+    that end runs only on a hop where one does: every large numpy call the
+    loop makes is a place where the interpreter lock changes hands with
+    the engine thread (docs/SERVING.md).
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class RouteView:
         "r_rank",
         "lrl_rank",
         "round_index",
-        "sc_right",
-        "sc_left",
+        "sc_bound",
+        "ring_next",
     )
 
     def __init__(
@@ -110,10 +111,16 @@ class RouteView:
         # NO_LINK sorts below every rank, so rightwards a dead lrl fails
         # ``lrl > r`` and a missing r passes it; leftwards a missing l is
         # said outright and a dead lrl is its own sentinel.
-        self.sc_right = np.where(lrl_rank > r_rank, lrl_rank, len(ids))
-        self.sc_left = np.where(
+        sc_right = np.where(lrl_rank > r_rank, lrl_rank, len(ids))
+        sc_left = np.where(
             (l_rank == NO_LINK) | (lrl_rank < l_rank), lrl_rank, NO_LINK
         )
+        # Both directions in one table each, indexed by the *directed rank*
+        # ``c + n * rightward``: the leftward bound negated, so a walk with
+        # the signed goal ``±dest`` takes lrl iff ``goal >= sc_bound``, and
+        # the ring link it takes otherwise.
+        self.sc_bound = np.concatenate((-sc_left, sc_right))
+        self.ring_next = np.concatenate((l_rank, r_rank))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -225,20 +232,23 @@ def route_batch(
             [float(view.ids[s])] if v else []
             for s, v in zip(src.tolist(), valid.tolist())
         ]
-    l_rank, r_rank, lrl_rank = view.l_rank, view.r_rank, view.lrl_rank
-    sc_right, sc_left = view.sc_right, view.sc_left
+    lrl_rank, sc_bound, ring_next = view.lrl_rank, view.sc_bound, view.ring_next
     # The walking queries, their positions, destinations and directions
     # stay compacted together; nothing is re-gathered through an index set.
+    # ``side`` moves a rank into the rightward half of the view's
+    # directed-rank tables and ``goal`` is the destination signed to match.
     query = np.flatnonzero(valid & (src != dst))
     cur, t = src[query], dst[query]
     rgt = t > cur
+    side = rgt * n
+    goal = np.where(rgt, t, -t)
     hop = 0
     while query.size and hop < cap:
         hop += 1
         # Algorithm 5 (rightward): follow lrl iff dest >= lrl > r;
         # Algorithm 6 (leftward): follow lrl iff dest <= lrl < l.
-        use_sc = np.where(rgt, t >= sc_right[cur], t <= sc_left[cur])
-        nxt = np.where(use_sc, lrl_rank[cur], np.where(rgt, r_rank[cur], l_rank[cur]))
+        at = cur + side
+        nxt = np.where(goal >= sc_bound[at], lrl_rank[cur], ring_next[at])
         # Mid-convergence hazards: no link at all or a self-loop that makes
         # no progress (no step taken), or a step that crosses the destination.
         lost = (nxt == NO_LINK) | (nxt == cur)
@@ -252,7 +262,8 @@ def route_batch(
             ok[finished] = nxt[done] == t[done]
             hops[finished] = hop - lost[done]
             keep = ~done
-            query, nxt, t, rgt = query[keep], nxt[keep], t[keep], rgt[keep]
+            query, nxt, t = query[keep], nxt[keep], t[keep]
+            rgt, side, goal = rgt[keep], side[keep], goal[keep]
         cur = nxt
     if query.size:
         ok[query] = False

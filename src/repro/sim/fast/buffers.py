@@ -95,9 +95,10 @@ def _wave_check_enabled() -> bool:
     return os.environ.get("REPRO_CHECK_WAVES", "").lower() not in ("", "0", "false")
 
 #: One staged batch: ``(dest, a, b, c, origin)``.  ``origin`` is the
-#: sender-id column — ``None`` on the fault-free hot path (nothing reads
-#: it there) and populated by the kernels so the chaos wire layer can
-#: guard-wrap outgoing rows exactly like ``Network.send_from`` does.
+#: sender-id column: the kernels gather it only into an outbox whose
+#: ``keep_origin`` is set — the chaos wire's, which guard-wraps outgoing
+#: rows and addresses acks exactly like ``Network.send_from`` does — and
+#: stage ``None`` everywhere else, where nothing reads it.
 _Chunk = tuple[
     np.ndarray,
     np.ndarray,
@@ -119,7 +120,8 @@ class Outbox:
     """
 
     __slots__ = (
-        "_chunks", "_compact_floor", "_counts", "_staged", "auto_compact", "stats",
+        "_chunks", "_compact_floor", "_counts", "_staged", "auto_compact",
+        "keep_origin", "stats",
     )
 
     #: Below this many staged rows a type is never worth compacting.
@@ -137,6 +139,9 @@ class Outbox:
         #: the chaos wire needs the raw frame multiset and keeps this off).
         self.auto_compact = auto_compact
         self._compact_floor: list[int] = [self.COMPACT_MIN] * N_TYPES
+        #: Whether the kernels stage the sender-id column (``origin``);
+        #: only the chaos wire reads it, and only its engine sets this.
+        self.keep_origin = False
 
     def send(
         self,
@@ -439,6 +444,41 @@ def _argsort_ties_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, ranked
 
 
+def _key_bits(count: int, top_slot: int) -> int:
+    """How many top bits of a 42-bit delivery key fit one int64 word
+    beside a slot of at most *top_slot* and a position below
+    ``2**count.bit_length()`` (:func:`finalize_inbox`)."""
+    return min(42, 63 - count.bit_length() - top_slot.bit_length())
+
+
+def _truncated_order(
+    slots: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(order, slots[order])`` of the stable sort by ``(slot, key)``, by
+    one value sort of ``(slot, truncated key, position)`` words.
+
+    ``None`` when the words cannot decide it: no key bit fits, or two rows
+    of one slot agree on every key bit that does.
+    """
+    count = len(keys)
+    shift = count.bit_length()
+    key_bits = _key_bits(count, int(slots.max()))
+    if key_bits <= 0:
+        return None
+    words = slots.astype(np.int64)
+    words <<= np.int64(key_bits)
+    words |= keys >> np.int64(42 - key_bits)
+    words <<= np.int64(shift)
+    words |= np.arange(count, dtype=np.int64)
+    words.sort()
+    order = words & np.int64((1 << shift) - 1)
+    words >>= np.int64(shift)
+    if bool((words[1:] == words[:-1]).any()):
+        return None
+    words >>= np.int64(key_bits)
+    return order, words.astype(slots.dtype)
+
+
 def _dedup_order(
     head: np.ndarray, head_bits: int, payload: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -447,24 +487,99 @@ def _dedup_order(
     *head* is a non-negative int64 column below ``2**head_bits``; *payload*
     holds the remaining key columns as raw bits, most significant first.
     Returns ``(order, head[order], fresh)``.  Rows that tie on every key
-    are bit-identical and come out adjacent but in no particular order
-    (the minor pass is an unstable sort): callers may keep any one copy,
-    or the group's minimum of ``order`` for the first one staged.
+    are bit-identical and come out adjacent but in no particular order:
+    callers may keep any one copy, or the group's minimum of ``order``
+    for the first one staged.
+
+    One value sort of ``head << (c+S) | code << S | position`` words does
+    it, ``code`` the first payload column's :func:`_payload_code` in the
+    ``c`` bits left beside the head and ``S`` position bits.  The code is
+    non-decreasing in the payload, so rows whose ``(head, code)`` differ
+    are in payload order already; rows that share it are either copies of
+    one row (the duplicates the dedup is for) or a *clash*, two different
+    payloads under one code.  Only the runs that hold a clash are
+    re-sorted, by their payload columns (``lexsort``).  Under coalescing a
+    node receives at most one ``reslrl`` a round, so that block's heads
+    are distinct and every row is its own first copy; an identifier's
+    code is ``floor(id * (2**c - 2))``, so a clash needs two identifiers
+    closer than ``2**-c`` sent to one node, as one type, in one round.
     """
-    if len(payload) == 1:
-        minor = np.argsort(payload[0])
-        position, sorted_head = stable_order(head[minor], head_bits)
-        order = minor[position]
-    else:
+    count = len(head)
+    shift = count.bit_length()
+    code_bits = min(53, 63 - head_bits - shift)
+    if code_bits > 0:
+        words = head << np.int64(code_bits)
+        words |= _payload_code(payload[0], code_bits)
+        words <<= np.int64(shift)
+        words |= np.arange(count, dtype=np.int64)
+        words.sort()
+        order = words & np.int64((1 << shift) - 1)
+        words >>= np.int64(shift)
+    else:  # no bit left for a code (2**31 rows): one lexsort decides
         order = np.lexsort((*payload[::-1], head))
-        sorted_head = head[order]
-    fresh = np.empty(len(order), dtype=bool)
+        words = head[order]
+        code_bits = 0
+    tied = words[1:] == words[:-1]
+    ranked = [column[order] for column in payload]
+    differ = _neighbours_differ(ranked)
+    clash = tied & differ
+    if bool(clash.any()):
+        differ = _sort_clashes(order, ranked, tied, clash)
+    fresh = np.empty(count, dtype=bool)
     fresh[0] = True
-    np.not_equal(sorted_head[1:], sorted_head[:-1], out=fresh[1:])
-    for column in payload:
-        ranked = column[order]
-        fresh[1:] |= ranked[1:] != ranked[:-1]
-    return order, sorted_head, fresh
+    np.logical_or(differ, ~tied, out=fresh[1:])
+    return order, words >> np.int64(code_bits), fresh
+
+
+def _sort_clashes(
+    order: np.ndarray, ranked: list[np.ndarray], tied: np.ndarray, clash: np.ndarray
+) -> np.ndarray:
+    """Re-sort by payload, in place, every run of equal sorted words that
+    holds a clash (:func:`_dedup_order`); the new neighbour differences.
+
+    *ranked* are the payload columns in *order*; ``tied[i]`` says row
+    ``i + 1`` continues row ``i``'s run, ``clash[i]`` that it does so with
+    a different payload.
+    """
+    run = np.cumsum(np.concatenate(([True], ~tied)))
+    bad = np.zeros(int(run[-1]) + 1, dtype=bool)
+    bad[run[1:][clash]] = True
+    rows = np.flatnonzero(bad[run])
+    keys = [column[rows] for column in ranked[::-1]]
+    moved = rows[np.lexsort((*keys, run[rows]))]
+    order[rows] = order[moved]
+    for column in ranked:
+        column[rows] = column[moved]
+    return _neighbours_differ(ranked)
+
+
+def _neighbours_differ(columns: list[np.ndarray]) -> np.ndarray:
+    """Whether each row differs from the one before it in any column."""
+    differ = columns[0][1:] != columns[0][:-1]
+    for column in columns[1:]:
+        differ |= column[1:] != column[:-1]
+    return differ
+
+
+def _payload_code(bits: np.ndarray, code_bits: int) -> np.ndarray:
+    """A non-decreasing map of float64 bit patterns, ordered as ``uint64``,
+    onto ``[0, 2**code_bits)``, ``code_bits <= 53``.
+
+    Patterns order as ``uint64`` like their values for ``+0.0`` up to
+    ``+inf`` and every sign-bit pattern above those, so values in
+    ``[0, 1]`` — every identifier — spread over ``floor(x * (2**c - 2))``
+    (exact: the scale is an integer below ``2**53``, and rounding and
+    ``floor`` keep order), larger ones and ``+NaN`` take the code of 1.0,
+    and anything with the sign bit set the top code.
+    """
+    top = (1 << code_bits) - 1
+    value = bits.view(np.float64)
+    scaled = np.fmin(value, 1.0)
+    np.fmax(scaled, 0.0, out=scaled)
+    scaled *= float(top - 1)
+    code = scaled.astype(np.int64)
+    code[np.signbit(value)] = top
+    return code
 
 
 @dataclass
@@ -507,7 +622,8 @@ class PreparedInbox:
 
     ``n_res`` counts the trailing ``reslrl`` rows (only meaningful under
     ``dedup``, where the block is a suffix).  ``packed_ok`` reports whether
-    every slot index fits the packed 21+42-bit sort encoding.
+    every slot index fits the packed 21+42-bit sort encoding.  ``b`` and
+    ``c`` hold the ``0.0`` filler on every row that is not a ``reslrl``.
     """
 
     dest_idx: np.ndarray
@@ -612,7 +728,14 @@ def prepare_inbox(
         n_res = len(kept_rows[-1]) if n_res else 0
         dest_idx = kept_head >> np.int64(_TYPE_BITS)
         tcode = (kept_head & np.int64((1 << _TYPE_BITS) - 1)).astype(np.int8)
-        a, b, c = a[rows], b[rows], c[rows]
+        a = a[rows]
+        # b/c are the 0.0 filler everywhere but the reslrl block, the suffix.
+        first_res = len(rows) - n_res
+        b_res, c_res = b[rows[first_res:]], c[rows[first_res:]]
+        b = np.zeros(len(rows), dtype=np.float64)
+        c = np.zeros(len(rows), dtype=np.float64)
+        b[first_res:] = b_res
+        c[first_res:] = c_res
 
     return (
         PreparedInbox(
@@ -646,19 +769,31 @@ def draw_delivery_keys(
 def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
     """Order prepared rows by ``(dest, key)`` and assign wave ranks.
 
-    *keys* aligns with *pre*'s canonical row order — either int64 (packed
-    ``dest << 42 | key`` words, requires ``pre.packed_ok``) or float64
-    (key pass, then destination pass).  Key ties fall back to canonical
-    position order (:func:`_argsort_ties_stable`): an exchangeable
-    tiebreak, still a uniform delivery order, and — crucially for the
-    sharded engine — a *content-determined* one.
+    *keys* aligns with *pre*'s canonical row order — either 42-bit int64
+    draws (requires ``pre.packed_ok``) or float64 (key pass, then
+    destination pass).  Key ties fall back to canonical position order:
+    an exchangeable tiebreak, still a uniform delivery order, and —
+    crucially for the sharded engine — a *content-determined* one.
+
+    The int64 branch is one value sort of ``slot << (k+S) | key >> (42-k)
+    << S | position`` words, ``S`` position bits and the top ``k`` key
+    bits that fit beside them (:func:`_key_bits`): distinct truncated
+    keys order like the full ones, and the position is the canonical
+    tiebreak.  Two rows of one slot whose keys agree on those ``k`` bits
+    (or no room for any, ``k <= 0``) send the round through the
+    tie-checked sort of the full ``slot << 42 | key`` words
+    (:func:`_argsort_ties_stable`).
     """
     if keys.dtype == np.int64:
-        packed = pre.dest_idx.astype(np.int64) << np.int64(42)
-        packed |= keys
-        order, packed = _argsort_ties_stable(packed)
-        packed >>= np.int64(42)
-        dest_idx = packed.astype(pre.dest_idx.dtype)
+        truncated = _truncated_order(pre.dest_idx, keys)
+        if truncated is not None:
+            order, dest_idx = truncated
+        else:
+            packed = pre.dest_idx.astype(np.int64) << np.int64(42)
+            packed |= keys
+            order, packed = _argsort_ties_stable(packed)
+            packed >>= np.int64(42)
+            dest_idx = packed.astype(pre.dest_idx.dtype)
     else:
         minor, _ = _argsort_ties_stable(keys)
         position, sorted_dest = stable_order(
@@ -670,12 +805,12 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
     a, b, c = pre.a[order], pre.b[order], pre.c[order]
 
     count = len(dest_idx)
-    positions = np.arange(count, dtype=np.int32)
     boundary = np.empty(count, dtype=bool)
     boundary[0] = True
-    boundary[1:] = dest_idx[1:] != dest_idx[:-1]
-    segment_start = np.maximum.accumulate(np.where(boundary, positions, 0))
-    rank = positions - segment_start
+    np.not_equal(dest_idx[1:], dest_idx[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    rank = np.arange(count, dtype=np.int32)
+    rank -= np.repeat(starts.astype(np.int32), np.diff(starts, append=count))
     n_waves = int(rank.max()) + 1
     if __debug__ and _wave_check_enabled():
         # The unique-destination wave precondition every vectorized kernel

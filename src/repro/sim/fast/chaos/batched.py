@@ -243,6 +243,9 @@ class ChaosFastEngine(FastEngine):
             # chaos mirror twin, so the wire keeps the raw staging.
             compact_outbox=False,
         )
+        # The guard wraps rows and addresses acks by their sender: the one
+        # reader of the origin column, so the one outbox that stages it.
+        self.outbox.keep_origin = True
         self._wire_faults: list["FaultInjector"] = []
         self._wire = WireRows.empty()
         self._tick = 0

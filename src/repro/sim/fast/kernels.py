@@ -16,6 +16,15 @@ and every masked store has an empty mask; every internal ``linearize``
 cascade passes a subset of its caller's batch, so no fancy-indexed store
 can hit the same slot twice.
 
+Sends: each of the 28 send sites stages its rows through
+:meth:`Kernels._send`, which turns the site's mask into row indices once
+and gathers every column by them.  The sender-id column (``origin``) is
+read by the chaos wire alone — its guard wraps outgoing rows and
+addresses acks by it — so it is gathered only when the outbox's
+``keep_origin`` is set, which only
+:class:`~repro.sim.fast.chaos.batched.ChaosFastEngine` does; every other
+outbox stages ``None`` there.
+
 RNG: :meth:`move_forget` consumes one direction-coin array and one
 forget-coin array per wave of ``reslrl`` rows.  The engines walk a whole
 segment of waves in one call and inject those arrays, cut from one draw per
@@ -61,6 +70,42 @@ class Kernels:
         self.maf = config.move_and_forget
         self.probing_on = config.probing
 
+    def _send(
+        self,
+        code: int,
+        mask: np.ndarray | None,
+        dest: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray | None = None,
+        c: np.ndarray | None = None,
+        *,
+        sender: np.ndarray,
+    ) -> None:
+        """Stage the rows *mask* selects (every row for ``None``):
+        ``dest[mask]`` receives ``(a, b, c)[mask]`` from ``sender[mask]``.
+
+        The mask becomes row indices once and every column is gathered by
+        them, which on a large batch costs less than a boolean-mask pass
+        per column; a mask that selects nothing stages nothing.  The sender
+        column is gathered only into an outbox that keeps it (the chaos
+        wire's); everywhere else it is staged as ``None``.
+        """
+        out = self.out
+        origin = sender if out.keep_origin else None
+        if mask is not None:
+            rows = mask.nonzero()[0]
+            if len(rows) == 0:
+                return
+            dest = dest[rows]
+            a = a[rows]
+            if b is not None:
+                b = b[rows]
+            if c is not None:
+                c = c[rows]
+            if origin is not None:
+                origin = origin[rows]
+        out.send(code, dest, a, b, c, origin=origin)
+
     # ------------------------------------------------------------------
     # Algorithm 2 — linearize(id)
     # ------------------------------------------------------------------
@@ -77,28 +122,28 @@ class Kernels:
         right = nid > pid
         adopt = right & (nid < pr)
         handoff = adopt & (pr != POS_INF)
-        self.out.send(LIN, nid[handoff], pr[handoff], origin=pid[handoff])
+        self._send(LIN, handoff, nid, pr, sender=pid)
         s.r[idx[adopt]] = nid[adopt]
         rest = right & ~adopt
         if self.shortcuts:
             shortcut = rest & (nid > plrl) & (plrl > pr)
-            self.out.send(LIN, plrl[shortcut], nid[shortcut], origin=pid[shortcut])
+            self._send(LIN, shortcut, plrl, nid, sender=pid)
             rest = rest & ~shortcut
         forward = rest & (nid > pr)
-        self.out.send(LIN, pr[forward], nid[forward], origin=pid[forward])
+        self._send(LIN, forward, pr, nid, sender=pid)
 
         left = nid < pid
         adopt = left & (nid > pl)
         handoff = adopt & (pl != NEG_INF)
-        self.out.send(LIN, nid[handoff], pl[handoff], origin=pid[handoff])
+        self._send(LIN, handoff, nid, pl, sender=pid)
         s.l[idx[adopt]] = nid[adopt]
         rest = left & ~adopt
         if self.shortcuts:
             shortcut = rest & (nid < plrl) & (plrl < pl)
-            self.out.send(LIN, plrl[shortcut], nid[shortcut], origin=pid[shortcut])
+            self._send(LIN, shortcut, plrl, nid, sender=pid)
             rest = rest & ~shortcut
         forward = rest & (nid < pl)
-        self.out.send(LIN, pl[forward], nid[forward], origin=pid[forward])
+        self._send(LIN, forward, pl, nid, sender=pid)
 
     # ------------------------------------------------------------------
     # Algorithm 3 — respondlrl(id)
@@ -116,31 +161,15 @@ class Kernels:
         has_r = pr != POS_INF
 
         both = has_l & has_r
-        self.out.send(
-            RESLRL, origin[both], pid[both], pl[both], pr[both], origin=pid[both]
-        )
+        self._send(RESLRL, both, origin, pid, pl, pr, sender=pid)
         only_l = has_l & ~has_r
         wrap_r = np.where(np.isnan(pring), POS_INF, pring)
-        self.out.send(
-            RESLRL,
-            origin[only_l],
-            pid[only_l],
-            pl[only_l],
-            wrap_r[only_l],
-            origin=pid[only_l],
-        )
+        self._send(RESLRL, only_l, origin, pid, pl, wrap_r, sender=pid)
         # Reference's "nothing real to report" guard is unreachable in this
         # branch (has_right already implies p.r < +inf), so no extra mask.
         only_r = has_r & ~has_l
         wrap_l = np.where(np.isnan(pring), NEG_INF, pring)
-        self.out.send(
-            RESLRL,
-            origin[only_r],
-            pid[only_r],
-            wrap_l[only_r],
-            pr[only_r],
-            origin=pid[only_r],
-        )
+        self._send(RESLRL, only_r, origin, pid, wrap_l, pr, sender=pid)
 
     # ------------------------------------------------------------------
     # Algorithm 4 — move-forget(id1, id2)
@@ -234,10 +263,10 @@ class Kernels:
         rest = np.ones(len(idx), dtype=bool)
         if self.shortcuts:
             shortcut = (dest >= plrl) & (plrl > pr)
-            self.out.send(PROBR, plrl[shortcut], dest[shortcut], origin=pid[shortcut])
+            self._send(PROBR, shortcut, plrl, dest, sender=pid)
             rest = ~shortcut
         forward = rest & (dest >= pr)
-        self.out.send(PROBR, pr[forward], dest[forward], origin=pid[forward])
+        self._send(PROBR, forward, pr, dest, sender=pid)
         repair = rest & ~forward & (pid < dest) & (dest < pr)
         self.linearize(idx[repair], dest[repair])
 
@@ -252,10 +281,10 @@ class Kernels:
         rest = np.ones(len(idx), dtype=bool)
         if self.shortcuts:
             shortcut = (dest <= plrl) & (plrl < pl)
-            self.out.send(PROBL, plrl[shortcut], dest[shortcut], origin=pid[shortcut])
+            self._send(PROBL, shortcut, plrl, dest, sender=pid)
             rest = ~shortcut
         forward = rest & (dest <= pl)
-        self.out.send(PROBL, pl[forward], dest[forward], origin=pid[forward])
+        self._send(PROBL, forward, pl, dest, sender=pid)
         repair = rest & ~forward & (pid > dest) & (dest > pl)
         self.linearize(idx[repair], dest[repair])
 
@@ -276,23 +305,23 @@ class Kernels:
 
         lt = origin < pid
         b1 = lt & (pl < origin)
-        self.out.send(LIN, origin[b1], left_witness[b1], origin=pid[b1])
+        self._send(LIN, b1, origin, left_witness, sender=pid)
         b2 = lt & ~b1 & (plrl < origin)
-        self.out.send(LIN, origin[b2], plrl[b2], origin=pid[b2])
+        self._send(LIN, b2, origin, plrl, sender=pid)
         b3 = lt & ~b1 & ~b2 & (plrl > pr)
-        self.out.send(RESRING, origin[b3], plrl[b3], origin=pid[b3])
+        self._send(RESRING, b3, origin, plrl, sender=pid)
         b4 = lt & ~b1 & ~b2 & ~b3
-        self.out.send(RESRING, origin[b4], right_witness[b4], origin=pid[b4])
+        self._send(RESRING, b4, origin, right_witness, sender=pid)
 
         gt = origin > pid
         g1 = gt & (pr > origin)
-        self.out.send(LIN, origin[g1], left_witness[g1], origin=pid[g1])
+        self._send(LIN, g1, origin, left_witness, sender=pid)
         g2 = gt & ~g1 & (plrl > origin)
-        self.out.send(LIN, origin[g2], plrl[g2], origin=pid[g2])
+        self._send(LIN, g2, origin, plrl, sender=pid)
         g3 = gt & ~g1 & ~g2 & (plrl < pl)
-        self.out.send(RESRING, origin[g3], plrl[g3], origin=pid[g3])
+        self._send(RESRING, g3, origin, plrl, sender=pid)
         g4 = gt & ~g1 & ~g2 & ~g3
-        self.out.send(RESRING, origin[g4], left_witness[g4], origin=pid[g4])
+        self._send(RESRING, g4, origin, left_witness, sender=pid)
         # origin == pid: self-addressed ring edge, no-op (DESIGN.md §4.5).
 
     # ------------------------------------------------------------------
@@ -350,23 +379,17 @@ class Kernels:
         # Algorithm 9 — sendid()
         has_l = pl != NEG_INF
         has_r = pr != POS_INF
-        own_l = pid[has_l]
-        self.out.send(LIN, pl[has_l], own_l, origin=own_l)
-        own_r = pid[has_r]
-        self.out.send(LIN, pr[has_r], own_r, origin=own_r)
+        self._send(LIN, has_l, pl, pid, sender=pid)
+        self._send(LIN, has_r, pr, pid, sender=pid)
         need_target = ~has_l | ~has_r
         if need_target.any():
             target, valid = self._ring_target(idx, need_target)
-            m = ~has_l & valid
-            own = pid[m]
-            self.out.send(RING, target[m], own, origin=own)
+            self._send(RING, ~has_l & valid, target, pid, sender=pid)
             # A node missing both neighbors sends the ring message twice,
             # exactly like the reference's two _ring_target() call sites.
-            m = ~has_r & valid
-            own = pid[m]
-            self.out.send(RING, target[m], own, origin=own)
+            self._send(RING, ~has_r & valid, target, pid, sender=pid)
         if self.maf:
-            self.out.send(INCLRL, s.lrl[idx], pid, origin=pid)
+            self._send(INCLRL, None, s.lrl[idx], pid, sender=pid)
 
         # Algorithm 10 — probing()
         if not self.probing_on:
@@ -424,9 +447,9 @@ class Kernels:
         pr = s.r[idx]
         lt = target < pid
         fwd_l = lt & (target <= pl)
-        self.out.send(PROBL, pl[fwd_l], target[fwd_l], origin=pid[fwd_l])
+        self._send(PROBL, fwd_l, pl, target, sender=pid)
         gt = target > pid
         fwd_r = gt & (target >= pr)
-        self.out.send(PROBR, pr[fwd_r], target[fwd_r], origin=pid[fwd_r])
+        self._send(PROBR, fwd_r, pr, target, sender=pid)
         repair = (lt & ~fwd_l) | (gt & ~fwd_r)
         self.linearize(idx[repair], target[repair])

@@ -56,8 +56,8 @@ from repro.sim.metrics import MessageStats
 __all__ = ["ShardCore", "WireChunks"]
 
 #: The boundary-outbox exchange payload: per-type lists of
-#: ``(dest, a, b, c)`` row chunks (origin is dropped — nothing on the
-#: fault-free path reads it, and it halves the exchange volume).
+#: ``(dest, a, b, c)`` row chunks.  There is no origin column: a core's
+#: outbox never keeps one (nothing on the fault-free path reads it).
 WireChunks = list[list[tuple[np.ndarray, ...]]]
 
 

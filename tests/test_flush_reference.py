@@ -6,8 +6,11 @@ shipped code replaced.  Every test here requires the shipped function to
 return the *same arrays* — values, order and dtype; float columns compared
 as bit patterns so ``-0.0`` and ``0.0`` stay apart — over arbitrary staged
 traffic and arbitrary (even model-violating) routing tables, including the
-corners the value sorts treat specially: key ties, the int64 bit budget,
-the float-key branch, and mid-round outbox compaction.
+corners the value sorts treat specially: key ties, truncated keys that tie
+where the full ones do not, payloads that share a sort code, the int64 bit
+budget, the float-key branch, and mid-round outbox
+compaction.  Where a value sort falls back to a slower exact path, a test
+pins that both paths run.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from hypothesis import strategies as st
 
 from repro.core.protocol import ProtocolConfig
 from repro.serve.routing import RouteView, route_batch
+from repro.sim.fast import buffers
 from repro.sim.fast.batched import FastEngine
 from repro.sim.fast.buffers import (
+    LIN,
     PROBR,
     RESLRL,
     Outbox,
@@ -41,10 +46,54 @@ from tests.reference_flush import (
     route_batch_reference,
     wave_groups_reference,
 )
-from tests.test_wave_uniqueness import make_chunks, make_soa, wire_row_strategy
+from tests.test_wave_uniqueness import ID_POOL, make_chunks, make_soa, wire_row_strategy
 
 wire_rows = st.lists(wire_row_strategy, min_size=1, max_size=80)
 chunk_sizes = st.sampled_from([1, 2, 7, 100])
+
+#: Payloads that share a dedup sort code (``buffers._payload_code``) with
+#: a different one — ids closer than any code resolution, everything at or
+#: above 1.0, every sign-bit pattern — beside ids one ulp apart, which
+#: share one only at the coarser resolutions.
+CLASHING = (
+    0.0,
+    5e-324,
+    1e-17,
+    3e-17,
+    float(np.nextafter(0.5, 0.0)),
+    0.5,
+    float(np.nextafter(0.5, 1.0)),
+    1.0,
+    1.5,
+    np.inf,
+    -0.0,
+    -0.25,
+    -np.inf,
+)
+clash_rows = st.lists(
+    st.tuples(
+        st.sampled_from([LIN, PROBR, RESLRL]),
+        st.sampled_from(ID_POOL[:3]),
+        st.sampled_from(CLASHING),
+        st.sampled_from(CLASHING),
+        st.sampled_from(CLASHING),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def count_calls(monkeypatch, name: str) -> list[int]:
+    """Count the calls of ``buffers.<name>`` while the test runs."""
+    calls = [0]
+    inner = getattr(buffers, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(buffers, name, counted)
+    return calls
 
 
 def assert_same_array(got: np.ndarray, expected: np.ndarray, what: str) -> None:
@@ -72,7 +121,12 @@ def prepared(rows: list[tuple], chunk_rows: int = 1) -> PreparedInbox | None:
 # prepare_inbox
 # ----------------------------------------------------------------------
 @settings(max_examples=200, deadline=None)
-@given(rows=wire_rows, chunk_rows=chunk_sizes, dedup=st.booleans(), pooled=st.booleans())
+@given(
+    rows=st.one_of(wire_rows, clash_rows),
+    chunk_rows=chunk_sizes,
+    dedup=st.booleans(),
+    pooled=st.booleans(),
+)
 def test_prepare_inbox_matches_reference(rows, chunk_rows, dedup, pooled) -> None:
     chunks = make_chunks(rows, chunk_rows)
     lookup = make_soa().lookup
@@ -97,6 +151,98 @@ def test_prepare_inbox_dedup_compares_bits_not_values() -> None:
     pre = prepared(rows)
     assert pre is not None and len(pre) == 2
     assert sorted(np.signbit(pre.a).tolist()) == [False, True]
+
+
+def reslrl_traffic(repeated: bool) -> list[tuple]:
+    """One ``reslrl`` to each of three nodes, and a ``lin``; *repeated* adds
+    two more ``reslrl`` to the first node from the same responder (one sort
+    code) with other neighbours, staged against their payload order."""
+    rows = [
+        (RESLRL, ID_POOL[k], ID_POOL[k + 3], ID_POOL[k + 4], ID_POOL[k + 5])
+        for k in range(3)
+    ]
+    if repeated:
+        rows += [
+            (RESLRL, ID_POOL[0], ID_POOL[3], ID_POOL[9], ID_POOL[1]),
+            (RESLRL, ID_POOL[0], ID_POOL[3], ID_POOL[2], ID_POOL[1]),
+        ]
+    return rows + [(LIN, ID_POOL[0], ID_POOL[1], 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_prepare_inbox_reslrl_block_both_branches(monkeypatch, repeated) -> None:
+    """One ``reslrl`` per node: distinct heads, every row kept in head
+    order, nothing re-sorted.  Two to one node from one responder: the run
+    is re-sorted by ``(b, c)`` — the oracle's lexsort — and only then."""
+    re_sorts = count_calls(monkeypatch, "_sort_clashes")
+    chunks = make_chunks(reslrl_traffic(repeated))
+    lookup = make_soa().lookup
+    expected, _ = prepare_inbox_reference(chunks, lookup, dedup=True)
+    got, _ = prepare_inbox(chunks, lookup, dedup=True)
+    assert got is not None and expected is not None
+    assert_same_fields(got, expected, ROW_FIELDS)
+    assert got.n_res == expected.n_res == (5 if repeated else 3)
+    assert re_sorts[0] == int(repeated)
+
+
+def test_prepare_inbox_single_payload_clash(monkeypatch) -> None:
+    """Two ids closer than the code resolution (2**-53 at most), sent to
+    one node as one type, share a sort code: the run is re-sorted by
+    payload, and the copy of one coalesces."""
+    re_sorts = count_calls(monkeypatch, "_sort_clashes")
+    rows = [(LIN, ID_POOL[0], a, 0.0, 0.0) for a in (3e-17, 1e-17, 3e-17, ID_POOL[1])]
+    chunks = make_chunks(rows)
+    lookup = make_soa().lookup
+    expected, _ = prepare_inbox_reference(chunks, lookup, dedup=True)
+    got, _ = prepare_inbox(chunks, lookup, dedup=True)
+    assert got is not None and expected is not None
+    assert_same_fields(got, expected, ROW_FIELDS)
+    assert got.a.tolist() == [1e-17, 3e-17, ID_POOL[1]]
+    assert re_sorts[0] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.one_of(wire_rows, clash_rows), columns=st.sampled_from([1, 3]))
+def test_dedup_order_without_code_bits(rows, columns) -> None:
+    """A head that leaves no bit for a payload code (``head_bits`` 62 here,
+    2**31 rows in earnest) is sorted by one ``lexsort``: the same distinct
+    rows, in the same order, as the coded value sort."""
+    head = np.array([ID_POOL.index(row[1]) if row[1] in ID_POOL else 12 for row in rows])
+    payload = tuple(
+        np.array([row[2 + k] for row in rows], dtype=np.float64).view(np.uint64)
+        for k in range(columns)
+    )
+    kept = []
+    for head_bits in (4, 62):
+        order, sorted_head, fresh = buffers._dedup_order(head, head_bits, payload)
+        kept.append((sorted_head[fresh], [column[order[fresh]] for column in payload]))
+    (coded_head, coded), (sorted_head, lexsorted) = kept
+    assert_same_array(coded_head, sorted_head, "heads")
+    for got, expected in zip(coded, lexsorted):
+        assert_same_array(got, expected, "payload")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    patterns=st.lists(
+        st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=60
+    ),
+    code_bits=st.integers(min_value=1, max_value=53),
+)
+def test_payload_code_keeps_bit_order(patterns, code_bits) -> None:
+    """Over any float64 bit patterns — NaNs of both signs, subnormals, both
+    zeros, both infinities — the code never falls in ``uint64`` order and
+    stays below ``2**code_bits``, without a floating-point warning."""
+    specials = np.array(
+        [0.0, -0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0, 2.0, np.inf,
+         -np.inf, np.nan, -np.nan, -5e-324]
+    ).view(np.uint64)
+    bits = np.sort(np.concatenate([np.array(patterns, dtype=np.uint64), specials]))
+    with np.errstate(all="raise"):
+        code = buffers._payload_code(bits, code_bits)
+    assert code.dtype == np.int64
+    assert (np.diff(code) >= 0).all()
+    assert code.min() >= 0 and code.max() < (1 << code_bits)
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +290,87 @@ def test_float_key_branch_orders_like_packed_branch(rows, seed, key_space) -> No
     floated = finalize_inbox(pre, as_float)
     assert_same_fields(floated, packed, ROW_FIELDS + ("rank",))
     assert floated.n_waves == packed.n_waves
+
+
+def test_key_bits_budget() -> None:
+    """How many top bits of a delivery key the one-word sort keeps: all 42
+    on small inboxes, 32 on a cold round at n = 8192 (~150 k rows), 28 on
+    one at n = 49 152 (~450 k); none before 2**42 rows."""
+    assert buffers._key_bits(18, 3) == 42
+    assert buffers._key_bits(150_000, 8191) == 32
+    assert buffers._key_bits(450_000, 49_151) == 28
+    assert buffers._key_bits(1 << 42, (1 << 21) - 1) <= 0
+
+
+def direct_prepared(slots: list[int], seed: int) -> PreparedInbox:
+    """Prepared rows at arbitrary slots, ``b``/``c`` the filler off ``reslrl``."""
+    rng = np.random.default_rng(seed)
+    count = len(slots)
+    tcode = rng.integers(0, buffers.N_TYPES, size=count).astype(np.int8)
+    res = tcode == RESLRL
+    return PreparedInbox(
+        dest_idx=np.array(slots, dtype=np.int32),
+        tcode=tcode,
+        a=rng.random(count),
+        b=np.where(res, rng.random(count), 0.0),
+        c=np.where(res, rng.random(count), 0.0),
+        n_res=int(res.sum()),
+        packed_ok=True,
+    )
+
+
+#: ``(slots, key bits the one-word sort keeps)``: small slots keep all 42;
+#: slots near 2**21 take 21 bits beside the 5 of 18 positions, leaving 37.
+KEY_BUDGETS = {
+    "k=42": ([3, 1, 3, 0, 3, 1] * 3, 42),
+    "k<42": ([(1 << 21) - 1, 5, (1 << 21) - 1, 1 << 20, (1 << 21) - 1, 5] * 3, 37),
+}
+
+
+@pytest.mark.parametrize(
+    ("budget", "keys"),
+    [
+        ("k=42", "distinct"),
+        ("k=42", "full-tie"),
+        ("k<42", "distinct"),
+        ("k<42", "shared-top-bits"),
+        ("k<42", "full-tie"),
+    ],
+)
+def test_finalize_inbox_truncated_keys(budget, keys) -> None:
+    """The one-word sort of truncated keys, against the stable argsort of
+    full ones.  Distinct draws are decided by their top ``k`` bits; keys
+    that agree on those (and differ below them, in the order opposite to
+    their rows) or agree entirely send the round to the full-key sort."""
+    slots, k = KEY_BUDGETS[budget]
+    pre = direct_prepared(slots, seed=len(keys))
+    count = len(pre)
+    assert buffers._key_bits(count, max(slots)) == k
+    if keys == "distinct":
+        drawn = np.random.default_rng(3).integers(0, 1 << 42, size=count, dtype=np.int64)
+    elif keys == "shared-top-bits":
+        drawn = (np.int64(5) << np.int64(42 - k)) | np.arange(count, dtype=np.int64)[::-1]
+    else:
+        drawn = np.full(count, 12345, dtype=np.int64)
+    truncated = buffers._truncated_order(pre.dest_idx, drawn)
+    assert (truncated is None) == (keys != "distinct")
+    expected = finalize_inbox_reference(pre, drawn)
+    got = finalize_inbox(pre, drawn)
+    assert_same_fields(got, expected, ROW_FIELDS + ("rank",))
+    assert got.n_waves == expected.n_waves
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_finalize_inbox_without_key_bits(monkeypatch, k) -> None:
+    """``k <= 0`` (2**42 rows or more) leaves no key bit beside slot and
+    position: the full-key sort decides, with the same answer."""
+    monkeypatch.setattr(buffers, "_key_bits", lambda count, top_slot: k)
+    pre = direct_prepared([3, 1, 3, 0, 3, 1] * 3, seed=4)
+    drawn = np.random.default_rng(5).integers(0, 1 << 42, size=len(pre), dtype=np.int64)
+    assert buffers._truncated_order(pre.dest_idx, drawn) is None
+    expected = finalize_inbox_reference(pre, drawn)
+    got = finalize_inbox(pre, drawn)
+    assert_same_fields(got, expected, ROW_FIELDS + ("rank",))
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +428,11 @@ def test_stable_order_budget_boundary() -> None:
 # Outbox compaction
 # ----------------------------------------------------------------------
 @settings(max_examples=150, deadline=None)
-@given(rows=wire_rows, chunk_rows=chunk_sizes, code=st.sampled_from([PROBR, RESLRL]))
+@given(
+    rows=st.one_of(wire_rows, clash_rows),
+    chunk_rows=chunk_sizes,
+    code=st.sampled_from([PROBR, RESLRL]),
+)
 def test_compact_code_matches_reference(rows, chunk_rows, code) -> None:
     """One deduped chunk in raw-bit key order, carrying the first staged
     copy's ``origin`` (the staging position, here) for every row."""

@@ -112,7 +112,7 @@ class TestRouteView:
         reference = RouteView.from_states(
             [NodeState(*row) for row in engine.state_snapshot().values()]
         )
-        for column in ("ids", "l_rank", "r_rank", "lrl_rank", "sc_right", "sc_left"):
+        for column in ("ids", "l_rank", "r_rank", "lrl_rank", "sc_bound", "ring_next"):
             np.testing.assert_array_equal(
                 getattr(view, column), getattr(reference, column)
             )
