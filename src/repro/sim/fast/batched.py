@@ -61,7 +61,6 @@ from repro.sim.fast.buffers import (
     stable_order,
 )
 from repro.sim.fast.kernels import Kernels
-from repro.sim.fast.pool import ArrayPool
 from repro.sim.fast.predicates import SoAHost
 from repro.sim.fast.sanitize import (
     FlowSanitizer,
@@ -315,6 +314,11 @@ def leave_batch_victims(node_ids: np.ndarray, soa: SoAState) -> np.ndarray:
 class FastEngine(SoAHost):
     """Struct-of-arrays state + staged messages + batched round execution."""
 
+    #: Whether a wire between the outbox and the next inbox consumes the
+    #: staged frames as sent (the chaos engine's fault executors draw per
+    #: frame), which makes staging order observable.
+    has_wire = False
+
     def __init__(
         self,
         states: Iterable[NodeState] | SoAState,
@@ -323,7 +327,6 @@ class FastEngine(SoAHost):
         dedup: bool = True,
         keep_history: bool = False,
         sanitize: bool | None = None,
-        compact_outbox: bool | None = None,
         stats: MessageStats | None = None,
     ) -> None:
         """*states* may be a ready :class:`SoAState` and *stats* a ready
@@ -341,14 +344,7 @@ class FastEngine(SoAHost):
         )
         self.dedup = dedup
         self.stats = stats or MessageStats(keep_history=keep_history)
-        # Mid-round staged-row dedup is sound exactly when the inbox dedups
-        # anyway (coalescing-set semantics); the chaos wire overrides this
-        # to keep its frame multiset byte-exact.
-        if compact_outbox is None:
-            compact_outbox = dedup
-        self.outbox = Outbox(self.stats, auto_compact=compact_outbox)
-        #: Recycles the inbox-assembly temporaries across rounds.
-        self.pool = ArrayPool()
+        self.outbox = Outbox(self.stats)
         # The sanitizer scopes recording to kernel code: the engine keeps
         # its real state/outbox references, only the kernels see the
         # recording proxies.  Draw order is untouched either way, so a
@@ -395,7 +391,6 @@ class FastEngine(SoAHost):
             self.soa.lookup,
             rng,
             dedup=self.dedup,
-            pool=self.pool,
         )
         if profiler is not None:
             profiler.add("flush", time.perf_counter() - t0)
@@ -410,16 +405,16 @@ class FastEngine(SoAHost):
     def _plan_round(self, inbox: RoundInbox) -> RoundPlan:
         """Schedule *inbox*: writer mask, dispatch groups, token walk.
 
-        One schedule, read off the engine's state once per round: while
-        staging order is observable — the outbox keeps raw frames (the
-        chaos wire, ``dedup=False``) or a :class:`WaveFault` rewrites the
-        dispatch — every row counts as a writer, which groups the inbox by
-        ``(wave, type)``; the token walk then takes its waves from the
-        (rewritten) group list.
+        One schedule, read off the engine once per round.  Writers are
+        planned only where staging order cannot show: the inbox dedups, no
+        :class:`WaveFault` rewrites the dispatch and no wire
+        (:attr:`has_wire`) consumes the staged frames.  Otherwise every row
+        counts as a writer, which groups the inbox by ``(wave, type)``; the
+        token walk then takes its waves from the (rewritten) group list.
         """
         fault = self._wave_fault
         writer = None
-        if self.outbox.auto_compact and fault is None:
+        if self.dedup and fault is None and not self.has_wire:
             writer = writer_rows(inbox, self.soa)
         groups = self._wave_groups(inbox, writer)
         if fault is not None:

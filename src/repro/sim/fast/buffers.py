@@ -30,15 +30,11 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.messages import Message, MessageType
 from repro.sim.metrics import MessageStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.fast.pool import ArrayPool
 
 __all__ = [
     "LIN",
@@ -119,26 +115,15 @@ class Outbox:
     to an identifier that no longer exists.
     """
 
-    __slots__ = (
-        "_chunks", "_compact_floor", "_counts", "_staged", "auto_compact",
-        "keep_origin", "stats",
-    )
+    __slots__ = ("_chunks", "_counts", "_staged", "keep_origin", "stats")
 
-    #: Below this many staged rows a type is never worth compacting.
-    COMPACT_MIN = 4096
-
-    def __init__(self, stats: MessageStats, *, auto_compact: bool = False) -> None:
+    def __init__(self, stats: MessageStats) -> None:
         self.stats = stats
         self._chunks: list[list[_Chunk]] = [[] for _ in range(N_TYPES)]
         self._counts: list[int] = [0] * N_TYPES
         #: Rows staged per type right now (``sum(len(ch[0]))`` over its
         #: chunks, kept current by every method that touches them).
         self._staged: list[int] = [0] * N_TYPES
-        #: Coalesce + dedup staged rows mid-round once a type's backlog
-        #: doubles (engine-enabled only under coalescing-set semantics;
-        #: the chaos wire needs the raw frame multiset and keeps this off).
-        self.auto_compact = auto_compact
-        self._compact_floor: list[int] = [self.COMPACT_MIN] * N_TYPES
         #: Whether the kernels stage the sender-id column (``origin``);
         #: only the chaos wire reads it, and only its engine sets this.
         self.keep_origin = False
@@ -158,62 +143,7 @@ class Outbox:
             return
         self._counts[code] += count
         self._staged[code] += count
-        chunks = self._chunks[code]
-        chunks.append((dest, a, b, c, origin))
-        if (
-            self.auto_compact
-            and len(chunks) >= 8
-            and self._staged[code] >= self._compact_floor[code]
-        ):
-            self._compact_code(code)
-
-    def _compact_code(self, code: int) -> None:
-        """Coalesce one type's staged chunks into a single deduped chunk.
-
-        Exact-duplicate rows are removed early — the same rows inbox dedup
-        would coalesce at the next flush anyway, so under coalescing-set
-        semantics the delivered set is untouched; only the transient RAM
-        (and the drop *accounting*, which counts physical rows addressed
-        to dead ids) sees the difference.  Send stats are unaffected:
-        counts accrue at :meth:`send` time.
-        """
-        chunks = self._chunks[code]
-        dest = np.concatenate([ch[0] for ch in chunks])
-        a = np.concatenate([ch[1] for ch in chunks])
-        payload = [_bits(a)]
-        b: np.ndarray | None = None
-        c: np.ndarray | None = None
-        if code == RESLRL:
-            b = np.concatenate([_col(ch, 2, len(ch[0])) for ch in chunks])
-            c = np.concatenate([_col(ch, 3, len(ch[0])) for ch in chunks])
-            payload += [_bits(b), _bits(c)]
-        # Destinations are raw ids here (no slot table to resolve them
-        # against), so their dense rank in bit-pattern order is the head.
-        slots, head = np.unique(_bits(dest), return_inverse=True)
-        order, _, fresh = _dedup_order(
-            head, len(slots).bit_length(), tuple(payload)
-        )
-        # Of each duplicate group keep the first *staged* copy, whatever
-        # order the value sorts left the group in: ``origin`` differs
-        # between copies, and it must not depend on the sort kernel.
-        keep = np.minimum.reduceat(order, np.flatnonzero(fresh))
-        # Origin survives only when every source chunk carried it (the
-        # chaos wire keeps auto-compaction off, so fault-free `None`
-        # columns simply stay dropped).
-        origin: np.ndarray | None = None
-        if all(ch[4] is not None for ch in chunks):
-            origin = np.concatenate([ch[4] for ch in chunks])[keep]  # type: ignore[misc]
-        self._chunks[code] = [
-            (
-                dest[keep],
-                a[keep],
-                None if b is None else b[keep],
-                None if c is None else c[keep],
-                origin,
-            )
-        ]
-        self._staged[code] = len(keep)
-        self._compact_floor[code] = max(self.COMPACT_MIN, 2 * len(keep))
+        self._chunks[code].append((dest, a, b, c, origin))
 
     def flush_stats(self) -> None:
         """Transfer accumulated send counts into the shared stats.
@@ -482,14 +412,15 @@ def _truncated_order(
 def _dedup_order(
     head: np.ndarray, head_bits: int, payload: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort rows by ``(head, *payload)`` and mark each distinct row's first copy.
+    """Sort rows by ``(head, *payload)`` and mark one copy of each distinct row.
 
-    *head* is a non-negative int64 column below ``2**head_bits``; *payload*
-    holds the remaining key columns as raw bits, most significant first.
-    Returns ``(order, head[order], fresh)``.  Rows that tie on every key
-    are bit-identical and come out adjacent but in no particular order:
-    callers may keep any one copy, or the group's minimum of ``order``
-    for the first one staged.
+    The dedup of :func:`prepare_inbox`, once per block.  *head* is a
+    non-negative int64 column below ``2**head_bits``; *payload* holds the
+    remaining key columns as raw bits, most significant first.  Returns
+    ``(order, head[order], fresh)``, ``fresh`` marking the first row of
+    each run of equal keys.  Rows that tie on every key are bit-identical
+    and come out adjacent but in no particular order, so which copy is
+    marked does not show in the prepared inbox.
 
     One value sort of ``head << (c+S) | code << S | position`` words does
     it, ``code`` the first payload column's :func:`_payload_code` in the
@@ -643,17 +574,12 @@ def prepare_inbox(
     lookup: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     *,
     dedup: bool,
-    pool: "ArrayPool | None" = None,
 ) -> tuple[PreparedInbox | None, int]:
     """Concatenate, resolve, drop and dedup last round's staged chunks.
 
     The RNG-free front half of :func:`build_inbox`; see there for the
-    parameter contract.  With *pool*, the big per-round concatenation
-    temporaries come from recycled buffers (the pool is reclaimed here, at
-    the top of the round, when the previous round's views are dead).
+    parameter contract.
     """
-    if pool is not None:
-        pool.reclaim()
     # Under dedup the output order is content-determined, so the reslrl
     # chunks — the only rows with b/c payloads — are staged last and the two
     # dedup blocks are plain slices.  Without it rows are emitted in staging
@@ -664,20 +590,11 @@ def prepare_inbox(
     if total == 0:
         return None, 0
     staged = [ch for code in stage_order for ch in chunks[code]]
-    dests = [ch[0] for ch in staged]
-    cols_a = [ch[1] for ch in staged]
-    if pool is None:
-        dest_id = np.concatenate(dests)
-        a = np.concatenate(cols_a)
-        b = np.zeros(total, dtype=np.float64)
-        c = np.zeros(total, dtype=np.float64)
-    else:
-        dest_id = np.concatenate(dests, out=pool.take(total, np.float64))
-        a = np.concatenate(cols_a, out=pool.take(total, np.float64))
-        # Only reslrl carries payload columns b/c; fill the rest with the
-        # 0.0 filler in one allocation instead of zero-chunks per send.
-        b = pool.zeros(total, np.float64)
-        c = pool.zeros(total, np.float64)
+    dest_id = np.concatenate([ch[0] for ch in staged])
+    a = np.concatenate([ch[1] for ch in staged])
+    # Only reslrl carries payload columns b/c; the rest hold the 0.0 filler.
+    b = np.zeros(total, dtype=np.float64)
+    c = np.zeros(total, dtype=np.float64)
     tcode = np.repeat(np.array(stage_order, dtype=np.int8), counts)
     if chunks[RESLRL]:
         at = stage_order.index(RESLRL)
@@ -840,7 +757,6 @@ def build_inbox(
     rng: np.random.Generator,
     *,
     dedup: bool,
-    pool: "ArrayPool | None" = None,
 ) -> tuple[RoundInbox | None, int]:
     """Assemble the round's inbox from last round's staged chunks.
 
@@ -863,11 +779,8 @@ def build_inbox(
         Coalesce identical ``(dest, type, payload)`` rows, the array
         analogue of the reference channel's coalescing-set mode
         (DESIGN.md §4.7); ``False`` preserves multiset semantics.
-    pool:
-        Optional :class:`~repro.sim.fast.pool.ArrayPool` recycling the
-        concatenation temporaries across rounds.
     """
-    pre, dropped = prepare_inbox(chunks, lookup, dedup=dedup, pool=pool)
+    pre, dropped = prepare_inbox(chunks, lookup, dedup=dedup)
     if pre is None:
         return None, dropped
     keys = draw_delivery_keys(rng, len(pre), packed_ok=pre.packed_ok)

@@ -225,6 +225,8 @@ class BatchedGuard:
 class ChaosFastEngine(FastEngine):
     """Batched SoA engine whose wire is subject to vectorized faults."""
 
+    has_wire = True
+
     def __init__(
         self,
         states: Iterable[NodeState],
@@ -238,10 +240,6 @@ class ChaosFastEngine(FastEngine):
         super().__init__(
             states, config, dedup=dedup, keep_history=keep_history,
             sanitize=sanitize,
-            # The fault executors draw per staged *frame*: mid-round
-            # compaction would change the frame multiset and desync the
-            # chaos mirror twin, so the wire keeps the raw staging.
-            compact_outbox=False,
         )
         # The guard wraps rows and addresses acks by their sender: the one
         # reader of the origin column, so the one outbox that stages it.

@@ -192,9 +192,7 @@ class ShardCore(FastEngine):
                         )
                     else:
                         merged[code].append((ch[0], ch[1], None, None, None))
-        pre, dropped = prepare_inbox(
-            merged, self.soa.lookup, dedup=True, pool=self.pool
-        )
+        pre, dropped = prepare_inbox(merged, self.soa.lookup, dedup=True)
         self._pre = pre
         if profiler is not None:
             profiler.add(

@@ -3,8 +3,7 @@ serving hop kernel.
 
 The comparison-sort bodies that :func:`repro.sim.fast.buffers.prepare_inbox`,
 :func:`~repro.sim.fast.buffers.finalize_inbox`,
-:meth:`repro.sim.fast.batched.FastEngine._wave_groups`,
-:meth:`repro.sim.fast.buffers.Outbox._compact_code` and
+:meth:`repro.sim.fast.batched.FastEngine._wave_groups` and
 :func:`repro.serve.routing.route_batch` had before the packed-key value
 sorts and the table-driven hop loop replaced them.  They are kept here,
 and only here, as the executable definition of "the same permutation a
@@ -42,7 +41,6 @@ from repro.sim.fast.chaos.batched import BatchedGuard
 from repro.sim.fast.chaos.wire import KIND_ACK, WireRows
 
 __all__ = [
-    "compact_chunks_reference",
     "finalize_inbox_reference",
     "leave_guard_reference",
     "leave_outbox_reference",
@@ -218,50 +216,6 @@ def walk_tokens_reference(engine, plan, rng: np.random.Generator) -> None:
             "move_forget", idx, False, kernel,
             idx, inbox.a[rows], inbox.b[rows], inbox.c[rows], rng,
         )
-
-
-def compact_chunks_reference(code: int, chunks: list[tuple]) -> tuple:
-    """One type's staged chunks coalesced by a stable ``lexsort`` on raw bits.
-
-    Returns the single ``(dest, a, b, c, origin)`` chunk
-    ``Outbox._compact_code`` leaves behind: rows in ascending key order,
-    each the *first staged* copy of its duplicate group (so the surviving
-    ``origin`` is staging-determined).
-    """
-    dest = np.concatenate([ch[0] for ch in chunks])
-    a = np.concatenate([ch[1] for ch in chunks])
-    if code == RESLRL:
-        b = np.concatenate([_col(ch, 2, len(ch[0])) for ch in chunks])
-        c = np.concatenate([_col(ch, 3, len(ch[0])) for ch in chunks])
-        keys: tuple[np.ndarray, ...] = (
-            np.ascontiguousarray(c).view(np.uint64),
-            np.ascontiguousarray(b).view(np.uint64),
-            np.ascontiguousarray(a).view(np.uint64),
-            np.ascontiguousarray(dest).view(np.uint64),
-        )
-    else:
-        b = c = None
-        keys = (
-            np.ascontiguousarray(a).view(np.uint64),
-            np.ascontiguousarray(dest).view(np.uint64),
-        )
-    order = np.lexsort(keys)
-    sorted_keys = tuple(k[order] for k in keys)
-    fresh = np.zeros(len(order), dtype=bool)
-    fresh[0] = True
-    for k in sorted_keys:
-        fresh[1:] |= k[1:] != k[:-1]
-    keep = order[fresh]
-    origin = None
-    if all(ch[4] is not None for ch in chunks):
-        origin = np.concatenate([ch[4] for ch in chunks])[keep]
-    return (
-        dest[keep],
-        a[keep],
-        None if b is None else b[keep],
-        None if c is None else c[keep],
-        origin,
-    )
 
 
 def route_batch_reference(

@@ -8,8 +8,7 @@ as bit patterns so ``-0.0`` and ``0.0`` stay apart — over arbitrary staged
 traffic and arbitrary (even model-violating) routing tables, including the
 corners the value sorts treat specially: key ties, truncated keys that tie
 where the full ones do not, payloads that share a sort code, the int64 bit
-budget, the float-key branch, and mid-round outbox
-compaction.  Where a value sort falls back to a slower exact path, a test
+budget and the float-key branch.  Where a value sort falls back to a slower exact path, a test
 pins that both paths run.
 """
 
@@ -36,11 +35,9 @@ from repro.sim.fast.buffers import (
     stable_order,
 )
 from repro.sim.fast.engine import FastSimulator
-from repro.sim.fast.pool import ArrayPool
 from repro.sim.metrics import MessageStats
 from repro.topology.generators import TOPOLOGIES
 from tests.reference_flush import (
-    compact_chunks_reference,
     finalize_inbox_reference,
     prepare_inbox_reference,
     route_batch_reference,
@@ -125,15 +122,12 @@ def prepared(rows: list[tuple], chunk_rows: int = 1) -> PreparedInbox | None:
     rows=st.one_of(wire_rows, clash_rows),
     chunk_rows=chunk_sizes,
     dedup=st.booleans(),
-    pooled=st.booleans(),
 )
-def test_prepare_inbox_matches_reference(rows, chunk_rows, dedup, pooled) -> None:
+def test_prepare_inbox_matches_reference(rows, chunk_rows, dedup) -> None:
     chunks = make_chunks(rows, chunk_rows)
     lookup = make_soa().lookup
     expected, expected_dropped = prepare_inbox_reference(chunks, lookup, dedup=dedup)
-    got, dropped = prepare_inbox(
-        chunks, lookup, dedup=dedup, pool=ArrayPool() if pooled else None
-    )
+    got, dropped = prepare_inbox(chunks, lookup, dedup=dedup)
     assert dropped == expected_dropped
     if expected is None:
         assert got is None
@@ -425,67 +419,8 @@ def test_stable_order_budget_boundary() -> None:
 
 
 # ----------------------------------------------------------------------
-# Outbox compaction
+# Outbox bookkeeping
 # ----------------------------------------------------------------------
-@settings(max_examples=150, deadline=None)
-@given(
-    rows=st.one_of(wire_rows, clash_rows),
-    chunk_rows=chunk_sizes,
-    code=st.sampled_from([PROBR, RESLRL]),
-)
-def test_compact_code_matches_reference(rows, chunk_rows, code) -> None:
-    """One deduped chunk in raw-bit key order, carrying the first staged
-    copy's ``origin`` (the staging position, here) for every row."""
-    staged = make_chunks([(code, *row[1:]) for row in rows], chunk_rows)[code]
-    outbox = Outbox(MessageStats())
-    outbox._chunks[code] = list(staged)
-    outbox._compact_code(code)
-    (got,) = outbox._chunks[code]
-    expected = compact_chunks_reference(code, staged)
-    for column, (got_col, expected_col) in enumerate(zip(got, expected)):
-        assert (got_col is None) == (expected_col is None)
-        if got_col is not None:
-            assert_same_array(got_col, expected_col, f"column {column}")
-
-
-@pytest.mark.parametrize("code", [PROBR, RESLRL])
-def test_auto_compact_delivers_the_same_inbox(code) -> None:
-    """An outbox forced past ``COMPACT_MIN`` compacts mid-round when
-    ``auto_compact`` is on; the delivered inbox and the send counts are
-    those of the outbox that never compacts."""
-    soa = make_soa()
-    live = soa.ids[: soa.size]
-    rng = np.random.default_rng(code)
-    batches = [
-        tuple(rng.choice(live, size=Outbox.COMPACT_MIN // 4) for _ in range(4))
-        for _ in range(12)
-    ]
-    inboxes = []
-    for auto_compact in (False, True):
-        outbox = Outbox(MessageStats(), auto_compact=auto_compact)
-        for dest, a, b, c in batches:
-            if code == RESLRL:
-                outbox.send(code, dest, a, b, c, origin=a)
-            else:
-                outbox.send(code, dest, a, origin=a)
-        assert (len(outbox._chunks[code]) < len(batches)) == auto_compact
-        outbox.flush_stats()
-        assert outbox.stats.total == len(batches) * Outbox.COMPACT_MIN // 4
-        inbox, dropped = build_inbox(
-            outbox.take_all(), soa.lookup, np.random.default_rng(5), dedup=True
-        )
-        assert dropped == 0 and inbox is not None
-        inboxes.append(inbox)
-    assert_same_fields(inboxes[1], inboxes[0], ROW_FIELDS + ("rank",))
-
-
-class SmallOutbox(Outbox):
-    """An outbox that compacts after tens of rows instead of thousands."""
-
-    __slots__ = ()
-    COMPACT_MIN = 24
-
-
 outbox_ops = st.lists(
     st.tuples(
         st.sampled_from(["send", "send", "send", "restage", "leave", "take"]),
@@ -502,26 +437,15 @@ outbox_ops = st.lists(
 @given(ops=outbox_ops)
 def test_staged_row_count_is_the_recomputed_sum(ops) -> None:
     """The per-type staged-row counter equals ``sum(len(ch[0]))`` after
-    every send / restage / drop / take, and ``send`` compacts at exactly
-    the calls where the rule that re-summed the backlog would have."""
+    every send / restage / drop / take."""
     ids = make_soa().ids[:12]
-    outbox = SmallOutbox(MessageStats(), auto_compact=True)
+    outbox = Outbox(MessageStats())
     for op, code, count, seed in ops:
         rng = np.random.default_rng(seed)
         cols = [rng.choice(ids, size=count) for _ in range(4)]
         payload = cols if code == RESLRL else cols[:2]
-        chunks = outbox._chunks[code]
         if op == "send":
-            resummed = sum(len(ch[0]) for ch in chunks) + count
-            compacts = (
-                count > 0
-                and len(chunks) + 1 >= 8
-                and resummed >= outbox._compact_floor[code]
-            )
-            before = len(chunks)
             outbox.send(code, *payload, origin=cols[1])
-            after = len(outbox._chunks[code])
-            assert after == (1 if compacts else before + (count > 0))
         elif op == "restage":
             outbox.restage(code, *payload)
         elif op == "leave":

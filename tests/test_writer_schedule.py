@@ -99,8 +99,8 @@ def build(kind: str, config: ProtocolConfig, nodes, rows, *, sanitize=None):
     """An engine of *kind* over the corrupted nodes with *rows* staged.
 
     ``writer`` is the shipped batched engine; ``all-true`` is the same
-    engine with mid-round compaction off, the one switch that makes every
-    row a writer; ``sharded-k`` is k inline shards.
+    engine with the writer gate shut (``has_wire`` set on the instance),
+    which makes every row a writer; ``sharded-k`` is k inline shards.
     """
     states = [NodeState(id=v) for v in IDS]
     if kind.startswith("sharded"):
@@ -111,7 +111,7 @@ def build(kind: str, config: ProtocolConfig, nodes, rows, *, sanitize=None):
     else:
         engine = FastEngine(states, config, sanitize=sanitize)
         outbox = engine.outbox
-        outbox.auto_compact = kind == "writer"
+        engine.has_wire = kind != "writer"
     corrupt(engine, nodes)
     stage(outbox, engine, rows)
     return engine
@@ -255,11 +255,12 @@ def assert_same_groups(got, expected) -> None:
     starvation=st.sampled_from([0.0, 0.3]),
 )
 def test_observable_staging_keeps_the_wave_groups(rows, dedup, seed, starvation) -> None:
-    """A wire engine and an engine under a ``WaveDispatchFault`` schedule
-    the groups the parent scheduled for the same inbox: the stable sort by
-    ``(wave, type)`` — rewritten by the fault, from the same fault stream —
-    and walk their tokens over the ``reslrl`` groups of that list, one
-    wave per group."""
+    """A wire engine, a multiset engine (``dedup`` off) and an engine under
+    a ``WaveDispatchFault`` schedule the groups the parent scheduled for
+    the same inbox: the stable sort by ``(wave, type)`` — rewritten by the
+    fault, from the same fault stream — and walk their tokens over the
+    ``reslrl`` groups of that list, one wave per group.  Only the plain
+    engine with ``dedup`` on plans writers."""
     states = [NodeState(id=v) for v in ID_POOL]
     wire = ChaosFastEngine(states, dedup=dedup)
     inbox, _ = build_inbox(
@@ -271,6 +272,12 @@ def test_observable_staging_keeps_the_wave_groups(rows, dedup, seed, starvation)
     plan = wire._plan_round(inbox)
     assert plan.writer is None
     assert_same_groups(plan.groups, parent)
+
+    plain = FastEngine(states, dedup=dedup)
+    plan = plain._plan_round(inbox)
+    assert (plan.writer is None) == (not dedup)
+    if not dedup:
+        assert_same_groups(plan.groups, parent)
 
     faulted = FastEngine(states, dedup=dedup)
     faulted.set_wave_fault(
