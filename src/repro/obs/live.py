@@ -11,7 +11,12 @@ HTTP server next to the ambient :class:`~repro.obs.observer.Observer`:
   count, pending messages, rounds/sec, the convergence probes
   (unconverged count, list-link potential) and a linear-extrapolation
   ETA;
-* ``GET /`` — a tiny index.
+* ``GET /`` — a tiny index of the routes.
+
+One handler serves every route: an owner mounts more (``repro serve``
+adds its lookup and membership API, docs/SERVING.md), a route that
+raises answers 500 and the server keeps serving, and a connection that
+sends nothing is closed after a 10 s read timeout.
 
 **Never block the wave loop.**  The simulation thread only performs
 plain attribute writes on a :class:`LiveStatus` (one per round, via
@@ -35,8 +40,10 @@ import json
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any
+from urllib.parse import parse_qs
 
 from repro.obs.exporters import prometheus_text
 
@@ -48,6 +55,16 @@ __all__ = ["LiveServer", "LiveStatus", "parse_address", "render_metrics"]
 #: How many /metrics render attempts before giving up on a scrape.
 _RENDER_RETRIES = 5
 
+#: One endpoint: takes the query and form parameters and returns
+#: ``(code, payload)``; a ``str`` payload is served as text, any other
+#: as JSON.
+Route = Callable[[dict[str, str]], tuple[int, object]]
+
+#: Reply content types: text is the Prometheus exposition (the index
+#: shares it), everything else JSON.
+_TEXT = "text/plain; version=0.0.4; charset=utf-8"
+_JSON = "application/json"
+
 
 def render_metrics(observer: "Observer") -> str | None:
     """Render *observer*'s registry as Prometheus text, retry-bounded.
@@ -56,8 +73,8 @@ def render_metrics(observer: "Observer") -> str | None:
     surfaces as ``RuntimeError``; scrapes are best-effort snapshots by
     design, so the render is simply retried up to ``_RENDER_RETRIES``
     times and ``None`` is returned when every attempt lost the race.
-    Shared by the live endpoint below and by the ``repro.serve``
-    front-end, so both expose the exact same exposition bytes.
+    The ``/metrics`` route of :class:`LiveServer` serves it, for
+    ``repro run ... live=`` and ``repro serve`` alike.
     """
     for _ in range(_RENDER_RETRIES):
         try:
@@ -73,16 +90,17 @@ _POS_INF = float("inf")
 
 
 def parse_address(spec: object) -> tuple[str, int]:
-    """Parse a ``live=`` value into ``(host, port)``.
+    """Parse a ``live=`` or ``api=`` value into ``(host, port)``.
 
-    Accepts ``:PORT`` / ``HOST:PORT`` / a bare port (``live=0`` asks the
-    kernel for an ephemeral port, which ``DIR/live.json`` then records).
+    Accepts ``:PORT`` / ``HOST:PORT`` / a bare port (port 0 asks the
+    kernel for an ephemeral port, which ``DIR/live.json`` or
+    ``DIR/serve.json`` then records).
     The default host is loopback — serving telemetry beyond the local
     machine is an explicit choice.
     """
     if isinstance(spec, int):
         if not 0 <= spec <= 65535:
-            raise ValueError(f"live= port out of range: {spec}")
+            raise ValueError(f"address port out of range: {spec}")
         return "127.0.0.1", spec
     text = str(spec).strip()
     host, sep, port_text = text.rpartition(":")
@@ -92,9 +110,9 @@ def parse_address(spec: object) -> tuple[str, int]:
     try:
         port = int(port_text) if port_text else 0
     except ValueError:
-        raise ValueError(f"live= needs ':PORT' or 'HOST:PORT', got {spec!r}") from None
+        raise ValueError(f"address needs ':PORT' or 'HOST:PORT', got {spec!r}") from None
     if not 0 <= port <= 65535:
-        raise ValueError(f"live= port out of range: {port}")
+        raise ValueError(f"address port out of range: {port}")
     return host, port
 
 
@@ -256,59 +274,59 @@ class LiveStatus:
 
 
 class _LiveHTTPServer(ThreadingHTTPServer):
-    """Threaded server carrying the observer/status references."""
+    """Threaded server carrying the :class:`LiveServer` it answers for."""
 
     daemon_threads = True
     allow_reuse_address = True
-    observer: "Observer | None" = None
-    status: LiveStatus | None = None
+    #: Listen backlog: a burst of concurrent clients waits to be accepted
+    #: instead of retrying its connect.
+    request_queue_size = 100
+    live: "LiveServer"
 
 
 class _Handler(BaseHTTPRequestHandler):
     server: _LiveHTTPServer
+    #: Seconds a connection may stall before its request is read; the
+    #: server then closes it, so an idle client cannot hold a thread.
+    timeout: float | None = 10.0
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        status = self.server.status
-        if path == "/metrics":
-            if status is not None:
-                status.touch()
-                status.scrapes += 1
-            self._serve_metrics()
-        elif path in ("/health", "/healthz"):
-            if status is not None:
-                status.touch()
-                status.health_requests += 1
-            doc = status.health(self.server.observer) if status else {}
-            self._reply(200, "application/json", json.dumps(doc, indent=2) + "\n")
-        elif path == "/":
-            self._reply(
-                200,
-                "text/plain; charset=utf-8",
-                "repro.obs live endpoint\n  GET /metrics\n  GET /health\n",
-            )
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch("POST")
+
+    def _dispatch(self, method: str) -> None:
+        start = time.perf_counter()
+        path, _, query = self.path.partition("?")
+        endpoint = path.rstrip("/") or "/"
+        live = self.server.live
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            form = self.rfile.read(length).decode("latin-1") if length > 0 else ""
+            params = {key: values[-1] for key, values in parse_qs(query).items()}
+            params.update({key: values[-1] for key, values in parse_qs(form).items()})
+            code, payload = live.respond(method, endpoint, params)
+        except (ValueError, TimeoutError) as exc:
+            code, payload = 400, {"error": str(exc) or type(exc).__name__}
+        except Exception as exc:  # repro-lint: ignore[broad-except] request isolation: a failing route answers 500 and the server keeps serving
+            code, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        self._reply(code, payload)
+        if live.on_request is not None:
+            live.on_request(endpoint, code, time.perf_counter() - start)
+
+    def _reply(self, code: int, payload: object) -> None:
+        if isinstance(payload, str):
+            content_type, body = _TEXT, payload
         else:
-            self._reply(404, "text/plain; charset=utf-8", "not found\n")
-
-    def _serve_metrics(self) -> None:
-        observer = self.server.observer
-        if observer is None:  # pragma: no cover - defensive
-            self._reply(503, "text/plain; charset=utf-8", "no observer\n")
-            return
-        text = render_metrics(observer)
-        if text is None:
-            self._reply(503, "text/plain; charset=utf-8", "scrape retry exhausted\n")
-            return
-        self._reply(200, "text/plain; version=0.0.4; charset=utf-8", text)
-
-    def _reply(self, code: int, content_type: str, body: str) -> None:
-        payload = body.encode("utf-8")
+            content_type, body = _JSON, json.dumps(payload, indent=2) + "\n"
+        data = body.encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         try:
-            self.wfile.write(payload)
+            self.wfile.write(data)
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover  # repro-lint: ignore[silent-except] client hung up mid-reply; nothing to do
             pass
 
@@ -320,19 +338,22 @@ class LiveServer:
     """Background HTTP endpoint bound to one observer.
 
     ``start()`` binds the socket (resolving an ephemeral port request)
-    and serves from a daemon thread; ``stop()`` shuts the server down and
-    joins the thread.  The bound address is available as :attr:`address`
-    the moment ``start()`` returns, which is what ``DIR/live.json``
-    records for scrapers when ``live=:0`` asked for an ephemeral port.
+    and serves from a daemon thread, one handler thread per connection;
+    ``stop()`` shuts the server down and joins the thread.  The bound
+    address is available as :attr:`address` the moment ``start()``
+    returns, which is what ``DIR/live.json`` records for scrapers when
+    ``live=:0`` asked for an ephemeral port.
 
-    The lifecycle is reusable and embedder-friendly (``repro.serve``
-    runs one of these next to its request front-end, with no ``repro
-    run`` teardown in sight): ``start()`` after ``stop()`` re-binds —
-    an ephemeral ``:0`` request resolves to a *fresh* kernel-assigned
-    port each time — ``stop()`` is idempotent, ``start()`` on a running
-    server is a no-op, and a bind failure (port already in use)
-    surfaces as :class:`OSError` naming the requested address instead
-    of a half-started server.
+    The endpoints are the :attr:`routes` table, which an owner extends:
+    ``repro.serve`` mounts its lookup and membership API here, replaces
+    :attr:`health` with a document that carries its serving block, and
+    counts every request through :attr:`on_request`.  The lifecycle is
+    reusable: ``start()`` after ``stop()`` re-binds — an ephemeral
+    ``:0`` request resolves to a *fresh* kernel-assigned port each time
+    — ``stop()`` is idempotent, ``start()`` on a running server is a
+    no-op, and a bind failure (port already in use) surfaces as
+    :class:`OSError` naming the requested address instead of a
+    half-started server.
     """
 
     def __init__(
@@ -349,6 +370,19 @@ class LiveServer:
         #: fight over a previously assigned port.
         self._requested_port = self.port
         self.status = status if status is not None else LiveStatus()
+        #: ``path -> (method, route)``; the index lists every entry.
+        self.routes: dict[str, tuple[str, Route]] = {
+            "/": ("GET", self._index),
+            "/metrics": ("GET", self._metrics),
+            "/health": ("GET", self._health),
+            "/healthz": ("GET", self._health),
+        }
+        #: Builds the ``/health`` document.
+        self.health: Callable[[], dict[str, object]] = lambda: self.status.health(
+            observer
+        )
+        #: Called after every reply with ``(endpoint, code, seconds)``.
+        self.on_request: Callable[[str, int, float], None] | None = None
         self._httpd: _LiveHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -365,11 +399,10 @@ class LiveServer:
             httpd = _LiveHTTPServer((self.host, self._requested_port), _Handler)
         except OSError as exc:
             raise OSError(
-                f"live endpoint could not bind "
+                f"HTTP endpoint could not bind "
                 f"{self.host}:{self._requested_port}: {exc}"
             ) from exc
-        httpd.observer = self.observer
-        httpd.status = self.status
+        httpd.live = self
         self.port = int(httpd.server_address[1])
         thread = threading.Thread(
             target=httpd.serve_forever,
@@ -399,6 +432,35 @@ class LiveServer:
             httpd.server_close()
         if thread is not None:
             thread.join(timeout=5)
+
+    def respond(
+        self, method: str, path: str, params: dict[str, str]
+    ) -> tuple[int, object]:
+        """Answer one request from :attr:`routes`: 404 or 405 on a miss."""
+        try:
+            allowed, route = self.routes[path]
+        except KeyError:
+            return 404, {"error": f"no such endpoint {path!r}"}
+        if method != allowed:
+            return 405, {"error": f"{allowed} only"}
+        return route(params)
+
+    def _index(self, params: dict[str, str]) -> tuple[int, object]:
+        lines = [f"  {method:<4} {path}" for path, (method, _) in sorted(self.routes.items())]
+        return 200, "repro HTTP endpoint\n" + "\n".join(lines) + "\n"
+
+    def _metrics(self, params: dict[str, str]) -> tuple[int, object]:
+        self.status.touch()
+        self.status.scrapes += 1
+        text = render_metrics(self.observer)
+        if text is None:
+            return 503, {"error": "scrape retry exhausted"}
+        return 200, text
+
+    def _health(self, params: dict[str, str]) -> tuple[int, object]:
+        self.status.touch()
+        self.status.health_requests += 1
+        return 200, self.health()
 
     def summary(self) -> dict[str, object]:
         """The manifest's ``live`` block (schema v2)."""

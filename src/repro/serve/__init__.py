@@ -9,8 +9,8 @@ system (docs/SERVING.md):
   live SoA columns + the vectorized probr/probl hop kernel;
 * :mod:`repro.serve.host` — the engine thread: background convergence,
   queued join/leave batches, storms as live fault drills;
-* :mod:`repro.serve.service` — the asyncio HTTP API embedding the
-  :mod:`repro.obs.live` telemetry endpoint;
+* :mod:`repro.serve.service` — the HTTP API, mounted on the
+  :mod:`repro.obs.live` endpoint next to ``/metrics`` and ``/health``;
 * :mod:`repro.serve.load` — the Zipf load generator (in-process and
   over-the-wire);
 * :mod:`repro.serve.slo` — the Lemma 4.23 hop bound as an operational

@@ -2,22 +2,23 @@
 
 Parameters follow the ``repro run`` key=value convention::
 
-    repro serve n=4096 topology=stable engine=fast api=:8080 metrics=:9099
+    repro serve n=4096 topology=stable engine=fast api=:8080
     repro serve n=2048 engine=sharded shards=4 obs=serve-run api=:0
     repro serve n=512 topology=random_tree duration=30
 
 Keys: ``n``, ``topology`` (``stable`` or a generator name), ``engine``
-(``fast``/``sharded``), ``shards``, ``seed``, ``api`` and ``metrics``
-(``:PORT`` / ``HOST:PORT``; ``:0`` asks for an ephemeral
-port), ``obs=DIR`` (full artifact set + ``DIR/serve.json`` announcing
-the bound addresses), ``pace`` (seconds slept per round), ``rounds``
-(stop stepping after that many; the last view keeps serving),
-``duration`` (seconds to serve; 0 = until ``POST /shutdown`` or
-Ctrl-C), ``sanitize=1`` (run the engine under the flow sanitizer).
+(``fast``/``sharded``), ``shards``, ``seed``, ``api`` (``:PORT`` /
+``HOST:PORT``; ``:0`` asks for an ephemeral port; the one address
+serves the API and its telemetry), ``obs=DIR`` (full
+artifact set + ``DIR/serve.json`` announcing the bound address),
+``pace`` (seconds slept per round), ``rounds`` (stop stepping after
+that many; the last view keeps serving), ``duration`` (seconds to
+serve; 0 = until ``POST /shutdown`` or Ctrl-C), ``sanitize=1`` (run the
+engine under the flow sanitizer).
 
 The process blocks while serving and exits cleanly on ``/shutdown``,
-SIGINT, or when *duration* elapses; teardown stops the API, the engine
-thread and telemetry, then prints a one-line traffic summary.
+SIGINT, or when *duration* elapses; teardown stops the HTTP server, the
+engine thread and telemetry, then prints a one-line traffic summary.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from collections.abc import Sequence
 __all__ = ["main"]
 
 _KNOWN = {
-    "n", "topology", "engine", "shards", "seed", "api", "metrics",
-    "obs", "pace", "rounds", "duration", "sanitize",
+    "n", "topology", "engine", "shards", "seed", "api", "obs", "pace",
+    "rounds", "duration", "sanitize",
 }
 
 
@@ -59,7 +60,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         shards=int(params.pop("shards", 2)),
         seed=int(params.pop("seed", 7)),
         api=params.pop("api", ":0"),
-        metrics=params.pop("metrics", ":0"),
         obs_dir=None if obs_dir is None else str(obs_dir),
         pace=float(params.pop("pace", 0.0)),
         max_rounds=None if rounds is None else int(rounds),
@@ -68,11 +68,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     service.start()
     try:
         print(f"serving overlay API on {service.api_url}")
-        print(f"telemetry (/metrics, /health) on {service.live.url}")
         if obs_dir is not None:
             announce = os.path.join(str(obs_dir), "serve.json")
             service.announce(announce)
-            print(f"(addresses recorded in {announce})")
+            print(f"(address recorded in {announce})")
         sys.stdout.flush()
         _wait(service, duration)
     except KeyboardInterrupt:

@@ -16,6 +16,7 @@ Covers the three tentpole pieces end to end:
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -73,9 +74,10 @@ class TestParseAddress:
         assert parse_address(":") == ("127.0.0.1", 0)
 
     def test_rejects_garbage_and_range(self):
-        with pytest.raises(ValueError, match="PORT"):
+        # The messages name no parameter: live= and api= share the parser.
+        with pytest.raises(ValueError, match="^address needs ':PORT' or 'HOST:PORT'"):
             parse_address("localhost:web")
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="^address port out of range"):
             parse_address(":70000")
         with pytest.raises(ValueError, match="out of range"):
             parse_address(-1)
@@ -161,6 +163,48 @@ class TestLiveServer:
             assert not clash.running
         finally:
             first.stop()
+
+    def test_stalled_connection_is_closed_after_read_timeout(self, monkeypatch):
+        from repro.obs import live
+
+        # A connection that never sends its request must not hold a
+        # handler thread for ever.
+        assert live._Handler.timeout == 10.0
+        monkeypatch.setattr(live._Handler, "timeout", 0.5)
+        server = LiveServer(Observer(), ":0").start()
+        try:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as stalled:
+                start = time.monotonic()
+                code, _ = _get(server.url + "/health")
+                assert code == 200
+                assert stalled.recv(1) == b""  # the server hung up
+                assert time.monotonic() - start < 5
+        finally:
+            server.stop()
+
+    def test_mounted_routes_and_methods(self):
+        server = LiveServer(Observer(), ":0")
+        server.routes["/echo"] = ("POST", lambda params: (200, params))
+        server.start()
+        try:
+            request = urllib.request.Request(
+                server.url + "/echo?a=1", data=b"b=2", method="POST"
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert json.loads(response.read()) == {"a": "1", "b": "2"}
+            code, body = _get(server.url + "/")
+            assert code == 200 and "POST /echo" in body
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(server.url + "/echo")
+            assert err.value.code == 405
+            request = urllib.request.Request(server.url + "/metrics", method="POST")
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request, timeout=10)
+            assert err.value.code == 405
+        finally:
+            server.stop()
 
     def test_render_metrics_module_hook(self):
         from repro.obs.live import render_metrics

@@ -4,9 +4,9 @@ End-to-end coverage of :mod:`repro.serve`:
 
 * the engine host — background convergence, queued join/leave batches,
   live storms from the ``STORMS`` registry, idempotent lifecycle;
-* the asyncio HTTP API — lookups with traces, membership, the embedded
-  ``repro.obs.live`` telemetry (``/metrics`` + ``/health`` on both
-  ports), shutdown, error codes;
+* the HTTP API mounted on the ``repro.obs.live`` endpoint — lookups with
+  traces, membership, ``/metrics`` + ``/health`` on the one port,
+  shutdown, error codes, request isolation and the read timeout;
 * a sanitized serve run (the snapshot path must be invisible to the
   flow sanitizer) and a sharded-engine service smoke;
 * the Zipf load harness (in-process and over-the-wire) feeding
@@ -16,9 +16,13 @@ End-to-end coverage of :mod:`repro.serve`:
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
+import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -79,28 +83,28 @@ class TestZipfRanks:
 # HTTP API surface
 # ----------------------------------------------------------------------
 class TestServiceHTTP:
-    def test_health_on_both_ports(self, service):
+    def test_health_on_api_port(self, service):
         code, doc = _get(service.api_url + "/health")
         assert code == 200
+        # The live health doc with the serving block on top.
+        assert doc["n"] == service.host.view.n
+        assert doc["experiment"] == "serve"
+        assert doc["serve"]["api"] == service.api_address
         assert doc["serve"]["converged"] is True
         assert doc["serve"]["view_n"] == doc["n"]
         assert doc["serve"]["error"] is None
-        # The embedded obs endpoint serves the standard health doc.
-        code, doc = _get(service.live.url + "/health")
-        assert code == 200
-        assert doc["n"] == service.host.view.n
-        assert doc["experiment"] == "serve"
 
-    def test_metrics_on_both_ports(self, service):
+    def test_metrics_on_api_port(self, service):
         from repro.obs.exporters import validate_prometheus_text
 
         service.lookup_batch(service.sample_ids(8))
-        for base in (service.api_url, service.live.url):
-            with urllib.request.urlopen(base + "/metrics", timeout=10) as r:
-                text = r.read().decode("utf-8")
-            assert "repro_serve_lookups_total" in text
-            assert "repro_serve_lookup_hops" in text
-            assert validate_prometheus_text(text) == []
+        with urllib.request.urlopen(service.api_url + "/metrics", timeout=10) as r:
+            assert r.headers["Content-Type"].startswith("text/plain")
+            text = r.read().decode("utf-8")
+        assert "repro_serve_lookups_total" in text
+        assert "repro_serve_lookup_hops" in text
+        assert "repro_serve_requests_total" in text
+        assert validate_prometheus_text(text) == []
 
     def test_lookup_with_trace(self, service):
         _, ids = _get(service.api_url + "/ids?k=4")
@@ -116,6 +120,17 @@ class TestServiceHTTP:
         assert code == 200
         assert doc["found"] is False and doc["ok"] is False
 
+    def test_lookup_from_non_member_source_is_unknown(self, service):
+        lookups = service.observer.registry.counter("serve_lookups_total")
+        lost0 = lookups.value(outcome="lost")
+        unknown0 = lookups.value(outcome="unknown")
+        target = float(service.host.view.ids[0])
+        code, doc = _get(f"{service.api_url}/lookup?target={target!r}&source=2.5")
+        assert code == 200
+        assert doc["found"] is False and doc["ok"] is False
+        assert lookups.value(outcome="lost") == lost0
+        assert lookups.value(outcome="unknown") == unknown0 + 1
+
     def test_lookup_requires_target(self, service):
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(service.api_url + "/lookup")
@@ -128,6 +143,65 @@ class TestServiceHTTP:
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(service.api_url + "/lookup?target=0.5")
         assert err.value.code == 405
+
+    def test_bad_parameter_is_client_error(self, service):
+        for path in ("/lookup?target=abc", "/ids?k=0", "/ids?k=x"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(service.api_url + path)
+            assert err.value.code == 400, path
+
+    def test_failing_route_answers_500_and_server_keeps_serving(
+        self, service, monkeypatch
+    ):
+        def boom(params):
+            raise KeyError("route bug")
+
+        monkeypatch.setitem(service.live.routes, "/boom", ("GET", boom))
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(service.api_url + "/boom")
+        assert err.value.code == 500
+        assert "KeyError" in json.loads(err.value.read().decode("utf-8"))["error"]
+        code, _ = _get(service.api_url + "/ids?k=1")
+        assert code == 200
+
+    def test_stalled_client_does_not_delay_lookup(self, service):
+        target = float(service.host.view.ids[0])
+        with socket.create_connection(
+            (service.live.host, service.live.port), timeout=10
+        ) as stalled:
+            stalled.sendall(b"GET /lookup")  # no line end: the request never completes
+            code, doc = _get(f"{service.api_url}/lookup?target={target!r}", timeout=5)
+        assert code == 200 and doc["ok"] is True
+
+    def test_concurrent_lookups_lose_no_count(self, service):
+        # Handler threads share the serve_* series; a lost update under
+        # a short switch interval would break the exact totals.
+        registry = service.observer.registry
+        lookups = registry.counter("serve_lookups_total")
+        requests = registry.counter("serve_requests_total")
+        lookups0 = lookups.total()
+        requests0 = requests.value(endpoint="/lookup", code=200)
+        urls = [
+            f"{service.api_url}/lookup?target={target!r}"
+            for target in service.sample_ids(8).tolist() * 20
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                codes = [code for code, _ in pool.map(_get, urls)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert codes == [200] * len(urls)
+        assert lookups.total() == lookups0 + len(urls)
+        # A request is counted just after its reply is written.
+        deadline = time.monotonic() + 5
+        while (
+            requests.value(endpoint="/lookup", code=200) < requests0 + len(urls)
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        assert requests.value(endpoint="/lookup", code=200) == requests0 + len(urls)
 
     def test_join_and_leave_roundtrip(self, service):
         n0 = service.host.view.n
@@ -402,9 +476,9 @@ class TestLifecycleAndCLI:
             path = tmp_path / "serve.json"
             svc.announce(str(path))
             doc = json.loads(path.read_text())
-            assert doc["api_url"] == svc.api_url
-            assert doc["metrics_url"] == svc.live.url
-            assert doc["pid"] == os.getpid()
+            assert doc == {
+                "api": svc.api_address, "api_url": svc.api_url, "pid": os.getpid()
+            }
         finally:
             svc.stop()
 
@@ -423,8 +497,6 @@ class TestLifecycleAndCLI:
         thread.start()
         announce = obs_dir / "serve.json"
         deadline = 30.0
-        import time
-
         start = time.monotonic()
         while not announce.exists() and time.monotonic() - start < deadline:
             time.sleep(0.05)
@@ -451,6 +523,34 @@ class TestLifecycleAndCLI:
 
         assert serve_main(["bogus=1"]) == 2
         assert "unknown serve parameter" in capsys.readouterr().err
+
+    def test_cli_has_no_second_port(self, capsys):
+        from repro.serve.cli import main as serve_main
+
+        assert serve_main(["metrics=:0"]) == 2
+        assert "unknown serve parameter(s): ['metrics']" in capsys.readouterr().err
+
+    def test_stop_closes_the_one_port_and_its_threads(self):
+        before = set(threading.enumerate())
+        svc = build_service(n=64, seed=13)
+        svc.start()
+        try:
+            started = [
+                t for t in set(threading.enumerate()) - before
+                if t.name.startswith("repro-")
+            ]
+            address = (svc.live.host, svc.live.port)
+            code, _ = _get(svc.api_url + "/health")
+            assert code == 200
+        finally:
+            svc.stop()
+        # One listening socket, served by one thread next to the engine's.
+        assert sorted(t.name for t in started) == [
+            "repro-obs-live", "repro-serve-engine"
+        ]
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5).close()
+        assert not [t for t in started if t.is_alive()]
 
     def test_repro_cli_dispatches_serve(self, capsys):
         from repro.cli import main as repro_main
