@@ -48,7 +48,8 @@ class ScalarWire:
     """A tick-stamped, fault-injected wire in front of a host's staging.
 
     Mixed in *before* the host class (``Network`` or ``MirrorEngine``),
-    whose ``flush`` / ``in_flight`` / ``pending_total`` it extends.  The
+    whose ``flush`` / ``pending_total`` it extends; each host adds
+    :meth:`_wire_in_flight` to its own in-flight set.  The
     constructor takes the host's arguments plus ``guard=``: a
     :class:`~repro.sim.chaos.guard.GuardPolicy` installs the
     guarded-handoff transport.
@@ -209,11 +210,12 @@ class ScalarWire:
             purged += self._guard.drop_mentioning(node_id)
         return purged
 
-    @property
-    def in_flight(self) -> list[tuple[float, Message]]:
-        """Undelivered protocol messages, including wire-held frames and
-        unacknowledged envelopes in the retransmit buffer."""
-        out: list[tuple[float, Message]] = super().in_flight  # type: ignore[misc]
+    def _wire_in_flight(self) -> list[tuple[float, Message]]:
+        """The wire's share of the in-flight set, in wire order: the
+        payload of every wire-held frame but acks, then each
+        unacknowledged envelope of the retransmit buffer with no copy on
+        the wire.  The host's ``in_flight`` is its own set plus this."""
+        out: list[tuple[float, Message]] = []
         seen_seqs: set[int] = set()
         for _, dest, frame in self._wire:
             if isinstance(frame, Envelope):
@@ -254,6 +256,13 @@ class ChaosNetwork(ScalarWire, Network):
     def send_from(self, origin: float, dest: float, message: Message) -> None:
         """Stage *message* on behalf of *origin* (enables guarded acks)."""
         self._dispatch(origin, dest, message)
+
+    @property
+    def in_flight(self) -> list[tuple[float, Message]]:
+        """Undelivered protocol messages: the network's staging and
+        channels, then the wire's share (wire-held frames and
+        unacknowledged envelopes in the retransmit buffer)."""
+        return super().in_flight + self._wire_in_flight()
 
     def remove_node(self, node_id: float) -> "Node":
         """Remove a node; frames in transit to it die with it."""

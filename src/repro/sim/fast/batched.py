@@ -72,7 +72,6 @@ from repro.sim.fast.soa import SoAState
 from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.messages import Message
     from repro.obs.profile import PhaseProfiler
 
 __all__ = [
@@ -707,39 +706,11 @@ class FastEngine(SoAHost):
         """Total undelivered (staged) messages."""
         return self.outbox.pending_total()
 
-    def inflight_pairs(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(dest_ids, payload)`` of pending single-id messages of *code*.
-
-        Between rounds every undelivered message sits in the outbox (the
-        batched round drains its whole inbox), so this is the complete
-        in-flight set — what the channel-connectivity predicates read.
-        """
-        pending = self.outbox.pending_by_type().get(code)
-        if pending is None:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty
-        return pending[0], pending[1]
-
-    def in_flight_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(dest, payload_id)`` rows over every in-flight payload id
-        (what the channel-connectivity component count reads)."""
-        dests: list[np.ndarray] = []
-        pids: list[np.ndarray] = []
-        for code, arrays in self.outbox.pending_by_type().items():
-            dst = arrays[0]
-            dests.append(dst)
-            pids.append(arrays[1])
-            if code == RESLRL:
-                dests.extend((dst, dst))
-                pids.extend((arrays[2], arrays[3]))
-        if not dests:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty
-        return np.concatenate(dests), np.concatenate(pids)
-
-    def pending_messages(self) -> list[tuple[float, "Message"]]:
-        """Pending messages as ``(dest, Message)`` pairs (export path)."""
-        return self.outbox.pending_messages()
+    def in_flight_rows(self, code: int | None = None) -> tuple[np.ndarray, ...]:
+        """``(dest, tcode, a, b, c)`` of every undelivered message of type
+        *code* (every type when ``None``): between rounds every one sits in
+        the outbox, since the batched round drains its whole inbox."""
+        return self.outbox.rows(code)
 
     def __repr__(self) -> str:
         return (

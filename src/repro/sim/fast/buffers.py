@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.messages import Message, MessageType
+from repro.core.messages import MessageType
 from repro.sim.metrics import MessageStats
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "finalize_inbox",
     "prepare_inbox",
     "stable_order",
+    "staged_rows",
     "victim_rank",
 ]
 
@@ -77,6 +78,8 @@ CODE_OF_TYPE: dict[MessageType, int] = {t: c for c, t in enumerate(TYPE_OF_CODE)
 
 #: Bits of a type code: ``slot << _TYPE_BITS | code`` packs (dest, type).
 _TYPE_BITS = 3
+#: Staging order without dedup: type-ascending.
+_TYPE_ORDER = tuple(range(N_TYPES))
 #: Staging order of the dedup flush: every single-id type, then ``reslrl``.
 _RESLRL_LAST = (LIN, INCLRL, RING, RESRING, PROBR, PROBL, RESLRL)
 
@@ -168,50 +171,14 @@ class Outbox:
     # ------------------------------------------------------------------
     # Introspection / churn support
     # ------------------------------------------------------------------
-    def pending_by_type(self) -> dict[int, tuple[np.ndarray, ...]]:
-        """Concatenated pending arrays per type code (non-destructive).
-
-        Returns ``{code: (dest, a)}`` for single-id types and
-        ``{RESLRL: (dest, a, b, c)}``; types with nothing pending are
-        omitted.  Used by predicates (in-flight links) and exports.
-        """
-        out: dict[int, tuple[np.ndarray, ...]] = {}
-        for code, chunks in enumerate(self._chunks):
-            if not chunks:
-                continue
-            dest = np.concatenate([ch[0] for ch in chunks])
-            a = np.concatenate([ch[1] for ch in chunks])
-            if code == RESLRL:
-                b = np.concatenate([_col(ch, 2, len(ch[0])) for ch in chunks])
-                c = np.concatenate([_col(ch, 3, len(ch[0])) for ch in chunks])
-                out[code] = (dest, a, b, c)
-            else:
-                out[code] = (dest, a)
-        return out
+    def rows(self, code: int | None = None) -> tuple[np.ndarray, ...]:
+        """The staged rows of type *code* (every type, ascending, when
+        ``None``) as ``(dest, tcode, a, b, c)`` columns; non-destructive."""
+        return staged_rows(self._chunks, _TYPE_ORDER if code is None else (code,))
 
     def pending_total(self) -> int:
         """Number of staged messages."""
         return sum(self._staged)
-
-    def pending_messages(self) -> list[tuple[float, Message]]:
-        """Materialize pending messages as ``(dest, Message)`` pairs.
-
-        Off the hot path — used only by :meth:`FastSimulator.to_network`
-        exports and white-box tests.
-        """
-        out: list[tuple[float, Message]] = []
-        for code, arrays in self.pending_by_type().items():
-            mtype = TYPE_OF_CODE[code]
-            if code == RESLRL:
-                dest, a, b, c = arrays
-                for k in range(len(dest)):
-                    message = Message(mtype, (float(a[k]), float(b[k]), float(c[k])))
-                    out.append((float(dest[k]), message))
-            else:
-                dest, a = arrays
-                for k in range(len(dest)):
-                    out.append((float(dest[k]), Message(mtype, (float(a[k]),))))
-        return out
 
     def restage(
         self,
@@ -318,6 +285,39 @@ def departure_sweep(
         m = mention if lrl is None else np.where(lrl, mention, m)
     doomed = (d < absent) | (m < absent)
     return doomed, doomed & (d <= m)
+
+
+def staged_rows(
+    chunks: list[list[_Chunk]], order: tuple[int, ...]
+) -> tuple[np.ndarray, ...]:
+    """Staged *chunks* as ``(dest, tcode, a, b, c)`` columns, the types in
+    *order* and each type's chunks in staging order (non-destructive).
+
+    Only ``reslrl`` carries payload columns ``b``/``c``; every other row
+    holds the ``0.0`` filler.
+    """
+    counts = [sum(len(ch[0]) for ch in chunks[code]) for code in order]
+    total = sum(counts)
+    if total == 0:
+        empty = np.empty(0, dtype=np.float64)
+        return empty, np.empty(0, dtype=np.int8), empty, empty, empty
+    staged = [ch for code in order for ch in chunks[code]]
+    dest = np.concatenate([ch[0] for ch in staged])
+    a = np.concatenate([ch[1] for ch in staged])
+    b = np.zeros(total, dtype=np.float64)
+    c = np.zeros(total, dtype=np.float64)
+    tcode = np.repeat(np.array(order, dtype=np.int8), counts)
+    if RESLRL in order and chunks[RESLRL]:
+        at = order.index(RESLRL)
+        lo = sum(counts[:at])
+        hi = lo + counts[at]
+        b[lo:hi] = np.concatenate(
+            [_col(ch, 2, len(ch[0])) for ch in chunks[RESLRL]]
+        )
+        c[lo:hi] = np.concatenate(
+            [_col(ch, 3, len(ch[0])) for ch in chunks[RESLRL]]
+        )
+    return dest, tcode, a, b, c
 
 
 def _col(ch: _Chunk, position: int, count: int) -> np.ndarray:
@@ -584,28 +584,10 @@ def prepare_inbox(
     # chunks — the only rows with b/c payloads — are staged last and the two
     # dedup blocks are plain slices.  Without it rows are emitted in staging
     # order, type-ascending (the pinned chaos wire traces depend on that).
-    stage_order = _RESLRL_LAST if dedup else tuple(range(N_TYPES))
-    counts = [sum(len(ch[0]) for ch in chunks[code]) for code in stage_order]
-    total = sum(counts)
-    if total == 0:
+    stage_order = _RESLRL_LAST if dedup else _TYPE_ORDER
+    dest_id, tcode, a, b, c = staged_rows(chunks, stage_order)
+    if len(dest_id) == 0:
         return None, 0
-    staged = [ch for code in stage_order for ch in chunks[code]]
-    dest_id = np.concatenate([ch[0] for ch in staged])
-    a = np.concatenate([ch[1] for ch in staged])
-    # Only reslrl carries payload columns b/c; the rest hold the 0.0 filler.
-    b = np.zeros(total, dtype=np.float64)
-    c = np.zeros(total, dtype=np.float64)
-    tcode = np.repeat(np.array(stage_order, dtype=np.int8), counts)
-    if chunks[RESLRL]:
-        at = stage_order.index(RESLRL)
-        lo = sum(counts[:at])
-        hi = lo + counts[at]
-        b[lo:hi] = np.concatenate(
-            [_col(ch, 2, len(ch[0])) for ch in chunks[RESLRL]]
-        )
-        c[lo:hi] = np.concatenate(
-            [_col(ch, 3, len(ch[0])) for ch in chunks[RESLRL]]
-        )
 
     dest_idx, found = lookup(dest_id)
     dropped = int(len(found) - found.sum())

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.messages import Message
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
 from repro.sim.chaos.guard import GuardPolicy, GuardStats
@@ -456,74 +455,28 @@ class ChaosFastEngine(FastEngine):
         wire_payloads = int((self._wire.kind != KIND_ACK).sum())
         return super().pending_total() + wire_payloads
 
-    def _wire_payloads(self) -> WireRows:
-        return self._wire.take(self._wire.kind != KIND_ACK)
-
-    def _unsent_pending(self) -> np.ndarray:
-        """Pending-guard row indices with no copy currently on the wire."""
-        if self._guard is None:
-            return np.empty(0, dtype=np.int64)
+    def in_flight_rows(self, code: int | None = None) -> tuple[np.ndarray, ...]:
+        """The outbox's rows, then every wire payload (acks carry none),
+        then each pending guard row with no copy on the wire: an
+        unacknowledged handoff still owns its identifiers, as in
+        ``ChaosNetwork.in_flight``."""
+        wire = self._wire
+        held = wire.kind != KIND_ACK
+        if code is not None:
+            held &= wire.tcode == code
+        parts = [
+            super().in_flight_rows(code),
+            (wire.dest[held], wire.tcode[held], wire.a[held], wire.b[held], wire.c[held]),
+        ]
         g = self._guard
-        on_wire = self._wire.seq[self._wire.kind == KIND_ENVELOPE]
-        hidden = g.alive & ~np.isin(g.seq, on_wire)
-        return np.flatnonzero(hidden)
-
-    def inflight_pairs(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(dest_ids, payload)`` of pending single-id messages of *code*,
-        wire and retransmit buffer included (predicate contract)."""
-        base_dest, base_a = super().inflight_pairs(code)
-        wire = self._wire_payloads()
-        sel = wire.tcode == code
-        dests = [base_dest, wire.dest[sel]]
-        payloads = [base_a, wire.a[sel]]
-        hidden = self._unsent_pending()
-        if len(hidden) and self._guard is not None:
-            g = self._guard
-            gsel = hidden[g.tcode[hidden] == code]
-            dests.append(g.dest[gsel])
-            payloads.append(g.a[gsel])
-        return np.concatenate(dests), np.concatenate(payloads)
-
-    def in_flight_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(dest, payload_id)`` rows over every in-flight payload id,
-        wire and retransmit buffer included."""
-        base = super().in_flight_id_pairs()
-        dests = [base[0]]
-        pids = [base[1]]
-        wire = self._wire_payloads()
-        if len(wire):
-            dests.append(wire.dest)
-            pids.append(wire.a)
-            lrl = wire.tcode == RESLRL
-            if lrl.any():
-                dests.extend((wire.dest[lrl], wire.dest[lrl]))
-                pids.extend((wire.b[lrl], wire.c[lrl]))
-        hidden = self._unsent_pending()
-        if len(hidden) and self._guard is not None:
-            g = self._guard
-            dests.append(g.dest[hidden])
-            pids.append(g.a[hidden])
-            lrl = hidden[g.tcode[hidden] == RESLRL]
-            if len(lrl):
-                dests.extend((g.dest[lrl], g.dest[lrl]))
-                pids.extend((g.b[lrl], g.c[lrl]))
-        return np.concatenate(dests), np.concatenate(pids)
-
-    def pending_messages(self) -> list[tuple[float, Message]]:
-        """Pending messages as ``(dest, Message)`` pairs (export path)."""
-        out = super().pending_messages()
-        wire = self._wire_payloads()
-        for k in range(len(wire)):
-            code = int(wire.tcode[k])
-            mtype = TYPE_OF_CODE[code]
-            if code == RESLRL:
-                ids: tuple[float, ...] = (
-                    float(wire.a[k]), float(wire.b[k]), float(wire.c[k])
-                )
-            else:
-                ids = (float(wire.a[k]),)
-            out.append((float(wire.dest[k]), Message(mtype, ids)))
-        return out
+        if g is not None:
+            unsent = g.alive & ~np.isin(g.seq, wire.seq[wire.kind == KIND_ENVELOPE])
+            if code is not None:
+                unsent &= g.tcode == code
+            parts.append(
+                (g.dest[unsent], g.tcode[unsent], g.a[unsent], g.b[unsent], g.c[unsent])
+            )
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def __repr__(self) -> str:
         return (

@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.messages import Message
 from repro.sim.chaos.network import ScalarWire
 from repro.sim.fast.buffers import CODE_OF_TYPE, TYPE_OF_CODE
-from repro.sim.fast.mirror import MirrorEngine, MirrorMessage, pair_columns
+from repro.sim.fast.mirror import MirrorEngine, MirrorMessage, message_rows
 
 __all__ = ["ChaosMirrorEngine"]
 
@@ -106,14 +106,14 @@ class ChaosMirrorEngine(ScalarWire, MirrorEngine):
     # ------------------------------------------------------------------
     # Connectivity accounting
     # ------------------------------------------------------------------
-    def inflight_pairs(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(dest_ids, payload)`` of pending single-id messages of *code*,
-        wire and retransmit buffer included (predicate contract)."""
-        mtype = TYPE_OF_CODE[code]
-        return pair_columns(
-            [
-                (dest, float(message.ids[0]))
-                for dest, message in self.in_flight
-                if message.type is mtype
-            ]
+    def in_flight_rows(self, code: int | None = None) -> tuple[np.ndarray, ...]:
+        """The mirror's staging and channels, then the wire's share
+        (``ChaosNetwork.in_flight`` order)."""
+        wire = [
+            (dest, (CODE_OF_TYPE[message.type], *message.ids))
+            for dest, message in self._wire_in_flight()
+        ]
+        return tuple(
+            np.concatenate(pair)
+            for pair in zip(super().in_flight_rows(code), message_rows(wire, code))
         )

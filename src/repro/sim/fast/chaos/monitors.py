@@ -24,6 +24,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from repro.sim.fast.buffers import RESLRL
 from repro.sim.invariants import InvariantViolation
 
 __all__ = [
@@ -128,13 +129,24 @@ def engine_check_invariants(
                 f"{float(owners[0])}: stored {label}={float(values[0])} "
                 "is not a member"
             )
-    for dest, message in engine.pending_messages():
-        if dest not in soa:
+    # In flight, row by row in ``engine.in_flight`` order: the first row
+    # naming a non-member raises, its destination before its payload ids.
+    dest, tcode, a, b, c = engine.in_flight_rows()
+    _, dest_member = soa.lookup(dest)
+    payload = np.stack((a, b, c), axis=1)
+    named = np.isfinite(payload)
+    named[:, 1:] &= (tcode == RESLRL)[:, None]
+    member = ~named
+    member[named] = soa.lookup(payload[named])[1]
+    bad = ~dest_member | ~member.all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = engine.in_flight[k][1]
+        if not dest_member[k]:
             raise InvariantViolation(
-                f"in-flight {message!r} addressed to non-member {dest}"
+                f"in-flight {message!r} addressed to non-member {float(dest[k])}"
             )
-        for payload in message.ids:
-            if np.isfinite(payload) and payload not in soa:
-                raise InvariantViolation(
-                    f"in-flight {message!r} carries non-member {payload}"
-                )
+        payload_id = float(payload[k, np.argmax(~member[k])])
+        raise InvariantViolation(
+            f"in-flight {message!r} carries non-member {payload_id}"
+        )

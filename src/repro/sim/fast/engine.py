@@ -161,9 +161,10 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
     def to_network(self, *, keep_history: bool = False) -> "Network":
         """Export the engine into a reference :class:`Network`.
 
-        The export carries the live node states and the pending messages
-        (re-staged via :meth:`Network.stage` so send statistics are not
-        double-counted); message counters and the dropped count start fresh
+        The export carries the live node states and every in-flight
+        message — on a chaos engine its wire and retransmit buffer too —
+        re-staged via :meth:`Network.stage` so send statistics are not
+        double-counted; message counters and the dropped count start fresh
         on the new network.  Useful for running the reference graph views
         and analysis tools on a state the fast engine produced.
         """
@@ -178,6 +179,6 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
             dedup=self.engine.dedup,
             keep_history=keep_history,
         )
-        for dest, message in self.engine.pending_messages():
+        for dest, message in self.engine.in_flight:
             network.stage(dest, message)
         return network

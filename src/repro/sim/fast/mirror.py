@@ -61,7 +61,6 @@ from repro.sim.fast.soa import SoAState
 from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.messages import Message
     from repro.obs.profile import PhaseProfiler
 
 __all__ = ["MirrorEngine"]
@@ -86,13 +85,16 @@ _HANDLER_OF_CODE = {
 AfterNodeHook = Callable[[int, float], None]
 
 
-def pair_columns(pairs: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """``(dest, payload)`` pairs as the two float columns predicates read."""
-    if not pairs:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty
-    arr = np.asarray(pairs, dtype=np.float64)
-    return arr[:, 0], arr[:, 1]
+def message_rows(
+    pending: list[tuple[float, MirrorMessage]], code: int | None = None
+) -> tuple[np.ndarray, ...]:
+    """``(dest, message)`` pairs of type *code* (every type when ``None``)
+    as the ``(dest, tcode, a, b, c)`` columns of ``in_flight_rows``."""
+    table = np.array(
+        [(d, *m, 0.0, 0.0)[:5] for d, m in pending if code is None or m[0] == code],
+        dtype=np.float64,
+    ).reshape(-1, 5)
+    return table[:, 0], table[:, 1].astype(np.int8), table[:, 2], table[:, 3], table[:, 4]
 
 
 class MirrorEngine(SoAHost):
@@ -318,41 +320,12 @@ class MirrorEngine(SoAHost):
             len(c) for c in self._channels.values()
         )
 
-    def _pending_raw(self) -> list[tuple[float, MirrorMessage]]:
-        out = list(self._staging)
+    def in_flight_rows(self, code: int | None = None) -> tuple[np.ndarray, ...]:
+        """Staging, then each channel (``Network.in_flight`` order)."""
+        pending = list(self._staging)
         for nid, channel in self._channels.items():
-            out.extend((nid, m) for m in channel)
-        return out
-
-    def inflight_pairs(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(dest_ids, payload)`` of pending single-id messages of *code*."""
-        return pair_columns(
-            [(dest, m[1]) for dest, m in self._pending_raw() if m[0] == code]
-        )
-
-    def pending_messages(self) -> list[tuple[float, "Message"]]:
-        """Pending messages as ``(dest, Message)`` pairs (export path)."""
-        from repro.core.messages import Message
-
-        return [
-            (dest, Message(TYPE_OF_CODE[int(m[0])], m[1:]))
-            for dest, m in self._pending_raw()
-        ]
-
-    @property
-    def in_flight(self) -> list[tuple[float, "Message"]]:
-        """Every undelivered message (as ``Network.in_flight``)."""
-        return self.pending_messages()
-
-    def in_flight_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(dest, payload_id)`` rows over every in-flight payload id."""
-        return pair_columns(
-            [
-                (dest, float(pid))
-                for dest, message in self.in_flight
-                for pid in message.ids
-            ]
-        )
+            pending.extend((nid, m) for m in channel)
+        return message_rows(pending, code)
 
     # ------------------------------------------------------------------
     # Algorithm 1 — the receive action

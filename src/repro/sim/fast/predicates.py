@@ -11,10 +11,12 @@ messages, Definition 4.2), including edges to dangling identifiers: the
 proof's graphs are over identifiers, and during churn a shared dangling
 identifier can be exactly what holds two components together.
 
-:class:`SoAHost` is how the three SoA engines answer the membership,
-health and state-fault calls of the host surface
-(:class:`repro.sim.host.Host`): one delegating method per call, over the
-engine's batch writers, the functions here and their siblings in
+:class:`SoAHost` is how the five SoA host classes (``FastEngine``,
+``ChaosFastEngine``, ``ShardedEngine``, ``MirrorEngine`` and
+``ChaosMirrorEngine``) answer the membership, health, in-flight and
+state-fault calls of the host surface (:class:`repro.sim.host.Host`): one
+delegating method per call, over the engine's batch writers, its one
+in-flight reader, the functions here and their siblings in
 :mod:`repro.sim.fast.chaos`.
 """
 
@@ -27,6 +29,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from repro.core.messages import Message
 from repro.graphs.predicates import (
     PHASE_CONNECTED,
     PHASE_SMALL_WORLD,
@@ -35,7 +38,7 @@ from repro.graphs.predicates import (
     phase_predicates,
 )
 from repro.ids import NEG_INF, POS_INF
-from repro.sim.fast.buffers import LIN
+from repro.sim.fast.buffers import LIN, RESLRL, TYPE_OF_CODE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.state import StateTuple
@@ -59,20 +62,26 @@ fast_phase_predicates = phase_predicates
 
 
 class SoAHost:
-    """Membership, health and state faults of the host surface, over the
-    engine's one :class:`~repro.sim.fast.soa.SoAState`.
+    """Membership, health, in-flight set and state faults of the host
+    surface, over the engine's one :class:`~repro.sim.fast.soa.SoAState`
+    and its one in-flight reader.
 
-    Mixed into ``FastEngine``, ``MirrorEngine`` and ``ShardedEngine``.  The
-    predicates are named at call time, never bound as class attributes:
-    the benchmark suite's tracer wraps them on this module.  The
-    :mod:`repro.sim.fast.chaos` siblings are imported per call — that
-    package imports the engines, which import this class.
+    Mixed into ``FastEngine`` and ``MirrorEngine`` (so into
+    ``ChaosFastEngine`` and ``ChaosMirrorEngine``) and ``ShardedEngine``.
+    Each of the five answers "what is in flight" once, with
+    ``in_flight_rows(code=None)``: the ``(dest, tcode, a, b, c)`` columns
+    of every undelivered protocol message of type *code* (every type when
+    ``None``), the set ``Network.in_flight`` names; ``b``/``c`` hold the
+    ``0.0`` filler off ``reslrl`` rows.  Everything else in flight is
+    derived here.  The predicates are named at call time, never bound as
+    class attributes: the benchmark suite's tracer wraps them on this
+    module.  The :mod:`repro.sim.fast.chaos` siblings are imported per
+    call — that package imports the engines, which import this class.
     """
 
     #: What the functions behind these calls read off the engine.
     soa: SoAState
-    inflight_pairs: Callable[[int], tuple[np.ndarray, np.ndarray]]
-    in_flight_id_pairs: Callable[[], tuple[np.ndarray, np.ndarray]]
+    in_flight_rows: Callable[..., tuple[np.ndarray, ...]]
     join_batch: Callable[[np.ndarray, np.ndarray], int]
     leave_batch: Callable[[np.ndarray], int]
 
@@ -103,6 +112,28 @@ class SoAHost:
     def state_snapshot(self) -> dict[float, StateTuple]:
         """Canonical per-node snapshot (differential-harness contract)."""
         return self.soa.snapshot()
+
+    @property
+    def in_flight(self) -> list[tuple[float, Message]]:
+        """Every undelivered message as ``(destination, message)`` pairs,
+        in ``in_flight_rows`` order (as ``Network.in_flight``)."""
+        dest, tcode, a, b, c = self.in_flight_rows()
+        return [
+            (d, Message(TYPE_OF_CODE[t], (x, y, z) if t == RESLRL else (x,)))
+            for d, t, x, y, z in zip(
+                dest.tolist(), tcode.tolist(), a.tolist(), b.tolist(), c.tolist()
+            )
+        ]
+
+    def in_flight_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(dest, payload_id)`` over every in-flight payload identifier
+        (a ``reslrl`` row names three): the channel half of the CC graph."""
+        dest, tcode, a, b, c = self.in_flight_rows()
+        lrl = tcode == RESLRL
+        return (
+            np.concatenate((dest, dest[lrl], dest[lrl])),
+            np.concatenate((a, b[lrl], c[lrl])),
+        )
 
     def lcc_weakly_connected(self) -> bool:
         return fast_lcc_weakly_connected(self)
@@ -180,7 +211,7 @@ def fast_lcc_weakly_connected(engine: SoAHost) -> bool:
         real = np.isfinite(stored)
         sources.append(ids[real])
         targets.append(stored[real])
-    dest, payload = engine.inflight_pairs(LIN)
+    dest, _, payload, _, _ = engine.in_flight_rows(LIN)
     sources.append(dest)
     targets.append(payload)
     u = np.concatenate(sources)

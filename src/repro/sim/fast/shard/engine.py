@@ -2,7 +2,7 @@
 
 :class:`ShardedEngine` presents the :class:`FastEngine` surface
 (``execute_round``, ``join_batch``/``leave_batch``, ``state_snapshot``,
-``pending_messages``, ``soa``) and owns the one
+``in_flight_rows``, ``soa``) and owns the one
 :class:`~repro.sim.fast.soa.SoAState` and ``MessageStats``; each
 :class:`~repro.sim.fast.shard.core.ShardCore` borrows both and runs an
 id-range block of the round into its own outbox (docs/PERF.md §8).
@@ -61,19 +61,9 @@ from repro.sim.fast.soa import SoAState
 from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.messages import Message
     from repro.obs.profile import PhaseProfiler
 
 __all__ = ["ShardedEngine"]
-
-
-def _concat_pairs(
-    parts: list[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
 
 
 class ShardedEngine(SoAHost):
@@ -281,17 +271,10 @@ class ShardedEngine(SoAHost):
     def pending_total(self) -> int:
         return sum(core.pending_total() for core in self.cores)
 
-    def inflight_pairs(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        return _concat_pairs([core.inflight_pairs(code) for core in self.cores])
-
-    def in_flight_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return _concat_pairs([core.in_flight_id_pairs() for core in self.cores])
-
-    def pending_messages(self) -> list[tuple[float, "Message"]]:
-        out: list[tuple[float, "Message"]] = []
-        for core in self.cores:
-            out.extend(core.pending_messages())
-        return out
+    def in_flight_rows(self, code: int | None = None) -> tuple[np.ndarray, ...]:
+        """Every core's outbox rows, in shard order."""
+        parts = [core.in_flight_rows(code) for core in self.cores]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def set_wave_fault(self, fault: object) -> None:
         raise NotImplementedError(

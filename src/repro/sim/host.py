@@ -31,6 +31,7 @@ from repro.sim.fast.engine import FastSimulator
 from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.messages import Message
     from repro.sim.chaos.guard import GuardPolicy
 
 __all__ = ["ENGINES", "Host", "make_simulator"]
@@ -53,6 +54,11 @@ class Host(Protocol):
     def __contains__(self, node_id: float) -> bool: ...
     def state_snapshot(self) -> dict[float, StateTuple]: ...
     def pending_total(self) -> int: ...
+    #: Every undelivered protocol message as ``(dest, message)`` pairs —
+    #: staged, queued, on the wire, in the retransmit buffer: the channel
+    #: half of the CC/LCC graphs (Definition 4.2).
+    @property
+    def in_flight(self) -> list[tuple[float, Message]]: ...
 
     # Membership (§IV-G); the batch forms land as the scalar ones applied
     # in ascending id order.

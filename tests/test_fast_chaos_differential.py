@@ -190,6 +190,10 @@ def test_mirror_chaos_bit_identical_per_round(
         drive_round(reference, reference.network, ref_plan, r)
         drive_round(mirror, mirror.engine, mir_plan, r)
         assert_chaos_identical(reference, mirror)
+        # Wire frames and the retransmit buffer included.
+        assert sorted(mirror.engine.in_flight, key=repr) == sorted(
+            reference.network.in_flight, key=repr
+        )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

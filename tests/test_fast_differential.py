@@ -106,6 +106,10 @@ def test_mirror_bit_identical_per_round(topo: str, seed: int, dedup: bool) -> No
         reference.step_round()
         mirror.step_round()
         assert_round_identical(reference, mirror)
+        # The derived in-flight set names the twin's messages exactly.
+        assert sorted(mirror.engine.in_flight, key=repr) == sorted(
+            reference.network.in_flight, key=repr
+        )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

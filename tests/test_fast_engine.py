@@ -9,6 +9,8 @@ parity, the network-export path, and the vectorized phase predicates.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
 from repro.graphs.predicates import is_sorted_ring
 from repro.ids import NEG_INF, POS_INF
+from repro.sim.chaos.guard import GuardPolicy
+from repro.sim.chaos.injectors import MessageDelay
 from repro.sim.engine import Simulator
 from repro.sim.fast import (
     FastEngine,
@@ -145,7 +149,7 @@ def test_leave_drops_and_purges_staged_messages() -> None:
     before_dropped = engine.dropped
     engine.leave(victim)
     assert engine.dropped >= before_dropped
-    for _, message in engine.pending_messages():
+    for _, message in engine.in_flight:
         assert victim not in message.ids
     snapshot = engine.state_snapshot()
     assert victim not in snapshot
@@ -170,29 +174,45 @@ def test_from_states_rejects_unknown_mode() -> None:
 
 
 def test_to_network_round_trips_state_and_pending() -> None:
-    """Exporting mid-run yields a reference network that picks up the run."""
-    states = TOPOLOGIES["gnp"](32, np.random.default_rng(21))
-    sim = FastSimulator.from_states(states, rng=np.random.default_rng(21))
-    sim.run(5)
-    engine = sim.engine
-    network = sim.to_network()
-    assert network.state_snapshot() == engine.state_snapshot()
-    # Pending messages were re-staged, not re-counted.
-    assert network.stats.total == 0
-    network.flush()
-    pending = sum(len(network.channel(nid)) for nid in network.ids)
-    # The outbox stages duplicates (dedup happens at delivery); the
-    # reference channel deduplicates on put, so compare the deduped set.
-    unique = {
-        (dest, message.type, message.ids)
-        for dest, message in engine.pending_messages()
-    }
-    assert pending == len(unique)
-    # The exported network converges under the reference engine.
-    reference = Simulator(network, rng=np.random.default_rng(22))
-    reference.run_until(
-        lambda net: is_sorted_ring(net.states()), max_rounds=2000
-    )
+    """Exporting mid-run yields a reference network that holds the same
+    in-flight set and picks up the run, from every SoA host — a chaos one
+    with frames held on its wire and envelopes awaiting their acks."""
+    for mode in ("batched", "sharded", "mirror", "chaos", "mirror-chaos"):
+        states = TOPOLOGIES["gnp"](32, np.random.default_rng(21))
+        wire = mode.endswith("chaos")
+        sim = FastSimulator.from_states(
+            states,
+            mode=mode,
+            rng=np.random.default_rng(21),
+            **({"guard": GuardPolicy()} if wire else {}),
+        )
+        engine = sim.engine
+        if wire:
+            delay = MessageDelay(max_delay=3)
+            delay.bind(np.random.default_rng(4))
+            engine.set_wire_faults([delay])
+        sim.run(5)
+        in_flight = engine.in_flight
+        # Every undelivered message; on a wire host also the retransmit
+        # buffer's copies, which pending_total() does not count.
+        assert len(in_flight) >= engine.pending_total() > 0, mode
+        if wire:
+            assert len(in_flight) > engine.pending_total(), mode
+        network = sim.to_network()
+        assert network.state_snapshot() == engine.state_snapshot()
+        assert Counter(network.in_flight) == Counter(in_flight), mode
+        # Pending messages were re-staged, not re-counted.
+        assert network.stats.total == 0
+        network.flush()
+        pending = sum(len(network.channel(nid)) for nid in network.ids)
+        # The outbox stages duplicates (dedup happens at delivery); the
+        # reference channel deduplicates on put, so compare the deduped set.
+        assert pending == len(set(in_flight)), mode
+        # The exported network converges under the reference engine.
+        reference = Simulator(network, rng=np.random.default_rng(22))
+        reference.run_until(
+            lambda net: is_sorted_ring(net.states()), max_rounds=2000
+        )
 
 
 def test_predicates_on_degenerate_engines() -> None:
@@ -201,8 +221,8 @@ def test_predicates_on_degenerate_engines() -> None:
     assert fast_is_sorted_ring(lone)
     assert fast_lcc_weakly_connected(lone)
     assert fast_lrl_links_live(lone)
-    dest, payload = lone.inflight_pairs(0)
-    assert len(dest) == 0 and len(payload) == 0
+    assert all(len(column) == 0 for column in lone.in_flight_rows())
+    assert lone.in_flight == []
 
     # A dangling identifier (0.9) shared by two nodes keeps them weakly
     # connected even though no live-to-live link exists.

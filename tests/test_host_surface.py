@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.messages import lin
 from repro.graphs.build import stable_ring_states
 from repro.ids import generate_ids
 import repro.sim.chaos.injectors as injectors_mod
@@ -45,7 +46,7 @@ from repro.sim.chaos.monitors import (
 )
 from repro.sim.chaos.plan import FaultPlan
 from repro.sim.fast import FastSimulator
-from repro.sim.fast.buffers import Outbox
+from repro.sim.fast.buffers import LIN, Outbox
 from repro.sim.fast.soa import SoAState
 from repro.sim.host import ENGINES, make_simulator
 from repro.sim.invariants import InvariantViolation
@@ -103,6 +104,7 @@ def _health(host) -> dict[str, object]:
         "n": len(host),
         "ids": list(host.ids),
         "pending": host.pending_total(),
+        "in_flight": sorted(host.in_flight, key=repr),
     }
 
 
@@ -133,7 +135,7 @@ def test_health_agrees_with_reference(pair):
     # theorems promise holds on all of them — and every in-flight
     # accounting path (outbox, channels, wire, shards) has been read.
     sim.run(3)
-    assert sim.host.pending_total() > 0
+    assert len(sim.host.in_flight) >= sim.host.pending_total() > 0
     assert sim.host.cc_components() == 1
     assert sim.host.cc_components(live_only=False) == 1
     assert sim.host.lcc_weakly_connected()
@@ -288,6 +290,33 @@ def test_monitors_agree_with_reference(pair, monitor):
     assert isinstance(monitor.detail(sim.host), str)
 
 
+@pytest.mark.parametrize("name", sorted(n for n in BUILDERS if n.endswith("+wire")))
+def test_check_invariants_reads_the_wire(name):
+    """A non-member identifier held on the wire fails ``check_invariants``
+    on every host with a wire, with the reference's message (the chaos
+    mirror's used to pass: its check read no wire)."""
+    sim = BUILDERS[name](_states("stable"))
+    sim.run(2)
+    host = sim.host
+    host.check_invariants()
+    dest, origin = host.ids[0], host.ids[1]
+    stranger = float(np.nextafter(dest, 1.0))
+    assert stranger not in host
+    if name == "fast+wire":
+        host.outbox.send(
+            LIN, np.array([dest]), np.array([stranger]), origin=np.array([origin])
+        )
+        host._close_round(np.random.default_rng(0))
+    else:
+        host._dispatch(origin, dest, lin(stranger))
+    assert (dest, lin(stranger)) in host.in_flight
+    with pytest.raises(InvariantViolation) as raised:
+        host.check_invariants()
+    assert str(raised.value) == (
+        f"in-flight {lin(stranger)!r} carries non-member {stranger}"
+    )
+
+
 # ----------------------------------------------------------------------
 # The ladders stay deleted
 # ----------------------------------------------------------------------
@@ -349,3 +378,40 @@ def test_membership_has_one_path():
         if re.search(r"(?<!def )victim_rank\(", path.read_text())
     }
     assert callers == {"buffers.py"}
+
+
+#: The in-flight readers the SoA hosts used to keep beside each other.
+GONE_READERS = {
+    "pending_messages", "inflight_pairs", "pending_by_type", "pair_columns",
+    "_concat_pairs",
+}
+IN_FLIGHT_NAME = re.compile(r"in_?flight|pending(?!_total$)")
+
+
+def test_in_flight_has_one_reader():
+    """Each SoA engine reads its undelivered messages once, with
+    ``in_flight_rows``; ``in_flight`` and ``in_flight_id_pairs`` are
+    derived once, on ``SoAHost``."""
+    fast_root = pathlib.Path(repro.__file__).parent / "sim" / "fast"
+    owners: dict[str, set[str]] = {}
+    engines = []
+    for info in pkgutil.walk_packages([str(fast_root)], prefix="repro.sim.fast."):
+        module = importlib.import_module(info.name)
+        for name in GONE_READERS & set(vars(module)):
+            owners.setdefault(name, set()).add(info.name)
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == info.name:
+                for name in vars(cls):
+                    owners.setdefault(name, set()).add(cls.__name__)
+                if cls.__name__.endswith("Engine"):
+                    engines.append(cls)
+    left = GONE_READERS & set(owners)
+    assert not left, {name: owners[name] for name in left}
+    assert owners["in_flight"] == owners["in_flight_id_pairs"] == {"SoAHost"}
+    assert {cls.__name__ for cls in engines} == {
+        "FastEngine", "ChaosFastEngine", "ShardedEngine", "MirrorEngine",
+        "ChaosMirrorEngine",
+    }
+    for cls in engines:
+        readers = {name for name in vars(cls) if IN_FLIGHT_NAME.search(name)}
+        assert readers == {"in_flight_rows"}, cls.__name__

@@ -119,12 +119,13 @@ def build(kind: str, config: ProtocolConfig, nodes, rows, *, sanitize=None):
 
 def staged_multiset(engine) -> list[Counter]:
     """Per type, the multiset of staged rows (columns as bit patterns)."""
-    cores = getattr(engine, "cores", [engine])
+    dest, tcode, a, b, c = engine.in_flight_rows()
     out = [Counter() for _ in range(N_TYPES)]
-    for core in cores:
-        for code, arrays in core.outbox.pending_by_type().items():
-            bits = [np.ascontiguousarray(col).view(np.uint64).tolist() for col in arrays]
-            out[code].update(zip(*bits))
+    for code in range(N_TYPES):
+        rows = tcode == code
+        columns = (dest, a, b, c) if code == RESLRL else (dest, a)
+        bits = [np.ascontiguousarray(col[rows]).view(np.uint64).tolist() for col in columns]
+        out[code].update(zip(*bits))
     return out
 
 
