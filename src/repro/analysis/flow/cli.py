@@ -15,113 +15,36 @@ prints the per-function column read/write/send sets instead of findings
 — the same sets the runtime sanitizer cross-checks against.  See
 docs/ANALYSIS.md ("Flow analysis & sanitizer") for the rule catalogue
 and the ``# repro-flow: ignore[...]`` pragma syntax.
+
+Every other flag, the catalogue and the findings report are the lint
+pass's CLI (:mod:`repro.analysis.lint.cli`) run on the flow registry.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
-import os
 import sys
 from collections.abc import Sequence
 
-from repro.analysis.lint.findings import findings_to_json
+from repro.analysis.lint.cli import build_parser, parse_args, report
+from repro.analysis.lint.engine import iter_python_files
 
 from .access import extract_function_access
-from .engine import analyze_paths, exit_code
 from .model import SOA_CLASS, iter_functions
-from .rules import FLOW_RULES, FLOW_RULES_BY_ID, FlowRule
+from .rules import FLOW_RULES_BY_ID, TOOL
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
-
-def build_parser() -> argparse.ArgumentParser:
-    """Build the ``repro-flow`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro-flow",
-        description=(
-            "Static conflict-freedom analysis for the struct-of-arrays "
-            "engine: write-write disjointness, read-once-at-entry, "
-            "in-place aliasing, and RNG draw discipline."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="RULES",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore",
-        metavar="RULES",
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings as errors for the exit status",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--access",
-        action="store_true",
-        help=(
-            "print per-function column read/write/send sets instead of "
-            "findings (the sanitizer's static reference)"
-        ),
-    )
-    return parser
-
-
-def _resolve_rules(
-    select: str | None, ignore: str | None, parser: argparse.ArgumentParser
-) -> tuple[FlowRule, ...]:
-    def split(spec: str) -> list[str]:
-        return [token.strip() for token in spec.split(",") if token.strip()]
-
-    chosen = list(FLOW_RULES)
-    if select:
-        ids = split(select)
-        unknown = [i for i in ids if i not in FLOW_RULES_BY_ID]
-        if unknown:
-            parser.error(f"unknown rule id(s): {', '.join(unknown)}")
-        chosen = [FLOW_RULES_BY_ID[i] for i in ids]
-    if ignore:
-        ids = split(ignore)
-        unknown = [i for i in ids if i not in FLOW_RULES_BY_ID]
-        if unknown:
-            parser.error(f"unknown rule id(s): {', '.join(unknown)}")
-        dropped = set(ids)
-        chosen = [rule for rule in chosen if rule.id not in dropped]
-    return tuple(chosen)
-
-
-def _print_rule_catalogue() -> None:
-    width = max(len(rule.id) for rule in FLOW_RULES)
-    for rule in FLOW_RULES:
-        print(f"{rule.id:<{width}}  [{rule.severity.value}]  {rule.summary}")
+_DESCRIPTION = (
+    "Static conflict-freedom analysis for the struct-of-arrays "
+    "engine: write-write disjointness, read-once-at-entry, "
+    "in-place aliasing, and RNG draw discipline."
+)
 
 
 def _print_access_report(paths: Sequence[str], as_json: bool) -> int:
-    from repro.analysis.lint.engine import iter_python_files
-
-    report: dict[str, dict[str, dict[str, list[str]]]] = {}
+    access_sets: dict[str, dict[str, dict[str, list[str]]]] = {}
     for filepath in iter_python_files(paths):
         try:
             with open(filepath, encoding="utf-8") as fh:
@@ -139,11 +62,11 @@ def _print_access_report(paths: Sequence[str], as_json: bool) -> int:
             name = f"{cls}.{func.name}" if cls else func.name
             per_file[name] = access.to_dict()
         if per_file:
-            report[filepath] = per_file
+            access_sets[filepath] = per_file
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(access_sets, indent=2))
     else:
-        for filepath, funcs in report.items():
+        for filepath, funcs in access_sets.items():
             print(filepath)
             for name, sets in funcs.items():
                 print(
@@ -156,32 +79,19 @@ def _print_access_report(paths: Sequence[str], as_json: bool) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point of ``repro-flow``; returns the process exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        _print_rule_catalogue()
-        return 0
-    missing = [p for p in args.paths if not os.path.exists(p)]
-    if missing:
-        # A typo'd path must not report "clean" — the CI gate would
-        # silently stop gating anything.
-        parser.error(f"path(s) do not exist: {', '.join(missing)}")
-    if args.access:
+    parser = build_parser(TOOL, _DESCRIPTION)
+    parser.add_argument(
+        "--access",
+        action="store_true",
+        help=(
+            "print per-function column read/write/send sets instead of "
+            "findings (the sanitizer's static reference)"
+        ),
+    )
+    args = parse_args(parser, argv)
+    if args.access and not args.list_rules:
         return _print_access_report(args.paths, args.format == "json")
-    rules = _resolve_rules(args.select, args.ignore, parser)
-    findings = analyze_paths(args.paths, rules)
-    if args.format == "json":
-        print(findings_to_json(findings))
-    else:
-        for finding in findings:
-            print(finding.render())
-        errors = sum(1 for f in findings if f.severity.value == "error")
-        warnings = len(findings) - errors
-        if findings:
-            print(f"{errors} error(s), {warnings} warning(s)")
-        else:
-            print("repro-flow: clean")
-    return exit_code(findings, strict=args.strict)
+    return report(parser, args, FLOW_RULES_BY_ID)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -19,49 +19,42 @@ engine's handlers are deliberate scalar ports whose sequential
 same-slot rewrites are well-defined.  The runtime sanitizer
 (:mod:`repro.sim.fast.sanitize`) owns the complementary *dynamic* half:
 uniqueness of the actual integer index vectors.
+
+``FLOW_RULES_BY_ID`` is the pass's registry; ``analyze_source`` and
+``analyze_paths`` run it on the lint engine under the ``repro-flow``
+pragma prefix.
 """
 
 from __future__ import annotations
 
-import abc
 import ast
-from collections.abc import Iterator
-from typing import ClassVar
+from collections.abc import Iterator, Sequence
 
+from repro.analysis.lint.engine import lint_paths, lint_source
 from repro.analysis.lint.findings import Finding, Severity
+from repro.analysis.lint.rules.base import Rule
+from repro.analysis.lint.unit import ModuleUnit
 
 from .masks import TRUE, Expr, MaskEnv, provably_disjoint
 from .model import DRAW_METHODS, SOA_CLASS, FunctionLike, SoAResolver, iter_functions
-from .unit import FlowUnit
 
 __all__ = [
-    "FlowRule",
+    "TOOL",
     "WriteWriteRule",
     "ReadAfterWriteRule",
     "InplaceAliasRule",
     "BranchRngRule",
     "FLOW_RULES",
     "FLOW_RULES_BY_ID",
+    "analyze_source",
+    "analyze_paths",
 ]
 
-
-class FlowRule(abc.ABC):
-    """One named flow check (same shape as the lint pass's ``Rule``)."""
-
-    id: ClassVar[str]
-    severity: ClassVar[Severity]
-    summary: ClassVar[str]
-    grounding: ClassVar[str] = ""
-
-    @abc.abstractmethod
-    def check(self, unit: FlowUnit) -> Iterator[Finding]:
-        """Yield findings for *unit*."""
-
-    def finding(self, unit: FlowUnit, node: ast.AST, message: str) -> Finding:
-        return unit.finding(self.id, self.severity, node, message)
+#: The pass's tool name: its pragma prefix, CLI ``prog`` and "clean" word.
+TOOL = "repro-flow"
 
 
-def _function_units(unit: FlowUnit) -> Iterator[tuple[FunctionLike, SoAResolver]]:
+def _function_units(unit: ModuleUnit) -> Iterator[tuple[FunctionLike, SoAResolver]]:
     for func, cls in iter_functions(unit.tree):
         yield func, SoAResolver(func, self_is_soa=(cls == SOA_CLASS))
 
@@ -101,7 +94,7 @@ def _store_base_ids(stmt: ast.stmt, resolver: SoAResolver) -> set[int]:
 _IndexRef = tuple[str, int, Expr] | None
 
 
-class WriteWriteRule(FlowRule):
+class WriteWriteRule(Rule):
     """Two fancy-indexed stores to one column whose masks may overlap."""
 
     id = "flow-write-write"
@@ -116,12 +109,12 @@ class WriteWriteRule(FlowRule):
         "engine run the same kernels per id-range block"
     )
 
-    def check(self, unit: FlowUnit) -> Iterator[Finding]:
+    def check(self, unit: ModuleUnit) -> Iterator[Finding]:
         for func, resolver in _function_units(unit):
             yield from self._check_function(unit, func, resolver)
 
     def _check_function(
-        self, unit: FlowUnit, func: FunctionLike, resolver: SoAResolver
+        self, unit: ModuleUnit, func: FunctionLike, resolver: SoAResolver
     ) -> Iterator[Finding]:
         env = MaskEnv()
         #: name → index descriptor for locals like ``fidx = idx[forget]``.
@@ -214,7 +207,7 @@ class WriteWriteRule(FlowRule):
 # ----------------------------------------------------------------------
 
 
-class ReadAfterWriteRule(FlowRule):
+class ReadAfterWriteRule(Rule):
     """A column read after a vector store to it in the same kernel."""
 
     id = "flow-read-after-write"
@@ -228,12 +221,12 @@ class ReadAfterWriteRule(FlowRule):
         "entry so the batched semantics stay 'faithful, not a race'"
     )
 
-    def check(self, unit: FlowUnit) -> Iterator[Finding]:
+    def check(self, unit: ModuleUnit) -> Iterator[Finding]:
         for func, resolver in _function_units(unit):
             yield from self._check_function(unit, func, resolver)
 
     def _check_function(
-        self, unit: FlowUnit, func: FunctionLike, resolver: SoAResolver
+        self, unit: ModuleUnit, func: FunctionLike, resolver: SoAResolver
     ) -> Iterator[Finding]:
         emitted: set[tuple[int, int, str]] = set()
 
@@ -329,7 +322,7 @@ def _reads_column(node: ast.AST, resolver: SoAResolver, col: str) -> bool:
     return False
 
 
-class InplaceAliasRule(FlowRule):
+class InplaceAliasRule(Rule):
     """An in-place update whose right-hand side aliases its target."""
 
     id = "flow-inplace-alias"
@@ -344,7 +337,7 @@ class InplaceAliasRule(FlowRule):
         "today, a true race once columns are shared"
     )
 
-    def check(self, unit: FlowUnit) -> Iterator[Finding]:
+    def check(self, unit: ModuleUnit) -> Iterator[Finding]:
         for func, resolver in _function_units(unit):
             for node in ast.walk(func):
                 if isinstance(node, ast.AugAssign):
@@ -367,7 +360,7 @@ class InplaceAliasRule(FlowRule):
         return None
 
     def _check_augassign(
-        self, unit: FlowUnit, resolver: SoAResolver, node: ast.AugAssign
+        self, unit: ModuleUnit, resolver: SoAResolver, node: ast.AugAssign
     ) -> Iterator[Finding]:
         col = self._aliasing_target_col(resolver, node.target)
         if col is None:
@@ -382,7 +375,7 @@ class InplaceAliasRule(FlowRule):
             )
 
     def _check_out_kwarg(
-        self, unit: FlowUnit, resolver: SoAResolver, node: ast.Call
+        self, unit: ModuleUnit, resolver: SoAResolver, node: ast.Call
     ) -> Iterator[Finding]:
         out = next((kw.value for kw in node.keywords if kw.arg == "out"), None)
         if out is None:
@@ -444,7 +437,7 @@ def _config_pure(test: ast.expr) -> bool:
     return pure(test)
 
 
-class BranchRngRule(FlowRule):
+class BranchRngRule(Rule):
     """An RNG draw inside a loop or data-dependent branch of a kernel."""
 
     id = "flow-branch-rng"
@@ -459,14 +452,14 @@ class BranchRngRule(FlowRule):
         "desynchronizes the streams"
     )
 
-    def check(self, unit: FlowUnit) -> Iterator[Finding]:
+    def check(self, unit: ModuleUnit) -> Iterator[Finding]:
         in_fast_tree = "/sim/fast" in unit.path.replace("\\", "/")
         for func, resolver in _function_units(unit):
             if not in_fast_tree and not resolver.accesses_columns(func):
                 continue
             yield from self._check_function(unit, func)
 
-    def _check_function(self, unit: FlowUnit, func: FunctionLike) -> Iterator[Finding]:
+    def _check_function(self, unit: ModuleUnit, func: FunctionLike) -> Iterator[Finding]:
         emitted: set[tuple[int, int]] = set()
 
         def draws_in(node: ast.AST) -> Iterator[ast.Call]:
@@ -528,11 +521,28 @@ class BranchRngRule(FlowRule):
         yield from walk(func.body, None)
 
 
-FLOW_RULES: tuple[FlowRule, ...] = (
+FLOW_RULES: tuple[Rule, ...] = (
     WriteWriteRule(),
     ReadAfterWriteRule(),
     InplaceAliasRule(),
     BranchRngRule(),
 )
 
-FLOW_RULES_BY_ID: dict[str, FlowRule] = {rule.id: rule for rule in FLOW_RULES}
+FLOW_RULES_BY_ID: dict[str, Rule] = {rule.id: rule for rule in FLOW_RULES}
+
+
+def analyze_source(
+    path: str,
+    source: str,
+    rules: Sequence[Rule] | None = None,
+) -> list[Finding]:
+    """Run *rules* (default: all flow rules) over one in-memory module."""
+    return lint_source(path, source, rules, registry=FLOW_RULES_BY_ID, tool=TOOL)
+
+
+def analyze_paths(
+    paths: Sequence[str],
+    rules: Sequence[Rule] | None = None,
+) -> list[Finding]:
+    """Run *rules* (default: all) over every ``.py`` file under *paths*."""
+    return lint_paths(paths, rules, registry=FLOW_RULES_BY_ID, tool=TOOL)

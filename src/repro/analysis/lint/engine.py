@@ -1,7 +1,13 @@
-"""The lint engine: file discovery, rule execution, suppression.
+"""The analysis engine: file discovery, rule execution, suppression.
 
-The engine is deliberately dependency-free (stdlib only) so the pass can
-run in minimal CI containers before ``numpy``/``scipy`` are installed.
+Every static-analysis pass runs through this one engine.  A pass is its
+rule registry (rule id → :class:`Rule`) and its tool name, which is also
+its pragma prefix: ``repro-lint`` with :data:`RULES_BY_ID` by default,
+``repro-flow`` with the flow pass's registry
+(:mod:`repro.analysis.flow`).
+
+The engine is deliberately dependency-free (stdlib only) so the passes
+can run in minimal CI containers before ``numpy``/``scipy`` are installed.
 
 Besides the registered rules, the engine itself reports four conditions
 that must never be suppressed:
@@ -10,7 +16,7 @@ that must never be suppressed:
 * ``unreadable-file`` — a file that cannot be read as UTF-8 text (wrong
   encoding, permissions, a vanished symlink); one bad file fails loudly
   while the rest of the tree is still linted;
-* ``bad-pragma`` — a ``# repro-lint:`` comment that does not parse (every
+* ``bad-pragma`` — a ``# <tool>:`` comment that does not parse (every
   suppression must name its rule, keeping ignores auditable);
 * ``unknown-rule`` — a pragma naming a rule id that does not exist (a typo
   would otherwise silently suppress nothing while looking intentional).
@@ -19,10 +25,10 @@ that must never be suppressed:
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.lint.findings import Finding, Severity
-from repro.analysis.lint.rules import ALL_RULES, RULES_BY_ID, Rule
+from repro.analysis.lint.rules import RULES_BY_ID, Rule
 from repro.analysis.lint.unit import ModuleUnit
 
 __all__ = ["lint_source", "lint_paths", "iter_python_files", "exit_code"]
@@ -50,6 +56,7 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
 
 
 def _pragma_findings(module: ModuleUnit, known: frozenset[str]) -> Iterator[Finding]:
+    tool = module.ignores.tool
     for lineno in module.ignores.malformed_lines:
         yield Finding(
             rule="bad-pragma",
@@ -58,8 +65,8 @@ def _pragma_findings(module: ModuleUnit, known: frozenset[str]) -> Iterator[Find
             line=lineno,
             col=0,
             message=(
-                "malformed repro-lint pragma; the syntax is "
-                "'# repro-lint: ignore[rule-id]'"
+                f"malformed {tool} pragma; the syntax is "
+                f"'# {tool}: ignore[rule-id]'"
             ),
         )
     for lineno, rules in sorted(module.ignores.rules_by_line().items()):
@@ -82,11 +89,17 @@ def lint_source(
     path: str,
     source: str,
     rules: Sequence[Rule] | None = None,
+    *,
+    registry: Mapping[str, Rule] = RULES_BY_ID,
+    tool: str = "repro-lint",
 ) -> list[Finding]:
-    """Run *rules* (default: all) over one in-memory module."""
-    active = tuple(rules) if rules is not None else ALL_RULES
+    """Run *rules* (default: all of *registry*) over one in-memory module.
+
+    Pragmas are read under *tool*'s prefix and checked against *registry*.
+    """
+    active = tuple(rules) if rules is not None else tuple(registry.values())
     try:
-        module = ModuleUnit.from_source(path, source)
+        module = ModuleUnit.from_source(path, source, tool)
     except SyntaxError as exc:
         return [
             Finding(
@@ -103,7 +116,7 @@ def lint_source(
         for finding in rule.check(module):
             if not module.ignores.is_ignored(finding.rule, finding.line):
                 findings.append(finding)
-    findings.extend(_pragma_findings(module, frozenset(RULES_BY_ID)))
+    findings.extend(_pragma_findings(module, frozenset(registry)))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -111,6 +124,9 @@ def lint_source(
 def lint_paths(
     paths: Sequence[str],
     rules: Sequence[Rule] | None = None,
+    *,
+    registry: Mapping[str, Rule] = RULES_BY_ID,
+    tool: str = "repro-lint",
 ) -> list[Finding]:
     """Run *rules* (default: all) over every ``.py`` file under *paths*."""
     findings: list[Finding] = []
@@ -130,7 +146,9 @@ def lint_paths(
                 )
             )
             continue
-        findings.extend(lint_source(filepath, source, rules))
+        findings.extend(
+            lint_source(filepath, source, rules, registry=registry, tool=tool)
+        )
     return findings
 
 

@@ -10,9 +10,10 @@ requires every ignore to name its rule and justify itself in review).
 Anything after the closing bracket is free-form justification prose —
 the convention is to always say *why* the line is exempt.
 
-The machinery is shared: other analysis passes reuse it under their own
-comment prefix (the flow pass reads ``# repro-flow: ignore[...]``), so
-each tool's suppressions stay in separate, non-colliding namespaces.
+Every analysis pass runs through this one machinery under its own tool
+name as the comment prefix (``# repro-lint: ignore[...]`` for the lint
+pass, ``# repro-flow: ignore[...]`` for the flow pass), so each tool's
+suppressions stay in separate, non-colliding namespaces.
 """
 
 from __future__ import annotations
@@ -21,21 +22,7 @@ import io
 import re
 import tokenize
 
-__all__ = ["IgnorePragmas", "PRAGMA_RE", "MALFORMED_PRAGMA_RE", "pragma_res"]
-
-
-def pragma_res(tool: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
-    """``(pragma, malformed)`` regexes for *tool*'s comment prefix."""
-    escaped = re.escape(tool)
-    pragma = re.compile(
-        rf"#\s*{escaped}:\s*ignore\[([A-Za-z0-9_*,\s-]+)\]"
-    )
-    malformed = re.compile(rf"#\s*{escaped}:")
-    return pragma, malformed
-
-
-#: ``ignore[rule-a, rule-b]`` inside a comment (whitespace-tolerant).
-PRAGMA_RE, MALFORMED_PRAGMA_RE = pragma_res("repro-lint")
+__all__ = ["IgnorePragmas"]
 
 
 def _comment_tokens(source: str) -> list[tuple[int, str]]:
@@ -60,19 +47,19 @@ class IgnorePragmas:
     """Per-file map from physical line number to the set of ignored rules.
 
     *tool* selects the comment prefix (``# <tool>: ignore[...]``); the
-    default is the lint pass's own ``repro-lint``.  The flow pass passes
-    ``tool="repro-flow"`` so its suppressions never collide with lint's.
+    default is the lint pass's own ``repro-lint``.
     """
 
     __slots__ = ("_by_line", "malformed_lines", "tool")
 
     def __init__(self, source: str, tool: str = "repro-lint") -> None:
         self.tool = tool
-        pragma_re, malformed_re = (
-            (PRAGMA_RE, MALFORMED_PRAGMA_RE)
-            if tool == "repro-lint"
-            else pragma_res(tool)
+        escaped = re.escape(tool)
+        # ``ignore[rule-a, rule-b]`` inside a comment (whitespace-tolerant).
+        pragma_re = re.compile(
+            rf"#\s*{escaped}:\s*ignore\[([A-Za-z0-9_*,\s-]+)\]"
         )
+        malformed_re = re.compile(rf"#\s*{escaped}:")
         self._by_line: dict[int, frozenset[str]] = {}
         #: Lines carrying a ``<tool>:`` comment that failed to parse.
         self.malformed_lines: list[int] = []

@@ -2,8 +2,8 @@
 
 A :class:`ModuleUnit` bundles what a rule needs to inspect one Python
 module: its path, raw source, parsed AST, and the inline suppression
-pragmas.  Rules stay stateless; everything file-specific flows through
-this object.
+pragmas of the pass that reads it (``# <tool>: ignore[...]``).  Rules
+stay stateless; everything file-specific flows through this object.
 """
 
 from __future__ import annotations
@@ -21,16 +21,20 @@ class ModuleUnit:
 
     __slots__ = ("path", "source", "tree", "ignores")
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
+    def __init__(
+        self, path: str, source: str, tree: ast.Module, tool: str = "repro-lint"
+    ) -> None:
         self.path = path
         self.source = source
         self.tree = tree
-        self.ignores = IgnorePragmas(source)
+        self.ignores = IgnorePragmas(source, tool)
 
     @classmethod
-    def from_source(cls, path: str, source: str) -> "ModuleUnit":
+    def from_source(
+        cls, path: str, source: str, tool: str = "repro-lint"
+    ) -> "ModuleUnit":
         """Parse *source* (raises :class:`SyntaxError` on bad input)."""
-        return cls(path, source, ast.parse(source, filename=path))
+        return cls(path, source, ast.parse(source, filename=path), tool)
 
     def finding(
         self,

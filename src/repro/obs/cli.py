@@ -305,14 +305,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_phases(args: argparse.Namespace) -> int:
-    from repro.obs.phases import (
-        load_run_manifest,
-        phase_report,
-        render_phase_report,
-    )
+    from repro.obs.diff import load_manifest
+    from repro.obs.phases import phase_report, render_phase_report
 
     try:
-        manifest = load_run_manifest(args.target)
+        manifest = load_manifest(args.target)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"cannot load manifest: {exc}", file=sys.stderr)
         return 2

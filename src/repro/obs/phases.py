@@ -25,31 +25,15 @@ Stdlib-only, like the rest of the ``repro obs`` CLI surface.
 
 from __future__ import annotations
 
-import json
-import os
-
 __all__ = [
     "SHARDED_PHASES",
     "attribution",
-    "load_run_manifest",
     "phase_report",
     "render_phase_report",
 ]
 
 #: The coordinator-phase partition of the sharded engine's round.
 SHARDED_PHASES = ("dispatch", "exchange", "flush", "merge", "rng")
-
-
-def load_run_manifest(target: str) -> dict[str, object]:
-    """Load ``manifest.json`` from a run directory (or a direct path)."""
-    path = target
-    if os.path.isdir(target):
-        path = os.path.join(target, "manifest.json")
-    with open(path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: manifest is not a JSON object")
-    return manifest
 
 
 def _round_wall_by_engine(manifest: dict[str, object]) -> dict[str, float]:

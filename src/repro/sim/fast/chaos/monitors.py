@@ -21,10 +21,9 @@ no networkx — so a monitor tick stays cheap at n=49k (docs/PERF.md).
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.sim.fast.buffers import RESLRL
+from repro.sim.fast.predicates import weak_component_count
 from repro.sim.invariants import InvariantViolation
 
 __all__ = [
@@ -59,26 +58,12 @@ def engine_cc_components(engine, *, live_only: bool = True) -> int:
     targets.append(payload[real])
     u = np.concatenate(sources)
     v = np.concatenate(targets)
-    keep = u != v
-    u, v = u[keep], v[keep]
     if live_only and len(v):
         _, found = soa.lookup(v)
         u, v = u[found], v[found]
     # A message in flight to a departed destination still adds its node
     # (networkx's add_edge does), so the universe includes sources too.
-    universe = np.unique(np.concatenate((ids, u, v)))
-    m = len(universe)
-    if m == 1:
-        return 1
-    ui = np.searchsorted(universe, u)
-    vi = np.searchsorted(universe, v)
-    graph = coo_matrix(
-        (np.ones(len(ui), dtype=np.int8), (ui, vi)), shape=(m, m)
-    )
-    n_components, _ = connected_components(
-        graph, directed=True, connection="weak"
-    )
-    return int(n_components)
+    return weak_component_count(ids, u, v)
 
 
 def engine_check_invariants(

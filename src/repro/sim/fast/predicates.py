@@ -55,6 +55,7 @@ __all__ = [
     "PHASE_SORTED_LIST",
     "PHASE_SORTED_RING",
     "PHASE_SMALL_WORLD",
+    "weak_component_count",
 ]
 
 #: One mapping serves every host; the old name stays for its importers.
@@ -216,21 +217,30 @@ def fast_lcc_weakly_connected(engine: SoAHost) -> bool:
     targets.append(payload)
     u = np.concatenate(sources)
     v = np.concatenate(targets)
+    return weak_component_count(ids, u, v) == 1
+
+
+def weak_component_count(ids: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
+    """Weak-component count of the graph with edges ``u[i] -> v[i]``.
+
+    Self-loops are dropped.  The nodes are *ids* plus every edge endpoint
+    (dangling identifiers are graph nodes too, as in repro.graphs.views).
+    """
     keep = u != v
     u, v = u[keep], v[keep]
-    # Universe: every live id plus every referenced identifier (dangling
-    # identifiers are graph nodes too, as in repro.graphs.views).
     universe = np.unique(np.concatenate((ids, u, v)))
-    if len(universe) == 1:
-        return True
+    m = len(universe)
+    if m == 1:
+        return 1
     ui = np.searchsorted(universe, u)
     vi = np.searchsorted(universe, v)
-    m = len(universe)
     graph = coo_matrix(
         (np.ones(len(ui), dtype=np.int8), (ui, vi)), shape=(m, m)
     )
-    n_components, _ = connected_components(graph, directed=True, connection="weak")
-    return bool(n_components == 1)
+    n_components, _ = connected_components(
+        graph, directed=True, connection="weak"
+    )
+    return int(n_components)
 
 
 def fast_lrl_links_live(engine: SoAHost) -> bool:

@@ -119,6 +119,55 @@ def test_bad_pragma_and_unknown_rule_are_findings():
     assert "no-such-rule" in by_rule["unknown-rule"].message
 
 
+def test_pragma_namespaces_stay_separate():
+    """One engine, two namespaces: a pass reads only its own pragmas."""
+    from repro.analysis.lint import lint_source
+
+    flow_hazard = (
+        "def kernel(soa, idx, vals):\n"
+        "    soa.age[idx] = vals\n"
+        "    soa.age[idx] = vals + 1  # repro-lint: ignore[flow-write-write]\n"
+    )
+    lint_hazard = "import random  # repro-flow: ignore[stdlib-random]\n"
+    # A lint pragma does not suppress a flow finding, nor a flow pragma a
+    # lint finding.
+    assert [(f.rule, f.line) for f in analyze_source("a.py", flow_hazard)] == [
+        ("flow-write-write", 3)
+    ]
+    assert [(f.rule, f.line) for f in lint_source("b.py", lint_hazard)] == [
+        ("stdlib-random", 1)
+    ]
+    # Each pass calls the other's rule id unknown under its own prefix.
+    (lint_unknown,) = lint_source("a.py", flow_hazard)
+    assert (lint_unknown.rule, lint_unknown.line) == ("unknown-rule", 3)
+    assert "'flow-write-write'" in lint_unknown.message
+    (flow_unknown,) = analyze_source("b.py", lint_hazard)
+    assert (flow_unknown.rule, flow_unknown.line) == ("unknown-rule", 1)
+    assert "'stdlib-random'" in flow_unknown.message
+
+
+def test_one_engine_serves_both_passes():
+    """The flow pass has no engine or unit of its own, and the
+    ``bad-pragma`` finding is built in one module only."""
+    import ast
+    import importlib.util
+
+    for name in ("engine", "unit"):
+        assert importlib.util.find_spec(f"repro.analysis.flow.{name}") is None
+    sites = []
+    for path in sorted((SRC_ROOT / "analysis").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(
+            isinstance(node, ast.keyword)
+            and node.arg == "rule"
+            and isinstance(node.value, ast.Constant)
+            and node.value.value == "bad-pragma"
+            for node in ast.walk(tree)
+        ):
+            sites.append(path.relative_to(SRC_ROOT).as_posix())
+    assert sites == ["analysis/lint/engine.py"]
+
+
 def test_mask_prover_certifies_complement_and_refuses_overlap():
     import ast
 

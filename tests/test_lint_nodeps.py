@@ -1,10 +1,11 @@
-"""The lint subsystem must run without the scientific stack.
+"""The static-analysis passes must run without the scientific stack.
 
-The repro-lint CI job (.github/workflows/ci.yml) deliberately installs no
-dependencies: the pass is stdlib-only so a compare-store-send or RNG
-violation fails the build in seconds, before numpy/scipy are even
-downloaded.  That claim is only honest if ``python -m repro.analysis.lint``
-imports cleanly when numpy, scipy, and networkx are *absent* — which in
+The repro-lint and flow-analysis CI jobs (.github/workflows/ci.yml)
+deliberately install no dependencies: both passes are stdlib-only so a
+compare-store-send, RNG or kernel-conflict violation fails the build in
+seconds, before numpy/scipy are even downloaded.  That claim is only
+honest if ``python -m repro.analysis.lint`` (and ``.flow``) imports
+cleanly when numpy, scipy, and networkx are *absent* — which in
 turn requires the ``repro`` and ``repro.analysis`` package ``__init__``
 modules to stay lazy (PEP 562) instead of eagerly importing the heavy
 measurement modules.
@@ -71,6 +72,25 @@ def test_cli_lints_src_without_scientific_stack():
     )
     assert proc.returncode == 0, proc.stderr
     assert "clean" in proc.stdout
+    assert "ModuleNotFoundError" not in proc.stderr
+
+
+def test_flow_cli_runs_without_scientific_stack():
+    # The flow-analysis CI job installs nothing either: its findings run
+    # and its --access report must both work on the stdlib alone.
+    run_flow = """
+        import runpy
+        sys.argv = ["repro-flow", *sys.argv[1:]]
+        runpy.run_module("repro.analysis.flow", run_name="__main__")
+        """
+    proc = _run_blocked(run_flow, "src")
+    assert proc.returncode == 0, proc.stderr
+    assert "repro-flow: clean" in proc.stdout
+    proc = _run_blocked(
+        run_flow, "--access", "--format", "json", "src/repro/sim/fast"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Kernels.move_forget" in proc.stdout
     assert "ModuleNotFoundError" not in proc.stderr
 
 

@@ -173,35 +173,47 @@ class TestServiceHTTP:
             code, doc = _get(f"{service.api_url}/lookup?target={target!r}", timeout=5)
         assert code == 200 and doc["ok"] is True
 
-    def test_concurrent_lookups_lose_no_count(self, service):
+    def test_concurrent_lookups_lose_no_count(self):
         # Handler threads share the serve_* series; a lost update under
-        # a short switch interval would break the exact totals.
-        registry = service.observer.registry
-        lookups = registry.counter("serve_lookups_total")
-        requests = registry.counter("serve_requests_total")
-        lookups0 = lookups.total()
-        requests0 = requests.value(endpoint="/lookup", code=200)
-        urls = [
-            f"{service.api_url}/lookup?target={target!r}"
-            for target in service.sample_ids(8).tolist() * 20
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+        # a short switch interval would break the exact totals.  The
+        # service is this test's own: the shared one may still count an
+        # earlier test's request after the baselines are read.
+        service = build_service(n=256, seed=3)
+        service.start()
         try:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                codes = [code for code, _ in pool.map(_get, urls)]
+            assert service.host.wait_converged(timeout=60)
+            registry = service.observer.registry
+            lookups = registry.counter("serve_lookups_total")
+            requests = registry.counter("serve_requests_total")
+            lookups0 = lookups.total()
+            requests0 = requests.value(endpoint="/lookup", code=200)
+            urls = [
+                f"{service.api_url}/lookup?target={target!r}"
+                for target in service.sample_ids(8).tolist() * 20
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                    codes = [code for code, _ in pool.map(_get, urls)]
+            finally:
+                sys.setswitchinterval(interval)
+            assert codes == [200] * len(urls)
+            assert lookups.total() == lookups0 + len(urls)
+            # A request is counted just after its reply is written.
+            deadline = time.monotonic() + 5
+            while (
+                requests.value(endpoint="/lookup", code=200)
+                < requests0 + len(urls)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert (
+                requests.value(endpoint="/lookup", code=200)
+                == requests0 + len(urls)
+            )
         finally:
-            sys.setswitchinterval(interval)
-        assert codes == [200] * len(urls)
-        assert lookups.total() == lookups0 + len(urls)
-        # A request is counted just after its reply is written.
-        deadline = time.monotonic() + 5
-        while (
-            requests.value(endpoint="/lookup", code=200) < requests0 + len(urls)
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.01)
-        assert requests.value(endpoint="/lookup", code=200) == requests0 + len(urls)
+            service.stop()
 
     def test_join_and_leave_roundtrip(self, service):
         n0 = service.host.view.n
