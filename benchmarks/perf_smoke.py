@@ -66,8 +66,8 @@ PHASES_N = 2048
 PHASES_ROUNDS = 40
 
 #: Chaos-at-scale gate (docs/CHAOS.md "Faults at scale"): a fixed-round
-#: guarded loss-burst campaign at n=2048 on the vectorized chaos engine
-#: must beat the reference ChaosNetwork by at least ``CHAOS_MIN_SPEEDUP``
+#: guarded loss-burst campaign at n=2048 on the batched engine's wire
+#: must beat the wired reference network by at least ``CHAOS_MIN_SPEEDUP``
 #: wall-clock.  An absolute floor, not a baseline ratio: the batched wire
 #: was built to make fault injection usable at E22 sizes, and 5x is the
 #: point below which the port stops paying for its complexity.  The
@@ -300,20 +300,19 @@ def _chaos_states():
 def _time_chaos_reference(states) -> float:
     from repro.core.protocol import ProtocolConfig, build_network
     from repro.sim.chaos.guard import GuardPolicy
-    from repro.sim.chaos.network import ChaosNetwork
     from repro.sim.engine import Simulator
 
     net = build_network(
         [s.copy() for s in states],
         ProtocolConfig(),
-        network_cls=ChaosNetwork,
+        wire=True,
         guard=GuardPolicy(),
     )
     sim = Simulator(net, rng=np.random.default_rng(CHAOS_SEED + 1))
     plan = _chaos_plan()
     start = time.perf_counter()
     for r in range(CHAOS_ROUNDS):
-        net.set_wire_faults(plan.active_wire_faults(r))
+        net.wire.set_wire_faults(plan.active_wire_faults(r))
         sim.step_round()
     return time.perf_counter() - start
 
@@ -326,14 +325,14 @@ def _time_chaos_fast(states) -> float:
     sim = FastSimulator.from_states(
         [s.copy() for s in states],
         ProtocolConfig(),
-        mode="chaos",
+        wire=True,
         guard=GuardPolicy(),
         rng=np.random.default_rng(CHAOS_SEED + 1),
     )
     plan = _chaos_plan()
     start = time.perf_counter()
     for r in range(CHAOS_ROUNDS):
-        sim.engine.set_wire_faults(plan.active_wire_faults(r))
+        sim.engine.wire.set_wire_faults(plan.active_wire_faults(r))
         sim.step_round()
     return time.perf_counter() - start
 
@@ -586,8 +585,8 @@ def main(argv: list[str] | None = None) -> int:
         chaos_failed = chaos["chaos_speedup"] < CHAOS_MIN_SPEEDUP
         if chaos_failed:
             print(
-                "perf-smoke[chaos]: the vectorized chaos engine no longer "
-                f"beats the reference ChaosNetwork {CHAOS_MIN_SPEEDUP}x on "
+                "perf-smoke[chaos]: the batched engine's wire no longer "
+                f"beats the wired reference network {CHAOS_MIN_SPEEDUP}x on "
                 "the guarded loss-burst workload; the batched wire has a "
                 "scalar bottleneck (docs/CHAOS.md)"
             )

@@ -27,7 +27,6 @@ from repro.analysis.tables import format_rows
 from repro.core.protocol import ProtocolConfig, build_network
 from repro.sim.chaos import (
     ChaosCampaign,
-    ChaosNetwork,
     ConvergenceProbe,
     FaultPlan,
     GuardPolicy,
@@ -75,7 +74,7 @@ def run_campaign(n: int, seed: int, *, guard: bool) -> dict:
     network = build_network(
         states,
         ProtocolConfig(),
-        network_cls=ChaosNetwork,
+        wire=True,
         guard=GuardPolicy() if guard else None,
     )
     simulator = Simulator(network, rng)
@@ -93,7 +92,8 @@ def run_campaign(n: int, seed: int, *, guard: bool) -> dict:
     result = campaign.run(
         60 * n + horizon, stop_on_partition=True, stop_when_healthy=True
     )
-    guard_stats = network.guard.stats if network.guard else None
+    handoff = network.wire.guard
+    guard_stats = handoff.stats if handoff else None
     return {
         "transport": "guarded" if guard else "baseline",
         "outcome": (

@@ -29,7 +29,6 @@ from repro.analysis.tables import format_rows
 from repro.core.protocol import ProtocolConfig, build_network
 from repro.sim.chaos import (
     ChaosCampaign,
-    ChaosNetwork,
     ConvergenceProbe,
     FaultPlan,
     MessageLoss,
@@ -49,9 +48,7 @@ def main() -> None:
 
         rng = np.random.default_rng(seed)
         states = random_tree_topology(n, rng)
-        network = build_network(
-            states, ProtocolConfig(), network_cls=ChaosNetwork
-        )
+        network = build_network(states, ProtocolConfig(), wire=True)
         simulator = Simulator(network, rng)
 
         plan = FaultPlan(seed=seed)

@@ -29,6 +29,7 @@ from repro.core.state import NodeState
 from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.sim.chaos.guard import GuardPolicy
     from repro.sim.network import Network
 
 __all__ = ["ProtocolConfig", "build_network"]
@@ -65,8 +66,8 @@ def build_network(
     *,
     dedup: bool = True,
     keep_history: bool = False,
-    network_cls: "type[Network] | None" = None,
-    **network_kwargs: object,
+    wire: bool = False,
+    guard: "GuardPolicy | None" = None,
 ) -> "Network":
     """Assemble a :class:`~repro.sim.network.Network` of protocol nodes.
 
@@ -76,23 +77,20 @@ def build_network(
         Initial per-node states (e.g. from :mod:`repro.topology`).
     config:
         Shared protocol configuration; defaults to the paper's protocol.
-    dedup, keep_history:
-        Forwarded to the network constructor.
-    network_cls:
-        Alternative network class (e.g.
-        :class:`~repro.sim.chaos.network.ChaosNetwork`); extra keyword
-        arguments are forwarded to it.
+    dedup, keep_history, wire, guard:
+        Forwarded to the network constructor (``wire``/``guard``: the
+        fault-injectable chaos wire, :attr:`Network.wire`).
     """
     from repro.core.node import Node
     from repro.sim.network import Network
 
     cfg = config or ProtocolConfig()
-    cls = network_cls if network_cls is not None else Network
-    return cls(
+    return Network(
         (Node(state, cfg) for state in states),
         dedup=dedup,
         keep_history=keep_history,
-        **network_kwargs,
+        wire=wire,
+        guard=guard,
     )
 
 

@@ -60,8 +60,8 @@ def run_campaign(
     Returns the host the campaign ran on (a :class:`repro.sim.host.Host`
     with a wire: it carries the stats and guard counters) and the result.
     *engine* is any of :data:`repro.sim.host.ENGINES` that has a wire:
-    ``"fast"`` runs the same campaign on the vectorized chaos engine
-    (:mod:`repro.sim.fast.chaos`); same plan DSL, same monitors, same trace
+    ``"fast"`` runs the same campaign on the batched engine's vectorized
+    wire (:mod:`repro.sim.fast.chaos`); same plan DSL, same monitors, same trace
     format — recovery metrics are distributionally comparable to the
     reference (docs/CHAOS.md).
     """
@@ -139,7 +139,8 @@ def run(
                     baseline_splits += 1
             elif guard and campaign.healthy:
                 guarded_converged += 1
-            guard_stats = network.guard.stats if network.guard else None
+            handoff = network.wire.guard
+            guard_stats = handoff.stats if handoff else None
             result.rows.append(
                 {
                     "campaign_seed": campaign_seed,

@@ -72,7 +72,7 @@ def _stabilize_faulted(
         MessageLoss(rate=loss_rate), start=0, stop=burst_stop, label="loss-burst"
     )
     for r in range(max_rounds):
-        host.set_wire_faults(plan.active_wire_faults(r))
+        host.wire.set_wire_faults(plan.active_wire_faults(r))
         sim.step_round()
         # The ring cannot settle while frames are still being dropped, so
         # only poll the predicate once the burst window has closed.
@@ -226,7 +226,7 @@ def run(
             ),
         }
         if loss_rate:
-            guard_stats = fast.host.guard.stats  # type: ignore[attr-defined]
+            guard_stats = fast.host.wire.guard.stats  # type: ignore[union-attr]
             row["overhead_frames"] = guard_stats.overhead_frames()
             row["abandoned"] = guard_stats.abandoned
         result.rows.append(row)

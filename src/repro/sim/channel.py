@@ -23,32 +23,35 @@ pending messages.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Hashable, Iterator
+from typing import Generic, TypeVar
 
 import numpy as np
 
-from repro.core.messages import Message
-
 __all__ = ["Channel"]
 
+#: What a channel carries: a :class:`~repro.core.messages.Message` on the
+#: reference network, a tuple message on the mirror engine.
+M = TypeVar("M", bound=Hashable)
 
-class Channel:
+
+class Channel(Generic[M]):
     """The incoming-message channel ``p.C`` of a single node."""
 
     __slots__ = ("_dedup", "_messages", "_set")
 
     def __init__(self, *, dedup: bool = True) -> None:
         self._dedup = dedup
-        self._messages: list[Message] = []
+        self._messages: list[M] = []
         # Mirror set used only in dedup mode for O(1) membership checks.
-        self._set: set[Message] | None = set() if dedup else None
+        self._set: set[M] | None = set() if dedup else None
 
     @property
     def dedup(self) -> bool:
         """Whether identical pending messages are coalesced."""
         return self._dedup
 
-    def put(self, message: Message) -> bool:
+    def put(self, message: M) -> bool:
         """Enqueue *message*.
 
         Returns ``True`` if the message was added, ``False`` if it was
@@ -61,7 +64,7 @@ class Channel:
         self._messages.append(message)
         return True
 
-    def drain(self, rng: np.random.Generator) -> list[Message]:
+    def drain(self, rng: np.random.Generator) -> list[M]:
         """Remove and return *all* pending messages in random order.
 
         The random permutation realizes the non-FIFO channel: any pending
@@ -79,7 +82,7 @@ class Channel:
             msgs = [msgs[i] for i in order]
         return msgs
 
-    def pop_random(self, rng: np.random.Generator) -> Message:
+    def pop_random(self, rng: np.random.Generator) -> M:
         """Remove and return one uniformly random pending message.
 
         Used by the asynchronous scheduler.  Raises :class:`IndexError` on
@@ -95,7 +98,7 @@ class Channel:
             self._set.discard(msg)
         return msg
 
-    def peek_all(self) -> list[Message]:
+    def peek_all(self) -> list[M]:
         """Return the pending messages without removing them.
 
         Used by the connectivity views (LCC/RCC include identifiers carried
@@ -103,7 +106,7 @@ class Channel:
         """
         return list(self._messages)
 
-    def remove_matching(self, predicate: Callable[[Message], bool]) -> int:
+    def remove_matching(self, predicate: Callable[[M], bool]) -> int:
         """Remove every pending message satisfying *predicate*; return count.
 
         Used by :meth:`Network.purge_identifier` (churn) and the chaos
@@ -130,7 +133,7 @@ class Channel:
     def __bool__(self) -> bool:
         return bool(self._messages)
 
-    def __iter__(self) -> Iterator[Message]:
+    def __iter__(self) -> Iterator[M]:
         return iter(self._messages)
 
     def __repr__(self) -> str:

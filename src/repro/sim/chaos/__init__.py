@@ -9,8 +9,10 @@ first-class, reproducible experiment:
   pointer corruption, crash-restart, churn, adversarial scheduling).
 * :mod:`repro.sim.chaos.plan` — the :class:`FaultPlan` DSL scheduling
   injectors over round windows with seed-deterministic private randomness.
-* :mod:`repro.sim.chaos.network` — :class:`ChaosNetwork`, a network whose
-  wire applies the active fault chain to every frame.
+* :mod:`repro.sim.chaos.network` — :class:`Wire`, the fault surface of a
+  host's wire stage, and :class:`ScalarWire`, the stage a
+  ``Network(wire=True)`` holds, which applies the active fault chain to
+  every frame.
 * :mod:`repro.sim.chaos.guard` — the guarded-handoff transport: bounded
   retransmit-until-acked delivery for connectivity-critical messages.
 * :mod:`repro.sim.chaos.monitors` — runtime health probes (weak
@@ -42,7 +44,8 @@ _EXPORTS: dict[str, str] = {
     "FaultPlan": "repro.sim.chaos.plan",
     "ScheduledFault": "repro.sim.chaos.plan",
     "Window": "repro.sim.chaos.plan",
-    "ChaosNetwork": "repro.sim.chaos.network",
+    "ScalarWire": "repro.sim.chaos.network",
+    "Wire": "repro.sim.chaos.network",
     "CRITICAL_TYPES": "repro.sim.chaos.guard",
     "GuardPolicy": "repro.sim.chaos.guard",
     "GuardStats": "repro.sim.chaos.guard",

@@ -4,8 +4,8 @@ A :class:`ChaosCampaign` owns the per-round choreography of a chaos run:
 
 1. open the fault windows that start this round (window hooks, one
    :class:`~repro.sim.metrics.BurstRecord` per scheduled fault);
-2. install the round's active wire-fault chain on the
-   :class:`~repro.sim.chaos.network.ChaosNetwork`;
+2. install the round's active wire-fault chain on the host's wire
+   (``host.wire``, when it has one);
 3. fire the round hooks of scheduled state faults (corruption, crashes,
    churn);
 4. execute one protocol round;
@@ -146,15 +146,13 @@ class ChaosCampaign:
         host = simulator.host
         #: The host the campaign observes; wire faults need one with a wire.
         self._host = host
-        self._has_wire = hasattr(host, "set_wire_faults")
-        if not self._has_wire and any(
+        if host.wire is None and any(
             type(sf.injector).overrides_wire() for sf in plan
         ):
             raise TypeError(
-                "plan schedules wire faults but the simulator's transport "
-                f"is a {type(host).__name__}, which has no wire; build "
-                "it with make_simulator(..., wire=True) (a ChaosNetwork or "
-                "a chaos fast engine)"
+                "plan schedules wire faults but the simulator's host, a "
+                f"{type(host).__name__}, has no wire; build it with "
+                "make_simulator(..., wire=True)"
             )
         self.simulator = simulator
         self.plan = plan
@@ -210,8 +208,8 @@ class ChaosCampaign:
                 if obs is not None:
                     obs.window(r, sf.label, "open")
             # 2. install the wire chain for this round
-            if self._has_wire:
-                self._host.set_wire_faults(self.plan.active_wire_faults(r))
+            if self._host.wire is not None:
+                self._host.wire.set_wire_faults(self.plan.active_wire_faults(r))
             # 3. state faults
             for sf in self.plan.firing(r):
                 sf.injector.on_round(self.simulator)
@@ -251,8 +249,8 @@ class ChaosCampaign:
             ):
                 break
 
-        if self._has_wire:
-            self._host.set_wire_faults(())
+        if self._host.wire is not None:
+            self._host.wire.set_wire_faults(())
         final_health = {
             m.name: self._was_healthy[m.name] for m in self.monitors
         }

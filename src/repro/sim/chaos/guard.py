@@ -136,9 +136,10 @@ class _Pending:
 class GuardedHandoff:
     """Sender/receiver state machine of the guarded-handoff transport.
 
-    Owned and driven by :class:`~repro.sim.chaos.network.ChaosNetwork`;
-    pure bookkeeping, no I/O — every wire interaction goes back through the
-    network so fault injectors see retransmissions and acks too.
+    Owned and driven by the scalar wire stage,
+    :class:`~repro.sim.chaos.network.ScalarWire`; pure bookkeeping, no I/O
+    — every wire interaction goes back through the wire so fault injectors
+    see retransmissions and acks too.
     """
 
     policy: GuardPolicy = field(default_factory=GuardPolicy)

@@ -1,18 +1,19 @@
-"""The chaos network: a faulty wire under the paper's channels.
+"""The chaos wire: a faulty wire under the paper's channels.
 
-:class:`ScalarWire` is that wire, written once: the reference
-:class:`ChaosNetwork` and its draw-for-draw twin
-:class:`~repro.sim.fast.chaos.mirror.ChaosMirrorEngine` both mix it in, so
-the injectors see the same frames in the same order on either host.
+A host built with ``wire=True`` holds a wire stage as ``host.wire``; every
+stage answers the fault surface of :class:`Wire`.  :class:`ScalarWire` is
+the stage a :class:`~repro.sim.network.Network` or a
+:class:`~repro.sim.fast.mirror.MirrorEngine` holds, written once, so the
+injectors see the same frames in the same order on either host; the
+batched engine's is :class:`~repro.sim.fast.chaos.batched.BatchedWire`.
 
-:class:`ChaosNetwork` extends :class:`~repro.sim.network.Network` with a
-*wire* between ``send`` and the destination channels.  Every transmission
+The wire sits between a host's sends and its staging.  Every transmission
 — protocol message, guarded envelope, ack, retransmission — becomes a wire
 frame that the active fault injectors may drop, duplicate, or delay before
-it is enqueued.  The timing contract of the base network is preserved
+it is enqueued.  The timing contract of a wireless host is preserved
 exactly: an undisturbed frame sent during round ``t`` is receivable in
-round ``t+1``, so a ``ChaosNetwork`` with no active faults is
-observationally identical to a plain ``Network``.
+round ``t+1``, so a wired host with no active faults is observationally
+identical to a wireless one.
 
 With a :class:`~repro.sim.chaos.guard.GuardPolicy` installed, messages of
 the connectivity-critical types are wrapped in sequence-numbered envelopes
@@ -21,66 +22,45 @@ and retransmitted with backoff until acknowledged (see
 faulty wire — the guard earns its keep under the exact faults it is meant
 to survive.
 
-The connectivity views (:attr:`in_flight`) count payloads held by the wire
-*and* by the retransmit buffer: an unacknowledged handoff still owns a
-live copy of its identifiers, which is precisely the mechanism that turns
-"loss permanently splits the network" into "loss delays convergence".
+The connectivity views (the host's ``in_flight``) count payloads held by
+the wire *and* by the retransmit buffer: an unacknowledged handoff still
+owns a live copy of its identifiers, which is precisely the mechanism that
+turns "loss permanently splits the network" into "loss delays convergence".
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from typing import TYPE_CHECKING, Any
+from collections.abc import Iterable, Sized
+from typing import TYPE_CHECKING, Generic, Protocol, TypeVar
 
 from repro.core.messages import Ack, Envelope, Frame, Message
 from repro.sim.chaos.guard import GuardedHandoff, GuardPolicy
-from repro.sim.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.node import Node
     from repro.sim.chaos.injectors import FaultInjector
-    from repro.sim.metrics import MessageStats
 
-__all__ = ["ChaosNetwork", "ScalarWire"]
+__all__ = ["ScalarWire", "Wire"]
+
+#: The guarded-handoff transport a stage keeps.
+G = TypeVar("G")
 
 
-class ScalarWire:
-    """A tick-stamped, fault-injected wire in front of a host's staging.
+class Wire(Generic[G]):
+    """The fault surface of a wire stage, on either data layout: the
+    campaigns and experiments set its fault chain and read its clock and
+    guarded-handoff transport (*G*, ``None`` when unguarded)."""
 
-    Mixed in *before* the host class (``Network`` or ``MirrorEngine``),
-    whose ``flush`` / ``pending_total`` it extends; each host adds
-    :meth:`_wire_in_flight` to its own in-flight set.  The
-    constructor takes the host's arguments plus ``guard=``: a
-    :class:`~repro.sim.chaos.guard.GuardPolicy` installs the
-    guarded-handoff transport.
-    """
+    #: Frames in transit, in the stage's own layout.
+    _wire: Sized
 
-    if TYPE_CHECKING:  # what the wire needs from its host
-        stats: MessageStats
-        dropped: int
-
-        def __contains__(self, node_id: float) -> bool: ...
-        def __len__(self) -> int: ...
-        def _enqueue(self, dest: float, message: Message) -> None: ...
-
-    def __init__(
-        self, *args: Any, guard: GuardPolicy | None = None, **kwargs: Any
-    ) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, guard: G | None) -> None:
         self._wire_faults: list["FaultInjector"] = []
-        #: Frames in transit: ``(due_tick, dest, frame)``, delivery order.
-        self._wire: list[tuple[int, float, Frame]] = []
         self._tick = 0
-        self._guard: GuardedHandoff | None = (
-            GuardedHandoff(policy=guard) if guard is not None else None
-        )
+        self._guard = guard
 
-    # ------------------------------------------------------------------
-    # Fault-chain management
-    # ------------------------------------------------------------------
     @property
     def tick(self) -> int:
-        """Wire clock: one tick per :meth:`flush` (one round under the
+        """Wire clock: one tick per host flush (one round under the
         synchronous scheduler, one elementary step under the async one)."""
         return self._tick
 
@@ -95,19 +75,52 @@ class ScalarWire:
         self._wire_faults = list(injectors)
 
     @property
-    def guard(self) -> GuardedHandoff | None:
+    def guard(self) -> G | None:
         """The guarded-handoff transport, if one is installed."""
         return self._guard
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(tick={self._tick}, frames={len(self._wire)}, "
+            f"faults={len(self._wire_faults)}, guarded={self._guard is not None})"
+        )
+
+
+class _ScalarHost(Protocol):
+    """What the wire needs from its host."""
+
+    dropped: int
+
+    def __contains__(self, node_id: float) -> bool: ...
+    def _enqueue(self, dest: float, message: Message) -> None: ...
+
+
+class ScalarWire(Wire[GuardedHandoff]):
+    """A tick-stamped, fault-injected wire in front of a host's staging.
+
+    The host counts each send, then hands it to :meth:`dispatch`; it calls
+    :meth:`deliver` at the start of its flush, :meth:`drop_to` and
+    :meth:`purge_mentions` on a departure, and adds :meth:`in_flight` and
+    :meth:`pending` to its own.  Delivered payloads land in the host's
+    staging through ``host._enqueue``.
+    """
+
+    def __init__(self, host: _ScalarHost, guard: GuardPolicy | None = None) -> None:
+        super().__init__(GuardedHandoff(policy=guard) if guard is not None else None)
+        self._host = host
+        #: Frames in transit: ``(due_tick, dest, frame)``, delivery order.
+        self._wire: list[tuple[int, float, Frame]] = []
 
     # ------------------------------------------------------------------
     # Sending through the wire
     # ------------------------------------------------------------------
-    def _dispatch(self, origin: float | None, dest: float, message: Message) -> None:
-        self.stats.record_send(message.type)
-        if dest not in self:
-            # Match the base network: sends to departed identifiers are
+    def dispatch(self, origin: float | None, dest: float, message: Message) -> None:
+        """Put one (already counted) send on the wire on behalf of
+        *origin* (``None``: no sender identity, so no guard)."""
+        if dest not in self._host:
+            # As a wireless host: sends to departed identifiers are
             # dropped at the source, not carried by the wire.
-            self.dropped += 1
+            self._host.dropped += 1
             return
         if (
             self._guard is not None
@@ -129,7 +142,7 @@ class ScalarWire:
         for injector in self._wire_faults:
             rewritten: list[tuple[int, float, Frame]] = []
             for extra, dst, frm in deliveries:
-                out = injector.on_wire(dst, frm, self)  # type: ignore[arg-type]
+                out = injector.on_wire(dst, frm, self._host)  # type: ignore[arg-type]
                 if out is None:
                     rewritten.append((extra, dst, frm))
                 else:
@@ -145,9 +158,9 @@ class ScalarWire:
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def flush(self) -> Any:
-        """Advance the wire clock, deliver due frames, retransmit, then
-        perform the host's staging flush."""
+    def deliver(self) -> None:
+        """Advance the wire clock, deliver due frames into the host's
+        staging, then retransmit (the first step of the host's flush)."""
         self._tick += 1
         due: list[tuple[int, float, Frame]] = []
         transit: list[tuple[int, float, Frame]] = []
@@ -160,43 +173,43 @@ class ScalarWire:
             # After acks were processed: only genuinely unacknowledged
             # envelopes retransmit.
             for envelope in self._guard.due_retransmits(self._tick):
-                if envelope.dest in self:
+                if envelope.dest in self._host:
                     self._transmit(envelope.dest, envelope)
-        return super().flush()  # type: ignore[misc]
 
     def _deliver_frame(self, dest: float, frame: Frame) -> None:
         if isinstance(frame, Envelope):
-            if self._guard is None or dest not in self:
+            if self._guard is None or dest not in self._host:
                 # No transport installed (defensive) or the destination
                 # departed mid-flight: the payload dies here, no ack.
-                self.dropped += 1
+                self._host.dropped += 1
                 return
             fresh, ack = self._guard.on_deliver(frame)
             if fresh:
-                self._enqueue(dest, frame.payload)
+                self._host._enqueue(dest, frame.payload)
             self._transmit(frame.origin, ack)
         elif isinstance(frame, Ack):
             if self._guard is not None:
                 self._guard.on_ack(frame)
         else:
-            self._enqueue(dest, frame)
+            self._host._enqueue(dest, frame)
 
     # ------------------------------------------------------------------
     # Departures and connectivity accounting
     # ------------------------------------------------------------------
-    def _drop_wire_to(self, node_id: float) -> None:
-        """Frames in transit to a departed node die with it (counted)."""
+    def drop_to(self, node_id: float) -> None:
+        """Frames in transit to a departed node die with it (counted on
+        the host); guarded envelopes for it are abandoned."""
         before = len(self._wire)
         self._wire = [
             (due, dest, frame)
             for due, dest, frame in self._wire
             if not (dest == node_id and not isinstance(frame, Ack))
         ]
-        self.dropped += before - len(self._wire)
+        self._host.dropped += before - len(self._wire)
         if self._guard is not None:
             self._guard.drop_for_destination(node_id)
 
-    def _purge_wire_mentions(self, node_id: float) -> int:
+    def purge_mentions(self, node_id: float) -> int:
         """Purge wire frames and buffered envelopes that mention a departed
         identifier (clean-departure semantics, paper §IV-G); uncounted."""
         kept: list[tuple[int, float, Frame]] = []
@@ -210,7 +223,7 @@ class ScalarWire:
             purged += self._guard.drop_mentioning(node_id)
         return purged
 
-    def _wire_in_flight(self) -> list[tuple[float, Message]]:
+    def in_flight(self) -> list[tuple[float, Message]]:
         """The wire's share of the in-flight set, in wire order: the
         payload of every wire-held frame but acks, then each
         unacknowledged envelope of the retransmit buffer with no copy on
@@ -229,50 +242,7 @@ class ScalarWire:
                     out.append((envelope.dest, envelope.payload))
         return out
 
-    def pending_total(self) -> int:
-        """Total undelivered protocol messages (host's own + wire; the
-        retransmit buffer holds copies and is not double-counted)."""
-        wire_payloads = sum(
-            1 for _, _, frame in self._wire if not isinstance(frame, Ack)
-        )
-        return super().pending_total() + wire_payloads  # type: ignore[misc]
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(n={len(self)}, "
-            f"pending={self.pending_total()}, wire={len(self._wire)}, "
-            f"faults={len(self._wire_faults)}, "
-            f"guarded={self._guard is not None})"
-        )
-
-
-class ChaosNetwork(ScalarWire, Network):
-    """A network whose wire is subject to composable fault injection."""
-
-    def send(self, dest: float, message: Message) -> None:
-        """Stage *message* via the faulty wire (no sender identity)."""
-        self._dispatch(None, dest, message)
-
-    def send_from(self, origin: float, dest: float, message: Message) -> None:
-        """Stage *message* on behalf of *origin* (enables guarded acks)."""
-        self._dispatch(origin, dest, message)
-
-    @property
-    def in_flight(self) -> list[tuple[float, Message]]:
-        """Undelivered protocol messages: the network's staging and
-        channels, then the wire's share (wire-held frames and
-        unacknowledged envelopes in the retransmit buffer)."""
-        return super().in_flight + self._wire_in_flight()
-
-    def remove_node(self, node_id: float) -> "Node":
-        """Remove a node; frames in transit to it die with it."""
-        node = super().remove_node(node_id)
-        self._drop_wire_to(node_id)
-        return node
-
-    def purge_identifier(self, node_id: float) -> int:
-        """Also purge wire frames and buffered envelopes that mention the
-        departed identifier."""
-        return super().purge_identifier(node_id) + self._purge_wire_mentions(
-            node_id
-        )
+    def pending(self) -> int:
+        """Protocol messages on the wire (acks carry none; the retransmit
+        buffer holds copies and is not double-counted)."""
+        return sum(1 for _, _, frame in self._wire if not isinstance(frame, Ack))

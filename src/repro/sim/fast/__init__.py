@@ -8,14 +8,14 @@ Two engines over one state representation (docs/PERF.md):
   engine; the oracle of the differential-equivalence harness.
 
 Both plug into :class:`FastSimulator`, which shares the round-loop drivers
-with the reference :class:`~repro.sim.engine.Simulator`.  The chaos
-variants — :class:`ChaosFastEngine` (vectorized wire faults + batched
-guard) and :class:`ChaosMirrorEngine` (bit-exact ``ChaosNetwork`` twin) —
-live in :mod:`repro.sim.fast.chaos` (docs/CHAOS.md).
+with the reference :class:`~repro.sim.engine.Simulator`.  Built with
+``wire=True``, either holds a chaos wire stage as ``engine.wire``: the
+batched :class:`~repro.sim.fast.chaos.batched.BatchedWire` or the
+reference's own :class:`~repro.sim.chaos.network.ScalarWire`
+(docs/CHAOS.md).
 """
 
 from repro.sim.fast.batched import FastEngine
-from repro.sim.fast.chaos import ChaosFastEngine, ChaosMirrorEngine
 from repro.sim.fast.engine import FastSimulator
 from repro.sim.fast.mirror import MirrorEngine
 from repro.sim.fast.shard import ShardedEngine
@@ -29,8 +29,6 @@ from repro.sim.fast.predicates import (
 from repro.sim.fast.soa import SoAState
 
 __all__ = [
-    "ChaosFastEngine",
-    "ChaosMirrorEngine",
     "FastEngine",
     "FastSimulator",
     "MirrorEngine",

@@ -27,6 +27,12 @@ One round (the batched counterpart of
 3. **regular actions** — one batched ``sendid(); probing()`` over all live
    nodes.
 
+``FastEngine(wire=True)`` (implied by a ``guard``) holds the batched chaos
+wire, :class:`~repro.sim.fast.chaos.batched.BatchedWire`, as
+:attr:`FastEngine.wire`: the flush then takes the round's chunks from the
+wire instead of the outbox, and the round's sends go onto the wire at its
+end.  A wireless engine's ``wire`` is ``None``.
+
 Equivalence to the reference engine is *distributional*, not draw-for-draw:
 within a synchronous round all sends are staged for the next round, so
 nodes do not interact mid-round and any per-node delivery order produced by
@@ -73,6 +79,8 @@ from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profile import PhaseProfiler
+    from repro.sim.chaos.guard import GuardPolicy
+    from repro.sim.fast.chaos.batched import BatchedWire
 
 __all__ = [
     "FastEngine",
@@ -313,11 +321,6 @@ def leave_batch_victims(node_ids: np.ndarray, soa: SoAState) -> np.ndarray:
 class FastEngine(SoAHost):
     """Struct-of-arrays state + staged messages + batched round execution."""
 
-    #: Whether a wire between the outbox and the next inbox consumes the
-    #: staged frames as sent (the chaos engine's fault executors draw per
-    #: frame), which makes staging order observable.
-    has_wire = False
-
     def __init__(
         self,
         states: Iterable[NodeState] | SoAState,
@@ -327,6 +330,8 @@ class FastEngine(SoAHost):
         keep_history: bool = False,
         sanitize: bool | None = None,
         stats: MessageStats | None = None,
+        wire: bool = False,
+        guard: "GuardPolicy | None" = None,
     ) -> None:
         """*states* may be a ready :class:`SoAState` and *stats* a ready
         :class:`MessageStats`: the engine then runs over those borrowed
@@ -344,6 +349,16 @@ class FastEngine(SoAHost):
         self.dedup = dedup
         self.stats = stats or MessageStats(keep_history=keep_history)
         self.outbox = Outbox(self.stats)
+        #: The batched chaos wire between outbox and inbox; ``None`` when
+        #: wireless.
+        self.wire: BatchedWire | None = None
+        if wire or guard is not None:
+            from repro.sim.fast.chaos.batched import BatchedWire
+
+            self.wire = BatchedWire(guard)
+            # The guard wraps rows and addresses acks by their sender: the
+            # one reader of the origin column, so the one outbox staging it.
+            self.outbox.keep_origin = True
         # The sanitizer scopes recording to kernel code: the engine keeps
         # its real state/outbox references, only the kernels see the
         # recording proxies.  Draw order is untouched either way, so a
@@ -371,26 +386,28 @@ class FastEngine(SoAHost):
     # ------------------------------------------------------------------
     # Round execution
     # ------------------------------------------------------------------
-    def _take_wire(self, rng: np.random.Generator) -> list:
-        """This round's deliverable chunks (chaos engines interpose here)."""
-        del rng
-        return self.outbox.take_all()
-
-    def _close_round(self, rng: np.random.Generator) -> None:
-        """End-of-round bookkeeping (chaos engines interpose here)."""
-        del rng
-        self.outbox.flush_stats()
-
     def execute_round(self, rng: np.random.Generator) -> None:
-        """Advance the network by one synchronous round."""
+        """Advance the network by one synchronous round.
+
+        With a wire, the round's chunks come off the wire (phase ``wire``)
+        and the round's sends go onto it at the end (``wire`` again);
+        ``flush`` times the inbox build alone.
+        """
         profiler = self.profiler
+        wire = self.wire
         t0 = time.perf_counter() if profiler is not None else 0.0
-        inbox, dropped = build_inbox(
-            self._take_wire(rng),
-            self.soa.lookup,
-            rng,
-            dedup=self.dedup,
-        )
+        if wire is None:
+            chunks = self.outbox.take_all()
+        else:
+            chunks, lost = wire.deliver(self.soa)
+            self.dropped += lost
+            if profiler is not None:
+                t1 = time.perf_counter()
+                profiler.add("wire", t1 - t0)
+                t0 = t1
+        inbox, dropped = build_inbox(chunks, self.soa.lookup, rng, dedup=self.dedup)
+        # Last round's staged arrays die here, not at the end of this round.
+        del chunks
         if profiler is not None:
             profiler.add("flush", time.perf_counter() - t0)
         self.dropped += dropped
@@ -399,21 +416,26 @@ class FastEngine(SoAHost):
             self._walk(plan, rng)
             self._run_groups(plan)
         self._run_regular(rng)
-        self._close_round(rng)
+        self.outbox.flush_stats()
+        if wire is not None:
+            t2 = time.perf_counter() if profiler is not None else 0.0
+            self.dropped += wire.send(self.outbox.take_all(), self.soa)
+            if profiler is not None:
+                profiler.add("wire", time.perf_counter() - t2)
 
     def _plan_round(self, inbox: RoundInbox) -> RoundPlan:
         """Schedule *inbox*: writer mask, dispatch groups, token walk.
 
         One schedule, read off the engine once per round.  Writers are
         planned only where staging order cannot show: the inbox dedups, no
-        :class:`WaveFault` rewrites the dispatch and no wire
-        (:attr:`has_wire`) consumes the staged frames.  Otherwise every row
-        counts as a writer, which groups the inbox by ``(wave, type)``; the
-        token walk then takes its waves from the (rewritten) group list.
+        :class:`WaveFault` rewrites the dispatch and no wire consumes the
+        staged frames (its fault executors draw per frame).  Otherwise every
+        row counts as a writer, which groups the inbox by ``(wave, type)``;
+        the token walk then takes its waves from the (rewritten) group list.
         """
         fault = self._wave_fault
         writer = None
-        if self.dedup and fault is None and not self.has_wire:
+        if self.dedup and fault is None and self.wire is None:
             writer = writer_rows(inbox, self.soa)
         groups = self._wave_groups(inbox, writer)
         if fault is not None:
@@ -651,30 +673,22 @@ class FastEngine(SoAHost):
         ascending order: in-flight rows to a departed node are dropped
         (and counted), rows mentioning one are purged (uncounted), by the
         ``d <= m`` rule of :func:`~repro.sim.fast.buffers.departure_sweep`
-        — so a batch equals its one-element batches in that order.  Stored
-        references are scrubbed in one ``isin`` pass, and tombstoned slots
-        are reclaimed by round-boundary compaction once they dominate.  The
-        whole batch is validated before any state changes.  Returns the
-        departure count.
+        in the outbox, then on the wire — so a batch equals its one-element
+        batches in that order.  Stored references are scrubbed in one
+        ``isin`` pass, and tombstoned slots are reclaimed by round-boundary
+        compaction once they dominate.  The whole batch is validated before
+        any state changes.  Returns the departure count.
         """
         victims = leave_batch_victims(node_ids, self.soa)
         if len(victims) == 0:
             return 0
         self.soa.remove_batch(victims)
         self.dropped += self.outbox.drop_and_purge_batch(victims)
+        if self.wire is not None:
+            self.dropped += self.wire.depart(victims)
         self.soa.scrub_departed_many(victims)
-        self._after_leave_batch(victims)
         self.soa.maybe_compact()
         return len(victims)
-
-    def _after_leave_batch(self, victims: np.ndarray) -> None:
-        """Post-departure hook (the chaos engine purges its wire and guard
-        here).
-
-        *victims* is sorted ascending — the order the ``d <= m`` accounting
-        is defined against.
-        """
-        del victims
 
     # ------------------------------------------------------------------
     # Wave-dispatch faults (SchedulerFault's batched story)
@@ -703,14 +717,20 @@ class FastEngine(SoAHost):
     # Introspection
     # ------------------------------------------------------------------
     def pending_total(self) -> int:
-        """Total undelivered (staged) messages."""
-        return self.outbox.pending_total()
+        """Total undelivered messages (staged + on the wire)."""
+        wire = 0 if self.wire is None else self.wire.pending()
+        return self.outbox.pending_total() + wire
 
     def in_flight_rows(self, code: int | None = None) -> tuple[np.ndarray, ...]:
         """``(dest, tcode, a, b, c)`` of every undelivered message of type
-        *code* (every type when ``None``): between rounds every one sits in
-        the outbox, since the batched round drains its whole inbox."""
-        return self.outbox.rows(code)
+        *code* (every type when ``None``): the outbox's rows (the batched
+        round drains its whole inbox), then the wire's."""
+        rows = self.outbox.rows(code)
+        if self.wire is None:
+            return rows
+        return tuple(
+            np.concatenate(pair) for pair in zip(rows, self.wire.in_flight_rows(code))
+        )
 
     def __repr__(self) -> str:
         return (

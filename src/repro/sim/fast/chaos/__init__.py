@@ -1,24 +1,22 @@
-"""Chaos wire layer for the batched engines (docs/CHAOS.md, docs/PERF.md).
+"""Chaos layer of the SoA hosts (docs/CHAOS.md, docs/PERF.md).
 
-Two engines share the reference fault semantics:
-
-* :class:`ChaosMirrorEngine` — scalar, bit-exact twin of
-  :class:`~repro.sim.chaos.ChaosNetwork` rounds (the differential oracle);
-* :class:`ChaosFastEngine` — vectorized wire faults
-  (:func:`apply_wire_faults` over :class:`WireRows`) and the pending-ack
-  guard columns (:class:`BatchedGuard`), distributionally equivalent.
-
-Experiments construct the first through
-``make_simulator(engine="fast", wire=True)`` (:mod:`repro.sim.host`); the
-mirror stays behind ``FastSimulator.from_states(mode="mirror-chaos")``.
+:class:`BatchedWire` is the batched engine's wire stage: vectorized wire
+faults (:func:`apply_wire_faults` over :class:`WireRows`) and the
+pending-ack guard columns (:class:`BatchedGuard`), distributionally
+equivalent to the reference wire.  Experiments get it through
+``make_simulator(engine="fast", wire=True)`` (:mod:`repro.sim.host`).  The
+mirror engine holds the reference's own
+:class:`~repro.sim.chaos.network.ScalarWire` instead
+(``FastSimulator.from_states(mode="mirror", wire=True)``), its bit-exact
+oracle.  The rest are the SoA bodies of the host surface's state faults
+and monitors, and the batched scheduler fault.
 """
 
-from repro.sim.fast.chaos.batched import BatchedGuard, ChaosFastEngine
+from repro.sim.fast.chaos.batched import BatchedGuard, BatchedWire
 from repro.sim.fast.chaos.faults import (
     corrupt_random_pointers_engine,
     crash_restart_many_engine,
 )
-from repro.sim.fast.chaos.mirror import ChaosMirrorEngine
 from repro.sim.fast.chaos.monitors import (
     engine_cc_components,
     engine_check_invariants,
@@ -35,8 +33,7 @@ from repro.sim.fast.chaos.wire import (
 
 __all__ = [
     "BatchedGuard",
-    "ChaosFastEngine",
-    "ChaosMirrorEngine",
+    "BatchedWire",
     "WireRows",
     "apply_wire_faults",
     "supports_batched_wire",

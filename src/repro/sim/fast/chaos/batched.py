@@ -1,12 +1,12 @@
-"""The vectorized chaos engine: batched wire faults + guarded handoff.
+"""The batched chaos wire: vectorized wire faults + guarded handoff.
 
-:class:`ChaosFastEngine` extends the batched
-:class:`~repro.sim.fast.batched.FastEngine` with the chaos wire: staged
-sends become tick-stamped :class:`~repro.sim.fast.chaos.wire.WireRows`,
-pass through the vectorized fault executors
-(:func:`~repro.sim.fast.chaos.wire.apply_wire_faults`), and — for the
-guarded message types — are wrapped into pending-ack rows managed by
-:class:`BatchedGuard`, the struct-of-arrays port of
+:class:`BatchedWire` is the stage a :class:`~repro.sim.fast.batched.FastEngine`
+built with ``wire=True`` holds as ``engine.wire``, between its outbox and its
+next inbox: staged sends become tick-stamped
+:class:`~repro.sim.fast.chaos.wire.WireRows`, pass through the vectorized
+fault executors (:func:`~repro.sim.fast.chaos.wire.apply_wire_faults`), and
+— for the guarded message types — are wrapped into pending-ack rows managed
+by :class:`BatchedGuard`, the struct-of-arrays port of
 :class:`~repro.sim.chaos.guard.GuardedHandoff` (same
 :class:`~repro.sim.chaos.guard.GuardPolicy`, same
 :class:`~repro.sim.chaos.guard.GuardStats` fields, retry/backoff/abandon
@@ -17,24 +17,21 @@ injectors' private PCG64 streams produce the same draw values batched or
 scalar, but delivery interleaving within a tick differs (the batched
 round delivers by frame kind, the reference in wire insertion order), so
 only aggregate behavior — recovery times, split/converge outcomes, guard
-overhead — is comparable.  The bit-exact twin of ``ChaosNetwork`` is
-:class:`~repro.sim.fast.chaos.mirror.ChaosMirrorEngine`, which pins every
-injector per round before this engine is trusted at scale (docs/CHAOS.md,
-``tests/test_fast_chaos_differential.py``).
+overhead — is comparable.  The bit-exact twin of the wired reference
+network is the wired :class:`~repro.sim.fast.mirror.MirrorEngine`, which
+pins every injector per round before this wire is trusted at scale
+(docs/CHAOS.md, ``tests/test_fast_chaos_differential.py``).
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.protocol import ProtocolConfig
-from repro.core.state import NodeState
 from repro.sim.chaos.guard import GuardPolicy, GuardStats
-from repro.sim.fast.batched import FastEngine
+from repro.sim.chaos.network import Wire
 from repro.sim.fast.buffers import CODE_OF_TYPE, RESLRL, TYPE_OF_CODE, departure_sweep
 from repro.sim.fast.chaos.wire import (
     KIND_ACK,
@@ -47,8 +44,9 @@ from repro.sim.fast.chaos.wire import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.chaos.injectors import FaultInjector
+    from repro.sim.fast.soa import SoAState
 
-__all__ = ["BatchedGuard", "ChaosFastEngine"]
+__all__ = ["BatchedGuard", "BatchedWire"]
 
 
 class BatchedGuard:
@@ -221,79 +219,49 @@ class BatchedGuard:
         return int(self.alive.sum())
 
 
-class ChaosFastEngine(FastEngine):
-    """Batched SoA engine whose wire is subject to vectorized faults."""
+class BatchedWire(Wire[BatchedGuard]):
+    """The batched chaos wire: a stage between a batched engine's outbox
+    and its next inbox, held as ``FastEngine.wire``.
 
-    has_wire = True
+    The engine calls it at four points: :meth:`deliver` takes the round's
+    inbox chunks off the wire, :meth:`send` puts the round's staged sends
+    on it, :meth:`depart` purges a departure batch, and
+    :meth:`in_flight_rows` / :meth:`pending` add its share to the engine's
+    in-flight set.  Each returns what the engine counts as ``dropped``
+    where rows die.
+    """
 
-    def __init__(
-        self,
-        states: Iterable[NodeState],
-        config: ProtocolConfig | None = None,
-        *,
-        guard: GuardPolicy | None = None,
-        dedup: bool = True,
-        keep_history: bool = False,
-        sanitize: bool | None = None,
-    ) -> None:
-        super().__init__(
-            states, config, dedup=dedup, keep_history=keep_history,
-            sanitize=sanitize,
-        )
-        # The guard wraps rows and addresses acks by their sender: the one
-        # reader of the origin column, so the one outbox that stages it.
-        self.outbox.keep_origin = True
-        self._wire_faults: list["FaultInjector"] = []
+    def __init__(self, guard: GuardPolicy | None = None) -> None:
+        super().__init__(BatchedGuard(policy=guard) if guard is not None else None)
         self._wire = WireRows.empty()
-        self._tick = 0
-        self._guard: BatchedGuard | None = (
-            BatchedGuard(policy=guard) if guard is not None else None
-        )
-
-    # ------------------------------------------------------------------
-    # Fault-chain management (same surface as ChaosNetwork)
-    # ------------------------------------------------------------------
-    @property
-    def tick(self) -> int:
-        """Wire clock: one tick per round flush."""
-        return self._tick
-
-    @property
-    def wire_faults(self) -> list["FaultInjector"]:
-        """The currently active wire-fault chain (applied in order)."""
-        return list(self._wire_faults)
 
     def set_wire_faults(self, injectors: Iterable["FaultInjector"]) -> None:
         """Install the active wire-fault chain.
 
         Only the shipped wire injectors have vectorized executors; a
         custom ``on_wire`` override cannot be replayed as an array kernel,
-        so it is rejected here (run it on the reference ``ChaosNetwork``
-        or the chaos mirror engine instead).
+        so it is rejected here (run it on a wired reference or mirror
+        host instead).
         """
         chain = list(injectors)
         for inj in chain:
             if not supports_batched_wire(inj):
                 raise TypeError(
                     f"{inj.name} has no vectorized wire executor; run "
-                    "custom injectors on the reference ChaosNetwork or "
-                    "the chaos mirror engine (mode='mirror-chaos')"
+                    "custom injectors on a wired reference or mirror host "
+                    "(make_simulator(engine='reference', wire=True) or "
+                    "FastSimulator.from_states(mode='mirror', wire=True))"
                 )
-        self._wire_faults = chain
-
-    @property
-    def guard(self) -> BatchedGuard | None:
-        """The batched guarded-handoff transport, if one is installed."""
-        return self._guard
+        super().set_wire_faults(chain)
 
     # ------------------------------------------------------------------
-    # Round hooks: wire delivery and end-of-round transmission
+    # The round: delivery, then transmission of the round's sends
     # ------------------------------------------------------------------
-    def _take_wire(self, rng: np.random.Generator) -> list:
-        """Advance the wire clock and collect this tick's deliveries."""
-        del rng
-        profiler = self.profiler
-        t0 = time.perf_counter() if profiler is not None else 0.0
+    def deliver(self, soa: SoAState) -> tuple[list, int]:
+        """Advance the wire clock and collect this tick's deliveries as
+        outbox-shaped chunks for ``build_inbox``; also returns the
+        payloads that died on arrival (their destination departed)."""
+        dropped = 0
         self._tick += 1
         wire = self._wire
         due_mask = wire.due <= self._tick
@@ -311,11 +279,11 @@ class ChaosFastEngine(FastEngine):
         env_rows = due.kind == KIND_ENVELOPE
         if env_rows.any():
             env = due.take(env_rows)
-            _, found = self.soa.lookup(env.dest)
+            _, found = soa.lookup(env.dest)
             lost = int(len(found) - found.sum())
             if lost:
                 # Destination departed mid-flight: payload dies, no ack.
-                self.dropped += lost
+                dropped += lost
                 env = env.take(found)
             if len(env) and self._guard is not None:
                 fresh = self._guard.on_deliveries(env.seq)
@@ -336,8 +304,8 @@ class ChaosFastEngine(FastEngine):
                 self._transmit_rows(acks)
             elif len(env):
                 # No guard installed (cannot happen via the public API,
-                # matching ChaosNetwork's defensive drop).
-                self.dropped += len(env)
+                # matching ScalarWire's defensive drop).
+                dropped += len(env)
 
         # Plain messages: membership is re-checked (and drops counted)
         # by build_inbox's lookup, like Network._enqueue.
@@ -363,29 +331,22 @@ class ChaosFastEngine(FastEngine):
                     seq=g.seq[resend].copy(),
                     due=np.zeros(len(resend), dtype=np.int64),
                 )
-                _, found = self.soa.lookup(rows.dest)
+                _, found = soa.lookup(rows.dest)
                 if not found.all():
                     rows = rows.take(found)
                 if len(rows):
                     self._transmit_rows(rows)
             self._guard.compact()
-        if profiler is not None:
-            profiler.add("wire", time.perf_counter() - t0)
-        return chunks
+        return chunks, dropped
 
-    def _close_round(self, rng: np.random.Generator) -> None:
-        """Move this round's staged sends onto the wire.
+    def send(self, staged: list, soa: SoAState) -> int:
+        """Move a round's staged sends (``Outbox.take_all()``, already
+        counted) onto the wire; returns the sends dropped at the source.
 
-        Mirrors ``ChaosNetwork._dispatch`` per row: count the send (the
-        outbox already did), drop sends to departed identifiers at the
-        source, guard-wrap the guarded types, then run the fault chain
-        and stamp delivery ticks.
+        As ``ScalarWire.dispatch`` per row: drop sends to departed
+        identifiers at the source, guard-wrap the guarded types, then run
+        the fault chain and stamp delivery ticks.
         """
-        del rng
-        profiler = self.profiler
-        t0 = time.perf_counter() if profiler is not None else 0.0
-        self.outbox.flush_stats()
-        staged = self.outbox.take_all()
         parts: list[WireRows] = []
         for code, per_type in enumerate(staged):
             for dst, a, b, cc, origin in per_type:
@@ -396,11 +357,11 @@ class ChaosFastEngine(FastEngine):
                     )
                 )
         rows = WireRows.concat(parts)
+        lost = 0
         if len(rows):
-            _, found = self.soa.lookup(rows.dest)
+            _, found = soa.lookup(rows.dest)
             lost = int(len(found) - found.sum())
             if lost:
-                self.dropped += lost
                 rows = rows.take(found)
         if len(rows):
             if self._guard is not None:
@@ -408,8 +369,7 @@ class ChaosFastEngine(FastEngine):
                 gmask &= np.isfinite(rows.origin)
                 self._guard.wrap_rows(rows, gmask, self._tick)
             self._transmit_rows(rows)
-        if profiler is not None:
-            profiler.add("wire", time.perf_counter() - t0)
+        return lost
 
     def _transmit_rows(self, rows: WireRows) -> None:
         """Run *rows* through the active fault chain onto the wire."""
@@ -422,50 +382,49 @@ class ChaosFastEngine(FastEngine):
     # ------------------------------------------------------------------
     # Membership / churn
     # ------------------------------------------------------------------
-    def _after_leave_batch(self, victims: np.ndarray) -> None:
-        """The wire and guard purge of a departure batch — one ``leave`` is
-        a batch of one, so this is the engine's only membership purge.
+    def depart(self, victims: np.ndarray) -> int:
+        """The wire and guard purge of a departure batch (*victims* sorted
+        ascending); returns the wire payloads dropped.
 
-        As ``leave_node`` on a ``ChaosNetwork``, per victim in ascending
+        As ``leave_node`` on a wired ``Network``, per victim in ascending
         order: wire frames to it die with it (counted), wire mentions of it
         are purged (uncounted), acks are left alone, and guarded envelopes
         for or mentioning it are dropped.  The reference interleaves the
         outbox, wire and guard purges per victim, but the three stores are
         disjoint, so one ``d <= m`` sweep per store reproduces its counts.
         """
+        dropped = 0
         wire = self._wire
         if len(wire):
             doomed, counted = departure_sweep(
                 victims, wire.dest, wire.a, wire.b, wire.c, wire.tcode == RESLRL
             )
             payload = wire.kind != KIND_ACK
-            self.dropped += int((counted & payload).sum())
+            dropped = int((counted & payload).sum())
             doomed &= payload
             if doomed.any():
                 self._wire = wire.take(~doomed)
         if self._guard is not None:
             self._guard.drop_batch(victims)
+        return dropped
 
     # ------------------------------------------------------------------
     # Connectivity accounting
     # ------------------------------------------------------------------
-    def pending_total(self) -> int:
-        """Total undelivered protocol messages (staged + wire payloads;
-        the retransmit buffer holds copies and is not double-counted)."""
-        wire_payloads = int((self._wire.kind != KIND_ACK).sum())
-        return super().pending_total() + wire_payloads
+    def pending(self) -> int:
+        """Protocol messages on the wire (acks carry none; the retransmit
+        buffer holds copies and is not double-counted)."""
+        return int((self._wire.kind != KIND_ACK).sum())
 
     def in_flight_rows(self, code: int | None = None) -> tuple[np.ndarray, ...]:
-        """The outbox's rows, then every wire payload (acks carry none),
-        then each pending guard row with no copy on the wire: an
-        unacknowledged handoff still owns its identifiers, as in
-        ``ChaosNetwork.in_flight``."""
+        """Every wire payload (acks carry none), then each pending guard
+        row with no copy on the wire — an unacknowledged handoff still owns
+        its identifiers — as ``(dest, tcode, a, b, c)`` columns."""
         wire = self._wire
         held = wire.kind != KIND_ACK
         if code is not None:
             held &= wire.tcode == code
         parts = [
-            super().in_flight_rows(code),
             (wire.dest[held], wire.tcode[held], wire.a[held], wire.b[held], wire.c[held]),
         ]
         g = self._guard
@@ -477,14 +436,6 @@ class ChaosFastEngine(FastEngine):
                 (g.dest[unsent], g.tcode[unsent], g.a[unsent], g.b[unsent], g.c[unsent])
             )
         return tuple(np.concatenate(column) for column in zip(*parts))
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(n={len(self)}, "
-            f"pending={self.pending_total()}, wire={len(self._wire)}, "
-            f"faults={len(self._wire_faults)}, "
-            f"guarded={self._guard is not None})"
-        )
 
 
 def _rows_by_code(rows: WireRows):

@@ -12,8 +12,8 @@ that dispatch instead.  :class:`WaveDispatchFault` plugs into
   deferring them to the next round via the engine's uncounted restage
   path (:meth:`~repro.sim.fast.buffers.Outbox.restage`).
 
-On the plain engine a starved row simply redelivers next round; on the
-chaos engine restaged rows re-enter the wire and face the active wire
+On a wireless engine a starved row simply redelivers next round; on a
+wired one restaged rows re-enter the wire and face the active wire
 faults again — a strictly more adversarial model, documented in
 docs/CHAOS.md.
 

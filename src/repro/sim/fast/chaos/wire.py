@@ -1,6 +1,6 @@
-"""Vectorized wire-fault executors for the batched chaos engine.
+"""Vectorized wire-fault executors for the batched chaos wire.
 
-The reference chaos wire (:class:`~repro.sim.chaos.ChaosNetwork`) threads
+The scalar chaos wire (:class:`~repro.sim.chaos.network.ScalarWire`) threads
 every frame through the injector chain one ``on_wire`` call at a time.
 The batched counterpart keeps the round's whole wire as a struct of
 arrays (:class:`WireRows`) and applies each shipped injector as one array
@@ -18,9 +18,9 @@ The one documented divergence is ``MessageDelay(mode="hash")``: the
 reference hashes ``repr((dest, frame))`` with CRC-32, which has no array
 form.  The batched executor substitutes a SplitMix64-style bit mix over
 the row's content columns — equally deterministic and content-keyed, but
-a *different* hash, so hash-delay schedules are engine-specific (the
-bit-exact :class:`~repro.sim.fast.chaos.mirror.ChaosMirrorEngine` builds
-real frames and reproduces the CRC-32 schedule; docs/CHAOS.md).
+a *different* hash, so hash-delay schedules are engine-specific (the wired
+:class:`~repro.sim.fast.mirror.MirrorEngine` builds real frames and
+reproduces the CRC-32 schedule; docs/CHAOS.md).
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ _EXECUTORS = {
 def supports_batched_wire(injector: FaultInjector) -> bool:
     """Whether *injector* has a vectorized executor (exact type match —
     subclasses may override ``on_wire`` arbitrarily, so they fall back to
-    the mirror engine or the reference ``ChaosNetwork``)."""
+    a wired mirror or reference host)."""
     return type(injector) in _EXECUTORS
 
 
@@ -248,7 +248,7 @@ def apply_wire_faults(
     their accumulated extra delays (int64, aligned with the rows).
 
     The chain is applied injector-major in order, exactly like
-    ``ChaosNetwork._transmit``'s rewrite loop; each stage sees the rows
+    ``ScalarWire._transmit``'s rewrite loop; each stage sees the rows
     the previous stage emitted, in the same order.
     """
     extra = np.zeros(len(rows), dtype=np.int64)
@@ -257,8 +257,9 @@ def apply_wire_faults(
         if executor is None:
             raise TypeError(
                 f"{inj.name} has no vectorized wire executor; run custom "
-                "injectors on the reference ChaosNetwork or the chaos "
-                "mirror engine (mode='mirror-chaos')"
+                "injectors on a wired reference or mirror host "
+                "(make_simulator(engine='reference', wire=True) or "
+                "FastSimulator.from_states(mode='mirror', wire=True))"
             )
         if len(rows) == 0:
             break

@@ -20,7 +20,6 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState, StateTuple
 from repro.sim.engine import BaseSimulator
 from repro.sim.fast.batched import FastEngine
-from repro.sim.fast.chaos import ChaosFastEngine, ChaosMirrorEngine
 from repro.sim.fast.mirror import MirrorEngine
 from repro.sim.fast.shard import ShardedEngine
 
@@ -35,11 +34,9 @@ AnyFastEngine = FastEngine | MirrorEngine | ShardedEngine
 
 #: ``from_states(mode=...)`` → (engine class, the options only it takes).
 _ENGINE_OF_MODE: dict[str, tuple[Callable[..., AnyFastEngine], tuple[str, ...]]] = {
-    "batched": (FastEngine, ()),
+    "batched": (FastEngine, ("wire", "guard")),
     "sharded": (ShardedEngine, ("shards",)),
-    "mirror": (MirrorEngine, ()),
-    "chaos": (ChaosFastEngine, ("guard",)),
-    "mirror-chaos": (ChaosMirrorEngine, ("guard",)),
+    "mirror": (MirrorEngine, ("wire", "guard")),
 }
 
 
@@ -72,6 +69,7 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         config: ProtocolConfig | None = None,
         *,
         mode: str = "batched",
+        wire: bool = False,
         guard: "GuardPolicy | None" = None,
         dedup: bool = True,
         keep_history: bool = False,
@@ -84,15 +82,15 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
 
         ``mode="batched"`` (default) gives the vectorized engine;
         ``mode="mirror"`` gives the draw-for-draw reference twin used by
-        the differential-equivalence tests (docs/PERF.md).  The chaos
-        variants — ``mode="chaos"`` (vectorized wire faults) and
-        ``mode="mirror-chaos"`` (bit-exact ``ChaosNetwork`` twin) — accept
-        a :class:`~repro.sim.chaos.guard.GuardPolicy` via *guard* to
-        enable the guarded-handoff transport (docs/CHAOS.md).
-        ``mode="sharded"`` partitions the id space over *shards*
-        contiguous in-process :class:`ShardCore` blocks; it requires
-        ``dedup=True`` and replays the batched engine bit-for-bit
-        (docs/PERF.md).  *workers* is the removed worker-process count:
+        the differential-equivalence tests (docs/PERF.md).  Either takes
+        ``wire=True`` for a chaos wire stage (``engine.wire``: vectorized
+        wire faults, or the reference's own bit-exact wire on the mirror),
+        and a :class:`~repro.sim.chaos.guard.GuardPolicy` via *guard*,
+        which implies a wire, for the guarded-handoff transport
+        (docs/CHAOS.md).  ``mode="sharded"`` partitions the id space over
+        *shards* contiguous in-process :class:`ShardCore` blocks; it
+        requires ``dedup=True``, has no wire, and replays the batched
+        engine bit-for-bit (docs/PERF.md).  *workers* is the removed worker-process count:
         anything but 0 is rejected.
 
         *sanitize* turns on the flow sanitizer
@@ -114,12 +112,14 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
                 f"unknown engine mode {mode!r}; expected one of "
                 f"{', '.join(map(repr, _ENGINE_OF_MODE))}"
             ) from None
-        if guard is not None and "guard" not in extra:
+        wire = wire or guard is not None
+        if wire and "wire" not in extra:
             raise ValueError(
-                "guard requires a chaos engine mode ('chaos' or "
-                f"'mirror-chaos'), not {mode!r}"
+                f"engine={mode!r} has no wire transport (wire faults and the "
+                "guarded handoff need one); use the batched, mirror or "
+                "reference engine"
             )
-        given = {"guard": guard, "shards": shards}
+        given = {"wire": wire, "guard": guard, "shards": shards}
         engine = engine_cls(
             states,
             config,
@@ -162,7 +162,7 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         """Export the engine into a reference :class:`Network`.
 
         The export carries the live node states and every in-flight
-        message — on a chaos engine its wire and retransmit buffer too —
+        message — on a wired engine its wire and retransmit buffer too —
         re-staged via :meth:`Network.stage` so send statistics are not
         double-counted; message counters and the dropped count start fresh
         on the new network.  Useful for running the reference graph views

@@ -21,8 +21,9 @@ Sends: each of the 28 send sites stages its rows through
 and gathers every column by them.  The sender-id column (``origin``) is
 read by the chaos wire alone — its guard wraps outgoing rows and
 addresses acks by it — so it is gathered only when the outbox's
-``keep_origin`` is set, which only
-:class:`~repro.sim.fast.chaos.batched.ChaosFastEngine` does; every other
+``keep_origin`` is set, which only a wired
+:class:`~repro.sim.fast.batched.FastEngine` does (its
+:class:`~repro.sim.fast.chaos.batched.BatchedWire` reads it); every other
 outbox stages ``None`` there.
 
 RNG: :meth:`move_forget` consumes one direction-coin array and one

@@ -22,6 +22,14 @@ the differential-equivalence harness's oracle (docs/PERF.md), and it
 validates the SoA representation, the tuple wire format, and the churn
 plumbing that the batched engine shares.
 
+``MirrorEngine(wire=True)`` holds the reference network's own chaos wire,
+:class:`~repro.sim.chaos.network.ScalarWire`, as :attr:`MirrorEngine.wire`:
+every send becomes a real :class:`~repro.core.messages.Message` frame, so
+the injectors see the same frames in the same order — including the
+``repr``-hashed frames of ``MessageDelay(mode="hash")`` — and a wired
+mirror run is bit-identical per round with a wired reference run
+(``tests/test_fast_chaos_differential.py``).
+
 Handlers are deliberate line-for-line ports of
 :class:`repro.core.node.Node`; keep them in sync with Algorithms 1–10
 there.
@@ -37,11 +45,14 @@ from typing import TYPE_CHECKING, cast
 import numpy as np
 
 from repro.core.forget import forget_probability
+from repro.core.messages import Message
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
 from repro.ids import NEG_INF, POS_INF
-from repro.sim.fast.batched import join_batch_rows
+from repro.sim.channel import Channel
+from repro.sim.fast.batched import join_batch_rows, leave_batch_victims
 from repro.sim.fast.buffers import (
+    CODE_OF_TYPE,
     INCLRL,
     LIN,
     PROBL,
@@ -62,6 +73,8 @@ from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profile import PhaseProfiler
+    from repro.sim.chaos.guard import GuardPolicy
+    from repro.sim.chaos.network import ScalarWire
 
 __all__ = ["MirrorEngine"]
 
@@ -108,6 +121,8 @@ class MirrorEngine(SoAHost):
         dedup: bool = True,
         keep_history: bool = False,
         sanitize: bool | None = None,
+        wire: bool = False,
+        guard: "GuardPolicy | None" = None,
     ) -> None:
         cfg = config or ProtocolConfig()
         if cfg.trace is not None:
@@ -135,39 +150,57 @@ class MirrorEngine(SoAHost):
         #: (repro.obs); ``None`` keeps the round on the untimed path.
         self.profiler: PhaseProfiler | None = None
         self._staging: list[tuple[float, MirrorMessage]] = []
-        self._channels: dict[float, list[MirrorMessage]] = {
-            nid: [] for nid in self.soa.live_ids_list()
+        self._channels: dict[float, Channel[MirrorMessage]] = {
+            nid: Channel(dedup=dedup) for nid in self.soa.live_ids_list()
         }
-        self._sets: dict[float, set[MirrorMessage]] | None = (
-            {nid: set() for nid in self._channels} if dedup else None
-        )
+        #: The node currently acting: its sends carry this sender identity,
+        #: like the reference's per-node bound ``network.sender(nid)``.
+        self._origin: float | None = None
+        #: The reference network's chaos wire; ``None`` when wireless.
+        self.wire: ScalarWire | None = None
+        if wire or guard is not None:
+            from repro.sim.chaos.network import ScalarWire
+
+            self.wire = ScalarWire(self, guard)
 
     # ------------------------------------------------------------------
-    # Wire
+    # Sending and delivery
     # ------------------------------------------------------------------
     def _send(self, dest: float, code: int, *payload: float) -> None:
         if self.sanitizer is not None:
             self.sanitizer.record_send(code)
         self.stats.record_send(TYPE_OF_CODE[code])
-        if dest in self.soa:
+        if self.wire is not None:
+            # Python floats only: Envelope's dataclass repr feeds the
+            # hash-mode delay injector, and np.float64 reprs would diverge
+            # from the reference wire.
+            message = Message(TYPE_OF_CODE[code], tuple(float(x) for x in payload))
+            self.wire.dispatch(self._origin, float(dest), message)
+        elif dest in self.soa:
             self._staging.append((dest, (code, *payload)))
         else:
             self.dropped += 1
 
+    def _enqueue(self, dest: float, message: Message) -> None:
+        """``Network._enqueue``: membership-checked staging of what the
+        wire delivers."""
+        if dest in self.soa:
+            self._staging.append((dest, (CODE_OF_TYPE[message.type], *message.ids)))
+        else:
+            self.dropped += 1
+
     def flush(self) -> None:
-        """Deliver staged messages into channels (insertion order, dedup)."""
+        """Deliver what the wire has due, then staged messages into
+        channels (insertion order, dedup), as ``Network.flush``."""
+        if self.wire is not None:
+            self.wire.deliver()
         staged, self._staging = self._staging, []
         for dest, msg in staged:
             channel = self._channels.get(dest)
             if channel is None:
                 self.dropped += 1
                 continue
-            if self._sets is not None:
-                seen = self._sets[dest]
-                if msg in seen:
-                    continue
-                seen.add(msg)
-            channel.append(msg)
+            channel.put(msg)
 
     # ------------------------------------------------------------------
     # Round execution
@@ -197,17 +230,11 @@ class MirrorEngine(SoAHost):
             if nid in self.soa:
                 i = self.soa.index_of(nid)
                 assert i is not None
-                msgs = self._channels[nid]
+                self._origin = nid
                 t1 = time.perf_counter() if profiler is not None else 0.0
-                if msgs:
-                    self._channels[nid] = []
-                    if self._sets is not None:
-                        self._sets[nid] = set()
-                    if len(msgs) > 1:
-                        perm = rng.permutation(len(msgs))  # repro-flow: ignore[flow-branch-rng] deliberate draw-for-draw match of Channel.drain, which also permutes only multi-message queues
-                        msgs = [msgs[j] for j in perm]
-                    for msg in msgs:
-                        self._on_message(i, msg, rng)
+                msgs = self._channels[nid].drain(rng)
+                for msg in msgs:
+                    self._on_message(i, msg, rng)
                 if profiler is not None:
                     t2 = time.perf_counter()
                     receive += t2 - t1
@@ -219,6 +246,7 @@ class MirrorEngine(SoAHost):
                     self._regular_action(i)
             if after_node is not None:
                 after_node(int(pos), nid)
+        self._origin = None
         if profiler is not None:
             profiler.add("receive", receive, calls=received)
             profiler.add("regular", regular, calls=acted)
@@ -239,17 +267,15 @@ class MirrorEngine(SoAHost):
                 self.soa,
             )
         )
-        self._channels[new_id] = []
-        if self._sets is not None:
-            self._sets[new_id] = set()
+        self._channels[new_id] = Channel(dedup=self.dedup)
 
     def leave(self, node_id: float) -> None:
         """Remove *node_id* with full reference purge (as ``leave_node``).
 
         Works mid-round too (from an ``after_node`` hook): the departed
-        node's channel disappears, staged messages to it are dropped and
-        counted, in-flight mentions are purged uncounted, and stored
-        references are scrubbed — the same sequence as
+        node's channel disappears, staged and wire messages to it are
+        dropped and counted, in-flight mentions are purged uncounted, and
+        stored references are scrubbed — the same sequence as
         ``Network.remove_node`` + ``purge_identifier`` + the state scrub.
         The columns are written by departure batches of one.
         """
@@ -257,23 +283,28 @@ class MirrorEngine(SoAHost):
             raise KeyError(f"no node with id {node_id!r}")
         victim = np.array([node_id], dtype=np.float64)
         self.soa.remove_batch(victim)
-        del self._channels[node_id]
-        if self._sets is not None:
-            del self._sets[node_id]
+        self._channels.pop(node_id).clear()
         before = len(self._staging)
         self._staging = [(d, m) for d, m in self._staging if d != node_id]
         self.dropped += before - len(self._staging)
-        # purge_identifier: mentions in staging and channels, uncounted.
+        if self.wire is not None:
+            self.wire.drop_to(node_id)
+        # purge_identifier: mentions in staging, channels and on the wire,
+        # uncounted.
         self._staging = [
             (d, m) for d, m in self._staging if node_id not in m[1:]
         ]
-        for nid, channel in self._channels.items():
-            kept = [m for m in channel if node_id not in m[1:]]
-            if len(kept) != len(channel):
-                self._channels[nid] = kept
-                if self._sets is not None:
-                    self._sets[nid] = set(kept)
+        for channel in self._channels.values():
+            channel.remove_matching(lambda m: node_id in m[1:])
+        if self.wire is not None:
+            self.wire.purge_mentions(node_id)
         self.soa.scrub_departed_many(victim)
+
+    def crash_channel_clear(self, node_id: float) -> None:
+        """Drop a crashed node's queued messages, as the reference's
+        ``crash_restart`` does (``channel.clear()``)."""
+        if node_id in self._channels:
+            self._channels[node_id].clear()
 
     def join_batch(self, new_ids: np.ndarray, contact_ids: np.ndarray) -> int:
         """Batch join: the scalar joins in ascending new-id order.
@@ -297,34 +328,30 @@ class MirrorEngine(SoAHost):
         return len(new_ids)
 
     def leave_batch(self, node_ids: np.ndarray) -> int:
-        """Batch leave: the scalar departures in ascending id order.
-
-        Chaos subclasses inherit this loop unchanged — each iteration runs
-        their own ``leave`` override, which is exactly the sequential
-        contract the batched engine's ``d <= m`` accounting reproduces.
-        """
-        victims = np.sort(np.ascontiguousarray(node_ids, dtype=np.float64))
-        k = len(victims)
-        if k > 1 and bool((victims[1:] == victims[:-1]).any()):
-            raise KeyError("duplicate departing id within batch")
-        for nid in victims.tolist():
-            if nid not in self.soa:
-                raise KeyError(f"no node with id {nid!r}")
+        """Batch leave: the scalar departures in ascending id order — the
+        sequential contract the batched engine's ``d <= m`` accounting
+        reproduces."""
+        victims = leave_batch_victims(node_ids, self.soa)
         for nid in victims.tolist():
             self.leave(nid)
-        return k
+        return len(victims)
 
     def pending_total(self) -> int:
-        """Total undelivered messages (staged + in channels)."""
-        return len(self._staging) + sum(
-            len(c) for c in self._channels.values()
-        )
+        """Total undelivered messages (staged + in channels + on the wire)."""
+        wire = 0 if self.wire is None else self.wire.pending()
+        return len(self._staging) + sum(len(c) for c in self._channels.values()) + wire
 
     def in_flight_rows(self, code: int | None = None) -> tuple[np.ndarray, ...]:
-        """Staging, then each channel (``Network.in_flight`` order)."""
+        """Staging, then each channel, then the wire's share
+        (``Network.in_flight`` order)."""
         pending = list(self._staging)
         for nid, channel in self._channels.items():
             pending.extend((nid, m) for m in channel)
+        if self.wire is not None:
+            pending.extend(
+                (dest, (CODE_OF_TYPE[message.type], *message.ids))
+                for dest, message in self.wire.in_flight()
+            )
         return message_rows(pending, code)
 
     # ------------------------------------------------------------------

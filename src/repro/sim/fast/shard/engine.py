@@ -32,8 +32,8 @@ trajectory is pinned by digest in ``tests/test_sharded_engine.py``).
 Departures preserve alignment (tombstoning and compaction keep relative
 slot order).
 
-Not supported here: multiset (``dedup=False``) delivery, wire faults
-(``ChaosFastEngine``), wave-dispatch faults and event tracing.  State
+Not supported here: multiset (``dedup=False``) delivery, a wire (wire
+faults and the guarded handoff), wave-dispatch faults and event tracing.  State
 faults and churn storms compose unchanged — they drive ``soa`` and the
 membership surface.
 """
@@ -68,6 +68,9 @@ __all__ = ["ShardedEngine"]
 
 class ShardedEngine(SoAHost):
     """Contiguous id-range shards behind the ``FastEngine`` surface."""
+
+    #: No wire stage: the sharded engine has no wire transport.
+    wire = None
 
     def __init__(
         self,

@@ -6,7 +6,8 @@ violations, because any post-fault configuration is just another initial
 state.  The failure-injection tests and the adversarial examples use
 three fault classes; the last two live here:
 
-* **message loss** (a :class:`~repro.sim.chaos.network.ChaosNetwork` with
+* **message loss** (a ``Network(wire=True)``, whose
+  :class:`~repro.sim.chaos.network.ScalarWire` carries
   a :class:`~repro.sim.chaos.injectors.MessageLoss` wire fault) — every
   sent message is dropped with probability ``rate``.  The regular action
   re-advertises all *stored* links every round, so losses of

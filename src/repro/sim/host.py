@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.protocol import ProtocolConfig, build_network
 from repro.core.state import NodeState, StateTuple
-from repro.sim.chaos.network import ChaosNetwork
 from repro.sim.engine import BaseSimulator, Simulator
 from repro.sim.fast.engine import FastSimulator
 from repro.sim.metrics import MessageStats
@@ -33,20 +32,22 @@ from repro.sim.metrics import MessageStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.messages import Message
     from repro.sim.chaos.guard import GuardPolicy
+    from repro.sim.chaos.network import Wire
 
 __all__ = ["ENGINES", "Host", "make_simulator"]
 
 
 class Host(Protocol):
-    """One simulated overlay: membership, health, state faults.
-
-    Hosts with a wire (``make_simulator(wire=True)``) additionally expose
-    ``tick``, ``wire_faults``, ``set_wire_faults`` and ``guard``.
-    """
+    """One simulated overlay: membership, health, state faults, wire."""
 
     stats: MessageStats
     #: Messages sent to identifiers that no longer exist.
     dropped: int
+    #: The wire stage (``make_simulator(wire=True)``): a ``ScalarWire`` on
+    #: the node-object and mirror hosts, a ``BatchedWire`` on the batched
+    #: one; ``None`` on a wireless host.
+    @property
+    def wire(self) -> Wire[Any] | None: ...
 
     @property
     def ids(self) -> list[float]: ...
@@ -87,12 +88,8 @@ class Host(Protocol):
     def crash_restart(self, node_ids: Sequence[float] | np.ndarray) -> None: ...
 
 
-#: Fast-engine name (the drivers' vocabulary) → ``from_states`` mode
-#: without / with a wire; ``None`` where no such engine exists.
-_FAST_MODES: dict[str, tuple[str, str | None]] = {
-    "fast": ("batched", "chaos"),
-    "sharded": ("sharded", None),
-}
+#: Fast-engine name (the drivers' vocabulary) → ``from_states`` mode.
+_FAST_MODES = {"fast": "batched", "sharded": "sharded"}
 
 #: The engines a driver's ``engine=`` accepts.
 ENGINES = ("reference", *_FAST_MODES)
@@ -112,29 +109,21 @@ def make_simulator(
     """A simulator over *states* on the named *engine* (see :data:`ENGINES`).
 
     ``wire=True`` (implied by a *guard*) puts the fault-injectable chaos
-    wire under the host — ``ChaosNetwork`` on the reference engine,
-    ``mode="chaos"`` on the fast one; the sharded engine has no wire
-    transport and raises ``ValueError``.  *shards* is read by the sharded
-    engine only.  *engine_options* (``dedup``, ``keep_history``, and on
-    the fast engines ``sanitize``) go to :func:`build_network` or
-    :meth:`FastSimulator.from_states` unchanged.
+    wire under the host as ``host.wire`` — a ``ScalarWire`` on the
+    reference engine, a ``BatchedWire`` on the fast one; the sharded
+    engine has no wire transport and raises ``ValueError``.  *shards* is
+    read by the sharded engine only.  *engine_options* (``dedup``,
+    ``keep_history``, and on the fast engines ``sanitize``) go to
+    :func:`build_network` or :meth:`FastSimulator.from_states` unchanged.
     """
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
         )
-    wire = wire or guard is not None
     if engine == "reference":
-        if wire:
-            engine_options.update(network_cls=ChaosNetwork, guard=guard)
-        return Simulator(build_network(states, config, **engine_options), rng)
-    mode = _FAST_MODES[engine][wire]
-    if mode is None:
-        raise ValueError(
-            f"engine={engine!r} has no wire transport (wire faults and the "
-            "guarded handoff need one); use engine='fast' or 'reference'"
-        )
+        network = build_network(states, config, wire=wire, guard=guard, **engine_options)
+        return Simulator(network, rng)
     return FastSimulator.from_states(
-        states, config, mode=mode, guard=guard, rng=rng, shards=shards,
-        **engine_options,
+        states, config, mode=_FAST_MODES[engine], wire=wire, guard=guard,
+        rng=rng, shards=shards, **engine_options,
     )

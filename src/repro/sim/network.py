@@ -12,6 +12,10 @@ leave at any round boundary; messages addressed to departed nodes are
 dropped, which models the paper's "when a node u leaves the network, it
 disappears from it and the connections it had to and from other nodes also
 disappear".
+
+``Network(wire=True)`` (implied by a ``guard``) puts the fault-injectable
+chaos wire, :class:`~repro.sim.chaos.network.ScalarWire`, between sends and
+staging as :attr:`Network.wire`; a wireless network's ``wire`` is ``None``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from repro.sim.metrics import MessageStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.node import Node
     from repro.core.state import NodeState, StateTuple
+    from repro.sim.chaos.guard import GuardPolicy
+    from repro.sim.chaos.network import ScalarWire
 
 __all__ = ["Network"]
 
@@ -46,9 +52,11 @@ class Network:
         *,
         dedup: bool = True,
         keep_history: bool = False,
+        wire: bool = False,
+        guard: "GuardPolicy | None" = None,
     ) -> None:
         self._nodes: dict[float, "Node"] = {}
-        self._channels: dict[float, Channel] = {}
+        self._channels: dict[float, Channel[Message]] = {}
         self._senders: dict[float, SendFn] = {}
         self._staging: list[tuple[float, Message]] = []
         # Sorted-id cache: the synchronous scheduler reads ``ids`` every
@@ -60,6 +68,12 @@ class Network:
         self.stats = MessageStats(keep_history=keep_history)
         #: Messages sent to identifiers that no longer exist (dropped).
         self.dropped = 0
+        #: The fault-injectable wire stage; ``None`` on a wireless network.
+        self.wire: ScalarWire | None = None
+        if wire or guard is not None:
+            from repro.sim.chaos.network import ScalarWire
+
+            self.wire = ScalarWire(self, guard)
         for node in nodes:
             self.add_node(node)
 
@@ -89,6 +103,8 @@ class Network:
         before = len(self._staging)
         self._staging = [(d, m) for d, m in self._staging if d != node_id]
         self.dropped += before - len(self._staging)
+        if self.wire is not None:
+            self.wire.drop_to(node_id)
         return node
 
     def __contains__(self, node_id: float) -> bool:
@@ -115,7 +131,7 @@ class Network:
         """Return the node with the given identifier."""
         return self._nodes[node_id]
 
-    def channel(self, node_id: float) -> Channel:
+    def channel(self, node_id: float) -> Channel[Message]:
         """Return the channel of the node with the given identifier."""
         return self._channels[node_id]
 
@@ -138,25 +154,25 @@ class Network:
     # Messaging
     # ------------------------------------------------------------------
     def send(self, dest: float, message: Message) -> None:
-        """Stage *message* for delivery to *dest* at the next flush.
+        """Stage *message* for delivery to *dest*, with no sender identity."""
+        self.send_from(None, dest, message)
+
+    def send_from(self, origin: float | None, dest: float, message: Message) -> None:
+        """Stage *message* for delivery to *dest* at the next flush, on
+        behalf of the node *origin*.
 
         Messages to unknown identifiers are counted and dropped — in a live
         system they would sit in a dead host's mailbox; the paper's model
         only ever addresses existing identifiers once stabilized, and during
-        churn the drop models the disappearance of the departed node.
+        churn the drop models the disappearance of the departed node.  The
+        paper's channels carry no sender field: only the wire reads the
+        origin, to route the guarded handoff's acknowledgements back.
         """
         self.stats.record_send(message.type)
-        self._enqueue(dest, message)
-
-    def send_from(self, origin: float, dest: float, message: Message) -> None:
-        """Stage *message* on behalf of the node *origin*.
-
-        The base network ignores the origin — the paper's channels carry no
-        sender field.  Transport-layer subclasses (the guarded-handoff
-        channel of :mod:`repro.sim.chaos`) use it to route acknowledgements
-        back to the sender.
-        """
-        self.send(dest, message)
+        if self.wire is None:
+            self._enqueue(dest, message)
+        else:
+            self.wire.dispatch(origin, dest, message)
 
     def stage(self, dest: float, message: Message) -> None:
         """Stage *message* without counting it as a send.
@@ -183,8 +199,7 @@ class Network:
 
     def _enqueue(self, dest: float, message: Message) -> None:
         """Place *message* in staging (or count it dropped), without
-        touching the send counters — the transport-layer hook subclasses
-        override to interpose on the wire."""
+        touching the send counters (the wire delivers through here)."""
         if dest in self._nodes:
             self._staging.append((dest, message))
         else:
@@ -194,8 +209,11 @@ class Network:
         """Deliver every staged message into its destination channel.
 
         Returns the number of messages that actually entered a channel
-        (coalesced duplicates are not counted).
+        (coalesced duplicates are not counted).  A wire first advances its
+        clock and stages what falls due.
         """
+        if self.wire is not None:
+            self.wire.deliver()
         delivered = 0
         staged, self._staging = self._staging, []
         for dest, message in staged:
@@ -228,6 +246,8 @@ class Network:
         self._staging = kept
         for channel in self._channels.values():
             purged += channel.remove_matching(lambda m: node_id in m.ids)
+        if self.wire is not None:
+            purged += self.wire.purge_mentions(node_id)
         return purged
 
     @property
@@ -239,18 +259,21 @@ class Network:
     def in_flight(self) -> list[tuple[float, Message]]:
         """Every undelivered message as ``(destination, message)`` pairs.
 
-        Includes both staged messages and messages already sitting in
-        channels; this is what the channel-connectivity graphs CC/LCC/RCC
-        (Definition 4.2) read.
+        Staged messages, then messages already sitting in channels, then
+        the wire's share; this is what the channel-connectivity graphs
+        CC/LCC/RCC (Definition 4.2) read.
         """
         out = list(self._staging)
         for nid, channel in self._channels.items():
             out.extend((nid, m) for m in channel.peek_all())
+        if self.wire is not None:
+            out.extend(self.wire.in_flight())
         return out
 
     def pending_total(self) -> int:
-        """Total undelivered messages (staged + in channels)."""
-        return len(self._staging) + sum(len(c) for c in self._channels.values())
+        """Total undelivered messages (staged + in channels + on the wire)."""
+        wire = 0 if self.wire is None else self.wire.pending()
+        return len(self._staging) + sum(len(c) for c in self._channels.values()) + wire
 
     # ------------------------------------------------------------------
     # Host surface (:class:`repro.sim.host.Host`): each call answers from

@@ -339,7 +339,7 @@ def leave_outbox_reference(chunks: list[list[tuple]], victims: np.ndarray) -> in
 
 
 def leave_wire_reference(wire: WireRows, node_id: float) -> tuple[WireRows, int]:
-    """The scalar ``ChaosFastEngine.leave`` wire purge of one victim:
+    """The batched wire's purge of one scalar ``leave`` victim:
     frames to it die counted, frames naming it uncounted, acks stay."""
     doomed = (wire.dest == node_id) & (wire.kind != KIND_ACK)
     wire = wire.take(~doomed)

@@ -19,7 +19,6 @@ from repro.graphs.predicates import is_sorted_ring
 from repro.ids import generate_ids
 from repro.sim.chaos import (
     ChaosCampaign,
-    ChaosNetwork,
     ConvergenceProbe,
     CrashRestart,
     FaultInjector,
@@ -45,7 +44,7 @@ def build_stable_chaos(n=16, seed=0, *, guard=None):
     rng = np.random.default_rng(seed)
     states = stable_ring_states(n, lrl="harmonic", rng=rng, ids=generate_ids(n, rng))
     net = build_network(
-        states, ProtocolConfig(), network_cls=ChaosNetwork, guard=guard
+        states, ProtocolConfig(), wire=True, guard=guard
     )
     sim = Simulator(net, rng)
     sim.run(5)
@@ -54,12 +53,12 @@ def build_stable_chaos(n=16, seed=0, *, guard=None):
 
 
 def build_quiet_chaos(n=8, seed=0, *, guard=None):
-    """A stable-ring ChaosNetwork with no protocol traffic: the wire and
+    """A stable-ring wired network with no protocol traffic: the wire and
     the guard counters stay at zero until the test itself sends frames."""
     rng = np.random.default_rng(seed)
     states = stable_ring_states(n, lrl="harmonic", rng=rng, ids=generate_ids(n, rng))
     net = build_network(
-        states, ProtocolConfig(), network_cls=ChaosNetwork, guard=guard
+        states, ProtocolConfig(), wire=True, guard=guard
     )
     assert is_sorted_ring(net.states())
     return net
@@ -242,17 +241,16 @@ class TestInjectors:
 
 
 # ----------------------------------------------------------------------
-# ChaosNetwork
+# The wired network
 # ----------------------------------------------------------------------
 class TestChaosNetwork:
     def test_no_faults_matches_plain_network(self):
         """An idle wire must be observationally identical to Network."""
         results = []
-        for cls in (None, ChaosNetwork):
+        for wire in (False, True):
             rng = np.random.default_rng(5)
             states = random_tree_topology(20, rng)
-            kwargs = {"network_cls": cls} if cls else {}
-            net = build_network(states, ProtocolConfig(), **kwargs)
+            net = build_network(states, ProtocolConfig(), wire=wire)
             sim = Simulator(net, rng)
             rounds = sim.run_until(
                 lambda nw: is_sorted_ring(nw.states()),
@@ -310,21 +308,21 @@ class TestGuardedHandoff:
             seed=3, guard=GuardPolicy(retry_interval=1, backoff=1.0)
         )
         a, b = net.ids[0], net.ids[1]
-        net.set_wire_faults([DropAll()])
+        net.wire.set_wire_faults([DropAll()])
         net.send_from(a, b, lin(a))
-        assert net.guard.stats.guarded == 1
+        assert net.wire.guard.stats.guarded == 1
         for _ in range(3):
             net.flush()  # retransmissions die on the faulty wire too
-        assert net.guard.stats.delivered == 0
-        assert len(net.guard) == 1  # still buffered, payload still alive
-        net.set_wire_faults(())
+        assert net.wire.guard.stats.delivered == 0
+        assert len(net.wire.guard) == 1  # still buffered, payload still alive
+        net.wire.set_wire_faults(())
         for _ in range(4):
             net.flush()
-        stats = net.guard.stats
+        stats = net.wire.guard.stats
         assert stats.delivered == 1
         assert stats.retransmits >= 3
         assert stats.acks_received == 1
-        assert len(net.guard) == 0  # acked and cleared
+        assert len(net.wire.guard) == 0  # acked and cleared
         assert lin(a) in net.channel(b).peek_all()
 
     def test_duplicate_envelopes_deliver_once_but_ack_twice(self):
@@ -332,12 +330,12 @@ class TestGuardedHandoff:
         a, b = net.ids[0], net.ids[1]
         dup = MessageDuplication(rate=1.0, copies=1)
         FaultPlan(seed=1).schedule(dup)
-        net.set_wire_faults([dup])
+        net.wire.set_wire_faults([dup])
         net.send_from(a, b, lin(a))
-        net.set_wire_faults(())
+        net.wire.set_wire_faults(())
         for _ in range(3):
             net.flush()
-        stats = net.guard.stats
+        stats = net.wire.guard.stats
         assert stats.delivered == 1
         assert stats.duplicates == 1
         assert stats.acks_sent == 2
@@ -349,14 +347,14 @@ class TestGuardedHandoff:
             guard=GuardPolicy(retry_interval=1, backoff=1.0, max_attempts=3),
         )
         a, b = net.ids[0], net.ids[1]
-        net.set_wire_faults([DropAll()])
+        net.wire.set_wire_faults([DropAll()])
         net.send_from(a, b, lin(a))
         for _ in range(6):
             net.flush()
-        stats = net.guard.stats
+        stats = net.wire.guard.stats
         assert stats.abandoned == 1
         assert stats.retransmits == 2  # attempts 2 and 3 of max_attempts=3
-        assert len(net.guard) == 0
+        assert len(net.wire.guard) == 0
 
     def test_unguarded_types_bypass_the_transport(self):
         net = build_quiet_chaos(seed=6, guard=GuardPolicy())
@@ -364,30 +362,30 @@ class TestGuardedHandoff:
 
         a, b = net.ids[0], net.ids[1]
         net.send_from(a, b, probr(b))
-        assert net.guard.stats.guarded == 0
+        assert net.wire.guard.stats.guarded == 0
         net.flush()
         assert probr(b) in net.channel(b).peek_all()
 
     def test_departed_destination_purges_buffer(self):
         net = build_quiet_chaos(seed=7, guard=GuardPolicy())
         a, b = net.ids[0], net.ids[4]
-        net.set_wire_faults([DropAll()])
+        net.wire.set_wire_faults([DropAll()])
         net.send_from(a, b, lin(a))
-        net.set_wire_faults(())
-        assert len(net.guard) == 1
+        net.wire.set_wire_faults(())
+        assert len(net.wire.guard) == 1
         net.remove_node(b)
-        assert len(net.guard) == 0
-        assert net.guard.stats.abandoned == 1
+        assert len(net.wire.guard) == 0
+        assert net.wire.guard.stats.abandoned == 1
 
     def test_in_flight_counts_retransmit_buffer(self):
         """The buffered payload keeps its identifiers alive for the
         connectivity views — the mechanism that prevents permanent splits."""
         net = build_quiet_chaos(seed=8, guard=GuardPolicy())
         a, b = net.ids[0], net.ids[1]
-        net.set_wire_faults([DropAll()])
+        net.wire.set_wire_faults([DropAll()])
         net.send_from(a, b, lin(a))
         net.flush()
-        net.set_wire_faults(())
+        net.wire.set_wire_faults(())
         assert (b, lin(a)) in net.in_flight
 
 
@@ -446,7 +444,7 @@ class TestChaosCampaign:
         rng = np.random.default_rng(0)
         net = build_network(stable_ring_states(8), ProtocolConfig())
         plan = FaultPlan(seed=0).schedule(MessageLoss(rate=0.1))
-        with pytest.raises(TypeError, match="ChaosNetwork"):
+        with pytest.raises(TypeError, match="has no wire"):
             ChaosCampaign(Simulator(net, rng), plan)
 
     def test_negative_rounds_rejected(self):
@@ -484,7 +482,7 @@ class TestChaosCampaign:
         states = stable_ring_states(
             24, lrl="harmonic", rng=rng, ids=generate_ids(24, rng)
         )
-        net = build_network(states, ProtocolConfig(), network_cls=ChaosNetwork)
+        net = build_network(states, ProtocolConfig(), wire=True)
         sim = Simulator(net, rng, scheduler=AsyncScheduler())
         sim.run(5)
         victims = (net.ids[3], net.ids[17])
@@ -558,6 +556,6 @@ class TestPermanentSplitRegression:
         assert burst.time_to_detect is not None
         assert burst.time_to_reconverge is not None
         assert burst.time_to_reconverge >= 0
-        stats = net.guard.stats
+        stats = net.wire.guard.stats
         assert stats.abandoned == 0  # no handoff exhausted its retries
         assert stats.retransmits > 0  # the guard actually worked for it

@@ -22,10 +22,9 @@ from hypothesis import strategies as st
 
 from repro.sim.chaos.guard import GuardPolicy
 from repro.sim.fast.buffers import N_TYPES, RESLRL, Outbox
-from repro.sim.fast.chaos.batched import BatchedGuard, ChaosFastEngine
+from repro.sim.fast.chaos.batched import BatchedGuard, BatchedWire
 from repro.sim.fast.chaos.wire import KIND_ACK, KIND_ENVELOPE, KIND_MESSAGE, WireRows
 from repro.sim.metrics import MessageStats
-from repro.topology.generators import TOPOLOGIES
 from tests.reference_flush import (
     leave_guard_reference,
     leave_outbox_reference,
@@ -126,24 +125,23 @@ WIRE_FIELDS = ("dest", "kind", "tcode", "a", "b", "c", "origin", "seq")
 @settings(max_examples=300, deadline=None)
 @given(case=wire_and_guard(), victims=victim_sets)
 def test_wire_and_guard_sweep_equals_per_victim_purges(case, victims) -> None:
-    """``ChaosFastEngine``'s one purge entry point against the per-victim
-    wire and guard purges of a scalar ``leave``: acks survive, frames and
-    pending rows die with the same counts."""
+    """``BatchedWire.depart``, the batched wire's one purge entry point,
+    against the per-victim wire and guard purges of a scalar ``leave``:
+    acks survive, frames and pending rows die, and the count it returns is
+    the reference's dropped count."""
     wire, guard = case
-    engine = ChaosFastEngine(
-        TOPOLOGIES["line"](4, np.random.default_rng(0)), guard=GuardPolicy()
-    )
-    engine._wire, engine._guard = copy.deepcopy(wire), copy.deepcopy(guard)
-    engine._after_leave_batch(np.sort(np.array(victims)))
+    stage = BatchedWire(GuardPolicy())
+    stage._wire, stage._guard = copy.deepcopy(wire), copy.deepcopy(guard)
+    counted_by_stage = stage.depart(np.sort(np.array(victims)))
 
     dropped = 0
     for nid in sorted(victims):
         wire, counted = leave_wire_reference(wire, nid)
         dropped += counted
         leave_guard_reference(guard, nid)
-    assert engine.dropped == dropped
+    assert counted_by_stage == dropped
     for name in WIRE_FIELDS:
-        np.testing.assert_array_equal(getattr(engine._wire, name), getattr(wire, name), name)
-    assert engine.guard is not None
-    np.testing.assert_array_equal(engine.guard.alive, guard.alive)
-    assert engine.guard.stats.abandoned == guard.stats.abandoned
+        np.testing.assert_array_equal(getattr(stage._wire, name), getattr(wire, name), name)
+    assert stage.guard is not None
+    np.testing.assert_array_equal(stage.guard.alive, guard.alive)
+    assert stage.guard.stats.abandoned == guard.stats.abandoned

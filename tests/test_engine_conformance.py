@@ -3,8 +3,8 @@
 Two layers of agreement, per docs/PERF.md and docs/CHAOS.md:
 
 * **exact** — the mirror engines are draw-for-draw twins of the reference
-  stack, so reference vs ``mode="mirror"`` (fault-free) and reference
-  ``ChaosNetwork`` vs ``mode="mirror-chaos"`` (faulted) must finish with
+  stack, so reference vs ``mode="mirror"`` (fault-free) and the wired
+  reference vs the wired mirror (faulted) must finish with
   the *identical final topology and message census*;
 * **structural** — the batched engines draw their RNG in a different
   order, so ``spec.run(engine=...)`` is conformance-checked for shape:
@@ -27,7 +27,6 @@ from repro.core.protocol import ProtocolConfig, build_network
 from repro.experiments.registry import EXPERIMENTS
 from repro.sim.chaos.guard import GuardPolicy
 from repro.sim.chaos.injectors import MessageDelay, MessageLoss
-from repro.sim.chaos.network import ChaosNetwork
 from repro.sim.chaos.plan import FaultPlan
 from repro.sim.engine import Simulator
 from repro.sim.fast import FastSimulator
@@ -142,22 +141,21 @@ def test_mirror_conformance_fault_free(topo: str) -> None:
 
 @pytest.mark.parametrize("topo", ["line", "random_tree"])
 def test_mirror_conformance_faulted(topo: str) -> None:
-    """``ChaosNetwork`` vs ``mode="mirror-chaos"`` under a loss+delay
-    plan with the guard: identical final topology and message census."""
+    """The wired reference vs the wired mirror under a loss+delay plan
+    with the guard: identical final topology and message census."""
     seed = 13
     states = TOPOLOGIES[topo](28, np.random.default_rng(seed))
     policy = GuardPolicy()
     network = build_network(
         copy.deepcopy(states),
         ProtocolConfig(),
-        network_cls=ChaosNetwork,
         guard=policy,
     )
     reference = Simulator(network, rng=np.random.default_rng(seed + 1))
     mirror = FastSimulator.from_states(
         copy.deepcopy(states),
         ProtocolConfig(),
-        mode="mirror-chaos",
+        mode="mirror",
         guard=policy,
         rng=np.random.default_rng(seed + 1),
     )
@@ -174,9 +172,9 @@ def test_mirror_conformance_faulted(topo: str) -> None:
     sims = {"reference": reference, "mirror": mirror}
     for r in range(30):
         for kind in ("reference", "mirror"):
-            hosts[kind].set_wire_faults(plans[kind].active_wire_faults(r))
+            hosts[kind].wire.set_wire_faults(plans[kind].active_wire_faults(r))
             sims[kind].step_round()
     assert network.state_snapshot() == mirror.engine.state_snapshot()
     assert network.stats.totals_by_type == mirror.engine.stats.totals_by_type
     assert network.dropped == mirror.engine.dropped
-    assert vars(network.guard.stats) == vars(mirror.engine.guard.stats)
+    assert vars(network.wire.guard.stats) == vars(mirror.engine.wire.guard.stats)

@@ -1,8 +1,8 @@
-"""The batched chaos engine: determinism, recovery regression, guard pins.
+"""The batched chaos wire: determinism, recovery regression, guard pins.
 
-``mode="chaos"`` trades draw-for-draw equivalence for throughput (its RNG
-is batched, so individual draws differ from the reference — the exact
-oracle is ``mode="mirror-chaos"``, pinned in
+A wired batched engine trades draw-for-draw equivalence for throughput (its
+RNG is batched, so individual draws differ from the reference — the exact
+oracle is the wired mirror, pinned in
 ``tests/test_fast_chaos_differential.py``).  What it must still deliver,
 pinned here:
 
@@ -10,7 +10,7 @@ pinned here:
   canonical E21 quick campaign is pinned by digest);
 * **the E21 claim** — a loss burst splits the bare overlay permanently
   while the guarded transport converges with zero abandoned handoffs;
-* **fail-loudly contracts** — a guard on a non-chaos engine, a custom
+* **fail-loudly contracts** — a guard on a wireless engine, a custom
   wire injector without a vectorized executor, wire faults on a plain
   transport, and scheduler faults on the batched engines all raise
   ``TypeError``/``ValueError`` instead of silently skipping faults.
@@ -19,6 +19,7 @@ pinned here:
 from __future__ import annotations
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from repro.sim.chaos.injectors import (
     SchedulerFault,
 )
 from repro.sim.chaos.plan import FaultPlan
-from repro.sim.fast import ChaosFastEngine, FastSimulator
+from repro.obs.profile import PhaseProfiler
+from repro.sim.fast import FastEngine, FastSimulator
+from repro.sim.fast.chaos import BatchedWire
 from repro.sim.schedulers import SynchronousScheduler
 from repro.topology.generators import line_topology
 
@@ -64,7 +67,7 @@ class TestFastCampaignDeterminism:
         host2, res2 = quick_campaign()
         assert res1.trace.to_text() == res2.trace.to_text()
         assert host1.state_snapshot() == host2.state_snapshot()
-        assert vars(host1.guard.stats) == vars(host2.guard.stats)
+        assert vars(host1.wire.guard.stats) == vars(host2.wire.guard.stats)
         assert host1.stats.totals_by_type == host2.stats.totals_by_type
 
     def test_canonical_trace_digest(self):
@@ -95,7 +98,7 @@ class TestFastPermanentSplitRegression:
         )
         assert res.partition_round is not None
         assert not res.healthy
-        assert host.guard is None
+        assert host.wire.guard is None
 
     def test_guard_recovers_with_no_abandoned_handoffs(self):
         host, res = e21_chaos.run_campaign(
@@ -109,7 +112,7 @@ class TestFastPermanentSplitRegression:
         )
         assert res.partition_round is None
         assert res.healthy
-        stats = host.guard.stats
+        stats = host.wire.guard.stats
         assert stats.abandoned == 0
         assert stats.retransmits > 0
         assert stats.overhead_frames() == stats.retransmits + stats.acks_sent
@@ -127,38 +130,38 @@ class TestFailLoudlyContracts:
         self.states = line_topology(16, np.random.default_rng(0))
 
     def test_guard_requires_chaos_mode(self):
-        with pytest.raises(ValueError, match="guard requires a chaos engine"):
+        with pytest.raises(ValueError, match="no wire transport"):
             FastSimulator.from_states(
                 self.states,
                 ProtocolConfig(),
-                mode="batched",
+                mode="sharded",
                 guard=GuardPolicy(),
             )
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mirror-chaos"):
+        with pytest.raises(ValueError, match="'mirror'"):
             FastSimulator.from_states(
                 self.states, ProtocolConfig(), mode="turbo"
             )
 
     def test_custom_injector_rejected_by_batched_engine(self):
         sim = FastSimulator.from_states(
-            self.states, ProtocolConfig(), mode="chaos"
+            self.states, ProtocolConfig(), wire=True
         )
-        engine = sim.engine
-        assert isinstance(engine, ChaosFastEngine)
+        wire = sim.engine.wire
+        assert isinstance(wire, BatchedWire)
         injector = NoExecutorInjector()
         injector.bind(np.random.default_rng(1))
         with pytest.raises(TypeError, match="vectorized wire executor"):
-            engine.set_wire_faults([injector])
+            wire.set_wire_faults([injector])
 
     def test_custom_injector_accepted_by_mirror_chaos(self):
         sim = FastSimulator.from_states(
-            self.states, ProtocolConfig(), mode="mirror-chaos"
+            self.states, ProtocolConfig(), mode="mirror", wire=True
         )
         injector = NoExecutorInjector()
         injector.bind(np.random.default_rng(1))
-        sim.engine.set_wire_faults([injector])  # must not raise
+        sim.engine.wire.set_wire_faults([injector])  # must not raise
 
     def test_wire_faults_need_chaos_transport(self):
         sim = FastSimulator.from_states(
@@ -167,12 +170,12 @@ class TestFailLoudlyContracts:
         plan = FaultPlan(seed=0).schedule(
             MessageLoss(rate=0.5), start=0, stop=10, label="loss"
         )
-        with pytest.raises(TypeError, match="ChaosNetwork"):
+        with pytest.raises(TypeError, match="wire=True"):
             ChaosCampaign(sim, plan, ())
 
     def test_scheduler_fault_installs_wave_fault_on_fast_simulator(self):
         sim = FastSimulator.from_states(
-            self.states, ProtocolConfig(), mode="chaos"
+            self.states, ProtocolConfig(), wire=True
         )
         fault = SchedulerFault(permute_waves=True, starvation=0.2)
         fault.bind(np.random.default_rng(7))
@@ -203,7 +206,7 @@ class TestFailLoudlyContracts:
 
     def test_scheduler_fault_rejected_on_mirror_chaos(self):
         sim = FastSimulator.from_states(
-            self.states, ProtocolConfig(), mode="mirror-chaos"
+            self.states, ProtocolConfig(), mode="mirror", wire=True
         )
         fault = SchedulerFault(SynchronousScheduler())
         with pytest.raises(TypeError, match="wave structure"):
@@ -239,3 +242,26 @@ class TestE21FastRows:
         guarded = [r for r in result.rows if r["transport"] == "guarded"]
         assert all(r["overhead_frames"] > 0 for r in guarded)
         assert all(r["abandoned"] == 0 for r in guarded)
+
+
+def test_wire_phases_are_exclusive(monkeypatch):
+    """The wire's delivery is timed as ``wire`` and not again as ``flush``:
+    with a delay slipped into it, the phases still sum to no more than the
+    wall clock of the rounds they time."""
+    engine = FastEngine(line_topology(64, np.random.default_rng(3)), guard=GuardPolicy())
+    engine.profiler = profiler = PhaseProfiler()
+    deliver = engine.wire.deliver
+
+    def slow_deliver(soa):
+        time.sleep(0.02)
+        return deliver(soa)
+
+    monkeypatch.setattr(engine.wire, "deliver", slow_deliver)
+    rng = np.random.default_rng(4)
+    start = time.perf_counter()
+    for _ in range(4):
+        engine.execute_round(rng)
+    wall = time.perf_counter() - start
+    assert profiler.seconds["wire"] >= 0.08
+    assert profiler.seconds["flush"] < 0.08
+    assert profiler.total_seconds() <= wall

@@ -1,14 +1,15 @@
-"""Differential equivalence: the chaos mirror engine vs ``ChaosNetwork``.
+"""Differential equivalence: the wired mirror engine vs the wired network.
 
 The chaos port's bit-exactness contract (docs/CHAOS.md): fed the same
 initial states, the same simulator seed, and a twin-built
 :class:`~repro.sim.chaos.plan.FaultPlan` (same plan seed, same labels in
 the same order, so every injector gets an identical derived generator),
-``mode="mirror-chaos"`` replays the reference chaos stack draw for draw.
+``FastSimulator.from_states(mode="mirror", wire=True)`` replays the
+reference chaos stack (``Network(wire=True)``) draw for draw.
 Per-round state snapshots, message counters, drop counters, pending
 totals, guard statistics, and campaign traces must all be **identical**
 for every shipped injector — this is the oracle that pins the fault
-semantics before the batched ``mode="chaos"`` engine is trusted at scale.
+semantics before the batched engine's wire is trusted at scale.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.sim.chaos.monitors import (
     PartitionDetector,
     WeakConnectivityWatchdog,
 )
-from repro.sim.chaos.network import ChaosNetwork
 from repro.sim.chaos.plan import FaultPlan
 from repro.sim.engine import Simulator
 from repro.sim.fast import FastSimulator
@@ -129,16 +129,17 @@ def build_plan(scenario: str, seed: int) -> FaultPlan:
 def make_chaos_pair(
     topo: str, n: int, seed: int, *, guard: bool
 ) -> tuple[Simulator, FastSimulator]:
-    """Reference-chaos and mirror-chaos simulators over identical state."""
+    """Wired reference and wired mirror simulators over identical state."""
     states = TOPOLOGIES[topo](n, np.random.default_rng(seed))
     cfg = ProtocolConfig()
     policy = GuardPolicy() if guard else None
-    network = build_network(copy.deepcopy(states), cfg, network_cls=ChaosNetwork, guard=policy)
+    network = build_network(copy.deepcopy(states), cfg, wire=True, guard=policy)
     reference = Simulator(network, rng=np.random.default_rng(seed + 10_000))
     mirror = FastSimulator.from_states(
         copy.deepcopy(states),
         cfg,
-        mode="mirror-chaos",
+        mode="mirror",
+        wire=True,
         guard=policy,
         rng=np.random.default_rng(seed + 10_000),
     )
@@ -157,10 +158,10 @@ def assert_chaos_identical(
     assert network.stats.totals_by_type == engine.stats.totals_by_type
     assert network.dropped == engine.dropped
     assert network.pending_total() == engine.pending_total()
-    assert network.tick == engine.tick
-    if network.guard is not None:
-        assert engine.guard is not None
-        assert vars(network.guard.stats) == vars(engine.guard.stats)
+    assert network.wire.tick == engine.wire.tick
+    if network.wire.guard is not None:
+        assert engine.wire.guard is not None
+        assert vars(network.wire.guard.stats) == vars(engine.wire.guard.stats)
 
 
 def drive_round(sim, host, plan: FaultPlan, r: int) -> None:
@@ -168,7 +169,7 @@ def drive_round(sim, host, plan: FaultPlan, r: int) -> None:
     (monitors omitted: the per-round differential compares raw state)."""
     for sf in plan.starting(r):
         sf.injector.on_window_start(sim)
-    host.set_wire_faults(plan.active_wire_faults(r))
+    host.wire.set_wire_faults(plan.active_wire_faults(r))
     for sf in plan.firing(r):
         sf.injector.on_round(sim)
     sim.step_round()
@@ -251,7 +252,8 @@ def test_mirror_chaos_without_faults_matches_plain_mirror() -> None:
     chaos = FastSimulator.from_states(
         copy.deepcopy(states),
         ProtocolConfig(),
-        mode="mirror-chaos",
+        mode="mirror",
+        wire=True,
         rng=np.random.default_rng(seed + 10_000),
     )
     for _ in range(20):

@@ -9,7 +9,7 @@ from repro.core.protocol import ProtocolConfig, build_network
 from repro.graphs.build import stable_ring_states
 from repro.graphs.predicates import is_sorted_ring
 from repro.ids import generate_ids
-from repro.sim.chaos import ChaosNetwork, MessageLoss
+from repro.sim.chaos import MessageLoss
 from repro.sim.engine import Simulator
 from repro.sim.faults import corrupt_random_pointers, crash_restart
 from repro.topology.generators import random_tree_topology
@@ -25,16 +25,16 @@ def build_stable(n=24, seed=0):
 
 
 def build_lossy(states, loss_rate, rng):
-    """A chaos network whose every send is dropped i.i.d. with *loss_rate*.
+    """A wired network whose every send is dropped i.i.d. with *loss_rate*.
 
     The injector is bound to the caller's generator — one uniform draw per
     send, in send order, interleaved with the simulator's own draws; the
     pinned seeds below rely on that stream staying put.
     """
-    net = build_network(states, ProtocolConfig(), network_cls=ChaosNetwork)
+    net = build_network(states, ProtocolConfig(), wire=True)
     loss = MessageLoss(rate=loss_rate)
     loss.bind(rng)
-    net.set_wire_faults([loss])
+    net.wire.set_wire_faults([loss])
     return net, loss
 
 

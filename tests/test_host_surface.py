@@ -17,6 +17,7 @@ import importlib
 import pathlib
 import pkgutil
 import re
+from typing import Protocol
 
 import numpy as np
 import pytest
@@ -45,11 +46,13 @@ from repro.sim.chaos.monitors import (
     WeakConnectivityWatchdog,
 )
 from repro.sim.chaos.plan import FaultPlan
-from repro.sim.fast import FastSimulator
+from repro.sim.fast import FastEngine, FastSimulator, MirrorEngine, ShardedEngine
 from repro.sim.fast.buffers import LIN, Outbox
+from repro.sim.fast.shard.core import ShardCore
 from repro.sim.fast.soa import SoAState
 from repro.sim.host import ENGINES, make_simulator
 from repro.sim.invariants import InvariantViolation
+from repro.sim.network import Network
 from repro.topology.generators import TOPOLOGIES
 
 N = 24
@@ -63,7 +66,7 @@ BUILDERS = {
     "fast+wire": lambda s: make_simulator(s, engine="fast", wire=True, rng=5),
     "sharded": lambda s: make_simulator(s, engine="sharded", rng=5),
     "mirror": lambda s: FastSimulator.from_states(s, mode="mirror", rng=5),
-    "mirror+wire": lambda s: FastSimulator.from_states(s, mode="mirror-chaos", rng=5),
+    "mirror+wire": lambda s: FastSimulator.from_states(s, mode="mirror", wire=True, rng=5),
 }
 
 
@@ -110,6 +113,26 @@ def _health(host) -> dict[str, object]:
 
 def test_every_engine_name_is_in_the_matrix():
     assert {name.split("+")[0] for name in BUILDERS} >= set(ENGINES)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_wire_is_one_row_of_the_matrix(name):
+    """Every host answers ``host.wire``: ``None`` without a wire, else the
+    stage with the fault surface; a campaign refuses wire faults on
+    exactly the wireless hosts."""
+    sim = BUILDERS[name](_states("line"))
+    wire = sim.host.wire
+    assert (wire is not None) == name.endswith("+wire")
+    plan = FaultPlan(seed=3).schedule(MessageLoss(rate=0.5), start=0, stop=2, label="loss")
+    if wire is None:
+        with pytest.raises(TypeError, match="has no wire"):
+            ChaosCampaign(sim, plan)
+        return
+    assert wire.tick == 0 and wire.wire_faults == [] and wire.guard is None
+    ChaosCampaign(sim, plan).run(1)
+    assert wire.tick == 1 and wire.wire_faults == []
+    wire.set_wire_faults(plan.active_wire_faults(0))
+    assert len(wire.wire_faults) == 1
 
 
 def test_sharded_with_wire_names_the_missing_transport(states):
@@ -306,9 +329,9 @@ def test_check_invariants_reads_the_wire(name):
         host.outbox.send(
             LIN, np.array([dest]), np.array([stranger]), origin=np.array([origin])
         )
-        host._close_round(np.random.default_rng(0))
+        assert host.wire.send(host.outbox.take_all(), host.soa) == 0
     else:
-        host._dispatch(origin, dest, lin(stranger))
+        host.wire.dispatch(origin, dest, lin(stranger))
     assert (dest, lin(stranger)) in host.in_flight
     with pytest.raises(InvariantViolation) as raised:
         host.check_invariants()
@@ -366,7 +389,6 @@ def test_membership_has_one_path():
                 defined |= {f"{cls.__name__}.{name}" for name in own}
     assert defined == {
         "SoAHost.join", "SoAHost.leave", "MirrorEngine.join", "MirrorEngine.leave",
-        "ChaosMirrorEngine.leave",
     }
     for name in ("add", "remove", "scrub_departed"):
         assert not hasattr(SoAState, name)
@@ -409,9 +431,47 @@ def test_in_flight_has_one_reader():
     assert not left, {name: owners[name] for name in left}
     assert owners["in_flight"] == owners["in_flight_id_pairs"] == {"SoAHost"}
     assert {cls.__name__ for cls in engines} == {
-        "FastEngine", "ChaosFastEngine", "ShardedEngine", "MirrorEngine",
-        "ChaosMirrorEngine",
+        "FastEngine", "ShardedEngine", "MirrorEngine",
     }
     for cls in engines:
         readers = {name for name in vars(cls) if IN_FLIGHT_NAME.search(name)}
         assert readers == {"in_flight_rows"}, cls.__name__
+
+
+def _classes_under(package: str) -> list[type]:
+    """Every class defined in a module of *package* (its modules imported)."""
+    root = importlib.import_module(package)
+    names = [package] + [
+        info.name for info in pkgutil.walk_packages(root.__path__, prefix=package + ".")
+    ]
+    return [
+        cls
+        for name in names
+        for cls in vars(importlib.import_module(name)).values()
+        if isinstance(cls, type) and cls.__module__ == name
+    ]
+
+
+def test_five_engine_shaped_classes():
+    """An engine is a host class that counts and lists what is in flight
+    (``Host`` itself, a protocol, only describes one).
+    The wire is a stage every host holds (``host.wire``), not a subclass:
+    five engine-shaped classes, and no engine subclassed but the shard
+    core."""
+    engines = {
+        cls.__name__
+        for cls in _classes_under("repro.sim")
+        if hasattr(cls, "pending_total") and hasattr(cls, "in_flight")
+        and Protocol not in cls.__mro__
+    }
+    assert engines == {"Network", "MirrorEngine", "FastEngine", "ShardCore", "ShardedEngine"}
+    subclasses = {
+        cls.__name__
+        for cls in _classes_under("repro")
+        if issubclass(cls, (Network, MirrorEngine, FastEngine))
+        and cls not in (Network, MirrorEngine, FastEngine)
+    }
+    assert subclasses == {"ShardCore"}
+    assert issubclass(ShardCore, FastEngine) and ShardedEngine.wire is None
+    for hook in ("has_wire", "_take_wire", "_close_round", "_after_leave_batch"):
+        assert not hasattr(FastEngine, hook), hook

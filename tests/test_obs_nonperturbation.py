@@ -23,7 +23,6 @@ from repro.obs.observer import Observer
 from repro.obs.runtime import activated
 from repro.sim.chaos import (
     ChaosCampaign,
-    ChaosNetwork,
     ConvergenceProbe,
     FaultPlan,
     PointerCorruption,
@@ -124,9 +123,7 @@ class TestObserverDoesNotPerturb:
             def body():
                 rng = np.random.default_rng(11)
                 states = TOPOLOGIES["random_tree"](24, rng)
-                net = build_network(
-                    states, ProtocolConfig(), network_cls=ChaosNetwork
-                )
+                net = build_network(states, ProtocolConfig(), wire=True)
                 sim = Simulator(net, rng)
                 plan = FaultPlan(seed=11).schedule(
                     PointerCorruption(fraction=0.4), at=5, label="corrupt"

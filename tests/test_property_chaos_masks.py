@@ -90,7 +90,7 @@ def bind_chain(chain: list, seed: int) -> list:
 
 def scalar_fold(rows: list[tuple], chain: list) -> list[tuple]:
     """The reference semantics: each frame through the whole chain, one
-    ``on_wire`` call at a time (``ChaosNetwork._transmit``'s loop)."""
+    ``on_wire`` call at a time (``ScalarWire._transmit``'s loop)."""
     out: list[tuple] = []
     for dest, tcode, a, b, c in rows:
         if tcode == RESLRL:

@@ -188,11 +188,12 @@ def test_env_flag_activates_engines(monkeypatch):
     assert FastEngine(make_states(), sanitize=True).sanitizer is not None
 
 
-@pytest.mark.parametrize("mode", ["chaos", "mirror-chaos"])
+@pytest.mark.parametrize("mode", ["batched", "mirror"])
 def test_chaos_modes_accept_sanitize_flag(mode):
     sim = FastSimulator.from_states(
         make_states(),
         mode=mode,
+        wire=True,
         sanitize=True,
         rng=np.random.default_rng([SEED, 2]),
     )

@@ -3,11 +3,12 @@
 Every send of :class:`~repro.sim.fast.kernels.Kernels` goes through
 ``Kernels._send``, which gathers the sender-id column (``origin``) only into
 an outbox whose ``keep_origin`` is set.  The chaos wire is its one reader
-(the guard wraps rows and addresses acks by it), so ``ChaosFastEngine``
+(the guard wraps rows and addresses acks by it), so a wired ``FastEngine``
 turns it on and nothing else does.  Here every one of the send sites is
 driven on single-node batches — where the sender of every staged row is
-known — on each engine: on the chaos engine each row's ``origin`` is its
-sender's id, on ``FastEngine`` and on every ``ShardCore`` it is ``None``.
+known — on each engine: on the wired engine each row's ``origin`` is its
+sender's id, on a wireless ``FastEngine`` and on every ``ShardCore`` it is
+``None``.
 The chaos wire's pinned traces and the serving hop-trace digest are held
 by ``tests/test_fast_chaos.py`` and ``tests/test_serve_routing.py``.
 """

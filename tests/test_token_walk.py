@@ -26,7 +26,6 @@ from repro.core.protocol import ProtocolConfig
 from repro.sim.chaos.injectors import MessageDelay
 from repro.sim.fast.batched import FastEngine, token_draws, walk_cuts
 from repro.sim.fast.buffers import N_TYPES, RESLRL
-from repro.sim.fast.chaos import ChaosFastEngine
 from repro.sim.fast.chaos.scheduler import WaveDispatchFault
 from repro.topology.generators import TOPOLOGIES
 from tests.reference_flush import walk_tokens_reference
@@ -164,10 +163,10 @@ def test_segment_walk_equals_wave_walk(config, nodes, rows, invalid, seed) -> No
 # a starving wave fault
 # ----------------------------------------------------------------------
 def delayed(states, config, seed: int) -> FastEngine:
-    engine = ChaosFastEngine(states, config)
+    engine = FastEngine(states, config, wire=True)
     delay = MessageDelay(max_delay=3)
     delay.bind(np.random.default_rng(seed))
-    engine.set_wire_faults([delay])
+    engine.wire.set_wire_faults([delay])
     return engine
 
 

@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
+from repro.serve.host import _WaveOrder
 from repro.sim.fast import batched
 from repro.sim.fast.batched import FastEngine, writer_rows
 from repro.sim.fast.buffers import N_TYPES, RESLRL, build_inbox
-from repro.sim.fast.chaos import ChaosFastEngine
 from repro.sim.fast.chaos.scheduler import WaveDispatchFault
 from repro.sim.fast.engine import FastSimulator
 from repro.sim.fast.kernels import Kernels
@@ -99,8 +99,9 @@ def build(kind: str, config: ProtocolConfig, nodes, rows, *, sanitize=None):
     """An engine of *kind* over the corrupted nodes with *rows* staged.
 
     ``writer`` is the shipped batched engine; ``all-true`` is the same
-    engine with the writer gate shut (``has_wire`` set on the instance),
-    which makes every row a writer; ``sharded-k`` is k inline shards.
+    engine with the writer gate shut by the identity ``WaveFault`` the
+    serving host installs, which makes every row a writer; ``sharded-k``
+    is k inline shards.
     """
     states = [NodeState(id=v) for v in IDS]
     if kind.startswith("sharded"):
@@ -111,7 +112,8 @@ def build(kind: str, config: ProtocolConfig, nodes, rows, *, sanitize=None):
     else:
         engine = FastEngine(states, config, sanitize=sanitize)
         outbox = engine.outbox
-        engine.has_wire = kind != "writer"
+        if kind != "writer":
+            engine.set_wave_fault(_WaveOrder())
     corrupt(engine, nodes)
     stage(outbox, engine, rows)
     return engine
@@ -263,7 +265,7 @@ def test_observable_staging_keeps_the_wave_groups(rows, dedup, seed, starvation)
     ``reslrl`` groups of that list, one wave per group.  Only the plain
     engine with ``dedup`` on plans writers."""
     states = [NodeState(id=v) for v in ID_POOL]
-    wire = ChaosFastEngine(states, dedup=dedup)
+    wire = FastEngine(states, dedup=dedup, wire=True)
     inbox, _ = build_inbox(
         make_chunks(rows), wire.soa.lookup, np.random.default_rng(seed), dedup=dedup
     )
