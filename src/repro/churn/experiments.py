@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.protocol import ProtocolConfig
-from repro.graphs.build import stable_ring_states
+from repro.graphs.build import stable_ring_soa
 from repro.ids import generate_ids
 from repro.sim.engine import BaseSimulator
 from repro.sim.host import Host, make_simulator
@@ -96,8 +96,8 @@ def stable_simulator(
     engine: str = "reference",
 ) -> AnySimulator:
     """A warmed-up simulator over a stable n-node ring, on any engine."""
-    states = stable_ring_states(n, lrl="harmonic", rng=rng, ids=generate_ids(n, rng))
-    sim = make_simulator(states, config, engine=engine, rng=rng)
+    start = stable_ring_soa(n, lrl="harmonic", rng=rng, ids=generate_ids(n, rng))
+    sim = make_simulator(start, config, engine=engine, rng=rng)
     # Warm up until the in-flight probe population reaches steady state —
     # probes live for E[path length] ≈ ln^2 n rounds, so measuring the
     # baseline message rate any earlier would undercount it and inflate the

@@ -30,7 +30,7 @@ from repro.routing.greedy import greedy_route_hops
 from repro.sim.chaos.guard import GuardPolicy
 from repro.sim.engine import BaseSimulator
 from repro.sim.host import Host, make_simulator
-from repro.topology.generators import TOPOLOGIES
+from repro.topology.generators import topology_soa
 
 __all__ = ["converged_lrl_ranks", "run"]
 
@@ -143,21 +143,26 @@ def run(
         result.params["burst_stop"] = burst_stop
     if engine == "sharded":
         result.params["shards"] = shards
-    factory = TOPOLOGIES[topology]
     config = ProtocolConfig()
     for n in sizes:
-        states = factory(n, seed_rng(seed, topology, n))
+        # One id-sorted column start per size.  The primary simulator
+        # runs over its own copy, so the start is dropped once it is built;
+        # the reference leg, at small n only, gets it as a NodeState list.
+        start = topology_soa(topology, n, seed_rng(seed, topology, n))
+        run_reference = n <= reference_max_n and not loss_rate and engine != "reference"
+        reference_states = start.to_states() if run_reference else None
         max_rounds = max_rounds_factor * max(int(np.log2(n)) ** 2, 1)
 
         measured_rss = reset_peak_rss()
         fast = make_simulator(
-            [s.copy() for s in states],
+            start,
             config,
             engine=engine,
             rng=seed_rng(seed, "fast", n),
             guard=GuardPolicy() if loss_rate else None,
             shards=shards,
         )
+        del start
         t0 = time.perf_counter()
         if loss_rate:
             fast_rounds = _stabilize_faulted(
@@ -179,9 +184,9 @@ def run(
 
         ref_seconds = None
         ref_rounds = None
-        if n <= reference_max_n and not loss_rate and engine != "reference":
+        if reference_states is not None:
             reference = make_simulator(
-                [s.copy() for s in states], config, rng=seed_rng(seed, "ref", n)
+                reference_states, config, rng=seed_rng(seed, "ref", n)
             )
             t0 = time.perf_counter()
             ref_rounds = reference.run_until(

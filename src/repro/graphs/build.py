@@ -15,9 +15,16 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.state import NodeState
-from repro.ids import NEG_INF, POS_INF, evenly_spaced_ids, sort_unique
+from repro.ids import NEG_INF, POS_INF, evenly_spaced_ids
+from repro.sim.fast.soa import SoAState
 
-__all__ = ["stable_ring_states", "wire_sorted_ring", "MATURE_AGE"]
+__all__ = [
+    "stable_ring_soa",
+    "stable_ring_states",
+    "wire_sorted_ring",
+    "wire_sorted_ring_soa",
+    "MATURE_AGE",
+]
 
 #: Age given to directly-sampled long-range links.  In the move-and-forget
 #: stationary regime, links that are long have survived for a long time —
@@ -31,41 +38,51 @@ __all__ = ["stable_ring_states", "wire_sorted_ring", "MATURE_AGE"]
 MATURE_AGE: int = 1_000_000
 
 
-def wire_sorted_ring(ids: Sequence[float]) -> list[NodeState]:
+def _sorted_ids(ids: Sequence[float] | np.ndarray) -> np.ndarray:
+    """*ids* ascending, checked as :func:`sort_unique` and ``NodeState`` do."""
+    ordered = np.sort(np.asarray(ids, dtype=np.float64))
+    same = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if len(same):
+        raise ValueError(f"duplicate identifier {float(ordered[same[0]])!r}")
+    bad = np.flatnonzero(~((ordered >= 0.0) & (ordered < 1.0)))
+    if len(bad):
+        raise ValueError(f"node id must lie in [0, 1), got {float(ordered[bad[0]])!r}")
+    return ordered
+
+
+def wire_sorted_ring_soa(ids: Sequence[float] | np.ndarray) -> SoAState:
     """Wire the given identifiers into a sorted ring with at-home tokens.
 
-    Returns one :class:`NodeState` per identifier: consecutive ``l``/``r``
+    Returns an id-sorted :class:`SoAState`: consecutive ``l``/``r``
     links, ``min.ring = max``, ``max.ring = min`` (Definition 4.17), and
     ``lrl = id`` (every move-and-forget token at home, age 0).
     """
-    ordered = sort_unique(ids)
+    ordered = _sorted_ids(ids)
     n = len(ordered)
-    states: list[NodeState] = []
-    for i, nid in enumerate(ordered):
-        states.append(
-            NodeState(
-                id=nid,
-                l=ordered[i - 1] if i > 0 else NEG_INF,
-                r=ordered[i + 1] if i < n - 1 else POS_INF,
-                lrl=nid,
-                ring=None,
-            )
-        )
+    l = np.full(n, NEG_INF)
+    l[1:] = ordered[:-1]
+    r = np.full(n, POS_INF)
+    r[:-1] = ordered[1:]
+    ring = np.full(n, np.nan)
     if n >= 2:
-        states[0].ring = ordered[-1]
-        states[-1].ring = ordered[0]
-    return states
+        ring[0], ring[-1] = ordered[-1], ordered[0]
+    return SoAState.from_columns(ordered, l, r, ordered, ring, np.zeros(n, dtype=np.int64))
 
 
-def stable_ring_states(
+def wire_sorted_ring(ids: Sequence[float]) -> list[NodeState]:
+    """:func:`wire_sorted_ring_soa` as one ``NodeState`` per identifier."""
+    return wire_sorted_ring_soa(ids).to_states()
+
+
+def stable_ring_soa(
     n: int,
     *,
     lrl: str = "self",
     rng: np.random.Generator | None = None,
-    epsilon: float | None = None,
-    ids: Sequence[float] | None = None,
-) -> list[NodeState]:
-    """Build *n* nodes in the legitimate sorted-ring state.
+    ids: Sequence[float] | np.ndarray | None = None,
+) -> SoAState:
+    """Build *n* nodes in the legitimate sorted-ring state, as an
+    id-sorted :class:`SoAState`.
 
     Parameters
     ----------
@@ -81,31 +98,39 @@ def stable_ring_states(
           baseline of experiment E5).
     rng:
         Required for the random ``lrl`` modes.
-    epsilon:
-        Unused for the distributions above but accepted so call sites can
-        pass their protocol ε uniformly.
     ids:
         Explicit identifiers; defaults to :func:`evenly_spaced_ids`.
     """
-    ordered = sort_unique(ids) if ids is not None else evenly_spaced_ids(n)
-    n = len(ordered)
-    states = wire_sorted_ring(ordered)
+    soa = wire_sorted_ring_soa(evenly_spaced_ids(n) if ids is None else ids)
     if lrl == "self":
-        return states
+        return soa
     if rng is None:
         raise ValueError(f"lrl={lrl!r} requires an rng")
+    n = soa.size
+    ordered = soa.ids[:n]
     if lrl == "harmonic":
         from repro.moveforget.harmonic import sample_harmonic_offsets
 
         offsets = sample_harmonic_offsets(n, n, rng)
-        for i, state in enumerate(states):
-            state.lrl = ordered[(i + int(offsets[i])) % n]
-            state.age = MATURE_AGE
+        targets = (np.arange(n) + offsets) % n
     elif lrl == "uniform":
         targets = rng.integers(0, n, size=n)
-        for i, state in enumerate(states):
-            state.lrl = ordered[int(targets[i])]
-            state.age = MATURE_AGE
     else:
         raise ValueError(f"unknown lrl mode {lrl!r}")
-    return states
+    soa.lrl[:n] = ordered[targets]
+    soa.age[:n] = MATURE_AGE
+    return soa
+
+
+def stable_ring_states(
+    n: int,
+    *,
+    lrl: str = "self",
+    rng: np.random.Generator | None = None,
+    epsilon: float | None = None,
+    ids: Sequence[float] | None = None,
+) -> list[NodeState]:
+    """:func:`stable_ring_soa` as one ``NodeState`` per node, ascending.
+    *epsilon* is unused by the distributions but accepted so call sites
+    can pass their protocol ε uniformly."""
+    return stable_ring_soa(n, lrl=lrl, rng=rng, ids=ids).to_states()

@@ -127,15 +127,17 @@ def generate_ids(n: int, rng: np.random.Generator) -> list[float]:
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    seen: set[float] = set()
-    out: list[float] = []
+    out = np.empty(0, dtype=np.float64)
     while len(out) < n:
-        for v in rng.random(n - len(out)):
-            f = float(v)
-            if f not in seen and 0.0 <= f < 1.0:
-                seen.add(f)
-                out.append(f)
-    return out
+        # One draw per missing id; a value is kept at its first
+        # occurrence in the round, if no earlier round kept it and it
+        # lies in [0, 1).  Redrawn rounds append in draw order.
+        draws = np.asarray(rng.random(n - len(out)), dtype=np.float64)
+        keep = np.zeros(len(draws), dtype=bool)
+        keep[np.unique(draws, return_index=True)[1]] = True
+        keep &= (draws >= 0.0) & (draws < 1.0) & ~np.isin(draws, out)
+        out = np.concatenate((out, draws[keep]))
+    return out.tolist()
 
 
 def evenly_spaced_ids(n: int) -> list[float]:

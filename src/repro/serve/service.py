@@ -405,22 +405,18 @@ def build_service(
 
     rng = seed_rng(seed, "serve", topology, n)
     if topology == "stable":
-        from repro.graphs.build import stable_ring_states
+        from repro.graphs.build import stable_ring_soa
 
-        states = stable_ring_states(
-            n, lrl="harmonic", rng=rng, ids=generate_ids(n, rng)
-        )
+        start = stable_ring_soa(n, lrl="harmonic", rng=rng, ids=generate_ids(n, rng))
     else:
-        from repro.topology.generators import TOPOLOGIES
+        from repro.topology.generators import TOPOLOGIES, topology_soa
 
-        try:
-            build = TOPOLOGIES[topology]
-        except KeyError:
+        if topology not in TOPOLOGIES:
             raise ValueError(
                 f"unknown topology {topology!r}; expected 'stable' or one of "
                 f"{sorted(TOPOLOGIES)}"
-            ) from None
-        states = build(n, rng)
+            )
+        start = topology_soa(topology, n, rng)
     if engine not in SERVED_ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of "
@@ -445,7 +441,7 @@ def build_service(
 
     with activated(observer):
         sim = make_simulator(
-            states,
+            start,
             config,
             engine=engine,
             rng=seed_rng(seed, "serve-rounds"),

@@ -330,12 +330,16 @@ class FastEngine(SoAHost):
         keep_history: bool = False,
         sanitize: bool | None = None,
         stats: MessageStats | None = None,
+        soa: SoAState | None = None,
         wire: bool = False,
         guard: "GuardPolicy | None" = None,
     ) -> None:
-        """*states* may be a ready :class:`SoAState` and *stats* a ready
-        :class:`MessageStats`: the engine then runs over those borrowed
-        objects (the sharded engine's cores all share one of each)."""
+        """The engine runs over its own copy of *states* (reference
+        states, or an id-sorted :class:`SoAState`;
+        :meth:`SoAState.from_states`), unless *soa* hands it a ready
+        container and *stats* a ready :class:`MessageStats`: it then runs
+        over those borrowed objects (the sharded engine's cores all share
+        one of each)."""
         cfg = config or ProtocolConfig()
         if cfg.trace is not None:
             raise ValueError(
@@ -343,9 +347,7 @@ class FastEngine(SoAHost):
                 "use the reference engine for trace-based tests"
             )
         self.config = cfg
-        self.soa = (
-            states if isinstance(states, SoAState) else SoAState.from_states(states)
-        )
+        self.soa = soa if soa is not None else SoAState.from_states(states)
         self.dedup = dedup
         self.stats = stats or MessageStats(keep_history=keep_history)
         self.outbox = Outbox(self.stats)

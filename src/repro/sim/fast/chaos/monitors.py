@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.sim.fast.buffers import RESLRL
 from repro.sim.fast.predicates import weak_component_count
+from repro.sim.fast.soa import stored_links
 from repro.sim.invariants import InvariantViolation
 
 __all__ = [
@@ -42,22 +43,15 @@ def engine_cc_components(engine, *, live_only: bool = True) -> int:
     message's destination to each payload identifier.  Returns 0 for an
     empty engine.
     """
-    ids, idx = engine.soa.sorted_live()
+    soa = engine.soa
+    ids, idx = soa.sorted_live()
     if len(ids) == 0:
         return 0
-    soa = engine.soa
-    sources: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    for stored in (soa.l[idx], soa.r[idx], soa.lrl[idx], soa.ring[idx]):
-        real = np.isfinite(stored)
-        sources.append(ids[real])
-        targets.append(stored[real])
+    owners, stored = stored_links(ids, soa.l[idx], soa.r[idx], soa.lrl[idx], soa.ring[idx])
     dest, payload = engine.in_flight_id_pairs()
     real = np.isfinite(payload)
-    sources.append(dest[real])
-    targets.append(payload[real])
-    u = np.concatenate(sources)
-    v = np.concatenate(targets)
+    u = np.concatenate((owners, dest[real]))
+    v = np.concatenate((stored, payload[real]))
     if live_only and len(v):
         _, found = soa.lookup(v)
         u, v = u[found], v[found]

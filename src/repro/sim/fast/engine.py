@@ -22,6 +22,7 @@ from repro.sim.engine import BaseSimulator
 from repro.sim.fast.batched import FastEngine
 from repro.sim.fast.mirror import MirrorEngine
 from repro.sim.fast.shard import ShardedEngine
+from repro.sim.fast.soa import SoAState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
     from repro.sim.chaos.guard import GuardPolicy
@@ -65,7 +66,7 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
     @classmethod
     def from_states(
         cls,
-        states: Iterable[NodeState],
+        states: Iterable[NodeState] | SoAState,
         config: ProtocolConfig | None = None,
         *,
         mode: str = "batched",
@@ -78,7 +79,13 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         shards: int = 2,
         workers: int = 0,
     ) -> "FastSimulator":
-        """Build an engine of the requested *mode* and wrap it.
+        """Build an engine of the requested *mode* over *states* and wrap it.
+
+        *states* is a list of reference states or an id-sorted
+        :class:`~repro.sim.fast.soa.SoAState` (the column door the
+        array-native starts take: ``line_soa``, ``stable_ring_soa``).  The
+        engine runs over its own copy either way; the caller's object is
+        never aliased, so one start can seed several simulators.
 
         ``mode="batched"`` (default) gives the vectorized engine;
         ``mode="mirror"`` gives the draw-for-draw reference twin used by

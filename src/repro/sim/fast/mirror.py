@@ -115,7 +115,7 @@ class MirrorEngine(SoAHost):
 
     def __init__(
         self,
-        states: Iterable[NodeState],
+        states: Iterable[NodeState] | SoAState,
         config: ProtocolConfig | None = None,
         *,
         dedup: bool = True,

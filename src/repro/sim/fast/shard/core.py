@@ -80,7 +80,9 @@ class ShardCore(FastEngine):
     ) -> None:
         # Coalescing-set semantics are load-bearing: canonical content
         # order is what lets the coordinator scatter one global key array.
-        super().__init__(soa, config, dedup=True, sanitize=sanitize, stats=stats)
+        super().__init__(
+            (), config, dedup=True, sanitize=sanitize, stats=stats, soa=soa
+        )
         self.edges = np.ascontiguousarray(edges, dtype=np.float64)
         self.shard = int(shard)
         # The block is ids in [lo, hi): the side owner_of cuts on.

@@ -74,7 +74,7 @@ class ShardedEngine(SoAHost):
 
     def __init__(
         self,
-        states: Iterable[NodeState],
+        states: Iterable[NodeState] | SoAState,
         config: ProtocolConfig | None = None,
         *,
         shards: int = 2,
@@ -96,16 +96,20 @@ class ShardedEngine(SoAHost):
             )
         # Id-sorted slot assignment is the slot order an unsharded
         # FastEngine built from the same (sorted) states gets — the
-        # bit-identity precondition.
-        ordered = sorted(states, key=lambda s: s.id)
-        if not ordered:
+        # bit-identity precondition.  An SoAState start is id-sorted by
+        # contract (SoAState.from_states rejects any other).
+        self.soa = SoAState.from_states(
+            states
+            if isinstance(states, SoAState)
+            else sorted(states, key=lambda s: s.id)
+        )
+        if not len(self.soa):
             raise ValueError("the sharded engine needs at least one node")
         self.config = cfg
         self.dedup = True
-        self.soa = SoAState.from_states(ordered)
         self.stats = MessageStats(keep_history=keep_history)
         self.dropped = 0
-        self.shards = min(int(shards), len(ordered))
+        self.shards = min(int(shards), len(self.soa))
         self.edges = partition_edges(self.soa.sorted_live()[0], self.shards)
         self.cores = [
             ShardCore(

@@ -40,10 +40,13 @@ import numpy as np
 from repro.core.state import NodeState, StateTuple
 from repro.ids import NEG_INF, POS_INF
 
-__all__ = ["SoAState", "state_columns"]
+__all__ = ["SoAState", "state_columns", "stored_links"]
 
 #: Initial slot capacity for an empty container.
 _MIN_CAPACITY = 16
+
+#: The six protocol columns, in :meth:`SoAState.add_batch` order.
+_COLUMNS = ("ids", "l", "r", "lrl", "ring", "age")
 
 
 class SoAState:
@@ -88,17 +91,51 @@ class SoAState:
     # Construction / membership
     # ------------------------------------------------------------------
     @classmethod
-    def from_states(cls, states: Iterable[NodeState]) -> "SoAState":
-        """Build a container from reference per-node states (slots in
-        iteration order)."""
-        columns = state_columns(states)
-        soa = cls(capacity=len(columns[0]))
-        soa.add_batch(*columns)
+    def from_columns(
+        cls,
+        ids: np.ndarray,
+        l: np.ndarray,
+        r: np.ndarray,
+        lrl: np.ndarray,
+        ring: np.ndarray,
+        age: np.ndarray,
+    ) -> "SoAState":
+        """Build a container over the :meth:`add_batch` columns (slots in
+        row order)."""
+        soa = cls(capacity=len(ids))
+        soa.add_batch(ids, l, r, lrl, ring, age)
+        return soa
+
+    @classmethod
+    def from_states(cls, states: "Iterable[NodeState] | SoAState") -> "SoAState":
+        """Build a fresh container from reference per-node states (slots
+        in iteration order), or copy an id-sorted start: an ``SoAState``
+        whose every slot is live with ids ascending by slot, as the
+        start builders return it (``line_soa``, ``stable_ring_soa``).
+
+        The copy shares no array with *states*; its id→slot index is a
+        copy of the start's, sharing the start's immutable keys and
+        values instead of making new ones.
+        """
+        if not isinstance(states, SoAState):
+            return cls.from_columns(*state_columns(states))
+        n = states.size
+        ids = states.ids[:n]
+        if states.n_dead or not bool((ids[1:] > ids[:-1]).all()):
+            raise ValueError(
+                "an SoAState start must be id-sorted: every slot live, ids "
+                "ascending by slot (as line_soa and stable_ring_soa build it)"
+            )
+        soa = cls(capacity=n)
+        for name in (*_COLUMNS, "alive"):
+            getattr(soa, name)[:n] = getattr(states, name)[:n]
+        soa._index = dict(states._index)
+        soa.size = n
         return soa
 
     def _grow(self) -> None:
         new_capacity = self.capacity * 2
-        for name in ("ids", "l", "r", "lrl", "ring", "age", "alive"):
+        for name in (*_COLUMNS, "alive"):
             old = getattr(self, name)
             fresh = np.zeros(new_capacity, dtype=old.dtype)
             fresh[: self.size] = old[: self.size]
@@ -134,7 +171,8 @@ class SoAState:
             return np.empty(0, dtype=np.int64)
         if len(np.unique(ids)) != k:
             raise ValueError("duplicate node id within batch")
-        for nid in ids.tolist():
+        values = ids.tolist()
+        for nid in values:
             if nid in self._index:
                 raise ValueError(f"duplicate node id {nid!r}")
         while self.size + k > self.capacity:
@@ -147,8 +185,7 @@ class SoAState:
         self.ring[lo:hi] = ring
         self.age[lo:hi] = age
         self.alive[lo:hi] = True
-        for offset, nid in enumerate(ids.tolist()):
-            self._index[nid] = lo + offset
+        self._index.update(zip(values, range(lo, hi)))
         self.size = hi
         self._dirty = True
         return np.arange(lo, hi, dtype=np.int64)
@@ -220,7 +257,7 @@ class SoAState:
         k = len(keep)
         if k == n:
             return
-        for name in ("ids", "l", "r", "lrl", "ring", "age", "alive"):
+        for name in (*_COLUMNS, "alive"):
             col = getattr(self, name)
             packed = col[keep]
             col[:k] = packed
@@ -318,37 +355,28 @@ class SoAState:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
+    def _live_rows(self) -> zip[tuple[float, float, float, float, float | None, int]]:
+        """Every live node as plain-scalar ``(id, l, r, lrl, ring, age)``,
+        ascending by id (``ring`` ``None`` where the column holds NaN)."""
+        _, idx = self.sorted_live()
+        ring = self.ring[idx]
+        rings = np.where(np.isnan(ring), None, ring).tolist()
+        return zip(
+            self.ids[idx].tolist(),
+            self.l[idx].tolist(),
+            self.r[idx].tolist(),
+            self.lrl[idx].tolist(),
+            rings,
+            self.age[idx].tolist(),
+        )
+
     def snapshot(self) -> dict[float, StateTuple]:
         """Canonical snapshot of every live node (docs/PERF.md contract)."""
-        out: dict[float, StateTuple] = {}
-        for i in self.sorted_live()[1]:
-            ring = self.ring[i]  # repro-lint: ignore[scalar-loop-over-soa] boundary export to per-node dicts is inherently scalar; not on the round hot path
-            out[float(self.ids[i])] = (
-                float(self.ids[i]),
-                float(self.l[i]),
-                float(self.r[i]),
-                float(self.lrl[i]),
-                None if np.isnan(ring) else float(ring),
-                int(self.age[i]),
-            )
-        return out
+        return {row[0]: row for row in self._live_rows()}
 
     def to_states(self) -> list[NodeState]:
         """Export every live node as a reference ``NodeState`` (ascending)."""
-        states = []
-        for i in self.sorted_live()[1]:
-            ring = self.ring[i]  # repro-lint: ignore[scalar-loop-over-soa] boundary export to NodeState objects is inherently scalar; not on the round hot path
-            states.append(
-                NodeState(
-                    id=float(self.ids[i]),
-                    l=float(self.l[i]),
-                    r=float(self.r[i]),
-                    lrl=float(self.lrl[i]),
-                    ring=None if np.isnan(ring) else float(ring),
-                    age=int(self.age[i]),
-                )
-            )
-        return states
+        return [NodeState(*row) for row in self._live_rows()]
 
     def __len__(self) -> int:
         return self.n_live
@@ -373,3 +401,18 @@ def state_columns(states: Iterable[NodeState]) -> tuple[np.ndarray, ...]:
         ),
         np.array([s.age for s in listed], dtype=np.int64),
     )
+
+
+def stored_links(
+    ids: np.ndarray, l: np.ndarray, r: np.ndarray, lrl: np.ndarray, ring: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, target)`` of every real identifier the rows store in
+    ``l``/``r``/``lrl``/``ring``, self-links included: the stored half of
+    the CP and CC graphs (Definition 4.2)."""
+    owners: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    for stored in (l, r, lrl, ring):
+        real = np.isfinite(stored)
+        owners.append(ids[real])
+        targets.append(stored[real])
+    return np.concatenate(owners), np.concatenate(targets)

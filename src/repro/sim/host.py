@@ -27,6 +27,7 @@ from repro.core.protocol import ProtocolConfig, build_network
 from repro.core.state import NodeState, StateTuple
 from repro.sim.engine import BaseSimulator, Simulator
 from repro.sim.fast.engine import FastSimulator
+from repro.sim.fast.soa import SoAState
 from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -96,7 +97,7 @@ ENGINES = ("reference", *_FAST_MODES)
 
 
 def make_simulator(
-    states: Iterable[NodeState],
+    states: Iterable[NodeState] | SoAState,
     config: ProtocolConfig | None = None,
     *,
     engine: str = "reference",
@@ -107,6 +108,13 @@ def make_simulator(
     **engine_options: Any,
 ) -> BaseSimulator[Host]:
     """A simulator over *states* on the named *engine* (see :data:`ENGINES`).
+
+    *states* is a list of reference states or an id-sorted
+    :class:`~repro.sim.fast.soa.SoAState`; every engine runs over its own
+    copy (the reference engine over ``states.to_states()``), so the
+    caller's object is never aliased and one start can seed several
+    simulators.  The fast engines take an ``SoAState`` without a
+    ``NodeState`` ever existing.
 
     ``wire=True`` (implied by a *guard*) puts the fault-injectable chaos
     wire under the host as ``host.wire`` — a ``ScalarWire`` on the
@@ -121,6 +129,8 @@ def make_simulator(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
         )
     if engine == "reference":
+        if isinstance(states, SoAState):
+            states = states.to_states()
         network = build_network(states, config, wire=wire, guard=guard, **engine_options)
         return Simulator(network, rng)
     return FastSimulator.from_states(

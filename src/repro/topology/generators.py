@@ -17,11 +17,15 @@ import numpy as np
 
 from repro.core.state import NodeState
 from repro.graphs.build import stable_ring_states
-from repro.ids import generate_ids
+from repro.ids import NEG_INF, POS_INF, generate_ids
+from repro.sim.fast.predicates import weak_component_count
+from repro.sim.fast.soa import SoAState, stored_links
 from repro.topology.encode import assert_weakly_connected, encode_graph, states_union_graph
 
 __all__ = [
+    "line_soa",
     "line_topology",
+    "topology_soa",
     "star_topology",
     "clique_topology",
     "random_tree_topology",
@@ -46,13 +50,84 @@ def _encode(
     return states
 
 
+def line_soa(
+    n: int, rng: np.random.Generator, *, shuffle_ids: bool = True
+) -> SoAState:
+    """A path graph, encoded as :func:`~repro.topology.encode.encode_graph`
+    encodes ``nx.path_graph(n)``, built as an id-sorted :class:`SoAState`.
+
+    Same draws, same states: the ids, ``rng.permutation(n)`` (only when
+    *shuffle_ids*), the root, then one slot draw per spanning-tree edge
+    in breadth-first order from the root — depth by depth, the left edge
+    before the right.  Each child of a path is fresh when its one tree
+    edge is stored, so its free slots are always ``[l or r, lrl, ring]``,
+    and a path has no non-tree edges.
+    """
+    _require_n(n)
+    columns = _line_columns(n, rng, shuffle_ids)
+    if weak_component_count(columns[0], *stored_links(*columns[:5])) != 1:
+        raise AssertionError("generated initial configuration is not weakly connected")
+    return SoAState.from_columns(*columns)
+
+
+def _line_columns(
+    n: int, rng: np.random.Generator, shuffle_ids: bool
+) -> tuple[np.ndarray, ...]:
+    """:func:`line_soa`'s ``(ids, l, r, lrl, ring, age)``, id-sorted.
+
+    A function of its own so that its temporaries are freed before the
+    connectivity check and the container are built: that keeps the
+    start's traced peak near 210 B a node (docs/PERF.md §8).
+    """
+    ordered = np.sort(np.asarray(generate_ids(n, rng), dtype=np.float64))
+    # rank[g]: the sorted position of the id graph node g receives.
+    rank = rng.permutation(n) if shuffle_ids else np.arange(n)
+    root = int(rng.integers(n))
+    slot = rng.integers(3, size=n - 1)
+
+    # The children of the breadth-first tree in edge order: both sides
+    # alternate while both last, then the longer side runs on alone.
+    left = root - 1 - np.arange(root)
+    right = root + 1 + np.arange(n - 1 - root)
+    both = min(len(left), len(right))
+    child = np.empty(n - 1, dtype=np.int64)
+    child[0 : 2 * both : 2] = left[:both]
+    child[1 : 2 * both : 2] = right[:both]
+    child[2 * both :] = left[both:] if len(left) > both else right[both:]
+    parent = np.where(child < root, child + 1, child - 1)
+
+    at = rank[child]
+    target = ordered[rank[parent]]
+    l = np.full(n, NEG_INF)
+    r = np.full(n, POS_INF)
+    lrl = ordered.copy()
+    ring = np.full(n, np.nan)
+    towards = slot == 0
+    lower = towards & (target < ordered[at])
+    upper = towards & ~lower
+    l[at[lower]] = target[lower]
+    r[at[upper]] = target[upper]
+    lrl[at[slot == 1]] = target[slot == 1]
+    ring[at[slot == 2]] = target[slot == 2]
+    return ordered, l, r, lrl, ring, np.zeros(n, dtype=np.int64)
+
+
+def topology_soa(name: str, n: int, rng: np.random.Generator) -> SoAState:
+    """The *name* family's start as an id-sorted :class:`SoAState`, the
+    state the fast doors take: built from columns for the line
+    (:func:`line_soa`), from the family's ``NodeState`` list otherwise."""
+    if name == "line":
+        return line_soa(n, rng)
+    return SoAState.from_states(TOPOLOGIES[name](n, rng))
+
+
 def line_topology(
     n: int, rng: np.random.Generator, *, shuffle_ids: bool = True
 ) -> list[NodeState]:
     """A path graph.  With shuffled ids this is a chain whose identifier
-    order is a random permutation — linearization must resort it entirely."""
-    _require_n(n)
-    return _encode(nx.path_graph(n), n, rng, shuffle_ids)
+    order is a random permutation — linearization must resort it entirely.
+    :func:`line_soa` as one ``NodeState`` per node, ascending."""
+    return line_soa(n, rng, shuffle_ids=shuffle_ids).to_states()
 
 
 def star_topology(
