@@ -117,7 +117,7 @@ class SoAResolver:
         self.roots: set[str] = set()
         self.views: dict[str, str] = {}
         #: Names statically known to hold scalar indices (int-annotated
-        #: params, loop targets, ``int(...)``/``index_of(...)`` results).
+        #: params, loop targets, ``int(...)`` results).
         self.scalar_names: set[str] = set()
 
         for arg in _all_args(func):
@@ -240,13 +240,8 @@ class SoAResolver:
 
 
 def _is_scalar_producer(expr: ast.expr) -> bool:
-    """Calls statically known to return a scalar index (``int(...)``,
-    ``*.index_of(...)``)."""
+    """Calls statically known to return a scalar index (``int(...)``)."""
     if not isinstance(expr, ast.Call):
         return False
     func = expr.func
-    if isinstance(func, ast.Name) and func.id == "int":
-        return True
-    if isinstance(func, ast.Attribute) and func.attr == "index_of":
-        return True
-    return False
+    return isinstance(func, ast.Name) and func.id == "int"

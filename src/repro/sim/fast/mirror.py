@@ -176,7 +176,7 @@ class MirrorEngine(SoAHost):
             # from the reference wire.
             message = Message(TYPE_OF_CODE[code], tuple(float(x) for x in payload))
             self.wire.dispatch(self._origin, float(dest), message)
-        elif dest in self.soa:
+        elif dest in self._channels:
             self._staging.append((dest, (code, *payload)))
         else:
             self.dropped += 1
@@ -184,10 +184,15 @@ class MirrorEngine(SoAHost):
     def _enqueue(self, dest: float, message: Message) -> None:
         """``Network._enqueue``: membership-checked staging of what the
         wire delivers."""
-        if dest in self.soa:
+        if dest in self._channels:
             self._staging.append((dest, (CODE_OF_TYPE[message.type], *message.ids)))
         else:
             self.dropped += 1
+
+    def __contains__(self, node_id: float) -> bool:
+        """Liveness from the channels (``ScalarWire`` asks per envelope),
+        as the reference reads ``Network.nodes``."""
+        return node_id in self._channels
 
     def flush(self) -> None:
         """Deliver what the wire has due, then staged messages into
@@ -217,9 +222,13 @@ class MirrorEngine(SoAHost):
         self.flush()
         if profiler is not None:
             profiler.add("flush", time.perf_counter() - t0)
-        ids = self.soa.live_ids_list()
-        if not ids:
+        live, idx = self.soa.sorted_live()
+        if not len(live):
             return
+        # A mid-round leave only tombstones and a join only appends, so a
+        # round-start slot stays its node's unless the id left and joined
+        # again before its turn (a fresh slot, found by lookup).
+        ids, slots = live.tolist(), idx.tolist()
         order = rng.permutation(len(ids))
         receive = 0.0
         regular = 0.0
@@ -227,9 +236,10 @@ class MirrorEngine(SoAHost):
         acted = 0
         for pos in order:
             nid = ids[pos]
-            if nid in self.soa:
-                i = self.soa.index_of(nid)
-                assert i is not None
+            if nid in self._channels:
+                i = slots[pos]
+                if not self.soa.alive[i]:
+                    i = int(self.soa.lookup(np.array([nid]))[0][0])
                 self._origin = nid
                 t1 = time.perf_counter() if profiler is not None else 0.0
                 msgs = self._channels[nid].drain(rng)
@@ -279,7 +289,7 @@ class MirrorEngine(SoAHost):
         ``Network.remove_node`` + ``purge_identifier`` + the state scrub.
         The columns are written by departure batches of one.
         """
-        if node_id not in self.soa:
+        if node_id not in self._channels:
             raise KeyError(f"no node with id {node_id!r}")
         victim = np.array([node_id], dtype=np.float64)
         self.soa.remove_batch(victim)

@@ -136,8 +136,8 @@ def _recording_view(
 class SanitizedSoAState:
     """Proxy handing out recording views of the SoA columns.
 
-    Everything that is not a column (``size``, ``lookup``,
-    ``index_of``, ``add_batch`` …) delegates to the wrapped state untouched.
+    Everything that is not a column (``size``, ``lookup``, ``add_batch``
+    …) delegates to the wrapped state untouched.
     Dunder lookups bypass ``__getattr__``, so the membership protocol is
     forwarded explicitly.
     """

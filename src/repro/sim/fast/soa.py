@@ -17,10 +17,12 @@ plus an ``alive`` mask: a departure tombstones its slot (``alive=False``)
 so compact indices stay stable *within* a round — message buffers carry
 identifiers, not slots, and per-round inboxes re-resolve them, so
 :meth:`SoAState.compact` may reclaim dead slots at any round boundary
-(docs/CHAOS.md "Churn at scale").  Identifier→index resolution is a dict
-for scalar callers and, for vectorized ones, a bucket table over the
-sorted live ids: one probe per id, a binary search only for the few that
-share a bucket (:meth:`SoAState.lookup`).  Membership writes the columns
+(docs/CHAOS.md "Churn at scale").  Identifier→index resolution has one
+structure, a bucket table over the sorted live ids: one probe per id, a
+binary search only for the few that share a bucket
+(:meth:`SoAState.lookup`).  A membership write makes the next lookup
+rebuild it, so a scalar caller asking per message keeps its own liveness
+(the mirror engine's channels).  Membership writes the columns
 in batches only (:meth:`~SoAState.add_batch`,
 :meth:`~SoAState.remove_batch`, :meth:`~SoAState.scrub_departed_many`);
 one join or leave is a batch of one.
@@ -62,7 +64,6 @@ class SoAState:
         "ring",
         "age",
         "alive",
-        "_index",
         "_sorted_ids",
         "_sorted_idx",
         "_bucket_start",
@@ -81,7 +82,6 @@ class SoAState:
         self.ring = np.empty(capacity, dtype=np.float64)
         self.age = np.empty(capacity, dtype=np.int64)
         self.alive = np.zeros(capacity, dtype=bool)
-        self._index: dict[float, int] = {}
         self._sorted_ids: np.ndarray = np.empty(0, dtype=np.float64)
         self._sorted_idx: np.ndarray = np.empty(0, dtype=np.int64)
         self._bucket_start: np.ndarray = np.empty(0, dtype=np.int32)
@@ -113,9 +113,8 @@ class SoAState:
         whose every slot is live with ids ascending by slot, as the
         start builders return it (``line_soa``, ``stable_ring_soa``).
 
-        The copy shares no array with *states*; its id→slot index is a
-        copy of the start's, sharing the start's immutable keys and
-        values instead of making new ones.
+        The copy shares no array with *states*: it is one column copy,
+        and its sorted view is built on first use.
         """
         if not isinstance(states, SoAState):
             return cls.from_columns(*state_columns(states))
@@ -129,7 +128,6 @@ class SoAState:
         soa = cls(capacity=n)
         for name in (*_COLUMNS, "alive"):
             getattr(soa, name)[:n] = getattr(states, name)[:n]
-        soa._index = dict(states._index)
         soa.size = n
         return soa
 
@@ -171,10 +169,9 @@ class SoAState:
             return np.empty(0, dtype=np.int64)
         if len(np.unique(ids)) != k:
             raise ValueError("duplicate node id within batch")
-        values = ids.tolist()
-        for nid in values:
-            if nid in self._index:
-                raise ValueError(f"duplicate node id {nid!r}")
+        live = self.lookup(ids)[1]
+        if bool(live.any()):
+            raise ValueError(f"duplicate node id {float(ids[live.argmax()])!r}")
         while self.size + k > self.capacity:
             self._grow()
         lo, hi = self.size, self.size + k
@@ -185,7 +182,6 @@ class SoAState:
         self.ring[lo:hi] = ring
         self.age[lo:hi] = age
         self.alive[lo:hi] = True
-        self._index.update(zip(values, range(lo, hi)))
         self.size = hi
         self._dirty = True
         return np.arange(lo, hi, dtype=np.int64)
@@ -203,11 +199,9 @@ class SoAState:
         nids = np.ascontiguousarray(nids, dtype=np.float64)
         if len(np.unique(nids)) != len(nids):
             raise KeyError("duplicate node id within batch")
-        values = nids.tolist()
-        for nid in values:
-            if nid not in self._index:
-                raise KeyError(f"no node with id {nid!r}")
-        slots = np.array([self._index.pop(nid) for nid in values], dtype=np.int64)
+        slots, found = self.lookup(nids)
+        if not bool(found.all()):
+            raise KeyError(f"no node with id {float(nids[found.argmin()])!r}")
         self.alive[slots] = False
         self._dirty = True
         return slots
@@ -240,7 +234,7 @@ class SoAState:
     @property
     def n_dead(self) -> int:
         """Number of tombstoned slots awaiting compaction."""
-        return self.size - len(self._index)
+        return self.size - self.n_live
 
     def compact(self) -> None:
         """Reclaim tombstoned slots by packing live rows to the front.
@@ -263,7 +257,6 @@ class SoAState:
             col[:k] = packed
         self.alive[k:n] = False
         self.size = k
-        self._index = dict(zip(self.ids[:k].tolist(), range(k)))
         self._dirty = True
 
     def maybe_compact(self, *, min_dead: int = 16) -> bool:
@@ -280,17 +273,14 @@ class SoAState:
         self.compact()
         return True
 
-    def index_of(self, nid: float) -> int | None:
-        """Compact index of a *live* identifier, or ``None``."""
-        return self._index.get(float(nid))
-
     def __contains__(self, nid: float) -> bool:
-        return float(nid) in self._index
+        """A one-element :meth:`lookup` (rebuilding a dirty sorted view)."""
+        return bool(self.lookup(np.array([nid], dtype=np.float64))[1][0])
 
     @property
     def n_live(self) -> int:
         """Number of live nodes."""
-        return len(self._index)
+        return int(np.count_nonzero(self.alive[: self.size]))
 
     # ------------------------------------------------------------------
     # Sorted-id views (vectorized lookups, predicates, round order)

@@ -225,6 +225,60 @@ def test_mirror_bit_identical_under_midround_join(seed: int) -> None:
         assert_round_identical(reference, mirror)
 
 
+def first_turn_hook(apply):
+    """An ``after_node`` hook calling ``apply(first_id)`` once, after the
+    round's first scheduled node: every other node still has its turn."""
+    done: list[bool] = []
+
+    def hook(_pos: int, nid: float) -> None:
+        if not done:
+            done.append(True)
+            apply(nid)
+
+    return hook
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mirror_bit_identical_under_midround_rejoin(seed: int) -> None:
+    """A node leaving and joining again under its own id before its turn
+    acts from its fresh slot, as the reference's new node does."""
+    scheduler = HookedSynchronousScheduler()
+    reference, mirror = make_pair("line", 24, seed, dedup=True, scheduler=scheduler)
+    network = reference.network
+    engine = mirror.engine
+    cfg = engine.config
+    churn_rng = np.random.default_rng(seed + 577)
+
+    for rnd in range(30):
+        if rnd % 4 == 1:
+            pick = float(churn_rng.random())
+
+            def plan(first: float, ids: list[float]) -> tuple[float, float]:
+                others = [x for x in ids if x != first]
+                victim = others[int(pick * len(others))]
+                return victim, next(x for x in others if x != victim)
+
+            def ref_rejoin(first: float) -> None:
+                victim, contact = plan(first, network.ids)
+                leave_node(network, victim)
+                join_node(network, victim, contact, cfg)
+
+            def mirror_rejoin(first: float) -> None:
+                victim, contact = plan(first, engine.ids)
+                engine.leave(victim)
+                engine.join(victim, contact)
+
+            scheduler.after_node = first_turn_hook(ref_rejoin)
+            reference.step_round()
+            scheduler.after_node = None
+            engine.execute_round(mirror.rng, after_node=first_turn_hook(mirror_rejoin))
+            engine.stats.end_round()
+        else:
+            reference.step_round()
+            mirror.step_round()
+        assert_round_identical(reference, mirror)
+
+
 def test_mirror_converges_with_reference_rounds() -> None:
     """Same seed ⇒ the two engines converge on the same round."""
     from repro.graphs.predicates import is_sorted_ring

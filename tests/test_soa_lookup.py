@@ -8,11 +8,19 @@ thousand ids packed into one bucket, ids on bucket edges ``k / B`` and one
 ulp to either side, ``0.0`` and the largest double below 1; the queries
 add unknown ids, ``±inf``, NaN and ``-0.0``; and the state is checked again
 after ``add_batch``, ``remove_batch`` and ``compact``.
+
+The lookup is also the container's only id→slot structure, so membership
+is checked against a Python ``set`` of the live ids: the counts, ``len``
+and ``in`` after every write, and a batch carrying one live id to add or
+one unknown id to remove is refused whole, with nothing changed.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +82,31 @@ def assert_lookup_is_search(soa: SoAState, extra=()) -> None:
     np.testing.assert_array_equal(got, live)
 
 
+def assert_members(soa: SoAState, live: set[float], extra=()) -> None:
+    """Counts, ``len`` and ``in`` agree with the set of live ids."""
+    assert soa.n_live == len(soa) == len(live)
+    assert soa.n_dead == soa.size - len(live)
+    for x in queries(soa, extra).tolist():
+        assert (x in soa) == (x in live), x
+
+
+def assert_refused(soa: SoAState, error: type, message: str, write) -> None:
+    """``write()`` raises *error* with *message* and leaves slots, counts,
+    columns and every lookup answer as they were."""
+    x = queries(soa, ())
+    n, live = soa.size, soa.n_live
+    names = ("ids", "l", "r", "lrl", "ring", "age", "alive")
+    held = [getattr(soa, name)[:n].copy() for name in names]
+    answer = soa.lookup(x)
+    with pytest.raises(error, match=re.escape(message)):
+        write()
+    assert (soa.size, soa.n_live) == (n, live)
+    for name, before in zip(names, held):
+        np.testing.assert_array_equal(getattr(soa, name)[:n], before)
+    for got, want in zip(soa.lookup(x), answer):
+        np.testing.assert_array_equal(got, want)
+
+
 def bucket_count(n: int) -> int:
     """The table size the state picks for *n* live ids (edges to aim at)."""
     return 1 << (8 * n - 1).bit_length()
@@ -108,18 +141,43 @@ def id_sets(draw) -> list[float]:
 )
 def test_lookup_matches_binary_search(ids, unknown, fresh, leave) -> None:
     soa = SoAState()
+    live: set[float] = set()
     soa.add_batch(*columns(ids))
+    live.update(ids)
     assert_lookup_is_search(soa, unknown)
+    assert_members(soa, live, unknown)
 
     victims = np.unique([ids[k % len(ids)] for k in leave])
     if len(victims) < len(ids):
         soa.remove_batch(victims)
+        live.difference_update(victims.tolist())
         assert_lookup_is_search(soa, victims)
-    joining = [v for v in fresh if v not in soa]
+        assert_members(soa, live, victims)
+    joining = [v for v in fresh if v not in live]
     soa.add_batch(*columns(joining))
+    live.update(joining)
     assert_lookup_is_search(soa, unknown)
+    assert_members(soa, live, unknown)
+
+    # One live id spoils an add; one unknown id spoils a remove.
+    some = min(live)
+    dead = [v for v in victims.tolist() if v not in live][:3]
+    unknown_id = next(v for v in (*unknown, 1.0) if v not in live)
+    assert_refused(
+        soa,
+        ValueError,
+        f"duplicate node id {some!r}",
+        lambda: soa.add_batch(*columns([*dead, some])),
+    )
+    assert_refused(
+        soa,
+        KeyError,
+        f"no node with id {unknown_id!r}",
+        lambda: soa.remove_batch(np.array([some, unknown_id])),
+    )
     soa.compact()
     assert_lookup_is_search(soa, victims)
+    assert_members(soa, live, victims)
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,7 +2,7 @@
 
 The shuffled line is built as id-sorted ``SoAState`` columns and handed to
 the batched engine through the column door, so a cold set-up at scale
-holds no per-node Python objects beyond the id→slot index.
+holds no per-node Python objects.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ N = 1 << 16
 def test_a_line_start_through_the_column_door_stays_in_columns(monkeypatch) -> None:
     """A 2^16 line start, built and passed through
     ``FastSimulator.from_states``: no ``NodeState`` is constructed, no
-    allocation is traced to ``repro/core/state.py``, and the traced peak
-    stays at or below 512 B a node (the start alone peaks near 210, the
-    start plus the engine's own copy near 235).  The constructor count is
-    what catches a list coming back: the list path, ``line_topology`` and
-    ``from_states(list)``, peaks near 430 B a node traced."""
+    allocation is traced to ``repro/core/state.py``, the start holds at
+    most 64 B a node traced (its six columns and the mask, near 49) and
+    the traced peak stays at or below 256 B a node (the start's build
+    peaks near 162; the start plus the engine's own copy holds near 98).
+    The constructor count is what catches a list coming back: the list
+    path, ``line_topology`` and ``from_states(list)``, peaks near 430 B a
+    node traced."""
     built: list[int] = []
     post_init = NodeState.__post_init__
 
@@ -37,6 +39,7 @@ def test_a_line_start_through_the_column_door_stays_in_columns(monkeypatch) -> N
     tracemalloc.start(8)
     try:
         start = line_soa(N, np.random.default_rng(7))
+        held = tracemalloc.get_traced_memory()[0]
         sim = FastSimulator.from_states(start, rng=7)
         peak = tracemalloc.get_traced_memory()[1]
         snapshot = tracemalloc.take_snapshot()
@@ -48,4 +51,5 @@ def test_a_line_start_through_the_column_door_stays_in_columns(monkeypatch) -> N
         [tracemalloc.Filter(True, "*/repro/core/state.py", all_frames=True)]
     )
     assert not in_state.traces, in_state.statistics("lineno")[:3]
-    assert peak <= 512 * N, f"{peak / N:.0f} B/node"
+    assert held <= 64 * N, f"the start holds {held / N:.0f} B/node"
+    assert peak <= 256 * N, f"{peak / N:.0f} B/node"
