@@ -7,7 +7,7 @@ that matter when scaling the experiments up (see DESIGN.md §5):
 * one vectorized move-and-forget step at 16k tokens;
 * a 2k-query greedy routing batch at 16k nodes;
 * harmonic sampling at 16k draws;
-* the probing replay over a full 16k network.
+* the probe walk (route_batch) over a full 16k network.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.graphs.build import stable_ring_states
 from repro.moveforget.harmonic import sample_harmonic_offsets
 from repro.moveforget.process import RingMoveForgetProcess
 from repro.routing.greedy import greedy_route_hops
-from repro.routing.paths import probe_path_hops
+from repro.serve.routing import RouteView, route_batch
 from repro.sim.engine import Simulator
 
 
@@ -65,4 +65,6 @@ def test_probe_replay_16k(benchmark):
     lrl = kleinberg_lrl_ranks(n, rng)
     src = np.arange(n)
     away = lrl != src
-    benchmark(probe_path_hops, n, lrl, src[away], lrl[away])
+    # E3's probes: the origin's ring hop, then route_batch on the line.
+    first = src[away] + np.sign(lrl[away] - src[away])
+    benchmark(route_batch, RouteView.from_ranks(lrl), first, lrl[away])

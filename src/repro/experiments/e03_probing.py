@@ -5,10 +5,11 @@ than O(ln^{2+ε} d) hops to reach its destination, where d is the distance
 between the node and its long-range link."
 
 We build the stable state directly (sorted ring + harmonic links, Fact
-4.21), replay every node's probe with the exact Algorithm 5/6 forwarding
-rule, and fit mean hops against distance: the polylog model should win
-with exponent ≈ 2 + ε, and the ring-only replay (shortcuts disabled) shows
-the linear baseline the shortcuts beat.
+4.21), walk every node's probe with the serving walker
+(:func:`repro.serve.routing.route_batch`, Algorithms 5/6) over the stable
+line in rank space, and fit mean hops against distance: the polylog model
+should win with exponent ≈ 2 + ε, and the ring-only replay (shortcuts
+disabled) shows the linear baseline the shortcuts beat.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from repro.analysis.scaling import compare_scaling
 from repro.baselines.kleinberg import kleinberg_lrl_ranks
 from repro.experiments.common import ExperimentResult, seed_rng
-from repro.routing.paths import probe_path_hops
 from repro.routing.stats import hops_by_distance
+from repro.serve.routing import RouteView, route_batch
 
 __all__ = ["run"]
 
@@ -48,7 +49,10 @@ def run(
         # own lrl, exactly as Algorithm 10 emits them.
         dst = lrl.copy()
         away = dst != src
-        hops = probe_path_hops(n, lrl, src[away], dst[away])
+        # Algorithm 10: the origin emits to its ring neighbor, never through
+        # its own link (which *is* the target); Algorithms 5/6 forward on.
+        first = src[away] + np.sign(dst[away] - src[away])
+        hops = route_batch(RouteView.from_ranks(lrl), first, dst[away]).hops + 1
         all_hops.append(hops)
         all_d.append(np.abs(dst[away] - src[away]))
     hops = np.concatenate(all_hops)

@@ -25,9 +25,9 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.core.state import NodeState
-from repro.ids import sort_unique
+from repro.serve.routing import NO_LINK, RouteView
 
-__all__ = ["greedy_route_hops", "greedy_route_states", "lrl_ranks_from_states"]
+__all__ = ["greedy_route_hops", "greedy_route_states"]
 
 
 def _ring_distance(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -52,7 +52,8 @@ def greedy_route_hops(
     lrl:
         Long-range-link target rank per node (length n), or ``None`` for
         ring-only routing.  A node whose link points at itself simply has
-        no useful shortcut.
+        no useful shortcut, and neither has one whose link is ``NO_LINK``
+        (an identifier not live in the :class:`RouteView` it was read from).
     sources, targets:
         Equal-length integer arrays of query endpoints.
     max_hops:
@@ -77,6 +78,7 @@ def greedy_route_hops(
         lrl = np.asarray(lrl, dtype=np.int64)
         if lrl.shape != (n,):
             raise ValueError(f"lrl must have shape ({n},)")
+        lrl = np.where(lrl == NO_LINK, np.arange(n), lrl)
         if lrl.size and (lrl.min() < 0 or lrl.max() >= n):
             raise ValueError("lrl ranks must lie in [0, n)")
     cap = max_hops if max_hops is not None else n
@@ -106,27 +108,6 @@ def greedy_route_hops(
     raise RuntimeError(f"greedy routing did not finish within {cap} hops")
 
 
-def lrl_ranks_from_states(
-    states: Sequence[NodeState] | Mapping[float, NodeState],
-) -> tuple[np.ndarray, list[float]]:
-    """Extract the long-range-link rank array from protocol states.
-
-    Returns ``(lrl_ranks, ordered_ids)``.  Links pointing at identifiers
-    that no longer exist are treated as at-home (no shortcut) — exactly
-    their routing value.
-    """
-    if isinstance(states, Mapping):
-        states = list(states.values())
-    ordered = sort_unique(s.id for s in states)
-    rank = {v: i for i, v in enumerate(ordered)}
-    lrl = np.empty(len(ordered), dtype=np.int64)
-    by_id = {s.id: s for s in states}
-    for v, i in rank.items():
-        target = by_id[v].lrl
-        lrl[i] = rank.get(target, i)
-    return lrl, ordered
-
-
 def greedy_route_states(
     states: Sequence[NodeState] | Mapping[float, NodeState],
     sources: Sequence[float],
@@ -137,14 +118,16 @@ def greedy_route_states(
 ) -> np.ndarray:
     """Greedy routing between identifier pairs on a stabilized network.
 
-    Thin adapter: maps identifiers to ranks, then calls the vectorized
-    kernel.  The network must satisfy the sorted-ring invariant for the
-    rank mapping to coincide with the overlay's actual neighbor structure.
+    Thin adapter: reads the links through a :class:`RouteView`, resolves
+    the identifiers to ranks, then calls the vectorized kernel.  The
+    network must satisfy the sorted-ring invariant for the rank mapping to
+    coincide with the overlay's actual neighbor structure.
     """
-    lrl, ordered = lrl_ranks_from_states(states)
-    rank = {v: i for i, v in enumerate(ordered)}
-    src = np.array([rank[s] for s in sources], dtype=np.int64)
-    dst = np.array([rank[t] for t in targets], dtype=np.int64)
+    view = RouteView.from_states(states)
     return greedy_route_hops(
-        len(ordered), lrl if use_lrl else None, src, dst, max_hops=max_hops
+        view.n,
+        view.lrl_rank if use_lrl else None,
+        view.resolve(sources),
+        view.resolve(targets),
+        max_hops=max_hops,
     )

@@ -1,7 +1,7 @@
-"""Overlay-as-a-service: serve greedy-routing traffic off a converging engine.
+"""Overlay-as-a-service: serve probe-routing traffic off a converging engine.
 
 The north star calls for a system serving heavy traffic, and the paper's
-payoff for serving is Lemma 4.23 — O(ln^(2+ε) d) greedy-routing hops on
+payoff for serving is Lemma 4.23 — O(ln^(2+ε) d) probe hops on
 the converged overlay.  This package turns the batch simulator into that
 system (docs/SERVING.md):
 

@@ -1,4 +1,4 @@
-"""Greedy-routing lookups over a live engine: snapshots + the hop kernel.
+"""Probe-routing lookups over a live engine: snapshots + the hop kernel.
 
 The serving layer answers ``probr``/``probl`` lookups (Algorithms 5/6)
 against an overlay that is still converging in the background.  Two
@@ -22,11 +22,10 @@ pieces make that safe and fast:
     fixed at query time (``dest > source`` routes right, Algorithm 5;
     otherwise left, Algorithm 6) and each hop applies the paper's rule:
     take the long-range link when it makes progress past the ring link
-    without overshooting the destination, else take the ring link.  On a
-    converged overlay this reproduces
-    :func:`repro.routing.paths.probe_path_hops` hop-for-hop (with
-    ``first_hop_ring=False``) and therefore inherits Lemma 4.23's
-    O(ln^(2+ε) d) expected hop bound; mid-convergence, dead links,
+    without overshooting the destination, else take the ring link.  It is
+    the one probe walker in the package: experiment E3 runs it over
+    :meth:`RouteView.from_ranks` to measure Lemma 4.23's O(ln^(2+ε) d)
+    expected hop bound on the stable line; mid-convergence, dead links,
     overshoots and non-progress are detected and reported as *lost*
     lookups instead of hanging the request path.  The half of the rule
     that does not depend on the destination is compiled into two tables
@@ -40,6 +39,7 @@ pieces make that safe and fast:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -149,17 +149,29 @@ class RouteView:
 
     @classmethod
     def from_states(cls, states: Any, round_index: int = 0) -> "RouteView":
-        """Build a view from reference :class:`NodeState` objects.
-
-        Used by the cross-engine Lemma 4.23 tests to route over the
-        reference scheduler's overlay with the same kernel.
+        """Build a view from :class:`NodeState` objects or ``StateTuple``
+        rows (an iterable, or a mapping such as ``Network.states()`` or a
+        host's ``state_snapshot()``): how greedy routing and experiment E22
+        read any host's overlay, the reference one included.
         """
-        rows = sorted(states, key=lambda s: s.id)
-        ids = np.asarray([s.id for s in rows], dtype=np.float64)
-        l = np.asarray([s.l for s in rows], dtype=np.float64)
-        r = np.asarray([s.r for s in rows], dtype=np.float64)
-        lrl = np.asarray([s.lrl for s in rows], dtype=np.float64)
+        if isinstance(states, Mapping):
+            states = states.values()
+        rows = sorted(s if isinstance(s, tuple) else s.as_tuple() for s in states)
+        ids, l, r, lrl = (
+            np.asarray([row[k] for row in rows], dtype=np.float64) for k in range(4)
+        )
         return cls._from_links(ids, l, r, lrl, round_index)
+
+    @classmethod
+    def from_ranks(cls, lrl_rank: np.ndarray) -> "RouteView":
+        """The stable line over ranks ``0..n-1`` with the given long-range
+        link ranks: ids are the ranks, ``l = rank - 1`` and ``r = rank + 1``,
+        ``NO_LINK`` past either end."""
+        lrl_rank = np.asarray(lrl_rank, dtype=np.int64)
+        rank = np.arange(len(lrl_rank), dtype=np.int64)
+        r_rank = rank + 1
+        r_rank[-1:] = NO_LINK
+        return cls(rank.astype(np.float64), rank - 1, r_rank, lrl_rank, 0)
 
     @classmethod
     def _from_links(
@@ -211,8 +223,8 @@ def route_batch(
     :meth:`RouteView.resolve`); entries outside ``[0, n)`` are reported
     as immediately lost.  The walk direction is fixed per query at the
     start; each hop prefers the long-range link when it advances past
-    the ring link without overshooting, mirroring
-    :func:`repro.routing.paths.probe_path_hops`.  A query is lost when
+    the ring link without overshooting (Algorithms 5/6; the origin's
+    forced ring hop of Algorithm 10 is the caller's).  A query is lost when
     its next link is missing, makes no progress, or crosses the
     destination (possible only mid-convergence), or when *max_hops*
     (default ``n + 16``) runs out.

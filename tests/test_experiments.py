@@ -194,6 +194,7 @@ class TestDrivers:
         assert [r["n"] for r in res.rows] == [64, 128]
         assert all(r["rounds"] >= 1 for r in res.rows)
         assert all(r["route_hops"] > 0 for r in res.rows)
+        assert all(r["probe_hops"] > 0 and r["probe_lost"] == 0 for r in res.rows)
         # Reference comparison only where n <= reference_max_n.
         assert res.rows[0]["ref_rounds"] >= 1
         assert res.rows[1]["ref_s"] == ""

@@ -19,7 +19,7 @@ from repro.core.forget import forget_probability, survival
 from repro.ids import generate_ids
 from repro.moveforget.harmonic import harmonic_offset_pmf, sample_harmonic_offsets
 from repro.routing.greedy import greedy_route_hops
-from repro.routing.paths import probe_path_hops
+from repro.serve.routing import RouteView, route_batch
 from repro.topology.encode import assert_weakly_connected, encode_graph
 from repro.topology.serialization import states_from_json, states_to_json
 
@@ -84,7 +84,10 @@ def test_probe_hops_bounded_by_distance(n, seed):
     lrl = rng.integers(0, n, size=n)
     src = rng.integers(0, n, size=10)
     dst = rng.integers(0, n, size=10)
-    hops = probe_path_hops(n, lrl, src, dst)
+    # Algorithm 10's origin ring hop, then Algorithms 5/6, as E3 walks it.
+    walk = route_batch(RouteView.from_ranks(lrl), src + np.sign(dst - src), dst)
+    assert walk.ok.all()
+    hops = walk.hops + (dst != src)
     assert (hops <= np.abs(dst - src)).all()
     assert ((hops == 0) == (src == dst)).all()
 

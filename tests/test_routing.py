@@ -1,4 +1,5 @@
-"""Unit tests for greedy routing and probe-path replay (repro.routing)."""
+"""Unit tests for greedy routing (repro.routing) and the probe walk of
+experiment E3 (route_batch over RouteView.from_ranks)."""
 
 from __future__ import annotations
 
@@ -7,13 +8,18 @@ import pytest
 
 from repro.baselines.kleinberg import kleinberg_lrl_ranks
 from repro.graphs.build import stable_ring_states
-from repro.routing.greedy import (
-    greedy_route_hops,
-    greedy_route_states,
-    lrl_ranks_from_states,
-)
-from repro.routing.paths import probe_path_hops, probe_paths_from_states
+from repro.routing.greedy import greedy_route_hops, greedy_route_states
 from repro.routing.stats import hops_by_distance, log_bins
+from repro.serve.routing import NO_LINK, RouteView, route_batch
+
+
+def probe_hops(lrl: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Algorithm 10's probe as E3 walks it: the origin's forced ring hop,
+    then Algorithms 5/6 on route_batch over the stable line."""
+    first = src + np.sign(dst - src)
+    walk = route_batch(RouteView.from_ranks(lrl), first, dst)
+    assert walk.ok.all()
+    return walk.hops + (dst != src)
 
 
 class TestGreedyKernel:
@@ -67,6 +73,8 @@ class TestGreedyKernel:
             greedy_route_hops(8, None, np.array([9]), np.array([0]))
         with pytest.raises(ValueError, match="lrl"):
             greedy_route_hops(8, np.zeros(4, dtype=int), np.array([0]), np.array([1]))
+        with pytest.raises(ValueError, match="lrl"):
+            greedy_route_hops(8, np.full(8, -2), np.array([0]), np.array([1]))
         with pytest.raises(ValueError):
             greedy_route_hops(1, None, np.array([0]), np.array([0]))
 
@@ -76,23 +84,26 @@ class TestGreedyKernel:
 
 
 class TestStatesAdapter:
-    def test_lrl_ranks_from_states(self, rng):
+    def test_view_from_states(self, rng):
         states = stable_ring_states(8, lrl="harmonic", rng=rng)
-        lrl, ordered = lrl_ranks_from_states(states)
-        assert lrl.shape == (8,)
-        assert ordered == sorted(s.id for s in states)
+        view = RouteView.from_states(states)
+        assert view.lrl_rank.shape == (8,)
+        assert view.ids.tolist() == sorted(s.id for s in states)
 
     def test_dangling_lrl_treated_as_home(self):
         states = stable_ring_states(4)
         states[0].lrl = 0.987654321  # not a member
-        lrl, _ = lrl_ranks_from_states(states)
-        assert lrl[0] == 0
+        assert RouteView.from_states(states).lrl_rank[0] == NO_LINK
+        ordered = [s.id for s in states]
+        # Greedy routing reads the dead link as no shortcut at all.
+        hops = greedy_route_states(states, [ordered[0]], [ordered[2]])
+        assert hops.tolist() == [2]
 
     def test_route_states_matches_kernel(self, rng):
         states = stable_ring_states(32, lrl="harmonic", rng=rng)
         ordered = [s.id for s in states]
         hops = greedy_route_states(states, [ordered[0]], [ordered[16]])
-        lrl, _ = lrl_ranks_from_states(states)
+        lrl = RouteView.from_states(states).lrl_rank
         kernel = greedy_route_hops(32, lrl, np.array([0]), np.array([16]))
         assert hops.tolist() == kernel.tolist()
 
@@ -107,45 +118,49 @@ class TestProbeReplay:
     def test_plain_ring_probe_walks_distance(self):
         n = 16
         lrl = np.arange(n)  # no shortcuts anywhere
-        hops = probe_path_hops(n, lrl, np.array([2]), np.array([9]))
+        hops = probe_hops(lrl, np.array([2]), np.array([9]))
         assert hops[0] == 7
 
     def test_leftward_probe(self):
         n = 16
         lrl = np.arange(n)
-        hops = probe_path_hops(n, lrl, np.array([9]), np.array([2]))
+        hops = probe_hops(lrl, np.array([9]), np.array([2]))
         assert hops[0] == 7
 
     def test_first_hop_forced_to_ring_neighbor(self):
         n = 16
         lrl = np.arange(n)
         lrl[2] = 9  # source's own link points at the destination
-        hops = probe_path_hops(n, lrl, np.array([2]), np.array([9]))
+        hops = probe_hops(lrl, np.array([2]), np.array([9]))
         assert hops[0] == 7  # not 1: Algorithm 10 emits via p.r
 
     def test_intermediate_shortcut_taken(self):
         n = 16
         lrl = np.arange(n)
         lrl[3] = 8  # the node after the source jumps
-        hops = probe_path_hops(n, lrl, np.array([2]), np.array([9]))
+        hops = probe_hops(lrl, np.array([2]), np.array([9]))
         assert hops[0] == 1 + 1 + 1  # 2→3, 3→8 (lrl), 8→9
 
     def test_shortcut_never_overshoots(self):
         n = 16
         lrl = np.arange(n)
         lrl[3] = 12  # beyond the destination: must not be used
-        hops = probe_path_hops(n, lrl, np.array([2]), np.array([9]))
+        hops = probe_hops(lrl, np.array([2]), np.array([9]))
         assert hops[0] == 7
 
     def test_zero_distance(self):
         n = 8
         lrl = np.arange(n)
-        hops = probe_path_hops(n, lrl, np.array([3]), np.array([3]))
+        hops = probe_hops(lrl, np.array([3]), np.array([3]))
         assert hops[0] == 0
 
-    def test_probe_paths_from_states(self, rng):
+    def test_probe_walks_from_states(self, rng):
         states = stable_ring_states(64, lrl="harmonic", rng=rng)
-        hops, distances = probe_paths_from_states(states)
+        lrl = RouteView.from_states(states).lrl_rank
+        src = np.arange(64)
+        away = lrl != src
+        hops = probe_hops(lrl, src[away], lrl[away])
+        distances = np.abs(lrl[away] - src[away])
         assert hops.shape == distances.shape
         assert (hops >= 1).all()
         assert (hops <= distances).all()  # shortcuts only ever help

@@ -4,8 +4,8 @@ Three layers of evidence that the serving layer's hop kernel is the
 paper's probr/probl:
 
 * exact hop-for-hop conformance of :func:`repro.serve.route_batch`
-  against the deterministic probe replay
-  (:func:`repro.routing.paths.probe_path_hops`) on the converged
+  against the per-hop probe rule as written
+  (``tests.reference_flush.route_batch_reference``) on the converged
   overlay — for the reference states, the batched engine, and the
   sharded engine;
 * a Hypothesis sweep of the Lemma 4.23 hypothesis: greedy hops on the
@@ -29,12 +29,11 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
 from repro.graphs.build import stable_ring_states
 from repro.ids import generate_ids
-from repro.routing.greedy import lrl_ranks_from_states
-from repro.routing.paths import probe_path_hops
 from repro.serve.routing import NO_LINK, RouteView, route_batch
 from repro.serve.slo import hop_bound
 from repro.sim.fast.engine import FastSimulator
 from repro.topology.generators import TOPOLOGIES
+from tests.reference_flush import route_batch_reference
 
 
 def _converged_states(n: int, seed: int):
@@ -125,13 +124,15 @@ class TestProbeConformance:
     def test_route_batch_matches_probe_replay(self):
         n = 256
         states = _converged_states(n, 11)
-        lrl, _ = lrl_ranks_from_states(states)
         rng = np.random.default_rng(5)
         sources = rng.integers(0, n, size=500)
         dests = rng.integers(0, n, size=500)
-        expected = probe_path_hops(
-            n, lrl, sources, dests, first_hop_ring=False
-        )
+        # The oracle walks the stable line in rank space, so it reads
+        # none of the ring columns the views under test compute.
+        lrl_rank = RouteView.from_states(states).lrl_rank
+        oracle = route_batch_reference(RouteView.from_ranks(lrl_rank), sources, dests)
+        assert oracle.ok.all()
+        expected = oracle.hops
         for source in ("reference", "fast", "sharded"):
             view = _view_from(source, states)
             got = route_batch(view, sources, dests)

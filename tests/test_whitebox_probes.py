@@ -1,11 +1,12 @@
-"""White-box consistency: the vectorized probe replay equals the live protocol.
+"""White-box consistency: the vectorized probe walker equals the live protocol.
 
-The experiments (E3) measure probing cost with the vectorized replay
-kernel; this test pins the kernel to the real message flow.  With the
-long-range links frozen (``move_and_forget=False``) the ring probe emitted
-by the minimal node each round advances one hop per round through exactly
-the nodes the replay rule predicts — we trace the live senders and compare
-them against a test-local reimplementation of Algorithm 5's forwarding.
+The experiments (E3) and the serving layer measure probing cost with
+:func:`repro.serve.routing.route_batch`; these tests pin it to the real
+message flow.  With the long-range links frozen (``move_and_forget=False``)
+the ring probe emitted by the minimal node each round advances one hop per
+round through exactly the nodes the replay rule predicts — we trace the
+live senders and compare them against a test-local reimplementation of
+Algorithm 5's forwarding, then hold the walker to that same path.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import numpy as np
 from repro.core.messages import MessageType
 from repro.core.protocol import ProtocolConfig, build_network
 from repro.graphs.build import stable_ring_states
-from repro.routing.greedy import lrl_ranks_from_states
-from repro.routing.paths import probe_path_hops
+from repro.serve.routing import RouteView, route_batch
 from repro.sim.engine import Simulator
 from repro.sim.trace import Trace
 
@@ -48,7 +48,8 @@ def test_live_ring_probe_follows_replay_path():
     net = build_network(states, cfg)
     sim = Simulator(net, rng)
 
-    lrl, ordered = lrl_ranks_from_states(net.states())
+    view = RouteView.from_states(net.states())
+    lrl, ordered = view.lrl_rank, view.ids.tolist()
     expected_ranks = replay_path_ranks(n, lrl, 0, n - 1)
     expected_senders = {ordered[r] for r in expected_ranks[:-1]}
 
@@ -64,10 +65,14 @@ def test_live_ring_probe_follows_replay_path():
 
 
 def test_replay_hops_match_path_length():
+    """The shipped walker, from the origin's ring neighbor (rank 1), takes
+    the replay path id for id — the path the live probe is traced on."""
     n = 48
     rng = np.random.default_rng(99)
     states = stable_ring_states(n, lrl="harmonic", rng=rng)
-    lrl, _ = lrl_ranks_from_states(states)
-    path = replay_path_ranks(n, lrl, 0, n - 1)
-    hops = probe_path_hops(n, lrl, np.array([0]), np.array([n - 1]))
-    assert hops[0] == len(path) - 1
+    view = RouteView.from_states(states)
+    path = replay_path_ranks(n, view.lrl_rank, 0, n - 1)
+    walk = route_batch(view, np.array([1]), np.array([n - 1]), collect_paths=True)
+    assert walk.ok.all() and walk.paths is not None
+    assert walk.paths[0] == [float(view.ids[r]) for r in path[1:]]
+    assert walk.hops[0] == len(path) - 2
