@@ -7,7 +7,8 @@ that matter when scaling the experiments up (see DESIGN.md §5):
 * one vectorized move-and-forget step at 16k tokens;
 * a 2k-query greedy routing batch at 16k nodes;
 * harmonic sampling at 16k draws;
-* the probe walk (route_batch) over a full 16k network.
+* the probe walk (route_batch) over a full 16k network;
+* a serving batch: 8192 Zipf lookups walked by route_batch at 8k nodes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.graphs.build import stable_ring_states
 from repro.moveforget.harmonic import sample_harmonic_offsets
 from repro.moveforget.process import RingMoveForgetProcess
 from repro.routing.greedy import greedy_route_hops
+from repro.serve.load import zipf_ranks
 from repro.serve.routing import RouteView, route_batch
 from repro.sim.engine import Simulator
 
@@ -68,3 +70,12 @@ def test_probe_replay_16k(benchmark):
     # E3's probes: the origin's ring hop, then route_batch on the line.
     first = src[away] + np.sign(lrl[away] - src[away])
     benchmark(route_batch, RouteView.from_ranks(lrl), first, lrl[away])
+
+
+def test_route_batch_zipf_8k(benchmark):
+    n = 2**13
+    rng = np.random.default_rng(5)
+    view = RouteView.from_ranks(kleinberg_lrl_ranks(n, rng))
+    src = rng.integers(0, n, n)
+    dst = zipf_ranks(rng, n, n)
+    benchmark(route_batch, view, src, dst)

@@ -24,12 +24,10 @@ The host also tracks convergence (the fast-engine ring predicates, every
 "recovering" traffic, and folds membership/storm counts into the ambient
 observer's registry.
 
-While its thread runs, the host keeps a batched engine on the ``(wave,
-type)`` dispatch order (:class:`_WaveOrder`): the writer schedule hands the
-interpreter lock to the lookup clients so much more often that their rate
-rises by 1.7x and, on a shared box, wanders by more than the serving
-benchmark can tell from a regression.  docs/SERVING.md has the numbers and
-what has to happen before the pin comes out.
+The engine plans the same writer schedule while it serves as in any other
+batched run; the lookup clients get the interpreter lock between its numpy
+calls, so the fewer and larger the engine's calls, the less they wait
+(docs/SERVING.md, "Reads beside writes").
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ import numpy as np
 
 from repro.churn.storms import STORMS, ChurnPlan
 from repro.serve.routing import RouteView
-from repro.sim.fast.batched import FastEngine, WaveGroup
 from repro.sim.fast.predicates import fast_is_sorted_ring, fast_lrl_links_live
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,20 +55,6 @@ __all__ = ["EngineHost"]
 def _converged(engine: Any) -> bool:
     """Default convergence probe: sorted ring + every lrl link live."""
     return fast_is_sorted_ring(engine) and fast_lrl_links_live(engine)
-
-
-class _WaveOrder:
-    """The :class:`~repro.sim.fast.batched.WaveFault` that rewrites nothing.
-
-    An installed fault makes staging order observable, so the engine plans
-    every row as a writer and dispatches the ``(wave, type)`` groups: same
-    trajectory as the writer schedule, more and smaller kernel calls.
-    """
-
-    def rewrite(
-        self, groups: list[WaveGroup]
-    ) -> tuple[list[WaveGroup], list[WaveGroup]]:
-        return groups, []
 
 
 class EngineHost:
@@ -144,8 +127,6 @@ class EngineHost:
         if self._thread is not None:
             return self
         self._publish()
-        if isinstance(self.sim.engine, FastEngine):
-            self.sim.engine.set_wave_fault(_WaveOrder())
         thread = threading.Thread(
             target=self._loop, name="repro-serve-engine", daemon=True
         )
@@ -159,8 +140,6 @@ class EngineHost:
         thread, self._thread = self._thread, None
         if thread is not None:
             thread.join(timeout=30)
-            if isinstance(self.sim.engine, FastEngine):
-                self.sim.engine.set_wave_fault(None)
         self._fail_pending(RuntimeError("engine host stopped"))
 
     @property

@@ -27,14 +27,15 @@ pieces make that safe and fast:
     :meth:`RouteView.from_ranks` to measure Lemma 4.23's O(ln^(2+ε) d)
     expected hop bound on the stable line; mid-convergence, dead links,
     overshoots and non-progress are detected and reported as *lost*
-    lookups instead of hanging the request path.  The half of the rule
-    that does not depend on the destination is compiled into two tables
-    per view (:class:`RouteView`) and indexed by rank and direction
-    together, so a hop selects nothing by direction; the walking queries
-    are carried compacted from hop to hop, and the bookkeeping for walks
-    that end runs only on a hop where one does: every large numpy call the
-    loop makes is a place where the interpreter lock changes hands with
-    the engine thread (docs/SERVING.md).
+    lookups instead of hanging the request path.  A walk runs on the
+    *reflected directed index* — ``d = n - 1 - rank`` going left,
+    ``d = n + rank`` going right — so progress means a larger ``d`` in
+    either direction, and the view compiles the half of the rule that does
+    not depend on the destination into two tables over ``d``
+    (:class:`RouteView`).  A hop is then one compare and one gather from
+    each table, whatever its direction; every numpy call the loop makes is
+    a place where the interpreter lock changes hands with the engine
+    thread (docs/SERVING.md).
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ def _link_ranks(ids: np.ndarray, links: np.ndarray) -> np.ndarray:
 
 
 def _scattered_ranks(ids: np.ndarray, links: np.ndarray) -> np.ndarray:
-    """:func:`_link_ranks` for links in no particular order (long-range
-    links, lookup targets): ``np.searchsorted`` walks ascending needles
-    several times faster than scattered ones, which more than pays for
-    sorting them first."""
+    """:func:`_link_ranks` for ids in no particular order (lookup
+    targets): ``np.searchsorted`` walks ascending needles several times
+    faster than scattered ones, which more than pays for sorting them
+    first."""
     order = np.argsort(links)
     ranks = np.empty(len(links), dtype=np.int64)
     ranks[order] = _link_ranks(ids, links[order])
@@ -81,15 +82,7 @@ class RouteView:
     round and readers pick it up on their next attribute load.
     """
 
-    __slots__ = (
-        "ids",
-        "l_rank",
-        "r_rank",
-        "lrl_rank",
-        "round_index",
-        "sc_bound",
-        "ring_next",
-    )
+    __slots__ = ("ids", "l_rank", "r_rank", "lrl_rank", "round_index", "bound", "step")
 
     def __init__(
         self,
@@ -104,23 +97,32 @@ class RouteView:
         self.r_rank = r_rank
         self.lrl_rank = lrl_rank
         self.round_index = round_index
+        n = len(ids)
+        # Both tables are indexed by the reflected directed index d: the
+        # leftward rows (d = n - 1 - rank) read the rank columns reversed,
+        # the rightward rows (d = n + rank) read them as they are.
+        # ``step[2 * d + take]`` is the ring successor (take = 0) or the lrl
+        # successor (take = 1) as a d.  A missing link leads back to the
+        # row itself, as a link to the node itself does, so "no progress"
+        # is one compare whatever the reason.
+        links = np.stack((l_rank, r_rank, lrl_rank), dtype=np.int64)
+        missing = links == NO_LINK
+        own = np.where(missing, np.arange(n), links)
+        succ = np.concatenate(((n - 1) - own[::2, ::-1], n + own[1:]), axis=1)
+        self.step = np.stack(tuple(succ), axis=1).ravel()
         # Algorithms 5/6 follow lrl iff dest >= lrl > r (rightward) or
         # dest <= lrl < l (leftward).  The second inequality does not
-        # depend on the destination: where it fails the table holds a rank
-        # no destination reaches, so the test per hop is one compare.
-        # NO_LINK sorts below every rank, so rightwards a dead lrl fails
-        # ``lrl > r`` and a missing r passes it; leftwards a missing l is
-        # said outright and a dead lrl is its own sentinel.
-        sc_right = np.where(lrl_rank > r_rank, lrl_rank, len(ids))
-        sc_left = np.where(
-            (l_rank == NO_LINK) | (lrl_rank < l_rank), lrl_rank, NO_LINK
+        # depend on the destination: ``bound`` holds lrl as a d where it
+        # holds and 2n, which no goal reaches, where it fails, so the test
+        # per hop is ``goal >= bound[d]``.  A missing ring link passes the
+        # inequality and a dead lrl fails it, so NO_LINK has to lie behind
+        # the walk: below every rank rightwards, as it is, and above every
+        # rank leftwards, where the ranks are compared unsigned.
+        unsigned = links.view(np.uint64)
+        shortcut = np.concatenate(
+            ((unsigned[2] < unsigned[0])[::-1], links[2] > links[1])
         )
-        # Both directions in one table each, indexed by the *directed rank*
-        # ``c + n * rightward``: the leftward bound negated, so a walk with
-        # the signed goal ``±dest`` takes lrl iff ``goal >= sc_bound``, and
-        # the ring link it takes otherwise.
-        self.sc_bound = np.concatenate((-sc_left, sc_right))
-        self.ring_next = np.concatenate((l_rank, r_rank))
+        self.bound = np.where(shortcut, succ[1], 2 * n)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -182,11 +184,15 @@ class RouteView:
         lrl: np.ndarray,
         round_index: int,
     ) -> "RouteView":
-        """Compress the link-id columns to ranks: the two ring columns,
-        each already close to ascending, in one pass; ``lrl`` on its own."""
+        """Compress the link-id columns to ranks in one ``searchsorted``
+        pass: the two ring columns are already close to ascending, and
+        ``lrl`` is sorted first, as :func:`_scattered_ranks` does."""
         n = len(ids)
-        ring = _link_ranks(ids, np.concatenate((l, r)))
-        return cls(ids, ring[:n], ring[n:], _scattered_ranks(ids, lrl), round_index)
+        order = np.argsort(lrl)
+        ranks = _link_ranks(ids, np.concatenate((l, r, lrl[order])))
+        lrl_rank = np.empty(n, dtype=np.int64)
+        lrl_rank[order] = ranks[2 * n :]
+        return cls(ids, ranks[:n], ranks[n : 2 * n], lrl_rank, round_index)
 
     def resolve(self, query_ids: np.ndarray) -> np.ndarray:
         """Ranks of arbitrary ids in this view (``NO_LINK`` when not live)."""
@@ -227,13 +233,15 @@ def route_batch(
     forced ring hop of Algorithm 10 is the caller's).  A query is lost when
     its next link is missing, makes no progress, or crosses the
     destination (possible only mid-convergence), or when *max_hops*
-    (default ``n + 16``) runs out.
+    (default ``n + 16``; negative is refused) runs out.
     """
     n = view.n
     src = np.asarray(source_ranks, dtype=np.int64)
     dst = np.asarray(dest_ranks, dtype=np.int64)
     if src.shape != dst.shape:
         raise ValueError("source and destination batches must align")
+    if max_hops is not None and max_hops < 0:
+        raise ValueError(f"max_hops must be non-negative, got {max_hops}")
     cap = max_hops if max_hops is not None else n + 16
     valid = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
     hops = np.zeros(len(src), dtype=np.int64)
@@ -244,38 +252,34 @@ def route_batch(
             [float(view.ids[s])] if v else []
             for s, v in zip(src.tolist(), valid.tolist())
         ]
-    lrl_rank, sc_bound, ring_next = view.lrl_rank, view.sc_bound, view.ring_next
-    # The walking queries, their positions, destinations and directions
-    # stay compacted together; nothing is re-gathered through an index set.
-    # ``side`` moves a rank into the rightward half of the view's
-    # directed-rank tables and ``goal`` is the destination signed to match.
+    bound, step = view.bound, view.step
+    # The walking queries and their positions and goals, as reflected
+    # directed indices, stay compacted together; nothing is re-gathered
+    # through an index set, and a walk ends at or past its goal.
     query = np.flatnonzero(valid & (src != dst))
-    cur, t = src[query], dst[query]
-    rgt = t > cur
-    side = rgt * n
-    goal = np.where(rgt, t, -t)
+    start, dest = src[query], dst[query]
+    rgt = dest > start
+    cur = np.where(rgt, n + start, (n - 1) - start)
+    goal = np.where(rgt, n + dest, (n - 1) - dest)
     hop = 0
     while query.size and hop < cap:
         hop += 1
-        # Algorithm 5 (rightward): follow lrl iff dest >= lrl > r;
-        # Algorithm 6 (leftward): follow lrl iff dest <= lrl < l.
-        at = cur + side
-        nxt = np.where(goal >= sc_bound[at], lrl_rank[cur], ring_next[at])
-        # Mid-convergence hazards: no link at all or a self-loop that makes
-        # no progress (no step taken), or a step that crosses the destination.
-        lost = (nxt == NO_LINK) | (nxt == cur)
+        nxt = step[2 * cur + (goal >= bound[cur])]
+        # Mid-convergence hazards: no link at all or a self-loop makes no
+        # progress (no step taken); a step past the goal crossed it.
+        stuck = nxt == cur
         if paths is not None:
-            for qi, rank, gone in zip(query.tolist(), nxt.tolist(), lost.tolist()):
+            rank = np.where(nxt < n, (n - 1) - nxt, nxt - n)
+            for qi, r, gone in zip(query.tolist(), rank.tolist(), stuck.tolist()):
                 if not gone:
-                    paths[qi].append(float(view.ids[rank]))
-        done = lost | np.where(rgt, nxt >= t, nxt <= t)
+                    paths[qi].append(float(view.ids[r]))
+        done = stuck | (nxt >= goal)
         if done.any():
             finished = query[done]
-            ok[finished] = nxt[done] == t[done]
-            hops[finished] = hop - lost[done]
+            ok[finished] = nxt[done] == goal[done]
+            hops[finished] = hop - stuck[done]
             keep = ~done
-            query, nxt, t = query[keep], nxt[keep], t[keep]
-            rgt, side, goal = rgt[keep], side[keep], goal[keep]
+            query, nxt, goal = query[keep], nxt[keep], goal[keep]
         cur = nxt
     if query.size:
         ok[query] = False

@@ -330,19 +330,15 @@ class TestEngineVariants:
         svc.stop()
         assert not svc.host.running
 
-    def test_host_pins_wave_order_while_serving(self):
-        """The engine thread dispatches by ``(wave, type)`` (docs/SERVING.md):
-        an identity wave fault from start to stop, and the trajectory of
-        the writer schedule all the same."""
+    def test_host_serves_on_the_writer_schedule(self):
+        """The engine thread plans the writer schedule like any batched run
+        (docs/SERVING.md): no wave fault while it serves, and the same
+        states, message count and generator state as an unserved engine."""
         served = build_service(n=128, topology="line", seed=9, max_rounds=12)
         engine = served.host.sim.engine
-        assert engine._wave_fault is None
         served.start()
         try:
-            pin = engine._wave_fault
-            assert pin is not None
-            groups = [(0, np.arange(3)), (2, np.arange(3, 5))]
-            assert pin.rewrite(groups) == (groups, [])
+            assert engine._wave_fault is None
             assert served.host.wait_finished(timeout=120)
         finally:
             served.stop()
@@ -354,6 +350,10 @@ class TestEngineVariants:
             plain.step_round()
         assert plain.state_snapshot() == served.host.sim.state_snapshot()
         assert plain.engine.stats.total == engine.stats.total
+        assert (
+            plain.rng.bit_generator.state
+            == served.host.sim.rng.bit_generator.state
+        )
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,7 @@ from repro.serve.slo import hop_bound
 from repro.sim.fast.engine import FastSimulator
 from repro.topology.generators import TOPOLOGIES
 from tests.reference_flush import route_batch_reference
+from tests.test_flush_reference import routing_cases
 
 
 def _converged_states(n: int, seed: int):
@@ -111,10 +113,67 @@ class TestRouteView:
         reference = RouteView.from_states(
             [NodeState(*row) for row in engine.state_snapshot().values()]
         )
-        for column in ("ids", "l_rank", "r_rank", "lrl_rank", "sc_bound", "ring_next"):
+        for column in ("ids", "l_rank", "r_rank", "lrl_rank", "bound", "step"):
             np.testing.assert_array_equal(
                 getattr(view, column), getattr(reference, column)
             )
+
+
+# ----------------------------------------------------------------------
+# The reflected directed-index tables, against the rank columns
+# ----------------------------------------------------------------------
+def assert_table_invariants(view: RouteView) -> None:
+    """``step`` and ``bound`` say what the rank columns say, row by row.
+
+    Row d is rank ``d - n`` going right and rank ``n - 1 - d`` going left;
+    every destination is tried on every row, the far side included.
+    """
+    n = view.n
+    d = np.arange(2 * n)
+    rgt = d >= n
+    rank = np.where(rgt, d - n, n - 1 - d)
+
+    def to_d(link):
+        return np.where(rgt, n + link, n - 1 - link)
+
+    ring = np.where(rgt, view.r_rank[rank], view.l_rank[rank])
+    lrl = view.lrl_rank[rank]
+    assert view.bound.shape == (2 * n,) and view.step.shape == (4 * n,)
+    step = view.step.reshape(2 * n, 2)
+    # Every successor stays in its row's half: a walk never turns round.
+    assert np.all((step >= n) == rgt[:, None])
+    assert np.all((step >= 0) & (step < 2 * n))
+    for column, link in ((0, ring), (1, lrl)):
+        home = (link == NO_LINK) | (link == rank)
+        np.testing.assert_array_equal(step[home, column], d[home])
+        np.testing.assert_array_equal(step[~home, column], to_d(link)[~home])
+    # Algorithm 5: dest >= lrl > r; Algorithm 6: dest <= lrl < l.  A
+    # missing ring link is passed, a dead lrl is never taken.
+    free = ring == NO_LINK
+    live = lrl != NO_LINK
+    for dest in range(n):
+        takes = live & np.where(
+            rgt,
+            (dest >= lrl) & (free | (lrl > ring)),
+            (dest <= lrl) & (free | (lrl < ring)),
+        )
+        np.testing.assert_array_equal(to_d(dest) >= view.bound, takes)
+
+
+class TestDirectedTables:
+    @settings(max_examples=300, deadline=None)
+    @given(case=routing_cases())
+    def test_arbitrary_rank_tables(self, case):
+        assert_table_invariants(case[0])
+
+    def test_mid_convergence_view(self):
+        view = TestPinnedHopTrace()._mid_convergence_view("batched")
+        stable = np.arange(view.n)
+        # Still converging: some links dead, missing or out of line.
+        assert np.any(view.lrl_rank == NO_LINK) or np.any(
+            view.l_rank[1:] != stable[:-1]
+        )
+        assert_table_invariants(view)
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +229,15 @@ class TestProbeConformance:
         )
         assert not capped.ok[0]
         assert capped.hops[0] == 2
+
+    def test_negative_hop_cap_is_refused(self):
+        view = RouteView.from_states(_converged_states(32, 9))
+        with pytest.raises(ValueError, match="max_hops"):
+            route_batch(view, np.asarray([0]), np.asarray([31]), max_hops=-1)
+        # Zero is a cap, not an error: every walk that has to move is lost.
+        zero = route_batch(view, np.asarray([0, 4]), np.asarray([31, 4]), max_hops=0)
+        np.testing.assert_array_equal(zero.ok, [False, True])
+        np.testing.assert_array_equal(zero.hops, [0, 0])
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
-from repro.serve.host import _WaveOrder
 from repro.sim.fast import batched
 from repro.sim.fast.batched import FastEngine, writer_rows
 from repro.sim.fast.buffers import N_TYPES, RESLRL, build_inbox
@@ -36,6 +35,15 @@ from repro.sim.fast.shard import ShardedEngine
 from repro.topology.generators import TOPOLOGIES
 from tests.reference_flush import wave_groups_reference
 from tests.test_wave_uniqueness import ID_POOL, make_chunks, wire_row_strategy
+
+class IdentityWaveFault:
+    """The ``WaveFault`` that rewrites nothing: installed, it makes staging
+    order observable, so the engine plans every row as a writer and
+    dispatches the ``(wave, type)`` groups."""
+
+    def rewrite(self, groups):
+        return groups, []
+
 
 #: Ten nodes, and three identifiers nobody holds (between, below, above).
 IDS = tuple(round(0.04 + 0.09 * i, 2) for i in range(10))
@@ -99,8 +107,8 @@ def build(kind: str, config: ProtocolConfig, nodes, rows, *, sanitize=None):
     """An engine of *kind* over the corrupted nodes with *rows* staged.
 
     ``writer`` is the shipped batched engine; ``all-true`` is the same
-    engine with the writer gate shut by the identity ``WaveFault`` the
-    serving host installs, which makes every row a writer; ``sharded-k``
+    engine with the writer gate shut by the identity ``WaveFault``, which
+    makes every row a writer; ``sharded-k``
     is k inline shards.
     """
     states = [NodeState(id=v) for v in IDS]
@@ -113,7 +121,7 @@ def build(kind: str, config: ProtocolConfig, nodes, rows, *, sanitize=None):
         engine = FastEngine(states, config, sanitize=sanitize)
         outbox = engine.outbox
         if kind != "writer":
-            engine.set_wave_fault(_WaveOrder())
+            engine.set_wave_fault(IdentityWaveFault())
     corrupt(engine, nodes)
     stage(outbox, engine, rows)
     return engine
