@@ -47,9 +47,9 @@ def _send_code_of(call: ast.Call) -> str | None:
 
     Two shapes in the tree, both spelled ``send`` or ``_send``: the code
     first — ``Outbox.send(CODE, dest, …)`` and the batched kernels'
-    ``self._send(CODE, mask, …)`` — or second, as in the mirror's
-    ``self._send(dest, CODE, …)``.  Both pass the code as a bare ``Name``
-    of a known constant.
+    ``self._send(CODE, mask, …)`` — or second, as in the scalar oracle's
+    ``self._send(dest, CODE, …)`` (``tests/reference_mirror.py``).  Both
+    pass the code as a bare ``Name`` of a known constant.
     """
     func = call.func
     if not isinstance(func, ast.Attribute) or func.attr not in ("send", "_send"):

@@ -218,8 +218,8 @@ class SoAResolver:
 
         Scalar stores execute sequentially — same-slot rewrites are
         well-defined — so they are exempt from the vectorized
-        conflict-freedom rules (the mirror engine's handlers are scalar
-        ports by design).
+        conflict-freedom rules (the handlers of the scalar oracle,
+        ``tests/reference_mirror.py``, are scalar ports by design).
         """
         if isinstance(expr, ast.Constant):
             return isinstance(expr.value, int)

@@ -12,11 +12,11 @@ but — before this pass — asserted nowhere):
   whose right-hand side reads the same column (overlapping in-place
   update, undefined element order);
 * ``flow-branch-rng`` — an RNG draw inside a loop or data-dependent
-  branch, which breaks the mirror engine's draw-for-draw replay.
+  branch, which breaks a draw-for-draw replay (``tests/reference_mirror.py``).
 
-Scalar-indexed stores are exempt from the first two rules: the mirror
-engine's handlers are deliberate scalar ports whose sequential
-same-slot rewrites are well-defined.  The runtime sanitizer
+Scalar-indexed stores are exempt from the first two rules: that oracle's
+handlers are deliberate scalar ports whose sequential same-slot
+rewrites are well-defined.  The runtime sanitizer
 (:mod:`repro.sim.fast.sanitize`) owns the complementary *dynamic* half:
 uniqueness of the actual integer index vectors.
 
@@ -444,7 +444,7 @@ class BranchRngRule(Rule):
     severity = Severity.ERROR
     summary = (
         "RNG draw inside a loop or data-dependent branch (breaks "
-        "draw-for-draw replay against the mirror engine)"
+        "draw-for-draw replay against the reference round)"
     )
     grounding = (
         "the differential tests are bit-exact only because both engines "

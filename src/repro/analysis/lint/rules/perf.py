@@ -6,9 +6,9 @@ columns element-by-element inside ``repro.sim.fast``.  The SoA layout
 exists so per-round work runs as vectorized kernels; a scalar loop over
 its columns is usually a porting shortcut that silently costs 10–100×
 (the ROADMAP names the PointerCorruption/CrashRestart injectors).  Where
-the loop is deliberate — the mirror engine's draw-for-draw scalar
-port — it carries a ``# repro-lint: ignore[scalar-loop-over-soa]``
-pragma with its justification.
+the loop is deliberate it carries a
+``# repro-lint: ignore[scalar-loop-over-soa]`` pragma with its
+justification.
 """
 
 from __future__ import annotations

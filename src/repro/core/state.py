@@ -33,7 +33,7 @@ __all__ = ["NodeState", "StateTuple", "snapshot_states"]
 #: Python scalars (``ring`` is ``None`` when unset).  This is the exchange
 #: format of the differential-equivalence harness: the reference engine and
 #: :mod:`repro.sim.fast` both export it, and bit-identical tuples are what
-#: "mirror-RNG equivalence" means (docs/PERF.md).
+#: draw-for-draw equivalence means (docs/PERF.md).
 StateTuple = tuple[float, float, float, float, float | None, int]
 
 

@@ -148,11 +148,7 @@ class Observer:
 
             host.shard_sink = ShardTelemetrySink(self.registry)
         else:
-            kind = (
-                "mirror"
-                if type(host).__name__.endswith("MirrorEngine")
-                else "fast"
-            )
+            kind = "fast"
         if hasattr(runner, "profiler"):
             runner.profiler = self.profiler_for(kind)
         index = self._sim_count

@@ -168,9 +168,13 @@ class RouteView:
     def from_ranks(cls, lrl_rank: np.ndarray) -> "RouteView":
         """The stable line over ranks ``0..n-1`` with the given long-range
         link ranks: ids are the ranks, ``l = rank - 1`` and ``r = rank + 1``,
-        ``NO_LINK`` past either end."""
+        ``NO_LINK`` past either end.  A long-range rank other than
+        ``NO_LINK`` outside ``[0, n)`` raises ``ValueError``."""
         lrl_rank = np.asarray(lrl_rank, dtype=np.int64)
-        rank = np.arange(len(lrl_rank), dtype=np.int64)
+        n = len(lrl_rank)
+        if np.any((lrl_rank != NO_LINK) & ((lrl_rank < 0) | (lrl_rank >= n))):
+            raise ValueError("lrl ranks must lie in [0, n)")
+        rank = np.arange(n, dtype=np.int64)
         r_rank = rank + 1
         r_rank[-1:] = NO_LINK
         return cls(rank.astype(np.float64), rank - 1, r_rank, lrl_rank, 0)

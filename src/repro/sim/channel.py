@@ -31,7 +31,7 @@ import numpy as np
 __all__ = ["Channel"]
 
 #: What a channel carries: a :class:`~repro.core.messages.Message` on the
-#: reference network, a tuple message on the mirror engine.
+#: reference network, a tuple message on a scalar SoA host.
 M = TypeVar("M", bound=Hashable)
 
 

@@ -361,8 +361,8 @@ class SchedulerFault(FaultInjector):
     is deferred to the next round, the SoA analogue of an adversarial
     scheduler starving individual nodes.
 
-    The mirror engine replays batched rounds scalar and has no wave
-    structure to perturb, so a mirror host raises ``TypeError``.
+    Any other host (no scheduler to swap, no wave structure to perturb)
+    raises ``TypeError``.
     """
 
     def __init__(
@@ -397,8 +397,8 @@ class SchedulerFault(FaultInjector):
         if install is None:
             raise TypeError(
                 "SchedulerFault needs a reference simulator (scheduler "
-                "swap) or a batched engine (wave-dispatch fault); the "
-                "mirror engine replays rounds scalar and has no wave "
+                "swap) or a batched engine (wave-dispatch fault); this "
+                "host has neither a scheduler to swap nor a wave "
                 "structure to perturb"
             )
         from repro.sim.fast.chaos.scheduler import WaveDispatchFault

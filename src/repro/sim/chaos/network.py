@@ -2,10 +2,9 @@
 
 A host built with ``wire=True`` holds a wire stage as ``host.wire``; every
 stage answers the fault surface of :class:`Wire`.  :class:`ScalarWire` is
-the stage a :class:`~repro.sim.network.Network` or a
-:class:`~repro.sim.fast.mirror.MirrorEngine` holds, written once, so the
-injectors see the same frames in the same order on either host; the
-batched engine's is :class:`~repro.sim.fast.chaos.batched.BatchedWire`.
+the stage a :class:`~repro.sim.network.Network` holds (and, bit-exact, the
+oracle of ``tests/reference_mirror.py``); the batched engine's is
+:class:`~repro.sim.fast.chaos.batched.BatchedWire`.
 
 The wire sits between a host's sends and its staging.  Every transmission
 — protocol message, guarded envelope, ack, retransmission — becomes a wire

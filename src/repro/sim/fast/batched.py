@@ -37,9 +37,9 @@ Equivalence to the reference engine is *distributional*, not draw-for-draw:
 within a synchronous round all sends are staged for the next round, so
 nodes do not interact mid-round and any per-node delivery order produced by
 uniform keys is reachable by the reference scheduler's permutations with
-equal probability.  The bit-exact twin is
-:class:`~repro.sim.fast.mirror.MirrorEngine`; the differential tests pin
-both (docs/PERF.md).
+equal probability.  The bit-exact twin of the reference round is a test
+oracle (``tests/reference_mirror.py``); the differential tests pin both
+(docs/PERF.md).
 """
 
 from __future__ import annotations

@@ -4,12 +4,10 @@
 faults (:func:`apply_wire_faults` over :class:`WireRows`) and the
 pending-ack guard columns (:class:`BatchedGuard`), distributionally
 equivalent to the reference wire.  Experiments get it through
-``make_simulator(engine="fast", wire=True)`` (:mod:`repro.sim.host`).  The
-mirror engine holds the reference's own
-:class:`~repro.sim.chaos.network.ScalarWire` instead
-(``FastSimulator.from_states(mode="mirror", wire=True)``), its bit-exact
-oracle.  The rest are the SoA bodies of the host surface's state faults
-and monitors, and the batched scheduler fault.
+``make_simulator(engine="fast", wire=True)`` (:mod:`repro.sim.host`); its
+bit-exact oracle is ``tests/reference_mirror.py``.  The rest are the SoA
+bodies of the host surface's state faults and monitors, and the batched
+scheduler fault.
 """
 
 from repro.sim.fast.chaos.batched import BatchedGuard, BatchedWire

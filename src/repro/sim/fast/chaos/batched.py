@@ -18,9 +18,9 @@ scalar, but delivery interleaving within a tick differs (the batched
 round delivers by frame kind, the reference in wire insertion order), so
 only aggregate behavior — recovery times, split/converge outcomes, guard
 overhead — is comparable.  The bit-exact twin of the wired reference
-network is the wired :class:`~repro.sim.fast.mirror.MirrorEngine`, which
-pins every injector per round before this wire is trusted at scale
-(docs/CHAOS.md, ``tests/test_fast_chaos_differential.py``).
+network is a test oracle (``tests/reference_mirror.py``), which pins
+every injector per round before this wire is trusted at scale
+(docs/CHAOS.md, ``tests/test_mirror_differential.py``).
 """
 
 from __future__ import annotations
@@ -240,17 +240,16 @@ class BatchedWire(Wire[BatchedGuard]):
 
         Only the shipped wire injectors have vectorized executors; a
         custom ``on_wire`` override cannot be replayed as an array kernel,
-        so it is rejected here (run it on a wired reference or mirror
-        host instead).
+        so it is rejected here (run it on a wired reference host
+        instead).
         """
         chain = list(injectors)
         for inj in chain:
             if not supports_batched_wire(inj):
                 raise TypeError(
                     f"{inj.name} has no vectorized wire executor; run "
-                    "custom injectors on a wired reference or mirror host "
-                    "(make_simulator(engine='reference', wire=True) or "
-                    "FastSimulator.from_states(mode='mirror', wire=True))"
+                    "custom injectors on a wired reference host "
+                    "(make_simulator(engine='reference', wire=True))"
                 )
         super().set_wire_faults(chain)
 

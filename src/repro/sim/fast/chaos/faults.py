@@ -86,9 +86,7 @@ def crash_restart_many_engine(
     One masked scatter per column, equivalent to the scalar
     :func:`repro.sim.faults.crash_restart` per id in any order (the resets
     are independent and idempotent): neighbors to the sentinels, the
-    long-range link to self with age 0, ring cleared, and — where the
-    engine holds per-node channels (the mirror) — queued messages dropped
-    like the reference's ``channel.clear()``.
+    long-range link to self with age 0, ring cleared.
     """
     ids = np.ascontiguousarray(node_ids, dtype=np.float64)
     if len(ids) == 0:
@@ -103,7 +101,3 @@ def crash_restart_many_engine(
     soa.lrl[idx] = soa.ids[idx]
     soa.ring[idx] = np.nan
     soa.age[idx] = 0
-    clear = getattr(engine, "crash_channel_clear", None)
-    if clear is not None:
-        for nid in ids.tolist():
-            clear(nid)

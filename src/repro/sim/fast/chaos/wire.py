@@ -18,8 +18,8 @@ The one documented divergence is ``MessageDelay(mode="hash")``: the
 reference hashes ``repr((dest, frame))`` with CRC-32, which has no array
 form.  The batched executor substitutes a SplitMix64-style bit mix over
 the row's content columns — equally deterministic and content-keyed, but
-a *different* hash, so hash-delay schedules are engine-specific (the wired
-:class:`~repro.sim.fast.mirror.MirrorEngine` builds real frames and
+a *different* hash, so hash-delay schedules are engine-specific (the
+wired oracle in ``tests/reference_mirror.py`` builds real frames and
 reproduces the CRC-32 schedule; docs/CHAOS.md).
 """
 
@@ -237,7 +237,7 @@ _EXECUTORS = {
 def supports_batched_wire(injector: FaultInjector) -> bool:
     """Whether *injector* has a vectorized executor (exact type match —
     subclasses may override ``on_wire`` arbitrarily, so they fall back to
-    a wired mirror or reference host)."""
+    a wired reference host)."""
     return type(injector) in _EXECUTORS
 
 
@@ -257,9 +257,8 @@ def apply_wire_faults(
         if executor is None:
             raise TypeError(
                 f"{inj.name} has no vectorized wire executor; run custom "
-                "injectors on a wired reference or mirror host "
-                "(make_simulator(engine='reference', wire=True) or "
-                "FastSimulator.from_states(mode='mirror', wire=True))"
+                "injectors on a wired reference host "
+                "(make_simulator(engine='reference', wire=True))"
             )
         if len(rows) == 0:
             break

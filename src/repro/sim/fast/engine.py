@@ -1,6 +1,6 @@
 """The :class:`FastSimulator` driver for the fast engines.
 
-Plugs either fast engine into the shared
+Plugs the batched or the sharded engine into the shared
 :class:`~repro.sim.engine.BaseSimulator` round loops, so experiments call
 ``run`` / ``run_until`` / ``run_phases`` exactly as they do on the
 reference :class:`~repro.sim.engine.Simulator` — predicates just receive
@@ -20,7 +20,6 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState, StateTuple
 from repro.sim.engine import BaseSimulator
 from repro.sim.fast.batched import FastEngine
-from repro.sim.fast.mirror import MirrorEngine
 from repro.sim.fast.shard import ShardedEngine
 from repro.sim.fast.soa import SoAState
 
@@ -31,13 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
 __all__ = ["FastSimulator"]
 
 #: Any engine the driver can host.
-AnyFastEngine = FastEngine | MirrorEngine | ShardedEngine
+AnyFastEngine = FastEngine | ShardedEngine
 
 #: ``from_states(mode=...)`` → (engine class, the options only it takes).
 _ENGINE_OF_MODE: dict[str, tuple[Callable[..., AnyFastEngine], tuple[str, ...]]] = {
     "batched": (FastEngine, ("wire", "guard")),
     "sharded": (ShardedEngine, ("shards",)),
-    "mirror": (MirrorEngine, ("wire", "guard")),
 }
 
 
@@ -48,8 +46,8 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
     ----------
     engine:
         A :class:`~repro.sim.fast.batched.FastEngine` (the fast default) or
-        a :class:`~repro.sim.fast.mirror.MirrorEngine` (the bit-exact
-        reference twin); see :meth:`from_states` for the convenient path.
+        a :class:`~repro.sim.fast.shard.ShardedEngine`; see
+        :meth:`from_states` for the convenient path.
     rng:
         Randomness source, exactly as for the reference simulator.
     """
@@ -87,13 +85,10 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         engine runs over its own copy either way; the caller's object is
         never aliased, so one start can seed several simulators.
 
-        ``mode="batched"`` (default) gives the vectorized engine;
-        ``mode="mirror"`` gives the draw-for-draw reference twin used by
-        the differential-equivalence tests (docs/PERF.md).  Either takes
-        ``wire=True`` for a chaos wire stage (``engine.wire``: vectorized
-        wire faults, or the reference's own bit-exact wire on the mirror),
-        and a :class:`~repro.sim.chaos.guard.GuardPolicy` via *guard*,
-        which implies a wire, for the guarded-handoff transport
+        ``mode="batched"`` (default) gives the vectorized engine; it takes
+        ``wire=True`` for a chaos wire stage (``engine.wire``, vectorized
+        wire faults) and a :class:`~repro.sim.chaos.guard.GuardPolicy` via
+        *guard*, which implies a wire, for the guarded-handoff transport
         (docs/CHAOS.md).  ``mode="sharded"`` partitions the id space over
         *shards* contiguous in-process :class:`ShardCore` blocks; it
         requires ``dedup=True``, has no wire, and replays the batched
@@ -123,8 +118,8 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         if wire and "wire" not in extra:
             raise ValueError(
                 f"engine={mode!r} has no wire transport (wire faults and the "
-                "guarded handoff need one); use the batched, mirror or "
-                "reference engine"
+                "guarded handoff need one); use the batched or reference "
+                "engine"
             )
         given = {"wire": wire, "guard": guard, "shards": shards}
         engine = engine_cls(

@@ -32,8 +32,8 @@ segment of waves in one call and inject those arrays, cut from one draw per
 segment (:func:`repro.sim.fast.batched.token_draws`); called without them
 the kernel draws the pair itself for its batch.  This is the *batched* draw
 discipline — distributionally equal to, but not call-for-call identical
-with, the reference engine's per-node draws (the mirror engine reproduces
-those instead; docs/PERF.md).
+with, the reference engine's per-node draws (the scalar oracle of
+``tests/reference_mirror.py`` reproduces those instead; docs/PERF.md).
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ messages, Definition 4.2), including edges to dangling identifiers: the
 proof's graphs are over identifiers, and during churn a shared dangling
 identifier can be exactly what holds two components together.
 
-:class:`SoAHost` is how the three SoA host classes (``FastEngine``,
-``ShardedEngine`` and ``MirrorEngine``, wired or not) answer the
-membership, health, in-flight and state-fault calls of the host surface
-(:class:`repro.sim.host.Host`): one delegating method per call, over the
+:class:`SoAHost` is how the SoA host classes (``FastEngine``, wired or
+not, and ``ShardedEngine``) answer the membership, health, in-flight and
+state-fault calls of the host surface (:class:`repro.sim.host.Host`):
+one delegating method per call, over the
 engine's batch writers, its one in-flight reader, the functions here and
 their siblings in :mod:`repro.sim.fast.chaos`.
 """
@@ -66,8 +66,8 @@ class SoAHost:
     surface, over the engine's one :class:`~repro.sim.fast.soa.SoAState`
     and its one in-flight reader.
 
-    Mixed into ``FastEngine``, ``MirrorEngine`` and ``ShardedEngine``.
-    Each of the three answers "what is in flight" once — its wire's share
+    Mixed into ``FastEngine`` and ``ShardedEngine``.
+    Each answers "what is in flight" once — its wire's share
     included, where it holds one — with
     ``in_flight_rows(code=None)``: the ``(dest, tcode, a, b, c)`` columns
     of every undelivered protocol message of type *code* (every type when

@@ -237,14 +237,6 @@ class FlowSanitizer:
         source = inspect.getsource(kernels_module)
         return cls(class_access_sets(source, "Kernels"))
 
-    @classmethod
-    def for_mirror(cls) -> "FlowSanitizer":
-        """Static access sets of the mirror engine's scalar handlers."""
-        from repro.sim.fast import mirror as mirror_module
-
-        source = inspect.getsource(mirror_module)
-        return cls(class_access_sets(source, "MirrorEngine"))
-
     # -- recording window ----------------------------------------------
     def begin(
         self,

@@ -22,13 +22,13 @@ structure, a bucket table over the sorted live ids: one probe per id, a
 binary search only for the few that share a bucket
 (:meth:`SoAState.lookup`).  A membership write makes the next lookup
 rebuild it, so a scalar caller asking per message keeps its own liveness
-(the mirror engine's channels).  Membership writes the columns
-in batches only (:meth:`~SoAState.add_batch`,
+(the channels of ``tests/reference_mirror.py``).  Membership writes the
+columns in batches only (:meth:`~SoAState.add_batch`,
 :meth:`~SoAState.remove_batch`, :meth:`~SoAState.scrub_departed_many`);
 one join or leave is a batch of one.
 
-Both fast engines (batched and mirror-RNG; see docs/PERF.md) share this
-container, and both export the canonical
+Every SoA host (and the oracle of ``tests/reference_mirror.py``; see
+docs/PERF.md) shares this container, and each exports the canonical
 :data:`~repro.core.state.StateTuple` snapshot for differential comparison
 against the reference engine.
 """

@@ -45,8 +45,8 @@ class Host(Protocol):
     #: Messages sent to identifiers that no longer exist.
     dropped: int
     #: The wire stage (``make_simulator(wire=True)``): a ``ScalarWire`` on
-    #: the node-object and mirror hosts, a ``BatchedWire`` on the batched
-    #: one; ``None`` on a wireless host.
+    #: the node-object host, a ``BatchedWire`` on the batched one; ``None``
+    #: on a wireless host.
     @property
     def wire(self) -> Wire[Any] | None: ...
 

@@ -1,4 +1,4 @@
-"""The mirror-RNG engine: bit-exact twin of the reference synchronous round.
+"""Reference oracle for the synchronous round: the mirror engine.
 
 :class:`MirrorEngine` executes the protocol over the same struct-of-arrays
 state and tuple messages as the batched engine, but **scalar**, making the
@@ -18,38 +18,44 @@ state and tuple messages as the batched engine, but **scalar**, making the
 Because the draws line up call-for-call, a mirror run seeded like a
 reference run must produce **bit-identical**
 :data:`~repro.core.state.StateTuple` snapshots after every round — that is
-the differential-equivalence harness's oracle (docs/PERF.md), and it
-validates the SoA representation, the tuple wire format, and the churn
-plumbing that the batched engine shares.
+the differential-equivalence oracle (``tests/test_mirror_differential.py``,
+docs/PERF.md §3), and it validates the SoA representation, the tuple wire
+format, and the churn plumbing that the batched engine shares.  The
+batched engine owes the reference only the distribution of its
+executions; this draw-for-draw replay is a test device, so it lives here.
 
 ``MirrorEngine(wire=True)`` holds the reference network's own chaos wire,
 :class:`~repro.sim.chaos.network.ScalarWire`, as :attr:`MirrorEngine.wire`:
 every send becomes a real :class:`~repro.core.messages.Message` frame, so
 the injectors see the same frames in the same order — including the
 ``repr``-hashed frames of ``MessageDelay(mode="hash")`` — and a wired
-mirror run is bit-identical per round with a wired reference run
-(``tests/test_fast_chaos_differential.py``).
+mirror run is bit-identical per round with a wired reference run.
 
 Handlers are deliberate line-for-line ports of
 :class:`repro.core.node.Node`; keep them in sync with Algorithms 1–10
-there.
+there.  Tests build it with :func:`mirror_simulator`.  Not collected by
+pytest (no ``test_`` prefix); nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 import time
-from collections.abc import Callable, Iterable
-from typing import TYPE_CHECKING, cast
+from collections.abc import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 
+from repro.analysis.flow.access import class_access_sets
 from repro.core.forget import forget_probability
 from repro.core.messages import Message
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
 from repro.ids import NEG_INF, POS_INF
 from repro.sim.channel import Channel
+from repro.sim.chaos.network import ScalarWire
 from repro.sim.fast.batched import join_batch_rows, leave_batch_victims
 from repro.sim.fast.buffers import (
     CODE_OF_TYPE,
@@ -62,6 +68,7 @@ from repro.sim.fast.buffers import (
     RING,
     TYPE_OF_CODE,
 )
+from repro.sim.fast.engine import FastSimulator
 from repro.sim.fast.predicates import SoAHost
 from repro.sim.fast.sanitize import (
     FlowSanitizer,
@@ -74,9 +81,8 @@ from repro.sim.metrics import MessageStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profile import PhaseProfiler
     from repro.sim.chaos.guard import GuardPolicy
-    from repro.sim.chaos.network import ScalarWire
 
-__all__ = ["MirrorEngine"]
+__all__ = ["MirrorEngine", "mirror_sanitizer", "mirror_simulator"]
 
 #: A wire message: ``(type_code, *payload_ids)``.
 MirrorMessage = tuple[float, ...]
@@ -140,7 +146,7 @@ class MirrorEngine(SoAHost):
             sanitize = sanitize_enabled()
         self.sanitizer: FlowSanitizer | None = None
         if sanitize:
-            self.sanitizer = FlowSanitizer.for_mirror()
+            self.sanitizer = mirror_sanitizer()
             self.soa = cast(SoAState, SanitizedSoAState(self.soa, self.sanitizer))
         self.dedup = dedup
         self.stats = MessageStats(keep_history=keep_history)
@@ -159,8 +165,6 @@ class MirrorEngine(SoAHost):
         #: The reference network's chaos wire; ``None`` when wireless.
         self.wire: ScalarWire | None = None
         if wire or guard is not None:
-            from repro.sim.chaos.network import ScalarWire
-
             self.wire = ScalarWire(self, guard)
 
     # ------------------------------------------------------------------
@@ -310,11 +314,14 @@ class MirrorEngine(SoAHost):
             self.wire.purge_mentions(node_id)
         self.soa.scrub_departed_many(victim)
 
-    def crash_channel_clear(self, node_id: float) -> None:
-        """Drop a crashed node's queued messages, as the reference's
-        ``crash_restart`` does (``channel.clear()``)."""
-        if node_id in self._channels:
-            self._channels[node_id].clear()
+    def crash_restart(self, node_ids: Sequence[float] | np.ndarray) -> None:
+        """The shared column reset, then each crashed node's queued
+        messages dropped, as the reference's ``crash_restart`` does
+        (``channel.clear()``)."""
+        ids = np.asarray(node_ids, dtype=np.float64)
+        super().crash_restart(ids)
+        for nid in ids.tolist():
+            self._channels[nid].clear()
 
     def join_batch(self, new_ids: np.ndarray, contact_ids: np.ndarray) -> int:
         """Batch join: the scalar joins in ascending new-id order.
@@ -609,7 +616,7 @@ class MirrorEngine(SoAHost):
         )
         for candidate in candidates:
             if candidate is not None and candidate != pid:
-                s.ring[i] = candidate  # repro-lint: ignore[scalar-loop-over-soa] the mirror engine is the deliberate scalar port; three candidates, first-match semantics
+                s.ring[i] = candidate
                 return candidate
         return None
 
@@ -642,3 +649,22 @@ class MirrorEngine(SoAHost):
             f"MirrorEngine(n={len(self)}, pending={self.pending_total()}, "
             f"sent={self.stats.total})"
         )
+
+
+def mirror_sanitizer() -> FlowSanitizer:
+    """Static access sets of this module's scalar handlers."""
+    return FlowSanitizer(
+        class_access_sets(inspect.getsource(sys.modules[__name__]), "MirrorEngine")
+    )
+
+
+def mirror_simulator(
+    states: Iterable[NodeState] | SoAState,
+    config: ProtocolConfig | None = None,
+    *,
+    rng: np.random.Generator | int | None = None,
+    **options: Any,
+) -> FastSimulator:
+    """``FastSimulator(MirrorEngine(states, config, **options), rng)``:
+    *options* are the engine's ``dedup``, ``wire``, ``guard``, ``sanitize``."""
+    return FastSimulator(MirrorEngine(states, config, **options), rng)

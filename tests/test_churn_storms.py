@@ -28,6 +28,7 @@ from repro.sim.chaos.campaign import ChaosCampaign
 from repro.sim.engine import Simulator
 from repro.sim.fast import FastSimulator
 from repro.topology.generators import line_topology
+from tests.reference_mirror import mirror_simulator
 
 N = 24
 ROUNDS = 26
@@ -84,9 +85,8 @@ class TestStormHostEquivalence:
         with the identical topology, census, and drop count."""
         net = build_network(states(), ProtocolConfig())
         ref = Simulator(net, rng=np.random.default_rng(99))
-        mirror = FastSimulator.from_states(
-            states(), ProtocolConfig(), mode="mirror",
-            rng=np.random.default_rng(99),
+        mirror = mirror_simulator(
+            states(), ProtocolConfig(), rng=np.random.default_rng(99)
         )
         for sim in (ref, mirror):
             ChaosCampaign(sim, storm_plan(), ()).run(ROUNDS)
@@ -99,9 +99,8 @@ class TestStormHostEquivalence:
         round of a storm campaign — mid-storm, not just at the end."""
         net = build_network(states(), ProtocolConfig())
         ref = Simulator(net, rng=np.random.default_rng(99))
-        mirror = FastSimulator.from_states(
-            states(), ProtocolConfig(), mode="mirror",
-            rng=np.random.default_rng(99),
+        mirror = mirror_simulator(
+            states(), ProtocolConfig(), rng=np.random.default_rng(99)
         )
         plans = (storm_plan(), storm_plan())
         sims = (ref, mirror)
@@ -125,9 +124,8 @@ class TestStormHostEquivalence:
             states(), ProtocolConfig(), mode="batched",
             rng=np.random.default_rng(99),
         )
-        mirror = FastSimulator.from_states(
-            states(), ProtocolConfig(), mode="mirror",
-            rng=np.random.default_rng(99),
+        mirror = mirror_simulator(
+            states(), ProtocolConfig(), rng=np.random.default_rng(99)
         )
         plans = (storm_plan(), storm_plan())
         sims = (fast, mirror)

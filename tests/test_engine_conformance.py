@@ -2,9 +2,10 @@
 
 Two layers of agreement, per docs/PERF.md and docs/CHAOS.md:
 
-* **exact** — the mirror engines are draw-for-draw twins of the reference
-  stack, so reference vs ``mode="mirror"`` (fault-free) and the wired
-  reference vs the wired mirror (faulted) must finish with
+* **exact** — the mirror oracle (``tests/reference_mirror.py``) is a
+  draw-for-draw twin of the reference stack, so reference vs mirror
+  (fault-free) and the wired reference vs the wired mirror (faulted)
+  must finish with
   the *identical final topology and message census*;
 * **structural** — the batched engines draw their RNG in a different
   order, so ``spec.run(engine=...)`` is conformance-checked for shape:
@@ -29,9 +30,9 @@ from repro.sim.chaos.guard import GuardPolicy
 from repro.sim.chaos.injectors import MessageDelay, MessageLoss
 from repro.sim.chaos.plan import FaultPlan
 from repro.sim.engine import Simulator
-from repro.sim.fast import FastSimulator
 from repro.sim.host import ENGINES
 from repro.topology.generators import TOPOLOGIES
+from tests.reference_mirror import mirror_simulator
 
 #: Experiments whose driver accepts ``engine=``.  Extending engine support
 #: to a new experiment must update this pin *and* add it to the matrices
@@ -120,16 +121,13 @@ def test_sharded_bit_identical_vs_fast_n2048(shards: int) -> None:
 
 @pytest.mark.parametrize("topo", ["line", "random_tree", "star"])
 def test_mirror_conformance_fault_free(topo: str) -> None:
-    """Reference vs ``mode="mirror"``: identical final topology and
+    """Reference vs the mirror oracle: identical final topology and
     message census after a fault-free stabilization run."""
     states = TOPOLOGIES[topo](32, np.random.default_rng(5))
     network = build_network(copy.deepcopy(states), ProtocolConfig())
     reference = Simulator(network, rng=np.random.default_rng(777))
-    mirror = FastSimulator.from_states(
-        copy.deepcopy(states),
-        ProtocolConfig(),
-        mode="mirror",
-        rng=np.random.default_rng(777),
+    mirror = mirror_simulator(
+        copy.deepcopy(states), ProtocolConfig(), rng=np.random.default_rng(777)
     )
     for _ in range(50):
         reference.step_round()
@@ -152,10 +150,9 @@ def test_mirror_conformance_faulted(topo: str) -> None:
         guard=policy,
     )
     reference = Simulator(network, rng=np.random.default_rng(seed + 1))
-    mirror = FastSimulator.from_states(
+    mirror = mirror_simulator(
         copy.deepcopy(states),
         ProtocolConfig(),
-        mode="mirror",
         guard=policy,
         rng=np.random.default_rng(seed + 1),
     )

@@ -3,7 +3,7 @@
 A wired batched engine trades draw-for-draw equivalence for throughput (its
 RNG is batched, so individual draws differ from the reference — the exact
 oracle is the wired mirror, pinned in
-``tests/test_fast_chaos_differential.py``).  What it must still deliver,
+``tests/test_mirror_differential.py``).  What it must still deliver,
 pinned here:
 
 * **determinism** — same seed, same campaign, byte-identical trace (the
@@ -39,6 +39,7 @@ from repro.sim.fast import FastEngine, FastSimulator
 from repro.sim.fast.chaos import BatchedWire
 from repro.sim.schedulers import SynchronousScheduler
 from repro.topology.generators import line_topology
+from tests.reference_mirror import mirror_simulator
 
 #: SHA-256 of ``trace.to_text()`` for the canonical quick campaign
 #: (n=48, campaign_seed=2, loss_rate=0.2, burst_stop=40, rounds=80,
@@ -139,7 +140,7 @@ class TestFailLoudlyContracts:
             )
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="'mirror'"):
+        with pytest.raises(ValueError, match="'sharded'"):
             FastSimulator.from_states(
                 self.states, ProtocolConfig(), mode="turbo"
             )
@@ -156,9 +157,7 @@ class TestFailLoudlyContracts:
             wire.set_wire_faults([injector])
 
     def test_custom_injector_accepted_by_mirror_chaos(self):
-        sim = FastSimulator.from_states(
-            self.states, ProtocolConfig(), mode="mirror", wire=True
-        )
+        sim = mirror_simulator(self.states, ProtocolConfig(), wire=True)
         injector = NoExecutorInjector()
         injector.bind(np.random.default_rng(1))
         sim.engine.wire.set_wire_faults([injector])  # must not raise
@@ -205,9 +204,7 @@ class TestFailLoudlyContracts:
             fault.on_window_start(Simulator(net))
 
     def test_scheduler_fault_rejected_on_mirror_chaos(self):
-        sim = FastSimulator.from_states(
-            self.states, ProtocolConfig(), mode="mirror", wire=True
-        )
+        sim = mirror_simulator(self.states, ProtocolConfig(), wire=True)
         fault = SchedulerFault(SynchronousScheduler())
         with pytest.raises(TypeError, match="wave structure"):
             fault.on_window_start(sim)

@@ -10,6 +10,7 @@ parity, the network-export path, and the vectorized phase predicates.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from repro.sim.engine import Simulator
 from repro.sim.fast import (
     FastEngine,
     FastSimulator,
-    MirrorEngine,
     fast_is_sorted_list,
     fast_is_sorted_ring,
     fast_lcc_weakly_connected,
@@ -33,6 +33,7 @@ from repro.sim.fast import (
 )
 from repro.sim.trace import Trace
 from repro.topology.generators import TOPOLOGIES
+from tests.reference_mirror import MirrorEngine, mirror_simulator
 
 
 def converge(
@@ -171,20 +172,26 @@ def test_from_states_rejects_unknown_mode() -> None:
     states = TOPOLOGIES["line"](4, np.random.default_rng(1))
     with pytest.raises(ValueError, match="unknown engine mode"):
         FastSimulator.from_states(states, mode="warp")
+    with pytest.raises(ValueError, match="unknown engine mode"):
+        FastSimulator.from_states(states, mode="mirror")
 
 
 def test_to_network_round_trips_state_and_pending() -> None:
     """Exporting mid-run yields a reference network that holds the same
     in-flight set and picks up the run, from every SoA host — a wired one
     with frames held on its wire and envelopes awaiting their acks."""
+    build = {
+        "batched": FastSimulator.from_states,
+        "sharded": partial(FastSimulator.from_states, mode="sharded"),
+        "mirror": mirror_simulator,
+    }
     for mode, wire in (
         ("batched", False), ("sharded", False), ("mirror", False),
         ("batched", True), ("mirror", True),
     ):
         states = TOPOLOGIES["gnp"](32, np.random.default_rng(21))
-        sim = FastSimulator.from_states(
+        sim = build[mode](
             states,
-            mode=mode,
             rng=np.random.default_rng(21),
             guard=GuardPolicy() if wire else None,
         )

@@ -34,6 +34,9 @@ from repro.analysis.flow.masks import TRUE, MaskEnv
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "flow"
 SRC_ROOT = pathlib.Path(repro.__file__).parent
+#: The draw-for-draw oracle the flow-branch-rng rule is grounded in; it
+#: lives beside the tests and is analysed with the tree.
+MIRROR = pathlib.Path(__file__).parent / "reference_mirror.py"
 
 
 def flow_fixture(name: str):
@@ -204,7 +207,7 @@ def test_kernels_access_sets_match_known_shape():
 # The shipped tree is flow-clean (ISSUE 6 acceptance criterion)
 # ----------------------------------------------------------------------
 def test_src_tree_has_no_flow_errors():
-    findings = analyze_paths([str(SRC_ROOT)])
+    findings = analyze_paths([str(SRC_ROOT), str(MIRROR)])
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
@@ -232,7 +235,7 @@ def test_suppressed_hazards_still_fire_without_their_pragmas():
 
     pragma_re = re.compile(r"# repro-flow: ignore\[[a-z][a-z-]*\][^\n]*")
     stripped_total = 0
-    for path in SRC_ROOT.rglob("*.py"):
+    for path in [*SRC_ROOT.rglob("*.py"), MIRROR]:
         text = path.read_text(encoding="utf-8")
         pragma_lines = IgnorePragmas(text, tool="repro-flow").rules_by_line()
         if not pragma_lines:

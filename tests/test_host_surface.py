@@ -1,7 +1,7 @@
 """The host surface, as one matrix (:mod:`repro.sim.host`).
 
-Every host ``make_simulator`` can build — plus the two mirror oracles
-``FastSimulator.from_states`` keeps for the differential tests — is built
+Every host ``make_simulator`` can build — plus the two mirror oracles of
+``tests/reference_mirror.py`` the differential tests run — is built
 from the same states as a reference ``Network`` and asked every ``Host``
 call.  Each call agrees with the reference: never ``AttributeError`` (the
 monitors used to die on the sharded and plain-mirror hosts), never a
@@ -46,7 +46,7 @@ from repro.sim.chaos.monitors import (
     WeakConnectivityWatchdog,
 )
 from repro.sim.chaos.plan import FaultPlan
-from repro.sim.fast import FastEngine, FastSimulator, MirrorEngine, ShardedEngine
+from repro.sim.fast import FastEngine, ShardedEngine
 from repro.sim.fast.buffers import LIN, Outbox
 from repro.sim.fast.shard.core import ShardCore
 from repro.sim.fast.soa import SoAState
@@ -54,6 +54,7 @@ from repro.sim.host import ENGINES, make_simulator
 from repro.sim.invariants import InvariantViolation
 from repro.sim.network import Network
 from repro.topology.generators import TOPOLOGIES
+from tests.reference_mirror import MirrorEngine, mirror_simulator
 
 N = 24
 
@@ -65,8 +66,8 @@ BUILDERS = {
     "fast": lambda s: make_simulator(s, engine="fast", rng=5),
     "fast+wire": lambda s: make_simulator(s, engine="fast", wire=True, rng=5),
     "sharded": lambda s: make_simulator(s, engine="sharded", rng=5),
-    "mirror": lambda s: FastSimulator.from_states(s, mode="mirror", rng=5),
-    "mirror+wire": lambda s: FastSimulator.from_states(s, mode="mirror", wire=True, rng=5),
+    "mirror": lambda s: mirror_simulator(s, rng=5),
+    "mirror+wire": lambda s: mirror_simulator(s, wire=True, rng=5),
 }
 
 
@@ -376,9 +377,10 @@ def test_branch_site_ratchet():
 
 def test_membership_has_one_path():
     """Column-backed hosts join and leave through their batch writers
-    only: ``join``/``leave`` exist once, on ``SoAHost``, as batches of one,
-    beside the scalar oracles of ``Network`` (the mirrors), and the purge
-    rule exists once, in ``departure_sweep``."""
+    only: ``join``/``leave`` exist once in ``repro.sim.fast``, on
+    ``SoAHost``, as batches of one (the scalar oracles, ``Network`` and the
+    mirror, keep their own), and the purge rule exists once, in
+    ``departure_sweep``."""
     fast_root = pathlib.Path(repro.__file__).parent / "sim" / "fast"
     defined = set()
     for info in pkgutil.walk_packages([str(fast_root)], prefix="repro.sim.fast."):
@@ -387,9 +389,7 @@ def test_membership_has_one_path():
             if isinstance(cls, type) and cls.__module__ == info.name:
                 own = {"join", "leave"} & set(vars(cls))
                 defined |= {f"{cls.__name__}.{name}" for name in own}
-    assert defined == {
-        "SoAHost.join", "SoAHost.leave", "MirrorEngine.join", "MirrorEngine.leave",
-    }
+    assert defined == {"SoAHost.join", "SoAHost.leave"}
     for name in ("add", "remove", "scrub_departed"):
         assert not hasattr(SoAState, name)
     for name in ("drop_dest", "purge_mentions"):
@@ -430,10 +430,8 @@ def test_in_flight_has_one_reader():
     left = GONE_READERS & set(owners)
     assert not left, {name: owners[name] for name in left}
     assert owners["in_flight"] == owners["in_flight_id_pairs"] == {"SoAHost"}
-    assert {cls.__name__ for cls in engines} == {
-        "FastEngine", "ShardedEngine", "MirrorEngine",
-    }
-    for cls in engines:
+    assert {cls.__name__ for cls in engines} == {"FastEngine", "ShardedEngine"}
+    for cls in (*engines, MirrorEngine):
         readers = {name for name in vars(cls) if IN_FLIGHT_NAME.search(name)}
         assert readers == {"in_flight_rows"}, cls.__name__
 
@@ -452,24 +450,24 @@ def _classes_under(package: str) -> list[type]:
     ]
 
 
-def test_five_engine_shaped_classes():
+def test_four_engine_shaped_classes():
     """An engine is a host class that counts and lists what is in flight
     (``Host`` itself, a protocol, only describes one).
-    The wire is a stage every host holds (``host.wire``), not a subclass:
-    five engine-shaped classes, and no engine subclassed but the shard
-    core."""
+    The wire is a stage every host holds (``host.wire``), not a subclass,
+    and the mirror oracle lives in ``tests/``: four engine-shaped classes,
+    and no engine subclassed but the shard core."""
     engines = {
         cls.__name__
         for cls in _classes_under("repro.sim")
         if hasattr(cls, "pending_total") and hasattr(cls, "in_flight")
         and Protocol not in cls.__mro__
     }
-    assert engines == {"Network", "MirrorEngine", "FastEngine", "ShardCore", "ShardedEngine"}
+    assert engines == {"Network", "FastEngine", "ShardCore", "ShardedEngine"}
     subclasses = {
         cls.__name__
         for cls in _classes_under("repro")
-        if issubclass(cls, (Network, MirrorEngine, FastEngine))
-        and cls not in (Network, MirrorEngine, FastEngine)
+        if issubclass(cls, (Network, FastEngine))
+        and cls not in (Network, FastEngine)
     }
     assert subclasses == {"ShardCore"}
     assert issubclass(ShardCore, FastEngine) and ShardedEngine.wire is None

@@ -19,10 +19,12 @@ import repro
 from repro.analysis.lint import Severity, lint_paths
 
 SRC_ROOT = pathlib.Path(repro.__file__).parent
+#: The scalar oracle kept beside the tests; linted with the tree.
+MIRROR = pathlib.Path(__file__).parent / "reference_mirror.py"
 
 
 def test_src_tree_has_no_lint_errors():
-    findings = lint_paths([str(SRC_ROOT)])
+    findings = lint_paths([str(SRC_ROOT), str(MIRROR)])
     errors = [f for f in findings if f.severity is Severity.ERROR]
     assert errors == [], "\n".join(f.render() for f in errors)
 
@@ -30,7 +32,7 @@ def test_src_tree_has_no_lint_errors():
 def test_src_tree_has_no_lint_warnings_either():
     # The tree is currently warning-clean too; keep it that way so the
     # advisory rules can be ratcheted to errors (ROADMAP open item).
-    findings = lint_paths([str(SRC_ROOT)])
+    findings = lint_paths([str(SRC_ROOT), str(MIRROR)])
     assert findings == [], "\n".join(f.render() for f in findings)
 
 

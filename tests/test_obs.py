@@ -29,6 +29,7 @@ from repro.sim.engine import Simulator
 from repro.sim.fast.engine import FastSimulator
 from repro.sim.metrics import ConvergenceRecorder, MessageStats
 from repro.topology.generators import TOPOLOGIES
+from tests.reference_mirror import mirror_simulator
 
 
 # ----------------------------------------------------------------------
@@ -243,13 +244,13 @@ class TestObserverAttachment:
 
     @pytest.mark.parametrize("mode", ["batched", "mirror"])
     def test_fast_simulators_attach(self, mode):
+        """Every non-sharded SoA host, the mirror oracle included, is
+        labelled ``fast``."""
+        build = {"batched": FastSimulator.from_states, "mirror": mirror_simulator}[mode]
         observer = Observer()
         with activated(observer):
-            sim = FastSimulator.from_states(
-                small_states(), ProtocolConfig(), mode=mode,
-                rng=np.random.default_rng(0),
-            )
-            kind = "fast" if mode == "batched" else "mirror"
+            sim = build(small_states(), ProtocolConfig(), rng=np.random.default_rng(0))
+            kind = "fast"
             assert sim._obs is not None
             assert sim._obs.engine == kind
             assert sim.engine.profiler is observer.phase_profilers[kind]

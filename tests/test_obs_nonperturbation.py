@@ -12,6 +12,7 @@ protocol state (docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import io
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.sim.chaos import (
 from repro.sim.engine import Simulator
 from repro.sim.fast.engine import FastSimulator
 from repro.topology.generators import TOPOLOGIES
+from tests.reference_mirror import mirror_simulator
 
 ROUNDS = 25
 N = 32
@@ -58,12 +60,14 @@ def fast_run(seed: int, observed: bool, mode: str):
     """Fixed-seed fast-engine run; returns (snapshot, stats, rng state)."""
     rng = np.random.default_rng(seed)
     states = TOPOLOGIES["random_tree"](N, rng)
-    kwargs = {"shards": 3} if mode == "sharded" else {}
+    build = {
+        "batched": FastSimulator.from_states,
+        "sharded": partial(FastSimulator.from_states, mode="sharded", shards=3),
+        "mirror": mirror_simulator,
+    }[mode]
 
     def body():
-        sim = FastSimulator.from_states(
-            states, ProtocolConfig(), mode=mode, rng=rng, **kwargs
-        )
+        sim = build(states, ProtocolConfig(), rng=rng)
         sim.run(ROUNDS)
         return sim
 

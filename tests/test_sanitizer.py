@@ -22,6 +22,7 @@ from repro.sim.fast.sanitize import (
 )
 from repro.sim.fast.soa import SoAState
 from repro.topology.generators import TOPOLOGIES
+from tests.reference_mirror import mirror_simulator
 
 N = 48
 SEED = 977
@@ -32,10 +33,14 @@ def make_states(seed: int = SEED):
     return TOPOLOGIES["gnp"](N, np.random.default_rng(seed))
 
 
+#: The two hosts under the sanitizer: the batched kernels and the
+#: mirror oracle's scalar handlers.
+BUILD = {"batched": FastSimulator.from_states, "mirror": mirror_simulator}
+
+
 def run_sim(mode: str, *, sanitize: bool, rounds: int = ROUNDS):
-    sim = FastSimulator.from_states(
+    sim = BUILD[mode](
         make_states(),
-        mode=mode,
         sanitize=sanitize,
         rng=np.random.default_rng([SEED, 1]),
     )
@@ -147,12 +152,12 @@ def test_accesses_outside_windows_are_ambient():
 # ----------------------------------------------------------------------
 def test_static_sets_cover_every_dispatched_kernel():
     from repro.sim.fast.batched import KERNEL_NAMES
-    from repro.sim.fast.mirror import _HANDLER_OF_CODE
+    from tests.reference_mirror import _HANDLER_OF_CODE, mirror_sanitizer
 
     kernels = FlowSanitizer.for_kernels().expected
     for name in (*KERNEL_NAMES, "regular_action"):
         assert name in kernels, name
-    mirror = FlowSanitizer.for_mirror().expected
+    mirror = mirror_sanitizer().expected
     for name in (*_HANDLER_OF_CODE.values(), "_run_regular"):
         assert name in mirror, name
 
@@ -190,9 +195,8 @@ def test_env_flag_activates_engines(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["batched", "mirror"])
 def test_chaos_modes_accept_sanitize_flag(mode):
-    sim = FastSimulator.from_states(
+    sim = BUILD[mode](
         make_states(),
-        mode=mode,
         wire=True,
         sanitize=True,
         rng=np.random.default_rng([SEED, 2]),

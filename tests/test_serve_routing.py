@@ -198,6 +198,16 @@ class TestProbeConformance:
             assert got.ok.all(), source
             np.testing.assert_array_equal(got.hops, expected, err_msg=source)
 
+    def test_from_ranks_rejects_out_of_range_links(self):
+        """A long-range rank outside ``[0, n)`` would index the hop tables
+        past the view and walk a route that does not exist."""
+        for bad in ([5, 0, 1], [-3, 0, 1]):
+            with pytest.raises(ValueError, match=r"lrl ranks must lie in \[0, n\)"):
+                RouteView.from_ranks(np.array(bad))
+        view = RouteView.from_ranks(np.array([NO_LINK, 0, 1]))
+        walk = route_batch(view, np.array([0]), np.array([2]))
+        assert walk.ok.all() and walk.hops.tolist() == [2]
+
     def test_paths_walk_the_line(self):
         states = _converged_states(96, 7)
         view = RouteView.from_states(states)
