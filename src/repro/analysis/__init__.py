@@ -14,7 +14,7 @@
 
 Like the top-level package, this namespace resolves its re-exports
 lazily (PEP 562): ``import repro.analysis.lint`` must work without
-numpy/scipy installed (the repro-lint CI job runs before the scientific
+numpy/networkx installed (the repro-lint CI job runs before the scientific
 stack), so the measurement modules are only imported on first attribute
 access.
 """

@@ -7,7 +7,7 @@ its pragma prefix: ``repro-lint`` with :data:`RULES_BY_ID` by default,
 (:mod:`repro.analysis.flow`).
 
 The engine is deliberately dependency-free (stdlib only) so the passes
-can run in minimal CI containers before ``numpy``/``scipy`` are installed.
+can run in minimal CI containers before ``numpy``/``networkx`` are installed.
 
 Besides the registered rules, the engine itself reports four conditions
 that must never be suppressed:

@@ -10,13 +10,16 @@ connectivity under failures (experiment E9).
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.baselines.watts_strogatz import average_clustering
 from repro.core.state import NodeState
 from repro.ids import is_real
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["overlay_graph", "smallworld_metrics", "robustness_after_failures"]
 
@@ -33,6 +36,8 @@ def overlay_graph(
     that knows another's identifier can message it, and the stabilized
     overlay stores every list link in both directions anyway.
     """
+    import networkx as nx
+
     if isinstance(states, Mapping):
         states = list(states.values())
     g = nx.Graph()
@@ -58,6 +63,8 @@ def smallworld_metrics(
     sample_sources: int | None = 64,
 ) -> dict[str, float]:
     """Degree / path-length / clustering summary of a stabilized overlay."""
+    import networkx as nx
+
     g = overlay_graph(states)
     n = g.number_of_nodes()
     degrees = np.array([d for _, d in g.degree()], dtype=np.float64)
@@ -89,6 +96,8 @@ def robustness_after_failures(
     connected — the paper's §I robustness motivation ("small-world networks
     provide a certain robustness against failures or attacks").
     """
+    import networkx as nx
+
     if not (0.0 <= failure_fraction < 1.0):
         raise ValueError("failure_fraction must be in [0, 1)")
     g = overlay_graph(states)

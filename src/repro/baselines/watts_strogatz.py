@@ -13,8 +13,12 @@ metric helpers reuse networkx's BFS only as a traversal primitive.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import networkx as nx
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "watts_strogatz_graph",
@@ -42,6 +46,8 @@ def watts_strogatz_graph(
     replaced by ``(u, w)`` for a uniform ``w`` avoiding self-loops and
     duplicate edges (the original Watts–Strogatz procedure).
     """
+    import networkx as nx
+
     if n < 4:
         raise ValueError("n must be at least 4")
     if k < 2 or k % 2 != 0 or k >= n:
@@ -98,6 +104,8 @@ def characteristic_path_length(
     from a uniform sample of sources — unbiased for the mean and orders of
     magnitude faster on the E12 sweep.
     """
+    import networkx as nx
+
     n = g.number_of_nodes()
     nodes = list(g.nodes)
     if sample_sources is not None and sample_sources < n:
@@ -130,6 +138,8 @@ def ws_curves(
     One row per rewiring probability with the trial-averaged normalized
     clustering and path length (the two series of Watts–Strogatz Figure 2).
     """
+    import networkx as nx
+
     base_c = None
     base_l = None
     rows: list[dict[str, float]] = []

@@ -20,8 +20,6 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 from repro.core.state import NodeState
 from repro.graphs.views import cc_graph, lcc_graph
 from repro.ids import NEG_INF, POS_INF
@@ -88,6 +86,8 @@ def is_sorted_ring(states: Mapping[float, NodeState]) -> bool:
 
 def lcc_weakly_connected(network: Network) -> bool:
     """Phase 1: the list channel connectivity graph is weakly connected."""
+    import networkx as nx
+
     if len(network) == 0:
         return False
     g = lcc_graph(network)
@@ -100,6 +100,8 @@ def cc_components(network: Network, *, live_only: bool = True) -> int:
     Stored links plus every in-flight identifier (retransmit buffers
     included); 0 for an empty network.
     """
+    import networkx as nx
+
     if len(network) == 0:
         return 0
     return nx.number_weakly_connected_components(

@@ -15,11 +15,14 @@ that want only live nodes can pass ``live_only=True``.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.messages import MessageType
 from repro.ids import is_real
 from repro.sim.network import Network
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "cp_graph",
@@ -40,6 +43,8 @@ _RING_TYPES = frozenset({MessageType.RING})
 
 
 def _base_graph(network: Network) -> nx.DiGraph:
+    import networkx as nx
+
     g = nx.DiGraph()
     g.add_nodes_from(network.ids)
     return g

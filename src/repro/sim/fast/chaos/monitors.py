@@ -14,8 +14,10 @@ same predicates directly on a fast engine so
   the per-channel dedup clause (the batched engines hold no channels
   between rounds; staged dedup happens in ``build_inbox``).
 
-Computation is ``scipy.sparse.csgraph`` over integer-relabelled edges —
-no networkx — so a monitor tick stays cheap at n=49k (docs/PERF.md).
+Computation is the numpy union–find of
+:func:`~repro.sim.fast.predicates.weak_component_count` over
+rank-labelled edges — no networkx — so a monitor tick stays cheap at
+n=49k (docs/PERF.md).
 """
 
 from __future__ import annotations

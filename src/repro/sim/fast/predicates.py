@@ -5,11 +5,12 @@ a fast engine's struct-of-arrays state — no ``NodeState`` objects, no
 ``networkx`` graphs.  The phase *names* are re-exported unchanged so
 recorders produced by either engine compare key-for-key.
 
-Connectivity uses ``scipy.sparse.csgraph`` over the same edge set as the
-reference LCC view (stored ``l``/``r`` links plus in-flight ``lin``
-messages, Definition 4.2), including edges to dangling identifiers: the
-proof's graphs are over identifiers, and during churn a shared dangling
-identifier can be exactly what holds two components together.
+Connectivity is a vectorized union–find (:func:`weak_component_count`)
+over the same edge set as the reference LCC view (stored ``l``/``r``
+links plus in-flight ``lin`` messages, Definition 4.2), including edges
+to dangling identifiers: the proof's graphs are over identifiers, and
+during churn a shared dangling identifier can be exactly what holds two
+components together.
 
 :class:`SoAHost` is how the SoA host classes (``FastEngine``, wired or
 not, and ``ShardedEngine``) answer the membership, health, in-flight and
@@ -25,8 +26,6 @@ from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.core.messages import Message
 from repro.graphs.predicates import (
@@ -223,23 +222,61 @@ def weak_component_count(ids: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
     """Weak-component count of the graph with edges ``u[i] -> v[i]``.
 
     Self-loops are dropped.  The nodes are *ids* plus every edge endpoint
-    (dangling identifiers are graph nodes too, as in repro.graphs.views).
+    (dangling identifiers are graph nodes too, as in repro.graphs.views),
+    labelled by their rank in that sorted universe.
     """
     keep = u != v
     u, v = u[keep], v[keep]
     universe = np.unique(np.concatenate((ids, u, v)))
     m = len(universe)
-    if m == 1:
-        return 1
-    ui = np.searchsorted(universe, u)
-    vi = np.searchsorted(universe, v)
-    graph = coo_matrix(
-        (np.ones(len(ui), dtype=np.int8), (ui, vi)), shape=(m, m)
-    )
-    n_components, _ = connected_components(
-        graph, directed=True, connection="weak"
-    )
-    return int(n_components)
+    if m <= 1:
+        return m
+    label = np.int32 if m < 2**31 else np.int64
+    a = np.searchsorted(universe, u).astype(label)
+    b = np.searchsorted(universe, v).astype(label)
+    del universe, u, v  # the labels are all that is read from here on
+    parent, _ = _weak_roots(m, a, b)
+    return int(np.count_nonzero(parent == np.arange(m, dtype=label)))
+
+
+def _weak_roots(m: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Union–find over the edges ``a[i] — b[i]`` between labels ``0..m-1``:
+    ``(parent, passes)``, where ``parent[x] == x`` exactly at one root per
+    weak component, the smallest label in it.
+
+    Every edge joins two roots at the start of a pass, which then
+    - hooks each root under the smallest root it shares an edge with
+      (``parent`` only ever falls, so the hooks form a forest);
+    - pointer-jumps until each root just hooked points at its new root
+      (when the edges are few, only those roots jump: a node hooked in an
+      earlier pass keeps its old pointer, which still leads into its
+      tree, and only roots are read again);
+    - moves every edge onto its endpoints' roots and drops those that now
+      lie inside one tree.
+    A root that keeps an edge and hooks nowhere is a local minimum: its
+    neighbours all hook to roots no larger than it.  If none hooked under
+    it, it hooks in the next pass, so the roots carrying edges halve at
+    least every two passes.
+    """
+    parent = np.arange(m, dtype=a.dtype)
+    passes = 0
+    while len(a):
+        passes += 1
+        hooked = np.maximum(a, b)
+        np.minimum.at(parent, hooked, np.minimum(a, b))
+        # A jump over every node is one gather of m; over the hooked roots,
+        # two gathers and a scatter per edge.  Take the cheaper.
+        nodes: np.ndarray | slice = hooked if 2 * len(hooked) < m else slice(None)
+        while True:
+            up = parent[nodes]
+            jumped = parent[up]
+            if np.array_equal(up, jumped):
+                break
+            parent[nodes] = jumped
+        a, b = parent[a], parent[b]
+        keep = a != b
+        a, b = a[keep], b[keep]
+    return parent, passes
 
 
 def fast_lrl_links_live(engine: SoAHost) -> bool:

@@ -16,12 +16,15 @@ edges, and nodes that believe they are extremal when they are not.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.core.state import NodeState
 from repro.ids import is_real, sort_unique
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["encode_graph", "states_union_graph", "assert_weakly_connected"]
 
@@ -86,6 +89,8 @@ def encode_graph(
     ValueError
         If the graph is not connected or sizes do not match.
     """
+    import networkx as nx
+
     n = graph.number_of_nodes()
     if set(graph.nodes) != set(range(n)):
         raise ValueError("graph nodes must be exactly 0..n-1")
@@ -140,6 +145,8 @@ def encode_graph(
 
 def states_union_graph(states: Sequence[NodeState]) -> nx.DiGraph:
     """The stored-link (CP) graph of a list of raw states (no network needed)."""
+    import networkx as nx
+
     g = nx.DiGraph()
     for s in states:
         g.add_node(s.id)
@@ -157,6 +164,8 @@ def assert_weakly_connected(states: Sequence[NodeState]) -> None:
     disconnected initial state would violate the paper's one assumption and
     make non-convergence meaningless.
     """
+    import networkx as nx
+
     if not states:
         raise ValueError("no states")
     g = states_union_graph(states)

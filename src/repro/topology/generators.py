@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.core.state import NodeState
@@ -21,6 +21,9 @@ from repro.ids import NEG_INF, POS_INF, generate_ids
 from repro.sim.fast.predicates import weak_component_count
 from repro.sim.fast.soa import SoAState, stored_links
 from repro.topology.encode import assert_weakly_connected, encode_graph, states_union_graph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "line_soa",
@@ -77,7 +80,7 @@ def _line_columns(
 
     A function of its own so that its temporaries are freed before the
     connectivity check and the container are built: that keeps the
-    start's traced peak near 210 B a node (docs/PERF.md §8).
+    start's traced peak near 150 B a node (docs/PERF.md §8).
     """
     ordered = np.sort(np.asarray(generate_ids(n, rng), dtype=np.float64))
     # rank[g]: the sorted position of the id graph node g receives.
@@ -136,6 +139,8 @@ def star_topology(
     """A star: one hub knows (or is known by) everyone.  The hub's slots
     cannot hold n−1 links, so most spokes point *at* the hub — the
     high-contention case for the hub's channel."""
+    import networkx as nx
+
     _require_n(n)
     return _encode(nx.star_graph(n - 1), n, rng, shuffle_ids)
 
@@ -145,6 +150,8 @@ def clique_topology(
 ) -> list[NodeState]:
     """A complete graph, stored best-effort (slots overflow; extra edges
     drop).  Maximal initial redundancy."""
+    import networkx as nx
+
     _require_n(n)
     return _encode(nx.complete_graph(n), n, rng, shuffle_ids)
 
@@ -153,6 +160,8 @@ def random_tree_topology(
     n: int, rng: np.random.Generator, *, shuffle_ids: bool = True
 ) -> list[NodeState]:
     """A uniformly random labeled tree — the generic sparse case."""
+    import networkx as nx
+
     _require_n(n)
     seed = int(rng.integers(2**31 - 1))
     tree = nx.random_labeled_tree(n, seed=seed)
@@ -169,6 +178,8 @@ def gnp_topology(
 ) -> list[NodeState]:
     """A connected Erdős–Rényi graph G(n, p); p defaults to ``2 ln n / n``
     (comfortably above the connectivity threshold)."""
+    import networkx as nx
+
     _require_n(n)
     if p is None:
         p = min(1.0, 2.0 * math.log(max(n, 2)) / n)
@@ -185,6 +196,8 @@ def lollipop_topology(
 ) -> list[NodeState]:
     """A lollipop (clique + tail): dense core with a long sparse appendage,
     the classic worst case for diffusion-style processes."""
+    import networkx as nx
+
     _require_n(n, minimum=4)
     clique_size = max(3, n // 3)
     tail = n - clique_size
@@ -195,6 +208,8 @@ def binary_tree_topology(
     n: int, rng: np.random.Generator, *, shuffle_ids: bool = True
 ) -> list[NodeState]:
     """A balanced binary tree truncated to n nodes."""
+    import networkx as nx
+
     _require_n(n)
     depth = max(1, math.ceil(math.log2(n + 1)))
     g = nx.balanced_tree(2, depth)
@@ -219,6 +234,8 @@ def corrupted_ring_topology(
     re-inserted through ``lrl`` slots so the paper's weak-connectivity
     assumption still holds.
     """
+    import networkx as nx
+
     _require_n(n, minimum=4)
     if not (0.0 <= corrupt_fraction <= 1.0):
         raise ValueError("corrupt_fraction must be in [0, 1]")

@@ -3,7 +3,7 @@
 The repro-lint and flow-analysis CI jobs (.github/workflows/ci.yml)
 deliberately install no dependencies: both passes are stdlib-only so a
 compare-store-send, RNG or kernel-conflict violation fails the build in
-seconds, before numpy/scipy are even downloaded.  That claim is only
+seconds, before numpy/networkx are even downloaded.  That claim is only
 honest if ``python -m repro.analysis.lint`` (and ``.flow``) imports
 cleanly when numpy, scipy, and networkx are *absent* — which in
 turn requires the ``repro`` and ``repro.analysis`` package ``__init__``
@@ -12,57 +12,18 @@ measurement modules.
 
 These tests simulate the no-deps container by installing a meta-path
 finder that refuses to import the scientific stack, then running the real
-CLI in a subprocess.
+CLI in a subprocess (``tests/blocked_imports.py``, shared with
+``tests/test_import_footprint.py``).
 """
 
 from __future__ import annotations
 
-import pathlib
-import subprocess
-import sys
-import textwrap
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
-
-#: Preamble that makes the scientific stack unimportable, as in the
-#: dependency-free repro-lint CI job.
-_BLOCK_SCIENTIFIC_STACK = textwrap.dedent(
-    """
-    import sys
-
-    _BLOCKED = {"numpy", "scipy", "networkx", "matplotlib", "pandas"}
-
-    class _BlockScientificStack:
-        def find_spec(self, name, path=None, target=None):
-            if name.split(".")[0] in _BLOCKED:
-                raise ModuleNotFoundError(
-                    f"No module named {name!r} (blocked: no-deps CI simulation)"
-                )
-            return None
-
-    sys.meta_path.insert(0, _BlockScientificStack())
-    for _name in list(sys.modules):
-        if _name.split(".")[0] in _BLOCKED:
-            del sys.modules[_name]
-    """
-)
-
-
-def _run_blocked(body: str, *argv: str) -> subprocess.CompletedProcess[str]:
-    code = _BLOCK_SCIENTIFIC_STACK + textwrap.dedent(body)
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-    )
+from tests.blocked_imports import run_blocked
 
 
 def test_cli_lints_src_without_scientific_stack():
     # Exactly the repro-lint CI invocation: python -m repro.analysis.lint src/
-    proc = _run_blocked(
+    proc = run_blocked(
         """
         import runpy
         sys.argv = ["repro-lint", sys.argv[1]]
@@ -83,10 +44,10 @@ def test_flow_cli_runs_without_scientific_stack():
         sys.argv = ["repro-flow", *sys.argv[1:]]
         runpy.run_module("repro.analysis.flow", run_name="__main__")
         """
-    proc = _run_blocked(run_flow, "src")
+    proc = run_blocked(run_flow, "src")
     assert proc.returncode == 0, proc.stderr
     assert "repro-flow: clean" in proc.stdout
-    proc = _run_blocked(
+    proc = run_blocked(
         run_flow, "--access", "--format", "json", "src/repro/sim/fast"
     )
     assert proc.returncode == 0, proc.stderr
@@ -95,7 +56,7 @@ def test_flow_cli_runs_without_scientific_stack():
 
 
 def test_lint_api_imports_without_scientific_stack():
-    proc = _run_blocked(
+    proc = run_blocked(
         """
         from repro.analysis.lint import ALL_RULES, lint_source
         assert len(ALL_RULES) >= 10
@@ -111,7 +72,7 @@ def test_lint_api_imports_without_scientific_stack():
 def test_heavy_api_still_fails_loudly_without_stack():
     # Lazy does not mean silent: touching a numpy-backed export without
     # numpy installed must raise ModuleNotFoundError, not return junk.
-    proc = _run_blocked(
+    proc = run_blocked(
         """
         import repro
         try:

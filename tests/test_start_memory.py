@@ -24,7 +24,7 @@ def test_a_line_start_through_the_column_door_stays_in_columns(monkeypatch) -> N
     allocation is traced to ``repro/core/state.py``, the start holds at
     most 64 B a node traced (its six columns and the mask, near 49) and
     the traced peak stays at or below 256 B a node (the start's build
-    peaks near 162; the start plus the engine's own copy holds near 98).
+    peaks near 152; the start plus the engine's own copy holds near 98).
     The constructor count is what catches a list coming back: the list
     path, ``line_topology`` and ``from_states(list)``, peaks near 430 B a
     node traced."""
@@ -35,10 +35,14 @@ def test_a_line_start_through_the_column_door_stays_in_columns(monkeypatch) -> N
         built.append(1)
         post_init(self)
 
+    # A small start first: numpy imports ``numpy.random`` and ``numpy.ma``
+    # on first use, and that one-off would be traced as the start's bytes.
+    line_soa(64, np.random.default_rng(0))
+    rng = np.random.default_rng(7)
     monkeypatch.setattr(NodeState, "__post_init__", counting)
     tracemalloc.start(8)
     try:
-        start = line_soa(N, np.random.default_rng(7))
+        start = line_soa(N, rng)
         held = tracemalloc.get_traced_memory()[0]
         sim = FastSimulator.from_states(start, rng=7)
         peak = tracemalloc.get_traced_memory()[1]
