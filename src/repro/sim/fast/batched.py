@@ -122,7 +122,7 @@ def writer_rows(inbox: RoundInbox, soa: SoAState) -> np.ndarray:
     link, a replaced ring edge) only tighten the gap further.
     """
     tcode = inbox.tcode
-    idx = inbox.dest_idx.astype(np.int64)
+    idx = inbox.dest_idx
     a = inbox.a
     writer = (tcode == RESLRL) | (tcode == RESRING)
     own = soa.ids[idx]
@@ -218,10 +218,14 @@ class RoundPlan:
     walk_wave: np.ndarray
     #: Waves at which a segment of the walk starts, the first excepted.
     cuts: np.ndarray
-    #: Slots holding a token this round, and their start-of-round ``lrl``.
+    #: The inbox's ``reslrl`` rows, ascending (``flatnonzero(tcode ==
+    #: RESLRL)``): a row's position here is its reslrl ordinal, which
+    #: indexes ``inbox.b``/``inbox.c`` and the three token columns below.
+    tokens: np.ndarray
+    #: Per token: its slot and the slot's start-of-round ``lrl``.
     token_slots: np.ndarray
     token_lrl0: np.ndarray
-    #: Per inbox row (``reslrl`` rows only): what the walk recorded.
+    #: Per token: the ``lrl`` the walk recorded, and the link it forgot.
     token_lrl: np.ndarray
     token_forgot: np.ndarray
 
@@ -240,6 +244,10 @@ class RoundPlan:
         """The walk rows of the waves ``[lo, hi)``, and their waves."""
         first, end = np.searchsorted(self.walk_wave, (lo, hi))
         return self.walk[first:end], self.walk_wave[first:end]
+
+    def ordinals(self, rows: np.ndarray) -> np.ndarray:
+        """The reslrl ordinals of the ``reslrl`` inbox *rows*."""
+        return np.searchsorted(self.tokens, rows)
 
 
 class WaveFault(Protocol):
@@ -440,11 +448,11 @@ class FastEngine(SoAHost):
         if self.dedup and fault is None and self.wire is None:
             writer = writer_rows(inbox, self.soa)
         groups = self._wave_groups(inbox, writer)
+        tokens = np.flatnonzero(inbox.tcode == RESLRL)
         if fault is not None:
             groups, starved = fault.rewrite(groups)
             for code, rows in starved:
-                self._defer_rows(code, inbox, rows)
-        tokens = np.flatnonzero(inbox.tcode == RESLRL)
+                self._defer_rows(code, inbox, rows, tokens)
         if writer is None:
             batches = [rows for code, rows in groups if code == RESLRL]
             walk = np.concatenate(batches) if batches else tokens[:0]
@@ -466,10 +474,11 @@ class FastEngine(SoAHost):
             walk=walk,
             walk_wave=walk_wave,
             cuts=walk_cuts(inbox.dest_idx[walk], walk_wave),
+            tokens=tokens,
             token_slots=slots,
             token_lrl0=self.soa.lrl[slots],
-            token_lrl=np.empty(len(inbox), dtype=np.float64),
-            token_forgot=np.empty(len(inbox), dtype=np.float64),
+            token_lrl=np.empty(len(tokens), dtype=np.float64),
+            token_forgot=np.empty(len(tokens), dtype=np.float64),
         )
 
     @staticmethod
@@ -485,16 +494,21 @@ class FastEngine(SoAHost):
         after it.  An odd step holds a node at most once; an even step is
         read-only, so a node may repeat in it.  Without a mask every row
         is a writer: step orders as the wave rank, and the groups are the
-        ``(wave, type)`` groups of unique destinations.
+        ``(wave, type)`` groups of unique destinations.  Counts and steps
+        are int32, like the inbox's slots and ranks.
         """
         count = len(inbox)
         if writer is None:
             writer = np.ones(count, dtype=bool)
-        is_writer = writer.astype(np.int64)
-        before = np.cumsum(is_writer)
-        before -= is_writer
-        before -= before[np.arange(count) - inbox.rank]
-        step = 2 * before + is_writer
+        is_writer = writer.astype(np.int32)
+        step = np.cumsum(is_writer, dtype=np.int32)
+        step -= is_writer
+        first = np.arange(count, dtype=np.int32)
+        first -= inbox.rank
+        step -= step[first]
+        step *= 2
+        step += is_writer
+        del first, is_writer
         if __debug__ and _wave_check_enabled():
             # What every storing kernel relies on: within one writer step
             # each destination slot appears at most once.
@@ -584,15 +598,16 @@ class FastEngine(SoAHost):
         t1 = time.perf_counter() if profiler is not None else 0.0
         inbox = plan.inbox
         idx = inbox.dest_idx[rows]
-        plan.token_lrl[rows], plan.token_forgot[rows] = self._windowed(
+        token = plan.ordinals(rows)
+        plan.token_lrl[token], plan.token_forgot[token] = self._windowed(
             "move_forget",
             idx,
             False,
             self.kernels.move_forget,
             idx,
             inbox.a[rows],
-            inbox.b[rows],
-            inbox.c[rows],
+            inbox.b[token],
+            inbox.c[token],
             rng,
             coins=coins,
             forget_u=forget_u,
@@ -618,7 +633,8 @@ class FastEngine(SoAHost):
             idx = inbox.dest_idx[rows]
             if code == RESLRL:
                 name = "place_token"
-                payload = (plan.token_lrl[rows], plan.token_forgot[rows])
+                token = plan.ordinals(rows)
+                payload = (plan.token_lrl[token], plan.token_forgot[token])
             else:
                 name = KERNEL_NAMES[code]
                 payload = (inbox.a[rows],)
@@ -700,18 +716,21 @@ class FastEngine(SoAHost):
         self._wave_fault = fault
 
     def _defer_rows(
-        self, code: int, inbox: RoundInbox, rows: np.ndarray
+        self, code: int, inbox: RoundInbox, rows: np.ndarray, tokens: np.ndarray
     ) -> None:
         """Push starved inbox rows back into the outbox, uncounted.
 
         The deferred rows re-enter next round's inbox exactly as if their
         senders' messages had arrived one round late; their original sends
         were already counted, so :meth:`Outbox.restage` skips the stats.
+        A ``reslrl`` row takes its ids from its reslrl ordinal, its
+        position in *tokens* (the inbox's ``reslrl`` rows, ascending).
         """
         dest = self.soa.ids[inbox.dest_idx[rows]]
         a = inbox.a[rows]
         if code == RESLRL:
-            self.outbox.restage(code, dest, a, inbox.b[rows], inbox.c[rows])
+            token = np.searchsorted(tokens, rows)
+            self.outbox.restage(code, dest, a, inbox.b[token], inbox.c[token])
         else:
             self.outbox.restage(code, dest, a)
 

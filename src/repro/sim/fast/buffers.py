@@ -8,12 +8,17 @@ message type in an :class:`Outbox` — and a round's inbox is the
 concatenation of last round's chunks, deduplicated and ordered in bulk
 (:func:`build_inbox`).
 
-Wire format: every message is a row ``(dest, a, b, c)`` where ``a`` is the
-single payload identifier for the six single-id types and
-``(a, b, c) = (responder, id1, id2)`` for ``reslrl`` (``b``/``c`` may be
-the ±∞ sentinels, exactly as on the reference wire).  Unused columns hold
-``0.0`` — never ``NaN``, which would break row-wise deduplication
-(``NaN != NaN``).
+Wire format: every message is a row ``(dest, a)`` where ``a`` is the
+single payload identifier for the six single-id types; a ``reslrl`` row
+also carries ``(b, c)``, so ``(a, b, c) = (responder, id1, id2)`` (``b``/
+``c`` may be the ±∞ sentinels, exactly as on the reference wire).  Only
+``reslrl`` rows pay for ``b``/``c``: from the staging concatenation
+(:func:`staged_rows`) through the prepared and the round inbox they are
+columns as long as the ``reslrl`` rows, aligned with those rows in row
+order (``flatnonzero(tcode == RESLRL)``), and a row's *reslrl ordinal* —
+its position among them — indexes them.  Only :meth:`Outbox.rows`, the
+in-flight reader of the predicates and monitors, expands them to full
+length, with ``0.0`` on every other row.
 
 Delivery-order model: the reference channel hands each node a uniformly
 random permutation of its pending messages, which the receive action then
@@ -173,8 +178,17 @@ class Outbox:
     # ------------------------------------------------------------------
     def rows(self, code: int | None = None) -> tuple[np.ndarray, ...]:
         """The staged rows of type *code* (every type, ascending, when
-        ``None``) as ``(dest, tcode, a, b, c)`` columns; non-destructive."""
-        return staged_rows(self._chunks, _TYPE_ORDER if code is None else (code,))
+        ``None``) as full-length ``(dest, tcode, a, b, c)`` columns, ``b``/
+        ``c`` the ``0.0`` filler off ``reslrl``; non-destructive."""
+        dest, tcode, a, b_res, c_res = staged_rows(
+            self._chunks, _TYPE_ORDER if code is None else (code,)
+        )
+        res = tcode == RESLRL
+        b = np.zeros(len(dest), dtype=np.float64)
+        c = np.zeros(len(dest), dtype=np.float64)
+        b[res] = b_res
+        c[res] = c_res
+        return dest, tcode, a, b, c
 
     def pending_total(self) -> int:
         """Number of staged messages."""
@@ -293,30 +307,21 @@ def staged_rows(
     """Staged *chunks* as ``(dest, tcode, a, b, c)`` columns, the types in
     *order* and each type's chunks in staging order (non-destructive).
 
-    Only ``reslrl`` carries payload columns ``b``/``c``; every other row
-    holds the ``0.0`` filler.
+    ``dest``, ``tcode`` and ``a`` hold every row; ``b``/``c`` hold the
+    ``reslrl`` rows' neighbour ids only, in row order (empty when *order*
+    holds no ``reslrl``).
     """
     counts = [sum(len(ch[0]) for ch in chunks[code]) for code in order]
-    total = sum(counts)
-    if total == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, np.empty(0, dtype=np.int8), empty, empty, empty
+    empty = np.empty(0, dtype=np.float64)
+    res = chunks[RESLRL] if RESLRL in order else []
+    b = np.concatenate([empty, *(_col(ch, 2, len(ch[0])) for ch in res)])
+    c = np.concatenate([empty, *(_col(ch, 3, len(ch[0])) for ch in res)])
+    if sum(counts) == 0:
+        return empty, np.empty(0, dtype=np.int8), empty, b, c
     staged = [ch for code in order for ch in chunks[code]]
     dest = np.concatenate([ch[0] for ch in staged])
     a = np.concatenate([ch[1] for ch in staged])
-    b = np.zeros(total, dtype=np.float64)
-    c = np.zeros(total, dtype=np.float64)
     tcode = np.repeat(np.array(order, dtype=np.int8), counts)
-    if RESLRL in order and chunks[RESLRL]:
-        at = order.index(RESLRL)
-        lo = sum(counts[:at])
-        hi = lo + counts[at]
-        b[lo:hi] = np.concatenate(
-            [_col(ch, 2, len(ch[0])) for ch in chunks[RESLRL]]
-        )
-        c[lo:hi] = np.concatenate(
-            [_col(ch, 3, len(ch[0])) for ch in chunks[RESLRL]]
-        )
     return dest, tcode, a, b, c
 
 
@@ -329,7 +334,7 @@ def _col(ch: _Chunk, position: int, count: int) -> np.ndarray:
 
 def _bits(column: np.ndarray) -> np.ndarray:
     """A float64 column as raw bit patterns: the dedup compares *bits* (ids,
-    the ±∞ sentinels and the 0.0 filler are all distinct patterns, and
+    the ±∞ sentinels and ``0.0`` are all distinct patterns, and
     ``-0.0`` must not coalesce with ``0.0`` the way float ``==`` would)."""
     return np.ascontiguousarray(column).view(np.uint64)
 
@@ -337,11 +342,12 @@ def _bits(column: np.ndarray) -> np.ndarray:
 def stable_order(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """``(np.argsort(key, kind="stable"), key[that order])`` by a value sort.
 
-    *key* holds non-negative int64 values below ``2**key_bits``.  Packing
-    each row's position under its key gives distinct words, so an unstable
-    in-place value sort of the words is exact, and ascending position
-    within equal keys *is* the stable tiebreak; permutation and sorted
-    keys are then read back out of the words.  The value sort is several
+    *key* holds non-negative int32 or int64 values below ``2**key_bits``
+    (the words are int64 either way).  Packing each row's position under
+    its key gives distinct words, so an unstable in-place value sort of the
+    words is exact, and ascending position within equal keys *is* the
+    stable tiebreak; permutation and sorted keys are then read back out of
+    the words.  The value sort is several
     times cheaper than the indirect stable sort it stands in for
     (docs/PERF.md §2).  When key and position do not fit one int64 together
     the stable sort itself runs.
@@ -456,10 +462,12 @@ def _dedup_order(
     clash = tied & differ
     if bool(clash.any()):
         differ = _sort_clashes(order, ranked, tied, clash)
+    del ranked, clash
     fresh = np.empty(count, dtype=bool)
     fresh[0] = True
     np.logical_or(differ, ~tied, out=fresh[1:])
-    return order, words >> np.int64(code_bits), fresh
+    words >>= np.int64(code_bits)
+    return order, words, fresh
 
 
 def _sort_clashes(
@@ -522,7 +530,9 @@ class RoundInbox:
     wave *k* (at most one message per destination).  ``dest_idx`` and
     ``rank`` are int32 — the slot-count and wave-count ceilings are far
     below 2^31, and at 2^18 nodes the narrower index columns are a real
-    slice of the round's peak RSS.
+    slice of the round's peak RSS.  ``b``/``c`` hold the ``reslrl`` rows'
+    neighbour ids only, aligned with ``flatnonzero(tcode == RESLRL)``: a
+    ``reslrl`` row's ids sit at its reslrl ordinal.
     """
 
     dest_idx: np.ndarray
@@ -551,10 +561,11 @@ class PreparedInbox:
     shards (slot blocks are id-contiguous, so the global canonical order is
     the shard-ascending concatenation of per-shard canonical orders).
 
-    ``n_res`` counts the trailing ``reslrl`` rows (only meaningful under
-    ``dedup``, where the block is a suffix).  ``packed_ok`` reports whether
-    every slot index fits the packed 21+42-bit sort encoding.  ``b`` and
-    ``c`` hold the ``0.0`` filler on every row that is not a ``reslrl``.
+    The ``reslrl`` rows are one contiguous block: the suffix under
+    ``dedup``, in type order (after ``lin``/``inclrl``) without it.
+    ``n_res`` counts them, and ``b``/``c`` hold their neighbour ids only,
+    in block order.  ``packed_ok`` reports whether every slot index fits
+    the packed 21+42-bit sort encoding.
     """
 
     dest_idx: np.ndarray
@@ -578,7 +589,9 @@ def prepare_inbox(
     """Concatenate, resolve, drop and dedup last round's staged chunks.
 
     The RNG-free front half of :func:`build_inbox`; see there for the
-    parameter contract.
+    parameter contract.  *chunks* is read, never emptied.  Each temporary
+    is dropped once read (the round's traced peak is set here,
+    docs/PERF.md "Round-scoped buffers").
     """
     # Under dedup the output order is content-determined, so the reslrl
     # chunks — the only rows with b/c payloads — are staged last and the two
@@ -590,14 +603,18 @@ def prepare_inbox(
         return None, 0
 
     dest_idx, found = lookup(dest_id)
-    dropped = int(len(found) - found.sum())
+    del dest_id
+    dropped = len(found) - int(np.count_nonzero(found))
     if dropped:
+        if len(b):
+            kept = found[tcode == RESLRL]
+            b, c = b[kept], c[kept]
         dest_idx = dest_idx[found]
         tcode = tcode[found]
-        a, b, c = a[found], b[found], c[found]
+        a = a[found]
+    del found
     if len(dest_idx) == 0:
         return None, dropped
-    n_res = int((tcode == RESLRL).sum())
     top_slot = int(dest_idx.max())
 
     if dedup:
@@ -610,31 +627,36 @@ def prepare_inbox(
         # slot and type are read back out of the sorted heads.
         head = np.left_shift(dest_idx, _TYPE_BITS, dtype=np.int64)
         head |= tcode
+        del dest_idx, tcode
         head_bits = (top_slot + 1).bit_length() + _TYPE_BITS
-        split = len(head) - n_res
+        split = len(head) - len(b)
         kept_heads: list[np.ndarray] = []
         kept_rows: list[np.ndarray] = []
-        for lo, hi, columns in ((0, split, (a,)), (split, len(head), (a, b, c))):
+        for lo, hi, columns in (
+            (0, split, (a[:split],)),
+            (split, len(head), (a[split:], b, c)),
+        ):
             if lo == hi:
                 continue
             order, sorted_head, fresh = _dedup_order(
-                head[lo:hi], head_bits, tuple(_bits(col[lo:hi]) for col in columns)
+                head[lo:hi], head_bits, tuple(_bits(col) for col in columns)
             )
             kept_heads.append(sorted_head[fresh])
-            kept_rows.append(order[fresh] + lo)
+            del sorted_head
+            kept_rows.append(order[fresh])
+            del order, fresh
+        del head
+        if len(b):
+            # The reslrl block's rows count from its start: its ordinals.
+            b, c = b[kept_rows[-1]], c[kept_rows[-1]]
+            kept_rows[-1] += split
         kept_head = np.concatenate(kept_heads)
-        rows = np.concatenate(kept_rows)
-        n_res = len(kept_rows[-1]) if n_res else 0
-        dest_idx = kept_head >> np.int64(_TYPE_BITS)
-        tcode = (kept_head & np.int64((1 << _TYPE_BITS) - 1)).astype(np.int8)
-        a = a[rows]
-        # b/c are the 0.0 filler everywhere but the reslrl block, the suffix.
-        first_res = len(rows) - n_res
-        b_res, c_res = b[rows[first_res:]], c[rows[first_res:]]
-        b = np.zeros(len(rows), dtype=np.float64)
-        c = np.zeros(len(rows), dtype=np.float64)
-        b[first_res:] = b_res
-        c[first_res:] = c_res
+        del kept_heads
+        dest_idx = (kept_head >> np.int64(_TYPE_BITS)).astype(np.int32)
+        kept_head &= np.int64((1 << _TYPE_BITS) - 1)
+        tcode = kept_head.astype(np.int8)
+        del kept_head
+        a = a[np.concatenate(kept_rows)]
 
     return (
         PreparedInbox(
@@ -643,7 +665,7 @@ def prepare_inbox(
             a=a,
             b=b,
             c=c,
-            n_res=n_res,
+            n_res=len(b),
             packed_ok=top_slot < (1 << 21),
         ),
         dropped,
@@ -681,7 +703,8 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
     tiebreak.  Two rows of one slot whose keys agree on those ``k`` bits
     (or no room for any, ``k <= 0``) send the round through the
     tie-checked sort of the full ``slot << 42 | key`` words
-    (:func:`_argsort_ties_stable`).
+    (:func:`_argsort_ties_stable`).  ``b``/``c`` follow their ``reslrl``
+    rows into the round inbox's layout (:class:`RoundInbox`).
     """
     if keys.dtype == np.int64:
         truncated = _truncated_order(pre.dest_idx, keys)
@@ -701,7 +724,15 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
         order = minor[position]
         dest_idx = sorted_dest.astype(pre.dest_idx.dtype)
     tcode = pre.tcode[order]
-    a, b, c = pre.a[order], pre.b[order], pre.c[order]
+    a = pre.a[order]
+    b, c = pre.b, pre.c
+    if pre.n_res:
+        # The reslrl rows of the prepared inbox are one contiguous block,
+        # so their rows less its first one are the ids' positions.
+        src = order[np.flatnonzero(tcode == RESLRL)]
+        src -= src.min()
+        b, c = b[src], c[src]
+    del order
 
     count = len(dest_idx)
     boundary = np.empty(count, dtype=bool)

@@ -232,11 +232,22 @@ def weak_component_count(ids: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
     if m <= 1:
         return m
     label = np.int32 if m < 2**31 else np.int64
-    a = np.searchsorted(universe, u).astype(label)
-    b = np.searchsorted(universe, v).astype(label)
+    a = _ranks(universe, u, label)
+    b = _ranks(universe, v, label)
     del universe, u, v  # the labels are all that is read from here on
     parent, _ = _weak_roots(m, a, b)
     return int(np.count_nonzero(parent == np.arange(m, dtype=label)))
+
+
+def _ranks(universe: np.ndarray, x: np.ndarray, label: type) -> np.ndarray:
+    """``np.searchsorted(universe, x)`` as *label*, by ascending queries:
+    binary searches in query order walk the sorted *universe* cache-warm,
+    several times faster than scattered ones, which more than pays for
+    sorting the queries first and scattering the ranks back."""
+    order = np.argsort(x)
+    ranks = np.empty(len(x), dtype=label)
+    ranks[order] = np.searchsorted(universe, x[order])
+    return ranks
 
 
 def _weak_roots(m: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:

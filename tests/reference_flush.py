@@ -9,7 +9,10 @@ sorts and the table-driven hop loop replaced them.  They are kept here,
 and only here, as the executable definition of "the same permutation a
 stable sort of the same key yields" and of "hop-for-hop identical":
 ``tests/test_flush_reference.py`` requires the shipped functions to equal
-them array-for-array, dtypes included.
+them array-for-array, dtypes included.  The flush oracles compute ``b``/``c``
+at full length, ``0.0`` off ``reslrl``, as the flush once did, and
+convert at their edges to the shipped layout, where ``b``/``c`` hold the
+``reslrl`` rows only (:func:`full_length`, :func:`reslrl_only`).
 
 Beside them, the per-node departure purges the SoA engines had before
 every ``leave`` became a departure batch of one — outbox, chaos wire and
@@ -42,14 +45,31 @@ from repro.sim.fast.chaos.wire import KIND_ACK, WireRows
 
 __all__ = [
     "finalize_inbox_reference",
+    "full_length",
     "leave_guard_reference",
     "leave_outbox_reference",
     "leave_wire_reference",
     "prepare_inbox_reference",
+    "reslrl_only",
     "route_batch_reference",
     "walk_tokens_reference",
     "wave_groups_reference",
 ]
+
+
+def full_length(tcode: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """A ``reslrl``-only column (aligned with ``flatnonzero(tcode ==
+    RESLRL)``) at full length, the ``0.0`` filler on every other row."""
+    res = tcode == RESLRL
+    assert int(res.sum()) == len(column), "one entry per reslrl row"
+    out = np.zeros(len(tcode), dtype=np.float64)
+    out[res] = column
+    return out
+
+
+def reslrl_only(tcode: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """A full-length column's ``reslrl`` rows, in row order."""
+    return column[tcode == RESLRL]
 
 
 def prepare_inbox_reference(
@@ -140,8 +160,8 @@ def prepare_inbox_reference(
             dest_idx=dest_idx.astype(np.int32, copy=False),
             tcode=tcode,
             a=a,
-            b=b,
-            c=c,
+            b=reslrl_only(tcode, b),
+            c=reslrl_only(tcode, c),
             n_res=n_res,
             packed_ok=packed_ok,
         ),
@@ -160,7 +180,9 @@ def finalize_inbox_reference(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox
         order = np.lexsort((keys, dest_idx))
     dest_idx = dest_idx[order]
     tcode = pre.tcode[order]
-    a, b, c = pre.a[order], pre.b[order], pre.c[order]
+    a = pre.a[order]
+    b = full_length(pre.tcode, pre.b)[order]
+    c = full_length(pre.tcode, pre.c)[order]
 
     count = len(dest_idx)
     positions = np.arange(count, dtype=np.int32)
@@ -173,8 +195,8 @@ def finalize_inbox_reference(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox
         dest_idx=dest_idx,
         tcode=tcode,
         a=a,
-        b=b,
-        c=c,
+        b=reslrl_only(tcode, b),
+        c=reslrl_only(tcode, c),
         rank=rank,
         n_waves=int(rank.max()) + 1,
     )
@@ -210,12 +232,18 @@ def walk_tokens_reference(engine, plan, rng: np.random.Generator) -> None:
         cuts = np.flatnonzero(ranks[1:] != ranks[:-1]) + 1
         batches = np.split(tokens[order], cuts) if len(tokens) else []
     kernel = engine.kernels.move_forget
+    b = full_length(inbox.tcode, inbox.b)
+    c = full_length(inbox.tcode, inbox.c)
+    token_lrl = np.empty(len(inbox), dtype=np.float64)
+    token_forgot = np.empty(len(inbox), dtype=np.float64)
     for rows in batches:
         idx = inbox.dest_idx[rows]
-        plan.token_lrl[rows], plan.token_forgot[rows] = engine._windowed(
+        token_lrl[rows], token_forgot[rows] = engine._windowed(
             "move_forget", idx, False, kernel,
-            idx, inbox.a[rows], inbox.b[rows], inbox.c[rows], rng,
+            idx, inbox.a[rows], b[rows], c[rows], rng,
         )
+    plan.token_lrl[:] = reslrl_only(inbox.tcode, token_lrl)
+    plan.token_forgot[:] = reslrl_only(inbox.tcode, token_forgot)
 
 
 def route_batch_reference(

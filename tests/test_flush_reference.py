@@ -39,6 +39,7 @@ from repro.sim.metrics import MessageStats
 from repro.topology.generators import TOPOLOGIES
 from tests.reference_flush import (
     finalize_inbox_reference,
+    full_length,
     prepare_inbox_reference,
     route_batch_reference,
     wave_groups_reference,
@@ -102,8 +103,16 @@ def assert_same_array(got: np.ndarray, expected: np.ndarray, what: str) -> None:
 
 
 def assert_same_fields(got: object, expected: object, fields: tuple[str, ...]) -> None:
+    """Field for field; ``b``/``c`` also at full length, ``0.0`` off
+    ``reslrl`` (the layout the flush once carried)."""
     for name in fields:
         assert_same_array(getattr(got, name), getattr(expected, name), name)
+        if name in ("b", "c"):
+            assert_same_array(
+                full_length(got.tcode, getattr(got, name)),
+                full_length(expected.tcode, getattr(expected, name)),
+                f"{name} at full length",
+            )
 
 
 ROW_FIELDS = ("dest_idx", "tcode", "a", "b", "c")
@@ -297,18 +306,19 @@ def test_key_bits_budget() -> None:
 
 
 def direct_prepared(slots: list[int], seed: int) -> PreparedInbox:
-    """Prepared rows at arbitrary slots, ``b``/``c`` the filler off ``reslrl``."""
+    """Prepared rows at arbitrary slots, in type order (the layout of the
+    flush without dedup), ``b``/``c`` on the ``reslrl`` rows."""
     rng = np.random.default_rng(seed)
     count = len(slots)
-    tcode = rng.integers(0, buffers.N_TYPES, size=count).astype(np.int8)
-    res = tcode == RESLRL
+    tcode = np.sort(rng.integers(0, buffers.N_TYPES, size=count)).astype(np.int8)
+    n_res = int((tcode == RESLRL).sum())
     return PreparedInbox(
         dest_idx=np.array(slots, dtype=np.int32),
         tcode=tcode,
         a=rng.random(count),
-        b=np.where(res, rng.random(count), 0.0),
-        c=np.where(res, rng.random(count), 0.0),
-        n_res=int(res.sum()),
+        b=rng.random(n_res),
+        c=rng.random(n_res),
+        n_res=n_res,
         packed_ok=True,
     )
 

@@ -64,7 +64,7 @@ def walk_log(engine, rng) -> list:
         tokens = None
         if maf:
             # Rows in inbox order; shard inboxes concatenate to the global one.
-            rows = [np.sort(plan.walk) for plan in plans]
+            rows = [plan.ordinals(np.sort(plan.walk)) for plan in plans]
             tokens = (
                 np.concatenate([p.token_lrl[r] for p, r in zip(plans, rows)]),
                 np.concatenate([p.token_forgot[r] for p, r in zip(plans, rows)]),
