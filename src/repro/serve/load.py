@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 import time
 import urllib.request
@@ -45,7 +46,7 @@ from repro.serve.slo import build_slo_summary, validate_slo_summary
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.service import LookupOutcome, OverlayService
 
-__all__ = ["LoadReport", "run_load", "run_load_http", "zipf_ranks"]
+__all__ = ["HopHistogram", "LoadReport", "run_load", "run_load_http", "zipf_ranks"]
 
 
 def zipf_ranks(
@@ -108,14 +109,58 @@ class LoadReport:
         }
 
 
-def _percentiles(values: np.ndarray) -> tuple[float, float, int]:
-    if values.size == 0:
-        return 0.0, 0.0, 0
-    return (
-        float(np.percentile(values, 50)),
-        float(np.percentile(values, 99)),
-        int(values.max()),
-    )
+class HopHistogram:
+    """Hop counts of the ok lookups of one phase, as a count per hop value.
+
+    A driver folds each batch in as it lands, so what it keeps is O(max
+    hops) however many lookups it issues.  :meth:`summary` reads the same
+    p50/p99/max as ``np.percentile``/``max`` over every hop kept.
+    """
+
+    def __init__(self) -> None:
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def add(self, hops: "np.ndarray | Sequence[int]") -> None:
+        """Fold a batch of (non-negative) hop counts in."""
+        binned = np.bincount(hops)
+        if len(binned) > len(self.counts):
+            binned[: len(self.counts)] += self.counts
+            self.counts = binned
+        else:
+            self.counts[: len(binned)] += binned
+
+    def summary(self) -> tuple[float, float, int]:
+        """p50, p99 and max hops; ``0.0, 0.0, 0`` when nothing was added."""
+        cumulative = np.cumsum(self.counts)
+        if not cumulative.size or not cumulative[-1]:
+            return 0.0, 0.0, 0
+        return (
+            _sorted_percentile(cumulative, 50),
+            _sorted_percentile(cumulative, 99),
+            int(np.flatnonzero(self.counts)[-1]),
+        )
+
+
+def _sorted_percentile(cumulative: np.ndarray, q: float) -> float:
+    """``np.percentile``'s default (linear) rule, read off the cumulative
+    counts of non-negative integers: the two order statistics either side
+    of the virtual index, interpolated as ``numpy`` interpolates them."""
+    total = int(cumulative[-1])
+    index = (total - 1) * (q / 100)
+    below = math.floor(index)
+    gamma = index - below
+    # The value at sorted position p is the first one whose count passes p.
+    lo, hi = np.searchsorted(
+        cumulative, [below, min(below + 1, total - 1)], side="right"
+    ).tolist()
+    diff = hi - lo
+    return lo + diff * gamma if gamma < 0.5 else hi - diff * (1 - gamma)
+
+
+def _latency_percentiles(values: list[float]) -> tuple[float, float]:
+    if not values:
+        return 0.0, 0.0
+    return float(np.percentile(values, 50)), float(np.percentile(values, 99))
 
 
 def run_load(
@@ -140,7 +185,7 @@ def run_load(
     if lookups < 1:
         raise ValueError("run_load needs at least one lookup")
     rng = np.random.default_rng([seed, 0x5E12])
-    hops_all: list[np.ndarray] = []
+    hops = HopHistogram()
     latencies: list[float] = []
     ok = lost = unknown = issued = 0
     sample_every = max(1, lookups // max(1, latency_samples))
@@ -157,7 +202,7 @@ def run_load(
         ok += batch_ok
         unknown += batch_unknown
         lost += size - batch_ok - batch_unknown
-        hops_all.append(outcome.hops[outcome.ok])
+        hops.add(outcome.hops[outcome.ok])
 
     while issued < lookups:
         view = host.view
@@ -179,12 +224,8 @@ def run_load(
             account(sampled, 1)
     duration = time.perf_counter() - start
     rounds = host.sim.round_index - rounds_start
-    hops = (
-        np.concatenate(hops_all) if hops_all else np.empty(0, dtype=np.int64)
-    )
-    p50_hops, p99_hops, max_hops = _percentiles(hops)
-    lat = np.asarray(latencies, dtype=np.float64)
-    p50_lat, p99_lat, _ = _percentiles(lat)
+    p50_hops, p99_hops, max_hops = hops.summary()
+    p50_lat, p99_lat = _latency_percentiles(latencies)
     return LoadReport(
         phase=phase,
         lookups=issued,
@@ -250,7 +291,7 @@ def run_load_http(
         return bool(doc["ok"]), bool(doc["found"]), int(doc["hops"]), dt
 
     ok = lost = unknown = 0
-    hops_ok: list[int] = []
+    hops = HopHistogram()
     latencies: list[float] = []
     burst_at = lookups // 2
     start = time.perf_counter()
@@ -265,16 +306,14 @@ def run_load_http(
             latencies.append(dt)
             if got_ok:
                 ok += 1
-                hops_ok.append(got_hops)
+                hops.add([got_hops])
             elif got_found:
                 lost += 1
             else:
                 unknown += 1
     duration = time.perf_counter() - start
-    p50_hops, p99_hops, max_hops = _percentiles(
-        np.asarray(hops_ok, dtype=np.int64)
-    )
-    p50_lat, p99_lat, _ = _percentiles(np.asarray(latencies, dtype=np.float64))
+    p50_hops, p99_hops, max_hops = hops.summary()
+    p50_lat, p99_lat = _latency_percentiles(latencies)
     health = _http_json(f"{base}/health")
     serve_block = health.get("serve", {}) if isinstance(health, dict) else {}
     rps = serve_block.get("rounds_per_sec") or 0.0

@@ -27,11 +27,11 @@ pieces make that safe and fast:
     :meth:`RouteView.from_ranks` to measure Lemma 4.23's O(ln^(2+ε) d)
     expected hop bound on the stable line; mid-convergence, dead links,
     overshoots and non-progress are detected and reported as *lost*
-    lookups instead of hanging the request path.  A walk runs on the
-    *reflected directed index* — ``d = n - 1 - rank`` going left,
-    ``d = n + rank`` going right — so progress means a larger ``d`` in
-    either direction, and the view compiles the half of the rule that does
-    not depend on the destination into two tables over ``d``
+    lookups, each with its reason, instead of hanging the request path.
+    A walk runs on the *reflected directed index* — ``d = n - 1 - rank``
+    going left, ``d = n + rank`` going right — so progress means a larger
+    ``d`` in either direction, and the view compiles the half of the rule
+    that does not depend on the destination into two tables over ``d``
     (:class:`RouteView`).  A hop is then one compare and one gather from
     each table, whatever its direction; every numpy call the loop makes is
     a place where the interpreter lock changes hands with the engine
@@ -46,10 +46,16 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["RouteView", "RouteResult", "route_batch"]
+__all__ = ["LOST_REASONS", "RouteView", "RouteResult", "hop_dtype", "route_batch"]
 
 #: Rank sentinel for a link that is missing (±inf) or not live in the view.
 NO_LINK = -1
+
+#: Why a lost walk ended, by ``RouteResult.lost_reason`` code minus one:
+#: 1 the link it took was ``NO_LINK``, 2 the link led back to the node
+#: itself, 3 the step crossed the destination, 4 the hop cap ran out.
+LOST_REASONS: tuple[str, ...] = ("no_link", "no_progress", "crossed", "hop_cap")
+LOST_NO_LINK, LOST_NO_PROGRESS, LOST_CROSSED, LOST_HOP_CAP = 1, 2, 3, 4
 
 
 def _link_ranks(ids: np.ndarray, links: np.ndarray) -> np.ndarray:
@@ -203,18 +209,39 @@ class RouteView:
         return _scattered_ranks(self.ids, np.asarray(query_ids, dtype=np.float64))
 
 
+def _hop_cap(n: int, max_hops: int | None) -> int:
+    if max_hops is not None and max_hops < 0:
+        raise ValueError(f"max_hops must be non-negative, got {max_hops}")
+    return max_hops if max_hops is not None else n + 16
+
+
+def hop_dtype(n: int, max_hops: int | None = None) -> np.dtype:
+    """The dtype of :func:`route_batch`'s hop counts over *n* live nodes:
+    the narrowest signed integer that holds ``cap + 1``, so a caller that
+    adds the origin's forced hop (Algorithm 10) cannot wrap it.  That is
+    int16 at the default cap ``n + 16`` while n ≤ 32 750."""
+    top = _hop_cap(n, max_hops) + 1
+    for dtype in (np.int8, np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 @dataclass
 class RouteResult:
     """Outcome of one :func:`route_batch` call.
 
-    ``hops[i]`` counts edges walked for query *i*; ``ok[i]`` is True when
-    the walk reached the destination (lost lookups keep the hops walked
-    before the route died, which the SLO accounting reports separately).
+    ``hops[i]`` counts edges walked for query *i*, in :func:`hop_dtype`;
+    ``ok[i]`` is True when the walk reached the destination (lost lookups
+    keep the hops walked before the route died, which the SLO accounting
+    reports separately).  ``lost_reason[i]`` (uint8) is 0 unless the walk
+    was lost, else one plus its index in :data:`LOST_REASONS`.
     ``paths`` holds the full id trace per query when requested.
     """
 
     hops: np.ndarray
     ok: np.ndarray
+    lost_reason: np.ndarray
     round_index: int
     paths: list[list[float]] | None = None
 
@@ -230,26 +257,26 @@ def route_batch(
     """Walk every (source, dest) query over *view* with probr/probl rules.
 
     *source_ranks*/*dest_ranks* are positions in ``view.ids`` (from
-    :meth:`RouteView.resolve`); entries outside ``[0, n)`` are reported
-    as immediately lost.  The walk direction is fixed per query at the
-    start; each hop prefers the long-range link when it advances past
-    the ring link without overshooting (Algorithms 5/6; the origin's
-    forced ring hop of Algorithm 10 is the caller's).  A query is lost when
-    its next link is missing, makes no progress, or crosses the
-    destination (possible only mid-convergence), or when *max_hops*
-    (default ``n + 16``; negative is refused) runs out.
+    :meth:`RouteView.resolve`); entries outside ``[0, n)`` never start:
+    not ok, with no lost reason (the service counts them as unknown).  The
+    walk direction is fixed per query at the start; each hop prefers the
+    long-range link when it advances past the ring link without
+    overshooting (Algorithms 5/6; the origin's forced ring hop of
+    Algorithm 10 is the caller's).  A query is lost when the link it takes
+    is missing, makes no progress, or crosses the destination (possible
+    only mid-convergence), or when *max_hops* (default ``n + 16``;
+    negative is refused) runs out; ``lost_reason`` says which.
     """
     n = view.n
     src = np.asarray(source_ranks, dtype=np.int64)
     dst = np.asarray(dest_ranks, dtype=np.int64)
     if src.shape != dst.shape:
         raise ValueError("source and destination batches must align")
-    if max_hops is not None and max_hops < 0:
-        raise ValueError(f"max_hops must be non-negative, got {max_hops}")
-    cap = max_hops if max_hops is not None else n + 16
+    cap = _hop_cap(n, max_hops)
     valid = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
-    hops = np.zeros(len(src), dtype=np.int64)
+    hops = np.zeros(len(src), dtype=hop_dtype(n, max_hops))
     ok = valid.copy()
+    lost_reason = np.zeros(len(src), dtype=np.uint8)
     paths: list[list[float]] | None = None
     if collect_paths:
         paths = [
@@ -265,27 +292,63 @@ def route_batch(
     rgt = dest > start
     cur = np.where(rgt, n + start, (n - 1) - start)
     goal = np.where(rgt, n + dest, (n - 1) - dest)
+    walks, goals = query, goal
+    # Where each walk ended, as a d: its goal when it arrived, past it when
+    # it crossed, its own row when it took no step, -1 while it walks on.
+    # Everything else a walk's end decides is read from it after the loop.
+    last = np.full(len(src), -1, dtype=np.int64)
     hop = 0
     while query.size and hop < cap:
         hop += 1
         nxt = step[2 * cur + (goal >= bound[cur])]
-        # Mid-convergence hazards: no link at all or a self-loop makes no
-        # progress (no step taken); a step past the goal crossed it.
-        stuck = nxt == cur
         if paths is not None:
             rank = np.where(nxt < n, (n - 1) - nxt, nxt - n)
-            for qi, r, gone in zip(query.tolist(), rank.tolist(), stuck.tolist()):
+            for qi, r, gone in zip(query.tolist(), rank.tolist(), (nxt == cur).tolist()):
                 if not gone:
                     paths[qi].append(float(view.ids[r]))
-        done = stuck | (nxt >= goal)
+        # Mid-convergence hazards: no link at all or a self-loop makes no
+        # progress (no step taken); a step past the goal crossed it.
+        done = (nxt == cur) | (nxt >= goal)
         if done.any():
             finished = query[done]
-            ok[finished] = nxt[done] == goal[done]
-            hops[finished] = hop - stuck[done]
+            last[finished] = nxt[done]
+            hops[finished] = hop
             keep = ~done
             query, nxt, goal = query[keep], nxt[keep], goal[keep]
         cur = nxt
-    if query.size:
-        ok[query] = False
-        hops[query] = hop
-    return RouteResult(hops=hops, ok=ok, round_index=view.round_index, paths=paths)
+    hops[query] = hop
+    end = last[walks]
+    ok[walks] = end == goals
+    lost = end != goals
+    if lost.any():
+        walks, reason = walks[lost], _lost_reasons(view, end[lost], goals[lost])
+        lost_reason[walks] = reason
+        # A walk that took no step did not walk its last hop.
+        hops[walks[reason <= LOST_NO_PROGRESS]] -= 1
+    return RouteResult(
+        hops=hops,
+        ok=ok,
+        lost_reason=lost_reason,
+        round_index=view.round_index,
+        paths=paths,
+    )
+
+
+def _lost_reasons(view: RouteView, end: np.ndarray, goal: np.ndarray) -> np.ndarray:
+    """Reason codes of walks lost at the reflected indices *end* on their
+    way to *goal*: -1 is a walk the cap stopped, an end past the goal
+    crossed it, and one short of it took no step, over a link that is
+    missing or leads back to the node (``step`` maps both to the row).
+    ``bound`` never takes a missing long-range link, so a missing link is
+    a ring link the row's ``bound`` did not pass, read from the rank
+    columns."""
+    n = view.n
+    at = np.maximum(end, 0)
+    left = at < n
+    rank = np.where(left, (n - 1) - at, at - n)
+    ring = np.where(left, view.l_rank[rank], view.r_rank[rank])
+    missing = (goal < view.bound[at]) & (ring == NO_LINK)
+    reason = np.where(missing, LOST_NO_LINK, LOST_NO_PROGRESS)
+    reason[end > goal] = LOST_CROSSED
+    reason[end < 0] = LOST_HOP_CAP
+    return reason.astype(np.uint8)

@@ -44,7 +44,7 @@ import numpy as np
 from repro.obs.live import LiveServer, LiveStatus
 from repro.obs.observer import Observer
 from repro.serve.host import EngineHost
-from repro.serve.routing import NO_LINK, route_batch
+from repro.serve.routing import LOST_REASONS, NO_LINK, hop_dtype, route_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.protocol import ProtocolConfig
@@ -75,14 +75,16 @@ class LookupOutcome:
     """Batch lookup result: per-query hops/success plus bookkeeping.
 
     ``found[i]`` says both the target and the source id were live in the
-    routed view; ``ok[i]`` says the greedy walk reached the target.
-    ``source_ids`` records the source actually used (drawn uniformly
-    when the caller gave none), and ``paths`` carries full id traces
-    when requested.
+    routed view; ``ok[i]`` says the greedy walk reached the target, and
+    ``lost_reason[i]`` why a found lookup's walk did not (the codes of
+    :class:`~repro.serve.routing.RouteResult`).  ``source_ids`` records
+    the source actually used (drawn uniformly when the caller gave none),
+    and ``paths`` carries full id traces when requested.
     """
 
     hops: np.ndarray
     ok: np.ndarray
+    lost_reason: np.ndarray
     found: np.ndarray
     source_ids: np.ndarray
     round_index: int
@@ -135,6 +137,7 @@ class OverlayService:
             "greedy-routing hop count of successful lookups",
             buckets=HOP_BUCKETS,
         )
+        self._hop_bounds = np.asarray(self._hops.bounds)
         self._request_seconds = registry.histogram(
             "serve_request_seconds", "wall-clock latency of one API request"
         )
@@ -204,20 +207,20 @@ class OverlayService:
         :class:`RouteView`; sources default to uniform draws over the
         live nodes (*rng* overrides the service generator so load
         harnesses stay deterministic).  A lookup whose target or source
-        is not live counts as ``unknown``, never as ``lost``.  Outcome
-        counters and the hop histogram are folded into the registry with
-        one bulk update.
+        is not live counts as ``unknown``, never as ``lost``; a lost one
+        counts under its ``reason``.  Outcome counters and the hop
+        histogram are folded into the registry with one bulk update.
         """
         targets = np.asarray(target_ids, dtype=np.float64)
         k = len(targets)
         view = self.host.view
         if view is None or view.n == 0:
-            empty = np.zeros(k, dtype=np.int64)
             with self._lock:
                 self._lookups.inc(k, outcome="unknown")
             return LookupOutcome(
-                hops=empty,
+                hops=np.zeros(k, dtype=hop_dtype(0, max_hops)),
                 ok=np.zeros(k, dtype=bool),
+                lost_reason=np.zeros(k, dtype=np.uint8),
                 found=np.zeros(k, dtype=bool),
                 source_ids=np.full(k, np.nan),
                 round_index=-1,
@@ -246,10 +249,11 @@ class OverlayService:
             if unknown_count:
                 self._lookups.inc(unknown_count, outcome="unknown")
             if lost_count > 0:
-                self._lookups.inc(lost_count, outcome="lost")
+                self._observe_lost(result.lost_reason)
         return LookupOutcome(
             hops=result.hops,
             ok=result.ok,
+            lost_reason=result.lost_reason,
             found=found,
             source_ids=sources,
             round_index=result.round_index,
@@ -257,12 +261,17 @@ class OverlayService:
         )
 
     def _observe_hops(self, hops: np.ndarray) -> None:
-        bounds = np.asarray(self._hops.bounds)
-        idx = np.searchsorted(bounds, hops, side="left")
-        counts = np.bincount(idx, minlength=len(bounds) + 1)
+        idx = np.searchsorted(self._hop_bounds, hops, side="left")
+        counts = np.bincount(idx, minlength=len(self._hop_bounds) + 1)
         self._hops.observe_bulk(
             counts.tolist(), float(hops.sum()), int(hops.size)
         )
+
+    def _observe_lost(self, lost_reason: np.ndarray) -> None:
+        counts = np.bincount(lost_reason, minlength=len(LOST_REASONS) + 1)
+        for reason, count in zip(LOST_REASONS, counts[1:].tolist()):
+            if count:
+                self._lookups.inc(count, outcome="lost", reason=reason)
 
     def sample_ids(self, k: int, rng: np.random.Generator | None = None) -> np.ndarray:
         """Uniform sample (with replacement) of *k* live ids."""
@@ -306,12 +315,14 @@ class OverlayService:
         )
         trace = params.get("trace", "0") not in ("0", "", "false")
         outcome = self.lookup_batch(targets, sources, collect_paths=trace)
+        reason = int(outcome.lost_reason[0])
         doc: dict[str, object] = {
             "target": float(targets[0]),
             "source": float(outcome.source_ids[0]),
             "found": bool(outcome.found[0]),
             "ok": bool(outcome.ok[0]),
             "hops": int(outcome.hops[0]),
+            "lost_reason": LOST_REASONS[reason - 1] if reason else None,
             "round": outcome.round_index,
         }
         if trace and outcome.paths is not None:

@@ -9,10 +9,12 @@ sorts and the table-driven hop loop replaced them.  They are kept here,
 and only here, as the executable definition of "the same permutation a
 stable sort of the same key yields" and of "hop-for-hop identical":
 ``tests/test_flush_reference.py`` requires the shipped functions to equal
-them array-for-array, dtypes included.  The flush oracles compute ``b``/``c``
-at full length, ``0.0`` off ``reslrl``, as the flush once did, and
-convert at their edges to the shipped layout, where ``b``/``c`` hold the
-``reslrl`` rows only (:func:`full_length`, :func:`reslrl_only`).
+them array-for-array, dtypes included (the hop counts aside: the oracle
+keeps them in int64, ``route_batch`` in its narrower ``hop_dtype``).  The
+flush oracles compute ``b``/``c`` at full length, ``0.0`` off ``reslrl``,
+as the flush once did, and convert at their edges to the shipped layout,
+where ``b``/``c`` hold the ``reslrl`` rows only (:func:`full_length`,
+:func:`reslrl_only`).
 
 Beside them, the per-node departure purges the SoA engines had before
 every ``leave`` became a departure batch of one — outbox, chaos wire and
@@ -32,7 +34,15 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.serve.routing import NO_LINK, RouteResult, RouteView
+from repro.serve.routing import (
+    LOST_CROSSED,
+    LOST_HOP_CAP,
+    LOST_NO_LINK,
+    LOST_NO_PROGRESS,
+    NO_LINK,
+    RouteResult,
+    RouteView,
+)
 from repro.sim.fast.buffers import (
     N_TYPES,
     RESLRL,
@@ -255,7 +265,8 @@ def route_batch_reference(
     collect_paths: bool = False,
 ) -> RouteResult:
     """The probr/probl walk, every rule re-evaluated per hop from the rank
-    columns (Algorithms 5/6 as written, no precomputed tables)."""
+    columns (Algorithms 5/6 as written, no precomputed tables), hop counts
+    in int64 and each lost walk's reason read off the link it took."""
     n = view.n
     src = np.asarray(source_ranks, dtype=np.int64)
     dst = np.asarray(dest_ranks, dtype=np.int64)
@@ -264,6 +275,7 @@ def route_batch_reference(
     k = len(src)
     hops = np.zeros(k, dtype=np.int64)
     ok = np.ones(k, dtype=bool)
+    lost_reason = np.zeros(k, dtype=np.uint8)
     cap = max_hops if max_hops is not None else n + 16
     valid = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
     ok &= valid
@@ -308,6 +320,9 @@ def route_batch_reference(
                     paths[qi].append(float(view.ids[rank]))
         if lost.any():
             ok[active[lost]] = False
+            lost_reason[active[nxt == NO_LINK]] = LOST_NO_LINK
+            lost_reason[active[nxt == c]] = LOST_NO_PROGRESS
+            lost_reason[active[crossed]] = LOST_CROSSED
         hops[active[stepped]] += 1
         keep = stepped & ~crossed
         cur[active[keep]] = nxt[keep]
@@ -316,7 +331,14 @@ def route_batch_reference(
         active = active[~arrived]
     if active.size:
         ok[active] = False
-    return RouteResult(hops=hops, ok=ok, round_index=view.round_index, paths=paths)
+        lost_reason[active] = LOST_HOP_CAP
+    return RouteResult(
+        hops=hops,
+        ok=ok,
+        lost_reason=lost_reason,
+        round_index=view.round_index,
+        paths=paths,
+    )
 
 
 # ----------------------------------------------------------------------

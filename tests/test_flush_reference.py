@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.protocol import ProtocolConfig
-from repro.serve.routing import RouteView, route_batch
+from repro.serve.routing import RouteView, hop_dtype, route_batch
 from repro.sim.fast import buffers
 from repro.sim.fast.batched import FastEngine
 from repro.sim.fast.buffers import (
@@ -474,8 +474,12 @@ def test_staged_row_count_is_the_recomputed_sum(ops) -> None:
 def assert_same_route(view: RouteView, src, dst, **options) -> np.ndarray:
     expected = route_batch_reference(view, src, dst, **options)
     got = route_batch(view, src, dst, **options)
-    assert_same_array(got.hops, expected.hops, "hops")
+    # The oracle counts hops in int64; route_batch in the narrowest dtype
+    # that holds its cap + 1.  The values must be equal all the same.
+    assert got.hops.dtype == hop_dtype(view.n, options.get("max_hops"))
+    np.testing.assert_array_equal(got.hops, expected.hops, err_msg="hops")
     assert_same_array(got.ok, expected.ok, "ok")
+    assert_same_array(got.lost_reason, expected.lost_reason, "lost_reason")
     assert got.paths == expected.paths
     assert got.round_index == expected.round_index
     return got.ok

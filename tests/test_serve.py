@@ -122,13 +122,23 @@ class TestServiceHTTP:
 
     def test_lookup_from_non_member_source_is_unknown(self, service):
         lookups = service.observer.registry.counter("serve_lookups_total")
-        lost0 = lookups.value(outcome="lost")
+
+        def lost() -> float:
+            # Lost lookups count under one series per reason.
+            return sum(
+                value
+                for labels, value in lookups.samples()
+                if labels["outcome"] == "lost"
+            )
+
+        lost0 = lost()
         unknown0 = lookups.value(outcome="unknown")
         target = float(service.host.view.ids[0])
         code, doc = _get(f"{service.api_url}/lookup?target={target!r}&source=2.5")
         assert code == 200
         assert doc["found"] is False and doc["ok"] is False
-        assert lookups.value(outcome="lost") == lost0
+        assert doc["lost_reason"] is None
+        assert lost() == lost0
         assert lookups.value(outcome="unknown") == unknown0 + 1
 
     def test_lookup_requires_target(self, service):

@@ -20,6 +20,7 @@ paper's probr/probl:
 from __future__ import annotations
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,10 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
 from repro.graphs.build import stable_ring_states
 from repro.ids import generate_ids
-from repro.serve.routing import NO_LINK, RouteView, route_batch
+from repro.obs.exporters import prometheus_text, validate_prometheus_text
+from repro.obs.observer import Observer
+from repro.serve.routing import LOST_REASONS, NO_LINK, RouteView, hop_dtype, route_batch
+from repro.serve.service import OverlayService
 from repro.serve.slo import hop_bound
 from repro.sim.fast.engine import FastSimulator
 from repro.topology.generators import TOPOLOGIES
@@ -248,6 +252,158 @@ class TestProbeConformance:
         zero = route_batch(view, np.asarray([0, 4]), np.asarray([31, 4]), max_hops=0)
         np.testing.assert_array_equal(zero.ok, [False, True])
         np.testing.assert_array_equal(zero.hops, [0, 0])
+
+
+# ----------------------------------------------------------------------
+# Hop counts at the width of their cap
+# ----------------------------------------------------------------------
+def _line(n: int) -> RouteView:
+    """The stable line over ranks ``0..n-1`` with no long-range links."""
+    return RouteView.from_ranks(np.full(n, NO_LINK))
+
+
+class TestHopWidth:
+    def test_dtype_follows_the_cap(self):
+        walk = route_batch(_line(8192), np.array([0]), np.array([8191]))
+        assert walk.ok.all() and walk.hops.dtype == np.int16
+        assert walk.hops.tolist() == [8191]
+        view = _line(64)
+        for max_hops, dtype in ((3, np.int8), (32766, np.int16), (32767, np.int32)):
+            walk = route_batch(view, np.array([0]), np.array([63]), max_hops=max_hops)
+            assert walk.hops.dtype == dtype, max_hops
+        assert hop_dtype(32750) == np.int16 and hop_dtype(32751) == np.int32
+        assert hop_dtype(2**18) == np.int32
+
+    @pytest.mark.parametrize("max_hops", [0, 1, 126, 127, 32766, 32767])
+    def test_an_exhausted_cap_reports_the_cap_and_one_more_hop_fits(self, max_hops):
+        n = max_hops + 2
+        walk = route_batch(
+            _line(n), np.array([0, n - 1]), np.array([n - 1, 0]), max_hops=max_hops
+        )
+        assert not walk.ok.any()
+        assert walk.hops.tolist() == [max_hops] * 2
+        # Algorithm 10's forced origin hop, as E3 adds it, does not wrap.
+        assert (walk.hops + 1).tolist() == [max_hops + 1] * 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_equal_an_int64_walk_on_random_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        line = _line(n)
+        columns = [line.l_rank.copy(), line.r_rank.copy(), rng.integers(-1, n, size=n)]
+        # Break a few ring links and point a few links of each column at
+        # their own node, so that every loss branch occurs.
+        for column in columns[:2]:
+            broken = rng.random(n) < 0.05
+            column[broken] = rng.integers(-1, n, size=int(broken.sum()))
+        for column in columns:
+            own = np.flatnonzero(rng.random(n) < 0.02)
+            column[own] = own
+        view = RouteView(line.ids, *columns, 0)
+        src = rng.integers(-1, n + 1, size=500)
+        dst = rng.integers(-1, n + 1, size=500)
+        for max_hops in (None, 5, 127):
+            got = route_batch(view, src, dst, max_hops=max_hops)
+            expected = route_batch_reference(view, src, dst, max_hops=max_hops)
+            assert expected.hops.dtype == np.int64
+            assert got.hops.dtype == hop_dtype(n, max_hops)
+            np.testing.assert_array_equal(got.hops.astype(np.int64), expected.hops)
+            np.testing.assert_array_equal(got.ok, expected.ok)
+            np.testing.assert_array_equal(got.lost_reason, expected.lost_reason)
+
+
+# ----------------------------------------------------------------------
+# Why a lost walk ended
+# ----------------------------------------------------------------------
+def _edited_line(n: int, **edits: dict[int, int]) -> RouteView:
+    """:func:`_line` with some rank-column entries replaced:
+    ``r_rank={2: NO_LINK}`` cuts the ring link right of rank 2."""
+    line = _line(n)
+    columns = {
+        "l_rank": line.l_rank.copy(),
+        "r_rank": line.r_rank.copy(),
+        "lrl_rank": line.lrl_rank.copy(),
+    }
+    for name, entries in edits.items():
+        for rank, link in entries.items():
+            columns[name][rank] = link
+    return RouteView(line.ids, columns["l_rank"], columns["r_rank"], columns["lrl_rank"], 0)
+
+
+def _reason(code: int) -> str | None:
+    return LOST_REASONS[code - 1] if code else None
+
+
+class TestLostReasons:
+    CASES = [
+        # (view edits, source, dest, max_hops, reason, hops)
+        ({"r_rank": {2: NO_LINK}}, 0, 5, None, "no_link", 2),
+        ({"l_rank": {4: NO_LINK}}, 7, 1, None, "no_link", 3),
+        ({"r_rank": {2: 2}}, 0, 5, None, "no_progress", 2),
+        # The long-range link is the one taken, so no missing ring link
+        # is blamed for it.
+        ({"r_rank": {2: NO_LINK}, "lrl_rank": {2: 2}}, 0, 5, None, "no_progress", 2),
+        ({"r_rank": {1: 4}}, 0, 3, None, "crossed", 2),
+        ({"l_rank": {6: 2}}, 7, 3, None, "crossed", 2),
+        ({}, 0, 9, 3, "hop_cap", 3),
+        ({}, 0, 9, None, None, 9),
+    ]
+
+    @pytest.mark.parametrize("edits, src, dst, max_hops, reason, hops", CASES)
+    def test_one_walk_per_reason(self, edits, src, dst, max_hops, reason, hops):
+        view = _edited_line(10, **edits)
+        walk = route_batch(view, np.array([src]), np.array([dst]), max_hops=max_hops)
+        assert walk.lost_reason.dtype == np.uint8
+        assert _reason(int(walk.lost_reason[0])) == reason
+        assert bool(walk.ok[0]) == (reason is None)
+        assert walk.hops.tolist() == [hops]
+        oracle = route_batch_reference(view, np.array([src]), np.array([dst]), max_hops=max_hops)
+        assert oracle.lost_reason.tolist() == walk.lost_reason.tolist()
+
+    def test_queries_that_never_start_have_no_reason(self):
+        walk = route_batch(_line(10), np.array([-1, 3, 4]), np.array([3, 10, 4]))
+        assert walk.ok.tolist() == [False, False, True]
+        assert walk.lost_reason.tolist() == [0, 0, 0]
+
+    def test_service_counts_and_reports_each_reason(self):
+        view = _edited_line(10, r_rank={2: NO_LINK, 5: 5, 7: 9})
+        service = OverlayService(
+            SimpleNamespace(view=view), Observer(experiment="serve", params={})
+        )
+        # to 4: no link at 2; from 3 to 6: no progress at 5; from 6 to 8:
+        # crossed at 7; from 0 to 1: arrives.
+        sources = view.ids[[0, 3, 6, 0, 0]]
+        targets = view.ids[[4, 6, 8, 1, 9]]
+        outcome = service.lookup_batch(targets, sources, max_hops=4)
+        assert [_reason(code) for code in outcome.lost_reason.tolist()] == [
+            "no_link", "no_progress", "crossed", None, "no_link",
+        ]
+        lookups = service.observer.registry.counter("serve_lookups_total")
+        assert lookups.value(outcome="lost", reason="no_link") == 2
+        assert lookups.value(outcome="lost", reason="no_progress") == 1
+        assert lookups.value(outcome="lost", reason="crossed") == 1
+        assert lookups.value(outcome="lost", reason="hop_cap") == 0
+        assert lookups.value(outcome="ok") == 1
+        text = prometheus_text(service.observer.registry)
+        assert 'repro_serve_lookups_total{outcome="lost",reason="crossed"} 1' in text
+        assert validate_prometheus_text(text) == []
+        code, doc = service._handle_lookup(
+            {"target": repr(float(view.ids[8])), "source": repr(float(view.ids[6]))}
+        )
+        assert code == 200 and doc["lost_reason"] == "crossed" and doc["found"]
+        code, doc = service._handle_lookup(
+            {"target": repr(float(view.ids[1])), "source": repr(float(view.ids[0]))}
+        )
+        assert doc["ok"] and doc["lost_reason"] is None
+
+    def test_empty_view_follows_the_width_rule(self):
+        service = OverlayService(
+            SimpleNamespace(view=None), Observer(experiment="serve", params={})
+        )
+        outcome = service.lookup_batch(np.array([0.5, 0.25]))
+        assert outcome.hops.dtype == hop_dtype(0) == np.int8
+        assert outcome.lost_reason.tolist() == [0, 0]
+        assert service.lookup_batch(np.array([0.5]), max_hops=40000).hops.dtype == np.int32
 
 
 # ----------------------------------------------------------------------
