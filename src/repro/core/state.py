@@ -64,9 +64,30 @@ class NodeState:
     age: int = 0
 
     def __post_init__(self) -> None:
-        require_id(self.id, what="node id")
+        # Each check first asks whether the value is a float in range (and
+        # on its side of the id), which is what every start builder passes;
+        # anything else goes through require_id and the side checks, which
+        # raise or pass exactly as they would on their own.
+        nid = self.id
+        if not (type(nid) is float and 0.0 <= nid < 1.0):
+            require_id(nid, what="node id")
         if self.lrl == -1.0:
-            self.lrl = self.id
+            self.lrl = nid
+        lrl, ring, l, r = self.lrl, self.ring, self.l, self.r
+        if not (
+            type(lrl) is float
+            and 0.0 <= lrl < 1.0
+            and (ring is None or (type(ring) is float and 0.0 <= ring < 1.0))
+            and (l == NEG_INF or (type(l) is float and 0.0 <= l < nid))
+            and (r == POS_INF or (type(r) is float and nid < r < 1.0))
+        ):
+            self._check_links()
+        if self.age < 0:
+            raise ValueError(f"age must be non-negative, got {self.age}")
+
+    def _check_links(self) -> None:
+        """Validate ``lrl``, ``ring``, ``l`` and ``r`` one at a time, raising
+        on the first that is not an identifier on its side of the id."""
         require_id(self.lrl, what="lrl")
         if self.ring is not None:
             require_id(self.ring, what="ring")
@@ -82,8 +103,6 @@ class NodeState:
                 raise ValueError(
                     f"r must be greater than the node id ({self.r} <= {self.id})"
                 )
-        if self.age < 0:
-            raise ValueError(f"age must be non-negative, got {self.age}")
 
     # ------------------------------------------------------------------
     # Convenience predicates used throughout Algorithms 1-10

@@ -120,11 +120,26 @@ def writer_rows(inbox: RoundInbox, soa: SoAState) -> np.ndarray:
     of the node's id *and* is strictly closer than every earlier such
     payload on that side.  Candidates this does not see (a forgotten
     link, a replaced ring edge) only tighten the gap further.
+
+    The side-aware gap test runs only on the rows whose payload lies
+    strictly inside ``(min(l, id), max(r, id))`` of their node, two
+    gathers over the whole inbox: a payload inside the gap on its side
+    lies there whatever ``l``/``r`` hold, so the prefilter drops no row
+    the test would keep.  The slots are widened to intp once, for every
+    gather (docs/PERF.md "Gather index dtype").
     """
     tcode = inbox.tcode
-    idx = inbox.dest_idx
     a = inbox.a
     writer = (tcode == RESLRL) | (tcode == RESRING)
+    n = soa.size
+    low = np.minimum(soa.l[:n], soa.ids[:n])
+    high = np.maximum(soa.r[:n], soa.ids[:n])
+    idx = inbox.dest_idx.astype(np.intp)
+    near = a > low[idx]
+    near &= a < high[idx]
+    rows = np.flatnonzero(near)
+    del near, low, high
+    idx, a, tcode = idx[rows], a[rows], tcode[rows]
     own = soa.ids[idx]
     right = a > own
     # A probe repairs on its own side only; on the other it neither stores
@@ -135,10 +150,10 @@ def writer_rows(inbox: RoundInbox, soa: SoAState) -> np.ndarray:
         (a < soa.r[idx]) & (lin | (tcode == PROBR)),
         (a > soa.l[idx]) & (a < own) & (lin | (tcode == PROBL)),
     )
-    rows = np.flatnonzero(inside)
-    if len(rows) == 0:
+    keep = np.flatnonzero(inside)
+    if len(keep) == 0:
         return writer
-    idx, a, right = idx[rows], a[rows], right[rows]
+    rows, idx, a, right = rows[keep], idx[keep], a[keep], right[keep]
     # Strict prefix records per (node, side) in one running minimum: the
     # right-hand candidates in inbox order, then the left-hand ones, each
     # keyed by its dense closeness rank under a head that falls from one
@@ -206,7 +221,7 @@ class RoundPlan:
     """One round's receive phase, scheduled (:meth:`FastEngine._plan_round`)."""
 
     inbox: RoundInbox
-    #: Dispatch units in dispatch order.
+    #: Dispatch units in dispatch order, their rows held as int32.
     groups: list[WaveGroup]
     #: Per inbox row, whether it may store; ``None`` is "every row may".
     writer: np.ndarray | None
@@ -216,6 +231,8 @@ class RoundPlan:
     #: otherwise.
     walk: np.ndarray
     walk_wave: np.ndarray
+    #: The reslrl ordinal of each walk row (``ordinals(walk)``).
+    walk_token: np.ndarray
     #: Waves at which a segment of the walk starts, the first excepted.
     cuts: np.ndarray
     #: The inbox's ``reslrl`` rows, ascending (``flatnonzero(tcode ==
@@ -240,10 +257,15 @@ class RoundPlan:
         ]
         return list(zip(bounds, bounds[1:]))
 
-    def walk_rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The walk rows of the waves ``[lo, hi)``, and their waves."""
+    def walk_rows(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """The walk rows of the waves ``[lo, hi)``, their waves and their
+        reslrl ordinals."""
         first, end = np.searchsorted(self.walk_wave, (lo, hi))
-        return self.walk[first:end], self.walk_wave[first:end]
+        return (
+            self.walk[first:end],
+            self.walk_wave[first:end],
+            self.walk_token[first:end],
+        )
 
     def ordinals(self, rows: np.ndarray) -> np.ndarray:
         """The reslrl ordinals of the ``reslrl`` inbox *rows*."""
@@ -425,6 +447,8 @@ class FastEngine(SoAHost):
             plan = self._plan_round(inbox)
             self._walk(plan, rng)
             self._run_groups(plan)
+            # The regular action reads nothing of the round's inbox.
+            del plan, inbox
         self._run_regular(rng)
         self.outbox.flush_stats()
         if wire is not None:
@@ -455,24 +479,26 @@ class FastEngine(SoAHost):
                 self._defer_rows(code, inbox, rows, tokens)
         if writer is None:
             batches = [rows for code, rows in groups if code == RESLRL]
-            walk = np.concatenate(batches) if batches else tokens[:0]
+            walk = np.concatenate([tokens[:0], *batches], dtype=np.intp)
             walk_wave = np.repeat(
                 np.arange(len(batches)), [len(rows) for rows in batches]
             )
+            walk_token = np.searchsorted(tokens, walk)
         else:
             # The draw order of a wave-by-wave dispatch: ascending waves,
             # inbox order within a wave.
-            order, walk_wave = stable_order(
-                inbox.rank[tokens].astype(np.int64), inbox.n_waves.bit_length()
+            walk_token, walk_wave = stable_order(
+                inbox.rank[tokens], inbox.n_waves.bit_length()
             )
-            walk = tokens[order]
-        slots = inbox.dest_idx[tokens]
+            walk = tokens[walk_token]
+        slots = inbox.dest_idx[tokens].astype(np.intp)
         return RoundPlan(
             inbox=inbox,
             groups=groups,
             writer=writer,
             walk=walk,
             walk_wave=walk_wave,
+            walk_token=walk_token,
             cuts=walk_cuts(inbox.dest_idx[walk], walk_wave),
             tokens=tokens,
             token_slots=slots,
@@ -494,21 +520,25 @@ class FastEngine(SoAHost):
         after it.  An odd step holds a node at most once; an even step is
         read-only, so a node may repeat in it.  Without a mask every row
         is a writer: step orders as the wave rank, and the groups are the
-        ``(wave, type)`` groups of unique destinations.  Counts and steps
-        are int32, like the inbox's slots and ranks.
+        ``(wave, type)`` groups of unique destinations.  Counts, steps and
+        the group keys are int32, like the inbox's slots and ranks; each
+        row's segment start, which indexes, is intp.  The group keys sort
+        as int32 words (:func:`stable_order`) while the largest key present
+        and the row positions fit 31 bits together.  The groups' rows are
+        int32 too: the plan holds them through the round, and
+        :meth:`_run_groups` widens each group as it dispatches it.
         """
         count = len(inbox)
         if writer is None:
             writer = np.ones(count, dtype=bool)
-        is_writer = writer.astype(np.int32)
-        step = np.cumsum(is_writer, dtype=np.int32)
-        step -= is_writer
-        first = np.arange(count, dtype=np.int32)
+        step = np.cumsum(writer, dtype=np.int32)
+        step -= writer
+        first = np.arange(count, dtype=np.intp)
         first -= inbox.rank
         step -= step[first]
+        del first
         step *= 2
-        step += is_writer
-        del first, is_writer
+        step += writer
         if __debug__ and _wave_check_enabled():
             # What every storing kernel relies on: within one writer step
             # each destination slot appears at most once.
@@ -518,10 +548,13 @@ class FastEngine(SoAHost):
                 "writer precondition violated: a destination repeats "
                 "within one writer step"
             )
-        group = step * 8 + inbox.tcode
+        # The group key ``step * 8 + type``, built in place.
+        step *= 8
+        step += inbox.tcode
         order, sorted_keys = stable_order(
-            group, (inbox.n_waves * 16).bit_length()
+            step, int(step.max()).bit_length(), np.int32
         )
+        del step
         cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
         bounds = [0, *cuts.tolist(), len(order)]
         codes = (sorted_keys[bounds[:-1]] & 7).tolist()
@@ -560,45 +593,44 @@ class FastEngine(SoAHost):
         a wave-by-wave walk makes (:func:`token_draws`).
         """
         for lo, hi in plan.segments():
-            rows, counts = self._segment(plan, lo, hi)
+            counts = self._segment(plan, lo, hi)
             ((coins, forget_u),) = token_draws(rng, counts[None])
-            self._walk_tokens(plan, rows, rng, coins, forget_u)
+            self._walk_tokens(plan, lo, hi, rng, coins, forget_u)
 
-    def _segment(
-        self, plan: RoundPlan, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The walk rows of the waves ``[lo, hi)``, and per wave how many
-        of them are valid (``responder == lrl``).
+    def _segment(self, plan: RoundPlan, lo: int, hi: int) -> np.ndarray:
+        """Per wave of ``[lo, hi)``, how many of its walk rows are valid
+        (``responder == lrl``).
 
         A segment walks each node at most once, so validity read up front
         is what each row sees at its turn.  With move-and-forget off no row
         is valid and nothing is drawn, as in the kernel.
         """
-        rows, waves = plan.walk_rows(lo, hi)
+        rows, waves, _ = plan.walk_rows(lo, hi)
         inbox = plan.inbox
-        idx = inbox.dest_idx[rows]
+        idx = inbox.dest_idx[rows].astype(np.intp)
         if __debug__ and _wave_check_enabled():
             assert np.unique(idx).size == idx.size, (
                 "a node repeats within one segment of the token walk"
             )
         valid = (inbox.a[rows] == self.soa.lrl[idx]) & self.kernels.maf
-        return rows, np.bincount(waves[valid] - lo, minlength=hi - lo)
+        return np.bincount(waves[valid] - lo, minlength=hi - lo)
 
     def _walk_tokens(
         self,
         plan: RoundPlan,
-        rows: np.ndarray,
+        lo: int,
+        hi: int,
         rng: np.random.Generator,
         coins: np.ndarray,
         forget_u: np.ndarray,
     ) -> None:
-        """Step the tokens of one segment with its draws; record what each
-        row leaves."""
+        """Step the tokens of the segment ``[lo, hi)`` with its draws;
+        record what each row leaves."""
         profiler = self.profiler
         t1 = time.perf_counter() if profiler is not None else 0.0
         inbox = plan.inbox
-        idx = inbox.dest_idx[rows]
-        token = plan.ordinals(rows)
+        rows, _, token = plan.walk_rows(lo, hi)
+        idx = inbox.dest_idx[rows].astype(np.intp)
         plan.token_lrl[token], plan.token_forgot[token] = self._windowed(
             "move_forget",
             idx,
@@ -630,7 +662,8 @@ class FastEngine(SoAHost):
         writer = plan.writer
         for code, rows in plan.groups:
             t1 = time.perf_counter() if profiler is not None else 0.0
-            idx = inbox.dest_idx[rows]
+            rows = rows.astype(np.intp)  # held as int32 (_plan_round)
+            idx = inbox.dest_idx[rows].astype(np.intp)
             if code == RESLRL:
                 name = "place_token"
                 token = plan.ordinals(rows)
@@ -726,7 +759,8 @@ class FastEngine(SoAHost):
         A ``reslrl`` row takes its ids from its reslrl ordinal, its
         position in *tokens* (the inbox's ``reslrl`` rows, ascending).
         """
-        dest = self.soa.ids[inbox.dest_idx[rows]]
+        rows = rows.astype(np.intp)
+        dest = self.soa.ids[inbox.dest_idx[rows].astype(np.intp)]
         a = inbox.a[rows]
         if code == RESLRL:
             token = np.searchsorted(tokens, rows)

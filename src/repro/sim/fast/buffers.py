@@ -339,29 +339,37 @@ def _bits(column: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(column).view(np.uint64)
 
 
-def stable_order(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarray]:
+def stable_order(
+    key: np.ndarray, key_bits: int, dtype: type = np.intp
+) -> tuple[np.ndarray, np.ndarray]:
     """``(np.argsort(key, kind="stable"), key[that order])`` by a value sort.
 
-    *key* holds non-negative int32 or int64 values below ``2**key_bits``
-    (the words are int64 either way).  Packing each row's position under
-    its key gives distinct words, so an unstable in-place value sort of the
-    words is exact, and ascending position within equal keys *is* the
-    stable tiebreak; permutation and sorted keys are then read back out of
-    the words.  The value sort is several
-    times cheaper than the indirect stable sort it stands in for
-    (docs/PERF.md §2).  When key and position do not fit one int64 together
-    the stable sort itself runs.
+    *key* holds non-negative int32 or int64 values below ``2**key_bits``.
+    Packing each row's position under its key gives distinct words, so an
+    unstable in-place value sort of the words is exact, and ascending
+    position within equal keys *is* the stable tiebreak; permutation and
+    sorted keys are then read back out of the words.  The value sort is
+    several times cheaper than the indirect stable sort it stands in for
+    (docs/PERF.md §2), and the words are int32 — half the bytes to sort —
+    whenever key and position fit 31 bits, int64 up to 63; past that the
+    stable sort itself runs.  The order comes back in *dtype*, the one it
+    will index in (intp by default: numpy gathers through an int32 index
+    about half as fast, docs/PERF.md "Gather index dtype"); the sorted
+    keys in *key*'s dtype.
     """
-    shift = len(key).bit_length()
+    count = len(key)
+    shift = count.bit_length()
     if key_bits + shift > 63:
         order = np.argsort(key, kind="stable")
-        return order, key[order]
-    words = key << np.int64(shift)
-    words |= np.arange(len(key), dtype=np.int64)
+        return order.astype(dtype, copy=False), key[order]
+    word = np.int32 if key_bits + shift <= 31 else np.int64
+    words = key.astype(word)
+    words <<= word(shift)
+    words |= np.arange(count, dtype=word)
     words.sort()
-    order = words & np.int64((1 << shift) - 1)
-    words >>= np.int64(shift)
-    return order, words
+    order = (words & word((1 << shift) - 1)).astype(dtype, copy=False)
+    words >>= word(shift)
+    return order, words.astype(key.dtype, copy=False)
 
 
 def _argsort_ties_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -434,8 +442,10 @@ def _dedup_order(
     non-decreasing in the payload, so rows whose ``(head, code)`` differ
     are in payload order already; rows that share it are either copies of
     one row (the duplicates the dedup is for) or a *clash*, two different
-    payloads under one code.  Only the runs that hold a clash are
-    re-sorted, by their payload columns (``lexsort``).  Under coalescing a
+    payloads under one code.  The payload columns are compared only where
+    sorted words tie (:func:`_tied_rows_differ`); when any of those rows
+    differ, the runs that hold a clash are re-sorted by their payload
+    columns (``lexsort``).  Under coalescing a
     node receives at most one ``reslrl`` a round, so that block's heads
     are distinct and every row is its own first copy; an identifier's
     code is ``floor(id * (2**c - 2))``, so a clash needs two identifiers
@@ -457,17 +467,35 @@ def _dedup_order(
         words = head[order]
         code_bits = 0
     tied = words[1:] == words[:-1]
-    ranked = [column[order] for column in payload]
-    differ = _neighbours_differ(ranked)
-    clash = tied & differ
-    if bool(clash.any()):
-        differ = _sort_clashes(order, ranked, tied, clash)
-    del ranked, clash
     fresh = np.empty(count, dtype=bool)
     fresh[0] = True
-    np.logical_or(differ, ~tied, out=fresh[1:])
+    np.logical_not(tied, out=fresh[1:])
+    if _tied_rows_differ(order, tied, payload):
+        ranked = [column[order] for column in payload]
+        differ = _neighbours_differ(ranked)
+        differ = _sort_clashes(order, ranked, tied, tied & differ)
+        del ranked
+        fresh[1:] |= differ
     words >>= np.int64(code_bits)
     return order, words, fresh
+
+
+def _tied_rows_differ(
+    order: np.ndarray, tied: np.ndarray, payload: tuple[np.ndarray, ...]
+) -> bool:
+    """Whether any row continuing a run of equal sorted words
+    (``tied[i]``: row ``i + 1`` of *order* continues row ``i``'s) differs
+    from the row before it in a payload column: a clash
+    (:func:`_dedup_order`).  Only the tied positions are gathered."""
+    after = np.flatnonzero(tied)
+    if len(after) == 0:
+        return False
+    after += 1
+    before = order[after - 1]
+    after = order[after]
+    return any(
+        bool((column[after] != column[before]).any()) for column in payload
+    )
 
 
 def _sort_clashes(
@@ -509,14 +537,16 @@ def _payload_code(bits: np.ndarray, code_bits: int) -> np.ndarray:
     ``[0, 1]`` — every identifier — spread over ``floor(x * (2**c - 2))``
     (exact: the scale is an integer below ``2**53``, and rounding and
     ``floor`` keep order), larger ones and ``+NaN`` take the code of 1.0,
-    and anything with the sign bit set the top code.
+    and anything with the sign bit set the top code.  The product is cast
+    into the code column a block at a time.
     """
     top = (1 << code_bits) - 1
     value = bits.view(np.float64)
     scaled = np.fmin(value, 1.0)
     np.fmax(scaled, 0.0, out=scaled)
-    scaled *= float(top - 1)
-    code = scaled.astype(np.int64)
+    code = np.empty(len(bits), dtype=np.int64)
+    np.multiply(scaled, float(top - 1), out=code, casting="unsafe")
+    del scaled
     code[np.signbit(value)] = top
     return code
 
@@ -528,11 +558,15 @@ class RoundInbox:
     Rows are sorted by ``(dest_idx, uniform key)``; ``rank`` is each row's
     position within its destination's segment, so ``rank == k`` selects
     wave *k* (at most one message per destination).  ``dest_idx`` and
-    ``rank`` are int32 — the slot-count and wave-count ceilings are far
-    below 2^31, and at 2^18 nodes the narrower index columns are a real
-    slice of the round's peak RSS.  ``b``/``c`` hold the ``reslrl`` rows'
-    neighbour ids only, aligned with ``flatnonzero(tcode == RESLRL)``: a
-    ``reslrl`` row's ids sit at its reslrl ordinal.
+    ``rank`` are *held* as int32 — the slot-count and wave-count ceilings
+    are far below 2^31, and at 2^18 nodes the narrower columns are a real
+    slice of the round's peak RSS — but numpy gathers through an int32
+    index about half as fast as through intp, so a reader that indexes
+    with slots widens the slice it indexes with first
+    (``dest_idx[rows].astype(np.intp)``; docs/PERF.md "Gather index
+    dtype").  ``b``/``c`` hold the ``reslrl`` rows' neighbour ids only,
+    aligned with ``flatnonzero(tcode == RESLRL)``: a ``reslrl`` row's ids
+    sit at its reslrl ordinal.
     """
 
     dest_idx: np.ndarray
@@ -565,7 +599,9 @@ class PreparedInbox:
     ``dedup``, in type order (after ``lin``/``inclrl``) without it.
     ``n_res`` counts them, and ``b``/``c`` hold their neighbour ids only,
     in block order.  ``packed_ok`` reports whether every slot index fits
-    the packed 21+42-bit sort encoding.
+    the packed 21+42-bit sort encoding.  ``dest_idx`` is int32, as in
+    :class:`RoundInbox`.  :func:`finalize_inbox` consumes a prepared
+    inbox: it empties each column once gathered.
     """
 
     dest_idx: np.ndarray
@@ -696,6 +732,10 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
     an exchangeable tiebreak, still a uniform delivery order, and —
     crucially for the sharded engine — a *content-determined* one.
 
+    *pre* is consumed: each of its columns is emptied as soon as it has
+    been gathered into the round inbox (docs/PERF.md "Round-scoped
+    buffers"), so a caller that reads *pre* afterwards sees no rows.
+
     The int64 branch is one value sort of ``slot << (k+S) | key >> (42-k)
     << S | position`` words, ``S`` position bits and the top ``k`` key
     bits that fit beside them (:func:`_key_bits`): distinct truncated
@@ -716,15 +756,17 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
             order, packed = _argsort_ties_stable(packed)
             packed >>= np.int64(42)
             dest_idx = packed.astype(pre.dest_idx.dtype)
+            del packed
     else:
         minor, _ = _argsort_ties_stable(keys)
-        position, sorted_dest = stable_order(
-            pre.dest_idx[minor].astype(np.int64), 31
-        )
+        position, dest_idx = stable_order(pre.dest_idx[minor], 31)
         order = minor[position]
-        dest_idx = sorted_dest.astype(pre.dest_idx.dtype)
+        del minor, position
+    _consume(pre, "dest_idx")
     tcode = pre.tcode[order]
+    _consume(pre, "tcode")
     a = pre.a[order]
+    _consume(pre, "a")
     b, c = pre.b, pre.c
     if pre.n_res:
         # The reslrl rows of the prepared inbox are one contiguous block,
@@ -732,6 +774,9 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
         src = order[np.flatnonzero(tcode == RESLRL)]
         src -= src.min()
         b, c = b[src], c[src]
+        del src
+    _consume(pre, "b")
+    _consume(pre, "c")
     del order
 
     count = len(dest_idx)
@@ -762,6 +807,12 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
         rank=rank,
         n_waves=n_waves,
     )
+
+
+def _consume(pre: PreparedInbox, name: str) -> None:
+    """Empty one column of *pre*, which :func:`finalize_inbox` has read in
+    full: the prepared rows are not held while the ordered ones are."""
+    setattr(pre, name, np.empty(0, dtype=getattr(pre, name).dtype))
 
 
 def build_inbox(

@@ -237,7 +237,7 @@ class ShardCore(FastEngine):
         ``[lo, hi)`` — the coin pairs its part of the segment consumes."""
         if self._plan is None:
             return np.zeros(hi - lo, dtype=np.int64)
-        return self._segment(self._plan, lo, hi)[1]
+        return self._segment(self._plan, lo, hi)
 
     def reslrl_apply(
         self, lo: int, hi: int, coins: np.ndarray, forget_u: np.ndarray
@@ -246,9 +246,8 @@ class ShardCore(FastEngine):
         draws."""
         plan = self._plan
         if plan is not None:
-            rows = plan.walk_rows(lo, hi)[0]
-            if len(rows):
-                self._walk_tokens(plan, rows, self._local_rng, coins, forget_u)
+            if len(plan.walk_rows(lo, hi)[0]):
+                self._walk_tokens(plan, lo, hi, self._local_rng, coins, forget_u)
                 return
         if len(coins):
             raise RuntimeError(

@@ -83,7 +83,7 @@ class SoAState:
         self.age = np.empty(capacity, dtype=np.int64)
         self.alive = np.zeros(capacity, dtype=bool)
         self._sorted_ids: np.ndarray = np.empty(0, dtype=np.float64)
-        self._sorted_idx: np.ndarray = np.empty(0, dtype=np.int32)
+        self._sorted_idx: np.ndarray = np.empty(0, dtype=np.intp)
         self._bucket_start: np.ndarray = np.empty(0, dtype=np.int32)
         self._dirty = True
 
@@ -288,7 +288,7 @@ class SoAState:
     def _rebuild_sorted(self) -> None:
         live = np.flatnonzero(self.alive[: self.size])
         order = np.argsort(self.ids[live], kind="stable")
-        self._sorted_idx = live[order].astype(np.int32)
+        self._sorted_idx = live[order]
         self._sorted_ids = ids = self.ids[self._sorted_idx]
         # Bucket k of B covers [k/B, (k+1)/B) and holds the first sorted
         # position at or past k/B (clipped to the last one).  B is the
@@ -301,7 +301,7 @@ class SoAState:
 
     def sorted_live(self) -> tuple[np.ndarray, np.ndarray]:
         """``(ids, idx)`` of every live node, ascending by identifier
-        (``idx`` int32)."""
+        (``idx`` intp: every caller indexes with it)."""
         if self._dirty:
             self._rebuild_sorted()
         return self._sorted_ids, self._sorted_idx
@@ -314,28 +314,34 @@ class SoAState:
         """Vectorized identifier→index resolution.
 
         Returns ``(idx, found)``: for each destination identifier the
-        compact index of the live node with that id, int32 like every slot
-        column of a round (undefined where ``found`` is false — messages to
-        unknown identifiers are dropped by the caller, mirroring
-        ``Network.send``).
+        compact index of the live node with that id, as intp (undefined
+        where ``found`` is false — messages to unknown identifiers are
+        dropped by the caller, mirroring ``Network.send``).  A caller that
+        holds the slots narrows them itself (``PreparedInbox.dest_idx`` is
+        int32).
 
         Each id is probed once in its bucket (``floor(x * B)`` clipped
         into ``[0, B)``, NaN in bucket 0): a hit is the position a binary
         search would return, since ids are unique.  Only the misses — an
         id behind another in its bucket, an unknown id, a sentinel — are
-        searched.
+        searched.  The table is stored int32; the probe positions are
+        widened to intp before they index, because numpy gathers through
+        an int32 index about twice as slowly as through intp (docs/PERF.md
+        "Gather index dtype").
         """
         ids, idx = self.sorted_live()
         dest_ids = np.asarray(dest_ids, dtype=np.float64)
         if len(ids) == 0:
             found = np.zeros(len(dest_ids), dtype=bool)
-            return np.zeros(len(dest_ids), dtype=np.int32), found
+            return np.zeros(len(dest_ids), dtype=np.intp), found
         start = self._bucket_start
         buckets = len(start)
         key = np.fmax(dest_ids, 0.0)  # NaN becomes 0.0
         np.fmin(key, (buckets - 1) / buckets, out=key)
-        key *= buckets
-        pos = start[key.astype(np.intp)]
+        pos = np.empty(len(dest_ids), dtype=np.intp)
+        np.multiply(key, buckets, out=pos, casting="unsafe")
+        del key
+        np.copyto(pos, start[pos])  # the table's positions, widened
         found = ids[pos] == dest_ids
         miss = np.flatnonzero(~found)
         if len(miss):

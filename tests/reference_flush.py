@@ -16,8 +16,10 @@ as the flush once did, and convert at their edges to the shipped layout,
 where ``b``/``c`` hold the ``reslrl`` rows only (:func:`full_length`,
 :func:`reslrl_only`).
 
-Beside them, the per-node departure purges the SoA engines had before
-every ``leave`` became a departure batch of one — outbox, chaos wire and
+Beside them, the writer mask of the batched round before its payload
+prefilter (``tests/test_index_dtypes.py``), and the per-node departure
+purges the SoA engines had before every ``leave`` became a departure
+batch of one — outbox, chaos wire and
 guard, one victim at a time: the executable definition of the ``d <= m``
 rule of :func:`repro.sim.fast.buffers.departure_sweep`
 (``tests/test_departure_sweep.py``).  And the token walk as it ran before
@@ -44,8 +46,12 @@ from repro.serve.routing import (
     RouteView,
 )
 from repro.sim.fast.buffers import (
+    LIN,
     N_TYPES,
+    PROBL,
+    PROBR,
     RESLRL,
+    RESRING,
     PreparedInbox,
     RoundInbox,
     _col,
@@ -64,6 +70,7 @@ __all__ = [
     "route_batch_reference",
     "walk_tokens_reference",
     "wave_groups_reference",
+    "writer_rows_reference",
 ]
 
 
@@ -213,15 +220,46 @@ def finalize_inbox_reference(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox
 
 
 def wave_groups_reference(inbox: RoundInbox) -> list[tuple[int, np.ndarray]]:
-    """Stable ``argsort`` of ``rank * 8 + tcode``."""
+    """Stable ``argsort`` of ``rank * 8 + tcode``; the rows int32, as the
+    engine's plan holds them."""
     group = inbox.rank.astype(np.int64) * 8 + inbox.tcode
-    order = np.argsort(group, kind="stable")
+    order = np.argsort(group, kind="stable").astype(np.int32)
     sorted_keys = group[order]
     starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
     ends = np.r_[starts[1:], len(sorted_keys)]
     return [
         (int(sorted_keys[lo] & 7), order[lo:hi]) for lo, hi in zip(starts, ends)
     ]
+
+
+def writer_rows_reference(inbox: RoundInbox, soa) -> np.ndarray:
+    """:func:`repro.sim.fast.batched.writer_rows` before its payload
+    prefilter: the side-aware gap test on every row of the inbox."""
+    tcode = inbox.tcode
+    idx = inbox.dest_idx
+    a = inbox.a
+    writer = (tcode == RESLRL) | (tcode == RESRING)
+    own = soa.ids[idx]
+    right = a > own
+    lin = tcode == LIN
+    inside = np.where(
+        right,
+        (a < soa.r[idx]) & (lin | (tcode == PROBR)),
+        (a > soa.l[idx]) & (a < own) & (lin | (tcode == PROBL)),
+    )
+    rows = np.flatnonzero(inside)
+    if len(rows) == 0:
+        return writer
+    idx, a, right = idx[rows], a[rows], right[rows]
+    sel = np.concatenate((np.flatnonzero(right), np.flatnonzero(~right)))
+    closeness = np.unique(np.where(right, a, -a)[sel], return_inverse=True)[1]
+    nodes = int(idx[-1]) + 1
+    head = (nodes * right[sel] + (nodes - 1)) - idx[sel]
+    packed = (head << np.int64(len(sel).bit_length())) | closeness
+    record = np.ones(len(sel), dtype=bool)
+    np.less(packed[1:], np.minimum.accumulate(packed)[:-1], out=record[1:])
+    writer[rows[sel[record]]] = True
+    return writer
 
 
 def walk_tokens_reference(engine, plan, rng: np.random.Generator) -> None:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.state import NodeState
-from repro.ids import NEG_INF, POS_INF
+from repro.ids import NEG_INF, POS_INF, require_id
 
 
 class TestConstruction:
@@ -107,3 +110,62 @@ class TestCopy:
     def test_repr_mentions_fields(self):
         text = repr(NodeState(id=0.5))
         assert "id=0.5" in text and "ring=None" in text
+
+
+def checked_reference(nid, l, r, lrl, ring, age):
+    """The constructor's checks as one ``require_id`` per field, in field
+    order: the rule the fast path of ``NodeState.__post_init__`` keeps.
+    Returns the fields it would store."""
+    require_id(nid, what="node id")
+    if lrl == -1.0:
+        lrl = nid
+    require_id(lrl, what="lrl")
+    if ring is not None:
+        require_id(ring, what="ring")
+    if l != NEG_INF:
+        require_id(l, what="l")
+        if not l < nid:
+            raise ValueError(f"l must be smaller than the node id ({l} >= {nid})")
+    if r != POS_INF:
+        require_id(r, what="r")
+        if not r > nid:
+            raise ValueError(f"r must be greater than the node id ({r} <= {nid})")
+    if age < 0:
+        raise ValueError(f"age must be non-negative, got {age}")
+    return (nid, l, r, lrl, ring, age)
+
+
+#: Values on both sides of every check: in-range floats and their edges,
+#: ints, numpy floats, the sentinels, NaN and out-of-range ids.
+any_value = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.sampled_from([0.0, 0.5, float(np.nextafter(1.0, 0.0)), 1.0, -0.0, -1e-300]),
+    st.sampled_from([NEG_INF, POS_INF, float("nan"), 1.5, -0.5, -1.0]),
+    st.integers(min_value=-2, max_value=2),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True).map(np.float64),
+    st.sampled_from([np.float32(0.25), np.float64(NEG_INF), np.float64(np.nan)]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    nid=any_value,
+    l=any_value,
+    r=any_value,
+    lrl=st.one_of(any_value, st.just(-1.0)),
+    ring=st.one_of(st.none(), any_value),
+    age=st.integers(min_value=-2, max_value=3),
+)
+def test_constructor_checks_match_require_id_rule(nid, l, r, lrl, ring, age):
+    """Same error message, or the same stored fields, on every input."""
+    try:
+        expected = checked_reference(nid, l, r, lrl, ring, age)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            NodeState(nid, l, r, lrl, ring, age)
+        assert str(raised.value) == str(error)
+        return
+    state = NodeState(nid, l, r, lrl, ring, age)
+    got = (state.id, state.l, state.r, state.lrl, state.ring, state.age)
+    assert [type(v) for v in got] == [type(v) for v in expected]
+    assert repr(got) == repr(expected)

@@ -283,14 +283,16 @@ def test_finalize_inbox_matches_reference(rows, chunk_rows, seed, key_space, as_
 )
 def test_float_key_branch_orders_like_packed_branch(rows, seed, key_space) -> None:
     """Beyond 2M slots the keys are floats; the same draw *ranks* (ties
-    included) must give the same inbox as the packed one-word encoding."""
+    included) must give the same inbox as the packed one-word encoding.
+    ``finalize_inbox`` consumes its prepared inbox, so each branch gets a
+    fresh one of the same rows."""
     pre = prepared(rows)
     if pre is None:
         return
     keys = np.random.default_rng(seed).integers(0, key_space, size=len(pre), dtype=np.int64)
     as_float = keys / float(1 << 42)  # exact: 42-bit integers over a power of two
     packed = finalize_inbox(pre, keys)
-    floated = finalize_inbox(pre, as_float)
+    floated = finalize_inbox(prepared(rows), as_float)
     assert_same_fields(floated, packed, ROW_FIELDS + ("rank",))
     assert floated.n_waves == packed.n_waves
 

@@ -88,8 +88,9 @@ def test_reslrl_rows_to_departed_nodes(dedup, chunk_rows) -> None:
     assert sorted(triples(pre, soa.ids)) == live
 
     keys = np.random.default_rng(5).integers(0, 1 << 42, size=len(pre), dtype=np.int64)
+    expected_inbox = finalize_inbox_reference(pre, keys)
     inbox = finalize_inbox(pre, keys)
-    assert_same_fields(inbox, finalize_inbox_reference(pre, keys), ROW_FIELDS + ("rank",))
+    assert_same_fields(inbox, expected_inbox, ROW_FIELDS + ("rank",))
     assert sorted(triples(inbox, soa.ids)) == live
 
 
@@ -121,8 +122,9 @@ def test_multiset_wired_flush_matches_reference(monkeypatch) -> None:
         return got, dropped
 
     def checked_finalize(pre, keys):
+        expected = finalize_inbox_reference(pre, keys)
         got = finalize(pre, keys)
-        assert_same_fields(got, finalize_inbox_reference(pre, keys), ROW_FIELDS + ("rank",))
+        assert_same_fields(got, expected, ROW_FIELDS + ("rank",))
         return got
 
     monkeypatch.setattr(buffers, "prepare_inbox", checked_prepare)
