@@ -3,7 +3,8 @@
 Every instrumented run (``repro run <id> obs=DIR``) closes by writing a
 ``manifest.json`` — the run's identity card: experiment id, the exact
 parameter dict (including the seed, so the run is reproducible from the
-manifest alone), the git revision of the tree, environment fingerprints,
+manifest alone), the git revision of the tree, environment fingerprints
+(Python, platform, numpy, usable cores, C library, heap policy),
 wall-clock duration, the final metrics-registry scrape, the per-phase /
 per-kernel timing snapshot, and peak RSS.
 
@@ -16,8 +17,10 @@ than silently producing unreadable archives (docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import json
+import os
 import platform
 import subprocess
+import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,6 +58,16 @@ _REQUIRED_FIELDS: dict[str, type | tuple[type, ...]] = {
     "live": (dict, type(None)),
 }
 
+#: Provenance fields added after v2 was first recorded, and their types.  A
+#: manifest may lack them (every one recorded before they existed still
+#: validates); where present they must have these types.
+_OPTIONAL_FIELDS: dict[str, type | tuple[type, ...]] = {
+    "numpy": (str, type(None)),
+    "cpu_count": (int, type(None)),
+    "libc": list,
+    "heap_policy": (dict, type(None)),
+}
+
 #: How a run can end.  ``status`` and ``error`` are optional: a manifest
 #: without them (every one recorded before they existed) reads as finished.
 _RUN_STATUSES = ("finished", "failed", "interrupted")
@@ -79,6 +92,29 @@ def git_revision(cwd: str | None = None) -> str | None:
     return rev or None
 
 
+def _numpy_version() -> str | None:
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return str(numpy.__version__)
+
+
+def _cpu_count() -> int | None:
+    """Cores this process may run on (its affinity mask where the platform
+    has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+def _heap_policy() -> dict[str, int] | None:
+    """The heap thresholds an engine built in this process pinned, or
+    ``None``; read without importing the engines (no engine, no policy)."""
+    heap = sys.modules.get("repro.sim.fast.heap")
+    return None if heap is None else heap.applied_heap_policy()
+
+
 def build_manifest(
     observer: "Observer",
     *,
@@ -97,6 +133,10 @@ def build_manifest(
         "git_rev": git_revision(),
         "python": platform.python_version(),
         "platform": platform.platform(),
+        "numpy": _numpy_version(),
+        "cpu_count": _cpu_count(),
+        "libc": list(platform.libc_ver()),
+        "heap_policy": _heap_policy(),
         "started_unix": observer.started_unix,
         "duration_s": round(observer.tracer.now(), 3),
         "metrics": observer.registry.scrape(),
@@ -125,6 +165,11 @@ def validate_manifest(manifest: object) -> list[str]:
             problems.append(f"missing required field {field!r}")
             continue
         if not isinstance(manifest[field], expected):
+            problems.append(
+                f"field {field!r} has type {type(manifest[field]).__name__}"
+            )
+    for field, expected in _OPTIONAL_FIELDS.items():
+        if field in manifest and not isinstance(manifest[field], expected):
             problems.append(
                 f"field {field!r} has type {type(manifest[field]).__name__}"
             )

@@ -66,6 +66,7 @@ from repro.sim.fast.buffers import (
     build_inbox,
     stable_order,
 )
+from repro.sim.fast.heap import apply_heap_policy
 from repro.sim.fast.kernels import Kernels
 from repro.sim.fast.predicates import SoAHost
 from repro.sim.fast.sanitize import (
@@ -369,7 +370,9 @@ class FastEngine(SoAHost):
         :meth:`SoAState.from_states`), unless *soa* hands it a ready
         container and *stats* a ready :class:`MessageStats`: it then runs
         over those borrowed objects (the sharded engine's cores all share
-        one of each)."""
+        one of each).  The first engine in a process sets its heap policy
+        (:func:`repro.sim.fast.heap.apply_heap_policy`)."""
+        apply_heap_policy()
         cfg = config or ProtocolConfig()
         if cfg.trace is not None:
             raise ValueError(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -183,6 +184,35 @@ class TestManifest:
         assert manifest["schema"] == MANIFEST_SCHEMA
         assert validate_manifest(manifest) == []
         json.dumps(manifest, default=str)
+
+    def test_provenance_fields_recorded_and_optional(self):
+        """numpy, usable cores, the C library and the heap policy an engine
+        pinned are recorded; a manifest without them (every one recorded
+        before they existed) still validates, one with a wrong type does
+        not."""
+        FastSimulator.from_states(
+            TOPOLOGIES["line"](8, np.random.default_rng(0)),
+            rng=np.random.default_rng(0),
+        )
+        from repro.sim.fast.heap import applied_heap_policy
+
+        manifest = json.loads(json.dumps(build_manifest(Observer())))
+        assert manifest["numpy"] == np.__version__
+        assert isinstance(manifest["cpu_count"], int) and manifest["cpu_count"] >= 1
+        assert manifest["libc"] == list(platform.libc_ver())
+        assert manifest["heap_policy"] == applied_heap_policy()
+        if platform.libc_ver()[0] == "glibc":
+            assert manifest["heap_policy"] == {
+                "mmap_threshold": 32 << 20,
+                "trim_threshold": 64 << 20,
+            }
+        assert validate_manifest(manifest) == []
+        for field in ("numpy", "cpu_count", "libc", "heap_policy"):
+            older = dict(manifest)
+            del older[field]
+            assert validate_manifest(older) == []
+            older[field] = 1.5
+            assert any(repr(field) in p for p in validate_manifest(older))
 
     def test_validate_flags_problems(self):
         assert validate_manifest([]) != []
