@@ -8,7 +8,9 @@ that matter when scaling the experiments up (see DESIGN.md §5):
 * a 2k-query greedy routing batch at 16k nodes;
 * harmonic sampling at 16k draws;
 * the probe walk (route_batch) over a full 16k network;
-* a serving batch: 8192 Zipf lookups walked by route_batch at 8k nodes.
+* a serving batch: 8192 Zipf lookups walked by route_batch at 8k nodes;
+* the same lookups one query per call, 1 000 calls (the single-lookup
+  path, where a call's set-up and its block bookkeeping dominate).
 """
 
 from __future__ import annotations
@@ -72,10 +74,27 @@ def test_probe_replay_16k(benchmark):
     benchmark(route_batch, RouteView.from_ranks(lrl), first, lrl[away])
 
 
-def test_route_batch_zipf_8k(benchmark):
+@pytest.fixture(scope="module")
+def zipf_8k():
+    """The 8k-node line with Kleinberg links, 8192 Zipf lookups on it."""
     n = 2**13
     rng = np.random.default_rng(5)
     view = RouteView.from_ranks(kleinberg_lrl_ranks(n, rng))
     src = rng.integers(0, n, n)
     dst = zipf_ranks(rng, n, n)
-    benchmark(route_batch, view, src, dst)
+    return view, src, dst
+
+
+def test_route_batch_zipf_8k(benchmark, zipf_8k):
+    benchmark(route_batch, *zipf_8k)
+
+
+def test_route_batch_single_8k(benchmark, zipf_8k):
+    view, src, dst = zipf_8k
+    singles = [(src[i : i + 1], dst[i : i + 1]) for i in range(1000)]
+
+    def one_at_a_time():
+        for s, d in singles:
+            route_batch(view, s, d)
+
+    benchmark(one_at_a_time)

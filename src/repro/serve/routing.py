@@ -7,15 +7,18 @@ pieces make that safe and fast:
 :class:`RouteView`
     An immutable rank-space snapshot of the live SoA columns, published
     by the engine thread once per round boundary.  Publication borrows
-    the engine's cached sorted-id array (:meth:`SoAState.sorted_live`
-    replaces — never mutates — it on rebuild; every engine, the sharded
-    one included, has exactly one ``SoAState``), then compresses the
-    ``l``/``r``/``lrl`` link columns into integer ranks with one
-    vectorized ``searchsorted`` pass.  That is the *only* O(n) work per
-    round; serving a lookup copies nothing and materializes no per-node
-    Python objects.  Handler threads read the current view through a
-    single atomic attribute load, so a mid-round scrape can never see a
-    half-written column.
+    the engine's cached sorted-id array and its bucket table
+    (:meth:`SoAState.sorted_live` and :meth:`SoAState.sorted_buckets`
+    replace — never mutate — both on rebuild; every engine, the sharded
+    one included, has exactly one ``SoAState``), resolves the
+    ``l``/``r``/``lrl`` link columns to ranks with one probe of that
+    table (:func:`repro.ids.bucket_probe`, the probe the engine's own
+    ``SoAState.lookup`` makes), and compiles the two hop tables below
+    from the ranks: O(n) array work per round, no per-node Python
+    objects.  Serving a lookup copies nothing, and its target ids are
+    resolved through the same table.  Handler threads read the current
+    view through a single atomic attribute load, so a mid-round scrape
+    can never see a half-written column.
 
 :func:`route_batch`
     The vectorized probr/probl walk over one view.  The direction is
@@ -28,14 +31,17 @@ pieces make that safe and fast:
     expected hop bound on the stable line; mid-convergence, dead links,
     overshoots and non-progress are detected and reported as *lost*
     lookups, each with its reason, instead of hanging the request path.
-    A walk runs on the *reflected directed index* — ``d = n - 1 - rank``
-    going left, ``d = n + rank`` going right — so progress means a larger
-    ``d`` in either direction, and the view compiles the half of the rule
-    that does not depend on the destination into two tables over ``d``
-    (:class:`RouteView`).  A hop is then one compare and one gather from
-    each table, whatever its direction; every numpy call the loop makes is
-    a place where the interpreter lock changes hands with the engine
-    thread (docs/SERVING.md).
+    A walk runs on the doubled *reflected directed index* — ``d = n - 1 -
+    rank`` going left, ``d = n + rank`` going right, stored as ``2d`` — so
+    progress means a larger ``d`` in either direction.  The view compiles
+    the half of the rule that does not depend on the destination into two
+    tables over ``2d`` with one absorbing sentinel row, which a missing or
+    self link leads to, so that arrived, crossed and stuck all read
+    ``position >= goal``.  A hop is then four array calls whatever its
+    direction, and which walks finished is looked at once per
+    :data:`BLOCK` hops, from the positions the block kept.  Every
+    numpy call the loop makes is a place where the interpreter lock
+    changes hands with the engine thread (docs/SERVING.md).
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+
+from repro.ids import bucket_probe, bucket_table
 
 __all__ = ["LOST_REASONS", "RouteView", "RouteResult", "hop_dtype", "route_batch"]
 
@@ -57,27 +65,11 @@ NO_LINK = -1
 LOST_REASONS: tuple[str, ...] = ("no_link", "no_progress", "crossed", "hop_cap")
 LOST_NO_LINK, LOST_NO_PROGRESS, LOST_CROSSED, LOST_HOP_CAP = 1, 2, 3, 4
 
-
-def _link_ranks(ids: np.ndarray, links: np.ndarray) -> np.ndarray:
-    """Ranks of *links* within the sorted *ids*, ``NO_LINK`` when absent."""
-    n = len(ids)
-    pos = np.searchsorted(ids, links)
-    if n == 0:
-        return np.full(len(links), NO_LINK, dtype=np.int64)
-    # ids are finite, so ±inf/NaN links and ones past the end (clipped onto
-    # the last id) never match.
-    return np.where(ids.take(pos, mode="clip") == links, pos, NO_LINK)
-
-
-def _scattered_ranks(ids: np.ndarray, links: np.ndarray) -> np.ndarray:
-    """:func:`_link_ranks` for ids in no particular order (lookup
-    targets): ``np.searchsorted`` walks ascending needles several times
-    faster than scattered ones, which more than pays for sorting them
-    first."""
-    order = np.argsort(links)
-    ranks = np.empty(len(links), dtype=np.int64)
-    ranks[order] = _link_ranks(ids, links[order])
-    return ranks
+#: Hops every walk takes between two looks at which walks have finished.
+#: A walk that finishes inside a block steps on to the block's end (past
+#: its goal, or on the sentinel row), and the block's kept positions —
+#: ``BLOCK + 1`` words a walk — say where it finished.
+BLOCK = 12
 
 
 class RouteView:
@@ -88,7 +80,9 @@ class RouteView:
     round and readers pick it up on their next attribute load.
     """
 
-    __slots__ = ("ids", "l_rank", "r_rank", "lrl_rank", "round_index", "bound", "step")
+    __slots__ = (
+        "ids", "l_rank", "r_rank", "lrl_rank", "round_index", "buckets", "bound", "step"
+    )
 
     def __init__(
         self,
@@ -97,38 +91,48 @@ class RouteView:
         r_rank: np.ndarray,
         lrl_rank: np.ndarray,
         round_index: int,
+        buckets: np.ndarray | None = None,
     ) -> None:
         self.ids = ids
         self.l_rank = l_rank
         self.r_rank = r_rank
         self.lrl_rank = lrl_rank
         self.round_index = round_index
+        #: The :func:`~repro.ids.bucket_table` over ``ids`` that
+        #: :meth:`resolve` probes: borrowed from the engine when published,
+        #: built on the first resolve otherwise.
+        self.buckets = buckets
         n = len(ids)
-        # Both tables are indexed by the reflected directed index d: the
-        # leftward rows (d = n - 1 - rank) read the rank columns reversed,
-        # the rightward rows (d = n + rank) read them as they are.
-        # ``step[2 * d + take]`` is the ring successor (take = 0) or the lrl
-        # successor (take = 1) as a d.  A missing link leads back to the
-        # row itself, as a link to the node itself does, so "no progress"
-        # is one compare whatever the reason.
+        # Both tables are indexed by the doubled reflected directed index
+        # 2d: the leftward rows (d = n - 1 - rank) read the rank columns
+        # reversed, the rightward rows (d = n + rank) read them as they
+        # are, and row d = 2n is the sentinel.  ``step[2d + take]`` is the
+        # ring successor (take = 0) or the lrl successor (take = 1) as a
+        # doubled index.  A missing link, or a link to the node itself,
+        # leads to the sentinel, which leads only to itself: a stuck walk
+        # then stands past every goal, as an arrived or crossed one does.
         links = np.stack((l_rank, r_rank, lrl_rank), dtype=np.int64)
-        missing = links == NO_LINK
-        own = np.where(missing, np.arange(n), links)
-        succ = np.concatenate(((n - 1) - own[::2, ::-1], n + own[1:]), axis=1)
-        self.step = np.stack(tuple(succ), axis=1).ravel()
+        home = (links == NO_LINK) | (links == np.arange(n))
+        succ = np.concatenate(((n - 1) - links[::2, ::-1], n + links[1:]), axis=1)
+        stuck = np.concatenate((home[::2, ::-1], home[1:]), axis=1)
+        step = np.hstack((np.where(stuck, 2 * n, succ), np.full((2, 1), 2 * n)))
+        self.step = 2 * step.T.ravel()
         # Algorithms 5/6 follow lrl iff dest >= lrl > r (rightward) or
         # dest <= lrl < l (leftward).  The second inequality does not
-        # depend on the destination: ``bound`` holds lrl as a d where it
-        # holds and 2n, which no goal reaches, where it fails, so the test
-        # per hop is ``goal >= bound[d]``.  A missing ring link passes the
-        # inequality and a dead lrl fails it, so NO_LINK has to lie behind
-        # the walk: below every rank rightwards, as it is, and above every
-        # rank leftwards, where the ranks are compared unsigned.
+        # depend on the destination: ``bound[2d]`` holds lrl as a doubled
+        # index where it holds and 4n, which no doubled goal reaches, where
+        # it fails (and on the sentinel), so the test per hop is
+        # ``goal >= bound[2d]``; ``bound[2d + 1]`` repeats it.  A missing
+        # ring link passes the inequality and a dead lrl fails it, so
+        # NO_LINK has to lie behind the walk: below every rank rightwards,
+        # as it is, and above every rank leftwards, where the ranks are
+        # compared unsigned.
         unsigned = links.view(np.uint64)
         shortcut = np.concatenate(
             ((unsigned[2] < unsigned[0])[::-1], links[2] > links[1])
         )
-        self.bound = np.where(shortcut, succ[1], 2 * n)
+        bound = np.append(np.where(shortcut, succ[1], 2 * n), 2 * n)
+        self.bound = np.repeat(2 * bound, 2)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -145,14 +149,14 @@ class RouteView:
         Must run at a round boundary on the thread that owns the engine:
         the gathers below read the real ``SoAState`` columns (the
         sanitizer's recording proxies only wrap kernel dispatch, so this
-        is sanitizer-clean by construction).  The id array is borrowed
-        from the engine's sorted cache; only the three link columns are
-        gathered, once, into rank space.
+        is sanitizer-clean by construction).  The id array and its bucket
+        table are borrowed from the engine's sorted cache; only the three
+        link columns are gathered, once, into rank space.
         """
         soa = engine.soa
         ids, idx = soa.sorted_live()
         return cls._from_links(
-            ids, soa.l[idx], soa.r[idx], soa.lrl[idx], round_index
+            ids, soa.l[idx], soa.r[idx], soa.lrl[idx], round_index, soa.sorted_buckets()
         )
 
     @classmethod
@@ -168,7 +172,7 @@ class RouteView:
         ids, l, r, lrl = (
             np.asarray([row[k] for row in rows], dtype=np.float64) for k in range(4)
         )
-        return cls._from_links(ids, l, r, lrl, round_index)
+        return cls._from_links(ids, l, r, lrl, round_index, bucket_table(ids))
 
     @classmethod
     def from_ranks(cls, lrl_rank: np.ndarray) -> "RouteView":
@@ -193,20 +197,27 @@ class RouteView:
         r: np.ndarray,
         lrl: np.ndarray,
         round_index: int,
+        buckets: np.ndarray,
     ) -> "RouteView":
-        """Compress the link-id columns to ranks in one ``searchsorted``
-        pass: the two ring columns are already close to ascending, and
-        ``lrl`` is sorted first, as :func:`_scattered_ranks` does."""
+        """Compress the link-id columns to ranks with one probe of the
+        ids' bucket table (±inf and dead links fall to ``NO_LINK``)."""
         n = len(ids)
-        order = np.argsort(lrl)
-        ranks = _link_ranks(ids, np.concatenate((l, r, lrl[order])))
-        lrl_rank = np.empty(n, dtype=np.int64)
-        lrl_rank[order] = ranks[2 * n :]
-        return cls(ids, ranks[:n], ranks[n : 2 * n], lrl_rank, round_index)
+        ranks = _ranks(ids, buckets, np.concatenate((l, r, lrl)))
+        return cls(ids, ranks[:n], ranks[n : 2 * n], ranks[2 * n :], round_index, buckets)
 
     def resolve(self, query_ids: np.ndarray) -> np.ndarray:
         """Ranks of arbitrary ids in this view (``NO_LINK`` when not live)."""
-        return _scattered_ranks(self.ids, np.asarray(query_ids, dtype=np.float64))
+        if self.buckets is None:
+            # Two readers may both build it; either table is the same.
+            self.buckets = bucket_table(self.ids)
+        return _ranks(self.ids, self.buckets, np.asarray(query_ids, dtype=np.float64))
+
+
+def _ranks(ids: np.ndarray, buckets: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Positions of *x* in the sorted *ids* (int64), ``NO_LINK`` when absent."""
+    pos, found = bucket_probe(ids, buckets, x)
+    pos[~found] = NO_LINK
+    return pos
 
 
 def _hop_cap(n: int, max_hops: int | None) -> int:
@@ -215,15 +226,18 @@ def _hop_cap(n: int, max_hops: int | None) -> int:
     return max_hops if max_hops is not None else n + 16
 
 
+_HOP_DTYPES = tuple((np.iinfo(t).max, np.dtype(t)) for t in (np.int8, np.int16, np.int32))
+
+
 def hop_dtype(n: int, max_hops: int | None = None) -> np.dtype:
     """The dtype of :func:`route_batch`'s hop counts over *n* live nodes:
     the narrowest signed integer that holds ``cap + 1``, so a caller that
     adds the origin's forced hop (Algorithm 10) cannot wrap it.  That is
     int16 at the default cap ``n + 16`` while n ≤ 32 750."""
     top = _hop_cap(n, max_hops) + 1
-    for dtype in (np.int8, np.int16, np.int32):
-        if top <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
+    for most, dtype in _HOP_DTYPES:
+        if top <= most:
+            return dtype
     return np.dtype(np.int64)
 
 
@@ -273,7 +287,8 @@ def route_batch(
     if src.shape != dst.shape:
         raise ValueError("source and destination batches must align")
     cap = _hop_cap(n, max_hops)
-    valid = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+    # Compared unsigned, a negative rank lies past n like a large one.
+    valid = (src.view(np.uint64) < n) & (dst.view(np.uint64) < n)
     hops = np.zeros(len(src), dtype=hop_dtype(n, max_hops))
     ok = valid.copy()
     lost_reason = np.zeros(len(src), dtype=np.uint8)
@@ -283,48 +298,83 @@ def route_batch(
             [float(view.ids[s])] if v else []
             for s, v in zip(src.tolist(), valid.tolist())
         ]
-    bound, step = view.bound, view.step
-    # The walking queries and their positions and goals, as reflected
-    # directed indices, stay compacted together; nothing is re-gathered
-    # through an index set, and a walk ends at or past its goal.
+    # The walking queries and their goals stay compacted together, as
+    # doubled reflected indices 2d; a walk ends at or past its goal.
+    # Rank r is row d = n + r going right and n + ~r = n - 1 - r going
+    # left.
     query = np.flatnonzero(valid & (src != dst))
-    start, dest = src[query], dst[query]
-    rgt = dest > start
-    cur = np.where(rgt, n + start, (n - 1) - start)
-    goal = np.where(rgt, n + dest, (n - 1) - dest)
+    ends = np.stack((src[query], dst[query]))
+    ends = np.where(ends[1] > ends[0], ends, ~ends)
+    ends += n
+    ends <<= 1
+    begin, goal = ends
     walks, goals = query, goal
-    # Where each walk ended, as a d: its goal when it arrived, past it when
-    # it crossed, its own row when it took no step, -1 while it walks on.
-    # Everything else a walk's end decides is read from it after the loop.
+    # Where each walk ended: its goal when it arrived, past it when it
+    # crossed, the row it could not leave when it was stuck, -1 while it
+    # walks on.  Everything else a walk's end decides is read from it
+    # after the loop.
     last = np.full(len(src), -1, dtype=np.int64)
+    m = width = len(query)
+    # The block's kept positions, one row per hop, row 0 where it began:
+    # ``flat[r * width + i]`` is row r of the i-th walk still going.
+    trail = np.empty((BLOCK + 1, width), dtype=np.intp)
+    trail[0] = begin
+    flat = trail.ravel()
+    row_start = np.arange(BLOCK + 1) * width
+    took = np.empty(width, dtype=bool)
+    at = np.empty(width, dtype=np.intp)
+    bound, step, sentinel = view.bound, view.step, 4 * n
     hop = 0
-    while query.size and hop < cap:
-        hop += 1
-        nxt = step[2 * cur + (goal >= bound[cur])]
-        if paths is not None:
-            rank = np.where(nxt < n, (n - 1) - nxt, nxt - n)
-            for qi, r, gone in zip(query.tolist(), rank.tolist(), (nxt == cur).tolist()):
-                if not gone:
-                    paths[qi].append(float(view.ids[r]))
-        # Mid-convergence hazards: no link at all or a self-loop makes no
-        # progress (no step taken); a step past the goal crossed it.
-        done = (nxt == cur) | (nxt >= goal)
-        if done.any():
+    while m and hop < cap:
+        span = min(BLOCK, cap - hop)
+        block = trail[: span + 1, :m]
+        tk, nx = took[:m], at[:m]
+        for k in range(span):
+            here = block[k]
+            np.greater_equal(goal, bound[here], out=tk)
+            np.add(here, tk, out=nx)
+            block[k + 1] = step[nx]
+        # A walk finished in this block iff it stood at or past its goal
+        # at some hop: the first such position is its end, or the one
+        # before when that is the sentinel (no step taken).  Every gather
+        # here is one-dimensional, as a 2-D one gives up the interpreter
+        # lock however small it is.
+        walked = block[1:]
+        going = np.maximum.reduce(walked) < goal
+        left = np.count_nonzero(going)
+        if left < m:
+            done = np.logical_not(going).nonzero()[0]
+            # The finished walks' positions in this block, a row each; row
+            # 0 of the block is short of every goal, so ``first`` >= 1.
+            seen = flat[done[:, None] + row_start[: span + 1]]
+            first = (seen >= goal[done][:, None]).argmax(axis=1)
+            cell = first * width + done
+            there = flat[cell]
+            stuck = there == sentinel
+            taken = first - stuck
             finished = query[done]
-            last[finished] = nxt[done]
-            hops[finished] = hop
-            keep = ~done
-            query, nxt, goal = query[keep], nxt[keep], goal[keep]
-        cur = nxt
+            last[finished] = np.where(stuck, flat[cell - width], there)
+            hops[finished] = hop + taken
+        if paths is not None:
+            count = np.full(m, span)
+            if left < m:
+                count[done] = taken
+            _extend_paths(paths, view, query, walked, count)
+        hop += span
+        if left == m:
+            trail[0, :m] = walked[-1]
+        elif left:
+            query, goal = query[going], goal[going]
+            trail[0, :left] = walked[-1][going]
+        else:
+            query = query[:0]
+        m = left
     hops[query] = hop
     end = last[walks]
     ok[walks] = end == goals
     lost = end != goals
     if lost.any():
-        walks, reason = walks[lost], _lost_reasons(view, end[lost], goals[lost])
-        lost_reason[walks] = reason
-        # A walk that took no step did not walk its last hop.
-        hops[walks[reason <= LOST_NO_PROGRESS]] -= 1
+        lost_reason[walks[lost]] = _lost_reasons(view, end[lost], goals[lost])
     return RouteResult(
         hops=hops,
         ok=ok,
@@ -334,18 +384,36 @@ def route_batch(
     )
 
 
+def _extend_paths(
+    paths: list[list[float]],
+    view: RouteView,
+    query: np.ndarray,
+    walked: np.ndarray,
+    count: np.ndarray,
+) -> None:
+    """Append to each walk's path the ids of the first ``count`` positions
+    it *walked* in a block (the sentinel is never among them)."""
+    n = view.n
+    d = walked >> 1
+    rank = np.where(d < n, (n - 1) - d, d - n)
+    ids = view.ids[np.minimum(rank, n - 1)]
+    for qi, row, c in zip(query.tolist(), ids.T.tolist(), count.tolist()):
+        paths[qi].extend(row[:c])
+
+
 def _lost_reasons(view: RouteView, end: np.ndarray, goal: np.ndarray) -> np.ndarray:
-    """Reason codes of walks lost at the reflected indices *end* on their
-    way to *goal*: -1 is a walk the cap stopped, an end past the goal
-    crossed it, and one short of it took no step, over a link that is
-    missing or leads back to the node (``step`` maps both to the row).
-    ``bound`` never takes a missing long-range link, so a missing link is
-    a ring link the row's ``bound`` did not pass, read from the rank
-    columns."""
+    """Reason codes of walks lost at the doubled reflected indices *end*
+    on their way to *goal*: -1 is a walk the cap stopped, an end past the
+    goal crossed it, and one short of it is the row a stuck walk could not
+    leave, over a link that is missing or leads back to the node
+    (``step`` maps both to the sentinel).  ``bound`` never takes a missing
+    long-range link, so a missing link is a ring link the row's ``bound``
+    did not pass, read from the rank columns."""
     n = view.n
     at = np.maximum(end, 0)
-    left = at < n
-    rank = np.where(left, (n - 1) - at, at - n)
+    d = at >> 1
+    left = d < n
+    rank = np.where(left, (n - 1) - d, d - n)
     ring = np.where(left, view.l_rank[rank], view.r_rank[rank])
     missing = (goal < view.bound[at]) & (ring == NO_LINK)
     reason = np.where(missing, LOST_NO_LINK, LOST_NO_PROGRESS)

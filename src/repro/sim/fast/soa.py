@@ -40,7 +40,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.core.state import NodeState, StateTuple
-from repro.ids import NEG_INF, POS_INF
+from repro.ids import NEG_INF, POS_INF, bucket_probe, bucket_table
 
 __all__ = ["SoAState", "state_columns", "stored_links"]
 
@@ -289,14 +289,8 @@ class SoAState:
         live = np.flatnonzero(self.alive[: self.size])
         order = np.argsort(self.ids[live], kind="stable")
         self._sorted_idx = live[order]
-        self._sorted_ids = ids = self.ids[self._sorted_idx]
-        # Bucket k of B covers [k/B, (k+1)/B) and holds the first sorted
-        # position at or past k/B (clipped to the last one).  B is the
-        # power of two at or above 8 per live id, so k/B and x*B are exact.
-        buckets = 1 << (8 * len(ids) - 1).bit_length()
-        start = np.searchsorted(ids, np.arange(buckets) / buckets)
-        np.minimum(start, max(len(ids) - 1, 0), out=start)
-        self._bucket_start = start.astype(np.int32)
+        self._sorted_ids = self.ids[self._sorted_idx]
+        self._bucket_start = bucket_table(self._sorted_ids)
         self._dirty = False
 
     def sorted_live(self) -> tuple[np.ndarray, np.ndarray]:
@@ -305,6 +299,14 @@ class SoAState:
         if self._dirty:
             self._rebuild_sorted()
         return self._sorted_ids, self._sorted_idx
+
+    def sorted_buckets(self) -> np.ndarray:
+        """The :func:`~repro.ids.bucket_table` over ``sorted_live()``'s ids.
+        Like those ids it is replaced on rebuild, never mutated, so a
+        snapshot may hold on to it (``RouteView.from_engine``)."""
+        if self._dirty:
+            self._rebuild_sorted()
+        return self._bucket_start
 
     def live_ids_list(self) -> list[float]:
         """Live identifiers as plain floats, ascending (scheduler order)."""
@@ -320,35 +322,15 @@ class SoAState:
         holds the slots narrows them itself (``PreparedInbox.dest_idx`` is
         int32).
 
-        Each id is probed once in its bucket (``floor(x * B)`` clipped
-        into ``[0, B)``, NaN in bucket 0): a hit is the position a binary
-        search would return, since ids are unique.  Only the misses — an
-        id behind another in its bucket, an unknown id, a sentinel — are
-        searched.  The table is stored int32; the probe positions are
-        widened to intp before they index, because numpy gathers through
-        an int32 index about twice as slowly as through intp (docs/PERF.md
-        "Gather index dtype").
+        Each id is probed once in the sorted ids' bucket table and only
+        the misses are binary-searched (:func:`~repro.ids.bucket_probe`,
+        the one probe the serving ``RouteView`` also resolves through).
         """
         ids, idx = self.sorted_live()
-        dest_ids = np.asarray(dest_ids, dtype=np.float64)
-        if len(ids) == 0:
-            found = np.zeros(len(dest_ids), dtype=bool)
-            return np.zeros(len(dest_ids), dtype=np.intp), found
-        start = self._bucket_start
-        buckets = len(start)
-        key = np.fmax(dest_ids, 0.0)  # NaN becomes 0.0
-        np.fmin(key, (buckets - 1) / buckets, out=key)
-        pos = np.empty(len(dest_ids), dtype=np.intp)
-        np.multiply(key, buckets, out=pos, casting="unsafe")
-        del key
-        np.copyto(pos, start[pos])  # the table's positions, widened
-        found = ids[pos] == dest_ids
-        miss = np.flatnonzero(~found)
-        if len(miss):
-            rest = dest_ids[miss]
-            pos[miss] = np.minimum(np.searchsorted(ids, rest), len(ids) - 1)
-            found[miss] = ids[pos[miss]] == rest
-        return idx[pos], found
+        pos, found = bucket_probe(
+            ids, self._bucket_start, np.asarray(dest_ids, dtype=np.float64)
+        )
+        return (idx[pos] if len(ids) else pos), found
 
     # ------------------------------------------------------------------
     # Export

@@ -117,22 +117,104 @@ class TestRouteView:
         reference = RouteView.from_states(
             [NodeState(*row) for row in engine.state_snapshot().values()]
         )
-        for column in ("ids", "l_rank", "r_rank", "lrl_rank", "bound", "step"):
+        for column in ("ids", "l_rank", "r_rank", "lrl_rank", "bound", "step", "buckets"):
             np.testing.assert_array_equal(
                 getattr(view, column), getattr(reference, column)
             )
 
 
 # ----------------------------------------------------------------------
-# The reflected directed-index tables, against the rank columns
+# Ids to ranks through the bucket table, against a binary search
+# ----------------------------------------------------------------------
+#: The largest double below 1.
+LAST = float(np.nextafter(1.0, 0.0))
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, LAST, 1.0, -0.5, 1.5, 2.0**60]
+
+
+def searched_ranks(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The ``np.searchsorted`` ranks the bucket probe stands in for."""
+    x = np.asarray(x, dtype=np.float64)
+    if len(ids) == 0:
+        return np.full(len(x), NO_LINK, dtype=np.int64)
+    pos = np.searchsorted(ids, x)
+    return np.where(ids[np.minimum(pos, len(ids) - 1)] == x, pos, NO_LINK)
+
+
+@st.composite
+def ids_and_queries(draw):
+    """Sorted unique ids — in ``[0, 1)``, packed into one bucket, or
+    outside the unit interval — and queries mixing live ids, their
+    one-ulp neighbours, NaN, ±inf, -0.0, out-of-range and alien ids."""
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    kind = draw(st.sampled_from(["unit", "packed", "wide"]))
+    if kind == "packed":
+        base = draw(unit)
+        raw = [base + k * 2.0**-40 for k in range(draw(st.integers(0, 40)))]
+    elif kind == "wide":
+        raw = draw(st.lists(st.floats(-1e6, 1e6), max_size=40))
+    else:
+        raw = draw(st.lists(unit, max_size=60))
+    ids = np.unique(np.asarray([x for x in raw if x < 1.0 or kind == "wide"], dtype=np.float64))
+    near = np.concatenate((ids, np.nextafter(ids, -np.inf), np.nextafter(ids, np.inf)))
+    alien = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20))
+    x = np.concatenate((near, SPECIAL, np.asarray(alien, dtype=np.float64)))
+    return ids, draw(st.permutations(x.tolist()))
+
+
+class TestResolve:
+    @settings(max_examples=300, deadline=None)
+    @given(case=ids_and_queries())
+    def test_resolve_is_searchsorted(self, case):
+        ids, x = case
+        missing = np.full(len(ids), NO_LINK)
+        view = RouteView(ids, missing, missing, missing, 0)
+        got = view.resolve(np.asarray(x))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, searched_ranks(ids, x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=ids_and_queries(), data=st.data())
+    def test_published_link_ranks_are_searchsorted(self, case, data):
+        """``_from_links`` resolves the ``l``/``r``/``lrl`` columns through
+        the same probe: dead, alien and ±inf links fall to ``NO_LINK``."""
+        ids, x = case
+        pick = st.lists(st.sampled_from(x), min_size=len(ids), max_size=len(ids))
+        l, r, lrl = (np.asarray(data.draw(pick), dtype=np.float64) for _ in range(3))
+        states = [
+            (float(i), float(a), float(b), float(c), None, 0)
+            for i, a, b, c in zip(ids, l, r, lrl)
+        ]
+        view = RouteView.from_states(states)
+        np.testing.assert_array_equal(view.ids, ids)
+        for got, links in ((view.l_rank, l), (view.r_rank, r), (view.lrl_rank, lrl)):
+            np.testing.assert_array_equal(got, searched_ranks(ids, links))
+
+    def test_engine_views_borrow_the_state_table(self):
+        states = _converged_states(256, 12)
+        for mode in ("batched", "sharded"):
+            sim = FastSimulator.from_states(
+                [s.copy() for s in states], mode=mode, shards=3, rng=5
+            )
+            soa = sim.engine.soa
+            view = RouteView.from_engine(sim.engine, sim.round_index)
+            assert view.buckets is soa.sorted_buckets()
+            assert view.ids is soa.sorted_live()[0]
+            x = np.concatenate((view.ids, view.ids + 1e-12, SPECIAL))
+            np.testing.assert_array_equal(view.resolve(x), searched_ranks(view.ids, x))
+
+
+# ----------------------------------------------------------------------
+# The doubled reflected directed-index tables, against the rank columns
 # ----------------------------------------------------------------------
 def assert_table_invariants(view: RouteView) -> None:
     """``step`` and ``bound`` say what the rank columns say, row by row.
 
-    Row d is rank ``d - n`` going right and rank ``n - 1 - d`` going left;
-    every destination is tried on every row, the far side included.
+    Row d sits at ``2d`` in both tables: rank ``d - n`` going right and
+    rank ``n - 1 - d`` going left, and row ``2n`` is the sentinel.  Every
+    destination is tried on every row, the far side included.
     """
     n = view.n
+    sentinel = 4 * n
     d = np.arange(2 * n)
     rgt = d >= n
     rank = np.where(rgt, d - n, n - 1 - d)
@@ -142,26 +224,36 @@ def assert_table_invariants(view: RouteView) -> None:
 
     ring = np.where(rgt, view.r_rank[rank], view.l_rank[rank])
     lrl = view.lrl_rank[rank]
-    assert view.bound.shape == (2 * n,) and view.step.shape == (4 * n,)
-    step = view.step.reshape(2 * n, 2)
-    # Every successor stays in its row's half: a walk never turns round.
-    assert np.all((step >= n) == rgt[:, None])
-    assert np.all((step >= 0) & (step < 2 * n))
+    assert view.bound.shape == (4 * n + 2,) and view.step.shape == (4 * n + 2,)
+    step = view.step.reshape(2 * n + 1, 2)
+    bound = view.bound.reshape(2 * n + 1, 2)
+    # The sentinel row leads only to itself and no goal passes its bound.
+    np.testing.assert_array_equal(step[2 * n], [sentinel, sentinel])
+    np.testing.assert_array_equal(bound[2 * n], [sentinel, sentinel])
+    np.testing.assert_array_equal(bound[:, 0], bound[:, 1])
+    step, bound = step[:-1], bound[:-1, 0]
+    # Every successor is a doubled index in its row's half, or the
+    # sentinel: a walk never turns round.
+    assert np.all(step % 2 == 0)
+    moves = step != sentinel
+    assert np.all(((step >= 2 * n) == rgt[:, None])[moves])
+    assert np.all((step >= 0) & (step <= sentinel))
     for column, link in ((0, ring), (1, lrl)):
         home = (link == NO_LINK) | (link == rank)
-        np.testing.assert_array_equal(step[home, column], d[home])
-        np.testing.assert_array_equal(step[~home, column], to_d(link)[~home])
+        np.testing.assert_array_equal(step[home, column], np.full(home.sum(), sentinel))
+        np.testing.assert_array_equal(step[~home, column], 2 * to_d(link)[~home])
     # Algorithm 5: dest >= lrl > r; Algorithm 6: dest <= lrl < l.  A
     # missing ring link is passed, a dead lrl is never taken.
     free = ring == NO_LINK
     live = lrl != NO_LINK
+    assert np.all(bound % 2 == 0) and np.all(bound <= sentinel)
     for dest in range(n):
         takes = live & np.where(
             rgt,
             (dest >= lrl) & (free | (lrl > ring)),
             (dest <= lrl) & (free | (lrl < ring)),
         )
-        np.testing.assert_array_equal(to_d(dest) >= view.bound, takes)
+        np.testing.assert_array_equal(2 * to_d(dest) >= bound, takes)
 
 
 class TestDirectedTables:
