@@ -9,11 +9,13 @@ engine getting slower relative to the reference), and prints-but-passes
 when it improves enough that the baseline should be re-recorded.
 
 A second, independent gate pins the observability layer's cost contract
-(docs/OBSERVABILITY.md): with no observer active the instrumentation
-hooks must stay within ``OBS_SLACK`` (5%) of a hook-free round loop, on
-all three engines (reference, batched, sharded).  The disabled
-hot path is one ``is None`` check per round, so this gate catches anyone
-accidentally moving real work outside that check.
+(docs/OBSERVABILITY.md): with no observer active a simulator's round loop
+must stay within ``OBS_SLACK`` (5%) of the bare engine loop, on all three
+engines (reference, batched, sharded).  The engines hold no telemetry
+code — an observer times their layers from outside, and only while it is
+attached — so what this gate times is the simulator's own attach point
+(the round's ``SimHandle`` check) and anything that ever creeps back onto
+the round path.
 
 Usage::
 
@@ -46,8 +48,8 @@ SEED = 2024
 REPEATS = 3
 SLACK = 1.25
 
-#: Obs-disabled overhead gate: a hooked-but-unobserved round loop must
-#: stay within 5% of a loop with no hooks at all.  Fixed round counts so
+#: Obs-disabled overhead gate: an unobserved simulator's round loop must
+#: stay within 5% of the bare engine loop.  Fixed round counts so
 #: both variants do byte-identical protocol work; sizes chosen so each
 #: measurement is a few hundred milliseconds (min-of-repeats kills most
 #: scheduler noise at that scale).
@@ -55,8 +57,7 @@ OBS_SLACK = 1.05
 OBS_REPEATS = 5
 OBS_FAST_N, OBS_FAST_ROUNDS = 512, 300
 OBS_REF_N, OBS_REF_ROUNDS = 192, 80
-#: The sharded leg pins the coordinator's obs-disabled hot path
-#: (profiler/shard-sink checks).
+#: The sharded leg pins the coordinator's unobserved round loop.
 OBS_SHARD_N, OBS_SHARD_ROUNDS, OBS_SHARD_SHARDS = 512, 240, 4
 
 #: Round-phase attribution gate (benchmarks/shard_phases.py): the
@@ -234,11 +235,12 @@ def _obs_sharded(bare: bool) -> float:
 
 
 def measure_obs_overhead() -> dict[str, float]:
-    """Hooked-but-unobserved vs hook-free round loops, both engines.
+    """Unobserved simulator vs bare engine round loops, all three engines.
 
     No observer is active in this process, so the hooked path is the
-    production obs-disabled path: one attribute load and ``is None``
-    branch per round (docs/OBSERVABILITY.md's cost contract).
+    production obs-disabled path: the simulator's ``step_round``, whose
+    one ``is None`` check on the observer handle is all the round carries
+    (docs/OBSERVABILITY.md's cost contract).
 
     Bare/hooked repeats are *interleaved*, and the gated ratio is the
     **median of per-repeat hooked/bare pairs**: the true per-round delta

@@ -3,16 +3,17 @@
 Runs a fixed-round sharded workload under an in-process observer, builds
 the run manifest, and feeds it through :func:`repro.obs.phases
 .phase_report` — the same pipeline ``repro obs phases DIR`` applies to a
-recorded run.  The row it produces decomposes the sharded wall clock
-into the coordinator phases (``dispatch``/``exchange``/``flush``/
-``merge``/``rng``) plus the shard-side kernel time folded from the
-per-shard telemetry, and carries the headline *attribution* fraction:
-how much of the measured ``round_seconds`` wall clock landed in a named
-phase.
+recorded run.  The phases are self times, folded by the observer's layer
+tracer at the boundaries of ``repro.obs.spans.LAYERS``, so the row's
+split is exclusive: ``dispatch``/``exchange``/``flush``/``merge``/``rng``
+hold each layer's own time (``dispatch`` no longer contains the kernels
+it runs), and ``kernel_s`` sums the kernel phases (``linearize``, ...,
+``regular``) over every shard.  The row carries the headline
+*attribution* fraction: how much of the measured ``round_seconds`` wall
+clock landed in a named phase.
 
-The acceptance gate (docs/PERF.md, ISSUE 9) demands attribution ≥ 95% —
-below that, material time is hiding between the phase markers and the
-profiler has gone blind.  ``--record`` appends the row to
+The acceptance gate (docs/PERF.md) demands attribution ≥ 95% — below
+that, material time is hiding between the wrapped layer boundaries.  ``--record`` appends the row to
 ``BENCH_shard_phases.json`` so ``benchmarks/trajectory.py`` tracks the
 phase mix over time; ``--check`` exits 1 when the gate fails.
 
@@ -44,7 +45,8 @@ SHARDS = 4
 SEED = 909
 MIN_ATTRIBUTION = 0.95
 
-#: The recorded per-phase columns, in ``<phase>_s`` row-field order.
+#: The recorded per-phase columns, in ``<phase>_s`` row-field order; every
+#: other phase is a kernel.
 PHASE_COLUMNS = ("dispatch", "exchange", "flush", "merge", "rng")
 
 
@@ -87,15 +89,14 @@ def measure_phases(
     body = engines.get("sharded")
     if not isinstance(body, dict):
         raise RuntimeError(
-            "no sharded phase data recorded — the coordinator profiler "
-            "did not attach (repro.obs.observer.attach_simulator)"
+            "no sharded phase data recorded — the observer did not attach "
+            "the engine (repro.obs.observer.attach_simulator)"
         )
-    shards_report = report["shards"]
-    assert isinstance(shards_report, dict)
+    breakdown = body["phases"]
     kernel_s = sum(
-        seconds
-        for per_phase in shards_report.values()
-        for seconds in per_phase.values()
+        float(timing["seconds"])
+        for phase, timing in breakdown.items()
+        if phase not in PHASE_COLUMNS
     )
     row: dict[str, float] = {
         "engine": "sharded",  # type: ignore[dict-item]
@@ -109,7 +110,6 @@ def measure_phases(
         "attribution": round(body["attribution"] or 0.0, 4),
         "kernel_s": round(kernel_s, 4),
     }
-    breakdown = body["phases"]
     for phase in PHASE_COLUMNS:
         timing = breakdown.get(phase, {})
         row[f"{phase}_s"] = round(float(timing.get("seconds", 0.0)), 4)
@@ -179,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"shard-phases: attribution {row['attribution']} below "
             f"{args.min_attribution}; wall-clock is hiding between the "
-            "coordinator phase markers (src/repro/sim/fast/shard/engine.py)",
+            "layer boundaries the observer wraps (repro.obs.spans.LAYERS)",
             file=sys.stderr,
         )
         return 1

@@ -53,7 +53,7 @@ GATED: dict[str, tuple[str, float]] = {
     "ref_ratio": ("lower", 0.25),
     "sharded_ratio": ("lower", 0.25),
     "overhead_ratio": ("lower", 0.35),
-    # Round-phase attribution (BENCH_shard_phases.json): the profiler
+    # Round-phase attribution (BENCH_shard_phases.json): the layer tracer
     # must keep explaining the sharded wall clock, not drift blind.
     "attribution": ("higher", 0.05),
     # Serving SLO (BENCH_serve.json): converged-phase greedy-routing hop

@@ -5,16 +5,16 @@ the chaos subsystem, and every registered experiment:
 
 * :mod:`repro.obs.registry` — metrics registry (counters, gauges,
   histograms with label sets);
-* :mod:`repro.obs.spans` — span tracing on a monotonic clock;
-* :mod:`repro.obs.profile` — hot-loop phase/kernel profilers + peak RSS;
+* :mod:`repro.obs.spans` — span tracing on a monotonic clock, and the
+  layer tracer that times the round's layers from outside the engines
+  (per engine, shard and phase);
+* :mod:`repro.obs.profile` — peak-RSS readings;
 * :mod:`repro.obs.exporters` / :mod:`repro.obs.manifest` — JSONL event
   stream, Prometheus text exposition, schema-validated run manifests;
 * :mod:`repro.obs.observer` / :mod:`repro.obs.runtime` — the per-run
   :class:`Observer` hub and its ambient activation;
 * :mod:`repro.obs.live` — the in-run Prometheus scrape endpoint + JSON
   health document (``repro run <id> obs=DIR live=:PORT``);
-* :mod:`repro.obs.shard` — cross-shard telemetry aggregation (per-shard
-  kernel timings and exchange volumes under ``shard=`` labels);
 * :mod:`repro.obs.phases` — round-phase wall-clock attribution
   (``repro obs phases DIR``);
 * :mod:`repro.obs.sources` — folds for the pre-existing recorders
@@ -24,9 +24,9 @@ the chaos subsystem, and every registered experiment:
   obs=DIR`` harness and the ``repro obs`` subcommand.
 
 Like the top-level package, the namespace is lazy (PEP 562): importing
-``repro.obs`` — or the tiny :mod:`repro.obs.runtime` hook the engines
+``repro.obs`` — or the tiny :mod:`repro.obs.runtime` hook the simulators
 load — pulls in nothing until an attribute is touched, keeping the
-obs-disabled simulation path import-free and fast.
+obs-disabled simulation path import-free.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ _EXPORTS: dict[str, str] = {
     "MetricsRegistry": "repro.obs.registry",
     "Span": "repro.obs.spans",
     "SpanTracer": "repro.obs.spans",
-    "PhaseProfiler": "repro.obs.profile",
     "peak_rss_bytes": "repro.obs.profile",
     "Exporter": "repro.obs.exporters",
     "JsonlExporter": "repro.obs.exporters",
@@ -50,7 +49,6 @@ _EXPORTS: dict[str, str] = {
     "validate_prometheus_text": "repro.obs.exporters",
     "LiveServer": "repro.obs.live",
     "LiveStatus": "repro.obs.live",
-    "ShardTelemetrySink": "repro.obs.shard",
     "phase_report": "repro.obs.phases",
     "render_phase_report": "repro.obs.phases",
     "MANIFEST_SCHEMA": "repro.obs.manifest",

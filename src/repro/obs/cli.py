@@ -138,8 +138,9 @@ def _render_summary(info: dict[str, object]) -> str:
                     continue
                 seconds = timing.get("seconds", 0)
                 calls = timing.get("calls", 0)
+                rows = f", {timing['rows']} rows" if timing.get("rows") else ""
                 lines.append(
-                    f"  {engine:>9}.{phase:<12} {seconds:>10}s  ({calls} calls)"
+                    f"  {engine:>9}.{phase:<12} {seconds:>10}s  ({calls} calls{rows})"
                 )
     rss = info.get("peak_rss_bytes")
     if isinstance(rss, (int, float)):

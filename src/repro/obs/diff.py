@@ -88,7 +88,7 @@ def _phase_values(manifest: dict[str, object]) -> dict[_Key, float]:
         for phase, timing in body.items():
             if not isinstance(timing, dict):
                 continue
-            for component in ("seconds", "calls"):
+            for component in ("seconds", "calls", "rows"):
                 if component in timing:
                     out[(str(phase), ((("engine"), str(engine)),), component)] = float(
                         timing[component]  # type: ignore[arg-type]

@@ -121,11 +121,6 @@ def build_manifest(
     result: dict[str, object] | None = None,
 ) -> dict[str, object]:
     """Assemble the manifest dict for a closing observer."""
-    phases = {
-        engine: profiler.snapshot()
-        for engine, profiler in sorted(observer.phase_profilers.items())
-        if profiler
-    }
     return {
         "schema": MANIFEST_SCHEMA,
         "experiment": observer.experiment,
@@ -140,7 +135,7 @@ def build_manifest(
         "started_unix": observer.started_unix,
         "duration_s": round(observer.tracer.now(), 3),
         "metrics": observer.registry.scrape(),
-        "phases": phases,
+        "phases": observer.phases(),
         "peak_rss_bytes": peak_rss_bytes(),
         "result": result,
         "live": getattr(observer, "live_summary", None),

@@ -1,26 +1,28 @@
 """The :class:`Observer`: one telemetry hub per instrumented run.
 
 An observer owns the run's :class:`~repro.obs.registry.MetricsRegistry`,
-its :class:`~repro.obs.spans.SpanTracer`, one
-:class:`~repro.obs.profile.PhaseProfiler` per engine kind, and the
-exporter list.  Engines find the ambient observer through
+its :class:`~repro.obs.spans.SpanTracer`, the
+:class:`~repro.obs.spans.LayerTracer` that times the round's layers, and
+the exporter list.  Engines find the ambient observer through
 :mod:`repro.obs.runtime` when they are constructed, attach themselves,
 and report at their natural choke points:
 
 * round boundary → :meth:`SimHandle.round_end` (per-type message deltas,
   round duration histogram, a ``round`` JSONL event, periodic RSS
   sampling);
-* scheduler phases / kernel dispatch → the engine-kind profiler;
 * chaos choreography → :meth:`CampaignHandle` events (injector fire,
   monitor flips, detect/reconverge).
 
-The two-sided contract (test-enforced):
+Where the round went is timed from outside: the first attach wraps the
+layer boundaries of :data:`~repro.obs.spans.LAYERS`, :meth:`close` puts
+them back.  The two-sided contract (test-enforced):
 
-* **disabled** — no observer active — costs one ``is None`` branch per
-  round (gated ≤ 5% by ``benchmarks/perf_smoke.py``);
-* **enabled** — telemetry only *reads* simulation state and never touches
-  a simulation RNG, so fixed-seed runs are bit-identical with telemetry
-  on or off (``tests/test_obs_nonperturbation.py``).
+* **disabled** — no observer attached — every layer boundary is the
+  original function (``tests/test_import_footprint.py``); the attach
+  point is one ``is None`` branch per round;
+* **enabled** — telemetry only *reads* clocks, sizes and simulation state
+  and never touches a simulation RNG, so fixed-seed runs are bit-identical
+  with telemetry on or off (``tests/test_obs_nonperturbation.py``).
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import time
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.exporters import Exporter
-from repro.obs.profile import PhaseProfiler, peak_rss_bytes
+from repro.obs.profile import peak_rss_bytes
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import Span, SpanTracer
+from repro.obs.spans import LayerTracer, Span, SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.messages import MessageType
@@ -40,7 +42,7 @@ __all__ = ["CampaignHandle", "Observer", "SimHandle"]
 
 
 class Observer:
-    """Telemetry hub: registry + tracer + profilers + exporters.
+    """Telemetry hub: registry + tracers + exporters.
 
     Parameters
     ----------
@@ -75,8 +77,8 @@ class Observer:
         self.rss_every = rss_every
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer(sink=self._on_span)
-        #: One hot-loop profiler per engine kind ("reference", "fast", ...).
-        self.phase_profilers: dict[str, PhaseProfiler] = {}
+        #: The round's layers, timed from outside once a simulator attaches.
+        self.layers = LayerTracer(self.tracer.epoch)
         self.started_unix = time.time()
         #: Result summary installed by the harness before finalize.
         self.result_summary: dict[str, object] | None = None
@@ -119,38 +121,22 @@ class Observer:
     # ------------------------------------------------------------------
     # Attachment points
     # ------------------------------------------------------------------
-    def profiler_for(self, engine: str) -> PhaseProfiler:
-        """The hot-loop profiler shared by every engine of one kind."""
-        profiler = self.phase_profilers.get(engine)
-        if profiler is None:
-            profiler = PhaseProfiler()
-            self.phase_profilers[engine] = profiler
-        return profiler
-
     def attach_simulator(self, sim: Any) -> "SimHandle":
-        """Hook a simulator in: install its profiler, hand back a handle.
+        """Hook a simulator in: time its host's rounds, hand back a handle.
 
-        The profiler goes to whatever runs the round: a reference
-        :class:`~repro.sim.engine.Simulator`'s scheduler, else the fast
-        engine itself (``sim.host``).  Attachment only *writes telemetry
-        hooks*; it never touches protocol state.
+        The engine label is ``reference`` for a scheduler-driven
+        :class:`~repro.sim.engine.Simulator`, ``sharded`` for a host with
+        shard cores, else ``fast``.  Attachment never touches the
+        simulator; it registers the host with :attr:`layers`.
         """
         host = sim.host
-        runner = getattr(sim, "scheduler", host)
-        if runner is not host:
+        if hasattr(sim, "scheduler"):
             kind = "reference"
-        elif hasattr(host, "shard_sink"):
-            # The sharded coordinator: beside the phase profiler it takes
-            # a ShardTelemetrySink so per-shard deltas piggybacked on
-            # finish_round land in the registry under shard= labels.
+        elif hasattr(host, "cores"):
             kind = "sharded"
-            from repro.obs.shard import ShardTelemetrySink
-
-            host.shard_sink = ShardTelemetrySink(self.registry)
         else:
             kind = "fast"
-        if hasattr(runner, "profiler"):
-            runner.profiler = self.profiler_for(kind)
+        self.layers.attach(host, kind)
         index = self._sim_count
         self._sim_count += 1
         self.event("attach", sim=index, engine=kind)
@@ -161,6 +147,55 @@ class Observer:
         index = self._campaign_count
         self._campaign_count += 1
         return CampaignHandle(self, index)
+
+    # ------------------------------------------------------------------
+    # Layer totals
+    # ------------------------------------------------------------------
+    def phases(self) -> dict[str, dict[str, dict[str, float]]]:
+        """The manifest's ``phases`` block: ``{engine: {phase: {seconds,
+        calls, rows}}}``, self seconds summed over shards."""
+        out: dict[str, dict[str, dict[str, float]]] = {}
+        for (engine, _, phase), t in self.layers.snapshot().totals.items():
+            body = out.setdefault(engine, {}).setdefault(
+                phase, {"seconds": 0.0, "calls": 0, "rows": 0}
+            )
+            body["seconds"] += t.self_s
+            body["calls"] += t.calls
+            body["rows"] += t.rows
+        return {
+            engine: {
+                phase: {**body, "seconds": round(body["seconds"], 6)}
+                for phase, body in sorted(phases.items())
+            }
+            for engine, phases in sorted(out.items())
+        }
+
+    def publish_shards(self) -> None:
+        """Copy the per-shard layer totals into the registry's ``shard=``
+        series (every scrape and the final summary call this)."""
+        totals = self.layers.snapshot().totals
+        shards = [(key, t) for key, t in totals.items() if key[1] is not None]
+        if not shards:
+            return
+        registry = self.registry
+        seconds = registry.counter(
+            "shard_phase_seconds_total", "shard-side self seconds per phase/kernel"
+        )
+        rows = {
+            "flush": registry.counter(
+                "shard_rows_routed_total", "outbox rows a shard routed"
+            ),
+            "exchange": registry.counter(
+                "shard_rows_delivered_total", "rows a shard received"
+            ),
+        }
+        live = registry.gauge("shard_live_nodes", "live nodes of each shard")
+        for (_, shard, phase), t in shards:
+            seconds.set_total(t.self_s, shard=shard, phase=phase)
+            if phase in rows:
+                rows[phase].set_total(t.rows, shard=shard)
+            elif phase == "regular":
+                live.set(t.last_rows, shard=shard)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -183,13 +218,10 @@ class Observer:
             self.registry.gauge(
                 "peak_rss_bytes", "peak resident set size of the run process"
             ).max(rss)
+        self.publish_shards()
         self._summary = {
             "metrics": self.registry.scrape(),
-            "phases": {
-                engine: profiler.snapshot()
-                for engine, profiler in sorted(self.phase_profilers.items())
-                if profiler
-            },
+            "phases": self.phases(),
             "peak_rss_bytes": rss,
             "sims": self._sim_count,
             "duration_s": round(self.tracer.now(), 3),
@@ -203,8 +235,12 @@ class Observer:
         return self._summary
 
     def close(self) -> None:
-        """Finalize (if needed), stop the live server, release handles."""
-        self.finalize()
+        """Finalize (if needed), unwrap the layers (even when finalizing
+        raises), stop the live server, release handles."""
+        try:
+            self.finalize()
+        finally:
+            self.layers.close()
         server, self.live_server = self.live_server, None
         if server is not None:
             server.stop()

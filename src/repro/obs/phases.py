@@ -1,39 +1,24 @@
 """Round-phase attribution: where did the wall-clock of a run go?
 
 ``repro obs phases DIR`` reads a finished run's ``manifest.json`` and
-answers the question the ROADMAP's 10^6 item asks: how much of the
-measured round time is *attributed* to named phases, and how is it
-split.  For the sharded engine the coordinator profiler partitions
-``execute_round`` into
-
-* ``flush``    — shard-side outbox flush + owner partition (``route_take``);
-* ``exchange`` — transposing and delivering the boundary wire chunks
-  (``prepare_round``);
-* ``rng``      — coordinator-side delivery-key and move-and-forget draws;
-* ``dispatch`` — kernel dispatch on the shards (``start_round`` through
-  ``finish_round``, including the reslrl pause points);
-* ``merge``    — folding per-shard reports into coordinator state;
-
-and the per-shard telemetry (:mod:`repro.obs.shard`) additionally breaks
-shard-side time down by kernel.  *Attribution* is the ratio of summed
-phase seconds to the ``round_seconds`` histogram's measured wall-clock —
-the acceptance gate demands ≥ 95% of sharded wall-clock lands in a named
-phase, so nothing material hides between the phases.
+answers how much of the measured round time is *attributed* to named
+phases, and how it is split.  The phases are the self times the
+observer's :class:`~repro.obs.spans.LayerTracer` folds at the layer
+boundaries of :data:`~repro.obs.spans.LAYERS` (one table per engine in
+docs/OBSERVABILITY.md), so they are exclusive and sum to the engine's
+``execute_round`` time; the sharded engine's per-shard split is its
+``shard_phase_seconds_total`` series.  *Attribution* is the ratio of
+summed phase seconds to the ``round_seconds`` histogram's measured
+wall-clock — the acceptance gate demands ≥ 95% on every engine, so
+nothing material hides between the phases.  Calls count calls and rows
+count rows.
 
 Stdlib-only, like the rest of the ``repro obs`` CLI surface.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "SHARDED_PHASES",
-    "attribution",
-    "phase_report",
-    "render_phase_report",
-]
-
-#: The coordinator-phase partition of the sharded engine's round.
-SHARDED_PHASES = ("dispatch", "exchange", "flush", "merge", "rng")
+__all__ = ["attribution", "phase_report", "render_phase_report"]
 
 
 def _round_wall_by_engine(manifest: dict[str, object]) -> dict[str, float]:
@@ -123,6 +108,7 @@ def phase_report(manifest: dict[str, object]) -> dict[str, object]:
                 breakdown[phase] = {
                     "seconds": seconds,
                     "calls": int(timing.get("calls", 0) or 0),
+                    "rows": int(timing.get("rows", 0) or 0),
                     "share": seconds / wall if wall > 0 else 0.0,
                 }
         engines[engine] = {
@@ -162,14 +148,15 @@ def render_phase_report(report: dict[str, object]) -> str:
         for phase, timing in sorted(
             breakdown.items(), key=lambda kv: -kv[1]["seconds"]
         ):
+            rows = f", {timing['rows']} rows" if timing["rows"] else ""
             lines.append(
                 f"  {phase:<14} {timing['seconds']:>9.3f}s"
                 f"  {timing['share'] * 100:>5.1f}%"
-                f"  ({timing['calls']} calls)"
+                f"  ({timing['calls']} calls{rows})"
             )
     shards = report.get("shards")
     if isinstance(shards, dict) and shards:
-        lines.append("shard-side kernel time (shard_phase_seconds_total):")
+        lines.append("per-shard self time (shard_phase_seconds_total):")
         for shard in sorted(shards, key=lambda s: (len(s), s)):
             per_phase = shards[shard]
             assert isinstance(per_phase, dict)

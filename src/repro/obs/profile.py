@@ -1,59 +1,16 @@
-"""Hot-loop profiling: per-phase/per-kernel timing and peak-RSS sampling.
+"""Peak resident-set readings: the process high-water mark and a section's.
 
-A :class:`PhaseProfiler` is the instrument the engines' inner loops feed:
-two plain dicts (seconds and call counts per phase name) updated with one
-``perf_counter`` subtraction per timed section.  The reference
-:class:`~repro.sim.engine.Simulator` times its scheduler phases (``flush``
-/ ``receive`` / ``regular``); the batched engine times ``flush``, each
-kernel by name (``linearize``, ``move_forget``, ...), and ``regular``
-(docs/OBSERVABILITY.md).
-
-The contract that keeps the engines honest: a profiler is attached only
-while an :class:`~repro.obs.observer.Observer` is active; the disabled
-path is a single ``is None`` branch per round, gated to ≤ 5% overhead by
-``benchmarks/perf_smoke.py``.
+Time attribution lives in :class:`~repro.obs.spans.LayerTracer`, which
+times the round's layers from outside the engines; this module keeps the
+memory side: :func:`peak_rss_bytes` for the whole process (the run
+manifest, periodic registry samples) and :func:`reset_peak_rss` /
+:func:`section_peak_rss_bytes` for one measured section (E22's per-size
+peak).
 """
 
 from __future__ import annotations
 
-__all__ = ["PhaseProfiler", "peak_rss_bytes", "reset_peak_rss", "section_peak_rss_bytes"]
-
-
-class PhaseProfiler:
-    """Accumulates wall-clock seconds and call counts per phase name."""
-
-    __slots__ = ("seconds", "calls")
-
-    def __init__(self) -> None:
-        self.seconds: dict[str, float] = {}
-        self.calls: dict[str, int] = {}
-
-    def add(self, phase: str, dt: float, calls: int = 1) -> None:
-        """Fold one timed section into *phase*."""
-        self.seconds[phase] = self.seconds.get(phase, 0.0) + dt
-        self.calls[phase] = self.calls.get(phase, 0) + calls
-
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's accumulators into this one."""
-        for phase, dt in other.seconds.items():
-            self.add(phase, dt, other.calls.get(phase, 0))
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """JSON-friendly ``{phase: {"seconds", "calls"}}`` snapshot."""
-        return {
-            phase: {
-                "seconds": round(self.seconds[phase], 6),
-                "calls": self.calls.get(phase, 0),
-            }
-            for phase in sorted(self.seconds)
-        }
-
-    def total_seconds(self) -> float:
-        """Sum of every phase's accumulated seconds."""
-        return sum(self.seconds.values())
-
-    def __bool__(self) -> bool:
-        return bool(self.seconds)
+__all__ = ["peak_rss_bytes", "reset_peak_rss", "section_peak_rss_bytes"]
 
 
 def peak_rss_bytes() -> int | None:

@@ -89,6 +89,11 @@ class Counter(_Instrument):
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
+    def set_total(self, total: float, **labels: object) -> None:
+        """Set the labeled series to *total*, a running total kept outside
+        the registry (the observer's layer totals)."""
+        self._values[_label_key(labels)] = float(total)
+
     def value(self, **labels: object) -> float:
         """Current value of one labeled series (0 when never incremented)."""
         return self._values.get(_label_key(labels), 0.0)

@@ -15,8 +15,12 @@ observer is active.  This module is deliberately tiny — it is imported by
 the simulation hot path, so it must not pull in the rest of the obs
 package until an observer actually exists.
 
-Not thread-safe by design: the simulation engines themselves are
-single-threaded, and one run owns the process.
+Activation is one process-wide pointer, set and restored by whoever
+builds the simulators; it is not thread-safe.  The rounds themselves may
+run on other threads: the serving host builds its engine under
+:func:`activated` and then steps it on its own engine thread while
+client threads read beside it, which is why the observer's layer tracer
+(:class:`~repro.obs.spans.LayerTracer`) keeps one span stack per thread.
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ oracle (``tests/reference_mirror.py``); the differential tests pin both
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol, cast
@@ -79,7 +78,6 @@ from repro.sim.fast.soa import SoAState
 from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profile import PhaseProfiler
     from repro.sim.chaos.guard import GuardPolicy
     from repro.sim.fast.chaos.batched import BatchedWire
 
@@ -93,7 +91,7 @@ __all__ = [
     "writer_rows",
 ]
 
-#: Kernel name per message-type code (profiling labels, docs/PERF.md).
+#: Kernel name per message-type code (the dispatch table, docs/PERF.md).
 KERNEL_NAMES = (
     "linearize",  # LIN
     "respond_lrl",  # INCLRL
@@ -411,9 +409,6 @@ class FastEngine(SoAHost):
         self.kernels = Kernels(kernel_soa, kernel_out, cfg)
         #: Messages sent to identifiers that no longer exist (dropped).
         self.dropped = 0
-        #: Per-kernel profiler, installed by an ambient observer
-        #: (repro.obs); ``None`` keeps the round on the untimed path.
-        self.profiler: PhaseProfiler | None = None
         #: Adversarial wave-dispatch rewrite (``SchedulerFault``'s batched
         #: story); ``None`` keeps the canonical ascending dispatch order.
         self._wave_fault: WaveFault | None = None
@@ -424,27 +419,18 @@ class FastEngine(SoAHost):
     def execute_round(self, rng: np.random.Generator) -> None:
         """Advance the network by one synchronous round.
 
-        With a wire, the round's chunks come off the wire (phase ``wire``)
-        and the round's sends go onto it at the end (``wire`` again);
-        ``flush`` times the inbox build alone.
+        With a wire, the round's chunks come off the wire and the round's
+        sends go onto it at the end.
         """
-        profiler = self.profiler
         wire = self.wire
-        t0 = time.perf_counter() if profiler is not None else 0.0
         if wire is None:
             chunks = self.outbox.take_all()
         else:
             chunks, lost = wire.deliver(self.soa)
             self.dropped += lost
-            if profiler is not None:
-                t1 = time.perf_counter()
-                profiler.add("wire", t1 - t0)
-                t0 = t1
         inbox, dropped = build_inbox(chunks, self.soa.lookup, rng, dedup=self.dedup)
         # Last round's staged arrays die here, not at the end of this round.
         del chunks
-        if profiler is not None:
-            profiler.add("flush", time.perf_counter() - t0)
         self.dropped += dropped
         if inbox is not None:
             plan = self._plan_round(inbox)
@@ -455,10 +441,7 @@ class FastEngine(SoAHost):
         self._run_regular(rng)
         self.outbox.flush_stats()
         if wire is not None:
-            t2 = time.perf_counter() if profiler is not None else 0.0
             self.dropped += wire.send(self.outbox.take_all(), self.soa)
-            if profiler is not None:
-                profiler.add("wire", time.perf_counter() - t2)
 
     def _plan_round(self, inbox: RoundInbox) -> RoundPlan:
         """Schedule *inbox*: writer mask, dispatch groups, token walk.
@@ -629,8 +612,6 @@ class FastEngine(SoAHost):
     ) -> None:
         """Step the tokens of the segment ``[lo, hi)`` with its draws;
         record what each row leaves."""
-        profiler = self.profiler
-        t1 = time.perf_counter() if profiler is not None else 0.0
         inbox = plan.inbox
         rows, _, token = plan.walk_rows(lo, hi)
         idx = inbox.dest_idx[rows].astype(np.intp)
@@ -647,8 +628,6 @@ class FastEngine(SoAHost):
             coins=coins,
             forget_u=forget_u,
         )
-        if profiler is not None:
-            profiler.add("move_forget", time.perf_counter() - t1, calls=len(rows))
 
     def _run_groups(self, plan: RoundPlan) -> None:
         """Run the dispatch groups through their kernels, in order.
@@ -659,12 +638,10 @@ class FastEngine(SoAHost):
         what they would have read wave by wave.
         """
         self.soa.lrl[plan.token_slots] = plan.token_lrl0
-        profiler = self.profiler
         kernels = self.kernels
         inbox = plan.inbox
         writer = plan.writer
         for code, rows in plan.groups:
-            t1 = time.perf_counter() if profiler is not None else 0.0
             rows = rows.astype(np.intp)  # held as int32 (_plan_round)
             idx = inbox.dest_idx[rows].astype(np.intp)
             if code == RESLRL:
@@ -678,17 +655,13 @@ class FastEngine(SoAHost):
             self._windowed(
                 name, idx, read_only, getattr(kernels, name), idx, *payload
             )
-            if profiler is not None:
-                profiler.add(name, time.perf_counter() - t1, calls=len(rows))
 
     def _regular_rows(self) -> np.ndarray:
         """Slots the regular action covers, ascending by identifier."""
         return self.soa.sorted_live()[1]
 
-    def _run_regular(self, rng: np.random.Generator) -> int:
-        """One batched regular action over all live nodes; their count."""
-        profiler = self.profiler
-        t2 = time.perf_counter() if profiler is not None else 0.0
+    def _run_regular(self, rng: np.random.Generator) -> None:
+        """One batched regular action over all live nodes."""
         live_idx = self._regular_rows()
         self._windowed(
             "regular_action",
@@ -698,9 +671,6 @@ class FastEngine(SoAHost):
             live_idx,
             rng,
         )
-        if profiler is not None:
-            profiler.add("regular", time.perf_counter() - t2, calls=len(live_idx))
-        return len(live_idx)
 
     # ------------------------------------------------------------------
     # Membership / churn (round boundaries only).  The batches are the only

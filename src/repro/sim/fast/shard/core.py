@@ -34,9 +34,6 @@ at any shard count (docs/PERF.md).
 
 from __future__ import annotations
 
-import time
-from typing import Any
-
 import numpy as np
 
 from repro.core.protocol import ProtocolConfig
@@ -91,37 +88,10 @@ class ShardCore(FastEngine):
         ]
         self._pre: PreparedInbox | None = None
         self._plan: RoundPlan | None = None
-        # Per-round boundary-exchange row volumes, reported (and reset)
-        # by the telemetry piggyback when set_telemetry(True) is active.
-        self._rows_routed = 0
-        self._rows_in = 0
         # Never drawn on the coordinated path (regular_action is
         # deterministic and reslrl draws are injected); exists so the
         # inherited kernel calls keep their signature.
         self._local_rng = np.random.default_rng([0xD15C, self.shard])
-
-    # ------------------------------------------------------------------
-    # Telemetry (repro.obs.shard)
-    # ------------------------------------------------------------------
-    def set_telemetry(self, enabled: bool) -> None:
-        """Install (or remove) the shard-local telemetry capture.
-
-        Enabled, the inherited per-kernel timing path runs against a
-        core-local :class:`~repro.obs.profile.PhaseProfiler` and the
-        route/prepare phases count their boundary-exchange row volumes;
-        :meth:`finish_round` piggybacks the per-round delta on its report
-        (one extra dict per shard per round).  Disabled (the default),
-        the round runs the exact untimed path the obs-disabled overhead
-        gate measures.
-        """
-        if enabled:
-            from repro.obs.profile import PhaseProfiler
-
-            self.profiler = PhaseProfiler()
-        else:
-            self.profiler = None
-        self._rows_routed = 0
-        self._rows_in = 0
 
     # ------------------------------------------------------------------
     # Phase 1 — route
@@ -133,9 +103,6 @@ class ShardCore(FastEngine):
         ``self.shard`` is the local traffic that never crosses a shard
         boundary.
         """
-        profiler = self.profiler
-        t0 = time.perf_counter() if profiler is not None else 0.0
-        routed = 0
         staged = self.outbox.take_all()
         out = _empty_wire(n_shards)
         for code, per_type in enumerate(staged):
@@ -143,7 +110,6 @@ class ShardCore(FastEngine):
                 continue
             dest = np.concatenate([ch[0] for ch in per_type])
             a = np.concatenate([ch[1] for ch in per_type])
-            routed += len(dest)
             if code == RESLRL:
                 b = np.concatenate(
                     [_col(ch, 2, len(ch[0])) for ch in per_type]
@@ -160,9 +126,6 @@ class ShardCore(FastEngine):
                     out[s][code].append((dest[m], a[m], b[m], c[m]))
                 else:
                     out[s][code].append((dest[m], a[m]))
-        if profiler is not None:
-            profiler.add("shard_route", time.perf_counter() - t0, calls=routed)
-            self._rows_routed += routed
         return out
 
     # ------------------------------------------------------------------
@@ -178,16 +141,12 @@ class ShardCore(FastEngine):
         ordering is content-determined).  Returns ``(dropped, n_nonres,
         n_res, packed_ok)`` for the coordinator's key bookkeeping.
         """
-        profiler = self.profiler
-        t0 = time.perf_counter() if profiler is not None else 0.0
-        received = 0
         merged: list[list[tuple[np.ndarray, ...]]] = [
             [] for _ in range(N_TYPES)
         ]
         for source in incoming:
             for code in range(N_TYPES):
                 for ch in source[code]:
-                    received += len(ch[0])
                     if code == RESLRL:
                         merged[code].append(
                             (ch[0], ch[1], ch[2], ch[3], None)
@@ -196,11 +155,6 @@ class ShardCore(FastEngine):
                         merged[code].append((ch[0], ch[1], None, None, None))
         pre, dropped = prepare_inbox(merged, self.soa.lookup, dedup=True)
         self._pre = pre
-        if profiler is not None:
-            profiler.add(
-                "shard_prepare", time.perf_counter() - t0, calls=received
-            )
-            self._rows_in += received
         if pre is None:
             return dropped, 0, 0, True
         return dropped, len(pre) - pre.n_res, pre.n_res, pre.packed_ok
@@ -264,26 +218,10 @@ class ShardCore(FastEngine):
         lo, hi = np.searchsorted(ids, self._block)
         return idx[lo:hi]
 
-    def finish_round(self) -> dict[str, Any]:
-        """Run every group + the regular action; report the block."""
+    def finish_round(self) -> None:
+        """Run every group + the regular action over the block."""
         plan, self._plan = self._plan, None
         if plan is not None:
             self._run_groups(plan)
-        n_live = self._run_regular(self._local_rng)
+        self._run_regular(self._local_rng)
         self.outbox.flush_stats()
-        report: dict[str, Any] = {"n_live": n_live}
-        profiler = self.profiler
-        if profiler is not None:
-            # Piggyback this round's telemetry delta on the report the
-            # coordinator reads anyway (repro.obs.shard).
-            report["telemetry"] = {
-                "seconds": dict(profiler.seconds),
-                "calls": dict(profiler.calls),
-                "rows_routed": self._rows_routed,
-                "rows_in": self._rows_in,
-            }
-            profiler.seconds.clear()
-            profiler.calls.clear()
-            self._rows_routed = 0
-            self._rows_in = 0
-        return report

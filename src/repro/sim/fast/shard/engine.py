@@ -40,9 +40,7 @@ membership surface.
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable, Iterable
-from typing import TYPE_CHECKING, Any
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -59,9 +57,6 @@ from repro.sim.fast.shard.core import ShardCore
 from repro.sim.fast.shard.partition import partition_edges
 from repro.sim.fast.soa import SoAState
 from repro.sim.metrics import MessageStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profile import PhaseProfiler
 
 __all__ = ["ShardedEngine"]
 
@@ -118,35 +113,10 @@ class ShardedEngine(SoAHost):
             )
             for i in range(self.shards)
         ]
-        #: The coordinator's round-phase profiler (obs-installed).
-        self.profiler: PhaseProfiler | None = None
-        self._shard_sink: Any = None
 
     # ------------------------------------------------------------------
     # Round execution
     # ------------------------------------------------------------------
-    def _phase_marker(self) -> "Callable[[str], None] | None":
-        """Segment timer for the round-phase attribution profiler.
-
-        Returns ``None`` on the untimed path; otherwise a closure that
-        attributes the wall-clock since the previous mark to the named
-        phase.  Marks are placed so the segments *partition* the whole of
-        ``execute_round`` — ``repro obs phases`` checks that the sum
-        accounts for ≥ 95% of the measured round time.
-        """
-        profiler = self.profiler
-        if profiler is None:
-            return None
-        t_last = time.perf_counter()
-
-        def mark(phase: str) -> None:
-            nonlocal t_last
-            now = time.perf_counter()
-            profiler.add(phase, now - t_last)
-            t_last = now
-
-        return mark
-
     def execute_round(self, rng: np.random.Generator) -> None:
         """Advance the network by one synchronous round.
 
@@ -154,20 +124,10 @@ class ShardedEngine(SoAHost):
         array over the global canonical inbox order, scattered to shards as
         contiguous slices, then one move-and-forget draw per global
         segment of the token walk, split by :func:`token_draws`.
-
-        With a profiler attached the round is decomposed into ``flush``
-        (outbox flush + owner partition), ``exchange`` (wire-chunk
-        transpose + canonical inbox build), ``rng`` (coordinator draws),
-        ``dispatch`` (kernel execution on the shards, including the
-        reslrl pause points), and ``merge`` (report folding) —
-        the attribution ``repro obs phases`` reports.
         """
         n = self.shards
-        mark = self._phase_marker()
         cores = self.cores
         routed = [core.route_take(n) for core in cores]
-        if mark is not None:
-            mark("flush")
         prep = [
             core.prepare_round([routed[src][dst] for src in range(n)])
             for dst, core in enumerate(cores)
@@ -176,8 +136,6 @@ class ShardedEngine(SoAHost):
         nonres = [p[1] for p in prep]
         res = [p[2] for p in prep]
         total = sum(nonres) + sum(res)
-        if mark is not None:
-            mark("exchange")
         if total:
             packed_ok = all(p[3] for p in prep)
             keys = draw_delivery_keys(rng, total, packed_ok=packed_ok)
@@ -190,8 +148,6 @@ class ShardedEngine(SoAHost):
             shard_keys = [np.concatenate(slices[shard]) for shard in range(n)]
         else:
             shard_keys = [np.empty(0, dtype=np.int64)] * n
-        if mark is not None:
-            mark("rng")
         spans = [
             span
             for core, ks in zip(cores, shard_keys)
@@ -207,25 +163,11 @@ class ShardedEngine(SoAHost):
             ]
             for lo, hi in zip(bounds, bounds[1:]):
                 counts = np.stack([core.reslrl_count(lo, hi) for core in cores])
-                if mark is not None:
-                    mark("dispatch")
                 draws = token_draws(rng, counts)
-                if mark is not None:
-                    mark("rng")
                 for core, (coins, forget_u) in zip(cores, draws):
                     core.reslrl_apply(lo, hi, coins, forget_u)
-        finished = [core.finish_round() for core in cores]
-        if mark is not None:
-            mark("dispatch")
-        sink = self._shard_sink
-        if sink is not None:
-            for shard, report in enumerate(finished):
-                telemetry = report.get("telemetry")
-                if telemetry is not None:
-                    sink.fold(shard, telemetry)
-                sink.live_nodes(shard, report["n_live"])
-        if mark is not None:
-            mark("merge")
+        for core in cores:
+            core.finish_round()
 
     # ------------------------------------------------------------------
     # Membership / churn (round boundaries only; join/leave: SoAHost)
@@ -251,25 +193,6 @@ class ShardedEngine(SoAHost):
     # ------------------------------------------------------------------
     # FastEngine surface: introspection
     # ------------------------------------------------------------------
-    @property
-    def shard_sink(self) -> Any:
-        """Per-shard telemetry sink (:class:`repro.obs.shard
-        .ShardTelemetrySink` or ``None``).
-
-        Setting a sink switches every shard core onto the
-        telemetry-capturing path; setting ``None`` switches them back to
-        the untimed path the obs-disabled overhead gate measures.
-        The engine never imports ``repro.obs``: the sink is duck-typed
-        (``fold``/``live_nodes``), keeping the disabled path import-free.
-        """
-        return self._shard_sink
-
-    @shard_sink.setter
-    def shard_sink(self, value: Any) -> None:
-        self._shard_sink = value
-        for core in self.cores:
-            core.set_telemetry(value is not None)
-
     @property
     def sanitizer(self) -> None:
         """The coordinator itself runs no kernels (cores sanitize locally)."""

@@ -26,15 +26,11 @@ work a synchronous round performs), which makes round counts comparable.
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
 import numpy as np
 
 from repro.sim.network import Network
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profile import PhaseProfiler
 
 __all__ = ["Scheduler", "SynchronousScheduler", "AsyncScheduler"]
 
@@ -60,50 +56,24 @@ class SynchronousScheduler:
 
     def __init__(self, *, regular_actions: bool = True) -> None:
         self.regular_actions = regular_actions
-        #: Hot-loop phase profiler, installed by an ambient observer
-        #: (repro.obs).  ``None`` — the default — leaves the round untimed;
-        #: timing only reads ``perf_counter``, so the protocol behaviour and
-        #: the draw sequence are the same either way
-        #: (tests/test_obs_nonperturbation.py).
-        self.profiler: PhaseProfiler | None = None
 
     def execute_round(self, network: Network, rng: np.random.Generator) -> None:
-        profiler = self.profiler
-        t0 = time.perf_counter() if profiler is not None else 0.0
         # Messages staged in the previous round become receivable now.
         network.flush()
-        if profiler is not None:
-            profiler.add("flush", time.perf_counter() - t0)
         ids = network.ids
         if not ids:
             return
         order = rng.permutation(len(ids))
-        receive = 0.0
-        regular = 0.0
-        received = 0
-        acted = 0
         for i in order:
             nid = ids[i]
             if nid not in network:
                 continue  # removed mid-round by a churn hook
             node = network.node(nid)
             send = network.sender(nid)
-            t1 = time.perf_counter() if profiler is not None else 0.0
-            messages = network.channel(nid).drain(rng)
-            for message in messages:
+            for message in network.channel(nid).drain(rng):
                 node.on_message(message, send, rng)
-            if profiler is not None:
-                t2 = time.perf_counter()
-                receive += t2 - t1
-                received += len(messages)
             if self.regular_actions:
                 node.regular_action(send, rng)
-                if profiler is not None:
-                    regular += time.perf_counter() - t2
-                    acted += 1
-        if profiler is not None:
-            profiler.add("receive", receive, calls=received)
-            profiler.add("regular", regular, calls=acted)
 
 
 class AsyncScheduler:

@@ -42,7 +42,6 @@ from __future__ import annotations
 import inspect
 import math
 import sys
-import time
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING, Any, cast
 
@@ -79,7 +78,6 @@ from repro.sim.fast.soa import SoAState
 from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profile import PhaseProfiler
     from repro.sim.chaos.guard import GuardPolicy
 
 __all__ = ["MirrorEngine", "mirror_sanitizer", "mirror_simulator"]
@@ -152,9 +150,6 @@ class MirrorEngine(SoAHost):
         self.stats = MessageStats(keep_history=keep_history)
         #: Messages sent to identifiers that no longer exist (dropped).
         self.dropped = 0
-        #: Coarse phase profiler, installed by an ambient observer
-        #: (repro.obs); ``None`` keeps the round on the untimed path.
-        self.profiler: PhaseProfiler | None = None
         self._staging: list[tuple[float, MirrorMessage]] = []
         self._channels: dict[float, Channel[MirrorMessage]] = {
             nid: Channel(dedup=dedup) for nid in self.soa.live_ids_list()
@@ -221,11 +216,7 @@ class MirrorEngine(SoAHost):
         after_node: AfterNodeHook | None = None,
     ) -> None:
         """One synchronous round, draw-for-draw like the reference."""
-        profiler = self.profiler
-        t0 = time.perf_counter() if profiler is not None else 0.0
         self.flush()
-        if profiler is not None:
-            profiler.add("flush", time.perf_counter() - t0)
         live, idx = self.soa.sorted_live()
         if not len(live):
             return
@@ -234,10 +225,6 @@ class MirrorEngine(SoAHost):
         # again before its turn (a fresh slot, found by lookup).
         ids, slots = live.tolist(), idx.tolist()
         order = rng.permutation(len(ids))
-        receive = 0.0
-        regular = 0.0
-        received = 0
-        acted = 0
         for pos in order:
             nid = ids[pos]
             if nid in self._channels:
@@ -245,25 +232,12 @@ class MirrorEngine(SoAHost):
                 if not self.soa.alive[i]:
                     i = int(self.soa.lookup(np.array([nid]))[0][0])
                 self._origin = nid
-                t1 = time.perf_counter() if profiler is not None else 0.0
-                msgs = self._channels[nid].drain(rng)
-                for msg in msgs:
+                for msg in self._channels[nid].drain(rng):
                     self._on_message(i, msg, rng)
-                if profiler is not None:
-                    t2 = time.perf_counter()
-                    receive += t2 - t1
-                    received += len(msgs)
-                    self._regular_action(i)
-                    regular += time.perf_counter() - t2
-                    acted += 1
-                else:
-                    self._regular_action(i)
+                self._regular_action(i)
             if after_node is not None:
                 after_node(int(pos), nid)
         self._origin = None
-        if profiler is not None:
-            profiler.add("receive", receive, calls=received)
-            profiler.add("regular", regular, calls=acted)
 
     # ------------------------------------------------------------------
     # Membership / churn

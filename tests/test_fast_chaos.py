@@ -34,8 +34,9 @@ from repro.sim.chaos.injectors import (
     SchedulerFault,
 )
 from repro.sim.chaos.plan import FaultPlan
-from repro.obs.profile import PhaseProfiler
-from repro.sim.fast import FastEngine, FastSimulator
+from repro.obs.observer import Observer
+from repro.obs.runtime import activated
+from repro.sim.fast import FastSimulator
 from repro.sim.fast.chaos import BatchedWire
 from repro.sim.schedulers import SynchronousScheduler
 from repro.topology.generators import line_topology
@@ -245,20 +246,27 @@ def test_wire_phases_are_exclusive(monkeypatch):
     """The wire's delivery is timed as ``wire`` and not again as ``flush``:
     with a delay slipped into it, the phases still sum to no more than the
     wall clock of the rounds they time."""
-    engine = FastEngine(line_topology(64, np.random.default_rng(3)), guard=GuardPolicy())
-    engine.profiler = profiler = PhaseProfiler()
-    deliver = engine.wire.deliver
+    deliver = BatchedWire.deliver
 
-    def slow_deliver(soa):
+    def slow_deliver(wire, soa):
         time.sleep(0.02)
-        return deliver(soa)
+        return deliver(wire, soa)
 
-    monkeypatch.setattr(engine.wire, "deliver", slow_deliver)
-    rng = np.random.default_rng(4)
+    # Patched before the observer wraps it, restored after it unwraps.
+    monkeypatch.setattr(BatchedWire, "deliver", slow_deliver)
+    observer = Observer()
+    with activated(observer):
+        sim = FastSimulator.from_states(
+            line_topology(64, np.random.default_rng(3)),
+            guard=GuardPolicy(),
+            rng=np.random.default_rng(4),
+        )
     start = time.perf_counter()
     for _ in range(4):
-        engine.execute_round(rng)
+        sim.engine.execute_round(sim.rng)
     wall = time.perf_counter() - start
-    assert profiler.seconds["wire"] >= 0.08
-    assert profiler.seconds["flush"] < 0.08
-    assert profiler.total_seconds() <= wall
+    observer.close()
+    phases = observer.phases()["fast"]
+    assert phases["wire"]["seconds"] >= 0.08
+    assert phases["flush"]["seconds"] < 0.08
+    assert sum(p["seconds"] for p in phases.values()) <= wall

@@ -1,4 +1,5 @@
-"""The workload paths load numpy and the stdlib, not scipy or networkx.
+"""The workload paths load numpy and the stdlib, not scipy or networkx,
+and the engines carry no telemetry code.
 
 Every benchmark workload is one of four paths: a cold line start to the
 sorted list (batched, and on two inline shards), the churn storms on a
@@ -11,6 +12,13 @@ n = 128, and check that neither package was loaded.  networkx stays where
 a graph is built — the reference predicates and views, the
 ``NodeState`` topology families, the small-world metrics — imported in
 the function that builds it, and no module under ``src`` names scipy.
+
+The obs-disabled contract is structural: no module under ``repro.sim``
+names a profiler or imports ``repro.obs`` beyond the attach points of
+``repro.obs.runtime`` (or for type checking only), and with no observer
+attached every layer boundary the observer times
+(``repro.obs.spans.LAYERS``) holds its original function — before any
+observer, and again after the serving path's observer has closed.
 """
 
 from __future__ import annotations
@@ -40,6 +48,16 @@ from repro.sim.fast import predicates
 from repro.sim.fast.batched import KERNEL_NAMES
 from repro.sim.fast.engine import FastSimulator
 from repro.topology.generators import TOPOLOGIES
+from repro.obs.spans import layer_targets
+
+
+def wrapped_layers():
+    return [
+        f"{owner.__name__}.{name}"
+        for owner, name, _ in layer_targets()
+        if hasattr(vars(owner)[name], "__wrapped__")
+    ]
+
 
 N = 128
 
@@ -58,6 +76,8 @@ for mode in ("batched", "sharded"):
     }
     assert holds[predicates.PHASE_CONNECTED], (mode, holds)
     assert holds[predicates.PHASE_SORTED_LIST], (mode, holds)
+
+assert wrapped_layers() == [], wrapped_layers()
 
 sim = stable_simulator(N, seed_rng(7, N), None, engine="fast")
 for storm in ("flash_crowd", "correlated_departure"):
@@ -82,6 +102,8 @@ try:
     assert response.status == 200 and json.loads(body)["ok"], body
 finally:
     service.stop()
+assert service.observer.phases()["fast"]["plan"]["calls"] > 0
+assert wrapped_layers() == [], wrapped_layers()
 
 print(json.dumps(sorted(sys.modules)))
 """
@@ -119,3 +141,36 @@ def test_src_imports_networkx_only_in_functions_and_never_scipy() -> None:
                 top_level.append(f"{where}:{node.lineno}")
     assert not scipy, scipy
     assert not top_level, top_level
+
+
+def test_sim_carries_no_telemetry_code() -> None:
+    sim = SRC / "repro" / "sim"
+    named = []
+    imports = []
+    for path in sorted(sim.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        where = path.relative_to(SRC)
+        if "profiler" in text:
+            named.append(str(where))
+        tree = ast.parse(text)
+        typing_only = {
+            id(node)
+            for block in ast.walk(tree)
+            if isinstance(block, ast.If)
+            and isinstance(block.test, ast.Name)
+            and block.test.id == "TYPE_CHECKING"
+            for node in ast.walk(block)
+        }
+        for node in ast.walk(tree):
+            if id(node) in typing_only:
+                continue
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                modules = [node.module]
+            for module in modules:
+                if module.startswith("repro.obs") and module != "repro.obs.runtime":
+                    imports.append(f"{where}:{node.lineno} {module}")
+    assert not named, named
+    assert not imports, imports

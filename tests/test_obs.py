@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import io
 import json
+import pathlib
 import platform
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,11 +27,12 @@ from repro.obs.manifest import (
     validate_manifest,
 )
 from repro.obs.observer import Observer
-from repro.obs.profile import PhaseProfiler, peak_rss_bytes
+from repro.obs.profile import peak_rss_bytes
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import activated, active
 from repro.obs.sources import fold_convergence, fold_message_stats
-from repro.obs.spans import SpanTracer
+from repro.obs.spans import SpanTracer, layer_targets
+from repro.serve.service import build_service
 from repro.sim.engine import Simulator
 from repro.sim.fast.engine import FastSimulator
 from repro.sim.metrics import ConvergenceRecorder, MessageStats
@@ -119,19 +126,70 @@ class TestSpansAndProfile:
                 raise RuntimeError("boom")
         assert len(tracer.named("doomed")) == 1
 
-    def test_profiler_accumulates_and_merges(self):
-        p = PhaseProfiler()
-        assert not p
-        p.add("flush", 0.5)
-        p.add("flush", 0.25, calls=3)
-        other = PhaseProfiler()
-        other.add("receive", 1.0, calls=2)
-        p.merge(other)
-        assert p
-        snap = p.snapshot()
-        assert snap["flush"] == {"seconds": 0.75, "calls": 4}
-        assert snap["receive"] == {"seconds": 1.0, "calls": 2}
-        assert p.total_seconds() == 1.75
+    def test_layer_tracer_folds_busy_self_calls_and_rows(self):
+        n = 12
+        net = build_network(small_states(n), ProtocolConfig())
+        observer = Observer()
+        try:
+            with activated(observer):
+                sim = Simulator(net, np.random.default_rng(0))
+            sim.run(3)
+            early = observer.layers.snapshot()
+            sim.run(2)
+            late = observer.layers.snapshot()
+        finally:
+            observer.close()
+        totals = late.totals
+        assert set(totals) == {
+            ("reference", None, phase) for phase in ("flush", "receive", "regular")
+        }
+        # Calls count calls; rows count the messages each flush delivered.
+        assert totals["reference", None, "receive"].calls == 5
+        assert totals["reference", None, "flush"].calls == 5
+        assert totals["reference", None, "regular"].calls == 5 * n
+        assert totals["reference", None, "flush"].rows > 0
+        assert totals["reference", None, "regular"].rows == 0
+        for t in totals.values():
+            assert 0.0 <= t.self_s <= t.busy_s
+        # Self times are additive: they sum to what the rounds covered.
+        assert sum(t.self_s for t in totals.values()) == pytest.approx(late.covered_s)
+        assert late.covered_s == pytest.approx(
+            totals["reference", None, "receive"].busy_s
+        )
+        # Two snapshots difference to the rounds between them.
+        assert late.at_s > early.at_s and late.covered_s > early.covered_s
+        for phase, calls in (("receive", 2), ("regular", 2 * n)):
+            key = ("reference", None, phase)
+            assert late.totals[key].calls - early.totals[key].calls == calls
+
+    def test_span_closes_when_its_body_raises(self, monkeypatch):
+        from repro.obs import spans
+        from repro.sim.network import Network
+
+        def broken_flush(self):
+            raise RuntimeError("flush failed")
+
+        monkeypatch.setattr(Network, "flush", broken_flush)
+        observer = Observer()
+        try:
+            with activated(observer):
+                sim = Simulator(
+                    build_network(small_states(), ProtocolConfig()),
+                    np.random.default_rng(0),
+                )
+            with pytest.raises(RuntimeError, match="flush failed"):
+                sim.step_round()
+            assert spans._local.stack == []
+            totals = observer.layers.snapshot().totals
+        finally:
+            observer.close()
+        assert Network.__dict__["flush"] is broken_flush
+        assert totals["reference", None, "flush"].calls == 1
+        assert totals["reference", None, "receive"].calls == 1
+        receive = totals["reference", None, "receive"]
+        flush = totals["reference", None, "flush"]
+        assert receive.busy_s >= flush.busy_s
+        assert receive.self_s == pytest.approx(receive.busy_s - flush.busy_s)
 
     def test_peak_rss_positive_when_available(self):
         rss = peak_rss_bytes()
@@ -243,7 +301,11 @@ class TestObserverAttachment:
             np.random.default_rng(0),
         )
         assert sim._obs is None
-        assert sim.scheduler.profiler is None
+        assert not [
+            f"{owner.__name__}.{name}"
+            for owner, name, _ in layer_targets()
+            if hasattr(vars(owner)[name], "__wrapped__")
+        ]
 
     def test_activation_nests_and_restores(self):
         a, b = Observer(), Observer()
@@ -263,19 +325,21 @@ class TestObserverAttachment:
             )
             assert sim._obs is not None
             assert sim._obs.engine == "reference"
-            assert sim.scheduler.profiler is observer.phase_profilers["reference"]
             sim.run(5)
+        observer.close()
         registry = observer.registry
         assert registry.counter("rounds_total").value(engine="reference") == 5
         assert registry.counter("messages_total").total() > 0
-        assert observer.phase_profilers["reference"].total_seconds() > 0
-        snap = observer.phase_profilers["reference"].snapshot()
-        assert set(snap) == {"flush", "receive", "regular"}
+        phases = observer.phases()
+        assert set(phases) == {"reference"}
+        assert set(phases["reference"]) == {"flush", "receive", "regular"}
+        assert sum(p["seconds"] for p in phases["reference"].values()) > 0
 
     @pytest.mark.parametrize("mode", ["batched", "mirror"])
     def test_fast_simulators_attach(self, mode):
         """Every non-sharded SoA host, the mirror oracle included, is
-        labelled ``fast``."""
+        labelled ``fast``; the mirror oracle runs no wrapped layer, so it
+        counts rounds but records no phases."""
         build = {"batched": FastSimulator.from_states, "mirror": mirror_simulator}[mode]
         observer = Observer()
         with activated(observer):
@@ -283,14 +347,18 @@ class TestObserverAttachment:
             kind = "fast"
             assert sim._obs is not None
             assert sim._obs.engine == kind
-            assert sim.engine.profiler is observer.phase_profilers[kind]
             sim.run(5)
+        observer.close()
         assert observer.registry.counter("rounds_total").value(engine=kind) == 5
-        phases = observer.phase_profilers[kind].snapshot()
-        assert "flush" in phases and "regular" in phases
-        if mode == "batched":
-            # Kernel names appear once messages start flowing.
-            assert "linearize" in phases
+        phases = observer.phases()
+        if mode == "mirror":
+            assert phases == {}
+            return
+        assert {"flush", "plan", "regular"} <= set(phases[kind])
+        # Kernel names appear once messages start flowing.
+        assert "linearize" in phases[kind]
+        assert phases[kind]["regular"]["calls"] == 5
+        assert phases[kind]["regular"]["rows"] == 5 * len(sim.engine)
 
     def test_round_events_streamed(self):
         stream = io.StringIO()
@@ -301,6 +369,7 @@ class TestObserverAttachment:
                 np.random.default_rng(0),
             )
             sim.run(3)
+        observer.close()
         events = list(read_events(stream.getvalue().splitlines()))
         rounds = [e for e in events if e["event"] == "round"]
         assert [e["round"] for e in rounds] == [1, 2, 3]
@@ -458,3 +527,153 @@ class TestHarnessAndCli:
         assert info["rounds_total"] == 2
         assert info["messages_by_type"] == {"lin": 8, "ring": 1}
         assert info["messages_total"] == 9
+
+
+# ----------------------------------------------------------------------
+# The layer wrappers: installed on attach, restored on every exit path
+# ----------------------------------------------------------------------
+def layer_functions():
+    """What every target of the layer table currently holds."""
+    return {(owner, name): vars(owner)[name] for owner, name, _ in layer_targets()}
+
+
+def wrapped_now(before):
+    """The targets that no longer hold what *before* recorded."""
+    return [
+        f"{getattr(owner, '__name__', owner)}.{name}"
+        for (owner, name), fn in layer_functions().items()
+        if fn is not before[owner, name]
+    ]
+
+
+def wait_rounds(service, rounds, timeout=30.0):
+    """Whether the served engine ran *rounds* rounds within *timeout*."""
+    deadline = time.monotonic() + timeout
+    while service.host.rounds_run < rounds:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def suite_tracing():
+    """``benchmarks/suite/tracing.py``, loaded from its file (read-only)."""
+    path = pathlib.Path(__file__).parents[1] / "benchmarks" / "suite" / "tracing.py"
+    name = "suite_tracing_under_test"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses resolve through it
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLayerInstall:
+    def test_attach_wraps_and_close_restores(self):
+        before = layer_functions()
+        assert not [fn for fn in before.values() if hasattr(fn, "__wrapped__")]
+        observer = Observer()
+        with activated(observer):
+            assert wrapped_now(before) == []  # nothing until a simulator attaches
+            sim = FastSimulator.from_states(
+                small_states(), ProtocolConfig(), rng=np.random.default_rng(0)
+            )
+        assert len(wrapped_now(before)) == len(before)
+        sim.run(2)
+        observer.close()
+        assert wrapped_now(before) == []
+        observer.close()  # idempotent
+        assert wrapped_now(before) == []
+
+    def test_a_run_that_raises_restores_and_says_failed(self, tmp_path):
+        before = layer_functions()
+
+        def crashing(**params):
+            sim = FastSimulator.from_states(
+                small_states(), ProtocolConfig(), rng=np.random.default_rng(0)
+            )
+            sim.run(2)
+            assert wrapped_now(before)
+            raise RuntimeError("run crashed")
+
+        with pytest.raises(RuntimeError, match="run crashed"):
+            instrumented_run(crashing, {}, str(tmp_path), experiment="crash")
+        assert wrapped_now(before) == []
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["phases"]["fast"]["plan"]["calls"] == 2
+
+    def test_two_service_cycles_restore(self):
+        before = layer_functions()
+        for seed in (1, 2):
+            service = build_service(n=64, seed=seed)
+            assert wrapped_now(before)
+            service.start()
+            assert wait_rounds(service, 2)
+            service.stop()
+            assert wrapped_now(before) == []
+            assert service.observer.phases()["fast"]["plan"]["calls"] >= 2
+
+    def test_an_unclosed_observer_releases_once_its_hosts_are_gone(self):
+        before = layer_functions()
+        sim = build_service(n=64, seed=5).host.sim  # never started, never stopped
+        assert wrapped_now(before)
+        del sim
+        gc.collect()
+        assert wrapped_now(before) == []
+
+    def test_service_inside_the_suite_tracer_restores(self):
+        """The ``run.py --trace 1`` serve order: the suite's tracer goes on
+        first and comes off last; the service's observer wraps over it."""
+        before = layer_functions()
+        tracer = suite_tracing().Tracer()
+        tracer.install()
+        try:
+            under_suite = layer_functions()
+            service = build_service(n=64, seed=3)
+            service.start()
+            try:
+                assert wait_rounds(service, 2)
+                service.lookup_batch(service.sample_ids(16))
+            finally:
+                service.stop()
+            assert wrapped_now(under_suite) == []
+            assert tracer.counts["lookups"] == 16
+        finally:
+            tracer.uninstall()
+        assert wrapped_now(before) == []
+
+    def test_self_times_add_up_per_thread_beside_a_client(self):
+        """The serving host's engine thread and a second engine on this
+        thread fold into one observer while a client thread looks up: every
+        round is an outermost span on its own thread's stack, and the self
+        times sum to the time those rounds cover."""
+        service = build_service(n=128, seed=4)
+        stop = threading.Event()
+
+        def client():
+            while not stop.is_set():
+                service.lookup_batch(service.sample_ids(32))
+
+        service.start()
+        thread = threading.Thread(target=client)
+        thread.start()
+        try:
+            with activated(service.observer):
+                sim = FastSimulator.from_states(
+                    small_states(64), ProtocolConfig(), rng=np.random.default_rng(1)
+                )
+            sim.run(20)
+            assert wait_rounds(service, 3)
+        finally:
+            stop.set()
+            thread.join()
+            service.stop()
+        snapshot = service.observer.layers.snapshot()
+        totals = snapshot.totals
+        plan = totals["fast", None, "plan"]
+        assert plan.calls >= 23
+        assert snapshot.covered_s == pytest.approx(plan.busy_s)
+        assert sum(t.self_s for t in totals.values()) == pytest.approx(
+            snapshot.covered_s
+        )
+        assert all(t.self_s >= 0.0 for t in totals.values())

@@ -6,8 +6,8 @@ Covers the three tentpole pieces end to end:
   (``/metrics`` + ``/health``), the throttled convergence probes, and
   the never-perturb contract (bit-identical sharded trajectories with
   the endpoint live and scraped mid-run);
-* :mod:`repro.obs.shard` — per-shard telemetry folded into the
-  coordinator registry under ``shard=`` labels;
+* per-shard layer totals (:class:`repro.obs.spans.LayerTracer`) folded
+  into the observer's registry under ``shard=`` labels;
 * :mod:`repro.obs.phases` + ``repro obs phases`` — round-phase
   attribution over the recorded manifest, with the ≥95% gate;
 * the manifest v2 ``live`` block, and v2 as the only schema accepted.
@@ -287,7 +287,7 @@ class TestLiveDoesNotPerturb:
                                 _get(server.url + "/metrics")
                                 _get(server.url + "/health")
                 finally:
-                    server.stop()
+                    observer.close()
             return (
                 sim.state_snapshot(),
                 sim.engine.stats.totals_by_type,
@@ -432,87 +432,76 @@ class TestManifestVersions:
 
 
 # ----------------------------------------------------------------------
-# Shard telemetry: delta semantics + registry folding
+# Shard telemetry: the layer tracer's per-shard totals in the registry
 # ----------------------------------------------------------------------
+def _observed_sharded(seed: int, rounds: int):
+    """A 3-shard run under a closed observer; returns the observer."""
+    observer = Observer()
+    with activated(observer):
+        sim, _ = _sharded_sim(seed)
+    sim.run(rounds)
+    observer.close()
+    return observer, sim
+
+
 class TestShardTelemetry:
     def test_fold_accumulates_under_shard_labels(self):
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.shard import ShardTelemetrySink
-
-        registry = MetricsRegistry()
-        sink = ShardTelemetrySink(registry)
-        sink.fold(
-            0,
-            {
-                "seconds": {"lin": 0.25, "shard_route": 0.05},
-                "calls": {"lin": 10, "shard_route": 2},
-                "rows_routed": 7,
-                "rows_in": 3,
-            },
-        )
-        sink.fold(
-            0,
-            {
-                "seconds": {"lin": 0.75},
-                "calls": {"lin": 30},
-                "rows_routed": 1,
-                "rows_in": 0,
-            },
-        )
-        sink.live_nodes(0, 21)
+        observer, sim = _observed_sharded(9, 4)
+        totals = observer.layers.snapshot().totals
+        registry = observer.registry
         seconds = registry.counter("shard_phase_seconds_total")
-        assert seconds.value(shard="0", phase="lin") == pytest.approx(1.0)
-        assert seconds.value(shard="0", phase="shard_route") == pytest.approx(0.05)
-        calls = registry.counter("shard_phase_calls_total")
-        assert calls.value(shard="0", phase="lin") == 40
         routed = registry.counter("shard_rows_routed_total")
-        assert routed.value(shard="0") == 8
-        assert registry.gauge("shard_live_nodes").value(shard="0") == 21
+        delivered = registry.counter("shard_rows_delivered_total")
+        live = registry.gauge("shard_live_nodes")
+        for shard in range(3):
+            for phase in ("flush", "exchange", "dispatch", "regular"):
+                t = totals["sharded", shard, phase]
+                assert t.calls >= 4
+                assert seconds.value(shard=str(shard), phase=phase) == pytest.approx(
+                    t.self_s
+                )
+            assert routed.value(shard=str(shard)) == totals["sharded", shard, "flush"].rows
+            assert delivered.value(shard=str(shard)) == (
+                totals["sharded", shard, "exchange"].rows
+            )
+        # Every routed row is delivered to some shard; the shards' live
+        # nodes are the whole population.
+        assert routed.total() == delivered.total() > 0
+        assert sum(live.value(shard=str(s)) for s in range(3)) == len(sim.engine)
+        # The coordinator's own phases carry no shard label.
+        assert {phase for _, shard, phase in totals if shard is None} == {
+            "merge", "rng",
+        }
 
-    def test_worker_reports_are_deltas(self):
-        """Each finish_round report carries only since-last-report time,
-        so folding never double-counts: the shard-local profiler is
-        drained into the piggybacked report every round."""
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.shard import ShardTelemetrySink
-
-        sim, rng = _sharded_sim(9)
-        engine = sim.engine
-        registry = MetricsRegistry()
-        engine.shard_sink = ShardTelemetrySink(registry)
-        for _ in range(3):
-            sim.step_round()
-            # The shard-local profiler must be empty right after the
-            # round report folded, or the next fold would re-count this
-            # round's time.
-            for core in engine.cores:
-                assert core.profiler is not None
-                assert core.profiler.seconds == {}
-                assert core.profiler.calls == {}
-        seconds = registry.counter("shard_phase_seconds_total")
-        folded = sum(
-            seconds.value(shard=str(s), phase="shard_route")
-            for s in range(engine.shards)
-        )
-        assert folded > 0.0
-        # Detaching the sink switches the cores back to the untimed path.
-        engine.shard_sink = None
-        for core in engine.cores:
-            assert core.profiler is None
+    def test_shard_series_follow_the_tracer_totals(self):
+        """Publishing copies running totals: a second publish adds
+        nothing, and the next rounds advance each series to the new
+        total instead of adding it again."""
+        observer = Observer()
+        with activated(observer):
+            sim, _ = _sharded_sim(9)
+        seconds = observer.registry.counter("shard_phase_seconds_total")
+        try:
+            sim.run(3)
+            observer.publish_shards()
+            first = seconds.total()
+            observer.publish_shards()
+            assert seconds.total() == first > 0.0
+            sim.run(3)
+            observer.publish_shards()
+            totals = observer.layers.snapshot().totals
+            assert seconds.total() == pytest.approx(
+                sum(t.self_s for (_, shard, _), t in totals.items() if shard is not None)
+            )
+            assert seconds.total() > first
+        finally:
+            observer.close()
 
     def test_prometheus_text_renders_shard_series(self):
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.shard import ShardTelemetrySink
-
-        registry = MetricsRegistry()
-        sink = ShardTelemetrySink(registry)
-        sink.fold(
-            1,
-            {"seconds": {"ring": 0.5}, "calls": {"ring": 4},
-             "rows_routed": 2, "rows_in": 2},
-        )
-        text = prometheus_text(registry)
-        assert 'repro_shard_phase_seconds_total{phase="ring",shard="1"} 0.5' in text
+        observer, _ = _observed_sharded(9, 2)
+        text = prometheus_text(observer.registry)
+        assert 'repro_shard_phase_seconds_total{phase="flush",shard="1"}' in text
+        assert 'repro_shard_live_nodes{shard="2"}' in text
 
 
 # ----------------------------------------------------------------------

