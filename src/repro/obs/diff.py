@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -119,11 +120,16 @@ def _diff_section(
             row["exceeds"] = rel_threshold is not None or abs_threshold is not None
         else:
             delta = vb - va
-            rel = abs(delta) / abs(va) if va else (0.0 if not delta else float("inf"))
+            # Signed: a drop reads negative, a rise positive; the gates
+            # compare its magnitude.
+            if va:
+                rel = delta / abs(va)
+            else:
+                rel = math.copysign(float("inf"), delta) if delta else 0.0
             row["delta"] = delta
             row["rel"] = round(rel, 6)
             exceeds = False
-            if rel_threshold is not None and rel > rel_threshold:
+            if rel_threshold is not None and abs(rel) > rel_threshold:
                 # An absolute floor keeps tiny-count jitter (1 message -> 2)
                 # from tripping a purely relative gate.
                 if abs_threshold is None or abs(delta) > abs_threshold:
@@ -145,8 +151,9 @@ def diff_manifests(
     """Structured diff of two manifests.
 
     Thresholds are gating only — the full delta table is always produced.
-    With ``rel_threshold`` set, a row exceeds when its relative delta is
-    beyond it (and beyond ``abs_threshold`` too, when both are given —
+    A row's ``rel`` is its signed relative delta, ``(b - a) / |a|``: a
+    drop is negative.  With ``rel_threshold`` set, a row exceeds when the
+    magnitude of its relative delta is beyond it (and beyond ``abs_threshold`` too, when both are given —
     the absolute floor filters small-count jitter).  With only
     ``abs_threshold`` set, the absolute delta alone gates.  Rows present
     in one manifest only always exceed when any threshold is active.

@@ -9,7 +9,7 @@ Two tracers share this module and the run's epoch
   as ``span`` JSONL events) and kept in an in-memory list.
 * :class:`LayerTracer` answers "where did the round go" from *outside*
   the engines.  While an observer has a simulator attached, every
-  boundary in :data:`LAYERS` — ``Network.flush``, ``build_inbox``, each
+  boundary in :data:`LAYERS` — ``Network.flush``, ``prepare_inbox``, each
   ``Kernels`` method, the ``ShardCore`` phases, ... — is wrapped, and
   each call's busy time, *self* time (busy minus the spans opened inside
   it) and row volume are folded online into per-``(engine, shard,
@@ -161,14 +161,17 @@ _KERNELS = (
 )
 _SCHEDULERS, _ADVERSARIES = "repro.sim.schedulers", "repro.sim.adversary"
 _BATCHED, _KERNEL = "repro.sim.fast.batched", "repro.sim.fast.kernels"
+#: The batched round calls its flush stages as ``buffers`` attributes; the
+#: shard cores and the coordinator call their own imported names.
+_BUFFERS = "repro.sim.fast.buffers"
 _WIRE = "repro.sim.fast.chaos.batched"
 _SHARDED, _CORE = "repro.sim.fast.shard.engine", "repro.sim.fast.shard.core"
 
 #: Every boundary the observer times; one table per engine with what each
 #: phase holds is in docs/OBSERVABILITY.md.  A round entry point's self
 #: time is a phase of its own: ``receive`` (drain plus ``on_message``),
-#: ``plan`` (writer mask, dispatch groups, token-walk bookkeeping) and
-#: ``merge``.
+#: ``plan`` (writer mask, the delivery order where two writers meet,
+#: dispatch groups, token-walk bookkeeping) and ``merge``.
 LAYERS: tuple[Layer, ...] = (
     Layer(_SCHEDULERS, "SynchronousScheduler.execute_round", "receive", host=1),
     Layer(_SCHEDULERS, "AsyncScheduler.execute_round", "receive", host=1),
@@ -177,7 +180,8 @@ LAYERS: tuple[Layer, ...] = (
     Layer("repro.sim.network", "Network.flush", "flush", rows=lambda a, r: r),
     Layer("repro.core.node", "Node.regular_action", "regular"),
     Layer(_BATCHED, "FastEngine.execute_round", "plan", host=0),
-    Layer(_BATCHED, "build_inbox", "flush", rows=lambda a, r: len(r[0] or ())),
+    Layer(_BUFFERS, "prepare_inbox", "flush", rows=lambda a, r: len(r[0] or ())),
+    Layer(_BUFFERS, "draw_delivery_keys", "rng"),
     Layer(_WIRE, "BatchedWire.deliver", "wire"),
     Layer(_WIRE, "BatchedWire.send", "wire"),
     *(Layer(_KERNEL, f"Kernels.{name}", name, rows=_idx_rows) for name in _KERNELS),

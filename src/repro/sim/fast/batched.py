@@ -8,18 +8,24 @@ the node state (:class:`~repro.sim.fast.soa.SoAState`), the staged messages
 One round (the batched counterpart of
 ``SynchronousScheduler.execute_round``):
 
-1. **flush** — last round's outbox becomes this round's inbox: unresolvable
-   destinations dropped (and counted), optional dedup, random delivery
-   keys, wave ranks (:func:`~repro.sim.fast.buffers.build_inbox`);
+1. **flush** — last round's outbox becomes this round's prepared inbox:
+   unresolvable destinations dropped (and counted), optional dedup
+   (:func:`~repro.sim.fast.buffers.prepare_inbox`), one uniform delivery
+   key per row (:func:`~repro.sim.fast.buffers.draw_delivery_keys`);
 2. **receive** — the *writer schedule*: the only order a round owes
-   anybody is each node's own delivery order, and only a row that stores
-   into its node has to wait for the rows before it.  :func:`writer_rows`
-   marks the rows that may store (a superset, decided up front), the token
-   walk of Algorithm 4 runs first (it reads and writes ``lrl``/``age``
-   only, which nothing else in the phase steers) as one kernel call per
-   *segment* — a run of waves that holds each node at most once, usually
-   the whole round (:func:`walk_cuts`, :func:`token_draws`) — and the
-   inbox is then dispatched by ``(writers before the row in its node,
+   anybody is each node's own delivery order, ``(key, canonical
+   position)``, and only a row that stores into its node has to wait for
+   the rows before it.  :func:`receive_steps` gives every row a *step*
+   straight from the canonical rows and their keys: a node with at most
+   one row that may store (a superset, decided up front) places every
+   other row before or after that writer with one compare, and only the
+   rows of nodes where two writers may meet are sorted into delivery order
+   and counted (:func:`~repro.sim.fast.buffers.finalize_inbox`,
+   :func:`writer_rows`).  The token walk of Algorithm 4 runs first (it
+   reads and writes ``lrl``/``age`` only, which nothing else in the phase
+   steers) as one kernel call per *segment* — a run of waves that holds
+   each node at most once, usually the whole round (:func:`walk_cuts`,
+   :func:`token_draws`) — and the inbox is then dispatched by ``(step,
    type)``: a read-only group may hold a destination many times, a writer
    group holds it at most once, and either way one group is one
    vectorized kernel call (:class:`~repro.sim.fast.kernels.Kernels`,
@@ -53,6 +59,7 @@ import numpy as np
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
 from repro.ids import NEG_INF, POS_INF
+from repro.sim.fast import buffers
 from repro.sim.fast.buffers import (
     LIN,
     PROBL,
@@ -60,11 +67,16 @@ from repro.sim.fast.buffers import (
     RESLRL,
     RESRING,
     Outbox,
+    PreparedInbox,
     RoundInbox,
     _wave_check_enabled,
-    build_inbox,
     stable_order,
 )
+
+# The round calls the flush stages through ``buffers`` (a wrapper installed
+# there sees them); this name is the full-inbox composition the suite's
+# traced run (benchmarks/suite/tracing.py) still wraps here.
+from repro.sim.fast.buffers import build_inbox as build_inbox
 from repro.sim.fast.heap import apply_heap_policy
 from repro.sim.fast.kernels import Kernels
 from repro.sim.fast.predicates import SoAHost
@@ -86,6 +98,7 @@ __all__ = [
     "KERNEL_NAMES",
     "RoundPlan",
     "WaveFault",
+    "receive_steps",
     "token_draws",
     "walk_cuts",
     "writer_rows",
@@ -108,7 +121,8 @@ WaveGroup = tuple[int, np.ndarray]
 
 
 def writer_rows(inbox: RoundInbox, soa: SoAState) -> np.ndarray:
-    """Mark the inbox rows that may store into their node this round.
+    """Mark the rows of a delivery-ordered inbox that may store into their
+    node this round.
 
     A superset, decided from the start-of-round state.  Every ``reslrl``
     and ``resring`` row counts.  A ``lin``/probe row stores only when it
@@ -116,24 +130,53 @@ def writer_rows(inbox: RoundInbox, soa: SoAState) -> np.ndarray:
     once a candidate ``c`` on the right has been handled ``r <= c`` holds
     whether it was adopted or not: so such a row can adopt only if its
     payload lies strictly inside the node's gap ``(l, r)`` on its side
-    of the node's id *and* is strictly closer than every earlier such
-    payload on that side.  Candidates this does not see (a forgotten
-    link, a replaced ring edge) only tighten the gap further.
-
-    The side-aware gap test runs only on the rows whose payload lies
-    strictly inside ``(min(l, id), max(r, id))`` of their node, two
-    gathers over the whole inbox: a payload inside the gap on its side
-    lies there whatever ``l``/``r`` hold, so the prefilter drops no row
-    the test would keep.  The slots are widened to intp once, for every
-    gather (docs/PERF.md "Gather index dtype").
+    of the node's id (:func:`_gap_candidates`) *and* is strictly closer
+    than every earlier such payload on that side — a strict prefix record
+    in delivery order.  Candidates this does not see (a forgotten link, a
+    replaced ring edge) only tighten the gap further.  A node's first
+    candidate on a side is always a record, so a node's lone candidate
+    always stores; :func:`receive_steps` leans on that and runs this only
+    on the rows of nodes with two or more rows that may store.
     """
     tcode = inbox.tcode
-    a = inbox.a
     writer = (tcode == RESLRL) | (tcode == RESRING)
+    idx = inbox.dest_idx.astype(np.intp)
+    rows, right = _gap_candidates(idx, tcode, inbox.a, soa)
+    if len(rows) == 0:
+        return writer
+    idx, a = idx[rows], inbox.a[rows]
+    # Strict prefix records per (node, side) in one running minimum: the
+    # right-hand candidates in inbox order, then the left-hand ones, each
+    # keyed by its dense closeness rank under a head that falls from one
+    # node to the next, so a new node always undercuts the minimum so far.
+    sel = np.concatenate((np.flatnonzero(right), np.flatnonzero(~right)))
+    closeness = np.unique(np.where(right, a, -a)[sel], return_inverse=True)[1]
+    nodes = int(idx[-1]) + 1
+    head = (nodes * right[sel] + (nodes - 1)) - idx[sel]
+    packed = (head << np.int64(len(sel).bit_length())) | closeness
+    record = np.ones(len(sel), dtype=bool)
+    np.less(packed[1:], np.minimum.accumulate(packed)[:-1], out=record[1:])
+    writer[rows[sel[record]]] = True
+    return writer
+
+
+def _gap_candidates(
+    idx: np.ndarray, tcode: np.ndarray, a: np.ndarray, soa: SoAState
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``lin``/probe rows whose payload lies strictly inside their
+    node's gap on its side, ascending, and whether that side is the right.
+
+    Order-free: it reads each row and its node's start-of-round links
+    only.  The side-aware test runs only on the rows whose payload lies
+    strictly inside ``(min(l, id), max(r, id))`` of their node, two
+    gathers over every row: a payload inside the gap on its side lies
+    there whatever ``l``/``r`` hold, so the prefilter drops no row the
+    test would keep.  *idx* are the rows' slots, widened to intp for the
+    gathers (docs/PERF.md "Gather index dtype").
+    """
     n = soa.size
     low = np.minimum(soa.l[:n], soa.ids[:n])
     high = np.maximum(soa.r[:n], soa.ids[:n])
-    idx = inbox.dest_idx.astype(np.intp)
     near = a > low[idx]
     near &= a < high[idx]
     rows = np.flatnonzero(near)
@@ -150,22 +193,138 @@ def writer_rows(inbox: RoundInbox, soa: SoAState) -> np.ndarray:
         (a > soa.l[idx]) & (a < own) & (lin | (tcode == PROBL)),
     )
     keep = np.flatnonzero(inside)
-    if len(keep) == 0:
-        return writer
-    rows, idx, a, right = rows[keep], idx[keep], a[keep], right[keep]
-    # Strict prefix records per (node, side) in one running minimum: the
-    # right-hand candidates in inbox order, then the left-hand ones, each
-    # keyed by its dense closeness rank under a head that falls from one
-    # node to the next, so a new node always undercuts the minimum so far.
-    sel = np.concatenate((np.flatnonzero(right), np.flatnonzero(~right)))
-    closeness = np.unique(np.where(right, a, -a)[sel], return_inverse=True)[1]
-    nodes = int(idx[-1]) + 1
-    head = (nodes * right[sel] + (nodes - 1)) - idx[sel]
-    packed = (head << np.int64(len(sel).bit_length())) | closeness
-    record = np.ones(len(sel), dtype=bool)
-    np.less(packed[1:], np.minimum.accumulate(packed)[:-1], out=record[1:])
-    writer[rows[sel[record]]] = True
-    return writer
+    return rows[keep], right[keep]
+
+
+def receive_steps(
+    pre: PreparedInbox, keys: np.ndarray, soa: SoAState, *, planned: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Each prepared row's dispatch step, the writer mask and the wave of
+    each ``reslrl`` row, from the canonical rows and their delivery keys.
+
+    A node takes its rows in ``(key, canonical position)`` order, and a
+    row's step is ``2 * (writers before it in its node) + (is it a
+    writer)``: ascending steps preserve what each row reads of its node.
+    Without *planned* every row is a writer; with it the rows that may
+    store are every ``reslrl`` and ``resring`` row and the gap candidates
+    (:func:`_gap_candidates`).  A node with at most one of those is
+    planned with one compare per row: that row is its one writer
+    (a lone candidate is its side's first record, :func:`writer_rows`),
+    step 1; any other row of the node is step 0 or 2 as its ``(key,
+    position)`` falls before or after the writer's; and a ``reslrl``
+    writer's wave is the number of its node's rows ahead of it.  That is
+    exactly what the delivery order would give them.  Only the rows of
+    nodes with two or more rows that may store are sorted into delivery
+    order (:func:`~repro.sim.fast.buffers.finalize_inbox`), marked by
+    :func:`writer_rows` (*planned*) and stepped by the segmented count;
+    their ``reslrl`` rows take their delivery rank as wave.  Steps are
+    int32, the mask is ``None`` without *planned*, waves are int32 in
+    ``reslrl`` ordinal order.
+    """
+    count = len(pre)
+    lo = pre.res_lo
+    hi = lo + pre.n_res
+    idx = pre.dest_idx.astype(np.intp)
+    if planned:
+        candidates, _ = _gap_candidates(idx, pre.tcode, pre.a, soa)
+        may = np.concatenate(
+            (np.flatnonzero(pre.tcode == RESRING), candidates, np.arange(lo, hi))
+        )
+        del candidates
+    else:
+        may = np.arange(count)
+    node_of = idx[may]
+    shared = np.bincount(node_of, minlength=soa.size) > 1
+    alone = ~shared[node_of]
+    lone, lone_slots = may[alone], node_of[alone]
+    del may, node_of, alone
+    sub = np.flatnonzero(shared[idx])
+    del shared
+
+    # One writer a node: every other row is before or after it.
+    top = np.iinfo(np.int64).max if keys.dtype == np.int64 else np.inf
+    writer_key = np.full(soa.size, top, dtype=keys.dtype)
+    writer_key[lone_slots] = keys[lone]
+    near = writer_key[idx]
+    after = keys > near
+    ties = np.flatnonzero(keys == near)  # every writer, and equal keys
+    del near, writer_key
+    writer_row = np.zeros(soa.size, dtype=np.intp)
+    writer_row[lone_slots] = lone
+    after[ties] = ties > writer_row[idx[ties]]
+    del ties, writer_row, idx
+    writer = None
+    wave = np.zeros(hi - lo, dtype=np.int32)
+    if planned:
+        writer = np.zeros(count, dtype=bool)
+        writer[lone] = True
+        # Under dedup the reslrl block is the suffix and the rows before it
+        # are slot-major (prepare_inbox's canonical order): a lone token's
+        # node holds its other rows in one run there, and the token's wave
+        # is the number of that run's rows not after it.
+        single = pre.dest_idx[:lo]
+        if lo:
+            runs = np.flatnonzero(np.diff(single, prepend=-1))
+            ahead = np.zeros(soa.size, dtype=np.int32)
+            ahead[single[runs]] = np.diff(runs, append=lo) - np.add.reduceat(
+                after[:lo], runs, dtype=np.int32
+            )
+            wave = ahead[pre.dest_idx[lo:hi]]
+            del runs, ahead
+        del single
+    step = after.astype(np.int32)
+    del after
+    step <<= 1
+    step[lone] = 1
+    del lone, lone_slots
+
+    # Two or more: the delivery order of those nodes' rows.
+    if len(sub):
+        first, end = np.searchsorted(sub, (lo, hi))
+        res = sub[first:end] - lo
+        ordered = buffers.finalize_inbox(
+            PreparedInbox(
+                dest_idx=pre.dest_idx[sub],
+                tcode=pre.tcode[sub],
+                a=pre.a[sub],
+                b=pre.b[res],
+                c=pre.c[res],
+                n_res=len(res),
+                packed_ok=pre.packed_ok,
+            ),
+            keys[sub],
+        )
+        del res
+        rows = sub[ordered.position]
+        del sub
+        marked = (
+            writer_rows(ordered, soa)
+            if planned
+            else np.ones(len(rows), dtype=bool)
+        )
+        counted = np.cumsum(marked, dtype=np.int32)
+        counted -= marked
+        first_row = np.arange(len(rows), dtype=np.intp)
+        first_row -= ordered.rank
+        counted -= counted[first_row]
+        counted *= 2
+        counted += marked
+        step[rows] = counted
+        if writer is not None:
+            writer[rows] = marked
+        tokens = ordered.tcode == RESLRL
+        wave[rows[tokens] - lo] = ordered.rank[tokens]
+    if __debug__ and _wave_check_enabled():
+        # What every storing kernel relies on: within one writer step
+        # each destination slot appears at most once.
+        stores = slice(None) if writer is None else writer
+        packed = step[stores] * np.int64(int(pre.dest_idx.max()) + 1)
+        packed += pre.dest_idx[stores]
+        assert np.unique(packed).size == packed.size, (
+            "writer precondition violated: a destination repeats "
+            "within one writer step"
+        )
+    return step, writer, wave
 
 
 def walk_cuts(slots: np.ndarray, wave: np.ndarray) -> np.ndarray:
@@ -219,14 +378,16 @@ def token_draws(
 class RoundPlan:
     """One round's receive phase, scheduled (:meth:`FastEngine._plan_round`)."""
 
-    inbox: RoundInbox
+    #: The round's rows in canonical order; group, walk and token rows are
+    #: positions in it.
+    inbox: PreparedInbox
     #: Dispatch units in dispatch order, their rows held as int32.
     groups: list[WaveGroup]
     #: Per inbox row, whether it may store; ``None`` is "every row may".
     writer: np.ndarray | None
     #: The token walk: the ``reslrl`` rows in draw order, and the wave each
-    #: is drawn in (ascending) — its wave rank under the writer schedule,
-    #: the position of its group among the dispatched ``reslrl`` groups
+    #: is drawn in (ascending) — its wave under the writer schedule, the
+    #: position of its group among the dispatched ``reslrl`` groups
     #: otherwise.
     walk: np.ndarray
     walk_wave: np.ndarray
@@ -234,10 +395,11 @@ class RoundPlan:
     walk_token: np.ndarray
     #: Waves at which a segment of the walk starts, the first excepted.
     cuts: np.ndarray
-    #: The inbox's ``reslrl`` rows, ascending (``flatnonzero(tcode ==
-    #: RESLRL)``): a row's position here is its reslrl ordinal, which
-    #: indexes ``inbox.b``/``inbox.c`` and the three token columns below.
-    tokens: np.ndarray
+    #: The position of the inbox's first ``reslrl`` row: its ``reslrl``
+    #: rows are one block, so a row's reslrl ordinal — which indexes
+    #: ``inbox.b``/``inbox.c`` and the three token columns below — is its
+    #: offset into it (:attr:`PreparedInbox.res_lo`).
+    res_lo: int
     #: Per token: its slot and the slot's start-of-round ``lrl``.
     token_slots: np.ndarray
     token_lrl0: np.ndarray
@@ -268,7 +430,7 @@ class RoundPlan:
 
     def ordinals(self, rows: np.ndarray) -> np.ndarray:
         """The reslrl ordinals of the ``reslrl`` inbox *rows*."""
-        return np.searchsorted(self.tokens, rows)
+        return rows - self.res_lo
 
 
 class WaveFault(Protocol):
@@ -428,119 +590,109 @@ class FastEngine(SoAHost):
         else:
             chunks, lost = wire.deliver(self.soa)
             self.dropped += lost
-        inbox, dropped = build_inbox(chunks, self.soa.lookup, rng, dedup=self.dedup)
+        pre, dropped = buffers.prepare_inbox(
+            chunks, self.soa.lookup, dedup=self.dedup
+        )
         # Last round's staged arrays die here, not at the end of this round.
         del chunks
         self.dropped += dropped
-        if inbox is not None:
-            plan = self._plan_round(inbox)
+        if pre is not None:
+            keys = buffers.draw_delivery_keys(rng, len(pre), packed_ok=pre.packed_ok)
+            plan = self._plan_round(pre, keys)
+            del pre, keys
             self._walk(plan, rng)
             self._run_groups(plan)
             # The regular action reads nothing of the round's inbox.
-            del plan, inbox
+            del plan
         self._run_regular(rng)
         self.outbox.flush_stats()
         if wire is not None:
             self.dropped += wire.send(self.outbox.take_all(), self.soa)
 
-    def _plan_round(self, inbox: RoundInbox) -> RoundPlan:
-        """Schedule *inbox*: writer mask, dispatch groups, token walk.
+    def _plan_round(self, pre: PreparedInbox, keys: np.ndarray) -> RoundPlan:
+        """Schedule the prepared rows *pre* under their delivery *keys*:
+        writer mask, dispatch groups, token walk.
 
         One schedule, read off the engine once per round.  Writers are
         planned only where staging order cannot show: the inbox dedups, no
         :class:`WaveFault` rewrites the dispatch and no wire consumes the
         staged frames (its fault executors draw per frame).  Otherwise every
-        row counts as a writer, which groups the inbox by ``(wave, type)``;
-        the token walk then takes its waves from the (rewritten) group list.
+        row counts as a writer, which groups the inbox by ``(wave, type)``
+        in delivery order; the token walk then takes its waves from the
+        (rewritten) group list.  Neither reads *keys* afterwards.
         """
         fault = self._wave_fault
-        writer = None
-        if self.dedup and fault is None and self.wire is None:
-            writer = writer_rows(inbox, self.soa)
-        groups = self._wave_groups(inbox, writer)
-        tokens = np.flatnonzero(inbox.tcode == RESLRL)
+        planned = self.dedup and fault is None and self.wire is None
+        step, writer, token_wave = receive_steps(pre, keys, self.soa, planned=planned)
+        groups = self._wave_groups(step, pre.tcode, None if planned else pre.dest_idx)
+        del step
+        res_lo = pre.res_lo
         if fault is not None:
             groups, starved = fault.rewrite(groups)
             for code, rows in starved:
-                self._defer_rows(code, inbox, rows, tokens)
+                self._defer_rows(code, pre, rows, res_lo)
         if writer is None:
             batches = [rows for code, rows in groups if code == RESLRL]
-            walk = np.concatenate([tokens[:0], *batches], dtype=np.intp)
+            walk = np.concatenate([np.empty(0, dtype=np.intp), *batches], dtype=np.intp)
             walk_wave = np.repeat(
                 np.arange(len(batches)), [len(rows) for rows in batches]
             )
-            walk_token = np.searchsorted(tokens, walk)
+            walk_token = walk - res_lo
         else:
             # The draw order of a wave-by-wave dispatch: ascending waves,
-            # inbox order within a wave.
-            walk_token, walk_wave = stable_order(
-                inbox.rank[tokens], inbox.n_waves.bit_length()
-            )
-            walk = tokens[walk_token]
-        slots = inbox.dest_idx[tokens].astype(np.intp)
+            # slot order (the reslrl block's order) within a wave.
+            top = int(token_wave.max()) if len(token_wave) else 0
+            walk_token, walk_wave = stable_order(token_wave, top.bit_length())
+            walk = walk_token + res_lo
+        slots = pre.dest_idx[res_lo : res_lo + pre.n_res].astype(np.intp)
         return RoundPlan(
-            inbox=inbox,
+            inbox=pre,
             groups=groups,
             writer=writer,
             walk=walk,
             walk_wave=walk_wave,
             walk_token=walk_token,
-            cuts=walk_cuts(inbox.dest_idx[walk], walk_wave),
-            tokens=tokens,
+            cuts=walk_cuts(pre.dest_idx[walk], walk_wave),
+            res_lo=res_lo,
             token_slots=slots,
             token_lrl0=self.soa.lrl[slots],
-            token_lrl=np.empty(len(tokens), dtype=np.float64),
-            token_forgot=np.empty(len(tokens), dtype=np.float64),
+            token_lrl=np.empty(pre.n_res, dtype=np.float64),
+            token_forgot=np.empty(pre.n_res, dtype=np.float64),
         )
 
     @staticmethod
     def _wave_groups(
-        inbox: RoundInbox, writer: np.ndarray | None = None
+        step: np.ndarray, tcode: np.ndarray, slots: np.ndarray | None = None
     ) -> list[WaveGroup]:
-        """The round's dispatch units in canonical order.
+        """The round's dispatch units in canonical order: the rows grouped
+        by ``(step, type)`` (:func:`receive_steps`), one sort of canonical
+        positions.
 
-        Every row gets the step ``2 * (writers before it in its node's
-        segment) + (is it a writer)`` and rows are grouped by ``(step,
-        type)``: ascending steps preserve what each row reads of its node
-        — everything the writers before it stored, nothing of the writers
-        after it.  An odd step holds a node at most once; an even step is
-        read-only, so a node may repeat in it.  Without a mask every row
-        is a writer: step orders as the wave rank, and the groups are the
-        ``(wave, type)`` groups of unique destinations.  Counts, steps and
-        the group keys are int32, like the inbox's slots and ranks; each
-        row's segment start, which indexes, is intp.  The group keys sort
-        as int32 words (:func:`stable_order`) while the largest key present
-        and the row positions fit 31 bits together.  The groups' rows are
-        int32 too: the plan holds them through the round, and
-        :meth:`_run_groups` widens each group as it dispatches it.
+        An odd step holds a node at most once; an even step is read-only,
+        so a node may repeat in it, in canonical order.  With *slots*
+        (every row a writer: step orders as the wave rank) the rows of a
+        group are taken slot-ascending, their delivery order, since
+        without dedup the order a group stages its sends in is the next
+        round's order.  *step* is consumed: the group key ``step * 8 +
+        type`` is built in it.  The keys sort as int32 words
+        (:func:`stable_order`) while the largest key present and the row
+        positions fit 31 bits together.  The groups' rows are int32: the
+        plan holds them through the round, and :meth:`_run_groups` widens
+        each group as it dispatches it.
         """
-        count = len(inbox)
-        if writer is None:
-            writer = np.ones(count, dtype=bool)
-        step = np.cumsum(writer, dtype=np.int32)
-        step -= writer
-        first = np.arange(count, dtype=np.intp)
-        first -= inbox.rank
-        step -= step[first]
-        del first
-        step *= 2
-        step += writer
-        if __debug__ and _wave_check_enabled():
-            # What every storing kernel relies on: within one writer step
-            # each destination slot appears at most once.
-            packed = step[writer] * np.int64(int(inbox.dest_idx[-1]) + 1)
-            packed += inbox.dest_idx[writer]
-            assert np.unique(packed).size == packed.size, (
-                "writer precondition violated: a destination repeats "
-                "within one writer step"
-            )
-        # The group key ``step * 8 + type``, built in place.
         step *= 8
-        step += inbox.tcode
-        order, sorted_keys = stable_order(
-            step, int(step.max()).bit_length(), np.int32
-        )
+        step += tcode
+        key, bits, shift = step, int(step.max()).bit_length(), 0
+        if slots is not None:
+            shift = int(slots.max()).bit_length()
+            key = step.astype(np.int64) << np.int64(shift)
+            key |= slots
+            bits += shift
         del step
+        order, sorted_keys = stable_order(key, bits, np.int32)
+        del key
+        if shift:
+            sorted_keys >>= shift
         cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
         bounds = [0, *cuts.tolist(), len(order)]
         codes = (sorted_keys[bounds[:-1]] & 7).tolist()
@@ -722,22 +874,22 @@ class FastEngine(SoAHost):
         self._wave_fault = fault
 
     def _defer_rows(
-        self, code: int, inbox: RoundInbox, rows: np.ndarray, tokens: np.ndarray
+        self, code: int, pre: PreparedInbox, rows: np.ndarray, res_lo: int
     ) -> None:
         """Push starved inbox rows back into the outbox, uncounted.
 
         The deferred rows re-enter next round's inbox exactly as if their
         senders' messages had arrived one round late; their original sends
         were already counted, so :meth:`Outbox.restage` skips the stats.
-        A ``reslrl`` row takes its ids from its reslrl ordinal, its
-        position in *tokens* (the inbox's ``reslrl`` rows, ascending).
+        A ``reslrl`` row takes its ids from its reslrl ordinal, its offset
+        from *res_lo* (the ``reslrl`` block's first row).
         """
         rows = rows.astype(np.intp)
-        dest = self.soa.ids[inbox.dest_idx[rows].astype(np.intp)]
-        a = inbox.a[rows]
+        dest = self.soa.ids[pre.dest_idx[rows].astype(np.intp)]
+        a = pre.a[rows]
         if code == RESLRL:
-            token = np.searchsorted(tokens, rows)
-            self.outbox.restage(code, dest, a, inbox.b[token], inbox.c[token])
+            token = rows - res_lo
+            self.outbox.restage(code, dest, a, pre.b[token], pre.c[token])
         else:
             self.outbox.restage(code, dest, a)
 

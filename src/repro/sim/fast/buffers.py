@@ -5,8 +5,8 @@ dataclass per send and drains them one at a time.  The batched engine
 never materializes message objects on the hot path: a send is an *array
 append* — ``(destination ids, payload columns)`` chunks accumulated per
 message type in an :class:`Outbox` — and a round's inbox is the
-concatenation of last round's chunks, deduplicated and ordered in bulk
-(:func:`build_inbox`).
+concatenation of last round's chunks, resolved and deduplicated in bulk
+(:func:`prepare_inbox`) and keyed for delivery (:func:`draw_delivery_keys`).
 
 Wire format: every message is a row ``(dest, a)`` where ``a`` is the
 single payload identifier for the six single-id types; a ``reslrl`` row
@@ -23,11 +23,15 @@ length, with ``0.0`` on every other row.
 Delivery-order model: the reference channel hands each node a uniformly
 random permutation of its pending messages, which the receive action then
 processes *sequentially*.  The batched equivalent keys every delivered
-message with one uniform draw, sorts by ``(destination, key)``, and
-processes the inbox in **waves**: wave *k* holds each destination's
-(k+1)-th message, so within a wave every destination appears at most once
-and all handlers vectorize without read/write hazards; across waves the
-per-node sequential semantics are preserved.  See docs/PERF.md.
+message with one uniform draw (:func:`draw_delivery_keys`): a node takes
+its rows in ``(key, canonical position)`` order.  The round never sorts
+its whole inbox by that order.  A node with at most one row that may
+store into it places every other row against that one *writer* with one
+compare; only the rows of nodes where two writers may meet go through
+:func:`finalize_inbox`, which sorts them by ``(destination, key)`` and
+ranks them in **waves** — wave *k* holds each destination's (k+1)-th
+message, so within a wave every destination appears at most once
+(``repro.sim.fast.batched``, docs/PERF.md §2).
 """
 
 from __future__ import annotations
@@ -553,11 +557,14 @@ def _payload_code(bits: np.ndarray, code_bits: int) -> np.ndarray:
 
 @dataclass
 class RoundInbox:
-    """One round's deliverable messages, ordered for wave processing.
+    """Prepared rows in delivery order, ranked in waves (:func:`finalize_inbox`).
 
     Rows are sorted by ``(dest_idx, uniform key)``; ``rank`` is each row's
     position within its destination's segment, so ``rank == k`` selects
-    wave *k* (at most one message per destination).  ``dest_idx`` and
+    wave *k* (at most one message per destination), and ``position`` is
+    each row's position in the prepared inbox it was ordered from.  The
+    batched round orders only the rows of its nodes where two writers may
+    meet this way (``repro.sim.fast.batched.receive_steps``).  ``dest_idx`` and
     ``rank`` are *held* as int32 — the slot-count and wave-count ceilings
     are far below 2^31, and at 2^18 nodes the narrower columns are a real
     slice of the round's peak RSS — but numpy gathers through an int32
@@ -576,6 +583,7 @@ class RoundInbox:
     c: np.ndarray
     rank: np.ndarray
     n_waves: int
+    position: np.ndarray
 
     def __len__(self) -> int:
         return len(self.dest_idx)
@@ -614,6 +622,15 @@ class PreparedInbox:
 
     def __len__(self) -> int:
         return len(self.dest_idx)
+
+    @property
+    def res_lo(self) -> int:
+        """Position of the ``reslrl`` block's first row: a row's reslrl
+        ordinal is its position less this.  The block is the suffix under
+        ``dedup`` and whenever no higher type follows it."""
+        if self.n_res == 0 or self.tcode[-1] == RESLRL:
+            return len(self) - self.n_res
+        return int(np.argmax(self.tcode == RESLRL))
 
 
 def prepare_inbox(
@@ -726,6 +743,10 @@ def draw_delivery_keys(
 def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
     """Order prepared rows by ``(dest, key)`` and assign wave ranks.
 
+    The batched round hands it only the rows of its nodes where two
+    writers may meet (``repro.sim.fast.batched.receive_steps``); the
+    oracles and :func:`build_inbox` hand it a whole inbox.
+
     *keys* aligns with *pre*'s canonical row order — either 42-bit int64
     draws (requires ``pre.packed_ok``) or float64 (key pass, then
     destination pass).  Key ties fall back to canonical position order:
@@ -777,7 +798,6 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
         del src
     _consume(pre, "b")
     _consume(pre, "c")
-    del order
 
     count = len(dest_idx)
     boundary = np.empty(count, dtype=bool)
@@ -806,6 +826,7 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
         c=c,
         rank=rank,
         n_waves=n_waves,
+        position=order,
     )
 
 
@@ -825,8 +846,11 @@ def build_inbox(
     """Assemble the round's inbox from last round's staged chunks.
 
     The composition :func:`prepare_inbox` → :func:`draw_delivery_keys` →
-    :func:`finalize_inbox`; the split stages exist so the sharded engine
-    can interpose the coordinator's key draw between them.
+    :func:`finalize_inbox` over the whole inbox, in the stream position
+    the rounds draw their keys at.  The rounds themselves stop after the
+    draw and order only the rows where two writers meet
+    (``repro.sim.fast.batched``); this full-inbox composition is the
+    delivery order the tests hold their schedules against.
 
     Parameters
     ----------

@@ -258,7 +258,7 @@ class BatchedWire(Wire[BatchedGuard]):
     # ------------------------------------------------------------------
     def deliver(self, soa: SoAState) -> tuple[list, int]:
         """Advance the wire clock and collect this tick's deliveries as
-        outbox-shaped chunks for ``build_inbox``; also returns the
+        outbox-shaped chunks for ``prepare_inbox``; also returns the
         payloads that died on arrival (their destination departed)."""
         dropped = 0
         self._tick += 1
@@ -307,7 +307,7 @@ class BatchedWire(Wire[BatchedGuard]):
                 dropped += len(env)
 
         # Plain messages: membership is re-checked (and drops counted)
-        # by build_inbox's lookup, like Network._enqueue.
+        # by prepare_inbox's lookup, like Network._enqueue.
         msg_rows = due.kind == KIND_MESSAGE
         if msg_rows.any():
             msgs = due.take(msg_rows)
@@ -439,7 +439,7 @@ class BatchedWire(Wire[BatchedGuard]):
 
 def _rows_by_code(rows: WireRows):
     """Yield ``(code, dest, a, b, c)`` per message type present in *rows*
-    (outbox-chunk shape, ready for ``build_inbox``)."""
+    (outbox-chunk shape, ready for ``prepare_inbox``)."""
     if len(rows) == 0:
         return
     for code in np.unique(rows.tcode):

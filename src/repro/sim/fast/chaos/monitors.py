@@ -12,7 +12,7 @@ same predicates directly on a fast engine so
 * :func:`engine_check_invariants` — the model invariants of §III with the
   same :class:`~repro.sim.invariants.InvariantViolation` messages, minus
   the per-channel dedup clause (the batched engines hold no channels
-  between rounds; staged dedup happens in ``build_inbox``).
+  between rounds; staged dedup happens in ``prepare_inbox``).
 
 Computation is the numpy union–find of
 :func:`~repro.sim.fast.predicates.weak_component_count` over

@@ -14,8 +14,9 @@ the unsharded round into phases it can interleave across shards:
    owning shard (the boundary-outbox exchange payload);
 2. :meth:`prepare_round` — build the canonical pre-inbox from local +
    received rows and report its row counts;
-3. :meth:`start_round` — apply the coordinator's delivery-key slice and
-   schedule the inbox (:meth:`FastEngine._plan_round`), reporting the
+3. :meth:`start_round` — schedule the prepared inbox under the
+   coordinator's delivery-key slice (:meth:`FastEngine._plan_round`, the
+   batched engine's one planner), reporting the
    span of waves that holds this block's ``reslrl`` rows and the waves at
    which its token walk cuts a segment;
 4. :meth:`reslrl_count` / :meth:`reslrl_apply` — the token walk, one
@@ -43,9 +44,12 @@ from repro.sim.fast.buffers import (
     RESLRL,
     PreparedInbox,
     _col,
-    finalize_inbox,
     prepare_inbox,
 )
+
+# The plan orders its subset through ``buffers.finalize_inbox``; the
+# suite's traced run (benchmarks/suite/tracing.py) still wraps this name.
+from repro.sim.fast.buffers import finalize_inbox as finalize_inbox
 from repro.sim.fast.shard.partition import owner_of
 from repro.sim.fast.soa import SoAState
 from repro.sim.metrics import MessageStats
@@ -165,7 +169,7 @@ class ShardCore(FastEngine):
     def start_round(
         self, keys: np.ndarray
     ) -> tuple[int, int, np.ndarray] | None:
-        """Finalize the inbox with the coordinator's key slice; schedule it.
+        """Schedule the prepared inbox under the coordinator's key slice.
 
         *keys* aligns with this shard's canonical row order (non-reslrl
         block, then reslrl block).  Returns ``(first, end, cuts)`` — the
@@ -178,7 +182,7 @@ class ShardCore(FastEngine):
         self._plan = None
         if pre is None:
             return None
-        plan = self._plan = self._plan_round(finalize_inbox(pre, keys))
+        plan = self._plan = self._plan_round(pre, keys)
         if not self.kernels.maf or len(plan.walk) == 0:
             return None
         return int(plan.walk_wave[0]), int(plan.walk_wave[-1]) + 1, plan.cuts

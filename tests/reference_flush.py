@@ -2,8 +2,9 @@
 serving hop kernel.
 
 The comparison-sort bodies that :func:`repro.sim.fast.buffers.prepare_inbox`,
-:func:`~repro.sim.fast.buffers.finalize_inbox`,
-:meth:`repro.sim.fast.batched.FastEngine._wave_groups` and
+:func:`~repro.sim.fast.buffers.finalize_inbox`, the dispatch grouping of
+the batched round (:func:`repro.sim.fast.batched.receive_steps`, over a
+whole delivery-ordered inbox) and
 :func:`repro.serve.routing.route_batch` had before the packed-key value
 sorts and the table-driven hop loop replaced them.  They are kept here,
 and only here, as the executable definition of "the same permutation a
@@ -216,13 +217,30 @@ def finalize_inbox_reference(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox
         c=reslrl_only(tcode, c),
         rank=rank,
         n_waves=int(rank.max()) + 1,
+        position=order,
     )
 
 
-def wave_groups_reference(inbox: RoundInbox) -> list[tuple[int, np.ndarray]]:
-    """Stable ``argsort`` of ``rank * 8 + tcode``; the rows int32, as the
-    engine's plan holds them."""
-    group = inbox.rank.astype(np.int64) * 8 + inbox.tcode
+def wave_groups_reference(
+    inbox: RoundInbox, writer: np.ndarray | None = None
+) -> list[tuple[int, np.ndarray]]:
+    """Stable ``argsort`` of ``step * 8 + tcode`` over the delivery-ordered
+    *inbox*; the rows int32, as the engine's plan holds them.
+
+    A row's step is ``2 * (writers before it in its node) + (is it a
+    writer)``, counted row by row; without *writer* every row is one, and
+    the step orders as the wave rank.
+    """
+    if writer is None:
+        writer = np.ones(len(inbox), dtype=bool)
+    step = np.zeros(len(inbox), dtype=np.int64)
+    before = 0
+    for row in range(len(inbox)):
+        if inbox.rank[row] == 0:
+            before = 0
+        step[row] = 2 * before + int(writer[row])
+        before += int(writer[row])
+    group = step * 8 + inbox.tcode
     order = np.argsort(group, kind="stable").astype(np.int32)
     sorted_keys = group[order]
     starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
@@ -266,19 +284,18 @@ def walk_tokens_reference(engine, plan, rng: np.random.Generator) -> None:
     """``FastEngine``'s token walk one wave at a time.
 
     The waves are the ``reslrl`` groups of the dispatch list where every
-    row is a writer, else the ``reslrl`` rows by ascending wave rank,
-    inbox order within a wave; each is one ``move_forget`` call that
-    filters validity against the walk so far and draws its own coins.
+    row is a writer, else the walk's rows by wave (their delivery ranks,
+    which ``tests/test_flush_reference.py`` holds against
+    :func:`finalize_inbox_reference`); each is one ``move_forget`` call
+    that filters validity against the walk so far and draws its own coins.
     """
     inbox = plan.inbox
     if plan.writer is None:
         batches = [rows for code, rows in plan.groups if code == RESLRL]
     else:
-        tokens = np.flatnonzero(inbox.tcode == RESLRL)
-        order = np.argsort(inbox.rank[tokens], kind="stable")
-        ranks = inbox.rank[tokens][order]
-        cuts = np.flatnonzero(ranks[1:] != ranks[:-1]) + 1
-        batches = np.split(tokens[order], cuts) if len(tokens) else []
+        waves = plan.walk_wave
+        cuts = np.flatnonzero(waves[1:] != waves[:-1]) + 1
+        batches = np.split(plan.walk, cuts) if len(waves) else []
     kernel = engine.kernels.move_forget
     b = full_length(inbox.tcode, inbox.b)
     c = full_length(inbox.tcode, inbox.c)

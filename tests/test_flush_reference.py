@@ -22,14 +22,13 @@ from hypothesis import strategies as st
 from repro.core.protocol import ProtocolConfig
 from repro.serve.routing import RouteView, hop_dtype, route_batch
 from repro.sim.fast import buffers
-from repro.sim.fast.batched import FastEngine
+from repro.sim.fast.batched import FastEngine, receive_steps
 from repro.sim.fast.buffers import (
     LIN,
     PROBR,
     RESLRL,
     Outbox,
     PreparedInbox,
-    build_inbox,
     finalize_inbox,
     prepare_inbox,
     stable_order,
@@ -389,13 +388,24 @@ def test_finalize_inbox_without_key_bits(monkeypatch, k) -> None:
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_wave_groups_match_reference(rows, dedup, seed) -> None:
-    inbox, _ = build_inbox(
-        make_chunks(rows), make_soa().lookup, np.random.default_rng(seed), dedup=dedup
-    )
-    if inbox is None:
+    """Every row a writer, the planner's ``(step, type)`` groups are the
+    ``(wave, type)`` groups of the whole inbox in delivery order, each
+    group's rows in that order, as canonical positions."""
+    soa = make_soa()
+    pre, _ = prepare_inbox(make_chunks(rows), soa.lookup, dedup=dedup)
+    if pre is None:
         return
-    expected = wave_groups_reference(inbox)
-    got = FastEngine._wave_groups(inbox)
+    keys = buffers.draw_delivery_keys(
+        np.random.default_rng(seed), len(pre), packed_ok=pre.packed_ok
+    )
+    inbox = finalize_inbox_reference(pre, keys)
+    expected = [
+        (code, inbox.position[rows].astype(np.int32))
+        for code, rows in wave_groups_reference(inbox)
+    ]
+    step, writer, _ = receive_steps(pre, keys, soa, planned=False)
+    assert writer is None
+    got = FastEngine._wave_groups(step, pre.tcode, pre.dest_idx)
     assert [code for code, _ in got] == [code for code, _ in expected]
     for (_, got_rows), (code, expected_rows) in zip(got, expected):
         assert_same_array(got_rows, expected_rows, f"rows of type {code}")

@@ -57,9 +57,10 @@ KERNELS = (
 @pytest.mark.parametrize("engine", ["fast", "sharded"])
 def test_slots_index_as_intp_and_are_held_as_int32(monkeypatch, engine) -> None:
     """Twelve cold rounds at n = 512: every kernel's ``idx``, the walk and
-    its slots are intp; every prepared and round inbox keeps ``dest_idx``
-    and ``rank`` in int32, and the plan holds its dispatch groups' rows in
-    int32 (widened group by group as they dispatch)."""
+    its slots are intp; every prepared inbox and every delivery-ordered
+    subset keeps ``dest_idx`` and ``rank`` in int32, and the plan holds its
+    dispatch groups' rows in int32 (widened group by group as they
+    dispatch)."""
     seen: dict[str, set[np.dtype]] = {}
 
     def record(what: str, array: np.ndarray) -> None:
@@ -85,12 +86,19 @@ def test_slots_index_as_intp_and_are_held_as_int32(monkeypatch, engine) -> None:
     monkeypatch.setattr(buffers, "prepare_inbox", checked_prepare)
     monkeypatch.setattr(shard_core, "prepare_inbox", checked_prepare)
 
-    plan_round = FastEngine._plan_round
+    finalize = buffers.finalize_inbox
 
-    def checked_plan(self, inbox):
-        plan = plan_round(self, inbox)
+    def checked_finalize(pre, keys):
+        inbox = finalize(pre, keys)
         record("round dest_idx", inbox.dest_idx)
         record("round rank", inbox.rank)
+        return inbox
+
+    monkeypatch.setattr(buffers, "finalize_inbox", checked_finalize)
+    plan_round = FastEngine._plan_round
+
+    def checked_plan(self, pre, keys):
+        plan = plan_round(self, pre, keys)
         for _, rows in plan.groups:
             record("held group rows", rows)
         record("walk rows", plan.walk)
@@ -208,6 +216,7 @@ def writer_inbox(links, rows) -> tuple[RoundInbox, SoAState]:
         c=np.zeros(n_res),
         rank=np.zeros(len(rows), dtype=np.int32),
         n_waves=1,
+        position=np.arange(len(rows)),
     )
     return inbox, soa
 

@@ -602,6 +602,34 @@ class TestLayerInstall:
         assert manifest["status"] == "failed"
         assert manifest["phases"]["fast"]["plan"]["calls"] == 2
 
+    def test_a_batched_round_times_its_flush_and_key_draw(self, tmp_path, capsys):
+        """The batched round's flush is ``buffers.prepare_inbox`` and its
+        key draw ``buffers.draw_delivery_keys``: an observed round reports
+        both, so neither folds into ``plan``, and a batched E22 still
+        attributes >= 95% of its round time (the CI ``obs`` gate)."""
+        observer = Observer()
+        with activated(observer):
+            sim = FastSimulator.from_states(
+                small_states(64), ProtocolConfig(), rng=np.random.default_rng(2)
+            )
+        sim.run(3)
+        observer.close()
+        phases = observer.phases()["fast"]
+        assert phases["flush"]["calls"] == 3
+        assert phases["flush"]["seconds"] > 0.0
+        assert phases["rng"]["calls"] >= 2
+
+        from repro.cli import main
+
+        out = tmp_path / "obs-fast"
+        argv = "run e22 sizes=4096 queries=16 reference_max_n=0 engine=fast".split()
+        main([*argv, f"obs={out}"])
+        capsys.readouterr()
+        gate = ["phases", str(out), "--engine", "fast", "--min-attribution", "0.95"]
+        assert obs_main(gate) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["phases"]["fast"]["flush"]["seconds"] > 0.0
+
     def test_two_service_cycles_restore(self):
         before = layer_functions()
         for seed in (1, 2):

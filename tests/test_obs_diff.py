@@ -90,6 +90,36 @@ def test_abs_floor_filters_small_count_jitter():
     assert not by_key[("messages_sent", "value")]["exceeds"]
 
 
+def test_relative_delta_keeps_its_sign():
+    """A drop reads negative and a rise positive, in the report and in the
+    rendered table; the gate compares the magnitude, so a drop beyond the
+    threshold exceeds as a rise does.  (The diff once stored every
+    relative delta unsigned and printed it with a forced ``+``: a
+    3 864 647 -> 7 161 fall read ``+99.81%``.)"""
+    def rel_row(report):
+        (row,) = [r for r in report["metrics"] if r["name"] == "messages_sent"]
+        return row
+
+    drop = diff_manifests(_manifest(counter=3864647.0), _manifest(counter=7161.0))
+    rise = diff_manifests(_manifest(counter=100.0), _manifest(counter=130.0))
+    assert rel_row(drop)["rel"] == pytest.approx(-0.998147, abs=1e-6)
+    assert rel_row(rise)["rel"] == pytest.approx(0.3)
+    assert "(-99.81%)" in render_diff(drop)
+    assert "(+30.00%)" in render_diff(rise)
+    for report in (
+        diff_manifests(_manifest(counter=100.0), _manifest(counter=70.0), rel_threshold=0.1),
+        diff_manifests(_manifest(counter=100.0), _manifest(counter=130.0), rel_threshold=0.1),
+    ):
+        assert rel_row(report)["exceeds"]
+    small = diff_manifests(
+        _manifest(counter=100.0), _manifest(counter=95.0), rel_threshold=0.1
+    )
+    assert rel_row(small)["rel"] == pytest.approx(-0.05)
+    assert not rel_row(small)["exceeds"]
+    from_zero = diff_manifests(_manifest(counter=0.0), _manifest(counter=-3.0))
+    assert rel_row(from_zero)["rel"] == float("-inf")
+
+
 def test_one_sided_rows_gate_only_with_thresholds():
     report = diff_manifests(_manifest(), _manifest(extra_metric=True))
     only = [r for r in report["metrics"] if r.get("only_in")]

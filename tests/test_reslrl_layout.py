@@ -36,7 +36,6 @@ from repro.sim.fast.shard import ShardedEngine
 from repro.topology.generators import TOPOLOGIES
 from tests.reference_flush import (
     finalize_inbox_reference,
-    full_length,
     prepare_inbox_reference,
 )
 from tests.test_flush_reference import ROW_FIELDS, assert_same_array, assert_same_fields
@@ -184,8 +183,8 @@ def spy_inboxes(engine) -> list:
     for part in getattr(engine, "cores", [engine]):
         plan_round = part._plan_round
 
-        def spy(inbox, plan_round=plan_round):
-            plan = plan_round(inbox)
+        def spy(pre, keys, plan_round=plan_round):
+            plan = plan_round(pre, keys)
             plans.append(plan)
             return plan
 
@@ -193,12 +192,23 @@ def spy_inboxes(engine) -> list:
     return plans
 
 
+def token_column(plan, name: str) -> np.ndarray:
+    """A per-token column of *plan* in reslrl ordinal order; ``waves`` is
+    the wave each token is walked in."""
+    if name != "waves":
+        return getattr(plan, name)
+    waves = np.empty(len(plan.walk_wave), dtype=np.int64)
+    waves[plan.walk_token] = plan.walk_wave
+    return waves
+
+
 @pytest.mark.parametrize("shards", [2, 3])
 def test_sharded_reslrl_rows_cross_a_block_boundary(shards) -> None:
     """``reslrl`` rows staged on the first and the last shard, to nodes of
-    every block: the shard inboxes, in shard order, are the batched
-    engine's inbox — ``b``/``c`` and the walk's token columns included —
-    and the round ends in the same state and RNG."""
+    every block: the shard inboxes, block by block in shard order, are
+    the batched engine's inbox — ``b``/``c``, the walk's token columns
+    and the wave each token walks in included — and the round ends in the
+    same state and RNG."""
     rows = [
         (RESLRL, dest, None, 0.001 * (k + 1), 0.5 + 0.001 * (k + 1))
         for k, dest in enumerate(IDS + IDS[::3])
@@ -219,17 +229,20 @@ def test_sharded_reslrl_rows_cross_a_block_boundary(shards) -> None:
 
     (plan,) = want
     # Every block holds tokens, the middle one only ones from other blocks.
-    assert [len(p.tokens) > 0 for p in got] == [True] * shards
-    for name in ROW_FIELDS + ("rank",):
-        joined = np.concatenate([getattr(p.inbox, name) for p in got])
+    assert [p.inbox.n_res > 0 for p in got] == [True] * shards
+    # Canonical order is the blocks' single-id rows, shard by shard, then
+    # their reslrl rows, shard by shard.
+    for name in ROW_FIELDS[:3]:
+        joined = np.concatenate(
+            [getattr(p.inbox, name)[: p.res_lo] for p in got]
+            + [getattr(p.inbox, name)[p.res_lo :] for p in got]
+        )
         assert_same_array(joined, getattr(plan.inbox, name), name)
     for name in ("b", "c"):
-        joined = np.concatenate(
-            [full_length(p.inbox.tcode, getattr(p.inbox, name)) for p in got]
-        )
-        assert_same_array(joined, full_length(plan.inbox.tcode, getattr(plan.inbox, name)), name)
-    for name in ("token_lrl", "token_forgot"):
-        joined = np.concatenate([getattr(p, name) for p in got])
-        assert_same_array(joined, getattr(plan, name), name)
+        joined = np.concatenate([getattr(p.inbox, name) for p in got])
+        assert_same_array(joined, getattr(plan.inbox, name), name)
+    for name in ("token_lrl", "token_forgot", "waves"):
+        joined = np.concatenate([token_column(p, name) for p in got])
+        assert_same_array(joined, token_column(plan, name), name)
     assert sharded.state_snapshot() == batched.state_snapshot()
     assert rng_s.bit_generator.state == rng_b.bit_generator.state

@@ -204,8 +204,8 @@ def test_delay_and_starvation_give_several_segments() -> None:
         plan_round = engine._plan_round
         segments = []
 
-        def spy(inbox):
-            plan = plan_round(inbox)
+        def spy(pre, keys):
+            plan = plan_round(pre, keys)
             segments.append(len(plan.segments()))
             return plan
 

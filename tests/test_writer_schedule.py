@@ -25,7 +25,7 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
 from repro.sim.fast import batched
 from repro.sim.fast.batched import FastEngine, writer_rows
-from repro.sim.fast.buffers import N_TYPES, RESLRL, build_inbox
+from repro.sim.fast.buffers import N_TYPES, RESLRL, draw_delivery_keys, prepare_inbox
 from repro.sim.fast.chaos.scheduler import WaveDispatchFault
 from repro.sim.fast.engine import FastSimulator
 from repro.sim.fast.kernels import Kernels
@@ -33,7 +33,7 @@ from repro.sim.fast.predicates import fast_is_sorted_list
 from repro.sim.fast.sanitize import FlowSanitizer
 from repro.sim.fast.shard import ShardedEngine
 from repro.topology.generators import TOPOLOGIES
-from tests.reference_flush import wave_groups_reference
+from tests.reference_flush import finalize_inbox_reference, wave_groups_reference
 from tests.test_wave_uniqueness import ID_POOL, make_chunks, wire_row_strategy
 
 class IdentityWaveFault:
@@ -222,10 +222,14 @@ def test_writer_mask_covers_every_row_that_stores(config, nodes, rows, seed) -> 
     planned = []
     plan_round = engine._plan_round
 
-    def spy(inbox):
-        plan = plan_round(inbox)
+    def spy(pre, keys):
+        plan = plan_round(pre, keys)
         assert plan.writer is None
-        planned.append((plan, writer_rows(inbox, engine.soa)))
+        # The mask over the inbox in delivery order, back at canonical rows.
+        inbox = finalize_inbox_reference(pre, keys)
+        mask = np.empty(len(inbox), dtype=bool)
+        mask[inbox.position] = writer_rows(inbox, engine.soa)
+        planned.append((plan, mask))
         return plan
 
     engine._plan_round = spy
@@ -252,6 +256,17 @@ def test_writer_mask_covers_every_row_that_stores(config, nodes, rows, seed) -> 
 # ----------------------------------------------------------------------
 # (iv) the all-true schedule is the (wave, type) group list of the parent
 # ----------------------------------------------------------------------
+def canonical_groups(pre, keys) -> list:
+    """The parent's ``(wave, type)`` groups of *pre* under *keys*: the
+    stable sort of the whole inbox in delivery order, its rows mapped back
+    to canonical positions (int32, as the plan holds them)."""
+    inbox = finalize_inbox_reference(pre, keys)
+    return [
+        (code, inbox.position[rows].astype(np.int32))
+        for code, rows in wave_groups_reference(inbox)
+    ]
+
+
 def assert_same_groups(got, expected) -> None:
     assert [code for code, _ in got] == [code for code, _ in expected]
     for (_, got_rows), (_, expected_rows) in zip(got, expected):
@@ -274,18 +289,19 @@ def test_observable_staging_keeps_the_wave_groups(rows, dedup, seed, starvation)
     engine with ``dedup`` on plans writers."""
     states = [NodeState(id=v) for v in ID_POOL]
     wire = FastEngine(states, dedup=dedup, wire=True)
-    inbox, _ = build_inbox(
-        make_chunks(rows), wire.soa.lookup, np.random.default_rng(seed), dedup=dedup
-    )
-    if inbox is None:
+    pre, _ = prepare_inbox(make_chunks(rows), wire.soa.lookup, dedup=dedup)
+    if pre is None:
         return
-    parent = wave_groups_reference(inbox)
-    plan = wire._plan_round(inbox)
+    keys = draw_delivery_keys(
+        np.random.default_rng(seed), len(pre), packed_ok=pre.packed_ok
+    )
+    parent = canonical_groups(pre, keys)
+    plan = wire._plan_round(pre, keys)
     assert plan.writer is None
     assert_same_groups(plan.groups, parent)
 
     plain = FastEngine(states, dedup=dedup)
-    plan = plain._plan_round(inbox)
+    plan = plain._plan_round(pre, keys)
     assert (plan.writer is None) == (not dedup)
     if not dedup:
         assert_same_groups(plan.groups, parent)
@@ -296,7 +312,7 @@ def test_observable_staging_keeps_the_wave_groups(rows, dedup, seed, starvation)
     )
     twin = WaveDispatchFault(np.random.default_rng(seed), starvation=starvation)
     expected, starved = twin.rewrite(parent)
-    plan = faulted._plan_round(inbox)
+    plan = faulted._plan_round(pre, keys)
     assert plan.writer is None
     assert_same_groups(plan.groups, expected)
     assert faulted.pending_total() == sum(len(r) for _, r in starved)
@@ -331,12 +347,13 @@ def test_dispatches_per_round_ratchet() -> None:
     plan_round = engine._plan_round
     move_forget = Kernels.move_forget
 
-    def spy(inbox):
-        plan = plan_round(inbox)
+    def spy(pre, keys):
+        plan = plan_round(pre, keys)
         scheduled.append(len(plan.groups))
-        by_wave.append(len(FastEngine._wave_groups(inbox)))
+        inbox = finalize_inbox_reference(pre, keys)
+        by_wave.append(len(np.unique(inbox.rank * 8 + inbox.tcode)))
         waves.append(inbox.n_waves)
-        tokens.append(bool((inbox.tcode == RESLRL).any()))
+        tokens.append(pre.n_res > 0)
         return plan
 
     def count(kernels, idx, *args, **kwargs):
