@@ -60,12 +60,6 @@ OBS_REF_N, OBS_REF_ROUNDS = 192, 80
 #: The sharded leg pins the coordinator's unobserved round loop.
 OBS_SHARD_N, OBS_SHARD_ROUNDS, OBS_SHARD_SHARDS = 512, 240, 4
 
-#: Round-phase attribution gate (benchmarks/shard_phases.py): the
-#: coordinator phase markers must keep explaining >= 95% of the sharded
-#: wall clock.  CI-sized here; the recorded run uses --n 32768.
-PHASES_N = 2048
-PHASES_ROUNDS = 40
-
 #: Chaos-at-scale gate (docs/CHAOS.md "Faults at scale"): a fixed-round
 #: guarded loss-burst campaign at n=2048 on the batched engine's wire
 #: must beat the wired reference network by at least ``CHAOS_MIN_SPEEDUP``
@@ -522,35 +516,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="skip the churn-storm speedup gate (reference leg is slow)",
     )
-    parser.add_argument(
-        "--skip-phases",
-        action="store_true",
-        help="skip the sharded round-phase attribution gate",
-    )
     args = parser.parse_args(argv)
-
-    phases_failed = False
-    if not args.skip_phases:
-        import shard_phases
-
-        row = shard_phases.measure_phases(n=PHASES_N, rounds=PHASES_ROUNDS)
-        print(
-            f"perf-smoke[phases]: n={PHASES_N} rounds={PHASES_ROUNDS} "
-            f"wall={row['wall_s']}s attributed={row['attributed_s']}s "
-            f"attribution={row['attribution']} "
-            f"(floor {shard_phases.MIN_ATTRIBUTION})"
-        )
-        phases_failed = row["attribution"] < shard_phases.MIN_ATTRIBUTION
-        if phases_failed:
-            print(
-                "perf-smoke[phases]: the coordinator phase markers no "
-                "longer explain the sharded wall clock; something is "
-                "spending time between the marks "
-                "(src/repro/sim/fast/shard/engine.py)"
-            )
-        if args.record:
-            shard_phases.record(row)
-            print(f"perf-smoke[phases]: recorded to {shard_phases.BENCH}")
 
     churn_failed = False
     if not args.skip_churn:
@@ -635,16 +601,7 @@ def main(argv: list[str] | None = None) -> int:
             + "\n"
         )
         print(f"perf-smoke: baseline recorded to {BASELINE}")
-        return (
-            1
-            if (
-                obs_failed
-                or chaos_failed
-                or churn_failed
-                or phases_failed
-            )
-            else 0
-        )
+        return 1 if (obs_failed or chaos_failed or churn_failed) else 0
 
     if not BASELINE.exists():
         print("perf-smoke: no baseline recorded; run with --record first")
@@ -668,16 +625,7 @@ def main(argv: list[str] | None = None) -> int:
             "perf-smoke: ratio improved well past the baseline — consider "
             "re-recording with --record"
         )
-    return (
-        1
-        if (
-            obs_failed
-            or chaos_failed
-            or churn_failed
-            or phases_failed
-        )
-        else 0
-    )
+    return 1 if (obs_failed or chaos_failed or churn_failed) else 0
 
 
 if __name__ == "__main__":

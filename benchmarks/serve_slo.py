@@ -9,8 +9,8 @@ from the ``STORMS`` registry midway — the second half of the traffic is
 served against the recovering overlay.  Reported per phase: p50/p99
 hops, p50/p99 request latency (individually timed samples), throughput
 and rounds-per-second while loaded.  The converged phase must honor the
-Lemma 4.23 hop bound (``repro.serve.slo.hop_bound``); CI's trajectory
-gate then tracks ``p50_hops``/``p99_hops`` against history.
+Lemma 4.23 hop bound (``repro.serve.slo.hop_bound``), which
+``--check`` enforces.
 
 Defaults are CI-sized; the recorded entry uses::
 

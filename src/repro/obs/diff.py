@@ -5,8 +5,7 @@ registry metric sample and per engine phase/kernel timing, the absolute
 and relative deltas between the runs — the manifest-level answer to "what
 changed between these two archived runs?".  Optional thresholds turn the
 report into a gate: any delta beyond ``--rel-threshold`` / the absolute
-floor fails the invocation, which is how the perf-trajectory CI step
-consumes it (benchmarks/trajectory.py, docs/OBSERVABILITY.md).
+floor fails the invocation (docs/OBSERVABILITY.md).
 
 Stdlib only, like the rest of ``repro obs`` — archived manifests must be
 diffable on machines without the scientific stack.

@@ -9,9 +9,9 @@ One round (the batched counterpart of
 ``SynchronousScheduler.execute_round``):
 
 1. **flush** — last round's outbox becomes this round's prepared inbox:
-   unresolvable destinations dropped (and counted), optional dedup
-   (:func:`~repro.sim.fast.buffers.prepare_inbox`), one uniform delivery
-   key per row (:func:`~repro.sim.fast.buffers.draw_delivery_keys`);
+   unresolvable destinations dropped (and counted), identical rows
+   coalesced (:func:`~repro.sim.fast.buffers.prepare_inbox`), one uniform
+   delivery key per row (:func:`~repro.sim.fast.buffers.draw_delivery_keys`);
 2. **receive** — the *writer schedule*: the only order a round owes
    anybody is each node's own delivery order, ``(key, canonical
    position)``, and only a row that stores into its node has to wait for
@@ -258,8 +258,8 @@ def receive_steps(
     if planned:
         writer = np.zeros(count, dtype=bool)
         writer[lone] = True
-        # Under dedup the reslrl block is the suffix and the rows before it
-        # are slot-major (prepare_inbox's canonical order): a lone token's
+        # The reslrl block is the suffix and the rows before it are
+        # slot-major (prepare_inbox's canonical order): a lone token's
         # node holds its other rows in one run there, and the token's wave
         # is the number of that run's rows not after it.
         single = pre.dest_idx[:lo]
@@ -517,7 +517,6 @@ class FastEngine(SoAHost):
         states: Iterable[NodeState] | SoAState,
         config: ProtocolConfig | None = None,
         *,
-        dedup: bool = True,
         keep_history: bool = False,
         sanitize: bool | None = None,
         stats: MessageStats | None = None,
@@ -541,7 +540,6 @@ class FastEngine(SoAHost):
             )
         self.config = cfg
         self.soa = soa if soa is not None else SoAState.from_states(states)
-        self.dedup = dedup
         self.stats = stats or MessageStats(keep_history=keep_history)
         self.outbox = Outbox(self.stats)
         #: The batched chaos wire between outbox and inbox; ``None`` when
@@ -590,9 +588,7 @@ class FastEngine(SoAHost):
         else:
             chunks, lost = wire.deliver(self.soa)
             self.dropped += lost
-        pre, dropped = buffers.prepare_inbox(
-            chunks, self.soa.lookup, dedup=self.dedup
-        )
+        pre, dropped = buffers.prepare_inbox(chunks, self.soa.lookup)
         # Last round's staged arrays die here, not at the end of this round.
         del chunks
         self.dropped += dropped
@@ -614,7 +610,7 @@ class FastEngine(SoAHost):
         writer mask, dispatch groups, token walk.
 
         One schedule, read off the engine once per round.  Writers are
-        planned only where staging order cannot show: the inbox dedups, no
+        planned only where staging order cannot show: no
         :class:`WaveFault` rewrites the dispatch and no wire consumes the
         staged frames (its fault executors draw per frame).  Otherwise every
         row counts as a writer, which groups the inbox by ``(wave, type)``
@@ -622,9 +618,9 @@ class FastEngine(SoAHost):
         (rewritten) group list.  Neither reads *keys* afterwards.
         """
         fault = self._wave_fault
-        planned = self.dedup and fault is None and self.wire is None
+        planned = fault is None and self.wire is None
         step, writer, token_wave = receive_steps(pre, keys, self.soa, planned=planned)
-        groups = self._wave_groups(step, pre.tcode, None if planned else pre.dest_idx)
+        groups = self._wave_groups(step, pre.tcode)
         del step
         res_lo = pre.res_lo
         if fault is not None:
@@ -661,38 +657,26 @@ class FastEngine(SoAHost):
         )
 
     @staticmethod
-    def _wave_groups(
-        step: np.ndarray, tcode: np.ndarray, slots: np.ndarray | None = None
-    ) -> list[WaveGroup]:
+    def _wave_groups(step: np.ndarray, tcode: np.ndarray) -> list[WaveGroup]:
         """The round's dispatch units in canonical order: the rows grouped
         by ``(step, type)`` (:func:`receive_steps`), one sort of canonical
         positions.
 
         An odd step holds a node at most once; an even step is read-only,
-        so a node may repeat in it, in canonical order.  With *slots*
-        (every row a writer: step orders as the wave rank) the rows of a
-        group are taken slot-ascending, their delivery order, since
-        without dedup the order a group stages its sends in is the next
-        round's order.  *step* is consumed: the group key ``step * 8 +
-        type`` is built in it.  The keys sort as int32 words
-        (:func:`stable_order`) while the largest key present and the row
-        positions fit 31 bits together.  The groups' rows are int32: the
-        plan holds them through the round, and :meth:`_run_groups` widens
-        each group as it dispatches it.
+        so a node may repeat in it, in canonical order.  Canonical order
+        is slot-major within each type, so a writer group's rows come out
+        slot-ascending: their delivery order, which is the order the group
+        stages its sends in where every row is a writer.  *step* is
+        consumed: the group key ``step * 8 + type`` is built in it.  The
+        keys sort as int32 words (:func:`stable_order`) while the largest
+        key present and the row positions fit 31 bits together.  The
+        groups' rows are int32: the plan holds them through the round, and
+        :meth:`_run_groups` widens each group as it dispatches it.
         """
         step *= 8
         step += tcode
-        key, bits, shift = step, int(step.max()).bit_length(), 0
-        if slots is not None:
-            shift = int(slots.max()).bit_length()
-            key = step.astype(np.int64) << np.int64(shift)
-            key |= slots
-            bits += shift
+        order, sorted_keys = stable_order(step, int(step.max()).bit_length(), np.int32)
         del step
-        order, sorted_keys = stable_order(key, bits, np.int32)
-        del key
-        if shift:
-            sorted_keys >>= shift
         cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
         bounds = [0, *cuts.tolist(), len(order)]
         codes = (sorted_keys[bounds[:-1]] & 7).tolist()

@@ -87,9 +87,9 @@ CODE_OF_TYPE: dict[MessageType, int] = {t: c for c, t in enumerate(TYPE_OF_CODE)
 
 #: Bits of a type code: ``slot << _TYPE_BITS | code`` packs (dest, type).
 _TYPE_BITS = 3
-#: Staging order without dedup: type-ascending.
+#: Type-ascending order: how :meth:`Outbox.rows` lists every type.
 _TYPE_ORDER = tuple(range(N_TYPES))
-#: Staging order of the dedup flush: every single-id type, then ``reslrl``.
+#: Staging order of the flush: every single-id type, then ``reslrl``.
 _RESLRL_LAST = (LIN, INCLRL, RING, RESRING, PROBR, PROBL, RESLRL)
 
 
@@ -449,9 +449,9 @@ def _dedup_order(
     payloads under one code.  The payload columns are compared only where
     sorted words tie (:func:`_tied_rows_differ`); when any of those rows
     differ, the runs that hold a clash are re-sorted by their payload
-    columns (``lexsort``).  Under coalescing a
-    node receives at most one ``reslrl`` a round, so that block's heads
-    are distinct and every row is its own first copy; an identifier's
+    columns (``lexsort``).  Unless a wire delays frames or a wave fault
+    defers rows, a node receives at most one ``reslrl`` a round, so that
+    block's heads are distinct and every row is its own first copy; an identifier's
     code is ``floor(id * (2**c - 2))``, so a clash needs two identifiers
     closer than ``2**-c`` sent to one node, as one type, in one round.
     """
@@ -594,22 +594,21 @@ class PreparedInbox:
     """Resolved, deduped rows in *canonical order*, before delivery keys.
 
     The halfway point of :func:`build_inbox`: destinations are resolved to
-    slots, dead destinations dropped, and (under ``dedup``) exact
-    duplicates coalesced with the rows re-emitted in the content-determined
-    canonical order — destination-slot-major, non-``reslrl`` block first,
-    ``reslrl`` block last.  Canonical order is a pure function of the row
-    *set*, independent of staging order; the sharded engine leans on this
-    to draw one global delivery-key array and scatter contiguous slices to
-    shards (slot blocks are id-contiguous, so the global canonical order is
-    the shard-ascending concatenation of per-shard canonical orders).
+    slots, dead destinations dropped, and exact duplicates coalesced with
+    the rows re-emitted in the content-determined canonical order —
+    destination-slot-major, non-``reslrl`` block first, ``reslrl`` block
+    last.  Canonical order is a pure function of the row *set*,
+    independent of staging order; the sharded engine leans on this to draw
+    one global delivery-key array and scatter contiguous slices to shards
+    (slot blocks are id-contiguous, so the global canonical order is the
+    shard-ascending concatenation of per-shard canonical orders).
 
-    The ``reslrl`` rows are one contiguous block: the suffix under
-    ``dedup``, in type order (after ``lin``/``inclrl``) without it.
-    ``n_res`` counts them, and ``b``/``c`` hold their neighbour ids only,
-    in block order.  ``packed_ok`` reports whether every slot index fits
-    the packed 21+42-bit sort encoding.  ``dest_idx`` is int32, as in
-    :class:`RoundInbox`.  :func:`finalize_inbox` consumes a prepared
-    inbox: it empties each column once gathered.
+    ``n_res`` counts the ``reslrl`` rows, and ``b``/``c`` hold their
+    neighbour ids only, in block order.  ``packed_ok`` reports whether
+    every slot index fits the packed 21+42-bit sort encoding.
+    ``dest_idx`` is int32, as in :class:`RoundInbox`.
+    :func:`finalize_inbox` consumes a prepared inbox: it empties each
+    column once gathered.
     """
 
     dest_idx: np.ndarray
@@ -625,19 +624,14 @@ class PreparedInbox:
 
     @property
     def res_lo(self) -> int:
-        """Position of the ``reslrl`` block's first row: a row's reslrl
-        ordinal is its position less this.  The block is the suffix under
-        ``dedup`` and whenever no higher type follows it."""
-        if self.n_res == 0 or self.tcode[-1] == RESLRL:
-            return len(self) - self.n_res
-        return int(np.argmax(self.tcode == RESLRL))
+        """Position of the ``reslrl`` block's first row, the suffix: a
+        row's reslrl ordinal is its position less this."""
+        return len(self) - self.n_res
 
 
 def prepare_inbox(
     chunks: list[list[_Chunk]],
     lookup: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    *,
-    dedup: bool,
 ) -> tuple[PreparedInbox | None, int]:
     """Concatenate, resolve, drop and dedup last round's staged chunks.
 
@@ -646,12 +640,10 @@ def prepare_inbox(
     is dropped once read (the round's traced peak is set here,
     docs/PERF.md "Round-scoped buffers").
     """
-    # Under dedup the output order is content-determined, so the reslrl
-    # chunks — the only rows with b/c payloads — are staged last and the two
-    # dedup blocks are plain slices.  Without it rows are emitted in staging
-    # order, type-ascending (the pinned chaos wire traces depend on that).
-    stage_order = _RESLRL_LAST if dedup else _TYPE_ORDER
-    dest_id, tcode, a, b, c = staged_rows(chunks, stage_order)
+    # The output order is content-determined, so the reslrl chunks — the
+    # only rows with b/c payloads — are staged last and the two dedup
+    # blocks are plain slices.
+    dest_id, tcode, a, b, c = staged_rows(chunks, _RESLRL_LAST)
     if len(dest_id) == 0:
         return None, 0
 
@@ -670,50 +662,49 @@ def prepare_inbox(
         return None, dropped
     top_slot = int(dest_idx.max())
 
-    if dedup:
-        # Exact row dedup via integer keys: (dest, type) packed into one
-        # int64 ``head`` plus the payload columns as raw bits (NaN never
-        # goes on the wire).  The reslrl rows dedup on (head, a, b, c);
-        # everything else — nine rows in ten — on just (head, a), which
-        # :func:`_dedup_order` sorts without a comparison sort.  Survivors
-        # come out in sorted-key (canonical) order, reslrl block last;
-        # slot and type are read back out of the sorted heads.
-        head = np.left_shift(dest_idx, _TYPE_BITS, dtype=np.int64)
-        head |= tcode
-        del dest_idx, tcode
-        head_bits = (top_slot + 1).bit_length() + _TYPE_BITS
-        split = len(head) - len(b)
-        kept_heads: list[np.ndarray] = []
-        kept_rows: list[np.ndarray] = []
-        for lo, hi, columns in (
-            (0, split, (a[:split],)),
-            (split, len(head), (a[split:], b, c)),
-        ):
-            if lo == hi:
-                continue
-            order, sorted_head, fresh = _dedup_order(
-                head[lo:hi], head_bits, tuple(_bits(col) for col in columns)
-            )
-            kept_heads.append(sorted_head[fresh])
-            del sorted_head
-            kept_rows.append(order[fresh])
-            del order, fresh
-        del head
-        if len(b):
-            # The reslrl block's rows count from its start: its ordinals.
-            b, c = b[kept_rows[-1]], c[kept_rows[-1]]
-            kept_rows[-1] += split
-        kept_head = np.concatenate(kept_heads)
-        del kept_heads
-        dest_idx = (kept_head >> np.int64(_TYPE_BITS)).astype(np.int32)
-        kept_head &= np.int64((1 << _TYPE_BITS) - 1)
-        tcode = kept_head.astype(np.int8)
-        del kept_head
-        a = a[np.concatenate(kept_rows)]
+    # Exact row dedup via integer keys: (dest, type) packed into one int64
+    # ``head`` plus the payload columns as raw bits (NaN never goes on the
+    # wire).  The reslrl rows dedup on (head, a, b, c); everything else —
+    # nine rows in ten — on just (head, a), which :func:`_dedup_order`
+    # sorts without a comparison sort.  Survivors come out in sorted-key
+    # (canonical) order, reslrl block last; slot and type are read back
+    # out of the sorted heads.
+    head = np.left_shift(dest_idx, _TYPE_BITS, dtype=np.int64)
+    head |= tcode
+    del dest_idx, tcode
+    head_bits = (top_slot + 1).bit_length() + _TYPE_BITS
+    split = len(head) - len(b)
+    kept_heads: list[np.ndarray] = []
+    kept_rows: list[np.ndarray] = []
+    for lo, hi, columns in (
+        (0, split, (a[:split],)),
+        (split, len(head), (a[split:], b, c)),
+    ):
+        if lo == hi:
+            continue
+        order, sorted_head, fresh = _dedup_order(
+            head[lo:hi], head_bits, tuple(_bits(col) for col in columns)
+        )
+        kept_heads.append(sorted_head[fresh])
+        del sorted_head
+        kept_rows.append(order[fresh])
+        del order, fresh
+    del head
+    if len(b):
+        # The reslrl block's rows count from its start: its ordinals.
+        b, c = b[kept_rows[-1]], c[kept_rows[-1]]
+        kept_rows[-1] += split
+    kept_head = np.concatenate(kept_heads)
+    del kept_heads
+    dest_idx = (kept_head >> np.int64(_TYPE_BITS)).astype(np.int32)
+    kept_head &= np.int64((1 << _TYPE_BITS) - 1)
+    tcode = kept_head.astype(np.int8)
+    del kept_head
+    a = a[np.concatenate(kept_rows)]
 
     return (
         PreparedInbox(
-            dest_idx=dest_idx.astype(np.int32, copy=False),
+            dest_idx=dest_idx,
             tcode=tcode,
             a=a,
             b=b,
@@ -840,8 +831,6 @@ def build_inbox(
     chunks: list[list[_Chunk]],
     lookup: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     rng: np.random.Generator,
-    *,
-    dedup: bool,
 ) -> tuple[RoundInbox | None, int]:
     """Assemble the round's inbox from last round's staged chunks.
 
@@ -863,12 +852,12 @@ def build_inbox(
     rng:
         Draws the uniform delivery-ordering keys — the round's single
         batched RNG call for delivery order.
-    dedup:
-        Coalesce identical ``(dest, type, payload)`` rows, the array
-        analogue of the reference channel's coalescing-set mode
-        (DESIGN.md §4.7); ``False`` preserves multiset semantics.
+
+    Identical ``(dest, type, payload)`` rows coalesce, the array analogue
+    of the reference channel's coalescing-set mode (DESIGN.md §4.7); the
+    batched engines have no multiset mode.
     """
-    pre, dropped = prepare_inbox(chunks, lookup, dedup=dedup)
+    pre, dropped = prepare_inbox(chunks, lookup)
     if pre is None:
         return None, dropped
     keys = draw_delivery_keys(rng, len(pre), packed_ok=pre.packed_ok)

@@ -70,7 +70,6 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         mode: str = "batched",
         wire: bool = False,
         guard: "GuardPolicy | None" = None,
-        dedup: bool = True,
         keep_history: bool = False,
         rng: np.random.Generator | int | None = None,
         sanitize: bool | None = None,
@@ -90,10 +89,11 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         wire faults) and a :class:`~repro.sim.chaos.guard.GuardPolicy` via
         *guard*, which implies a wire, for the guarded-handoff transport
         (docs/CHAOS.md).  ``mode="sharded"`` partitions the id space over
-        *shards* contiguous in-process :class:`ShardCore` blocks; it
-        requires ``dedup=True``, has no wire, and replays the batched
-        engine bit-for-bit (docs/PERF.md).  *workers* is the removed worker-process count:
-        anything but 0 is rejected.
+        *shards* contiguous in-process :class:`ShardCore` blocks; it has
+        no wire and replays the batched engine bit-for-bit (docs/PERF.md).
+        Both coalesce identical pending messages (DESIGN.md §4.7); the
+        multiset channel model is the reference engine's.  *workers* is the
+        removed worker-process count: anything but 0 is rejected.
 
         *sanitize* turns on the flow sanitizer
         (:mod:`repro.sim.fast.sanitize`): per-kernel access recording,
@@ -125,7 +125,6 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         engine = engine_cls(
             states,
             config,
-            dedup=dedup,
             keep_history=keep_history,
             sanitize=sanitize,
             **{name: given[name] for name in extra},
@@ -167,8 +166,9 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         message — on a wired engine its wire and retransmit buffer too —
         re-staged via :meth:`Network.stage` so send statistics are not
         double-counted; message counters and the dropped count start fresh
-        on the new network.  Useful for running the reference graph views
-        and analysis tools on a state the fast engine produced.
+        on the new network, whose channels coalesce as the engine does.
+        Useful for running the reference graph views and analysis tools on
+        a state the fast engine produced.
         """
         from repro.core.node import Node
         from repro.sim.network import Network
@@ -178,7 +178,6 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
                 Node(state, self.engine.config)
                 for state in self.engine.soa.to_states()
             ),
-            dedup=self.engine.dedup,
             keep_history=keep_history,
         )
         for dest, message in self.engine.in_flight:

@@ -79,11 +79,9 @@ class ShardCore(FastEngine):
         shard: int,
         sanitize: bool | None = None,
     ) -> None:
-        # Coalescing-set semantics are load-bearing: canonical content
-        # order is what lets the coordinator scatter one global key array.
-        super().__init__(
-            (), config, dedup=True, sanitize=sanitize, stats=stats, soa=soa
-        )
+        # Canonical content order (the flush coalesces) is what lets the
+        # coordinator scatter one global key array.
+        super().__init__((), config, sanitize=sanitize, stats=stats, soa=soa)
         self.edges = np.ascontiguousarray(edges, dtype=np.float64)
         self.shard = int(shard)
         # The block is ids in [lo, hi): the side owner_of cuts on.
@@ -157,7 +155,7 @@ class ShardCore(FastEngine):
                         )
                     else:
                         merged[code].append((ch[0], ch[1], None, None, None))
-        pre, dropped = prepare_inbox(merged, self.soa.lookup, dedup=True)
+        pre, dropped = prepare_inbox(merged, self.soa.lookup)
         self._pre = pre
         if pre is None:
             return dropped, 0, 0, True

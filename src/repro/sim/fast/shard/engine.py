@@ -32,8 +32,8 @@ trajectory is pinned by digest in ``tests/test_sharded_engine.py``).
 Departures preserve alignment (tombstoning and compaction keep relative
 slot order).
 
-Not supported here: multiset (``dedup=False``) delivery, a wire (wire
-faults and the guarded handoff), wave-dispatch faults and event tracing.  State
+Not supported here: a wire (wire faults and the guarded handoff),
+wave-dispatch faults and event tracing.  State
 faults and churn storms compose unchanged — they drive ``soa`` and the
 membership surface.
 """
@@ -73,16 +73,9 @@ class ShardedEngine(SoAHost):
         config: ProtocolConfig | None = None,
         *,
         shards: int = 2,
-        dedup: bool = True,
         keep_history: bool = False,
         sanitize: bool | None = None,
     ) -> None:
-        if not dedup:
-            raise ValueError(
-                "the sharded engine requires coalescing-set (dedup=True) "
-                "delivery: canonical content order is what lets the "
-                "coordinator scatter one global delivery-key array"
-            )
         cfg = config or ProtocolConfig()
         if cfg.trace is not None:
             raise ValueError(
@@ -101,7 +94,6 @@ class ShardedEngine(SoAHost):
         if not len(self.soa):
             raise ValueError("the sharded engine needs at least one node")
         self.config = cfg
-        self.dedup = True
         self.stats = MessageStats(keep_history=keep_history)
         self.dropped = 0
         self.shards = min(int(shards), len(self.soa))

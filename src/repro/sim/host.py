@@ -120,9 +120,13 @@ def make_simulator(
     wire under the host as ``host.wire`` — a ``ScalarWire`` on the
     reference engine, a ``BatchedWire`` on the fast one; the sharded
     engine has no wire transport and raises ``ValueError``.  *shards* is
-    read by the sharded engine only.  *engine_options* (``dedup``,
-    ``keep_history``, and on the fast engines ``sanitize``) go to
-    :func:`build_network` or :meth:`FastSimulator.from_states` unchanged.
+    read by the sharded engine only.  *engine_options* (``keep_history``,
+    on the reference engine ``dedup``, and on the fast engines
+    ``sanitize``) go to :func:`build_network` or
+    :meth:`FastSimulator.from_states` unchanged.  ``dedup=False`` gives
+    the reference engine the paper's multiset channels; the fast engines
+    always coalesce identical pending messages (DESIGN.md §4.7) and take
+    no ``dedup``, so passing one raises ``TypeError``.
     """
     if engine not in ENGINES:
         raise ValueError(

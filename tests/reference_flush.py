@@ -93,8 +93,6 @@ def reslrl_only(tcode: np.ndarray, column: np.ndarray) -> np.ndarray:
 def prepare_inbox_reference(
     chunks: list[list[tuple]],
     lookup: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    *,
-    dedup: bool,
 ) -> tuple[PreparedInbox | None, int]:
     """Type-ascending staging, then a stable ``lexsort`` dedup per block."""
     dests: list[np.ndarray] = []
@@ -133,44 +131,42 @@ def prepare_inbox_reference(
         a, b, c = a[found], b[found], c[found]
     if len(dest_idx) == 0:
         return None, dropped
-    n_res = int((tcode == RESLRL).sum())
 
-    if dedup:
-        head = dest_idx.astype(np.int64) * np.int64(N_TYPES + 1) + tcode
-        a_bits = np.ascontiguousarray(a).view(np.uint64)
-        lo = int(np.searchsorted(tcode, RESLRL, side="left"))
-        hi = int(np.searchsorted(tcode, RESLRL, side="right"))
-        keep_chunks = []
-        for rows, keys_of_rows in (
-            (
-                np.concatenate((np.arange(lo), np.arange(hi, len(head)))),
-                lambda rows: (a_bits[rows], head[rows]),
+    head = dest_idx.astype(np.int64) * np.int64(N_TYPES + 1) + tcode
+    a_bits = np.ascontiguousarray(a).view(np.uint64)
+    lo = int(np.searchsorted(tcode, RESLRL, side="left"))
+    hi = int(np.searchsorted(tcode, RESLRL, side="right"))
+    keep_chunks = []
+    for rows, keys_of_rows in (
+        (
+            np.concatenate((np.arange(lo), np.arange(hi, len(head)))),
+            lambda rows: (a_bits[rows], head[rows]),
+        ),
+        (
+            np.arange(lo, hi),
+            lambda rows: (
+                np.ascontiguousarray(c[rows]).view(np.uint64),
+                np.ascontiguousarray(b[rows]).view(np.uint64),
+                a_bits[rows],
+                head[rows],
             ),
-            (
-                np.arange(lo, hi),
-                lambda rows: (
-                    np.ascontiguousarray(c[rows]).view(np.uint64),
-                    np.ascontiguousarray(b[rows]).view(np.uint64),
-                    a_bits[rows],
-                    head[rows],
-                ),
-            ),
-        ):
-            if len(rows) == 0:
-                continue
-            sort_keys = keys_of_rows(rows)
-            row_order = np.lexsort(sort_keys)
-            sorted_keys = tuple(k[row_order] for k in sort_keys)
-            fresh = np.zeros(len(rows), dtype=bool)
-            fresh[0] = True
-            for k in sorted_keys:
-                fresh[1:] |= k[1:] != k[:-1]
-            keep_chunks.append(rows[row_order[fresh]])
-        unique_pos = np.concatenate(keep_chunks)
-        dest_idx = dest_idx[unique_pos]
-        tcode = tcode[unique_pos]
-        a, b, c = a[unique_pos], b[unique_pos], c[unique_pos]
-        n_res = len(keep_chunks[-1]) if hi > lo else 0
+        ),
+    ):
+        if len(rows) == 0:
+            continue
+        sort_keys = keys_of_rows(rows)
+        row_order = np.lexsort(sort_keys)
+        sorted_keys = tuple(k[row_order] for k in sort_keys)
+        fresh = np.zeros(len(rows), dtype=bool)
+        fresh[0] = True
+        for k in sorted_keys:
+            fresh[1:] |= k[1:] != k[:-1]
+        keep_chunks.append(rows[row_order[fresh]])
+    unique_pos = np.concatenate(keep_chunks)
+    dest_idx = dest_idx[unique_pos]
+    tcode = tcode[unique_pos]
+    a, b, c = a[unique_pos], b[unique_pos], c[unique_pos]
+    n_res = len(keep_chunks[-1]) if hi > lo else 0
 
     packed_ok = bool(len(dest_idx)) and int(dest_idx.max()) < (1 << 21)
     return (

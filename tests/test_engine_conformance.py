@@ -106,7 +106,7 @@ def test_sharded_bit_identical_vs_fast_n2048(shards: int) -> None:
         TOPOLOGIES["line"](2048, np.random.default_rng(22)),
         key=lambda s: s.id,
     )
-    fast = FastEngine(states, ProtocolConfig(), dedup=True)
+    fast = FastEngine(states, ProtocolConfig())
     sharded = ShardedEngine(states, ProtocolConfig(), shards=shards)
     r1 = np.random.default_rng(4242)
     r2 = np.random.default_rng(4242)

@@ -2,9 +2,9 @@
 
 The batched mode's equivalence to the reference is *distributional*
 (docs/PERF.md), so these tests check behavior, not draw-for-draw state:
-convergence to the unique sorted ring from every seed topology, identical
-converged structure under dedup and multiset channels, churn contract
-parity, the network-export path, and the vectorized phase predicates.
+convergence to the unique sorted ring from every seed topology, churn
+contract parity, the network-export path, and the vectorized phase
+predicates.
 """
 
 from __future__ import annotations
@@ -41,12 +41,11 @@ def converge(
     n: int,
     seed: int,
     *,
-    dedup: bool = True,
     max_rounds: int = 2000,
 ) -> FastSimulator:
     states = TOPOLOGIES[topo](n, np.random.default_rng(seed))
     sim = FastSimulator.from_states(
-        states, ProtocolConfig(), dedup=dedup, rng=np.random.default_rng(seed)
+        states, ProtocolConfig(), rng=np.random.default_rng(seed)
     )
     sim.run_until(fast_is_sorted_ring, max_rounds=max_rounds, check_every=4)
     return sim
@@ -65,32 +64,6 @@ def test_batched_converges_to_sorted_ring(topo: str, seed: int) -> None:
     assert engine.soa.r[idx][-1] == POS_INF
     assert np.all(engine.soa.r[idx][:-1] == ids[1:])
     assert np.all(engine.soa.l[idx][1:] == ids[:-1])
-
-
-@pytest.mark.parametrize("seed", [5, 29])
-def test_dedup_and_multiset_reach_same_converged_topology(seed: int) -> None:
-    """Channel mode changes trajectories, never the converged structure.
-
-    The sorted ring over a fixed identifier set is unique, so after
-    convergence the ``l``/``r``/``ring`` columns must be equal entry for
-    entry regardless of whether channels coalesce duplicates.
-    """
-    sims = [converge("gnp", 48, seed, dedup=dedup) for dedup in (True, False)]
-    for sim in sims:
-        # Let transient ring values on interior nodes fold away: interior
-        # nodes clear (never adopt) ring once both neighbors are present.
-        sim.run(3)
-    with_dedup, multiset = (sim.engine for sim in sims)
-    ids_a, idx_a = with_dedup.soa.sorted_live()
-    ids_b, idx_b = multiset.soa.sorted_live()
-    assert np.array_equal(ids_a, ids_b)
-    assert np.array_equal(with_dedup.soa.l[idx_a], multiset.soa.l[idx_b])
-    assert np.array_equal(with_dedup.soa.r[idx_a], multiset.soa.r[idx_b])
-    ring_a = with_dedup.soa.ring[idx_a]
-    ring_b = multiset.soa.ring[idx_b]
-    assert ring_a[0] == ring_b[0] == ids_a[-1]
-    assert ring_a[-1] == ring_b[-1] == ids_a[0]
-    assert np.isnan(ring_a[1:-1]).all() and np.isnan(ring_b[1:-1]).all()
 
 
 def test_batched_run_phases_records_all_phases() -> None:

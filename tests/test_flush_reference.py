@@ -118,7 +118,7 @@ ROW_FIELDS = ("dest_idx", "tcode", "a", "b", "c")
 
 
 def prepared(rows: list[tuple], chunk_rows: int = 1) -> PreparedInbox | None:
-    pre, _ = prepare_inbox(make_chunks(rows, chunk_rows), make_soa().lookup, dedup=True)
+    pre, _ = prepare_inbox(make_chunks(rows, chunk_rows), make_soa().lookup)
     return pre
 
 
@@ -129,13 +129,12 @@ def prepared(rows: list[tuple], chunk_rows: int = 1) -> PreparedInbox | None:
 @given(
     rows=st.one_of(wire_rows, clash_rows),
     chunk_rows=chunk_sizes,
-    dedup=st.booleans(),
 )
-def test_prepare_inbox_matches_reference(rows, chunk_rows, dedup) -> None:
+def test_prepare_inbox_matches_reference(rows, chunk_rows) -> None:
     chunks = make_chunks(rows, chunk_rows)
     lookup = make_soa().lookup
-    expected, expected_dropped = prepare_inbox_reference(chunks, lookup, dedup=dedup)
-    got, dropped = prepare_inbox(chunks, lookup, dedup=dedup)
+    expected, expected_dropped = prepare_inbox_reference(chunks, lookup)
+    got, dropped = prepare_inbox(chunks, lookup)
     assert dropped == expected_dropped
     if expected is None:
         assert got is None
@@ -179,8 +178,8 @@ def test_prepare_inbox_reslrl_block_both_branches(monkeypatch, repeated) -> None
     re_sorts = count_calls(monkeypatch, "_sort_clashes")
     chunks = make_chunks(reslrl_traffic(repeated))
     lookup = make_soa().lookup
-    expected, _ = prepare_inbox_reference(chunks, lookup, dedup=True)
-    got, _ = prepare_inbox(chunks, lookup, dedup=True)
+    expected, _ = prepare_inbox_reference(chunks, lookup)
+    got, _ = prepare_inbox(chunks, lookup)
     assert got is not None and expected is not None
     assert_same_fields(got, expected, ROW_FIELDS)
     assert got.n_res == expected.n_res == (5 if repeated else 3)
@@ -195,8 +194,8 @@ def test_prepare_inbox_single_payload_clash(monkeypatch) -> None:
     rows = [(LIN, ID_POOL[0], a, 0.0, 0.0) for a in (3e-17, 1e-17, 3e-17, ID_POOL[1])]
     chunks = make_chunks(rows)
     lookup = make_soa().lookup
-    expected, _ = prepare_inbox_reference(chunks, lookup, dedup=True)
-    got, _ = prepare_inbox(chunks, lookup, dedup=True)
+    expected, _ = prepare_inbox_reference(chunks, lookup)
+    got, _ = prepare_inbox(chunks, lookup)
     assert got is not None and expected is not None
     assert_same_fields(got, expected, ROW_FIELDS)
     assert got.a.tolist() == [1e-17, 3e-17, ID_POOL[1]]
@@ -307,8 +306,9 @@ def test_key_bits_budget() -> None:
 
 
 def direct_prepared(slots: list[int], seed: int) -> PreparedInbox:
-    """Prepared rows at arbitrary slots, in type order (the layout of the
-    flush without dedup), ``b``/``c`` on the ``reslrl`` rows."""
+    """Prepared rows at arbitrary slots, in type order: the ``reslrl``
+    block between lower and higher types, which :func:`finalize_inbox`
+    takes as it takes the flush's suffix; ``b``/``c`` on its rows."""
     rng = np.random.default_rng(seed)
     count = len(slots)
     tcode = np.sort(rng.integers(0, buffers.N_TYPES, size=count)).astype(np.int8)
@@ -384,15 +384,14 @@ def test_finalize_inbox_without_key_bits(monkeypatch, k) -> None:
 @settings(max_examples=150, deadline=None)
 @given(
     rows=wire_rows,
-    dedup=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_wave_groups_match_reference(rows, dedup, seed) -> None:
+def test_wave_groups_match_reference(rows, seed) -> None:
     """Every row a writer, the planner's ``(step, type)`` groups are the
     ``(wave, type)`` groups of the whole inbox in delivery order, each
     group's rows in that order, as canonical positions."""
     soa = make_soa()
-    pre, _ = prepare_inbox(make_chunks(rows), soa.lookup, dedup=dedup)
+    pre, _ = prepare_inbox(make_chunks(rows), soa.lookup)
     if pre is None:
         return
     keys = buffers.draw_delivery_keys(
@@ -405,7 +404,7 @@ def test_wave_groups_match_reference(rows, dedup, seed) -> None:
     ]
     step, writer, _ = receive_steps(pre, keys, soa, planned=False)
     assert writer is None
-    got = FastEngine._wave_groups(step, pre.tcode, pre.dest_idx)
+    got = FastEngine._wave_groups(step, pre.tcode)
     assert [code for code, _ in got] == [code for code, _ in expected]
     for (_, got_rows), (code, expected_rows) in zip(got, expected):
         assert_same_array(got_rows, expected_rows, f"rows of type {code}")

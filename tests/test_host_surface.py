@@ -143,6 +143,24 @@ def test_sharded_with_wire_names_the_missing_transport(states):
         make_simulator(states, engine="warp")
 
 
+def test_dedup_is_a_reference_engine_option(states):
+    """The multiset channel model lives on the reference engine:
+    ``dedup=False`` builds a ``Network`` whose channels keep every copy,
+    while the fast engines always coalesce and take no ``dedup``."""
+    for dedup, held in ((False, 2), (True, 1)):
+        network = make_simulator(copy.deepcopy(states), engine="reference", dedup=dedup).host
+        assert isinstance(network, Network)
+        dest = network.ids[0]
+        network.send(dest, lin(network.ids[1]))
+        network.send(dest, lin(network.ids[1]))
+        network.flush()
+        assert len(network.channel(dest)) == held
+    for engine in ("fast", "sharded"):
+        for dedup in (True, False):
+            with pytest.raises(TypeError, match="dedup"):
+                make_simulator(states, engine=engine, dedup=dedup)
+
+
 #: Draw-for-draw twins of the reference: equal after every round, too.
 TWINS = {"reference", "reference+wire", "mirror", "mirror+wire"}
 

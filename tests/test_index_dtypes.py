@@ -77,8 +77,8 @@ def test_slots_index_as_intp_and_are_held_as_int32(monkeypatch, engine) -> None:
 
     prepare = buffers.prepare_inbox
 
-    def checked_prepare(chunks, lookup, *, dedup):
-        pre, dropped = prepare(chunks, lookup, dedup=dedup)
+    def checked_prepare(chunks, lookup):
+        pre, dropped = prepare(chunks, lookup)
         if pre is not None:
             record("prepared dest_idx", pre.dest_idx)
         return pre, dropped

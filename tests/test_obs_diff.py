@@ -1,15 +1,12 @@
-"""Tests for ``repro obs diff`` and the bench-trajectory fold/gate.
+"""Tests for ``repro obs diff``.
 
 Covers the manifest-diff semantics (component flattening, one-sided rows,
-the rel+abs gating interplay), the CLI exit codes, and
-``benchmarks/trajectory.py``'s fold-into-manifest + latest-vs-history
-regression gate.
+the rel+abs gating interplay) and the CLI exit codes.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 
 import pytest
 
@@ -156,77 +153,3 @@ def test_cli_exit_codes(tmp_path):
 def test_load_manifest_resolves_directories(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(_manifest()))
     assert load_manifest(str(tmp_path))["experiment"] == "e-test"
-
-
-# ----------------------------------------------------------------------
-# benchmarks/trajectory.py — fold + latest-vs-history gate
-# ----------------------------------------------------------------------
-@pytest.fixture()
-def trajectory():
-    sys.path.insert(0, "benchmarks")
-    try:
-        import trajectory
-
-        yield trajectory
-    finally:
-        sys.path.remove("benchmarks")
-
-
-def _write_trajectory(path, rounds_per_entry):
-    entries = [
-        {
-            "bench": "e_demo",
-            "machine": "x86_64",
-            "python": "3.11",
-            "rows": [
-                {"n": 1024, "rounds": rounds, "fast_s": 1.0, "speedup": 12.0}
-            ],
-        }
-        for rounds in rounds_per_entry
-    ]
-    path.write_text(json.dumps(entries))
-
-
-def test_trajectory_folds_and_passes(trajectory, tmp_path):
-    _write_trajectory(tmp_path / "BENCH_demo.json", [100, 101, 99])
-    out = tmp_path / "obs"
-    assert trajectory.main(["--root", str(tmp_path), "--out", str(out), "--check"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    samples = manifest["metrics"]["bench_trajectory"]["samples"]
-    by_metric = {
-        s["labels"]["metric"]: s["value"]
-        for s in samples
-        if s["labels"]["bench"] == "e_demo"
-    }
-    # Latest entry wins; wall clock is folded but never gated.
-    assert by_metric["rounds"] == 99.0
-    assert by_metric["fast_s"] == 1.0
-    assert manifest["result"]["regressions"] == 0
-
-
-def test_trajectory_gates_regression(trajectory, tmp_path, capsys):
-    _write_trajectory(tmp_path / "BENCH_demo.json", [100, 101, 300])
-    assert trajectory.main(["--root", str(tmp_path), "--check"]) == 1
-    err = capsys.readouterr().err
-    assert "REGRESSION" in err and "rounds" in err
-    # Without --check the fold still reports but does not fail.
-    assert trajectory.main(["--root", str(tmp_path)]) == 0
-
-
-def test_trajectory_ignores_single_observation(trajectory, tmp_path):
-    _write_trajectory(tmp_path / "BENCH_demo.json", [100])
-    assert trajectory.main(["--root", str(tmp_path), "--check"]) == 0
-
-
-def test_trajectory_speedup_floor(trajectory, tmp_path):
-    entries = [
-        {"bench": "gate_demo", "chaos_speedup": s} for s in (10.0, 11.0, 3.0)
-    ]
-    (tmp_path / "BENCH_gate.json").write_text(json.dumps(entries))
-    assert trajectory.main(["--root", str(tmp_path), "--check"]) == 1
-
-
-def test_trajectory_real_repo_files(trajectory):
-    """The repo's own trajectories must fold into a valid manifest and
-    currently gate clean."""
-    assert trajectory.main(["--check"]) == 0

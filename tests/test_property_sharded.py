@@ -24,7 +24,7 @@ def _pair(topo: str, n: int, seed: int, shards: int):
     states = sorted(
         TOPOLOGIES[topo](n, np.random.default_rng(seed)), key=lambda s: s.id
     )
-    fast = FastEngine(states, ProtocolConfig(), dedup=True)
+    fast = FastEngine(states, ProtocolConfig())
     sharded = ShardedEngine(states, ProtocolConfig(), shards=shards)
     return fast, sharded
 

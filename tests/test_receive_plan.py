@@ -5,8 +5,8 @@ and their delivery keys (``repro.sim.fast.batched.receive_steps``): a node
 with at most one row that may store places every other row against that
 writer with one compare, and only the rows of nodes where two writers may
 meet are sorted into delivery order.  Here the plans of ``FastEngine`` —
-with the writer mask, with every row a writer, with ``dedup`` off — and of
-a ``ShardCore`` slice are held against the oracles of
+with the writer mask and with every row a writer — and of a ``ShardCore``
+slice are held against the oracles of
 ``tests/reference_flush.py`` composed over the *whole* inbox in delivery
 order (``finalize_inbox_reference`` → ``writer_rows_reference`` →
 ``wave_groups_reference``): the same ``(step, type)`` groups as row sets in
@@ -52,12 +52,12 @@ from tests.test_writer_schedule import (
 KEY_SPACES = (2, 5, 1 << 42)
 
 
-def prepared(kind: str, nodes, rows, dedup: bool):
+def prepared(kind: str, nodes, rows):
     """``(planner, prepared inbox, soa)`` for one engine *kind* over the
-    corrupted *nodes* with *rows* staged: ``writer`` plans with the mask
-    (with ``dedup`` off, every row a writer), ``all-true`` is shut to
-    every row a writer by the identity ``WaveFault``, ``shard`` is the
-    second of two shard cores after its exchange."""
+    corrupted *nodes* with *rows* staged: ``writer`` plans with the mask,
+    ``all-true`` is shut to every row a writer by the identity
+    ``WaveFault``, ``shard`` is the second of two shard cores after its
+    exchange."""
     states = [NodeState(id=v) for v in IDS]
     config = ProtocolConfig()
     if kind == "shard":
@@ -68,12 +68,12 @@ def prepared(kind: str, nodes, rows, dedup: bool):
         core = engine.cores[1]
         core.prepare_round([routed[src][1] for src in range(2)])
         return core, core._pre, engine.soa
-    engine = FastEngine(states, config, dedup=dedup)
+    engine = FastEngine(states, config)
     if kind == "all-true":
         engine.set_wave_fault(IdentityWaveFault())
     corrupt(engine, nodes)
     stage(engine.outbox, engine, rows)
-    pre, _ = prepare_inbox(engine.outbox.take_all(), engine.soa.lookup, dedup=dedup)
+    pre, _ = prepare_inbox(engine.outbox.take_all(), engine.soa.lookup)
     return engine, pre, engine.soa
 
 
@@ -130,7 +130,6 @@ def assert_plan_is_the_delivery_order(part, pre, keys, soa, planned: bool) -> No
 )
 @given(
     kind=st.sampled_from(["writer", "writer", "all-true", "shard"]),
-    dedup=st.booleans(),
     nodes=st.lists(node_strategy, min_size=len(IDS), max_size=len(IDS)),
     rows=st.lists(row_strategy, min_size=1, max_size=150),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -138,15 +137,13 @@ def assert_plan_is_the_delivery_order(part, pre, keys, soa, planned: bool) -> No
     as_float=st.booleans(),
 )
 def test_plan_equals_the_whole_inbox_oracles(
-    kind, dedup, nodes, rows, seed, key_space, as_float
+    kind, nodes, rows, seed, key_space, as_float
 ) -> None:
-    dedup = dedup or kind == "shard"
-    part, pre, soa = prepared(kind, nodes, rows, dedup)
+    part, pre, soa = prepared(kind, nodes, rows)
     if pre is None:
         return
     keys = draw_keys(pre, seed, key_space, as_float)
-    planned = dedup and kind != "all-true"
-    assert_plan_is_the_delivery_order(part, pre, keys, soa, planned)
+    assert_plan_is_the_delivery_order(part, pre, keys, soa, kind != "all-true")
 
 
 #: Nodes 0-3 with wide gaps (no left, no right neighbour), then settled ones.
@@ -182,7 +179,7 @@ def test_plan_covers_every_kind_of_node(kind, as_float) -> None:
         (LIN, IDS[3], IDS[8], 0.0, 0.0),
         (PROBR, IDS[3], IDS[7], 0.0, 0.0),
     ]
-    part, pre, soa = prepared(kind, nodes, rows, dedup=True)
+    part, pre, soa = prepared(kind, nodes, rows)
     for seed in range(6):
         keys = draw_keys(pre, seed, 2, as_float)
         assert_plan_is_the_delivery_order(part, pre, keys, soa, kind != "all-true")

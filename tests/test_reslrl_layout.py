@@ -6,11 +6,12 @@ the ``reslrl`` rows, aligned with them in row order
 (:mod:`repro.sim.fast.buffers`).  Each case follows such rows through a
 path where the short columns could fall out of line with their rows, with
 distinct ids on every row so a shifted column shows: rows addressed to a
-departed node (the flush drops them), the multiset flush of a wired engine
-(``reslrl`` between lower and higher types), rows a starving ``WaveFault``
-defers to the next round, and rows that cross a shard boundary.  Where an
-oracle of ``tests/reference_flush.py`` exists the comparison is array for
-array, ``b``/``c`` also at full length with the ``0.0`` filler.
+departed node (the flush drops them), the flush of a wired engine whose
+delayed frames send a node several ``reslrl`` rows at once, rows a
+starving ``WaveFault`` defers to the next round, and rows that cross a
+shard boundary.  Where an oracle of ``tests/reference_flush.py`` exists
+the comparison is array for array, ``b``/``c`` also at full length with
+the ``0.0`` filler.
 """
 
 from __future__ import annotations
@@ -38,7 +39,12 @@ from tests.reference_flush import (
     finalize_inbox_reference,
     prepare_inbox_reference,
 )
-from tests.test_flush_reference import ROW_FIELDS, assert_same_array, assert_same_fields
+from tests.test_flush_reference import (
+    ROW_FIELDS,
+    assert_same_array,
+    assert_same_fields,
+    count_calls,
+)
 from tests.test_wave_uniqueness import DEAD_IDS, ID_POOL, make_chunks, make_soa
 from tests.test_writer_schedule import IDS, stage
 
@@ -60,9 +66,8 @@ def reslrl_row(k: int, dest: float) -> tuple:
 # ----------------------------------------------------------------------
 # Rows addressed to a departed node
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("dedup", [True, False])
 @pytest.mark.parametrize("chunk_rows", [1, 3, 100])
-def test_reslrl_rows_to_departed_nodes(dedup, chunk_rows) -> None:
+def test_reslrl_rows_to_departed_nodes(chunk_rows) -> None:
     """``reslrl`` rows to ids no node holds, between rows to live ones and
     beside other types: the flush drops exactly them, and every kept row
     keeps its own ``b``/``c`` through prepare and finalize."""
@@ -77,8 +82,8 @@ def test_reslrl_rows_to_departed_nodes(dedup, chunk_rows) -> None:
     ]
     soa = make_soa()
     chunks = make_chunks(rows, chunk_rows)
-    expected, expected_dropped = prepare_inbox_reference(chunks, soa.lookup, dedup=dedup)
-    pre, dropped = prepare_inbox(chunks, soa.lookup, dedup=dedup)
+    expected, expected_dropped = prepare_inbox_reference(chunks, soa.lookup)
+    pre, dropped = prepare_inbox(chunks, soa.lookup)
     assert dropped == expected_dropped == 6
     assert pre is not None and expected is not None
     assert_same_fields(pre, expected, ROW_FIELDS)
@@ -94,30 +99,27 @@ def test_reslrl_rows_to_departed_nodes(dedup, chunk_rows) -> None:
 
 
 # ----------------------------------------------------------------------
-# The multiset flush of a wired engine
+# The flush of a wired engine whose frames are delayed
 # ----------------------------------------------------------------------
-def test_multiset_wired_flush_matches_reference(monkeypatch) -> None:
-    """A wired engine without dedup, its frames delayed: each round's
-    prepared inbox holds the ``reslrl`` block in type order, between
-    ``lin``/``inclrl`` rows and the higher types, and prepare and finalize
-    equal their oracles on it round after round."""
+def test_delayed_wired_flush_matches_reference(monkeypatch) -> None:
+    """A wired engine, its frames delayed: a delay lands several rounds'
+    ``reslrl`` rows on one node at once, so the ``reslrl`` block repeats
+    heads and the dedup re-sorts their clashes, and prepare and finalize
+    equal their oracles round after round."""
+    re_sorts = count_calls(monkeypatch, "_sort_clashes")
     prepare, finalize = buffers.prepare_inbox, buffers.finalize_inbox
-    mid_way = []
+    repeated = []
 
-    def checked_prepare(chunks, lookup, *, dedup):
-        got, dropped = prepare(chunks, lookup, dedup=dedup)
-        expected, expected_dropped = prepare_inbox_reference(chunks, lookup, dedup=dedup)
+    def checked_prepare(chunks, lookup):
+        got, dropped = prepare(chunks, lookup)
+        expected, expected_dropped = prepare_inbox_reference(chunks, lookup)
         assert dropped == expected_dropped
         assert (got is None) == (expected is None)
         if got is not None:
             assert_same_fields(got, expected, ROW_FIELDS)
             assert got.n_res == expected.n_res
-            res = np.flatnonzero(got.tcode == RESLRL)
-            mid_way.append(
-                len(res) > 0
-                and bool((got.tcode[: res[0]] < RESLRL).any())
-                and bool((got.tcode[res[-1] + 1 :] > RESLRL).any())
-            )
+            heads = got.dest_idx[got.res_lo :]
+            repeated.append(len(np.unique(heads)) < len(heads))
         return got, dropped
 
     def checked_finalize(pre, keys):
@@ -129,7 +131,7 @@ def test_multiset_wired_flush_matches_reference(monkeypatch) -> None:
     monkeypatch.setattr(buffers, "prepare_inbox", checked_prepare)
     monkeypatch.setattr(buffers, "finalize_inbox", checked_finalize)
     engine = FastEngine(
-        TOPOLOGIES["line"](32, np.random.default_rng(4)), dedup=False, wire=True
+        TOPOLOGIES["line"](32, np.random.default_rng(4)), wire=True
     )
     delay = MessageDelay(max_delay=3)
     delay.bind(np.random.default_rng(4))
@@ -137,7 +139,8 @@ def test_multiset_wired_flush_matches_reference(monkeypatch) -> None:
     rng = np.random.default_rng(4)
     for _ in range(12):
         engine.execute_round(rng)
-    assert sum(mid_way) >= 3, mid_way
+    assert sum(repeated) >= 3, repeated
+    assert re_sorts[0] >= 3
 
 
 # ----------------------------------------------------------------------
@@ -154,15 +157,14 @@ class StarveTokens:
         )
 
 
-@pytest.mark.parametrize("dedup", [True, False])
-def test_deferred_reslrl_rows_keep_their_ids(dedup) -> None:
+def test_deferred_reslrl_rows_keep_their_ids() -> None:
     """Deferred ``reslrl`` rows, several to one node and beside other
     types, come back staged with their own ``(dest, a, b, c)``: the next
     round's flush sees the rows the first one starved."""
     dests = [ID_POOL[k] for k in (0, 4, 4, 7, 2, 4, 11, 7)]
     rows = [reslrl_row(k, dest) for k, dest in enumerate(dests)]
     others = [(LIN, ID_POOL[3], ID_POOL[6]), (PROBR, ID_POOL[4], ID_POOL[9])]
-    engine = FastEngine([NodeState(id=v) for v in ID_POOL], dedup=dedup)
+    engine = FastEngine([NodeState(id=v) for v in ID_POOL])
     engine.set_wave_fault(StarveTokens())
     for code, dest, a, *bc in rows + others:
         cols = [np.array([x]) for x in (dest, a, *bc)]

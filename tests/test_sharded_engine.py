@@ -31,7 +31,7 @@ def _states(n: int, seed: int = 5, topo: str = "line"):
 
 def _pair(n: int, *, shards: int, seed: int = 5):
     states = _states(n, seed)
-    fast = FastEngine(states, ProtocolConfig(), dedup=True)
+    fast = FastEngine(states, ProtocolConfig())
     sharded = ShardedEngine(states, ProtocolConfig(), shards=shards)
     return fast, sharded
 
@@ -39,11 +39,6 @@ def _pair(n: int, *, shards: int, seed: int = 5):
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
-def test_requires_dedup():
-    with pytest.raises(ValueError, match="dedup=True"):
-        ShardedEngine(_states(8), dedup=False)
-
-
 def test_rejects_trace():
     cfg = ProtocolConfig(trace=Trace())
     with pytest.raises(ValueError, match="tracing"):

@@ -4,7 +4,7 @@ Every vectorized kernel in :mod:`repro.sim.fast.kernels` relies on the
 wave grouping produced by :func:`repro.sim.fast.buffers.build_inbox`:
 within one wave (``rank`` value) each destination slot appears at most
 once, so same-column fancy stores cannot collide.  These tests pin that
-invariant for arbitrary staged traffic — with and without dedup — and
+invariant for arbitrary staged traffic, coalesced by the flush, and
 exercise the debug-only runtime assert behind ``REPRO_CHECK_WAVES=1``.
 """
 
@@ -87,16 +87,15 @@ def make_chunks(rows: list[tuple], chunk_rows: int = 1) -> list[list[tuple]]:
 @settings(max_examples=150, deadline=None)
 @given(
     rows=st.lists(row_strategy, min_size=1, max_size=60),
-    dedup=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_waves_have_unique_destinations(rows, dedup, seed) -> None:
+def test_waves_have_unique_destinations(rows, seed) -> None:
     """Within every wave each destination appears at most once, and each
     destination's ranks are the contiguous prefix 0..k-1 (sequential
     per-node delivery across waves)."""
     soa = make_soa()
     inbox, dropped = build_inbox(
-        make_chunks(rows), soa.lookup, np.random.default_rng(seed), dedup=dedup
+        make_chunks(rows), soa.lookup, np.random.default_rng(seed)
     )
     assert dropped == 0
     assert inbox is not None
@@ -123,7 +122,7 @@ def test_debug_assert_accepts_valid_inboxes(rows, seed) -> None:
     try:
         assert _wave_check_enabled()
         inbox, _ = build_inbox(
-            make_chunks(rows), soa.lookup, np.random.default_rng(seed), dedup=True
+            make_chunks(rows), soa.lookup, np.random.default_rng(seed)
         )
     finally:
         if previous is None:

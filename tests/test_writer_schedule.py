@@ -276,20 +276,18 @@ def assert_same_groups(got, expected) -> None:
 @settings(max_examples=100, deadline=None)
 @given(
     rows=st.lists(wire_row_strategy, min_size=1, max_size=80),
-    dedup=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     starvation=st.sampled_from([0.0, 0.3]),
 )
-def test_observable_staging_keeps_the_wave_groups(rows, dedup, seed, starvation) -> None:
-    """A wire engine, a multiset engine (``dedup`` off) and an engine under
-    a ``WaveDispatchFault`` schedule the groups the parent scheduled for
-    the same inbox: the stable sort by ``(wave, type)`` — rewritten by the
-    fault, from the same fault stream — and walk their tokens over the
-    ``reslrl`` groups of that list, one wave per group.  Only the plain
-    engine with ``dedup`` on plans writers."""
+def test_observable_staging_keeps_the_wave_groups(rows, seed, starvation) -> None:
+    """A wire engine and an engine under a ``WaveDispatchFault`` schedule
+    the groups the parent scheduled for the same inbox: the stable sort by
+    ``(wave, type)`` — rewritten by the fault, from the same fault stream —
+    and walk their tokens over the ``reslrl`` groups of that list, one wave
+    per group.  Only the plain engine plans writers."""
     states = [NodeState(id=v) for v in ID_POOL]
-    wire = FastEngine(states, dedup=dedup, wire=True)
-    pre, _ = prepare_inbox(make_chunks(rows), wire.soa.lookup, dedup=dedup)
+    wire = FastEngine(states, wire=True)
+    pre, _ = prepare_inbox(make_chunks(rows), wire.soa.lookup)
     if pre is None:
         return
     keys = draw_delivery_keys(
@@ -300,13 +298,11 @@ def test_observable_staging_keeps_the_wave_groups(rows, dedup, seed, starvation)
     assert plan.writer is None
     assert_same_groups(plan.groups, parent)
 
-    plain = FastEngine(states, dedup=dedup)
+    plain = FastEngine(states)
     plan = plain._plan_round(pre, keys)
-    assert (plan.writer is None) == (not dedup)
-    if not dedup:
-        assert_same_groups(plan.groups, parent)
+    assert plan.writer is not None
 
-    faulted = FastEngine(states, dedup=dedup)
+    faulted = FastEngine(states)
     faulted.set_wave_fault(
         WaveDispatchFault(np.random.default_rng(seed), starvation=starvation)
     )
