@@ -76,20 +76,6 @@ CHAOS_SEED = 77
 CHAOS_MIN_SPEEDUP = 5.0
 CHAOS_BENCH = pathlib.Path(__file__).parent.parent / "BENCH_chaos_scale.json"
 
-#: Churn-at-scale gate (docs/CHAOS.md "Churn at scale"): a fixed-round
-#: three-storm campaign at n=2048 on the batched engine — bulk joins,
-#: tombstoned departures, compaction — must beat the identical scalar
-#: storm on the reference stack by at least ``CHURN_MIN_SPEEDUP``
-#: wall-clock.  Same absolute-floor rationale as the chaos gate: batched
-#: membership exists to make storms usable at E22 sizes.  The gate entry
-#: is recorded alongside the recovery curve in ``BENCH_churn_scale.json``
-#: (the curve itself comes from ``benchmarks/churn_scale.py``).
-CHURN_N = 2048
-CHURN_ROUNDS = 30
-CHURN_SEED = 424
-CHURN_MIN_SPEEDUP = 5.0
-CHURN_BENCH = pathlib.Path(__file__).parent.parent / "BENCH_churn_scale.json"
-
 
 def _workload_states():
     from repro.topology.generators import TOPOLOGIES
@@ -373,102 +359,6 @@ def record_chaos_bench(result: dict[str, float]) -> None:
     CHAOS_BENCH.write_text(json.dumps([entry], indent=2) + "\n")
 
 
-def _churn_plan():
-    from repro.churn.storms import ChurnPlan
-
-    return (
-        ChurnPlan(seed=CHURN_SEED)
-        .flash_crowd(at=2, fraction=0.1)
-        .correlated_departure(at=8, fraction=0.1)
-        .partition_heal(at=14, heal_after=6, fraction=0.25)
-    )
-
-
-def _churn_states():
-    from repro.graphs.build import stable_ring_states
-    from repro.ids import generate_ids
-
-    rng = np.random.default_rng(CHURN_SEED)
-    return stable_ring_states(
-        CHURN_N, lrl="harmonic", rng=rng, ids=generate_ids(CHURN_N, rng)
-    )
-
-
-def _time_churn(states, engine: str) -> float:
-    from repro.sim.chaos.campaign import ChaosCampaign
-
-    sim = _churn_sim(states, engine)
-    sim.run(5)
-    campaign = ChaosCampaign(sim, _churn_plan(), ())
-    start = time.perf_counter()
-    campaign.run(CHURN_ROUNDS)
-    return time.perf_counter() - start
-
-
-def _churn_sim(states, engine: str):
-    from repro.core.protocol import ProtocolConfig, build_network
-    from repro.sim.engine import Simulator
-
-    if engine == "reference":
-        net = build_network([s.copy() for s in states], ProtocolConfig())
-        return Simulator(net, rng=np.random.default_rng(CHURN_SEED + 1))
-    from repro.sim.fast import FastSimulator
-
-    return FastSimulator.from_states(
-        [s.copy() for s in states],
-        ProtocolConfig(),
-        mode="batched",
-        rng=np.random.default_rng(CHURN_SEED + 1),
-    )
-
-
-def measure_churn() -> dict[str, float]:
-    """The identical three-storm campaign on both engines.
-
-    Best-of-``REPEATS`` for the fast engine; a single reference run (same
-    trade-off as the chaos gate — the reference leg dominates and sits
-    far above the noise floor).
-    """
-    states = _churn_states()
-    fast = min(_time_churn(states, "fast") for _ in range(REPEATS))
-    ref = _time_churn(states, "reference")
-    return {
-        "ref_churn_seconds": round(ref, 4),
-        "fast_churn_seconds": round(fast, 4),
-        "churn_speedup": round(ref / fast, 1),
-    }
-
-
-def record_churn_gate(result: dict[str, float]) -> None:
-    """Merge the gate entry into ``BENCH_churn_scale.json`` (the recovery
-    curve written by ``benchmarks/churn_scale.py`` is kept untouched)."""
-    import platform
-
-    entries = []
-    if CHURN_BENCH.exists():
-        entries = [
-            e
-            for e in json.loads(CHURN_BENCH.read_text())
-            if e.get("bench") != "churn_gate"
-        ]
-    entries.append(
-        {
-            "bench": "churn_gate",
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-            "gate": f"reference/fast speedup >= {CHURN_MIN_SPEEDUP}",
-            "workload": {
-                "n": CHURN_N,
-                "rounds": CHURN_ROUNDS,
-                "storms": ["flash_crowd", "correlated_departure", "partition_heal"],
-                "seed": CHURN_SEED,
-            },
-            **result,
-        }
-    )
-    CHURN_BENCH.write_text(json.dumps(entries, indent=2) + "\n")
-
-
 def record_obs_bench(result: dict[str, float]) -> None:
     """Machine-stamp the measured overhead into ``BENCH_obs_overhead.json``."""
     import platform
@@ -511,34 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the chaos-at-scale speedup gate (its reference leg is "
         "the slowest part of the smoke)",
     )
-    parser.add_argument(
-        "--skip-churn",
-        action="store_true",
-        help="skip the churn-storm speedup gate (reference leg is slow)",
-    )
     args = parser.parse_args(argv)
-
-    churn_failed = False
-    if not args.skip_churn:
-        churn = measure_churn()
-        print(
-            f"perf-smoke[churn]: n={CHURN_N} "
-            f"reference={churn['ref_churn_seconds']}s "
-            f"fast={churn['fast_churn_seconds']}s "
-            f"speedup={churn['churn_speedup']}x "
-            f"(floor {CHURN_MIN_SPEEDUP}x)"
-        )
-        churn_failed = churn["churn_speedup"] < CHURN_MIN_SPEEDUP
-        if churn_failed:
-            print(
-                "perf-smoke[churn]: the batched membership path no longer "
-                f"beats the reference scalar storm {CHURN_MIN_SPEEDUP}x; "
-                "join_batch/leave_batch or compaction grew a scalar "
-                "bottleneck (docs/CHAOS.md 'Churn at scale')"
-            )
-        if args.record:
-            record_churn_gate(churn)
-            print(f"perf-smoke[churn]: gate recorded to {CHURN_BENCH}")
 
     chaos_failed = False
     if not args.skip_chaos:
@@ -601,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
             + "\n"
         )
         print(f"perf-smoke: baseline recorded to {BASELINE}")
-        return 1 if (obs_failed or chaos_failed or churn_failed) else 0
+        return 1 if (obs_failed or chaos_failed) else 0
 
     if not BASELINE.exists():
         print("perf-smoke: no baseline recorded; run with --record first")
@@ -625,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
             "perf-smoke: ratio improved well past the baseline — consider "
             "re-recording with --record"
         )
-    return 1 if (obs_failed or chaos_failed or churn_failed) else 0
+    return 1 if (obs_failed or chaos_failed) else 0
 
 
 if __name__ == "__main__":

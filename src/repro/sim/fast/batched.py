@@ -242,8 +242,7 @@ def receive_steps(
     del shared
 
     # One writer a node: every other row is before or after it.
-    top = np.iinfo(np.int64).max if keys.dtype == np.int64 else np.inf
-    writer_key = np.full(soa.size, top, dtype=keys.dtype)
+    writer_key = np.full(soa.size, np.iinfo(np.int64).max, dtype=np.int64)
     writer_key[lone_slots] = keys[lone]
     near = writer_key[idx]
     after = keys > near
@@ -290,7 +289,6 @@ def receive_steps(
                 b=pre.b[res],
                 c=pre.c[res],
                 n_res=len(res),
-                packed_ok=pre.packed_ok,
             ),
             keys[sub],
         )
@@ -593,14 +591,14 @@ class FastEngine(SoAHost):
         del chunks
         self.dropped += dropped
         if pre is not None:
-            keys = buffers.draw_delivery_keys(rng, len(pre), packed_ok=pre.packed_ok)
+            keys = buffers.draw_delivery_keys(rng, len(pre))
             plan = self._plan_round(pre, keys)
             del pre, keys
             self._walk(plan, rng)
             self._run_groups(plan)
             # The regular action reads nothing of the round's inbox.
             del plan
-        self._run_regular(rng)
+        self._run_regular()
         self.outbox.flush_stats()
         if wire is not None:
             self.dropped += wire.send(self.outbox.take_all(), self.soa)
@@ -717,7 +715,7 @@ class FastEngine(SoAHost):
         for lo, hi in plan.segments():
             counts = self._segment(plan, lo, hi)
             ((coins, forget_u),) = token_draws(rng, counts[None])
-            self._walk_tokens(plan, lo, hi, rng, coins, forget_u)
+            self._walk_tokens(plan, lo, hi, coins, forget_u)
 
     def _segment(self, plan: RoundPlan, lo: int, hi: int) -> np.ndarray:
         """Per wave of ``[lo, hi)``, how many of its walk rows are valid
@@ -742,12 +740,12 @@ class FastEngine(SoAHost):
         plan: RoundPlan,
         lo: int,
         hi: int,
-        rng: np.random.Generator,
         coins: np.ndarray,
         forget_u: np.ndarray,
     ) -> None:
-        """Step the tokens of the segment ``[lo, hi)`` with its draws;
-        record what each row leaves."""
+        """Step the tokens of the segment ``[lo, hi)`` with the coins
+        :func:`token_draws` cut for it (the engine's own draw, or the
+        sharded coordinator's); record what each row leaves."""
         inbox = plan.inbox
         rows, _, token = plan.walk_rows(lo, hi)
         idx = inbox.dest_idx[rows].astype(np.intp)
@@ -760,7 +758,6 @@ class FastEngine(SoAHost):
             inbox.a[rows],
             inbox.b[token],
             inbox.c[token],
-            rng,
             coins=coins,
             forget_u=forget_u,
         )
@@ -796,7 +793,7 @@ class FastEngine(SoAHost):
         """Slots the regular action covers, ascending by identifier."""
         return self.soa.sorted_live()[1]
 
-    def _run_regular(self, rng: np.random.Generator) -> None:
+    def _run_regular(self) -> None:
         """One batched regular action over all live nodes."""
         live_idx = self._regular_rows()
         self._windowed(
@@ -805,7 +802,6 @@ class FastEngine(SoAHost):
             False,
             self.kernels.regular_action,
             live_idx,
-            rng,
         )
 
     # ------------------------------------------------------------------

@@ -23,7 +23,8 @@ length, with ``0.0`` on every other row.
 Delivery-order model: the reference channel hands each node a uniformly
 random permutation of its pending messages, which the receive action then
 processes *sequentially*.  The batched equivalent keys every delivered
-message with one uniform draw (:func:`draw_delivery_keys`): a node takes
+message with one uniform 42-bit integer draw (:func:`draw_delivery_keys`),
+the one key type at every slot count: a node takes
 its rows in ``(key, canonical position)`` order.  The round never sorts
 its whole inbox by that order.  A node with at most one row that may
 store into it places every other row against that one *writer* with one
@@ -376,22 +377,6 @@ def stable_order(
     return order, words.astype(key.dtype, copy=False)
 
 
-def _argsort_ties_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.argsort(keys, kind="stable")`` and the sorted keys, paying for
-    stability only on a tie.
-
-    Distinct keys sort to one permutation under any algorithm, so the
-    default sort answers; two equal keys (seen as equal neighbours once
-    sorted) leave their order to the algorithm — which differs between
-    SIMD levels — so that case redoes the sort stably.
-    """
-    order = np.argsort(keys)
-    ranked = keys[order]
-    if bool((ranked[1:] == ranked[:-1]).any()):
-        order = np.argsort(keys, kind="stable")
-    return order, ranked
-
-
 def _key_bits(count: int, top_slot: int) -> int:
     """How many top bits of a 42-bit delivery key fit one int64 word
     beside a slot of at most *top_slot* and a position below
@@ -604,9 +589,8 @@ class PreparedInbox:
     shard-ascending concatenation of per-shard canonical orders).
 
     ``n_res`` counts the ``reslrl`` rows, and ``b``/``c`` hold their
-    neighbour ids only, in block order.  ``packed_ok`` reports whether
-    every slot index fits the packed 21+42-bit sort encoding.
-    ``dest_idx`` is int32, as in :class:`RoundInbox`.
+    neighbour ids only, in block order.  ``dest_idx`` is int32, as in
+    :class:`RoundInbox`.
     :func:`finalize_inbox` consumes a prepared inbox: it empties each
     column once gathered.
     """
@@ -617,7 +601,6 @@ class PreparedInbox:
     b: np.ndarray
     c: np.ndarray
     n_res: int
-    packed_ok: bool
 
     def __len__(self) -> int:
         return len(self.dest_idx)
@@ -710,25 +693,19 @@ def prepare_inbox(
             b=b,
             c=c,
             n_res=len(b),
-            packed_ok=top_slot < (1 << 21),
         ),
         dropped,
     )
 
 
-def draw_delivery_keys(
-    rng: np.random.Generator, count: int, *, packed_ok: bool
-) -> np.ndarray:
-    """One uniform delivery key per prepared row, in canonical row order.
+def draw_delivery_keys(rng: np.random.Generator, count: int) -> np.ndarray:
+    """One uniform 42-bit int64 delivery key per prepared row, in canonical
+    row order.
 
-    Integer keys feed the packed one-word sort encoding; beyond 2M slots
-    the encoding overflows and float keys feed a two-pass sort instead.
     The draw sits in the exact stream position :func:`build_inbox` always
     used, so splitting the assembly is invisible to seeded runs.
     """
-    if packed_ok:
-        return rng.integers(0, 1 << 42, size=count, dtype=np.int64)  # repro-flow: ignore[flow-branch-rng] both branches draw exactly once per inbox row; the branch picks the sort encoding, not the draw count
-    return rng.random(count)
+    return rng.integers(0, 1 << 42, size=count, dtype=np.int64)
 
 
 def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
@@ -738,42 +715,31 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
     writers may meet (``repro.sim.fast.batched.receive_steps``); the
     oracles and :func:`build_inbox` hand it a whole inbox.
 
-    *keys* aligns with *pre*'s canonical row order — either 42-bit int64
-    draws (requires ``pre.packed_ok``) or float64 (key pass, then
-    destination pass).  Key ties fall back to canonical position order:
-    an exchangeable tiebreak, still a uniform delivery order, and —
-    crucially for the sharded engine — a *content-determined* one.
+    *keys* are the 42-bit draws of :func:`draw_delivery_keys`, aligned
+    with *pre*'s canonical row order.  Key ties fall back to canonical
+    position order: an exchangeable tiebreak, still a uniform delivery
+    order, and — crucially for the sharded engine — a
+    *content-determined* one.
 
     *pre* is consumed: each of its columns is emptied as soon as it has
     been gathered into the round inbox (docs/PERF.md "Round-scoped
     buffers"), so a caller that reads *pre* afterwards sees no rows.
 
-    The int64 branch is one value sort of ``slot << (k+S) | key >> (42-k)
-    << S | position`` words, ``S`` position bits and the top ``k`` key
-    bits that fit beside them (:func:`_key_bits`): distinct truncated
-    keys order like the full ones, and the position is the canonical
-    tiebreak.  Two rows of one slot whose keys agree on those ``k`` bits
-    (or no room for any, ``k <= 0``) send the round through the
-    tie-checked sort of the full ``slot << 42 | key`` words
-    (:func:`_argsort_ties_stable`).  ``b``/``c`` follow their ``reslrl``
-    rows into the round inbox's layout (:class:`RoundInbox`).
+    The order is one value sort of ``slot << (k+S) | key >> (42-k) << S |
+    position`` words, ``S`` position bits and the top ``k`` key bits that
+    fit beside them (:func:`_key_bits`): distinct truncated keys order
+    like the full ones, and the position is the canonical tiebreak.  Two
+    rows of one slot whose keys agree on those ``k`` bits (or no room for
+    any, ``k <= 0``) send the round through ``np.lexsort((keys, slots))``,
+    exact and stable at any slot count.  ``b``/``c`` follow their
+    ``reslrl`` rows into the round inbox's layout (:class:`RoundInbox`).
     """
-    if keys.dtype == np.int64:
-        truncated = _truncated_order(pre.dest_idx, keys)
-        if truncated is not None:
-            order, dest_idx = truncated
-        else:
-            packed = pre.dest_idx.astype(np.int64) << np.int64(42)
-            packed |= keys
-            order, packed = _argsort_ties_stable(packed)
-            packed >>= np.int64(42)
-            dest_idx = packed.astype(pre.dest_idx.dtype)
-            del packed
+    truncated = _truncated_order(pre.dest_idx, keys)
+    if truncated is not None:
+        order, dest_idx = truncated
     else:
-        minor, _ = _argsort_ties_stable(keys)
-        position, dest_idx = stable_order(pre.dest_idx[minor], 31)
-        order = minor[position]
-        del minor, position
+        order = np.lexsort((keys, pre.dest_idx))
+        dest_idx = pre.dest_idx[order]
     _consume(pre, "dest_idx")
     tcode = pre.tcode[order]
     _consume(pre, "tcode")
@@ -850,7 +816,7 @@ def build_inbox(
         destinations are dropped and counted (second return value), the
         batched analogue of the reference network's drop-on-flush.
     rng:
-        Draws the uniform delivery-ordering keys — the round's single
+        Draws the 42-bit delivery-ordering keys — the round's single
         batched RNG call for delivery order.
 
     Identical ``(dest, type, payload)`` rows coalesce, the array analogue
@@ -860,5 +826,5 @@ def build_inbox(
     pre, dropped = prepare_inbox(chunks, lookup)
     if pre is None:
         return None, dropped
-    keys = draw_delivery_keys(rng, len(pre), packed_ok=pre.packed_ok)
+    keys = draw_delivery_keys(rng, len(pre))
     return finalize_inbox(pre, keys), dropped

@@ -26,11 +26,10 @@ addresses acks by it — so it is gathered only when the outbox's
 :class:`~repro.sim.fast.chaos.batched.BatchedWire` reads it); every other
 outbox stages ``None`` there.
 
-RNG: :meth:`move_forget` consumes one direction-coin array and one
-forget-coin array per wave of ``reslrl`` rows.  The engines walk a whole
+RNG: no kernel draws.  :meth:`move_forget` takes one direction-coin array
+and one forget-coin array for its validated rows; the engines walk a whole
 segment of waves in one call and inject those arrays, cut from one draw per
-segment (:func:`repro.sim.fast.batched.token_draws`); called without them
-the kernel draws the pair itself for its batch.  This is the *batched* draw
+segment (:func:`repro.sim.fast.batched.token_draws`).  This is the *batched* draw
 discipline — distributionally equal to, but not call-for-call identical
 with, the reference engine's per-node draws (the scalar oracle of
 ``tests/reference_mirror.py`` reproduces those instead; docs/PERF.md).
@@ -181,10 +180,9 @@ class Kernels:
         responder: np.ndarray,
         id1: np.ndarray,
         id2: np.ndarray,
-        rng: np.random.Generator,
         *,
-        coins: np.ndarray | None = None,
-        forget_u: np.ndarray | None = None,
+        coins: np.ndarray,
+        forget_u: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Step each long-range-link token, then roll the forget coin.
 
@@ -194,13 +192,13 @@ class Kernels:
         leaves its node with, and the link it forgot (NaN where it kept
         it), for :meth:`place_token` to put into the node's sequence.
 
-        *coins*/*forget_u* optionally inject the two uniform draws (both
-        sized to the post-validation batch).  Both engines use this: they
-        walk a segment of several waves in one call and cut each row's
-        coins from one draw per segment, in the order a wave-by-wave walk
-        would draw them — and the sharded coordinator makes that draw for
-        every shard at once, so any shard count replays the single-process
-        draw sequence bit-for-bit.
+        *coins*/*forget_u* are the two uniform draws, one per row that
+        passes validation (``responder == lrl``), in row order.  Both
+        engines walk a segment of several waves in one call and cut each
+        row's coins from one draw per segment, in the order a wave-by-wave
+        walk would draw them — and the sharded coordinator makes that draw
+        for every shard at once, so any shard count replays the
+        single-process draw sequence bit-for-bit.
         """
         s = self.soa
         forgotten = np.full(len(idx), np.nan)
@@ -217,8 +215,6 @@ class Kernels:
         known1 = id1 != NEG_INF
         known2 = id2 != POS_INF
         both = known1 & known2
-        if coins is None:
-            coins = rng.random(len(idx))  # repro-flow: ignore[flow-branch-rng] injection seam, not a data branch: the engines' segment walk (batched and sharded) cuts these coins from one draw per segment at this exact stream position; an uninjected direct call draws here, one coin per validated row either way
         new_lrl = s.lrl[idx].copy()
         new_lrl[known1] = id1[known1]
         take2 = (known2 & ~known1) | (both & (coins >= 0.5))
@@ -226,7 +222,7 @@ class Kernels:
         s.lrl[idx] = new_lrl
         s.age[idx] += 1
         phi = forget_probability_array(s.age[idx], self.config.epsilon)  # repro-flow: ignore[flow-read-after-write] reads the post-increment age on purpose: the reference node ages its token before rolling the forget coin
-        forget = (rng.random(len(idx)) if forget_u is None else forget_u) < phi
+        forget = forget_u < phi
         fidx = idx[forget]
         if len(fidx):
             forgotten[np.flatnonzero(valid)[forget]] = new_lrl[forget]
@@ -351,16 +347,16 @@ class Kernels:
     # ------------------------------------------------------------------
     # Algorithms 9/10 — the regular action
     # ------------------------------------------------------------------
-    def regular_action(self, idx: np.ndarray, rng: np.random.Generator) -> None:
+    def regular_action(self, idx: np.ndarray) -> None:
         """``sendid(); probing()`` for every node in *idx* at once.
 
         Faithful to the per-node sequence fold-stale-ring → sendid →
         probing: neighbor arrays are re-read after every internal
         ``linearize`` cascade, because a node's own fold/repair may have
         just changed them (sends are staged, so there are no cross-node
-        effects inside a round).
+        effects inside a round).  It draws nothing: the protocol's coins
+        are Algorithm 4's.
         """
-        del rng  # the regular action is deterministic (coins live in Alg. 4)
         if len(idx) == 0:
             return
         s = self.soa

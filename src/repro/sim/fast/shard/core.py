@@ -6,7 +6,7 @@ sanitizer wiring) over the coordinator's one
 :class:`~repro.sim.fast.soa.SoAState` and one ``MessageStats``, which it
 borrows: it owns an outbox, not nodes.  Every protocol action stores only
 into the acting node's own row, so blocks never touch each other's rows.
-It never draws randomness itself.  The
+It holds no generator: every draw is the coordinator's.  The
 coordinator (:class:`~repro.sim.fast.shard.engine.ShardedEngine`) splits
 the unsharded round into phases it can interleave across shards:
 
@@ -90,10 +90,6 @@ class ShardCore(FastEngine):
         ]
         self._pre: PreparedInbox | None = None
         self._plan: RoundPlan | None = None
-        # Never drawn on the coordinated path (regular_action is
-        # deterministic and reslrl draws are injected); exists so the
-        # inherited kernel calls keep their signature.
-        self._local_rng = np.random.default_rng([0xD15C, self.shard])
 
     # ------------------------------------------------------------------
     # Phase 1 — route
@@ -133,15 +129,13 @@ class ShardCore(FastEngine):
     # ------------------------------------------------------------------
     # Phase 2 — prepare
     # ------------------------------------------------------------------
-    def prepare_round(
-        self, incoming: list[WireChunks]
-    ) -> tuple[int, int, int, bool]:
+    def prepare_round(self, incoming: list[WireChunks]) -> tuple[int, int, int]:
         """Build the canonical pre-inbox from per-source wire chunks.
 
         *incoming* lists every source shard's chunks for this shard, in
         ascending source order (any deterministic order works — canonical
         ordering is content-determined).  Returns ``(dropped, n_nonres,
-        n_res, packed_ok)`` for the coordinator's key bookkeeping.
+        n_res)`` for the coordinator's key bookkeeping.
         """
         merged: list[list[tuple[np.ndarray, ...]]] = [
             [] for _ in range(N_TYPES)
@@ -158,8 +152,8 @@ class ShardCore(FastEngine):
         pre, dropped = prepare_inbox(merged, self.soa.lookup)
         self._pre = pre
         if pre is None:
-            return dropped, 0, 0, True
-        return dropped, len(pre) - pre.n_res, pre.n_res, pre.packed_ok
+            return dropped, 0, 0
+        return dropped, len(pre) - pre.n_res, pre.n_res
 
     # ------------------------------------------------------------------
     # Phase 3 — start dispatch
@@ -203,7 +197,7 @@ class ShardCore(FastEngine):
         plan = self._plan
         if plan is not None:
             if len(plan.walk_rows(lo, hi)[0]):
-                self._walk_tokens(plan, lo, hi, self._local_rng, coins, forget_u)
+                self._walk_tokens(plan, lo, hi, coins, forget_u)
                 return
         if len(coins):
             raise RuntimeError(
@@ -225,5 +219,5 @@ class ShardCore(FastEngine):
         plan, self._plan = self._plan, None
         if plan is not None:
             self._run_groups(plan)
-        self._run_regular(self._local_rng)
+        self._run_regular()
         self.outbox.flush_stats()

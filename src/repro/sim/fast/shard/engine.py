@@ -129,8 +129,7 @@ class ShardedEngine(SoAHost):
         res = [p[2] for p in prep]
         total = sum(nonres) + sum(res)
         if total:
-            packed_ok = all(p[3] for p in prep)
-            keys = draw_delivery_keys(rng, total, packed_ok=packed_ok)
+            keys = draw_delivery_keys(rng, total)
             slices: list[list[np.ndarray]] = [[] for _ in range(n)]
             offset = 0
             for block in (nonres, res):

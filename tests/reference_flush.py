@@ -25,7 +25,7 @@ guard, one victim at a time: the executable definition of the ``d <= m``
 rule of :func:`repro.sim.fast.buffers.departure_sweep`
 (``tests/test_departure_sweep.py``).  And the token walk as it ran before
 it went by segments — one ``move_forget`` call per wave of ``reslrl``
-rows, each drawing its own coins — the definition of the draw order
+rows, each with its own draw — the definition of the draw order
 :func:`repro.sim.fast.batched.token_draws` cuts from one draw
 (``tests/test_token_walk.py``).  Not collected by pytest (no ``test_``
 prefix); nothing under ``src/`` imports it.
@@ -168,7 +168,6 @@ def prepare_inbox_reference(
     a, b, c = a[unique_pos], b[unique_pos], c[unique_pos]
     n_res = len(keep_chunks[-1]) if hi > lo else 0
 
-    packed_ok = bool(len(dest_idx)) and int(dest_idx.max()) < (1 << 21)
     return (
         PreparedInbox(
             dest_idx=dest_idx.astype(np.int32, copy=False),
@@ -177,21 +176,15 @@ def prepare_inbox_reference(
             b=reslrl_only(tcode, b),
             c=reslrl_only(tcode, c),
             n_res=n_res,
-            packed_ok=packed_ok,
         ),
         dropped,
     )
 
 
 def finalize_inbox_reference(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
-    """Stable ``argsort`` of ``dest << 42 | key`` / two-key ``lexsort``."""
+    """The stable two-key ``lexsort`` by ``(dest, key)``, at any slot count."""
     dest_idx = pre.dest_idx
-    if keys.dtype == np.int64:
-        packed = dest_idx.astype(np.int64) << np.int64(42)
-        packed |= keys
-        order = np.argsort(packed, kind="stable")
-    else:
-        order = np.lexsort((keys, dest_idx))
+    order = np.lexsort((keys, dest_idx))
     dest_idx = dest_idx[order]
     tcode = pre.tcode[order]
     a = pre.a[order]
@@ -283,7 +276,10 @@ def walk_tokens_reference(engine, plan, rng: np.random.Generator) -> None:
     row is a writer, else the walk's rows by wave (their delivery ranks,
     which ``tests/test_flush_reference.py`` holds against
     :func:`finalize_inbox_reference`); each is one ``move_forget`` call
-    that filters validity against the walk so far and draws its own coins.
+    that filters validity against the walk so far, with the wave's own
+    draw: ``random(valid)`` direction coins, then ``random(valid)``
+    forget coins, ``valid`` the wave's rows whose responder is their
+    node's ``lrl`` (none without move-and-forget).
     """
     inbox = plan.inbox
     if plan.writer is None:
@@ -299,9 +295,14 @@ def walk_tokens_reference(engine, plan, rng: np.random.Generator) -> None:
     token_forgot = np.empty(len(inbox), dtype=np.float64)
     for rows in batches:
         idx = inbox.dest_idx[rows]
+        valid = (inbox.a[rows] == engine.soa.lrl[idx]) & engine.kernels.maf
+        count = int(np.count_nonzero(valid))
+        coins = rng.random(count)
+        forget_u = rng.random(count)
         token_lrl[rows], token_forgot[rows] = engine._windowed(
             "move_forget", idx, False, kernel,
-            idx, inbox.a[rows], b[rows], c[rows], rng,
+            idx, inbox.a[rows], b[rows], c[rows],
+            coins=coins, forget_u=forget_u,
         )
     plan.token_lrl[:] = reslrl_only(inbox.tcode, token_lrl)
     plan.token_forgot[:] = reslrl_only(inbox.tcode, token_forgot)

@@ -74,6 +74,33 @@ def test_batched_run_phases_records_all_phases() -> None:
     assert all(r is not None for r in rounds)
 
 
+def test_phase_three_ring_tail_is_pinned() -> None:
+    """Phase 3's tail on one trace: the shuffled line at n = 1 024, seed
+    13, is a sorted list at round 88 and a sorted ring only at 388.  The
+    minimum node's ``ring`` candidate creeps from rank 782 to the maximum,
+    rank 1 023, about 0.8 ranks a round, one ``ring``/``resring`` round
+    trip (Algorithms 7/8) at a time.  A change to those algorithms or
+    their kernels that moves the creep moves these ranks."""
+    sim = FastSimulator.from_states(
+        TOPOLOGIES["line"](1024, np.random.default_rng(13)),
+        rng=np.random.default_rng(13),
+    )
+    ranks: dict[int, int] = {}
+
+    def ring_rank_recorded(engine) -> bool:
+        ids, idx = engine.soa.sorted_live()
+        ranks[sim.round_index] = int(np.searchsorted(ids, engine.soa.ring[idx[0]]))
+        return fast_is_sorted_ring(engine)
+
+    recorder = sim.run_phases(
+        {"list": fast_is_sorted_list, "ring": ring_rank_recorded},
+        max_rounds=2000,
+        check_every=4,
+    )
+    assert (recorder.round_of("list"), recorder.round_of("ring")) == (88, 388)
+    assert [ranks[r] for r in (88, 188, 288, 384, 388)] == [782, 870, 933, 1019, 1023]
+
+
 def test_batched_converges_under_churn() -> None:
     states = TOPOLOGIES["line"](32, np.random.default_rng(13))
     sim = FastSimulator.from_states(states, rng=np.random.default_rng(13))

@@ -7,9 +7,9 @@ return the *same arrays* — values, order and dtype; float columns compared
 as bit patterns so ``-0.0`` and ``0.0`` stay apart — over arbitrary staged
 traffic and arbitrary (even model-violating) routing tables, including the
 corners the value sorts treat specially: key ties, truncated keys that tie
-where the full ones do not, payloads that share a sort code, the int64 bit
-budget and the float-key branch.  Where a value sort falls back to a slower exact path, a test
-pins that both paths run.
+where the full ones do not, payloads that share a sort code, slots past
+2**21 and the int64 bit budget.  Where a value sort falls back to a slower
+exact path, a test pins that both paths run.
 """
 
 from __future__ import annotations
@@ -142,7 +142,6 @@ def test_prepare_inbox_matches_reference(rows, chunk_rows) -> None:
     assert got is not None
     assert_same_fields(got, expected, ROW_FIELDS)
     assert got.n_res == expected.n_res
-    assert got.packed_ok == expected.packed_ok
 
 
 def test_prepare_inbox_dedup_compares_bits_not_values() -> None:
@@ -255,44 +254,18 @@ def test_payload_code_keeps_bit_order(patterns, code_bits) -> None:
     chunk_rows=chunk_sizes,
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     key_space=st.sampled_from([2, 5, 1 << 42]),
-    as_float=st.booleans(),
 )
-def test_finalize_inbox_matches_reference(rows, chunk_rows, seed, key_space, as_float) -> None:
+def test_finalize_inbox_matches_reference(rows, chunk_rows, seed, key_space) -> None:
     """Drawn keys and explicitly colliding ones (``key_space`` 2 and 5 make
-    most destinations hold equal keys: the stable tie fallback), on the
-    packed branch and on the float-key branch."""
+    most destinations hold equal keys: the ``lexsort`` fallback)."""
     pre = prepared(rows, chunk_rows)
     if pre is None:
         return
     keys = np.random.default_rng(seed).integers(0, key_space, size=len(pre), dtype=np.int64)
-    if as_float:
-        keys = keys / float(key_space)
     expected = finalize_inbox_reference(pre, keys)
     got = finalize_inbox(pre, keys)
     assert_same_fields(got, expected, ROW_FIELDS + ("rank",))
     assert got.n_waves == expected.n_waves
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    rows=wire_rows,
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    key_space=st.sampled_from([3, 1 << 42]),
-)
-def test_float_key_branch_orders_like_packed_branch(rows, seed, key_space) -> None:
-    """Beyond 2M slots the keys are floats; the same draw *ranks* (ties
-    included) must give the same inbox as the packed one-word encoding.
-    ``finalize_inbox`` consumes its prepared inbox, so each branch gets a
-    fresh one of the same rows."""
-    pre = prepared(rows)
-    if pre is None:
-        return
-    keys = np.random.default_rng(seed).integers(0, key_space, size=len(pre), dtype=np.int64)
-    as_float = keys / float(1 << 42)  # exact: 42-bit integers over a power of two
-    packed = finalize_inbox(pre, keys)
-    floated = finalize_inbox(prepared(rows), as_float)
-    assert_same_fields(floated, packed, ROW_FIELDS + ("rank",))
-    assert floated.n_waves == packed.n_waves
 
 
 def test_key_bits_budget() -> None:
@@ -320,15 +293,17 @@ def direct_prepared(slots: list[int], seed: int) -> PreparedInbox:
         b=rng.random(n_res),
         c=rng.random(n_res),
         n_res=n_res,
-        packed_ok=True,
     )
 
 
 #: ``(slots, key bits the one-word sort keeps)``: small slots keep all 42;
-#: slots near 2**21 take 21 bits beside the 5 of 18 positions, leaving 37.
+#: slots near 2**21 take 21 bits beside the 5 of 18 positions, leaving 37;
+#: slots past 2**30 (where a ``slot << 42 | key`` word would overflow)
+#: take 31, leaving 27.
 KEY_BUDGETS = {
     "k=42": ([3, 1, 3, 0, 3, 1] * 3, 42),
     "k<42": ([(1 << 21) - 1, 5, (1 << 21) - 1, 1 << 20, (1 << 21) - 1, 5] * 3, 37),
+    "slots>2**21": ([(1 << 30) + 3, 5, (1 << 30) + 3, 1 << 21, (1 << 30) + 3, 5] * 3, 27),
 }
 
 
@@ -340,13 +315,17 @@ KEY_BUDGETS = {
         ("k<42", "distinct"),
         ("k<42", "shared-top-bits"),
         ("k<42", "full-tie"),
+        ("slots>2**21", "distinct"),
+        ("slots>2**21", "shared-top-bits"),
+        ("slots>2**21", "full-tie"),
     ],
 )
 def test_finalize_inbox_truncated_keys(budget, keys) -> None:
-    """The one-word sort of truncated keys, against the stable argsort of
-    full ones.  Distinct draws are decided by their top ``k`` bits; keys
+    """The one-word sort of truncated keys, against the stable ``lexsort``
+    of full ones.  Distinct draws are decided by their top ``k`` bits; keys
     that agree on those (and differ below them, in the order opposite to
-    their rows) or agree entirely send the round to the full-key sort."""
+    their rows) or agree entirely send the round to the ``lexsort``
+    fallback, at any slot count."""
     slots, k = KEY_BUDGETS[budget]
     pre = direct_prepared(slots, seed=len(keys))
     count = len(pre)
@@ -368,7 +347,7 @@ def test_finalize_inbox_truncated_keys(budget, keys) -> None:
 @pytest.mark.parametrize("k", [0, -3])
 def test_finalize_inbox_without_key_bits(monkeypatch, k) -> None:
     """``k <= 0`` (2**42 rows or more) leaves no key bit beside slot and
-    position: the full-key sort decides, with the same answer."""
+    position: the ``lexsort`` fallback decides, with the same answer."""
     monkeypatch.setattr(buffers, "_key_bits", lambda count, top_slot: k)
     pre = direct_prepared([3, 1, 3, 0, 3, 1] * 3, seed=4)
     drawn = np.random.default_rng(5).integers(0, 1 << 42, size=len(pre), dtype=np.int64)
@@ -394,9 +373,7 @@ def test_wave_groups_match_reference(rows, seed) -> None:
     pre, _ = prepare_inbox(make_chunks(rows), soa.lookup)
     if pre is None:
         return
-    keys = buffers.draw_delivery_keys(
-        np.random.default_rng(seed), len(pre), packed_ok=pre.packed_ok
-    )
+    keys = buffers.draw_delivery_keys(np.random.default_rng(seed), len(pre))
     inbox = finalize_inbox_reference(pre, keys)
     expected = [
         (code, inbox.position[rows].astype(np.int32))

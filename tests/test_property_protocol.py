@@ -8,7 +8,9 @@ Invariants checked on randomly generated states and inputs:
 * ``linearize`` never *lengthens* a stored link (Lemma 4.11's direction);
 * handlers never lose identifiers: every id the node knew before is either
   still stored or was forwarded inside a message (the connectivity-
-  preservation core of Lemma 4.10).
+  preservation core of Lemma 4.10);
+* copies of one single-id message leave the state one copy leaves, and
+  copies of one ``reslrl`` may not (DESIGN.md §4.7, channel semantics).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import Message, MessageType
+from repro.core.messages import Message, MessageType, reslrl
 from repro.core.node import Node
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import NodeState
@@ -141,3 +143,44 @@ def test_update_ring_is_monotone(state, incoming, seed):
             assert after > before  # min-seeking-max only grows
         elif not had_right:
             assert after < before  # max-seeking-min only shrinks
+
+
+SINGLE_ID_TYPES = [t for t in MessageType if t is not MessageType.RESLRL]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    state=node_states(),
+    mtype=st.sampled_from(SINGLE_ID_TYPES),
+    payload=id_values,
+    copies=st.sampled_from([2, 3]),
+)
+def test_single_id_copies_leave_the_state_of_one(state, mtype, payload, copies):
+    """Coalescing identical single-id messages is idempotent in state: k
+    copies handled in a row leave what one copy leaves (their sends may
+    differ: a ``lin`` that is not adopted is forwarded once per copy)."""
+    message = Message(mtype, (payload,))
+    once = Node(state.copy(), ProtocolConfig())
+    once.on_message(message, Collector(), np.random.default_rng(0))
+    many = Node(state.copy(), ProtocolConfig())
+    for _ in range(copies):
+        many.on_message(message, Collector(), np.random.default_rng(0))
+    assert many.state.as_tuple() == once.state.as_tuple()
+
+
+def test_reslrl_copies_are_not_idempotent():
+    """A token at home gets the reply its own ``respond_lrl`` emits.  One
+    copy steps the token and forgets it (back home, age 0); the home
+    responder then matches ``lrl`` again, so a second identical copy steps
+    it once more.  Coalescing ``reslrl`` copies changes the state."""
+    state = NodeState(id=0.5, l=0.4, r=0.6, lrl=0.5, age=3)
+    out = Collector()
+    Node(state.copy(), ProtocolConfig()).respond_lrl(0.5, out)
+    assert out.sent == [(0.5, reslrl(0.5, 0.4, 0.6))]
+    reply = out.sent[0][1]
+    node = Node(state, ProtocolConfig())
+    rng = np.random.default_rng(0)
+    node.on_message(reply, Collector(), rng)
+    assert node.state.as_tuple() == (0.5, 0.4, 0.6, 0.5, None, 0)
+    node.on_message(reply, Collector(), rng)
+    assert node.state.as_tuple() == (0.5, 0.4, 0.6, 0.4, None, 1)

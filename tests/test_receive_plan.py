@@ -13,9 +13,9 @@ order (``finalize_inbox_reference`` → ``writer_rows_reference`` →
 canonical positions (as row sequences where every row is a writer, since
 then a group's order is the next round's staging order), the same writer
 mask, and the same walk rows, waves and reslrl ordinals.  Arbitrary
-(model-violating) node states make gap candidates frequent, small key
-spaces make key ties frequent, and float keys take the branch past 2M
-slots.  A last test pins the point of the planner: on a stationary round
+(model-violating) node states make gap candidates frequent, and small key
+spaces make key ties frequent (the delivery sort's ``lexsort`` fallback).
+A last test pins the point of the planner: on a stationary round
 the delivery-order sort sees a sliver of the inbox.
 """
 
@@ -77,13 +77,8 @@ def prepared(kind: str, nodes, rows):
     return engine, pre, engine.soa
 
 
-def draw_keys(pre, seed: int, key_space: int, as_float: bool) -> np.ndarray:
-    keys = np.random.default_rng(seed).integers(0, key_space, size=len(pre), dtype=np.int64)
-    if as_float:
-        # The float branch, as past 2M slots: keys in [0, 1), same ranks.
-        pre.packed_ok = False
-        return keys / float(key_space)
-    return keys
+def draw_keys(pre, seed: int, key_space: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, key_space, size=len(pre), dtype=np.int64)
 
 
 def assert_plan_is_the_delivery_order(part, pre, keys, soa, planned: bool) -> None:
@@ -134,15 +129,12 @@ def assert_plan_is_the_delivery_order(part, pre, keys, soa, planned: bool) -> No
     rows=st.lists(row_strategy, min_size=1, max_size=150),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     key_space=st.sampled_from(KEY_SPACES),
-    as_float=st.booleans(),
 )
-def test_plan_equals_the_whole_inbox_oracles(
-    kind, nodes, rows, seed, key_space, as_float
-) -> None:
+def test_plan_equals_the_whole_inbox_oracles(kind, nodes, rows, seed, key_space) -> None:
     part, pre, soa = prepared(kind, nodes, rows)
     if pre is None:
         return
-    keys = draw_keys(pre, seed, key_space, as_float)
+    keys = draw_keys(pre, seed, key_space)
     assert_plan_is_the_delivery_order(part, pre, keys, soa, kind != "all-true")
 
 
@@ -152,12 +144,23 @@ SETTLED = [(IDS[i - 1], IDS[i + 1], IDS[i], np.nan, 0) for i in range(4, 9)]
 
 
 @pytest.mark.parametrize("kind", ["writer", "all-true", "shard"])
-@pytest.mark.parametrize("as_float", [False, True])
-def test_plan_covers_every_kind_of_node(kind, as_float) -> None:
+@pytest.mark.parametrize("tied", [False, True])
+def test_plan_covers_every_kind_of_node(monkeypatch, kind, tied) -> None:
     """One inbox with a node of no writer, of one writer (a token, a ring
     reply, a lone candidate), of two (two tokens, a token and a candidate,
     two candidates on one side of which only one is promoted), every row
-    under tied keys: the same plan as the oracles give."""
+    under 42-bit draws (the delivery sort's one-word path) or under *tied*
+    keys (its ``lexsort`` fallback): the same plan as the oracles give,
+    and the path each key set is for runs."""
+    fallbacks = []
+    one_word = buffers._truncated_order
+
+    def spy(slots, keys):
+        order = one_word(slots, keys)
+        fallbacks.append(order is None)
+        return order
+
+    monkeypatch.setattr(buffers, "_truncated_order", spy)
     nodes = [OPEN] * 4 + SETTLED + [OPEN]
     rows = [
         (LIN, IDS[5], IDS[4], 0.0, 0.0),  # node 5, settled: no writer
@@ -181,8 +184,10 @@ def test_plan_covers_every_kind_of_node(kind, as_float) -> None:
     ]
     part, pre, soa = prepared(kind, nodes, rows)
     for seed in range(6):
-        keys = draw_keys(pre, seed, 2, as_float)
+        keys = draw_keys(pre, seed, 2 if tied else 1 << 42)
         assert_plan_is_the_delivery_order(part, pre, keys, soa, kind != "all-true")
+    # The second shard holds nodes 5-9, none of them with two writers.
+    assert fallbacks == [tied] * (0 if kind == "shard" else 6)
 
 
 def test_delivery_sort_sees_a_sliver_of_a_stationary_round() -> None:

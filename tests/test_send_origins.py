@@ -105,7 +105,7 @@ def drive_every_site(kernels, seed: int) -> list[tuple[int, float, int, np.ndarr
                 idx = np.array([slot])
                 sender = float(soa.ids[slot])
                 before = len(recorder.sent)
-                kernels.regular_action(idx, rng)
+                kernels.regular_action(idx)
                 live = soa.sorted_live()[0]
                 for handler in handlers:
                     for payload in rng.choice(live, size=3):

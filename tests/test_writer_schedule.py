@@ -290,9 +290,7 @@ def test_observable_staging_keeps_the_wave_groups(rows, seed, starvation) -> Non
     pre, _ = prepare_inbox(make_chunks(rows), wire.soa.lookup)
     if pre is None:
         return
-    keys = draw_delivery_keys(
-        np.random.default_rng(seed), len(pre), packed_ok=pre.packed_ok
-    )
+    keys = draw_delivery_keys(np.random.default_rng(seed), len(pre))
     parent = canonical_groups(pre, keys)
     plan = wire._plan_round(pre, keys)
     assert plan.writer is None
