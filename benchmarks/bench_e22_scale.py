@@ -74,27 +74,3 @@ def test_e22_scale_faulted(benchmark):
     assert all(r["route_hops"] < r["ring_hops"] for r in result.rows)
 
     _append_trajectory("e22_scale_faulted", result)
-
-
-def test_e22_scale_sharded(benchmark):
-    """The sharded-engine scale leg (docs/PERF.md): cold convergence at
-    n=2^18 on contiguous in-process id-range shards, recording wall clock
-    and peak RSS (sharding bounds memory, not time: docs/PERF.md §8)."""
-    result = run_and_report(
-        benchmark,
-        "e22",
-        tag="sharded",
-        sizes=(262144,),
-        queries=2000,
-        reference_max_n=0,
-        engine="sharded",
-        shards=4,
-    )
-    row = result.rows[0]
-    # Polylog rounds must survive the 2^18 jump (same gate shape as the
-    # 49k row of the plain leg).
-    assert row["rounds"] < 0.02 * 262144
-    assert row["route_hops"] < row["ring_hops"]
-    assert row["peak_rss_mb"] != ""
-
-    _append_trajectory("e22_scale_sharded", result)

@@ -10,8 +10,8 @@ when it improves enough that the baseline should be re-recorded.
 
 A second, independent gate pins the observability layer's cost contract
 (docs/OBSERVABILITY.md): with no observer active a simulator's round loop
-must stay within ``OBS_SLACK`` (5%) of the bare engine loop, on all three
-engines (reference, batched, sharded).  The engines hold no telemetry
+must stay within ``OBS_SLACK`` (5%) of the bare engine loop, on both
+engines (reference, batched).  The engines hold no telemetry
 code — an observer times their layers from outside, and only while it is
 attached — so what this gate times is the simulator's own attach point
 (the round's ``SimHandle`` check) and anything that ever creeps back onto
@@ -57,8 +57,6 @@ OBS_SLACK = 1.05
 OBS_REPEATS = 5
 OBS_FAST_N, OBS_FAST_ROUNDS = 512, 300
 OBS_REF_N, OBS_REF_ROUNDS = 192, 80
-#: The sharded leg pins the coordinator's unobserved round loop.
-OBS_SHARD_N, OBS_SHARD_ROUNDS, OBS_SHARD_SHARDS = 512, 240, 4
 
 #: Chaos-at-scale gate (docs/CHAOS.md "Faults at scale"): a fixed-round
 #: guarded loss-burst campaign at n=2048 on the batched engine's wire
@@ -132,8 +130,8 @@ def _gc_quiesced():
     The obs legs compare a sub-microsecond per-round delta against
     millisecond rounds; one generational collection landing inside one
     variant but not its interleaved twin swamps that delta and flakes
-    the 5% gate (seen on the single-CPU CI box in the allocation-heavy
-    sharded leg).  Collect up front, time without the collector, restore.
+    the 5% gate (seen on the single-CPU CI box in an allocation-heavy
+    leg).  Collect up front, time without the collector, restore.
     """
     gc.collect()
     was_enabled = gc.isenabled()
@@ -188,34 +186,8 @@ def _obs_reference(bare: bool) -> float:
         return time.perf_counter() - start
 
 
-def _obs_sharded(bare: bool) -> float:
-    """Fixed-round sharded run; ``bare`` bypasses the hook."""
-    from repro.core.protocol import ProtocolConfig
-    from repro.sim.fast import FastSimulator
-    from repro.topology.generators import TOPOLOGIES
-
-    states = TOPOLOGIES["line"](OBS_SHARD_N, np.random.default_rng(SEED))
-    sim = FastSimulator.from_states(
-        states,
-        ProtocolConfig(),
-        mode="sharded",
-        shards=OBS_SHARD_SHARDS,
-        rng=np.random.default_rng(SEED),
-    )
-    engine, rng = sim.engine, sim.rng
-    with _gc_quiesced():
-        start = time.perf_counter()
-        if bare:
-            for _ in range(OBS_SHARD_ROUNDS):
-                engine.execute_round(rng)
-                engine.stats.end_round()
-        else:
-            sim.run(OBS_SHARD_ROUNDS)
-        return time.perf_counter() - start
-
-
 def measure_obs_overhead() -> dict[str, float]:
-    """Unobserved simulator vs bare engine round loops, all three engines.
+    """Unobserved simulator vs bare engine round loops, on both engines.
 
     No observer is active in this process, so the hooked path is the
     production obs-disabled path: the simulator's ``step_round``, whose
@@ -236,11 +208,7 @@ def measure_obs_overhead() -> dict[str, float]:
     """
     import statistics
 
-    legs = {
-        "fast": _obs_fast,
-        "ref": _obs_reference,
-        "sharded": _obs_sharded,
-    }
+    legs = {"fast": _obs_fast, "ref": _obs_reference}
     bare: dict[str, list[float]] = {leg: [] for leg in legs}
     hooked: dict[str, list[float]] = {leg: [] for leg in legs}
     for repeat in range(OBS_REPEATS):
@@ -371,12 +339,6 @@ def record_obs_bench(result: dict[str, float]) -> None:
         "workloads": {
             "fast": {"n": OBS_FAST_N, "rounds": OBS_FAST_ROUNDS, "seed": SEED},
             "reference": {"n": OBS_REF_N, "rounds": OBS_REF_ROUNDS, "seed": SEED},
-            "sharded": {
-                "n": OBS_SHARD_N,
-                "rounds": OBS_SHARD_ROUNDS,
-                "shards": OBS_SHARD_SHARDS,
-                "seed": SEED,
-            },
         },
         **result,
     }
@@ -432,15 +394,9 @@ def main(argv: list[str] | None = None) -> int:
             f"perf-smoke[obs]: fast hooked={obs['fast_hooked_seconds']}s "
             f"bare={obs['fast_bare_seconds']}s ratio={obs['fast_ratio']}  "
             f"reference hooked={obs['ref_hooked_seconds']}s "
-            f"bare={obs['ref_bare_seconds']}s ratio={obs['ref_ratio']}  "
-            f"sharded hooked={obs['sharded_hooked_seconds']}s "
-            f"bare={obs['sharded_bare_seconds']}s "
-            f"ratio={obs['sharded_ratio']}"
+            f"bare={obs['ref_bare_seconds']}s ratio={obs['ref_ratio']}"
         )
-        obs_failed = (
-            max(obs["fast_ratio"], obs["ref_ratio"], obs["sharded_ratio"])
-            > OBS_SLACK
-        )
+        obs_failed = max(obs["fast_ratio"], obs["ref_ratio"]) > OBS_SLACK
         if obs_failed:
             print(
                 "perf-smoke[obs]: disabled observability costs more than "

@@ -44,7 +44,6 @@ def run_bench(
     n: int,
     lookups: int,
     engine: str,
-    shards: int,
     storm: str,
     zipf_s: float,
     batch: int,
@@ -56,7 +55,6 @@ def run_bench(
         n=n,
         topology="stable",
         engine=engine,
-        shards=shards,
         seed=seed,
         check_every=4,
     )
@@ -121,8 +119,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=2048)
     parser.add_argument("--lookups", type=int, default=20_000)
-    parser.add_argument("--engine", choices=("fast", "sharded"), default="fast")
-    parser.add_argument("--shards", type=int, default=4)
+    parser.add_argument("--engine", choices=("fast",), default="fast")
     parser.add_argument("--storm", default="flash_crowd")
     parser.add_argument("--zipf", type=float, default=1.1)
     parser.add_argument("--batch", type=int, default=8192)
@@ -142,7 +139,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         n=args.n,
         lookups=args.lookups,
         engine=args.engine,
-        shards=args.shards,
         storm=args.storm,
         zipf_s=args.zipf,
         batch=args.batch,

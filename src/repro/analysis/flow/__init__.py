@@ -1,11 +1,10 @@
 """Static conflict-freedom analysis for the struct-of-arrays engine.
 
 The flow pass extracts per-kernel SoA column read/write sets from the
-AST and enforces the discipline the vectorized kernels rely on (and the
-future sharding PR will *require*): vector stores into the same column
-must be provably disjoint, columns are read once at entry, in-place ops
-must not overlap their own input, and RNG draws must not hide inside
-data-dependent control flow.
+AST and enforces the discipline the vectorized kernels rely on: vector
+stores into the same column must be provably disjoint, columns are read
+once at entry, in-place ops must not overlap their own input, and RNG
+draws must not hide inside data-dependent control flow.
 
 The pass is stdlib-only and runs on the lint pass's machinery
 (:mod:`repro.analysis.lint`): its unit, rule base, engine and CLI.  What

@@ -105,8 +105,8 @@ class WriteWriteRule(Rule):
     )
     grounding = (
         "kernels.py invariant: within one handler call no fancy-indexed "
-        "store may hit the same slot twice — what lets the sharded "
-        "engine run the same kernels per id-range block"
+        "store may hit the same slot twice — what makes a vector store "
+        "the same as the per-row stores it replaces"
     )
 
     def check(self, unit: ModuleUnit) -> Iterator[Finding]:

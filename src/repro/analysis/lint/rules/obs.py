@@ -3,11 +3,12 @@
 One advisory rule (ISSUE 9): ``obs-blocking-in-wave`` flags blocking I/O
 inside the kernel / wave-dispatch modules of ``repro.sim.fast``.  The
 telemetry plane is built so the wave loop never blocks on observation —
-shard cores piggyback their counters on the boundary-exchange report,
-and the live scrape endpoint reads registry snapshots from its own
-threads.  A stray ``print``/``open``/``sleep`` (or a raw pipe/socket
-round-trip) inside a kernel stalls every shard for the slowest writer
-and silently breaks the ≤5 % obs-disabled overhead contract.
+the kernels store into disjoint slots and carry no telemetry code, the
+layer tracer times them from outside the wave loop, and the live scrape
+endpoint reads registry snapshots from its own threads.  A stray
+``print``/``open``/``sleep`` (or a raw pipe/socket round-trip) inside a
+kernel stalls the round and silently breaks the ≤5 % obs-disabled
+overhead contract.
 
 The rule deliberately does **not** flag bare ``.send``/``.write``/
 ``.flush``/``.read`` attribute calls: under ``sim/fast`` those names are
@@ -59,14 +60,13 @@ class ObsBlockingInWaveRule(Rule):
     severity: ClassVar[Severity] = Severity.WARNING
     summary: ClassVar[str] = (
         "blocking I/O (open/print/sleep/pipe round-trip) inside the "
-        "repro.sim.fast wave loop; telemetry must piggyback on the "
-        "boundary exchange or be read from the live-server threads"
+        "repro.sim.fast wave loop; telemetry must be read from outside "
+        "the wave loop (the layer tracer or the live-server threads)"
     )
     grounding: ClassVar[str] = (
         "the observability contract (docs/OBSERVABILITY.md) promises "
         "bit-identical trajectories and ≤5% obs-disabled overhead; a "
-        "blocking call inside a kernel stalls every shard on the "
-        "slowest writer and voids both"
+        "blocking call inside a kernel stalls the round and voids both"
     )
 
     def check(self, module: ModuleUnit) -> Iterator[Finding]:
@@ -82,9 +82,9 @@ class ObsBlockingInWaveRule(Rule):
                     module,
                     node,
                     f"'{label}' blocks the wave loop; move it out of the "
-                    "kernel/dispatch path (fold telemetry into the "
-                    "boundary-exchange report, or serve it from the "
-                    "live endpoint's threads)",
+                    "kernel/dispatch path (read telemetry from outside the "
+                    "wave loop, or serve it from the live endpoint's "
+                    "threads)",
                 )
 
     @staticmethod

@@ -10,8 +10,8 @@ the model — the self-stabilization proofs say nothing about them.
 
 These rules apply to every *protocol node class*: any class that defines an
 ``on_message`` method.  In this repository that is :class:`repro.core.node.Node`;
-the rules are written structurally so future node implementations (sharded,
-batched, accelerated) are covered automatically.
+the rules are written structurally so future node implementations (batched,
+accelerated) are covered automatically.
 """
 
 from __future__ import annotations

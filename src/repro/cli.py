@@ -7,7 +7,7 @@ Examples::
     repro run e05 sizes=256,512,1024 queries=500
     repro run all quick=1
     repro run e18 obs=runs/e18        # instrumented: telemetry into runs/e18
-    repro run e22 engine=sharded obs=runs/e22 live=:9099
+    repro run e22 engine=fast obs=runs/e22 live=:9099
                                       # + live /metrics + /health endpoint
     repro obs summarize runs/e18      # inspect the artifacts afterwards
     repro obs phases runs/e22         # round-phase wall-clock attribution
@@ -93,21 +93,15 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
 def _door_error(
     what: str, params: Mapping[str, object], engines: Sequence[str]
 ) -> str | None:
-    """The one-line refusal of a bad ``engine=`` or ``shards=``, else None.
+    """The one-line refusal of a bad ``engine=``, else None.
 
-    Both are answered at the door, before any state is built
-    (``repro run`` and ``repro serve`` print the line and exit 2).
+    It is answered at the door, before any state is built (``repro run``
+    and ``repro serve`` print the line and exit 2).
     """
     if params.get("engine", engines[0]) not in engines:
         return (
             f"unknown {what} engine {params['engine']!r}; accepted: "
             f"{', '.join(engines)}"
-        )
-    shards = params.get("shards")
-    if shards is not None and not (isinstance(shards, int) and shards >= 1):
-        return (
-            f"bad {what} shards={shards!r}; accepted: an integer >= 1 "
-            "(more shards than nodes run one shard per node)"
         )
     return None
 

@@ -227,10 +227,11 @@ class Node:
             # linearization process instead of silently dropping it.  A
             # stored identifier may be the last reference tying two parts
             # of the graph together; Algorithm 4 as printed can therefore
-            # disconnect CC in rare asynchronous executions (we exhibit a
-            # trace in the tests).  Lemma 4.10's discipline — links are
-            # "kept, added or substituted by a path", never dropped — is
-            # restored by handing the identifier to linearize.
+            # disconnect CC in rare asynchronous executions (not reproduced
+            # by a current test; ROADMAP.md item 20 searches for one).
+            # Lemma 4.10's discipline — links are "kept, added or
+            # substituted by a path", never dropped — is restored by
+            # handing the identifier to linearize.
             self.linearize(forgotten, send)
             trace = self.config.trace
             if trace is not None:

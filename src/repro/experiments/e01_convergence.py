@@ -51,9 +51,7 @@ def run(
     *engine* is any of :data:`repro.sim.host.ENGINES`: ``"fast"`` opts into
     the batched struct-of-arrays engine (:mod:`repro.sim.fast`,
     docs/PERF.md) — same phases, same seeds per trial, orders of magnitude
-    faster at large ``sizes``; ``"sharded"`` runs the sharded front-end
-    over the same batched kernels (two in-process id-range shards; a
-    bit-exact replay of ``"fast"`` on id-sorted states, docs/PERF.md).
+    faster at large ``sizes``.
     """
     result = ExperimentResult(
         experiment="e01",

@@ -78,13 +78,11 @@ def run(
     loss_rate: float = 0.0,
     burst_stop: int = 60,
     engine: str = "fast",
-    shards: int = 2,
 ) -> ExperimentResult:
     """Run the scale sweep; one row per size.
 
     ``engine`` selects the primary engine, any of
-    :data:`repro.sim.host.ENGINES`: ``"fast"`` (the batched default),
-    ``"sharded"`` (with *shards* in-process id-range blocks), or
+    :data:`repro.sim.host.ENGINES`: ``"fast"`` (the batched default) or
     ``"reference"`` (the per-node engine, for the cross-engine
     conformance matrix at small n).  The timing column
     ``fast_s`` always reports the primary engine's wall clock, and the
@@ -104,9 +102,7 @@ def run(
     over the chaos wire with the guarded-handoff transport
     (docs/CHAOS.md).  The reference comparison leg is skipped — at these
     sizes the scalar chaos wire needs minutes per round — so the speedup
-    columns are blank and guard-overhead columns appear instead.  Wire
-    faults need an engine with a wire (``make_simulator`` rejects
-    ``"sharded"``).
+    columns are blank and guard-overhead columns appear instead.
     """
     result = ExperimentResult(
         experiment="e22",
@@ -127,8 +123,6 @@ def run(
     )
     if loss_rate:
         result.params["burst_stop"] = burst_stop
-    if engine == "sharded":
-        result.params["shards"] = shards
     config = ProtocolConfig()
     for n in sizes:
         # One id-sorted column start per size.  The primary simulator
@@ -146,7 +140,6 @@ def run(
             engine=engine,
             rng=seed_rng(seed, "fast", n),
             guard=GuardPolicy() if loss_rate else None,
-            shards=shards,
         )
         del start
         t0 = time.perf_counter()

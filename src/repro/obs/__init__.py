@@ -7,7 +7,7 @@ the chaos subsystem, and every registered experiment:
   histograms with label sets);
 * :mod:`repro.obs.spans` — span tracing on a monotonic clock, and the
   layer tracer that times the round's layers from outside the engines
-  (per engine, shard and phase);
+  (per engine and phase);
 * :mod:`repro.obs.profile` — peak-RSS readings;
 * :mod:`repro.obs.exporters` / :mod:`repro.obs.manifest` — JSONL event
   stream, Prometheus text exposition, schema-validated run manifests;

@@ -5,8 +5,7 @@ HTTP server next to the ambient :class:`~repro.obs.observer.Observer`:
 
 * ``GET /metrics`` — the current registry rendered as a Prometheus text
   exposition (the same bytes ``metrics.prom`` will hold at finalize,
-  mid-run), including the ``shard=``-labelled per-shard series the
-  observer's layer tracer folds (:meth:`Observer.publish_shards`);
+  mid-run);
 * ``GET /health`` — a JSON document with the current round, live node
   count, pending messages, rounds/sec, the convergence probes
   (unconverged count, list-link potential) and a linear-extrapolation
@@ -78,7 +77,6 @@ def render_metrics(observer: "Observer") -> str | None:
     """
     for _ in range(_RENDER_RETRIES):
         try:
-            observer.publish_shards()
             return prometheus_text(observer.registry)
         except RuntimeError:
             time.sleep(0.005)

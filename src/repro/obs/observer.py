@@ -125,18 +125,12 @@ class Observer:
         """Hook a simulator in: time its host's rounds, hand back a handle.
 
         The engine label is ``reference`` for a scheduler-driven
-        :class:`~repro.sim.engine.Simulator`, ``sharded`` for a host with
-        shard cores, else ``fast``.  Attachment never touches the
-        simulator; it registers the host with :attr:`layers`.
+        :class:`~repro.sim.engine.Simulator`, else ``fast``.  Attachment
+        never touches the simulator; it registers the host with
+        :attr:`layers`.
         """
-        host = sim.host
-        if hasattr(sim, "scheduler"):
-            kind = "reference"
-        elif hasattr(host, "cores"):
-            kind = "sharded"
-        else:
-            kind = "fast"
-        self.layers.attach(host, kind)
+        kind = "reference" if hasattr(sim, "scheduler") else "fast"
+        self.layers.attach(sim.host, kind)
         index = self._sim_count
         self._sim_count += 1
         self.event("attach", sim=index, engine=kind)
@@ -153,49 +147,13 @@ class Observer:
     # ------------------------------------------------------------------
     def phases(self) -> dict[str, dict[str, dict[str, float]]]:
         """The manifest's ``phases`` block: ``{engine: {phase: {seconds,
-        calls, rows}}}``, self seconds summed over shards."""
+        calls, rows}}}``."""
         out: dict[str, dict[str, dict[str, float]]] = {}
-        for (engine, _, phase), t in self.layers.snapshot().totals.items():
-            body = out.setdefault(engine, {}).setdefault(
-                phase, {"seconds": 0.0, "calls": 0, "rows": 0}
-            )
-            body["seconds"] += t.self_s
-            body["calls"] += t.calls
-            body["rows"] += t.rows
-        return {
-            engine: {
-                phase: {**body, "seconds": round(body["seconds"], 6)}
-                for phase, body in sorted(phases.items())
+        for (engine, phase), t in sorted(self.layers.snapshot().totals.items()):
+            out.setdefault(engine, {})[phase] = {
+                "seconds": round(t.self_s, 6), "calls": t.calls, "rows": t.rows,
             }
-            for engine, phases in sorted(out.items())
-        }
-
-    def publish_shards(self) -> None:
-        """Copy the per-shard layer totals into the registry's ``shard=``
-        series (every scrape and the final summary call this)."""
-        totals = self.layers.snapshot().totals
-        shards = [(key, t) for key, t in totals.items() if key[1] is not None]
-        if not shards:
-            return
-        registry = self.registry
-        seconds = registry.counter(
-            "shard_phase_seconds_total", "shard-side self seconds per phase/kernel"
-        )
-        rows = {
-            "flush": registry.counter(
-                "shard_rows_routed_total", "outbox rows a shard routed"
-            ),
-            "exchange": registry.counter(
-                "shard_rows_delivered_total", "rows a shard received"
-            ),
-        }
-        live = registry.gauge("shard_live_nodes", "live nodes of each shard")
-        for (_, shard, phase), t in shards:
-            seconds.set_total(t.self_s, shard=shard, phase=phase)
-            if phase in rows:
-                rows[phase].set_total(t.rows, shard=shard)
-            elif phase == "regular":
-                live.set(t.last_rows, shard=shard)
+        return out
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -218,7 +176,6 @@ class Observer:
             self.registry.gauge(
                 "peak_rss_bytes", "peak resident set size of the run process"
             ).max(rss)
-        self.publish_shards()
         self._summary = {
             "metrics": self.registry.scrape(),
             "phases": self.phases(),

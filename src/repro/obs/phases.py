@@ -6,11 +6,10 @@ phases, and how it is split.  The phases are the self times the
 observer's :class:`~repro.obs.spans.LayerTracer` folds at the layer
 boundaries of :data:`~repro.obs.spans.LAYERS` (one table per engine in
 docs/OBSERVABILITY.md), so they are exclusive and sum to the engine's
-``execute_round`` time; the sharded engine's per-shard split is its
-``shard_phase_seconds_total`` series.  *Attribution* is the ratio of
-summed phase seconds to the ``round_seconds`` histogram's measured
-wall-clock — the acceptance gate demands ≥ 95% on every engine, so
-nothing material hides between the phases.  Calls count calls and rows
+``execute_round`` time.  *Attribution* is the ratio of summed phase
+seconds to the ``round_seconds`` histogram's measured wall-clock — the
+acceptance gate demands ≥ 95% on every engine, so nothing material
+hides between the phases.  Calls count calls and rows
 count rows.
 
 Stdlib-only, like the rest of the ``repro obs`` CLI surface.
@@ -38,31 +37,6 @@ def _round_wall_by_engine(manifest: dict[str, object]) -> dict[str, float]:
         total = sample.get("sum")
         if isinstance(total, (int, float)):
             out[engine] = out.get(engine, 0.0) + float(total)
-    return out
-
-
-def _shard_kernel_seconds(
-    manifest: dict[str, object],
-) -> dict[str, dict[str, float]]:
-    """``{shard: {phase: seconds}}`` from ``shard_phase_seconds_total``."""
-    out: dict[str, dict[str, float]] = {}
-    metrics = manifest.get("metrics")
-    if not isinstance(metrics, dict):
-        return out
-    body = metrics.get("shard_phase_seconds_total")
-    if not isinstance(body, dict):
-        return out
-    for sample in body.get("samples", []):  # type: ignore[union-attr]
-        if not isinstance(sample, dict):
-            continue
-        labels = sample.get("labels")
-        if not isinstance(labels, dict):
-            continue
-        shard = str(labels.get("shard", "?"))
-        phase = str(labels.get("phase", "?"))
-        value = sample.get("value")
-        if isinstance(value, (int, float)):
-            out.setdefault(shard, {})[phase] = float(value)
     return out
 
 
@@ -120,7 +94,6 @@ def phase_report(manifest: dict[str, object]) -> dict[str, object]:
     return {
         "experiment": manifest.get("experiment", ""),
         "engines": engines,
-        "shards": _shard_kernel_seconds(manifest),
     }
 
 
@@ -154,17 +127,4 @@ def render_phase_report(report: dict[str, object]) -> str:
                 f"  {timing['share'] * 100:>5.1f}%"
                 f"  ({timing['calls']} calls{rows})"
             )
-    shards = report.get("shards")
-    if isinstance(shards, dict) and shards:
-        lines.append("per-shard self time (shard_phase_seconds_total):")
-        for shard in sorted(shards, key=lambda s: (len(s), s)):
-            per_phase = shards[shard]
-            assert isinstance(per_phase, dict)
-            rendered = "  ".join(
-                f"{phase}={seconds:.3f}s"
-                for phase, seconds in sorted(
-                    per_phase.items(), key=lambda kv: -kv[1]
-                )
-            )
-            lines.append(f"  shard={shard}: {rendered}")
     return "\n".join(lines)

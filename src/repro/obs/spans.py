@@ -10,12 +10,11 @@ Two tracers share this module and the run's epoch
 * :class:`LayerTracer` answers "where did the round go" from *outside*
   the engines.  While an observer has a simulator attached, every
   boundary in :data:`LAYERS` — ``Network.flush``, ``prepare_inbox``, each
-  ``Kernels`` method, the ``ShardCore`` phases, ... — is wrapped, and
-  each call's busy time, *self* time (busy minus the spans opened inside
-  it) and row volume are folded online into per-``(engine, shard,
-  phase)`` totals.  No span list is kept, so the totals do not grow with
-  the length of a run, and the self times sum to the time the outermost
-  spans cover: the phase budget is additive.
+  ``Kernels`` method, ... — is wrapped, and each call's busy time, *self*
+  time (busy minus the spans opened inside it) and row volume are folded
+  online into per-``(engine, phase)`` totals.  No span list is kept, so
+  the totals do not grow with the length of a run, and the self times sum
+  to the time the outermost spans cover: the phase budget is additive.
 
 The engines carry no telemetry code: with no observer attached every
 target of :data:`LAYERS` is the original function, and the wrappers only
@@ -127,11 +126,6 @@ class SpanTracer:
 RowsOf = Callable[[tuple[Any, ...], Any], int]
 
 
-def _chunk_rows(chunks: Any) -> int:
-    """Rows in a per-type list of ``(dest, ...)`` column chunks."""
-    return sum(len(ch[0]) for per_type in chunks for ch in per_type)
-
-
 def _idx_rows(args: tuple[Any, ...], result: Any) -> int:
     return len(args[1])
 
@@ -143,15 +137,13 @@ class Layer(NamedTuple):
     among its arguments.  Called with no span open on its thread, it opens
     one only for a host an observer attached, and its spans carry that
     host's engine label; every other boundary times only inside such a
-    span.  ``shard`` marks a :class:`ShardCore` method: it and the spans
-    opened inside it carry the core's ``shard``.
+    span.
     """
 
     module: str
     attr: str
     phase: str
     host: int | None = None
-    shard: bool = False
     rows: RowsOf | None = None
 
 
@@ -161,11 +153,9 @@ _KERNELS = (
 )
 _SCHEDULERS, _ADVERSARIES = "repro.sim.schedulers", "repro.sim.adversary"
 _BATCHED, _KERNEL = "repro.sim.fast.batched", "repro.sim.fast.kernels"
-#: The batched round calls its flush stages as ``buffers`` attributes; the
-#: shard cores and the coordinator call their own imported names.
+#: The batched round calls its flush stages as ``buffers`` attributes.
 _BUFFERS = "repro.sim.fast.buffers"
 _WIRE = "repro.sim.fast.chaos.batched"
-_SHARDED, _CORE = "repro.sim.fast.shard.engine", "repro.sim.fast.shard.core"
 
 #: Every boundary the observer times; one table per engine with what each
 #: phase holds is in docs/OBSERVABILITY.md.  A round entry point's self
@@ -186,21 +176,6 @@ LAYERS: tuple[Layer, ...] = (
     Layer(_WIRE, "BatchedWire.send", "wire"),
     *(Layer(_KERNEL, f"Kernels.{name}", name, rows=_idx_rows) for name in _KERNELS),
     Layer(_KERNEL, "Kernels.regular_action", "regular", rows=_idx_rows),
-    Layer(_SHARDED, "ShardedEngine.execute_round", "merge", host=0),
-    Layer(_SHARDED, "draw_delivery_keys", "rng"),
-    Layer(_SHARDED, "token_draws", "rng"),
-    Layer(
-        _CORE, "ShardCore.route_take", "flush", shard=True,
-        rows=lambda a, r: sum(_chunk_rows(wire) for wire in r),
-    ),
-    Layer(
-        _CORE, "ShardCore.prepare_round", "exchange", shard=True,
-        rows=lambda a, r: sum(_chunk_rows(source) for source in a[1]),
-    ),
-    *(
-        Layer(_CORE, f"ShardCore.{name}", "dispatch", shard=True)
-        for name in ("start_round", "reslrl_count", "reslrl_apply", "finish_round")
-    ),
 )
 
 
@@ -219,15 +194,12 @@ def layer_targets() -> list[tuple[Any, str, Layer]]:
 
 
 class LayerTotals(NamedTuple):
-    """Folded totals of one ``(engine, shard, phase)``."""
+    """Folded totals of one ``(engine, phase)``."""
 
     calls: int
     busy_s: float
     self_s: float
     rows: int
-    #: The row volume of the latest call (a shard's live nodes, for
-    #: ``regular``).
-    last_rows: int
 
 
 @dataclass(frozen=True)
@@ -239,12 +211,12 @@ class LayerSnapshot:
 
     at_s: float
     covered_s: float
-    totals: dict[tuple[str, int | None, str], LayerTotals]
+    totals: dict[tuple[str, str], LayerTotals]
 
 
 #: Per-thread span stacks: the serving host steps its engine on its own
 #: thread while clients call in on others.  A frame is the list
-#: ``[fold, engine, shard, inner]``: ``fold`` is the tracer's
+#: ``[fold, engine, inner]``: ``fold`` is the tracer's
 #: ``[totals, covered_s]`` for this thread, ``inner`` the busy time of
 #: the spans closed directly inside the frame.
 _local = threading.local()
@@ -257,7 +229,7 @@ _installed: list[tuple[Any, str, Any, Layer]] = []
 
 
 def _wrap(fn: Callable[..., Any], layer: Layer) -> Callable[..., Any]:
-    phase, host, sharded, rows_of = layer.phase, layer.host, layer.shard, layer.rows
+    phase, host, rows_of = layer.phase, layer.host, layer.rows
     clock = time.perf_counter
     local = _local
     hosts = _hosts
@@ -268,14 +240,14 @@ def _wrap(fn: Callable[..., Any], layer: Layer) -> Callable[..., Any]:
         if stack:
             outer = stack[-1]
             fold = outer[0]
-            frame = [fold, outer[1], args[0].shard if sharded else outer[2], 0.0]
+            frame = [fold, outer[1], 0.0]
         else:
             entry = None if host is None else hosts.get(id(args[host]))
             if entry is None:
                 return fn(*args, **kwargs)
             outer = None
             fold = entry[0].thread_fold()
-            frame = [fold, entry[1], None, 0.0]
+            frame = [fold, entry[1], 0.0]
             if stack is None:
                 stack = local.stack = []
         stack.append(frame)
@@ -288,18 +260,16 @@ def _wrap(fn: Callable[..., Any], layer: Layer) -> Callable[..., Any]:
             if outer is None:
                 fold[1] += busy
             else:
-                outer[3] += busy
-            key = (frame[1], frame[2], phase)
+                outer[2] += busy
+            key = (frame[1], phase)
             totals = fold[0].get(key)
             if totals is None:
-                totals = fold[0][key] = [0, 0.0, 0.0, 0, 0]
+                totals = fold[0][key] = [0, 0.0, 0.0, 0]
             totals[0] += 1
             totals[1] += busy
-            totals[2] += busy - frame[3]
+            totals[2] += busy - frame[2]
         if rows_of is not None:
-            rows = rows_of(args, result)
-            totals[3] += rows
-            totals[4] = rows
+            totals[3] += rows_of(args, result)
         return result
 
     return traced
@@ -326,7 +296,7 @@ def _uninstall() -> None:
 
 
 class LayerTracer:
-    """Per-``(engine, shard, phase)`` totals of the round's layers.
+    """Per-``(engine, phase)`` totals of the round's layers.
 
     :meth:`attach` registers an engine host under its engine label and
     wraps the boundaries of :data:`LAYERS` that are not wrapped yet;
@@ -340,8 +310,8 @@ class LayerTracer:
     def __init__(self, epoch: float) -> None:
         self.epoch = epoch
         #: Each thread folds into its own ``[totals, covered_s]``, totals
-        #: ``[calls, busy_s, self_s, rows, last_rows]`` per key, so no
-        #: fold is shared between threads; :meth:`snapshot` sums them.
+        #: ``[calls, busy_s, self_s, rows]`` per key, so no fold is shared
+        #: between threads; :meth:`snapshot` sums them.
         self._folds: list[list[Any]] = []
         self._local = threading.local()
         #: ``id(host) -> weak reference`` for every host attached here.
@@ -383,13 +353,12 @@ class LayerTracer:
         """The totals folded so far (safe to take while rounds run)."""
         with _lock:
             folds = list(self._folds)
-        totals: dict[tuple[str, int | None, str], LayerTotals] = {}
+        totals: dict[tuple[str, str], LayerTotals] = {}
         for fold in folds:
             for key, values in list(fold[0].items()):
                 t = LayerTotals(*values)
                 if key in totals:
-                    summed = (x + y for x, y in zip(totals[key][:4], t))
-                    t = LayerTotals(*summed, t.last_rows)
+                    t = LayerTotals(*(x + y for x, y in zip(totals[key], t)))
                 totals[key] = t
         covered = sum(fold[1] for fold in folds)
         return LayerSnapshot(time.perf_counter() - self.epoch, covered, totals)

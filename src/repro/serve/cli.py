@@ -3,14 +3,14 @@
 Parameters follow the ``repro run`` key=value convention::
 
     repro serve n=4096 topology=stable engine=fast api=:8080
-    repro serve n=2048 engine=sharded shards=4 obs=serve-run api=:0
+    repro serve n=2048 obs=serve-run api=:0
     repro serve n=512 topology=random_tree duration=30
 
 Keys: ``n``, ``topology`` (``stable`` or a generator name), ``engine``
-(``fast``/``sharded``), ``shards``, ``seed``, ``api`` (``:PORT`` /
-``HOST:PORT``; ``:0`` asks for an ephemeral port; the one address
-serves the API and its telemetry), ``obs=DIR`` (full
-artifact set + ``DIR/serve.json`` announcing the bound address),
+(``fast``), ``seed``, ``api`` (``:PORT`` / ``HOST:PORT``; ``:0`` asks
+for an ephemeral port; the one address serves the API and its
+telemetry), ``obs=DIR`` (full artifact set + ``DIR/serve.json``
+announcing the bound address),
 ``pace`` (seconds slept per round), ``rounds`` (stop stepping after
 that many; the last view keeps serving), ``duration`` (seconds to
 serve; 0 = until ``POST /shutdown`` or Ctrl-C), ``sanitize=1`` (run the
@@ -30,7 +30,7 @@ from collections.abc import Sequence
 __all__ = ["main"]
 
 _KNOWN = {
-    "n", "topology", "engine", "shards", "seed", "api", "obs", "pace",
+    "n", "topology", "engine", "seed", "api", "obs", "pace",
     "rounds", "duration", "sanitize",
 }
 
@@ -57,7 +57,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         n=int(params.pop("n", 4096)),
         topology=str(params.pop("topology", "stable")),
         engine=str(params.pop("engine", "fast")),
-        shards=int(params.pop("shards", 2)),
         seed=int(params.pop("seed", 7)),
         api=params.pop("api", ":0"),
         obs_dir=None if obs_dir is None else str(obs_dir),

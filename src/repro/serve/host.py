@@ -63,8 +63,8 @@ class EngineHost:
     Parameters
     ----------
     sim:
-        A :class:`~repro.sim.fast.engine.FastSimulator` (batched or
-        sharded engine).  The host becomes the only caller of
+        A :class:`~repro.sim.fast.engine.FastSimulator` over the
+        batched engine.  The host becomes the only caller of
         ``step_round`` once :meth:`start` runs.
     observer:
         The run's observer; membership and storm counters land in its

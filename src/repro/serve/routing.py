@@ -9,10 +9,10 @@ pieces make that safe and fast:
     by the engine thread once per round boundary.  Publication borrows
     the engine's cached sorted-id array and its bucket table
     (:meth:`SoAState.sorted_live` and :meth:`SoAState.sorted_buckets`
-    replace — never mutate — both on rebuild; every engine, the sharded
-    one included, has exactly one ``SoAState``), resolves the
-    ``l``/``r``/``lrl`` link columns to ranks with one probe of that
-    table (:func:`repro.ids.bucket_probe`, the probe the engine's own
+    replace — never mutate — both on rebuild; every fast engine has
+    exactly one ``SoAState``), resolves the ``l``/``r``/``lrl`` link
+    columns to ranks with one probe of that table
+    (:func:`repro.ids.bucket_probe`, the probe the engine's own
     ``SoAState.lookup`` makes), and compiles the two hop tables below
     from the ranks: O(n) array work per round, no per-node Python
     objects.  Serving a lookup copies nothing, and its target ids are

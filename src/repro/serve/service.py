@@ -2,8 +2,8 @@
 
 :class:`OverlayService` glues the three serving pieces together:
 
-* an :class:`~repro.serve.host.EngineHost` stepping the fast/sharded
-  engine on its own thread and publishing
+* an :class:`~repro.serve.host.EngineHost` stepping the fast engine on
+  its own thread and publishing
   :class:`~repro.serve.routing.RouteView` snapshots;
 * the :class:`repro.obs.live.LiveServer` that ``repro run ...
   live=:PORT`` uses, bound to the ``api=`` address, which already
@@ -60,7 +60,7 @@ __all__ = [
 
 #: The engines the service serves from (``RouteView`` reads SoA columns,
 #: so not the reference ``Network``).
-SERVED_ENGINES: tuple[str, ...] = ("fast", "sharded")
+SERVED_ENGINES: tuple[str, ...] = ("fast",)
 
 #: Histogram bucket bounds for greedy-routing hop counts (log-spaced;
 #: Lemma 4.23 puts converged routes well under the top bucket).
@@ -385,7 +385,6 @@ def build_service(
     n: int = 4096,
     topology: str = "stable",
     engine: str = "fast",
-    shards: int = 2,
     seed: int = 7,
     config: "ProtocolConfig | None" = None,
     sanitize: bool | None = None,
@@ -402,8 +401,7 @@ def build_service(
     of Fact 4.21 (sorted ring + 1-harmonic long-range links), the
     production bring-up path — or any name from
     :data:`repro.topology.generators.TOPOLOGIES` for a cold start that
-    converges while serving.  *engine* is one of :data:`SERVED_ENGINES`
-    (*shards* is read by ``"sharded"`` only).
+    converges while serving.  *engine* is one of :data:`SERVED_ENGINES`.
 
     With *obs_dir* the full artifact set (``metrics.jsonl`` /
     ``metrics.prom`` / ``manifest.json``) is written there on stop;
@@ -435,7 +433,6 @@ def build_service(
         )
     params: dict[str, object] = {
         "n": n, "topology": topology, "engine": engine, "seed": seed,
-        "shards": shards if engine == "sharded" else None,
     }
     if obs_dir is not None:
         from repro.obs.harness import run_observer
@@ -456,11 +453,10 @@ def build_service(
             config,
             engine=engine,
             rng=seed_rng(seed, "serve-rounds"),
-            shards=shards,
             sanitize=sanitize,
         )
     host = EngineHost(
-        cast("FastSimulator", sim),  # SERVED_ENGINES are fast engines
+        cast("FastSimulator", sim),  # SERVED_ENGINES is the fast engine
         observer=observer,
         pace=pace,
         check_every=check_every,

@@ -37,13 +37,13 @@ message, so within a wave every destination appears at most once
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.messages import MessageType
+from repro.sim.fast.sanitize import sanitize_enabled
 from repro.sim.metrics import MessageStats
 
 __all__ = [
@@ -94,14 +94,12 @@ _TYPE_ORDER = tuple(range(N_TYPES))
 _RESLRL_LAST = (LIN, INCLRL, RING, RESRING, PROBR, PROBL, RESLRL)
 
 
-def _wave_check_enabled() -> bool:
-    """Whether the wave-uniqueness assert runs (``REPRO_CHECK_WAVES=1``).
-
-    Read per call so tests can flip the environment without reimporting;
-    the check additionally requires ``__debug__`` (``python -O`` strips
-    it) because it adds a full sort of the inbox per round.
-    """
-    return os.environ.get("REPRO_CHECK_WAVES", "").lower() not in ("", "0", "false")
+#: Whether the wave-uniqueness asserts run: under the flow sanitizer's
+#: switch (``REPRO_SANITIZE=1``), read per call so tests can flip the
+#: environment without reimporting.  Each call site also requires
+#: ``__debug__`` (``python -O`` strips it), because a check adds a full
+#: sort of the inbox per round.
+_wave_check_enabled = sanitize_enabled
 
 #: One staged batch: ``(dest, a, b, c, origin)``.  ``origin`` is the
 #: sender-id column: the kernels gather it only into an outbox whose

@@ -197,11 +197,6 @@ class ShardedEngine(SoAHost):
         parts = [core.in_flight_rows(code) for core in self.cores]
         return tuple(np.concatenate(column) for column in zip(*parts))
 
-    def set_wave_fault(self, fault: object) -> None:
-        raise NotImplementedError(
-            "wave-dispatch faults are not supported on the sharded engine"
-        )
-
     def __repr__(self) -> str:
         return (
             f"ShardedEngine(n={len(self)}, shards={self.shards}, "

@@ -89,11 +89,8 @@ class Host(Protocol):
     def crash_restart(self, node_ids: Sequence[float] | np.ndarray) -> None: ...
 
 
-#: Fast-engine name (the drivers' vocabulary) → ``from_states`` mode.
-_FAST_MODES = {"fast": "batched", "sharded": "sharded"}
-
 #: The engines a driver's ``engine=`` accepts.
-ENGINES = ("reference", *_FAST_MODES)
+ENGINES = ("reference", "fast")
 
 
 def make_simulator(
@@ -104,7 +101,6 @@ def make_simulator(
     rng: np.random.Generator | int | None = None,
     wire: bool = False,
     guard: "GuardPolicy | None" = None,
-    shards: int = 2,
     **engine_options: Any,
 ) -> BaseSimulator[Host]:
     """A simulator over *states* on the named *engine* (see :data:`ENGINES`).
@@ -113,20 +109,19 @@ def make_simulator(
     :class:`~repro.sim.fast.soa.SoAState`; every engine runs over its own
     copy (the reference engine over ``states.to_states()``), so the
     caller's object is never aliased and one start can seed several
-    simulators.  The fast engines take an ``SoAState`` without a
+    simulators.  The fast engine takes an ``SoAState`` without a
     ``NodeState`` ever existing.
 
     ``wire=True`` (implied by a *guard*) puts the fault-injectable chaos
     wire under the host as ``host.wire`` — a ``ScalarWire`` on the
-    reference engine, a ``BatchedWire`` on the fast one; the sharded
-    engine has no wire transport and raises ``ValueError``.  *shards* is
-    read by the sharded engine only.  *engine_options* (``keep_history``,
-    on the reference engine ``dedup``, and on the fast engines
-    ``sanitize``) go to :func:`build_network` or
-    :meth:`FastSimulator.from_states` unchanged.  ``dedup=False`` gives
-    the reference engine the paper's multiset channels; the fast engines
-    always coalesce identical pending messages (DESIGN.md §4.7) and take
-    no ``dedup``, so passing one raises ``TypeError``.
+    reference engine, a ``BatchedWire`` on the fast one.
+    *engine_options* (``keep_history``, on the reference engine
+    ``dedup``, and on the fast engine ``sanitize``) go to
+    :func:`build_network` or :meth:`FastSimulator.from_states` unchanged.
+    ``dedup=False`` gives the reference engine the paper's multiset
+    channels; the fast engine always coalesces identical pending messages
+    (DESIGN.md §4.7) and takes no ``dedup``, so passing one raises
+    ``TypeError``.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -138,6 +133,6 @@ def make_simulator(
         network = build_network(states, config, wire=wire, guard=guard, **engine_options)
         return Simulator(network, rng)
     return FastSimulator.from_states(
-        states, config, mode=_FAST_MODES[engine], wire=wire, guard=guard,
-        rng=rng, shards=shards, **engine_options,
+        states, config, mode="batched", wire=wire, guard=guard, rng=rng,
+        **engine_options,
     )

@@ -1,9 +1,10 @@
 """The host surface, as one matrix (:mod:`repro.sim.host`).
 
-Every host ``make_simulator`` can build — plus the two mirror oracles of
-``tests/reference_mirror.py`` the differential tests run — is built
-from the same states as a reference ``Network`` and asked every ``Host``
-call.  Each call agrees with the reference: never ``AttributeError`` (the
+Every host ``make_simulator`` can build — plus the sharded engine, which
+only ``FastSimulator.from_states(mode="sharded")`` builds, and the two
+mirror oracles of ``tests/reference_mirror.py`` the differential tests
+run — is built from the same states as a reference ``Network`` and asked
+every ``Host`` call.  Each call agrees with the reference: never ``AttributeError`` (the
 monitors used to die on the sharded and plain-mirror hosts), never a
 silent no-op (the sharded engine's state faults used to report work and
 do none).  Every fault injector is then run on every host: it perturbs the
@@ -46,8 +47,9 @@ from repro.sim.chaos.monitors import (
     WeakConnectivityWatchdog,
 )
 from repro.sim.chaos.plan import FaultPlan
-from repro.sim.fast import FastEngine, ShardedEngine
+from repro.sim.fast import FastEngine, FastSimulator
 from repro.sim.fast.buffers import LIN, Outbox
+from repro.sim.fast.shard import ShardedEngine
 from repro.sim.fast.shard.core import ShardCore
 from repro.sim.fast.soa import SoAState
 from repro.sim.host import ENGINES, make_simulator
@@ -59,13 +61,13 @@ from tests.reference_mirror import MirrorEngine, mirror_simulator
 N = 24
 
 #: host id → how to build it: every (engine, wire) pair of make_simulator,
-#: then the mirror oracles.
+#: the sharded engine, then the mirror oracles.
 BUILDERS = {
     "reference": lambda s: make_simulator(s, engine="reference", rng=5),
     "reference+wire": lambda s: make_simulator(s, engine="reference", wire=True, rng=5),
     "fast": lambda s: make_simulator(s, engine="fast", rng=5),
     "fast+wire": lambda s: make_simulator(s, engine="fast", wire=True, rng=5),
-    "sharded": lambda s: make_simulator(s, engine="sharded", rng=5),
+    "sharded": lambda s: FastSimulator.from_states(s, mode="sharded", rng=5),
     "mirror": lambda s: mirror_simulator(s, rng=5),
     "mirror+wire": lambda s: mirror_simulator(s, wire=True, rng=5),
 }
@@ -137,16 +139,21 @@ def test_wire_is_one_row_of_the_matrix(name):
 
 
 def test_sharded_with_wire_names_the_missing_transport(states):
+    """The sharded engine has no wire transport at its one door, and
+    ``make_simulator`` builds the reference and the batched engine only."""
     with pytest.raises(ValueError, match="no wire transport"):
-        make_simulator(states, engine="sharded", wire=True)
-    with pytest.raises(ValueError, match="unknown engine"):
-        make_simulator(states, engine="warp")
+        FastSimulator.from_states(states, mode="sharded", wire=True)
+    for engine in ("sharded", "warp"):
+        with pytest.raises(ValueError, match="unknown engine.*reference, fast$"):
+            make_simulator(states, engine=engine)
+    with pytest.raises(TypeError, match="mode"):
+        make_simulator(states, engine="fast", mode="sharded")
 
 
 def test_dedup_is_a_reference_engine_option(states):
     """The multiset channel model lives on the reference engine:
     ``dedup=False`` builds a ``Network`` whose channels keep every copy,
-    while the fast engines always coalesce and take no ``dedup``."""
+    while the fast engine always coalesces and takes no ``dedup``."""
     for dedup, held in ((False, 2), (True, 1)):
         network = make_simulator(copy.deepcopy(states), engine="reference", dedup=dedup).host
         assert isinstance(network, Network)
@@ -155,10 +162,9 @@ def test_dedup_is_a_reference_engine_option(states):
         network.send(dest, lin(network.ids[1]))
         network.flush()
         assert len(network.channel(dest)) == held
-    for engine in ("fast", "sharded"):
-        for dedup in (True, False):
-            with pytest.raises(TypeError, match="dedup"):
-                make_simulator(states, engine=engine, dedup=dedup)
+    for dedup in (True, False):
+        with pytest.raises(TypeError, match="dedup"):
+            make_simulator(states, engine="fast", dedup=dedup)
 
 
 #: Draw-for-draw twins of the reference: equal after every round, too.
@@ -228,8 +234,8 @@ def test_state_fault_injectors_agree_on_the_sharded_engine(states):
     sharded engine and changed no row (the scatter went into a merged copy
     of the shards' columns); one commit back they raised."""
     snapshots = []
-    for engine in ENGINES:
-        sim = make_simulator(copy.deepcopy(states), engine=engine, rng=5)
+    for name in (*ENGINES, "sharded"):
+        sim = BUILDERS[name](copy.deepcopy(states))
         for injector in (PointerCorruption(fraction=0.5), CrashRestart(count=8)):
             injector.bind(np.random.default_rng(0))
             injector.on_round(sim)
@@ -266,7 +272,7 @@ def _cell(injector: str, host: str) -> type[Exception] | str | None:
     if injector == "SchedulerFault" and host.startswith("mirror"):
         return TypeError  # scalar replay: no waves to perturb
     if injector == "SchedulerFault" and host == "sharded":
-        return NotImplementedError  # set_wave_fault
+        return TypeError  # no scheduler to swap, no wave fault to install
     return ABSORBED if injector == "MessageDuplication" else None
 
 
@@ -365,7 +371,7 @@ def test_check_invariants_reads_the_wire(name):
 #: The network-or-engine branch idioms (ISSUE 19): 68 sites before the
 #: host surface.  What remains is named in CHANGES.md — the two
 #: constructors' own tables, SchedulerFault's two mechanisms, the wire
-#: capability check, e22's shards/speed-up legs, MessageDelay's own mode.
+#: capability check, e22's speed-up leg, MessageDelay's own mode.
 BRANCH_IDIOMS = re.compile(
     r'getattr\((sim|simulator|self\.simulator), "(network|engine|scheduler)"'
     r"|isinstance\((network|host|target|sim), (Network|Simulator)\)"
@@ -375,7 +381,7 @@ BRANCH_IDIOMS = re.compile(
     r"|network is (not )?None"
     r'|"(batched|sharded)" if engine'
 )
-BRANCH_SITE_CEILING = 12
+BRANCH_SITE_CEILING = 8
 
 
 def test_branch_site_ratchet():

@@ -32,7 +32,7 @@ from repro.sim.fast.buffers import (
 from repro.sim.fast.kernels import Kernels
 from repro.sim.fast.shard import core as shard_core
 from repro.sim.fast.soa import SoAState
-from repro.sim.host import make_simulator
+from repro.sim.fast.engine import FastSimulator
 from repro.topology.generators import line_soa
 from tests.reference_flush import writer_rows_reference
 
@@ -107,7 +107,11 @@ def test_slots_index_as_intp_and_are_held_as_int32(monkeypatch, engine) -> None:
 
     monkeypatch.setattr(FastEngine, "_plan_round", checked_plan)
 
-    sim = make_simulator(line_soa(512, np.random.default_rng(3)), engine=engine, rng=3)
+    sim = FastSimulator.from_states(
+        line_soa(512, np.random.default_rng(3)),
+        mode="batched" if engine == "fast" else engine,
+        rng=3,
+    )
     sim.run(12)
 
     intp = {np.dtype(np.intp)}

@@ -141,25 +141,25 @@ class TestSpansAndProfile:
             observer.close()
         totals = late.totals
         assert set(totals) == {
-            ("reference", None, phase) for phase in ("flush", "receive", "regular")
+            ("reference", phase) for phase in ("flush", "receive", "regular")
         }
         # Calls count calls; rows count the messages each flush delivered.
-        assert totals["reference", None, "receive"].calls == 5
-        assert totals["reference", None, "flush"].calls == 5
-        assert totals["reference", None, "regular"].calls == 5 * n
-        assert totals["reference", None, "flush"].rows > 0
-        assert totals["reference", None, "regular"].rows == 0
+        assert totals["reference", "receive"].calls == 5
+        assert totals["reference", "flush"].calls == 5
+        assert totals["reference", "regular"].calls == 5 * n
+        assert totals["reference", "flush"].rows > 0
+        assert totals["reference", "regular"].rows == 0
         for t in totals.values():
             assert 0.0 <= t.self_s <= t.busy_s
         # Self times are additive: they sum to what the rounds covered.
         assert sum(t.self_s for t in totals.values()) == pytest.approx(late.covered_s)
         assert late.covered_s == pytest.approx(
-            totals["reference", None, "receive"].busy_s
+            totals["reference", "receive"].busy_s
         )
         # Two snapshots difference to the rounds between them.
         assert late.at_s > early.at_s and late.covered_s > early.covered_s
         for phase, calls in (("receive", 2), ("regular", 2 * n)):
-            key = ("reference", None, phase)
+            key = ("reference", phase)
             assert late.totals[key].calls - early.totals[key].calls == calls
 
     def test_span_closes_when_its_body_raises(self, monkeypatch):
@@ -184,10 +184,10 @@ class TestSpansAndProfile:
         finally:
             observer.close()
         assert Network.__dict__["flush"] is broken_flush
-        assert totals["reference", None, "flush"].calls == 1
-        assert totals["reference", None, "receive"].calls == 1
-        receive = totals["reference", None, "receive"]
-        flush = totals["reference", None, "flush"]
+        assert totals["reference", "flush"].calls == 1
+        assert totals["reference", "receive"].calls == 1
+        receive = totals["reference", "receive"]
+        flush = totals["reference", "flush"]
         assert receive.busy_s >= flush.busy_s
         assert receive.self_s == pytest.approx(receive.busy_s - flush.busy_s)
 
@@ -337,7 +337,7 @@ class TestObserverAttachment:
 
     @pytest.mark.parametrize("mode", ["batched", "mirror"])
     def test_fast_simulators_attach(self, mode):
-        """Every non-sharded SoA host, the mirror oracle included, is
+        """The batched host and the mirror oracle are both
         labelled ``fast``; the mirror oracle runs no wrapped layer, so it
         counts rounds but records no phases."""
         build = {"batched": FastSimulator.from_states, "mirror": mirror_simulator}[mode]
@@ -471,22 +471,22 @@ class TestHarnessAndCli:
         capsys.readouterr()
 
     def test_crashed_run_is_recorded_as_failed(self, tmp_path, capsys):
-        """``make_simulator`` refuses a wire on the sharded engine; that
-        run's manifest used to validate with ``result: null`` and summarize
-        as ``run: e22  [finished]``, 0 rounds, exit 0."""
+        """A topology no generator knows gets past the door and fails
+        inside the run, while the start is built; a run that fails like
+        that used to leave a manifest that validated with ``result: null``
+        and summarized as ``run: e22  [finished]``, 0 rounds, exit 0."""
         from repro.cli import main
 
         out = tmp_path / "obs"
-        argv = "run e22 engine=sharded loss_rate=0.2 sizes=96 queries=20".split()
-        with pytest.raises(ValueError, match="no wire transport"):
-            main([*argv, f"obs={out}"])
+        argv = "run e22 topology=no_such_family sizes=96 queries=20".split()
+        assert main([*argv, f"obs={out}"]) == 2
         capsys.readouterr()
         manifest = json.loads((out / "manifest.json").read_text())
         assert validate_manifest(manifest) == []
         assert manifest["status"] == "failed" and manifest["result"] is None
-        assert manifest["error"].startswith("ValueError: engine='sharded'")
+        assert manifest["error"].startswith("KeyError: 'no_such_family'")
         assert obs_main(["summarize", str(out)]) == 1
-        assert "run: e22  [failed: ValueError: " in capsys.readouterr().out
+        assert "run: e22  [failed: KeyError: " in capsys.readouterr().out
         # A manifest recorded before the fields existed reads as finished;
         # one with a status nobody writes does not validate.
         del manifest["status"], manifest["error"]
@@ -698,7 +698,7 @@ class TestLayerInstall:
             service.stop()
         snapshot = service.observer.layers.snapshot()
         totals = snapshot.totals
-        plan = totals["fast", None, "plan"]
+        plan = totals["fast", "plan"]
         assert plan.calls >= 23
         assert snapshot.covered_s == pytest.approx(plan.busy_s)
         assert sum(t.self_s for t in totals.values()) == pytest.approx(

@@ -1,13 +1,11 @@
-"""Live telemetry (ISSUE 9): scrape endpoint, shard telemetry, phases.
+"""Live telemetry (ISSUE 9): scrape endpoint and phases.
 
-Covers the three tentpole pieces end to end:
+Covers end to end:
 
 * :mod:`repro.obs.live` — address parsing, the background HTTP server
   (``/metrics`` + ``/health``), the throttled convergence probes, and
   the never-perturb contract (bit-identical sharded trajectories with
   the endpoint live and scraped mid-run);
-* per-shard layer totals (:class:`repro.obs.spans.LayerTracer`) folded
-  into the observer's registry under ``shard=`` labels;
 * :mod:`repro.obs.phases` + ``repro obs phases`` — round-phase
   attribution over the recorded manifest, with the ≥95% gate;
 * the manifest v2 ``live`` block, and v2 as the only schema accepted.
@@ -49,16 +47,10 @@ def _get(url: str) -> tuple[int, str]:
         return response.status, response.read().decode("utf-8")
 
 
-def _sharded_sim(seed: int, *, n: int = N):
+def _sim(seed: int, *, n: int = N, **options):
     rng = np.random.default_rng(seed)
     states = TOPOLOGIES["random_tree"](n, rng)
-    sim = FastSimulator.from_states(
-        states,
-        ProtocolConfig(),
-        mode="sharded",
-        shards=3,
-        rng=rng,
-    )
+    sim = FastSimulator.from_states(states, ProtocolConfig(), rng=rng, **options)
     return sim, rng
 
 
@@ -220,7 +212,7 @@ class TestLiveServer:
 # ----------------------------------------------------------------------
 class TestLiveStatus:
     def test_probe_counts_unconverged_and_potential(self):
-        sim, _ = _sharded_sim(3)
+        sim, _ = _sim(3)
         status = LiveStatus()
         status.probe(sim)
         # A fresh random tree is far from the sorted list.
@@ -237,7 +229,7 @@ class TestLiveStatus:
         assert status.unconverged is None and status.potential is None
 
     def test_probes_only_run_when_scraped(self):
-        sim, _ = _sharded_sim(4)
+        sim, _ = _sim(4)
         status = LiveStatus(probe_interval=0.0)
         status.round_end(1, N, 0, sim)
         assert status.probe_round is None  # nobody is watching
@@ -267,7 +259,7 @@ class TestLiveStatus:
 class TestLiveDoesNotPerturb:
     def test_sharded_bit_identical_with_live_scrapes(self):
         def run(observed: bool):
-            sim, rng = _sharded_sim(17)
+            sim, rng = _sim(17, mode="sharded", shards=3)
             if not observed:
                 sim.run(ROUNDS)
             else:
@@ -302,20 +294,20 @@ class TestLiveDoesNotPerturb:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: instrumented sharded run with live= (the CLI path)
+# End-to-end: instrumented batched run with live= (the CLI path)
 # ----------------------------------------------------------------------
-def sharded_live_experiment(
+def live_experiment(
     *, n: int = N, rounds: int = ROUNDS, seed: int = 5
 ) -> ExperimentResult:
     """A registered-experiment-shaped driver that scrapes its own
     endpoint mid-run — the in-process twin of the CI obs-smoke curl."""
     result = ExperimentResult(
         experiment="live-e2e",
-        title="sharded live endpoint smoke",
+        title="live endpoint smoke",
         claim="",
         params={"n": n, "rounds": rounds, "seed": seed},
     )
-    sim, _ = _sharded_sim(seed, n=n)
+    sim, _ = _sim(seed, n=n)
     observer = active()
     url = observer.live_server.url
     for index in range(rounds):
@@ -337,7 +329,7 @@ class TestInstrumentedLiveRun:
 
         out = tmp_path / "obs"
         instrumented_run(
-            sharded_live_experiment,
+            live_experiment,
             {"n": N, "rounds": ROUNDS},
             str(out),
             experiment="live-e2e",
@@ -355,33 +347,33 @@ class TestInstrumentedLiveRun:
         assert manifest["live"]["address"] == live["address"]
         assert manifest["live"]["scrapes"] >= 2
         assert manifest["live"]["health_requests"] >= 2
-        # Coordinator phases recorded for the sharded engine.
-        assert set(manifest["phases"]["sharded"]) >= {
-            "dispatch", "exchange", "flush", "merge", "rng",
-        }
+        # The batched engine's phases, keyed by engine alone.
+        assert set(manifest["phases"]) == {"fast"}
+        assert set(manifest["phases"]["fast"]) >= {"flush", "plan", "regular", "rng"}
 
-        # shard=-labelled per-shard series reached the final exposition.
+        # The final exposition carries the run's series and no shard ones.
         prom = (out / "metrics.prom").read_text()
-        assert 'shard="0"' in prom
-        assert "repro_shard_phase_seconds_total" in prom
+        assert 'repro_rounds_total{engine="fast"}' in prom
+        assert "shard" not in prom
         assert validate_prometheus_text(prom) == []
 
         # CLI: validate covers prom + live.json; phases gates attribution.
         assert obs_main(["validate", str(out)]) == 0
         assert obs_main(
-            ["phases", str(out), "--engine", "sharded", "--min-attribution", "0.9"]
+            ["phases", str(out), "--engine", "fast", "--min-attribution", "0.9"]
         ) == 0
         rendered = capsys.readouterr().out
-        assert "engine=sharded" in rendered
-        assert "shard=0" in rendered
+        assert "engine=fast" in rendered
+        assert "shard" not in rendered
         assert obs_main(["phases", str(out), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["engines"]["sharded"]["attribution"] > 0.9
+        assert set(report) == {"experiment", "engines"}
+        assert report["engines"]["fast"]["attribution"] > 0.9
 
     def test_phases_gate_fails_below_floor(self, tmp_path, capsys):
         out = tmp_path / "obs"
         instrumented_run(
-            sharded_live_experiment,
+            live_experiment,
             {"n": 32, "rounds": 8},
             str(out),
             experiment="live-e2e",
@@ -429,79 +421,6 @@ class TestManifestVersions:
         for schema in ("repro.obs/manifest/v1", "repro.obs/manifest/v9"):
             manifest["schema"] = schema
             assert any("schema" in p for p in validate_manifest(manifest))
-
-
-# ----------------------------------------------------------------------
-# Shard telemetry: the layer tracer's per-shard totals in the registry
-# ----------------------------------------------------------------------
-def _observed_sharded(seed: int, rounds: int):
-    """A 3-shard run under a closed observer; returns the observer."""
-    observer = Observer()
-    with activated(observer):
-        sim, _ = _sharded_sim(seed)
-    sim.run(rounds)
-    observer.close()
-    return observer, sim
-
-
-class TestShardTelemetry:
-    def test_fold_accumulates_under_shard_labels(self):
-        observer, sim = _observed_sharded(9, 4)
-        totals = observer.layers.snapshot().totals
-        registry = observer.registry
-        seconds = registry.counter("shard_phase_seconds_total")
-        routed = registry.counter("shard_rows_routed_total")
-        delivered = registry.counter("shard_rows_delivered_total")
-        live = registry.gauge("shard_live_nodes")
-        for shard in range(3):
-            for phase in ("flush", "exchange", "dispatch", "regular"):
-                t = totals["sharded", shard, phase]
-                assert t.calls >= 4
-                assert seconds.value(shard=str(shard), phase=phase) == pytest.approx(
-                    t.self_s
-                )
-            assert routed.value(shard=str(shard)) == totals["sharded", shard, "flush"].rows
-            assert delivered.value(shard=str(shard)) == (
-                totals["sharded", shard, "exchange"].rows
-            )
-        # Every routed row is delivered to some shard; the shards' live
-        # nodes are the whole population.
-        assert routed.total() == delivered.total() > 0
-        assert sum(live.value(shard=str(s)) for s in range(3)) == len(sim.engine)
-        # The coordinator's own phases carry no shard label.
-        assert {phase for _, shard, phase in totals if shard is None} == {
-            "merge", "rng",
-        }
-
-    def test_shard_series_follow_the_tracer_totals(self):
-        """Publishing copies running totals: a second publish adds
-        nothing, and the next rounds advance each series to the new
-        total instead of adding it again."""
-        observer = Observer()
-        with activated(observer):
-            sim, _ = _sharded_sim(9)
-        seconds = observer.registry.counter("shard_phase_seconds_total")
-        try:
-            sim.run(3)
-            observer.publish_shards()
-            first = seconds.total()
-            observer.publish_shards()
-            assert seconds.total() == first > 0.0
-            sim.run(3)
-            observer.publish_shards()
-            totals = observer.layers.snapshot().totals
-            assert seconds.total() == pytest.approx(
-                sum(t.self_s for (_, shard, _), t in totals.items() if shard is not None)
-            )
-            assert seconds.total() > first
-        finally:
-            observer.close()
-
-    def test_prometheus_text_renders_shard_series(self):
-        observer, _ = _observed_sharded(9, 2)
-        text = prometheus_text(observer.registry)
-        assert 'repro_shard_phase_seconds_total{phase="flush",shard="1"}' in text
-        assert 'repro_shard_live_nodes{shard="2"}' in text
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ import pytest
 
 from repro.sim.fast import kernels as kernels_module
 from repro.sim.fast.buffers import Outbox
+from repro.sim.fast.engine import FastSimulator
 from repro.sim.fast.sanitize import FlowSanitizer, SanitizedOutbox
 from repro.sim.host import make_simulator
 from repro.sim.metrics import MessageStats
@@ -127,9 +128,8 @@ def engines(kind: str, seed: int):
     if kind == "chaos":
         engine = make_simulator(states, engine="fast", wire=True, rng=seed).engine
     else:
-        engine = make_simulator(
-            states, engine="sharded" if kind == "shard" else "fast", rng=seed
-        ).engine
+        mode = "sharded" if kind == "shard" else "batched"
+        engine = FastSimulator.from_states(states, mode=mode, rng=seed).engine
     return getattr(engine, "cores", [engine])
 
 

@@ -8,7 +8,7 @@ End-to-end coverage of :mod:`repro.serve`:
   traces, membership, ``/metrics`` + ``/health`` on the one port,
   shutdown, error codes, request isolation and the read timeout;
 * a sanitized serve run (the snapshot path must be invisible to the
-  flow sanitizer) and a sharded-engine service smoke;
+  flow sanitizer), and the service refusing every engine but ``fast``;
 * the Zipf load harness (in-process and over-the-wire) feeding
   validated SLO summaries, plus the ``repro serve`` CLI with its
   ``serve.json``/manifest artifacts.
@@ -298,7 +298,7 @@ class TestLookupsAndStorms:
 
 
 # ----------------------------------------------------------------------
-# Engine variants: sanitized and sharded
+# Engine variants: sanitized, and the engines the service refuses
 # ----------------------------------------------------------------------
 class TestEngineVariants:
     def test_sanitized_serve_run_is_clean(self):
@@ -316,20 +316,10 @@ class TestEngineVariants:
             svc.stop()
         assert svc.host.error is None
 
-    def test_sharded_service_smoke(self):
-        svc = build_service(
-            n=192, engine="sharded", shards=3, seed=6, check_every=4
-        )
-        svc.start()
-        try:
-            assert svc.host.wait_converged(timeout=120)
-            report = run_load(svc, lookups=1000, latency_samples=16, seed=2)
-            assert report.ok == report.lookups
-            assert svc.host.fire_storm("flash_crowd", seed=1).result(timeout=60)
-            assert svc.host.wait_converged(timeout=120)
-        finally:
-            svc.stop()
-        assert svc.host.error is None
+    @pytest.mark.parametrize("engine", ["sharded", "reference"])
+    def test_only_the_fast_engine_is_served(self, engine):
+        with pytest.raises(ValueError, match="expected one of fast$"):
+            build_service(n=64, engine=engine)
 
     def test_service_start_stop_idempotent(self):
         svc = build_service(n=64, seed=4)
@@ -545,6 +535,8 @@ class TestLifecycleAndCLI:
 
         assert serve_main(["bogus=1"]) == 2
         assert "unknown serve parameter" in capsys.readouterr().err
+        assert serve_main(["shards=2"]) == 2
+        assert "unknown serve parameter(s): ['shards']" in capsys.readouterr().err
 
     def test_cli_has_no_second_port(self, capsys):
         from repro.serve.cli import main as serve_main

@@ -230,14 +230,8 @@ def test_churn_trajectory_one_shard_is_the_batched_engine():
 
 
 # ----------------------------------------------------------------------
-# Unsupported surface, the removed worker backend, repr
+# The removed worker backend, repr
 # ----------------------------------------------------------------------
-def test_set_wave_fault_unsupported():
-    engine = ShardedEngine(_states(8), shards=2)
-    with pytest.raises(NotImplementedError, match="wave-dispatch"):
-        engine.set_wave_fault(object())
-
-
 def test_workers_argument_rejected_unless_zero():
     """The worker-process backend is gone (docs/PERF.md §8): the one door
     that still takes ``workers`` accepts 0 and nothing else."""

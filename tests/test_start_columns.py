@@ -232,7 +232,7 @@ def test_the_column_door_takes_only_an_id_sorted_start() -> None:
         with pytest.raises(ValueError, match="id-sorted"):
             FastSimulator.from_states(start)
         with pytest.raises(ValueError, match="id-sorted"):
-            make_simulator(start, engine="sharded")
+            FastSimulator.from_states(start, mode="sharded")
 
 
 def test_the_column_door_equals_the_list_door() -> None:
@@ -249,7 +249,7 @@ def test_the_column_door_equals_the_list_door() -> None:
 def test_sharded_from_a_start_replays_batched(shards: int) -> None:
     start = line_soa(384, np.random.default_rng(10))
     batched = FastSimulator.from_states(start, rng=6)
-    sharded = make_simulator(start, engine="sharded", shards=shards, rng=6)
+    sharded = FastSimulator.from_states(start, mode="sharded", shards=shards, rng=6)
     assert sharded.host.soa is not start
     rounds = batched.run_until(lambda h: h.is_sorted_list(), max_rounds=2000)
     assert sharded.run_until(lambda h: h.is_sorted_list(), max_rounds=2000) == rounds

@@ -5,7 +5,7 @@ wave grouping produced by :func:`repro.sim.fast.buffers.build_inbox`:
 within one wave (``rank`` value) each destination slot appears at most
 once, so same-column fancy stores cannot collide.  These tests pin that
 invariant for arbitrary staged traffic, coalesced by the flush, and
-exercise the debug-only runtime assert behind ``REPRO_CHECK_WAVES=1``.
+exercise the debug-only runtime assert behind ``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations
@@ -113,12 +113,12 @@ def test_waves_have_unique_destinations(rows, seed) -> None:
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_debug_assert_accepts_valid_inboxes(rows, seed) -> None:
-    """With ``REPRO_CHECK_WAVES=1`` the in-band assert runs and passes on
+    """With ``REPRO_SANITIZE=1`` the in-band assert runs and passes on
     every inbox ``build_inbox`` can construct (the invariant holds by
     construction, so the assert must never fire on real traffic)."""
     soa = make_soa()
-    previous = os.environ.get("REPRO_CHECK_WAVES")
-    os.environ["REPRO_CHECK_WAVES"] = "1"
+    previous = os.environ.get("REPRO_SANITIZE")
+    os.environ["REPRO_SANITIZE"] = "1"
     try:
         assert _wave_check_enabled()
         inbox, _ = build_inbox(
@@ -126,9 +126,9 @@ def test_debug_assert_accepts_valid_inboxes(rows, seed) -> None:
         )
     finally:
         if previous is None:
-            del os.environ["REPRO_CHECK_WAVES"]
+            del os.environ["REPRO_SANITIZE"]
         else:
-            os.environ["REPRO_CHECK_WAVES"] = previous
+            os.environ["REPRO_SANITIZE"] = previous
     assert inbox is not None
 
 
@@ -141,7 +141,7 @@ def test_wave_check_env_parsing(monkeypatch) -> None:
         ("1", True),
         ("yes", True),
     ):
-        monkeypatch.setenv("REPRO_CHECK_WAVES", value)
+        monkeypatch.setenv("REPRO_SANITIZE", value)
         assert _wave_check_enabled() is expected
-    monkeypatch.delenv("REPRO_CHECK_WAVES")
+    monkeypatch.delenv("REPRO_SANITIZE")
     assert not _wave_check_enabled()
