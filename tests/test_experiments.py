@@ -406,10 +406,10 @@ _SMOKE_COMMANDS = _ci_run_commands("chaos-smoke", "churn-smoke")
 
 
 def test_ci_smoke_jobs_were_found():
-    """Two chaos-smoke legs and three churn-smoke legs (storms on
-    reference and fast; scalar churn on fast); fewer means the scan above
-    lost track of ci.yml."""
-    assert len(_SMOKE_COMMANDS) == 5
+    """Two chaos-smoke legs and four churn-smoke legs (storms and scalar
+    churn, each on reference and fast); fewer means the scan above lost
+    track of ci.yml."""
+    assert len(_SMOKE_COMMANDS) == 6
 
 
 @pytest.mark.parametrize("env, argv", _SMOKE_COMMANDS)
